@@ -32,7 +32,7 @@ from .grammar import ParseError, format_poly, parse_poly
 from .homotopy import HomotopyNijenhuis, TwoTermConformal, check_2term, check_homotopy_nijenhuis, classify
 from .lca import LCA, ConfLinMap, FreeModule, RepTable, check_lca, check_representation
 from .nijenhuis import NijenhuisLCA, check_nijenhuis
-from .report import FAIL, PASS, Report
+from .report import FAIL, PASS
 from .wells import (
     LIFT,
     SOLVE,
@@ -100,10 +100,6 @@ def _split_block(lines):
     if current:
         blocks.append(current)
     return blocks
-
-
-def _fields(path, lineno, text):
-    return text.split(), text
 
 
 def _parse_entry_polys(path, lineno, text, expr, arity, count):
@@ -177,7 +173,15 @@ def _parse_block(ws, path, block):
         for bl, bt in body:
             bw = bt.split()
             if bw[0] == "basis":
-                basis.extend(bw[1:])
+                column = bt.index("basis") + len("basis")
+                for word in bw[1:]:
+                    column = bt.index(word, column)
+                    if word in basis:
+                        raise WorkspaceError(
+                            path, bl, column + 1, "duplicate basis name %r" % word
+                        )
+                    basis.append(word)
+                    column += len(word)
             elif bw[0] == "del" and len(bw) == 2:
                 del_action = bw[1]
             else:
@@ -363,10 +367,6 @@ def _emit_matrix(out, name, mapping, indent=1):
             + "row: "
             + ", ".join(format_poly(entry) for entry in row)
         )
-
-
-def _status_of(reports):
-    return PASS if all(r.passed for r in reports) else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +579,6 @@ def _build_parser():
     )
     common.add_argument("--report", help="also write the report to this path")
     common.add_argument("--bound", type=int, help="polynomial degree bound")
-    common.add_argument("--seed", type=int, help="seed for randomized runs")
-    common.add_argument(
-        "--parallel",
-        action="store_true",
-        help="allow parallel tuple enumeration (output order unaffected)",
-    )
     parser = argparse.ArgumentParser(
         prog="nijconf",
         description="exact checks on Nijenhuis Lie conformal algebras",
@@ -622,19 +616,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    for attr, default in (
-        ("files", []),
-        ("report", None),
-        ("bound", None),
-        ("seed", None),
-        ("parallel", False),
-    ):
+    for attr, default in (("files", []), ("report", None), ("bound", None)):
         if not hasattr(args, attr):
             setattr(args, attr, default)
     started = time.monotonic()
     out = []
     _emit(out, "command", args.verb + " " + args.name)
     try:
+        if args.bound is not None and args.bound < 0:
+            raise WorkspaceError(
+                "<args>", 0, 0, "--bound must be nonnegative, got %d" % args.bound
+            )
         ws = parse_workspace(args.files)
         passed = _VERBS[args.verb](ws, args, out)
         status = PASS if passed else FAIL

@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
-from .lca import Elem, RepTable, dagger_substitute
+from .lca import Elem, RepTable, _expand_value, dagger_substitute
+from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
 from .poly import Poly
 from .report import Report, first_witness
@@ -36,60 +37,6 @@ MAX_DEGREE = 4
 def adjoint_rep(lca):
     """The adjoint action table of an algebra on its own module."""
     return RepTable(lca, lca.module, lca.table)
-
-
-def _expand_value(polys, forms, arity):
-    """Map arity-k polynomials into the working arity: lam_j -> forms[j-1].
-
-    del is left untouched (it acts on the output).
-    """
-    powers = {}
-    out = []
-    for poly in polys:
-        acc = Poly.zero(arity)
-        for key, coeff in poly.terms.items():
-            term = Poly(arity, {(key[0],) + (0,) * arity: coeff})
-            for j, e in enumerate(key[1:]):
-                if e:
-                    power = powers.get((j, e))
-                    if power is None:
-                        power = powers[j, e] = forms[j] ** e
-                    term = term * power
-            acc = acc + term
-        out.append(acc)
-    return out
-
-
-def act_form(table, target, a, b, form, arity):
-    """Sesquilinear table evaluation with an explicit lambda-form.
-
-    Generalizes the slot-variable evaluation of `lca.sesqui_eval`: the first
-    argument's coefficients get del |-> -form, the second argument's get
-    del |-> del + form, and the table value's lam1 becomes ``form``.
-    """
-    a = a.with_arity(arity)
-    b = b.with_arity(arity)
-    minus = -form
-    shift = Poly.del_(arity) + form
-    result = [Poly.zero(arity)] * target.rank
-    if a.is_zero():
-        return Elem(target, result)
-    shifted = [gb.substitute(0, shift) if gb else gb for gb in b.coords]
-    for i, fa in enumerate(a.coords):
-        if fa.is_zero():
-            continue
-        fa = fa.substitute(0, minus)
-        for j, gb in enumerate(shifted):
-            if gb.is_zero():
-                continue
-            value = table.get(i, j)
-            if not any(value):
-                continue
-            factor = fa * gb
-            for t, tpoly in enumerate(_expand_value(value, [form], arity)):
-                if tpoly:
-                    result[t] = result[t] + factor * tpoly
-    return Elem(target, result)
 
 
 class Cochain:
@@ -250,18 +197,16 @@ def eval_cochain(f, args, forms, arity):
         )
     coords = [Poly.zero(arity)] * f.target.rank
     for key, value in f.values.items():
-        factor = Poly.one(arity)
-        for k in range(n):
-            c = subbed[k][key[k]]
+        factor = None
+        for k, i in enumerate(key):
+            c = subbed[k][i]
             if c.is_zero():
-                factor = None
                 break
-            factor = factor * c
-        if factor is None:
-            continue
-        for t, vp in enumerate(_expand_value(value.coords, forms, arity)):
-            if vp:
-                coords[t] = coords[t] + factor * vp
+            factor = c if factor is None else factor * c
+        else:
+            for t, vp in enumerate(_expand_value(value.coords, forms, arity)):
+                if vp:
+                    coords[t] = coords[t] + factor * vp
     return Elem(f.target, coords)
 
 
@@ -273,20 +218,15 @@ def _forms(count, arity):
     return [Poly.lam(i + 1, arity) for i in range(count)]
 
 
-def check_cochain_skew(f):
-    """Conformal skew-symmetry of the stored table.
+def _skew_residuals(f):
+    """Yield ((key, k), residual) of conformal skew-symmetry for f.
 
-    For each adjacent transposition the evaluation with swapped arguments and
-    swapped lambda-roles must be the negative of the original; the last slot
-    goes through the dagger substitution.
+    For each basis tuple and adjacent transposition k the evaluation with
+    swapped arguments and swapped lambda-roles must be the negative of the
+    original; the last slot goes through the dagger substitution.
     """
-    report = Report("cochain-skew")
     n = f.degree
-    if n <= 1:
-        report.add("skew", True)
-        return report
     module = f.source.module
-    failures = []
     forms = _forms(n, n)
     for key in product(range(module.rank), repeat=n):
         args = _basis_args(module, key)
@@ -297,11 +237,17 @@ def check_cochain_skew(f):
             s_forms = list(forms)
             s_forms[k], s_forms[k + 1] = s_forms[k + 1], s_forms[k]
             swapped = eval_cochain(f, s_args, s_forms, n)
-            residual = dagger_substitute(base + swapped, n)
-            if not residual.is_zero():
-                failures.append((key + (k,), repr(residual)))
-    report.add("skew", not failures, first_witness(failures))
-    return report
+            yield (key, k), dagger_substitute(base + swapped, n)
+
+
+def check_cochain_skew(f):
+    """Conformal skew-symmetry of the stored table (see `_skew_residuals`)."""
+    failures = [
+        (key + (k,), repr(residual))
+        for (key, k), residual in _skew_residuals(f)
+        if not residual.is_zero()
+    ]
+    return Report("cochain-skew").add("skew", not failures, first_witness(failures))
 
 
 def skew_symmetrize(f):
@@ -626,17 +572,16 @@ def phi_chain_check(f, n_op):
     deformed_rep = adjoint_rep(deformed_table(f.source, n_op))
     lhs = apply_delta(phi_f, rep=deformed_rep)
     rhs = apply_delta(apply_dN(f, n_op)).scale((-1) ** (n + 2))
-    report = Report("phi-chain")
     diff = lhs - rhs
-    witness = None
-    if not diff.is_zero():
-        key = min(diff.values)
-        witness = "at=%s residual=[%s]" % (
-            ",".join(map(str, key)),
-            repr(diff.values[key]),
-        )
-    report.add("intertwine", diff.is_zero(), witness)
-    return report
+    return Report("phi-chain").add("intertwine", diff.is_zero(), _cochain_witness(diff))
+
+
+def _cochain_witness(res):
+    """The least nonzero entry of a residual cochain, or None when it is zero."""
+    if res.is_zero():
+        return None
+    key = min(res.values)
+    return first_witness([(key, repr(res.values[key]))])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +639,7 @@ def cochain_space(rep, degree, bound):
     from .linalg import nullspace
 
     module = rep.algebra.module
-    include_del = any(a == "free" for a in _del_actions(rep.module))
+    include_del = any(a == "free" for a in rep.module.actions)
     monos = _monomials(max(degree - 1, 0), bound, include_del)
     slots = []
     for key in product(range(module.rank), repeat=degree):
@@ -711,25 +656,15 @@ def cochain_space(rep, degree, bound):
         return kept
     index = {}
     residual_cols = []
-    forms = _forms(degree, degree)
     for cochain in kept:
         col = {}
-        for key in product(range(module.rank), repeat=degree):
-            args = _basis_args(module, key)
-            base = cochain.value(key).with_arity(degree)
-            for k in range(degree - 1):
-                s_args = list(args)
-                s_args[k], s_args[k + 1] = s_args[k + 1], s_args[k]
-                s_forms = list(forms)
-                s_forms[k], s_forms[k + 1] = s_forms[k + 1], s_forms[k]
-                swapped = eval_cochain(cochain, s_args, s_forms, degree)
-                residual = dagger_substitute(base + swapped, degree)
-                for c, poly in enumerate(residual.coords):
-                    for mono, coeff in poly.terms.items():
-                        slot = (k, key, c, mono)
-                        if slot not in index:
-                            index[slot] = len(index)
-                        col[index[slot]] = coeff
+        for (key, k), residual in _skew_residuals(cochain):
+            for c, poly in enumerate(residual.coords):
+                for mono, coeff in poly.terms.items():
+                    slot = (k, key, c, mono)
+                    if slot not in index:
+                        index[slot] = len(index)
+                    col[index[slot]] = coeff
         residual_cols.append(col)
     nrows = len(index)
     rows = [
@@ -745,10 +680,6 @@ def cochain_space(rep, degree, bound):
                 acc = acc + cochain.scale(coeff)
         basis.append(acc)
     return basis
-
-
-def _del_actions(module):
-    return module.actions
 
 
 def _structure_degree(rep):

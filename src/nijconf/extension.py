@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cochain, _cochain_vector, act_form
+from .cohomology import Cochain, _cochain_vector, _cochain_witness, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
@@ -27,6 +27,8 @@ from .lca import (
     check_morphism,
     dagger_substitute,
     eval_bracket,
+    _jacobi_failures,
+    _skew_failures,
     _sum_module,
 )
 from .linalg import (
@@ -35,8 +37,8 @@ from .linalg import (
     poly_unimodular_inverse,
     solve,
 )
-from .nijenhuis import NijenhuisLCA
-from .poly import Poly
+from .nijenhuis import NijenhuisLCA, _nijenhuis_failures
+from .poly import Poly, dagger
 from .report import Report, first_witness
 
 
@@ -220,7 +222,7 @@ def _candidate_total(cocycle, quot, sub):
                 i, rank_l + j, zero_l + list(cocycle.rho.action.get(i, j))
             )
             flipped = cocycle.rho.act_basis(i, j, slot=2, arity=2)
-            flipped = dagger_substitute(flipped, 2, keep=[1])
+            flipped = dagger_substitute(flipped, 2)
             total.set_bracket(
                 rank_l + j, i, zero_l + [-c for c in flipped.coords]
             )
@@ -240,63 +242,6 @@ def _candidate_total(cocycle, quot, sub):
             + [sub.n.matrix[r][c] for c in range(rank_h)]
         )
     return total, ConfLinMap(total_mod, total_mod, r_matrix), rank_l
-
-
-def _skew_failures(total, pairs):
-    failures = []
-    for i, j in pairs:
-        lhs = total.bracket_basis(i, j, slot=1)
-        flipped = total.bracket_basis(j, i, slot=2, arity=2)
-        residual = lhs + dagger_substitute(flipped, 2, keep=[1])
-        if not residual.is_zero():
-            failures.append(((i, j), repr(residual)))
-    return failures
-
-
-def _jacobi_failures(total, triples):
-    module = total.module
-    failures = []
-    for i, j, k in triples:
-        ei = module.basis_elem(i)
-        ej = module.basis_elem(j)
-        term1 = eval_bracket(
-            total, ei, total.bracket_basis(j, k, slot=2, arity=2), slot=1
-        )
-        term2 = eval_bracket(
-            total, ej, total.bracket_basis(i, k, slot=1, arity=2), slot=2
-        )
-        outer = eval_bracket(
-            total,
-            total.bracket_basis(i, j, slot=1, arity=3),
-            module.basis_elem(k),
-            slot=3,
-        )
-        lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
-        term3 = outer.substitute(3, lam12).shrink(2)
-        residual = term1 - term2 - term3
-        if not residual.is_zero():
-            failures.append(((i, j, k), repr(residual)))
-    return failures
-
-
-def _nijenhuis_failures(total, operator, pairs):
-    module = total.module
-    failures = []
-    for i, j in pairs:
-        ei = module.basis_elem(i)
-        ej = module.basis_elem(j)
-        nei = operator.apply(ei)
-        nej = operator.apply(ej)
-        lhs = eval_bracket(total, nei, nej)
-        inner = (
-            eval_bracket(total, nei, ej)
-            + eval_bracket(total, ei, nej)
-            - operator.apply(eval_bracket(total, ei, ej))
-        )
-        residual = lhs - operator.apply(inner)
-        if not residual.is_zero():
-            failures.append(((i, j), repr(residual)))
-    return failures
 
 
 def check_nonabelian_cocycle(cocycle, quot, sub):
@@ -399,7 +344,7 @@ def _equivalence_residuals(c1, c2, quot, sub, tau):
     l_alg, h_alg = quot.algebra, sub.algebra
     l_mod, h_mod = l_alg.module, h_alg.module
     lam1 = Poly.lam(1, 1)
-    dag1 = -Poly.del_(1) - lam1
+    dag1 = dagger(lam1)
     rep = RepTable(l_alg, h_mod)
 
     action_res = Cochain(2, rep)
@@ -433,16 +378,6 @@ def _equivalence_residuals(c1, c2, quot, sub, tau):
     for i in range(l_mod.rank):
         operator_res.set_value((i,), defect.apply(l_mod.basis_elem(i)))
     return action_res, bracket_res, operator_res
-
-
-def _cochain_witness(res):
-    if res.is_zero():
-        return None
-    key = min(res.values)
-    return "at=%s residual=[%s]" % (
-        ",".join(map(str, key)),
-        repr(res.values[key]),
-    )
 
 
 def _default_tau_bound(c1, c2, quot):

@@ -6,21 +6,24 @@ targets).  A bracket or action is a structure table: for each ordered basis
 pair a vector of arity-1 polynomials in (del, lam1), where del is understood
 to act on the output.  Sesquilinearity is implemented by substitution:
 
-* first argument:  del |-> -lam_slot in the argument's coefficients;
-* second argument: del |-> del + lam_slot;
-* table value:     lam1 renamed to the slot variable, del kept outermost.
+* first argument:  del |-> -form in the argument's coefficients;
+* second argument: del |-> del + form;
+* table value:     lam1 |-> form, del kept outermost;
 
-All axioms (skew-symmetry, Jacobi, representation identity) are checked by
+where the lambda-form is the slot variable lam_slot for a plain bracket, or
+any polynomial standing for the argument's lambda inside a cochain.  All
+axioms (skew-symmetry, Jacobi, representation identity) are checked by
 expanding these substitutions to literal polynomial identities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import ModuleMismatchError, PreconditionError
 from .grammar import format_poly
-from .poly import Poly
+from .poly import Poly, _trusted, dagger
 
 FREE = "free"
 
@@ -158,17 +161,6 @@ class Elem:
             self.module, [c.with_arity(arity) * poly for c in self.coords]
         )
 
-    def apply_del(self):
-        actions = self.module.actions
-        if all(a == FREE for a in actions):
-            return self.mul_poly(Poly.del_(self.arity))
-        delta = Poly.del_(self.arity)
-        coords = [
-            c * delta if a == FREE else c.scale(a)
-            for a, c in zip(actions, self.coords)
-        ]
-        return Elem(self.module, coords)
-
     def substitute(self, index, image):
         arity = max(self.arity, image.arity if isinstance(image, Poly) else 0)
         image = image.with_arity(arity) if isinstance(image, Poly) else image
@@ -195,15 +187,6 @@ class Elem:
             if not coeff.is_zero():
                 parts.append("(%s)%s" % (format_poly(coeff), name))
         return " + ".join(parts) if parts else "0"
-
-
-def format_elem(elem):
-    return repr(elem)
-
-
-# element aliases matching the two roles they play
-ModElem = Elem
-LambdaElem = Elem
 
 
 class StructureTable:
@@ -249,47 +232,57 @@ class StructureTable:
         )
 
 
-def _table_value_at(value, slot, arity):
-    """Re-home an arity-1 table value polynomial: lam1 -> lam_slot."""
+def _expand_value(polys, forms, arity):
+    """Map arity-k polynomials into the working arity: lam_j -> forms[j-1].
+
+    del is left untouched (it acts on the output).
+    """
+    powers = {}
     out = []
-    for poly in value:
-        terms = {}
-        for (e_del, e_lam), coeff in poly.terms.items():
-            key = [0] * (arity + 1)
-            key[0] = e_del
-            key[slot] = e_lam
-            terms[tuple(key)] = coeff
-        out.append(Poly(arity, terms))
+    for poly in polys:
+        acc = Poly.zero(arity)
+        for key, coeff in poly.terms.items():
+            term = _trusted(arity, {(key[0],) + (0,) * arity: coeff})
+            for j, e in enumerate(key[1:]):
+                if e:
+                    power = powers.get((j, e))
+                    if power is None:
+                        power = powers[j, e] = forms[j] ** e
+                    term = term * power
+            acc = acc + term
+        out.append(acc)
     return out
 
 
-def sesqui_eval(table, target, a, b, slot, arity=None):
-    """Bilinear sesquilinear extension of a structure table.
+def sesqui_eval(table, target, a, b, form, arity):
+    """Sesquilinear extension of a structure table at a lambda-form.
 
     ``a`` and ``b`` are Elems whose coordinates may already involve other
-    lambda-variables; ``slot`` is the index of the fresh lambda attached to
-    this evaluation.  Returns an Elem of ``target``.
+    lambda-variables; ``form`` (a polynomial at ``arity``) is the lambda
+    attached to this evaluation: the first argument's coefficients get
+    del |-> -form, the second argument's get del |-> del + form, and the
+    table value's lam1 becomes ``form``.  Returns an Elem of ``target``.
     """
-    if arity is None:
-        arity = max(a.arity, b.arity, slot)
     a = a.with_arity(arity)
     b = b.with_arity(arity)
-    minus_lam = -Poly.lam(slot, arity)
-    shift = Poly.del_(arity) + Poly.lam(slot, arity)
+    minus = -form
+    shift = Poly.del_(arity) + form
     result = [Poly.zero(arity)] * target.rank
+    if a.is_zero():
+        return Elem(target, result)
+    shifted = [gb.substitute(0, shift) if gb else gb for gb in b.coords]
     for i, fa in enumerate(a.coords):
         if fa.is_zero():
             continue
-        fa = fa.substitute(0, minus_lam)
-        for j, gb in enumerate(b.coords):
+        fa = fa.substitute(0, minus)
+        for j, gb in enumerate(shifted):
             if gb.is_zero():
                 continue
-            gb = gb.substitute(0, shift)
             value = table.get(i, j)
             if not any(value):
                 continue
             factor = fa * gb
-            for t, tpoly in enumerate(_table_value_at(value, slot, arity)):
+            for t, tpoly in enumerate(_expand_value(value, [form], arity)):
                 if tpoly:
                     result[t] = result[t] + factor * tpoly
     return Elem(target, result)
@@ -316,9 +309,8 @@ class LCA:
         """[e_i lam_slot e_j] as an Elem."""
         if arity is None:
             arity = slot
-        return Elem(
-            self.module, _table_value_at(self.table.get(i, j), slot, arity)
-        )
+        value = _expand_value(self.table.get(i, j), [Poly.lam(slot, arity)], arity)
+        return Elem(self.module, value)
 
     def __eq__(self, other):
         return (
@@ -333,23 +325,19 @@ def eval_bracket(lca, a, b, slot=1):
     for x in (a, b):
         if x.module != lca.module:
             raise ModuleMismatchError("element not in the algebra's module")
-    return sesqui_eval(lca.table, lca.module, a, b, slot)
+    arity = max(a.arity, b.arity, slot)
+    return sesqui_eval(lca.table, lca.module, a, b, Poly.lam(slot, arity), arity)
 
 
-def dagger_substitute(elem, slot, keep=None):
-    """Substitute lam_slot |-> -del - (earlier lambdas), del acting outside.
+def dagger_substitute(elem, slot):
+    """Substitute lam_slot |-> -del - lam_1 - ... - lam_{slot-1}, del outside.
 
-    ``keep`` lists the lambda indices entering the sum; by default every
-    lambda below ``slot``.  The result is shrunk back so that lam_slot is
-    out of scope whenever it was the top variable.
+    The result is shrunk back so that lam_slot is out of scope whenever it
+    was the top variable.
     """
     arity = max(elem.arity, slot)
-    if keep is None:
-        keep = range(1, slot)
-    image = -Poly.del_(arity)
-    for i in keep:
-        image = image - Poly.lam(i, arity)
-    out = elem.with_arity(arity).substitute(slot, image)
+    earlier = sum((Poly.lam(i, arity) for i in range(1, slot)), Poly.zero(arity))
+    out = elem.with_arity(arity).substitute(slot, dagger(earlier))
     if slot == arity:
         out = out.shrink(arity - 1)
     return out
@@ -359,41 +347,46 @@ def check_lca(lca):
     """Skew-symmetry and Jacobi over all basis tuples, with first witness."""
     from .report import Report, first_witness
 
-    module = lca.module
-    rank = module.rank
+    basis = range(lca.module.rank)
     report = Report("lca")
-
-    skew_failures = []
-    for i in range(rank):
-        for j in range(rank):
-            lhs = lca.bracket_basis(i, j, slot=1)
-            flipped = lca.bracket_basis(j, i, slot=2, arity=2)
-            flipped = dagger_substitute(flipped, 2, keep=[1])
-            residual = lhs + flipped
-            if not residual.is_zero():
-                skew_failures.append(((i, j), repr(residual)))
-    report.add("skew", not skew_failures, first_witness(skew_failures))
-
-    jacobi_failures = []
-    for i in range(rank):
-        ei = module.basis_elem(i)
-        for j in range(rank):
-            ej = module.basis_elem(j)
-            for k in range(rank):
-                inner_jk = lca.bracket_basis(j, k, slot=2, arity=2)
-                term1 = eval_bracket(lca, ei, inner_jk, slot=1)
-                inner_ik = lca.bracket_basis(i, k, slot=1, arity=2)
-                term2 = eval_bracket(lca, ej, inner_ik, slot=2)
-                inner_ij = lca.bracket_basis(i, j, slot=1, arity=3)
-                ek = module.basis_elem(k)
-                outer = eval_bracket(lca, inner_ij, ek, slot=3)
-                lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
-                term3 = outer.substitute(3, lam12).shrink(2)
-                residual = term1 - term2 - term3
-                if not residual.is_zero():
-                    jacobi_failures.append(((i, j, k), repr(residual)))
-    report.add("jacobi", not jacobi_failures, first_witness(jacobi_failures))
+    failures = _skew_failures(lca, product(basis, repeat=2))
+    report.add("skew", not failures, first_witness(failures))
+    failures = _jacobi_failures(lca, product(basis, repeat=3))
+    report.add("jacobi", not failures, first_witness(failures))
     return report
+
+
+def _skew_failures(lca, pairs):
+    """(pair, residual) of conformal skew-symmetry on the given basis pairs."""
+    failures = []
+    for i, j in pairs:
+        lhs = lca.bracket_basis(i, j, slot=1)
+        flipped = lca.bracket_basis(j, i, slot=2, arity=2)
+        residual = lhs + dagger_substitute(flipped, 2)
+        if not residual.is_zero():
+            failures.append(((i, j), repr(residual)))
+    return failures
+
+
+def _jacobi_failures(lca, triples):
+    """(triple, residual) of the Jacobi identity on the given basis triples."""
+    module = lca.module
+    lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
+    failures = []
+    for i, j, k in triples:
+        term1 = eval_bracket(
+            lca, module.basis_elem(i), lca.bracket_basis(j, k, slot=2, arity=2), slot=1
+        )
+        term2 = eval_bracket(
+            lca, module.basis_elem(j), lca.bracket_basis(i, k, slot=1, arity=2), slot=2
+        )
+        outer = eval_bracket(
+            lca, lca.bracket_basis(i, j, slot=1, arity=3), module.basis_elem(k), slot=3
+        )
+        residual = term1 - term2 - outer.substitute(3, lam12).shrink(2)
+        if not residual.is_zero():
+            failures.append(((i, j, k), repr(residual)))
+    return failures
 
 
 class RepTable:
@@ -417,12 +410,15 @@ class RepTable:
             raise ModuleMismatchError("first argument not in the algebra")
         if m.module != self.module:
             raise ModuleMismatchError("second argument not in the module")
-        return sesqui_eval(self.action, self.module, p, m, slot)
+        arity = max(p.arity, m.arity, slot)
+        return sesqui_eval(
+            self.action, self.module, p, m, Poly.lam(slot, arity), arity
+        )
 
     def act_basis(self, i, j, slot=1, arity=None):
         if arity is None:
             arity = slot
-        coords = _table_value_at(self.action.get(i, j), slot, arity)
+        coords = _expand_value(self.action.get(i, j), [Poly.lam(slot, arity)], arity)
         return Elem(self.module, coords)
 
 
@@ -448,7 +444,9 @@ def check_representation(rep):
                 mk = rep.module.basis_elem(k)
                 # rho([e_i lam e_j])_{lam+mu} m_k
                 inner_ij = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
-                lhs = sesqui_eval(rep.action, rep.module, inner_ij, mk.with_arity(3), 3)
+                lhs = sesqui_eval(
+                    rep.action, rep.module, inner_ij, mk, Poly.lam(3, 3), 3
+                )
                 lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
                 lhs = lhs.substitute(3, lam12).shrink(2)
                 right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
@@ -481,7 +479,7 @@ def semidirect(rep):
             out.set_bracket(i, rank_l + j, zero_l + value)
             # [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j
             flipped = rep.act_basis(i, j, slot=2, arity=2)
-            flipped = dagger_substitute(flipped, 2, keep=[1])
+            flipped = dagger_substitute(flipped, 2)
             out.set_bracket(rank_l + j, i, zero_l + [-c for c in flipped.coords])
     return out
 

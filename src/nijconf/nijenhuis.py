@@ -11,12 +11,12 @@ for all a, b; the right-hand inner combination is the deformed bracket
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
     ConfLinMap,
-    RepTable,
     check_lca,
     check_morphism,
     check_representation,
@@ -33,26 +33,28 @@ def _require_endo(lca, n):
 def check_nijenhuis(lca, n):
     """The Nijenhuis identity on all basis pairs."""
     _require_endo(lca, n)
-    failures = []
-    rank = lca.module.rank
-    for i in range(rank):
-        ei = lca.module.basis_elem(i)
-        nei = n.apply(ei)
-        for j in range(rank):
-            ej = lca.module.basis_elem(j)
-            nej = n.apply(ej)
-            lhs = eval_bracket(lca, nei, nej)
-            inner = (
-                eval_bracket(lca, nei, ej)
-                + eval_bracket(lca, ei, nej)
-                - n.apply(eval_bracket(lca, ei, ej))
-            )
-            residual = lhs - n.apply(inner)
-            if not residual.is_zero():
-                failures.append(((i, j), repr(residual)))
+    failures = _nijenhuis_failures(lca, n, product(range(lca.module.rank), repeat=2))
     report = Report("nijenhuis")
     report.add("nijenhuis", not failures, first_witness(failures))
     return report
+
+
+def _nijenhuis_failures(lca, n, pairs):
+    """(pair, residual) of the Nijenhuis identity on the given basis pairs."""
+    module = lca.module
+    failures = []
+    for i, j in pairs:
+        ei, ej = module.basis_elem(i), module.basis_elem(j)
+        nei, nej = n.apply(ei), n.apply(ej)
+        inner = (
+            eval_bracket(lca, nei, ej)
+            + eval_bracket(lca, ei, nej)
+            - n.apply(eval_bracket(lca, ei, ej))
+        )
+        residual = eval_bracket(lca, nei, nej) - n.apply(inner)
+        if not residual.is_zero():
+            failures.append(((i, j), repr(residual)))
+    return failures
 
 
 class NijenhuisLCA:
@@ -210,23 +212,6 @@ def check_nij_representation(nlca, nrep):
                 failures.append(((i, j), repr(residual)))
     report.add("nijenhuis-representation", not failures, first_witness(failures))
     return report
-
-
-def induced_power_rep(nlca, nrep, k):
-    """The induced action rho^k(p) = rho(N^k p) of a Nijenhuis representation.
-
-    Returns a RepTable; for valid inputs (M, rho^k, N_M) is again a
-    Nijenhuis representation of (L, [.]_{N^k}, N^k).
-    """
-    rep = nrep.rep
-    nk = nlca.n.power(k)
-    out = RepTable(deformed_table(nlca.algebra, nk), rep.module)
-    for i in range(rep.algebra.module.rank):
-        ei = rep.algebra.module.basis_elem(i)
-        for j in range(rep.module.rank):
-            value = rep.act(nk.apply(ei), rep.module.basis_elem(j))
-            out.set_action(i, j, value.coords)
-    return out
 
 
 def nij_semidirect(nlca, nrep):

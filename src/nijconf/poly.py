@@ -61,7 +61,7 @@ class Poly:
             raise ArityError("variable index %d outside arity %d" % (index, arity))
         key = [0] * (arity + 1)
         key[index] = 1
-        return cls(arity, {tuple(key): Fraction(1)})
+        return _trusted(arity, {tuple(key): Fraction(1)})
 
     @classmethod
     def del_(cls, arity):
@@ -186,9 +186,6 @@ class Poly:
     def uses_var(self, index):
         return any(key[index] for key in self.terms)
 
-    def constant_term(self):
-        return self.terms.get((0,) * (self.arity + 1), Fraction(0))
-
     def with_arity(self, arity):
         """Embed into a larger lambda-scope (new variables unused)."""
         if arity == self.arity:
@@ -284,15 +281,11 @@ def _accumulate(terms, items):
     return terms
 
 
-def dagger(arity, upto=None):
-    """The substitution target -del - lam1 - ... - lam_{upto} at given arity.
+def dagger(form):
+    """The conformal dagger -del - form of a lambda-form, at the form's arity.
 
-    ``upto`` defaults to arity - 1, i.e. all lambda-variables except the last
-    one, which is the slot being replaced.
+    It is the lambda that conformal skew-symmetry gives the flipped argument,
+    and the implicit last lambda of a cochain when ``form`` is the sum of the
+    others.
     """
-    if upto is None:
-        upto = arity - 1
-    acc = -Poly.del_(arity)
-    for i in range(1, upto + 1):
-        acc = acc - Poly.lam(i, arity)
-    return acc
+    return -Poly.del_(form.arity) - form

@@ -15,13 +15,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cochain, _cochain_vector, act_form, eval_cochain
+from .cohomology import (
+    Cochain,
+    _cochain_vector,
+    _cochain_witness,
+    act_form,
+    eval_cochain,
+)
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
 from .extension import NonAbelianCocycle, extract_cocycle
 from .lca import ConfLinMap, RepTable, check_morphism, eval_bracket
 from .linalg import poly_unimodular_inverse, solve
-from .poly import Poly
-from .report import Report, first_witness
+from .poly import Poly, dagger
+from .report import Report
 
 VERIFY = "verify"
 SOLVE = "solve"
@@ -148,7 +154,7 @@ def transform_cocycle(cocycle, pair):
     l_mod = cocycle.rho.algebra.module
     h_mod = cocycle.rho.module
     lam1 = Poly.lam(1, 1)
-    dag1 = -Poly.del_(1) - lam1
+    dag1 = dagger(lam1)
     chi = Cochain(2, cocycle.chi.rep)
     rho = RepTable(cocycle.rho.algebra, h_mod)
     for i in range(l_mod.rank):
@@ -216,16 +222,6 @@ def _lift_residuals(ext, pair, eta):
     for i in range(l_mod.rank):
         operator_res.set_value((i,), defect.apply(sections[i]))
     return action_res, bracket_res, operator_res
-
-
-def _cochain_witness(res):
-    if res.is_zero():
-        return None
-    key = min(res.values)
-    return "at=%s residual=[%s]" % (
-        ",".join(map(str, key)),
-        repr(res.values[key]),
-    )
 
 
 def _require_pair(ext, pair):

@@ -51,6 +51,31 @@ def test_unknown_object_exits_two():
     assert code == 2
 
 
+def test_duplicate_basis_name_exits_two_with_position(tmp_path):
+    bad = tmp_path / "dup.ws"
+    bad.write_text("module m\n  basis a b\n  basis c  b\n")
+    code, out, _ = run_cli("-f", str(bad), "check", "m")
+    assert code == 2
+    assert "dup.ws:3:12: duplicate basis name 'b'" in out
+    assert "status: error" in out
+
+
+def test_negative_bound_exits_two():
+    code, out, _ = run_cli(
+        "-f", CORE, "cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "-1"
+    )
+    assert code == 2
+    assert "--bound must be nonnegative" in out
+    assert "status: error" in out
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--parallel"]])
+def test_removed_flags_are_unknown_arguments(flag):
+    code, out, _ = run_cli("-f", CORE, "check", "vir", *flag)
+    assert code == 2
+    assert out == ""
+
+
 def test_byte_identical_reruns():
     args = ("-f", CORE, "extend", "km", "--quot", "sl2id", "--sub", "ctrivid")
     first = run_cli(*args)

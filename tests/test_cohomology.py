@@ -27,7 +27,7 @@ from nijconf.cohomology import (
     solve_truncated,
     xi_map,
 )
-from nijconf.lca import ConfLinMap, FreeModule, RepTable, eval_bracket
+from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable, eval_bracket
 from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly
 
@@ -148,6 +148,15 @@ def test_phi_chain_map(ad, proj_p):
     rng = Random(37)
     for n in (1, 2):
         assert phi_chain_check(random_cochain(ad, n, rng), proj_p).passed
+    # on a bracket failing Jacobi the intertwining breaks, with a witness
+    m = FreeModule(["L"])
+    v3 = LCA(m)
+    v3.set_bracket(0, 0, [DEL + LAM.scale(3)])
+    f = random_cochain(adjoint_rep(v3), 1, Random(5), max_degree=1)
+    assert phi_chain_check(f, ConfLinMap.identity(m)).lines() == [
+        "intertwine: fail at=0,0,0 residual=[(10*del^2*lam1 - 10*del^2*lam2"
+        " - 5*del*lam1^2 - 5*del*lam1*lam2 - 15*lam1^3 - 45*lam1^2*lam2)L]"
+    ]
 
 
 def test_graded_antisymmetry(ad):

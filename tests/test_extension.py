@@ -139,7 +139,11 @@ def test_nonabelian_twisted_section(nonabelian_ext, sl2_p):
     )
     assert verify.passed
     wrong, _ = cocycle_equivalence(cocycle, twisted, sl2_p, sl2_p, tau=tau)
-    assert not wrong.passed
+    assert wrong.lines() == [
+        "action: fail at=0,1 residual=[(-4*lam1)e]",
+        "bracket: fail at=0,1 residual=[(-4*del - 4*lam1)e]",
+        "operator: fail at=2 residual=[(-4)h]",
+    ]
     # rebuilt extensions are equivalent through the shear over +tau
     e_twisted = build_extension(twisted, sl2_p, sl2_p)
     e_plain = build_extension(cocycle, sl2_p, sl2_p)

@@ -1,0 +1,41 @@
+"""Byte-for-byte stdout and exit code of every benchmark verb and README command.
+
+``tests/golden/`` holds the stdout each command printed before the evaluator,
+dagger and witness-formatter merges; a refactor that moves a single byte of a
+report fails here.  Regenerate a file only for an intended change of output.
+"""
+
+import os
+
+import pytest
+
+from test_cli import CORE as CORE_WS, HOMOTOPY, ROOT, run_cli
+
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+CORE = ["-f", CORE_WS]
+BOTH = CORE + ["-f", HOMOTOPY]
+
+# (golden file stem, argv, exit code)
+COMMANDS = [
+    ("check-vir", CORE + ["check", "vir"], 0),
+    ("check-sl2p", CORE + ["check", "sl2p"], 0),
+    ("cohomology-vir-zerorepvir-b3",
+     CORE + ["cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "3"], 0),
+    ("extend-km", CORE + ["extend", "km", "--quot", "sl2id", "--sub", "ctrivid"], 0),
+    ("extend-gf", CORE + ["extend", "gf", "--quot", "virid", "--sub", "ctrivid"], 0),
+    ("wells-kmext-wellsgood", CORE + ["wells", "kmext", "--pair", "wellsgood"], 0),
+    ("wells-kmext-wellsbad", CORE + ["wells", "kmext", "--pair", "wellsbad"], 1),
+    ("induce-kmext-wellsbad", CORE + ["induce", "kmext", "--pair", "wellsbad"], 1),
+    ("induce-kmext-wellsgood", CORE + ["induce", "kmext", "--pair", "wellsgood"], 0),
+    ("lift-kmext-wellsgood", CORE + ["lift", "kmext", "--pair", "wellsgood"], 0),
+    ("deform-scaledp", BOTH + ["deform", "scaledp"], 0),
+    ("classify-virskeletal-idop", BOTH + ["classify", "virskeletal", "--op", "idop"], 0),
+    ("check-nonesuch", CORE + ["check", "nonesuch"], 2),
+]
+
+
+@pytest.mark.parametrize("stem,argv,code", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_stdout_matches_golden(stem, argv, code):
+    with open(os.path.join(GOLDEN, stem + ".out")) as handle:
+        expected = handle.read()
+    assert run_cli(*argv)[:2] == (code, expected)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -6,13 +7,16 @@ from nijconf.errors import ModuleMismatchError
 from nijconf.lca import (
     LCA,
     ConfLinMap,
+    Elem,
     FreeModule,
     RepTable,
+    StructureTable,
     check_lca,
     check_morphism,
     check_representation,
     eval_bracket,
     semidirect,
+    sesqui_eval,
 )
 from nijconf.poly import Poly
 
@@ -104,3 +108,74 @@ def test_evaluation_module_reduces_del(central_line):
     # del acts by 0, so a del coefficient annihilates the generator
     elem = central_line.basis_elem(0).mul_poly(Poly.del_(0))
     assert elem.is_zero()
+
+
+def _reference_sesqui_eval(table, target, a, b, slot, arity):
+    """Slot-variable sesquilinear evaluation, written out term by term.
+
+    The table value is re-homed by renaming lam1 to lam_slot key by key, with
+    no lambda-form powers; `sesqui_eval` at the form ``Poly.lam(slot, arity)``
+    must agree with it exactly.
+    """
+    a, b = a.with_arity(arity), b.with_arity(arity)
+    lam = Poly.lam(slot, arity)
+    result = [Poly.zero(arity)] * target.rank
+    for i, fa in enumerate(a.coords):
+        for j, gb in enumerate(b.coords):
+            factor = fa.substitute(0, -lam) * gb.substitute(0, Poly.del_(arity) + lam)
+            for t, value in enumerate(table.get(i, j)):
+                terms = {}
+                for (e_del, e_lam), coeff in value.terms.items():
+                    key = [0] * (arity + 1)
+                    key[0], key[slot] = e_del, e_lam
+                    terms[tuple(key)] = coeff
+                result[t] = result[t] + factor * Poly(arity, terms)
+    return Elem(target, result)
+
+
+def _random_poly(rng, arity):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        key = tuple(rng.randint(0, 2) for _ in range(arity + 1))
+        terms[key] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Poly(arity, terms)
+
+
+def _random_elem(rng, module, arity):
+    return Elem(module, [_random_poly(rng, arity) for _ in range(module.rank)])
+
+
+def _random_table(rng, rank):
+    """A table with mixed del/lam1 entries (no axioms assumed)."""
+    table = StructureTable(rank, rank, rank)
+    for i in range(rank):
+        for j in range(rank):
+            table.set(i, j, [_random_poly(rng, 1) for _ in range(rank)])
+    return table
+
+
+def test_sesqui_eval_matches_slot_reference(sl2):
+    rng = Random(2025)
+    mixed = LCA(FreeModule(["x", "y"]), _random_table(rng, 2))
+    for algebra in (sl2, make_vir(), mixed):
+        module = algebra.module
+        for slot in (1, 2, 3):
+            for arity in range(slot, 4):
+                form = Poly.lam(slot, arity)
+                for i in range(module.rank):
+                    for j in range(module.rank):
+                        rehomed = _reference_sesqui_eval(
+                            algebra.table, module, module.basis_elem(i),
+                            module.basis_elem(j), slot, arity,
+                        )
+                        assert algebra.bracket_basis(i, j, slot, arity) == rehomed
+                for _ in range(4):
+                    a = _random_elem(rng, module, rng.randint(0, arity))
+                    b = _random_elem(rng, module, rng.randint(0, arity))
+                    expected = _reference_sesqui_eval(
+                        algebra.table, module, a, b, slot, arity
+                    )
+                    got = sesqui_eval(algebra.table, module, a, b, form, arity)
+                    assert got == expected
+                    if arity == max(a.arity, b.arity, slot):
+                        assert eval_bracket(algebra, a, b, slot) == expected

@@ -69,7 +69,18 @@ def test_transform_is_a_group_action(c_km, pair_inner, pair_rescale):
     assert lhs == rhs
 
 
-def test_rescaling_pair_is_obstructed(ext_km, pair_rescale):
+def test_rescaling_pair_is_obstructed(ext_km, pair_rescale, central_line):
+    verified, _ = inducibility(
+        ext_km,
+        pair_rescale,
+        VERIFY,
+        eta=ConfLinMap.zero(ext_km.quot.algebra.module, central_line),
+    )
+    assert verified.lines() == [
+        "action: pass",
+        "bracket: fail at=0,2 residual=[(lam1)c#M]",
+        "operator: pass",
+    ]
     diff, report = wells_obstruction(ext_km, pair_rescale)
     assert report.status_of("class") == "nonzero-certified"
     solved, eta = inducibility(ext_km, pair_rescale, SOLVE)
