@@ -18,7 +18,15 @@ import sys
 import time
 from fractions import Fraction
 
-from .cohomology import Cochain, adjoint_rep, apply_delta, apply_dN, solve_truncated
+from .cohomology import (
+    MAX_SOLVER_BOUND,
+    MAX_SOLVER_DEGREE,
+    Cochain,
+    adjoint_rep,
+    apply_delta,
+    apply_dN,
+    solve_truncated,
+)
 from .deformation import DeformationSeries, check_order, infinitesimal_cocycle, obstruction
 from .errors import StructuralError, PreconditionError, UnsupportedModeError
 from .extension import (
@@ -44,6 +52,8 @@ from .wells import (
 )
 
 SEARCH_PATH_VAR = "NIJCONF_PATH"
+# degree bound of the cohomology and deform verbs when --bound is not given
+DEFAULT_BOUND = 3
 
 
 class WorkspaceError(Exception):
@@ -337,10 +347,19 @@ def parse_workspace(paths):
     for path in paths:
         resolved = _resolve(path, search)
         try:
-            with open(resolved) as handle:
-                lines = list(enumerate(handle.read().splitlines(), start=1))
+            with open(resolved, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise WorkspaceError(path, 0, 0, str(exc))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            column = exc.start - data.rfind(b"\n", 0, exc.start)
+            raise WorkspaceError(
+                resolved, line, column, "invalid UTF-8 byte 0x%02x" % data[exc.start]
+            )
+        lines = list(enumerate(text.splitlines(), start=1))
         for block in _split_block(lines):
             _parse_block(ws, resolved, block)
     return ws
@@ -425,7 +444,7 @@ def _verb_deform(ws, args, out):
         _emit_report(out, inf)
         passed = passed and inf.passed
         if order.passed:
-            ob, ob_report = obstruction(series, bound=args.bound or 3)
+            ob, ob_report = obstruction(series, bound=_bound(args))
             _emit_report(out, ob_report)
             _emit(out, "obstruction-entries", len(ob.values), 1)
             passed = passed and all(
@@ -436,7 +455,26 @@ def _verb_deform(ws, args, out):
     return passed
 
 
+def _bound(args):
+    return DEFAULT_BOUND if args.bound is None else args.bound
+
+
 def _verb_cohomology(ws, args, out):
+    if not 0 <= args.degree <= MAX_SOLVER_DEGREE:
+        raise WorkspaceError(
+            "<args>",
+            0,
+            0,
+            "--degree must be between 0 and %d, got %d"
+            % (MAX_SOLVER_DEGREE, args.degree),
+        )
+    if _bound(args) > MAX_SOLVER_BOUND:
+        raise WorkspaceError(
+            "<args>",
+            0,
+            0,
+            "--bound must be at most %d, got %d" % (MAX_SOLVER_BOUND, args.bound),
+        )
     kind, value = ws.objects.get(args.name, (None, None))
     if kind == "nijenhuis":
         algebra, operator = value.algebra, value.n
@@ -459,7 +497,7 @@ def _verb_cohomology(ws, args, out):
     else:
         differential = lambda f: apply_delta(f)  # noqa: E731
     result = solve_truncated(
-        rep, args.degree, args.bound or 3, differential=differential
+        rep, args.degree, _bound(args), differential=differential
     )
     _emit(out, "object", args.name)
     for key in ("cochain_dim", "cocycle_dim", "coboundary_dim", "h_dim"):

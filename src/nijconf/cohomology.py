@@ -25,13 +25,16 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
-from .lca import Elem, RepTable, _expand_value, dagger_substitute
+from .lca import FREE, Elem, RepTable, _expand_value, dagger_substitute
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
 from .poly import Poly
 from .report import Report, first_witness
 
 MAX_DEGREE = 4
+# limits of the truncated solver: the cochain degree and the degree bound
+MAX_SOLVER_DEGREE = 3
+MAX_SOLVER_BOUND = 6
 
 
 def adjoint_rep(lca):
@@ -615,71 +618,57 @@ def _elementary_cochain(rep, degree, key, coord, mono):
     return out
 
 
-def _cochain_vector(f, index):
-    """Flatten a cochain over a (growable) monomial index map."""
-    entries = {}
-    for key, value in f.values.items():
-        for c, poly in enumerate(value.coords):
-            for mono, coeff in poly.terms.items():
-                slot = (key, c, mono)
-                if slot not in index:
-                    index[slot] = len(index)
-                entries[index[slot]] = coeff
-    return entries
+def _cochain_vector(f):
+    """The cochain as a sparse vector over (basis tuple, coordinate, monomial)."""
+    return {
+        (key, c, mono): coeff
+        for key, value in f.values.items()
+        for c, poly in enumerate(value.coords)
+        for mono, coeff in poly.terms.items()
+    }
 
 
-def _to_dense(sparse_vectors, length):
-    return [
-        [vec.get(i, Fraction(0)) for i in range(length)] for vec in sparse_vectors
-    ]
+def _combine(coeffs, cochains):
+    """The rational combination sum(coeff * f) of cochains of one shape."""
+    values = {}
+    for coeff, f in zip(coeffs, cochains):
+        if coeff:
+            for key, value in f.values.items():
+                term = value.scale(coeff)
+                values[key] = values[key] + term if key in values else term
+    return Cochain(cochains[0].degree, cochains[0].rep, values)
 
 
 def cochain_space(rep, degree, bound):
-    """Basis of conformally skew cochains with entries of total degree <= bound."""
+    """Basis of conformally skew cochains with entries of total degree <= bound.
+
+    del-powers are enumerated only on free coordinates: on an evaluation
+    coordinate del is a scalar, so they would repeat (or kill) a monomial.
+    """
     from .linalg import nullspace
 
     module = rep.algebra.module
-    include_del = any(a == "free" for a in rep.module.actions)
-    monos = _monomials(max(degree - 1, 0), bound, include_del)
-    slots = []
-    for key in product(range(module.rank), repeat=degree):
-        for coord in range(rep.module.rank):
-            for mono in monos:
-                slots.append((key, coord, mono))
+    nvars = max(degree - 1, 0)
+    free_monos = _monomials(nvars, bound, True)
+    fixed_monos = _monomials(nvars, bound, False)
     elementary = [
         _elementary_cochain(rep, degree, key, coord, mono)
-        for key, coord, mono in slots
+        for key in product(range(module.rank), repeat=degree)
+        for coord, action in enumerate(rep.module.actions)
+        for mono in (free_monos if action == FREE else fixed_monos)
     ]
-    # drop slots killed by the coefficient module's del-evaluation
-    kept = [e for e in elementary if not e.is_zero()]
     if degree <= 1:
-        return kept
-    index = {}
-    residual_cols = []
-    for cochain in kept:
-        col = {}
-        for (key, k), residual in _skew_residuals(cochain):
-            for c, poly in enumerate(residual.coords):
-                for mono, coeff in poly.terms.items():
-                    slot = (k, key, c, mono)
-                    if slot not in index:
-                        index[slot] = len(index)
-                    col[index[slot]] = coeff
-        residual_cols.append(col)
-    nrows = len(index)
-    rows = [
-        [residual_cols[j].get(i, Fraction(0)) for j in range(len(kept))]
-        for i in range(nrows)
+        return elementary
+    residual_cols = [
+        {
+            (k, key, c, mono): coeff
+            for (key, k), residual in _skew_residuals(cochain)
+            for c, poly in enumerate(residual.coords)
+            for mono, coeff in poly.terms.items()
+        }
+        for cochain in elementary
     ]
-    combos = nullspace(rows, ncols=len(kept))
-    basis = []
-    for combo in combos:
-        acc = Cochain.zero(degree, rep)
-        for coeff, cochain in zip(combo, kept):
-            if coeff:
-                acc = acc + cochain.scale(coeff)
-        basis.append(acc)
-    return basis
+    return [_combine(combo, elementary) for combo in nullspace(residual_cols)]
 
 
 def _structure_degree(rep):
@@ -695,103 +684,48 @@ def solve_truncated(rep, degree, bound, differential=None):
     """Exact kernel/image dimensions of a degree-truncated cochain slice.
 
     Enumerates skew cochains of the given degree with polynomial entries of
-    total degree <= bound, solves differential = 0 for the cocycles, and
-    intersects the differential image of the degree-(n-1) slice (enumerated
-    at bound + structure degree) with the bounded slice for the coboundaries.
+    total degree <= bound and solves differential = 0 for the cocycles.  The
+    coboundaries are the differential images V of the degree-(n-1) slice
+    (enumerated at bound + structure degree) that stay inside the bounded
+    slice: their dimension rank V - rank V_high equals that of V(ker V_high),
+    where V_high is V restricted to the monomials of degree > bound.
     """
-    from .linalg import independent_subset, nullspace, rank as mat_rank
+    from .linalg import nullspace, rank
 
-    if degree > 3:
-        raise DegreeOverflowError("solver supports degree at most 3")
-    if bound > 6:
+    if degree > MAX_SOLVER_DEGREE:
+        raise DegreeOverflowError(
+            "solver supports degree at most %d" % MAX_SOLVER_DEGREE
+        )
+    if bound > MAX_SOLVER_BOUND:
         raise PreconditionError("truncation bound too large")
     if differential is None:
         differential = lambda f: apply_delta(f)  # noqa: E731
     basis = cochain_space(rep, degree, bound)
-    index = {}
-    image_cols = [_cochain_vector(differential(f), index) for f in basis]
-    nrows = len(index)
-    rows = [
-        [image_cols[j].get(i, Fraction(0)) for j in range(len(basis))]
-        for i in range(nrows)
-    ]
-    kernel_combos = nullspace(rows, ncols=len(basis))
-    cocycles = []
-    for combo in kernel_combos:
-        acc = Cochain.zero(degree, rep)
-        for coeff, f in zip(combo, basis):
-            if coeff:
-                acc = acc + f.scale(coeff)
-        cocycles.append(acc)
+    kernel = nullspace([_cochain_vector(differential(f)) for f in basis])
+    cocycles = [_combine(combo, basis) for combo in kernel]
 
-    coboundaries = []
+    dim_im = 0
     if degree >= 1:
-        lower_bound = bound + _structure_degree(rep)
-        lower = cochain_space(rep, degree - 1, lower_bound)
-        images = [differential(g) for g in lower]
-        # keep only combinations staying inside the bounded slice
-        vec_index = {}
-        vecs = [_cochain_vector(h, vec_index) for h in images]
-        high = [
-            i
-            for (key, c, mono), i in vec_index.items()
-            if sum(mono) > bound
-        ]
-        if high:
-            high_rows = [
-                [vecs[j].get(i, Fraction(0)) for j in range(len(images))]
-                for i in high
-            ]
-            inside = nullspace(high_rows, ncols=len(images))
-        else:
-            inside = [
-                [Fraction(int(i == j)) for j in range(len(images))]
-                for i in range(len(images))
-            ]
-        candidates = []
-        for combo in inside:
-            acc = Cochain.zero(degree, rep)
-            for coeff, h in zip(combo, images):
-                if coeff:
-                    acc = acc + h.scale(coeff)
-            if not acc.is_zero():
-                candidates.append(acc)
-        cand_index = {}
-        cand_vecs = [_cochain_vector(h, cand_index) for h in candidates]
-        dense = _to_dense(cand_vecs, len(cand_index))
-        for i in independent_subset(dense):
-            coboundaries.append(candidates[i])
-
-    coc_index = {}
-    coc_vecs = [_cochain_vector(f, coc_index) for f in cocycles + coboundaries]
-    dense = _to_dense(coc_vecs, len(coc_index))
-    dim_ker = mat_rank(dense[: len(cocycles)])
-    dim_im = mat_rank(dense[len(cocycles) :])
+        lower = cochain_space(rep, degree - 1, bound + _structure_degree(rep))
+        vecs = [_cochain_vector(differential(g)) for g in lower]
+        high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
+        dim_im = rank(vecs) - rank(vecs, keys=high)
     return {
         "cochain_dim": len(basis),
-        "cocycle_dim": dim_ker,
+        "cocycle_dim": len(kernel),
         "coboundary_dim": dim_im,
-        "h_dim": dim_ker - dim_im,
+        "h_dim": len(kernel) - dim_im,
         "cocycle_basis": cocycles,
-        "coboundary_basis": coboundaries,
     }
 
 
 def image_contains(rep, bound, differential, target):
     """Whether ``target`` is a differential image within the bounded slice."""
-    from .linalg import column_space_contains
+    from .linalg import solve
 
     lower = cochain_space(rep, target.degree - 1, bound)
-    images = [differential(g) for g in lower]
-    index = {}
-    vecs = [_cochain_vector(h, index) for h in images]
-    tvec = _cochain_vector(target, index)
-    length = len(index)
-    columns = [
-        [vec.get(i, Fraction(0)) for i in range(length)] for vec in vecs
-    ]
-    dense_target = [tvec.get(i, Fraction(0)) for i in range(length)]
-    return column_space_contains(columns, dense_target)
+    vecs = [_cochain_vector(differential(g)) for g in lower]
+    return solve(vecs, _cochain_vector(target)) is not None
 
 
 def random_cochain(rep, degree, rng, max_degree=2, density=2):

@@ -21,15 +21,13 @@ from fractions import Fraction
 from .cohomology import Cochain, _cochain_vector, _cochain_witness, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
-    LCA,
     ConfLinMap,
     RepTable,
     check_morphism,
-    dagger_substitute,
     eval_bracket,
+    sum_algebra,
     _jacobi_failures,
     _skew_failures,
-    _sum_module,
 )
 from .linalg import (
     is_split_injection,
@@ -205,32 +203,9 @@ def _candidate_total(cocycle, quot, sub):
     No axiom is assumed: the result is raw material for the checks below.
     """
     l_alg, h_alg = quot.algebra, sub.algebra
-    l_mod, h_mod = l_alg.module, h_alg.module
-    rank_l, rank_h = l_mod.rank, h_mod.rank
-    total_mod = _sum_module(l_mod, h_mod)
-    total = LCA(total_mod)
-    zero_l = [Poly.zero(1)] * rank_l
-    for i in range(rank_l):
-        for j in range(rank_l):
-            value = l_alg.table.get(i, j)
-            chi_ij = cocycle.chi.value((i, j)).coords
-            total.set_bracket(
-                i, j, list(value) + [c.with_arity(1) for c in chi_ij]
-            )
-        for j in range(rank_h):
-            total.set_bracket(
-                i, rank_l + j, zero_l + list(cocycle.rho.action.get(i, j))
-            )
-            flipped = cocycle.rho.act_basis(i, j, slot=2, arity=2)
-            flipped = dagger_substitute(flipped, 2)
-            total.set_bracket(
-                rank_l + j, i, zero_l + [-c for c in flipped.coords]
-            )
-    for i in range(rank_h):
-        for j in range(rank_h):
-            total.set_bracket(
-                rank_l + i, rank_l + j, zero_l + list(h_alg.table.get(i, j))
-            )
+    rank_l, rank_h = l_alg.module.rank, h_alg.module.rank
+    total = sum_algebra(l_alg, cocycle.rho, h_alg.table, cocycle.chi)
+    total_mod = total.module
     zero = Poly.zero(0)
     r_matrix = [
         [quot.n.matrix[r][c] for c in range(rank_l)] + [zero] * rank_h
@@ -395,6 +370,52 @@ def _default_tau_bound(c1, c2, quot):
     return degree
 
 
+def map_system(l_mod, h_mod, bound, residuals):
+    """The affine system for an unknown Q[del]-linear map t : L -> H.
+
+    ``residuals(t)`` returns residual cochains that are affine in t.  The
+    unknowns are the coefficients of del^e (e <= bound) in each entry of t.
+    The column of an unknown is residuals(unit) - residuals(0) on every key
+    of either side, and the right-hand side is -residuals(0).  Returns
+    (columns, rhs, to_map), where ``to_map`` reads the map back from a
+    solution of the system.
+    """
+
+    def vector(mapping):
+        return {
+            (tag,) + slot: coeff
+            for tag, res in enumerate(residuals(mapping))
+            for slot, coeff in _cochain_vector(res).items()
+        }
+
+    base = vector(ConfLinMap.zero(l_mod, h_mod))
+    unknowns = [
+        (r, c, e)
+        for r in range(h_mod.rank)
+        for c in range(l_mod.rank)
+        for e in range(bound + 1)
+    ]
+    columns = []
+    for r, c, e in unknowns:
+        matrix = [[Poly.zero(0)] * l_mod.rank for _ in range(h_mod.rank)]
+        matrix[r][c] = Poly(0, {(e,): Fraction(1)})
+        column = vector(ConfLinMap(l_mod, h_mod, matrix))
+        for key, coeff in base.items():
+            column[key] = column.get(key, 0) - coeff
+        columns.append(column)
+
+    def to_map(solution):
+        matrix = [
+            [Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)
+        ]
+        for (r, c, e), coeff in zip(unknowns, solution):
+            if coeff:
+                matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
+        return ConfLinMap(l_mod, h_mod, matrix)
+
+    return columns, {key: -coeff for key, coeff in base.items()}, to_map
+
+
 def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
     """Equivalence of two triples: verify a given tau, or solve for one.
 
@@ -420,49 +441,17 @@ def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
         raise PreconditionError("solving for tau needs an abelian H-bracket")
     if bound is None:
         bound = _default_tau_bound(c1, c2, quot)
-    zero_tau = ConfLinMap.zero(l_mod, h_mod)
-    index = {}
-    base_vec = {}
-    for tag, res in enumerate(
-        _equivalence_residuals(c1, c2, quot, sub, zero_tau)
-    ):
-        for slot, coeff in _cochain_vector(res, index).items():
-            base_vec[(tag, slot)] = coeff
-    unknowns = []
-    columns = []
-    for r in range(h_mod.rank):
-        for c in range(l_mod.rank):
-            for e in range(bound + 1):
-                matrix = [
-                    [Poly.zero(0)] * l_mod.rank for _ in range(h_mod.rank)
-                ]
-                matrix[r][c] = Poly(0, {(e,): Fraction(1)})
-                unknowns.append((r, c, e))
-                column = {}
-                residuals = _equivalence_residuals(
-                    c1, c2, quot, sub, ConfLinMap(l_mod, h_mod, matrix)
-                )
-                for tag, res in enumerate(residuals):
-                    for slot, coeff in _cochain_vector(res, index).items():
-                        key = (tag, slot)
-                        column[key] = coeff - base_vec.get(key, Fraction(0))
-                for key in base_vec:
-                    column.setdefault(key, Fraction(0))
-                columns.append(column)
-    keys = sorted(set(base_vec) | {k for col in columns for k in col})
-    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
-    rhs = [-base_vec.get(key, Fraction(0)) for key in keys]
-    solution = solve(rows, rhs) if keys else [Fraction(0)] * len(unknowns)
+    columns, rhs, to_map = map_system(
+        l_mod,
+        h_mod,
+        bound,
+        lambda t: _equivalence_residuals(c1, c2, quot, sub, t),
+    )
+    solution = solve(columns, rhs)
     if solution is None:
         report.add("solve", False, "infeasible within degree bound %d" % bound)
         return report, None
-    matrix = [
-        [Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)
-    ]
-    for (r, c, e), coeff in zip(unknowns, solution):
-        if coeff:
-            matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
-    tau = ConfLinMap(l_mod, h_mod, matrix)
+    tau = to_map(solution)
     verify, _ = cocycle_equivalence(c1, c2, quot, sub, tau=tau)
     report.add(
         "solve",

@@ -35,7 +35,7 @@ from .lca import (
     check_morphism,
     check_representation,
     eval_bracket,
-    _sum_module,
+    sum_algebra,
 )
 from .nijenhuis import (
     NijenhuisLCA,
@@ -599,32 +599,9 @@ def crossed_direct_sum(x):
     pre = check_crossed_module(x)
     if not pre.passed:
         raise PreconditionError("input fails check_crossed_module")
-    lower, upper, rho = x.lower, x.upper, x.rho
-    mod0, mod1 = lower.algebra.module, upper.algebra.module
-    total_mod = _sum_module(mod0, mod1)
-    rank0 = mod0.rank
-    total = LCA(total_mod)
-
-    def embed(coords0, coords1):
-        zero = Poly.zero(1)
-        c0 = list(coords0) if coords0 else [zero] * rank0
-        c1 = list(coords1) if coords1 else [zero] * mod1.rank
-        return [c.with_arity(1) for c in c0 + c1]
-
-    dag1 = dagger(Poly.lam(1, 1))
-    for i in range(rank0):
-        for j in range(rank0):
-            total.set_bracket(i, j, embed(lower.algebra.bracket_basis(i, j).coords, None))
-        for j in range(mod1.rank):
-            value = rho.act_basis(i, j)
-            total.set_bracket(i, rank0 + j, embed(None, value.coords))
-            flipped = -value.substitute(1, dag1)
-            total.set_bracket(rank0 + j, i, embed(None, flipped.coords))
-    for i in range(mod1.rank):
-        for j in range(mod1.rank):
-            total.set_bracket(
-                rank0 + i, rank0 + j, embed(None, upper.algebra.bracket_basis(i, j).coords)
-            )
+    lower, upper = x.lower, x.upper
+    total = sum_algebra(lower.algebra, x.rho, upper.algebra.table)
+    total_mod = total.module
     op = lower.n.direct_sum(upper.n)
     op = ConfLinMap(total_mod, total_mod, op.matrix)
     return NijenhuisLCA(total, op)

@@ -463,24 +463,33 @@ def semidirect(rep):
     base = check_representation(rep)
     if not base.passed:
         raise PreconditionError("check_representation failed: %s" % base.lines())
-    rank_l = rep.algebra.module.rank
-    rank_m = rep.module.rank
-    total = _sum_module(rep.algebra.module, rep.module)
-    out = LCA(total)
+    return sum_algebra(rep.algebra, rep)
+
+
+def sum_algebra(l_alg, rho, m_table=None, chi=None):
+    """The lambda-bracket table on L (+) M built from an action rho of L on M.
+
+    [(p,m) lam (q,n)] = ([p lam q], chi_lam(p,q) + rho(p)_lam n
+    - rho(q)_{-del-lam} m + [m lam n]); the bracket table ``m_table`` of M
+    and the degree-2 cochain ``chi`` default to zero.  No axiom is checked.
+    """
+    rank_l, rank_m = l_alg.module.rank, rho.module.rank
+    out = LCA(_sum_module(l_alg.module, rho.module))
+    zero_l, zero_m = [Poly.zero(1)] * rank_l, [Poly.zero(1)] * rank_m
     for i in range(rank_l):
         for j in range(rank_l):
-            value = rep.algebra.table.get(i, j)
-            out.set_bracket(i, j, value + [Poly.zero(1)] * rank_m)
-    zero_l = [Poly.zero(1)] * rank_l
-    for i in range(rank_l):
+            m_part = zero_m if chi is None else chi.value((i, j)).coords
+            out.set_bracket(i, j, list(l_alg.table.get(i, j)) + list(m_part))
         for j in range(rank_m):
             # [e_i lam m_j] = rho(e_i)_lam m_j
-            value = rep.action.get(i, j)
-            out.set_bracket(i, rank_l + j, zero_l + value)
+            out.set_bracket(i, rank_l + j, zero_l + list(rho.action.get(i, j)))
             # [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j
-            flipped = rep.act_basis(i, j, slot=2, arity=2)
-            flipped = dagger_substitute(flipped, 2)
+            flipped = dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
             out.set_bracket(rank_l + j, i, zero_l + [-c for c in flipped.coords])
+    if m_table is not None:
+        for i in range(rank_m):
+            for j in range(rank_m):
+                out.set_bracket(rank_l + i, rank_l + j, zero_l + list(m_table.get(i, j)))
     return out
 
 

@@ -2,9 +2,10 @@
 
 Two layers:
 
-* dense Gaussian elimination over ``Fraction`` (row reduction, kernel and
-  image bases, linear solving) -- the workhorse behind the truncated cocycle
-  solver and the tau/eta solvers;
+* sparse Gaussian elimination over ``Fraction`` (row reduction, rank,
+  kernel bases, linear solving) on the sparse vectors the callers build --
+  the one elimination behind the truncated cocycle solver, the
+  extensibility test and the tau/eta solvers;
 * univariate polynomial matrices over Q[del] (determinants, Smith invariant
   factors, inverses of unimodular matrices) -- used to validate extension
   diagrams and automorphisms exactly rather than over the fraction field.
@@ -17,102 +18,99 @@ from fractions import Fraction
 from .poly import Poly
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# sparse rational vectors
+#
+# A vector is a dict {key: Fraction}; zero entries are ignored.  The callers'
+# vectors are the columns of a matrix whose rows are indexed by the keys, so
+# the keys only need to be hashable.  Rows are sparse dicts too, indexed by
+# column position.
+
+
+def _axpy(target, factor, source):
+    """target += factor * source, dropping the entries that cancel."""
+    for c, v in source.items():
+        value = target.get(c, 0) + factor * v
+        if value:
+            target[c] = value
+        else:
+            del target[c]
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(map(Fraction, row)) for row in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Reduced row echelon form of sparse rows; returns (rows, pivot_columns).
+
+    Column indices are ordered; the returned rows are the nonzero rows of the
+    (unique) reduced echelon form, one per pivot, in pivot order.
+    """
+    echelon = {}  # pivot column -> row, 1 at its pivot, 0 at every other pivot
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in echelon]:
+            _axpy(row, -row[c], echelon[c])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {c: v * inv for c, v in row.items()}
+        for other in echelon.values():
+            factor = other.get(pivot)
+            if factor:
+                _axpy(other, -factor, row)
+        echelon[pivot] = row
+    pivots = sorted(echelon)
+    return [echelon[p] for p in pivots], pivots
 
 
-def rank(rows):
-    return len(rref(rows)[1])
+def _rows(columns):
+    """The sparse rows, indexed by column position, of a list of columns."""
+    rows = {}
+    for j, column in enumerate(columns):
+        for key, value in column.items():
+            if value:
+                rows.setdefault(key, {})[j] = value
+    return list(rows.values())
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel of the matrix, as lists of Fractions."""
-    if not rows:
-        return [
-            [Fraction(i == j) for i in range(ncols or 0)] for j in range(ncols or 0)
-        ]
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def rank(vectors, keys=None):
+    """Rank of sparse vectors, or of their restriction to the given keys."""
+    if keys is not None:
+        keys = set(keys)
+        vectors = [{k: v for k, v in vec.items() if k in keys} for vec in vectors]
+    return len(rref(_rows(vectors))[1])
+
+
+def nullspace(columns):
+    """Basis of the kernel of the matrix with these sparse columns.
+
+    Each basis vector is a list of one Fraction per column: the free column's
+    entry is 1 and the pivot entries are read off the reduced echelon form.
+    """
+    n = len(columns)
+    reduced, pivots = rref(_rows(columns))
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row.get(free, Fraction(0))
         basis.append(vec)
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A x = b, or None if inconsistent.
-
-    ``rows`` is a list of rows of A, ``rhs`` the right-hand side vector.
-    """
-    if not rows:
-        return [] if not rhs or not any(rhs) else None
-    ncols = len(rows[0])
-    augmented = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
+def solve(columns, target):
+    """One solution x (a list, one Fraction per column) of sum x_j col_j =
+    target, or None if target is not in the span of the columns."""
+    n = len(columns)
+    reduced, pivots = rref(_rows(list(columns) + [target]))
+    if pivots and pivots[-1] == n:
         return None
-    solution = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = reduced[r][ncols]
+    solution = [Fraction(0)] * n
+    for row, pc in zip(reduced, pivots):
+        solution[pc] = row.get(n, Fraction(0))
     return solution
-
-
-def column_space_contains(columns, vector):
-    """Whether ``vector`` is a rational combination of the given columns."""
-    if not columns:
-        return not any(vector)
-    rows = [[col[i] for col in columns] for i in range(len(vector))]
-    return solve(rows, vector) is not None
-
-
-def independent_subset(vectors):
-    """Indices of a maximal linearly independent subset, in input order."""
-    kept = []
-    stacked = []
-    current_rank = 0
-    for index, vec in enumerate(vectors):
-        stacked.append(list(vec))
-        new_rank = rank(stacked)
-        if new_rank > current_rank:
-            kept.append(index)
-            current_rank = new_rank
-        else:
-            stacked.pop()
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +198,6 @@ def ugcd(a, b):
 
 def poly_matrix_to_u(matrix):
     return [[upoly_from(entry) for entry in row] for row in matrix]
-
-
-def poly_rank(matrix):
-    """Rank over the fraction field Q(del)."""
-    m = poly_matrix_to_u(matrix)
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank_ = 0
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                # fraction-free: row_i := row_i * pivot - row_r * lead
-                p, q = m[r][c], m[i][c]
-                m[i] = [
-                    uadd(umul(m[i][j], p), uneg(umul(m[r][j], q)))
-                    for j in range(cols)
-                ]
-        r += 1
-        rank_ += 1
-        if r == rows:
-            break
-    return rank_
 
 
 def smith_invariants(matrix):

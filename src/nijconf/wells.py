@@ -15,15 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import (
-    Cochain,
-    _cochain_vector,
-    _cochain_witness,
-    act_form,
-    eval_cochain,
-)
+from .cohomology import Cochain, _cochain_witness, act_form, eval_cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
-from .extension import NonAbelianCocycle, extract_cocycle
+from .extension import NonAbelianCocycle, extract_cocycle, map_system
 from .lca import ConfLinMap, RepTable, check_morphism, eval_bracket
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
@@ -261,46 +255,13 @@ def _solve_eta(ext, pair, bound):
     l_mod = ext.quot.algebra.module
     h_mod = ext.sub.algebra.module
     bound, certified = _eta_bound(ext, bound)
-    zero_eta = ConfLinMap.zero(l_mod, h_mod)
-    index = {}
-    base_vec = {}
-    for tag, res in enumerate(_lift_residuals(ext, pair, zero_eta)):
-        for slot, coeff in _cochain_vector(res, index).items():
-            base_vec[(tag, slot)] = coeff
-    unknowns = []
-    columns = []
-    for r in range(h_mod.rank):
-        for c in range(l_mod.rank):
-            for e in range(bound + 1):
-                matrix = [
-                    [Poly.zero(0)] * l_mod.rank for _ in range(h_mod.rank)
-                ]
-                matrix[r][c] = Poly(0, {(e,): Fraction(1)})
-                unknowns.append((r, c, e))
-                column = {}
-                residuals = _lift_residuals(
-                    ext, pair, ConfLinMap(l_mod, h_mod, matrix)
-                )
-                for tag, res in enumerate(residuals):
-                    for slot, coeff in _cochain_vector(res, index).items():
-                        key = (tag, slot)
-                        column[key] = coeff - base_vec.get(key, Fraction(0))
-                for key in base_vec:
-                    column.setdefault(key, Fraction(0))
-                columns.append(column)
-    keys = sorted(set(base_vec) | {k for col in columns for k in col})
-    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
-    rhs = [-base_vec.get(key, Fraction(0)) for key in keys]
-    solution = solve(rows, rhs) if keys else [Fraction(0)] * len(unknowns)
+    columns, rhs, to_map = map_system(
+        l_mod, h_mod, bound, lambda eta: _lift_residuals(ext, pair, eta)
+    )
+    solution = solve(columns, rhs)
     if solution is None:
         return None, bound, certified
-    matrix = [
-        [Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)
-    ]
-    for (r, c, e), coeff in zip(unknowns, solution):
-        if coeff:
-            matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
-    return ConfLinMap(l_mod, h_mod, matrix), bound, certified
+    return to_map(solution), bound, certified
 
 
 def inducibility(ext, pair, mode=VERIFY, eta=None, bound=None):

@@ -69,6 +69,40 @@ def test_negative_bound_exits_two():
     assert "status: error" in out
 
 
+def test_bound_zero_is_honoured():
+    code, out, _ = run_cli(
+        "-f", CORE, "cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "0"
+    )
+    assert code == 0
+    # the bound-0 slice is empty; bound 3 (the default) has h-dim 1
+    assert "  cochain-dim: 0\n" in out
+    assert "  h-dim: 0\n" in out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--bound", "7"], "--bound must be at most 6, got 7"),
+        (["--degree", "4"], "--degree must be between 0 and 3, got 4"),
+        (["--degree", "-1"], "--degree must be between 0 and 3, got -1"),
+    ],
+)
+def test_solver_limits_are_usage_errors(flags, message):
+    code, out, _ = run_cli("-f", CORE, "cohomology", "vir", *flags)
+    assert code == 2
+    assert "<args>:0:0: " + message in out
+    assert "status: error" in out
+
+
+def test_non_utf8_workspace_exits_two_with_position(tmp_path):
+    bad = tmp_path / "latin1.ws"
+    bad.write_bytes(b"module m\n  basis a\n# caf\xe9\n")
+    code, out, _ = run_cli("-f", str(bad), "check", "m")
+    assert code == 2
+    assert "latin1.ws:3:6: invalid UTF-8 byte 0xe9" in out
+    assert "status: error" in out
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--parallel"]])
 def test_removed_flags_are_unknown_arguments(flag):
     code, out, _ = run_cli("-f", CORE, "check", "vir", *flag)

@@ -12,6 +12,7 @@ from nijconf.cohomology import (
     apply_dNM,
     apply_delta,
     bracket_cochain,
+    _cochain_vector,
     check_cochain_skew,
     cochain_space,
     cup_product,
@@ -27,6 +28,7 @@ from nijconf.cohomology import (
     solve_truncated,
     xi_map,
 )
+from nijconf import linalg
 from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable, eval_bracket
 from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly
@@ -200,6 +202,26 @@ def test_central_charge_slice_hand_solved(vir, central_line):
     assert not image_contains(rep, 4, delta, cubic)
     for cocycle in span:
         assert delta(cocycle).is_zero()
+
+
+@pytest.mark.parametrize(
+    "algebra,degree,bound,dim,cocycle_dim",
+    [("sl2", 2, 2, 36, 12), ("vir", 1, 2, 4, 0), ("vir", 2, 2, 3, 3)],
+)
+def test_cochain_space_is_a_basis_on_mixed_coefficients(
+    request, algebra, degree, bound, dim, cocycle_dim
+):
+    # del is free on a and the scalar 1 on c: a del-power on c repeats a
+    # monomial, so only a's coordinates may carry one
+    rep = RepTable(request.getfixturevalue(algebra), FreeModule(["a", "c"], ["free", 1]))
+    basis = cochain_space(rep, degree, bound)
+    assert len(basis) == dim
+    assert linalg.rank([_cochain_vector(f) for f in basis]) == dim
+    res = solve_truncated(rep, degree, bound)
+    assert res["cochain_dim"] == dim
+    # the same cocycle and coboundary dimensions as the spanning set with
+    # repeated monomials gave
+    assert (res["cocycle_dim"], res["coboundary_dim"]) == (cocycle_dim, cocycle_dim)
 
 
 def test_eval_cochain_sesquilinearity(ad, sl2):

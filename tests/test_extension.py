@@ -83,6 +83,19 @@ def test_second_section_gives_equivalent_cocycle(ext_km, c_km, sl2_id, c_triv):
     assert tau_found is not None
 
 
+def test_solved_tau_may_cancel_a_base_residual(ext_km, c_km, sl2_id, c_triv):
+    # tau = [[1, 0, 0]]: its unit column must carry -residual(0) on the keys
+    # where the residual of the unit map itself vanishes
+    m = sl2_id.algebra.module
+    shift = ConfLinMap(m, c_triv.algebra.module, [[-1, 0, 0]])
+    other = extract_cocycle(ext_km, section=ext_km.section + ext_km.inc.compose(shift))
+    verify, _ = cocycle_equivalence(c_km, other, sl2_id, c_triv, tau=shift.scale(-1))
+    assert verify.passed
+    solved, tau = cocycle_equivalence(c_km, other, sl2_id, c_triv)
+    assert solved.lines() == ["solve: pass"]
+    assert tau == shift.scale(-1)
+
+
 def test_central_charge_is_an_invariant(c_km, sl2_id, c_triv):
     report, tau = cocycle_equivalence(
         c_km, _zero_cocycle(sl2_id, c_triv), sl2_id, c_triv

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijconf import linalg
@@ -8,28 +10,109 @@ from nijconf.poly import Poly
 F = Fraction
 
 
+# -- test-only dense reference: the elimination the sparse one replaced ----
+
+
+def _dense_rref(rows):
+    rows = [list(map(Fraction, row)) for row in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _dense_nullspace(rows, ncols):
+    if not rows:
+        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
+    reduced, pivots = _dense_rref(rows)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _dense_solve(rows, rhs, ncols):
+    if not rows:
+        return [Fraction(0)] * ncols
+    augmented = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    reduced, pivots = _dense_rref(augmented)
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        solution[pc] = reduced[r][ncols]
+    return solution
+
+
+def _dense(columns, keys):
+    """The rows (one per key) of the matrix with these sparse columns."""
+    return [[F(col.get(key, 0)) for col in columns] for key in keys]
+
+
+def _columns(*dense_columns):
+    return [{i: F(x) for i, x in enumerate(col) if x} for col in dense_columns]
+
+
+# -- the column API -----------------------------------------------------
+
+
 def test_rank_and_nullspace():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert linalg.rank(rows) == 2
-    null = linalg.nullspace(rows)
+    # columns of the rows [1 2 3], [2 4 6], [0 1 1]
+    cols = _columns([1, 2, 0], [2, 4, 1], [3, 6, 1])
+    assert linalg.rank(cols) == 2
+    null = linalg.nullspace(cols)
     assert len(null) == 1
     v = null[0]
-    for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+    for key in range(3):
+        assert sum(c * col.get(key, 0) for c, col in zip(v, cols)) == 0
 
 
 def test_solve_consistent_and_inconsistent():
-    rows = [[F(1), F(1)], [F(1), F(-1)]]
-    sol = linalg.solve(rows, [F(3), F(1)])
-    assert sol == [F(2), F(1)]
-    rows2 = [[F(1), F(1)], [F(2), F(2)]]
-    assert linalg.solve(rows2, [F(1), F(3)]) is None
+    cols = _columns([1, 1], [1, -1])
+    assert linalg.solve(cols, {0: F(3), 1: F(1)}) == [F(2), F(1)]
+    cols2 = _columns([1, 2], [1, 2])
+    assert linalg.solve(cols2, {0: F(1), 1: F(3)}) is None
 
 
 def test_column_space_membership():
-    cols = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert linalg.column_space_contains(cols, [F(2), F(3), F(5)])
-    assert not linalg.column_space_contains(cols, [F(0), F(0), F(1)])
+    cols = _columns([1, 0, 1], [0, 1, 1])
+    assert linalg.solve(cols, {0: F(2), 1: F(3), 2: F(5)}) is not None
+    assert linalg.solve(cols, {2: F(1)}) is None
+    assert linalg.solve([], {}) == []
+    assert linalg.solve([], {0: F(1)}) is None
+
+
+def test_rank_restricted_to_keys():
+    cols = [{"x": F(1), "y": F(1)}, {"x": F(1)}, {"z": F(2)}]
+    assert linalg.rank(cols) == 3
+    assert linalg.rank(cols, keys={"x", "y"}) == 2
+    assert linalg.rank(cols, keys={"x"}) == 1
+    assert linalg.rank(cols, keys=()) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -41,11 +124,58 @@ def test_column_space_membership():
     )
 )
 def test_nullspace_vectors_are_in_the_kernel(raw):
-    rows = [[F(x) for x in row] for row in raw]
-    for v in linalg.nullspace(rows):
-        for row in rows:
+    # the rows of ``raw`` are the coordinates; its columns are the vectors
+    cols = _columns(*zip(*raw))
+    for v in linalg.nullspace(cols):
+        for row in raw:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert linalg.rank(rows) + len(linalg.nullspace(rows)) == 3
+    assert linalg.rank(cols) + len(linalg.nullspace(cols)) == 3
+
+
+_KEYS = [(k, m) for k in range(3) for m in range(3)]
+_sparse_vector = st.dictionaries(
+    st.sampled_from(_KEYS),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_sparse_vector, max_size=7), _sparse_vector, st.booleans())
+def test_sparse_elimination_matches_dense_reference(columns, target, in_span):
+    # empty columns, zero entries and an empty target all occur
+    if in_span:
+        target = {}
+        for j, col in enumerate(columns):
+            for key, v in col.items():
+                target[key] = target.get(key, 0) + (j - 2) * v
+    keys = sorted({k for col in columns + [target] for k in col})
+    rows = _dense(columns, keys)
+    ncols = len(columns)
+    assert linalg.rank(columns) == len(_dense_rref(rows)[1])
+    assert linalg.nullspace(columns) == _dense_nullspace(rows, ncols)
+    expected = _dense_solve(rows, [F(target.get(k, 0)) for k in keys], ncols)
+    assert linalg.solve(columns, target) == expected
+    if in_span:
+        assert expected is not None
+    half = keys[::2]
+    assert linalg.rank(columns, keys=half) == len(_dense_rref(_dense(columns, half))[1])
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(11)
+    for _ in range(40):
+        columns = [
+            {
+                rng.choice(_KEYS): F(rng.randint(-4, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4))
+            }
+            for _ in range(rng.randint(0, 8))
+        ]
+        keys = sorted({k for col in columns for k in col})
+        expected = sympy.Matrix(_dense(columns, keys)).rank() if keys and columns else 0
+        assert linalg.rank(columns) == expected
 
 
 def _dpoly(*coeffs):
@@ -55,10 +185,10 @@ def _dpoly(*coeffs):
 def test_poly_rank_and_smith():
     d = _dpoly(0, 1)  # the generator del
     mat = [[_dpoly(1), d], [Poly.zero(0), d]]
-    assert linalg.poly_rank(mat) == 2
     inv = linalg.smith_invariants(mat)
-    # the second invariant factor is del, so the cokernel has torsion
-    assert len(inv) == 2
+    # two invariant factors: rank 2 over Q(del); the second one is del, so
+    # the cokernel has torsion
+    assert inv == [(F(1),), (F(0), F(1))]
     assert not linalg.is_split_injection(mat)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nijconf.extension import shear_map
+from nijconf.extension import ExtensionData, shear_map
 from nijconf.lca import ConfLinMap, FreeModule
 from nijconf.poly import Poly
 from nijconf.wells import (
@@ -137,6 +137,25 @@ def test_induced_pair_is_a_homomorphism(shear_setup, central_line):
     g2 = shear_map(ext, ConfLinMap(am, central_line, [[-7, 0]]))
     composite = induced_pair(ext, g1.compose(g2))
     assert composite == induced_pair(ext, g1).compose(induced_pair(ext, g2))
+
+
+@pytest.mark.parametrize("shift", [[[-1, 0, 0]], [[0, 0, 2]]])
+def test_inner_pair_lifts_through_a_shifted_section(ext_km, pair_inner, shift):
+    # the same diagram with section s + inc o shift: the eta solve must still
+    # find a lift, and not report a certified obstruction
+    m = ext_km.quot.algebra.module
+    moved = ExtensionData(
+        ext_km.total,
+        ext_km.sub,
+        ext_km.quot,
+        ext_km.inc,
+        ext_km.proj,
+        ext_km.section + ext_km.inc.compose(ConfLinMap(m, ext_km.sub.algebra.module, shift)),
+    )
+    solved, eta = inducibility(moved, pair_inner, SOLVE)
+    assert solved.lines() == ["solve: pass"]
+    verified, _ = inducibility(moved, pair_inner, VERIFY, eta=eta)
+    assert verified.passed
 
 
 def test_lift_map_shape(ext_km, pair_inner):
