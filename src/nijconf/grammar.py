@@ -18,6 +18,10 @@ from .errors import ArityError
 from .poly import Poly
 
 MAX_ARITY = 4
+# Largest total degree a power may produce.  Powers are computed eagerly, so
+# without a bound one short literal can take unbounded time; a constant base
+# counts as degree 1, which also bounds the size of its coefficient.
+MAX_LITERAL_DEGREE = 16
 
 VAR_NAMES = ["del"] + ["lam%d" % i for i in range(1, MAX_ARITY + 1)]
 
@@ -118,6 +122,13 @@ class _Parser:
             kind2, value2, pos2 = self.peek()
             if kind2 != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos2)
+            degree = max(base.total_degree(), 1) * value2
+            if degree > MAX_LITERAL_DEGREE:
+                raise ParseError(
+                    "power of degree %d exceeds the bound %d"
+                    % (degree, MAX_LITERAL_DEGREE),
+                    pos2,
+                )
             self.advance()
             return base ** value2
         return base

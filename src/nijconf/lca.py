@@ -18,6 +18,7 @@ expanding these substitutions to literal polynomial identities.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -216,13 +217,19 @@ class StructureTable:
         rank_out = self.shape[2]
         return self.entries.get((i, j), [Poly.zero(1)] * rank_out)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if self.shape != other.shape:
             raise ModuleMismatchError("table shapes differ")
         out = StructureTable(*self.shape)
         for key in set(self.entries) | set(other.entries):
-            out.set(key[0], key[1], [a + b for a, b in zip(self.get(*key), other.get(*key))])
+            out.set(key[0], key[1], [op(a, b) for a, b in zip(self.get(*key), other.get(*key))])
         return out
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
 
     def __eq__(self, other):
         return (

@@ -2,13 +2,16 @@
 
 Two layers:
 
-* sparse Gaussian elimination over ``Fraction`` (row reduction, rank,
+* one sparse Gaussian elimination over ``Fraction`` (row reduction, rank,
   kernel bases, linear solving) on the sparse vectors the callers build --
   the one elimination behind the truncated cocycle solver, the
   extensibility test and the tau/eta solvers;
-* univariate polynomial matrices over Q[del] (determinants, Smith invariant
-  factors, inverses of unimodular matrices) -- used to validate extension
-  diagrams and automorphisms exactly rather than over the fraction field.
+* one unimodular reduction of polynomial matrices over Q[del] (a Euclidean
+  sweep per column, then a Gauss-Jordan clear of unit pivots, carrying the
+  identity block) behind the split-injection and split-surjection tests and
+  the inverse of a matrix invertible over Q[del] -- used to validate
+  extension diagrams and automorphisms exactly rather than over the fraction
+  field.
 """
 
 from __future__ import annotations
@@ -182,162 +185,76 @@ def udivmod(a, b):
     return utrim(quotient), utrim(a)
 
 
-def ugcd(a, b):
-    a, b = utrim(a), utrim(b)
-    while b:
-        a, b = b, udivmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = tuple(c * inv for c in a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # polynomial matrices (entries: del-only Poly)
 
 
-def poly_matrix_to_u(matrix):
-    return [[upoly_from(entry) for entry in row] for row in matrix]
+def _unimodular_reduce(matrix):
+    """Reduce a matrix of del-only Polys by unimodular row operations.
 
+    Column by column, a Euclidean sweep (``udivmod`` of every lower entry by
+    the one of least degree, repeated) leaves the gcd of the column's
+    remaining entries in the pivot row.  A nonzero constant pivot is scaled
+    to 1 and cleared from every other row (Gauss-Jordan); the first column
+    whose pivot is zero or not constant ends the reduction.  The identity
+    block rides along to the right of the rows, so it ends as the unimodular
+    U on the left of U M.  Returns (rows, units): the rows [U M | U] as
+    coefficient tuples, and the number of leading unit pivots.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
+    rows = [
+        [upoly_from(entry) for entry in row]
+        + [(Fraction(1),) if k == i else () for k in range(m)]
+        for i, row in enumerate(matrix)
+    ]
 
-def smith_invariants(matrix):
-    """Invariant factors of a matrix over Q[del] (monic, unit -> (1,))."""
-    m = poly_matrix_to_u(matrix)
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    invariants = []
-    top = 0
-    while top < min(rows, cols):
-        # find the nonzero entry of minimal degree in the working block
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (best is None or len(m[i][j]) < len(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        # clear the pivot row and column; repeat until clean
-        dirty = True
-        while dirty:
-            dirty = False
-            pivot = m[top][top]
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q, rem = udivmod(m[i][top], pivot)
-                    m[i] = [
-                        uadd(m[i][j], uneg(umul(q, m[top][j]))) for j in range(cols)
-                    ]
-                    if rem:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q, rem = udivmod(m[top][j], pivot)
-                    for i in range(rows):
-                        m[i][j] = uadd(m[i][j], uneg(umul(q, m[i][top])))
-                    if rem:
-                        for i in range(rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        dirty = True
-                        break
-        pivot = m[top][top]
-        inv = Fraction(1) / pivot[-1]
-        invariants.append(tuple(c * inv for c in pivot))
-        top += 1
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(invariants) - 1):
-            a, b = invariants[i], invariants[i + 1]
-            if udivmod(b, a)[1]:
-                g = ugcd(a, b)
-                lcm = udivmod(umul(a, b), g)[0]
-                inv = Fraction(1) / lcm[-1] if lcm else Fraction(1)
-                invariants[i] = g
-                invariants[i + 1] = tuple(c * inv for c in lcm)
-                changed = True
-    return invariants
+    def subtract(row, factor, pivot_row):
+        return [uadd(a, uneg(umul(factor, b))) for a, b in zip(row, pivot_row)]
+
+    for col in range(min(m, n)):
+        while True:
+            live = [i for i in range(col, m) if rows[i][col]]
+            if not live:
+                return rows, col
+            least = min(live, key=lambda i: len(rows[i][col]))
+            rows[col], rows[least] = rows[least], rows[col]
+            pivot = rows[col][col]
+            if len(live) == 1:
+                break
+            for i in range(col + 1, m):
+                if rows[i][col]:
+                    quotient = udivmod(rows[i][col], pivot)[0]
+                    rows[i] = subtract(rows[i], quotient, rows[col])
+        if len(pivot) != 1:
+            return rows, col
+        rows[col] = [tuple(c / pivot[0] for c in entry) for entry in rows[col]]
+        for i in range(m):
+            if i != col and rows[i][col]:
+                rows[i] = subtract(rows[i], rows[i][col], rows[col])
+    return rows, min(m, n)
 
 
 def is_split_injection(matrix):
-    """Columns span a free direct summand: all invariant factors are units."""
-    m = [row[:] for row in matrix]
-    if not m or not m[0]:
-        return not m or not m[0]
-    ncols = len(m[0])
-    invariants = smith_invariants(m)
-    return len(invariants) == ncols and all(len(f) == 1 for f in invariants)
+    """Columns span a free direct summand: every column gets a unit pivot."""
+    return _unimodular_reduce(matrix)[1] == (len(matrix[0]) if matrix else 0)
 
 
 def is_split_surjection(matrix):
-    """Rows define a surjection Q[del]^cols -> Q[del]^rows."""
-    if not matrix:
-        return True
-    nrows = len(matrix)
-    invariants = smith_invariants([row[:] for row in matrix])
-    return len(invariants) == nrows and all(len(f) == 1 for f in invariants)
-
-
-def poly_det(matrix):
-    """Determinant of a square matrix of del-only Polys (Bareiss)."""
-    m = poly_matrix_to_u(matrix)
-    n = len(m)
-    if n == 0:
-        return Poly.one(0)
-    sign = 1
-    prev = (Fraction(1),)
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Poly.zero(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = uadd(umul(m[i][j], m[k][k]), uneg(umul(m[i][k], m[k][j])))
-                m[i][j], rem = udivmod(num, prev)
-                assert not rem, "Bareiss exact division failed"
-            m[i][k] = ()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = uneg(det)
-    return upoly_to(det)
+    """Rows define a split surjection Q[del]^cols -> Q[del]^rows: the
+    transpose is a split injection (every row gets a unit pivot)."""
+    transpose = [list(column) for column in zip(*matrix)]
+    return _unimodular_reduce(transpose)[1] == len(matrix)
 
 
 def poly_unimodular_inverse(matrix):
-    """Inverse of a square Q[del]-matrix with unit (constant) determinant.
+    """Inverse of a square Q[del]-matrix that is invertible over Q[del].
 
-    Returns None when the determinant is not a nonzero constant.
+    Returns None when the matrix is not square or its determinant is not a
+    nonzero constant.
     """
     n = len(matrix)
-    det = poly_det(matrix)
-    u = upoly_from(det)
-    if len(u) != 1:
+    rows, units = _unimodular_reduce(matrix)
+    if units < n or any(len(row) != n for row in matrix):
         return None
-    scale = Fraction(1) / u[0]
-    inverse = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = poly_det(minor) if minor else Poly.one(0)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof.scale(scale))
-        inverse.append(row)
-    return inverse
+    return [[upoly_to(entry) for entry in row[n:]] for row in rows]

@@ -121,16 +121,7 @@ def induced_pair(ext, gamma):
     retraction = ext.retraction()
     alpha = retraction.compose(gamma).compose(ext.inc)
     beta = ext.proj.compose(gamma).compose(ext.section)
-    shift = ConfLinMap(
-        ext.quot.algebra.module,
-        ext.sub.algebra.module,
-        [
-            [Fraction(1)] * ext.quot.algebra.module.rank
-            for _ in range(ext.sub.algebra.module.rank)
-        ],
-    )
-    second = ext.section + ext.inc.compose(shift)
-    beta2 = ext.proj.compose(gamma).compose(second)
+    beta2 = ext.proj.compose(gamma).compose(_second_section(ext))
     if not (beta - beta2).is_zero():
         raise PreconditionError("induced map depends on the section")
     return AutomorphismPair(alpha, beta)
@@ -165,18 +156,29 @@ def transform_cocycle(cocycle, pair):
     return NonAbelianCocycle(chi, rho, phi)
 
 
+def _second_section(ext):
+    """The section shifted by inc . (the all-ones map L -> H)."""
+    l_mod = ext.quot.algebra.module
+    h_mod = ext.sub.algebra.module
+    shift = ConfLinMap(
+        l_mod, h_mod, [[Fraction(1)] * l_mod.rank for _ in range(h_mod.rank)]
+    )
+    return ext.section + ext.inc.compose(shift)
+
+
+def _pair_part(ext, pair):
+    """The eta-independent part s beta p + inc alpha r of the lift."""
+    beta_part = ext.section.compose(pair.beta).compose(ext.proj)
+    return beta_part + ext.inc.compose(pair.alpha).compose(ext.retraction())
+
+
 def lift_map(ext, pair, eta):
     """gamma(s p + h) = s(beta p) + alpha h + eta p as a map of E."""
-    retraction = ext.retraction()
-    return (
-        ext.section.compose(pair.beta).compose(ext.proj)
-        + ext.inc.compose(pair.alpha).compose(retraction)
-        + ext.inc.compose(eta).compose(ext.proj)
-    )
+    return _pair_part(ext, pair) + ext.inc.compose(eta).compose(ext.proj)
 
 
-def _lift_residuals(ext, pair, eta):
-    """Automorphism defect of the lift, split by argument type.
+def _lift_residuals(ext, gamma):
+    """Automorphism defect of the lift gamma, split by argument type.
 
     ``action``   -- morphism residual on (section, inclusion) pairs;
     ``bracket``  -- morphism residual on (section, section) pairs;
@@ -184,7 +186,6 @@ def _lift_residuals(ext, pair, eta):
     With the pair itself valid, these are exactly the three lifting
     conditions on eta.
     """
-    gamma = lift_map(ext, pair, eta)
     total = ext.total
     l_mod = ext.quot.algebra.module
     h_mod = ext.sub.algebra.module
@@ -255,9 +256,14 @@ def _solve_eta(ext, pair, bound):
     l_mod = ext.quot.algebra.module
     h_mod = ext.sub.algebra.module
     bound, certified = _eta_bound(ext, bound)
-    columns, rhs, to_map = map_system(
-        l_mod, h_mod, bound, lambda eta: _lift_residuals(ext, pair, eta)
-    )
+    pair_part = _pair_part(ext, pair)
+
+    def residuals(eta):
+        return _lift_residuals(
+            ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
+        )
+
+    columns, rhs, to_map = map_system(l_mod, h_mod, bound, residuals)
     solution = solve(columns, rhs)
     if solution is None:
         return None, bound, certified
@@ -278,7 +284,7 @@ def inducibility(ext, pair, mode=VERIFY, eta=None, bound=None):
         if eta is None:
             raise PreconditionError("verify mode needs an eta")
         report = Report("inducibility")
-        residuals = _lift_residuals(ext, pair, eta)
+        residuals = _lift_residuals(ext, lift_map(ext, pair, eta))
         for name, res in zip(("action", "bracket", "operator"), residuals):
             report.add(name, res.is_zero(), _cochain_witness(res))
         return report, eta
@@ -333,30 +339,14 @@ def wells_obstruction(ext, pair, bound=None):
         RepTable(
             cocycle.rho.algebra,
             cocycle.rho.module,
-            _action_difference(moved.rho, cocycle.rho),
+            moved.rho.action - cocycle.rho.action,
         ),
         moved.phi - cocycle.phi,
     )
     report = Report("wells-obstruction")
-
-    def status():
-        eta, used, certified = _solve_eta(ext, pair, bound)
-        if eta is not None:
-            return "zero@%d" % used
-        return "nonzero-certified" if certified else "nonzero@%d" % used
-
-    first = status()
+    first = _section_status(ext, pair, bound, ext.section)
     report.add_status("class", first)
-    shift = ConfLinMap(
-        ext.quot.algebra.module,
-        ext.sub.algebra.module,
-        [
-            [Fraction(1)] * ext.quot.algebra.module.rank
-            for _ in range(ext.sub.algebra.module.rank)
-        ],
-    )
-    second_section = ext.section + ext.inc.compose(shift)
-    second = _section_status(ext, pair, bound, second_section)
+    second = _section_status(ext, pair, bound, _second_section(ext))
     report.add(
         "section-independent",
         first == second,
@@ -381,19 +371,6 @@ def _section_status(ext, pair, bound, section):
     if eta is None:
         return "nonzero-certified" if certified else "nonzero@%d" % used
     return "zero@%d" % used
-
-
-def _action_difference(a, b):
-    from .lca import StructureTable
-
-    out = StructureTable(*a.action.shape)
-    for key in set(a.action.entries) | set(b.action.entries):
-        out.set(
-            key[0],
-            key[1],
-            [x - y for x, y in zip(a.action.get(*key), b.action.get(*key))],
-        )
-    return out
 
 
 def wells_sequence_check(ext, gammas, pairs, bound=None):

@@ -117,6 +117,20 @@ def ext_gf(c_gf, vir_id, c_triv):
     return build_extension(c_gf, vir_id, c_triv)
 
 
+@pytest.fixture(scope="session")
+def ext_free(vir_id):
+    """vir extended by the free abelian line h through the zero cocycle: E
+    is free of rank 2, so multiplying a map by del changes it."""
+    hm = FreeModule(["h"])
+    h = NijenhuisLCA(LCA(hm), ConfLinMap.identity(hm))
+    cocycle = NonAbelianCocycle(
+        Cochain(2, RepTable(vir_id.algebra, hm)),
+        RepTable(vir_id.algebra, hm),
+        ConfLinMap.zero(vir_id.algebra.module, hm),
+    )
+    return build_extension(cocycle, vir_id, h)
+
+
 def abelian_shear_fixture(central_line, c_triv):
     """Rank-2 abelian quotient with N = diag(1, 2) and a symmetric central
     2-cochain; admits non-trivial shear automorphisms of the extension."""

@@ -9,11 +9,12 @@ CORE = os.path.join(ROOT, "fixtures", "core.ws")
 HOMOTOPY = os.path.join(ROOT, "fixtures", "homotopy.ws")
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "nijconf.cli"] + list(argv),
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -100,6 +101,29 @@ def test_non_utf8_workspace_exits_two_with_position(tmp_path):
     code, out, _ = run_cli("-f", str(bad), "check", "m")
     assert code == 2
     assert "latin1.ws:3:6: invalid UTF-8 byte 0xe9" in out
+    assert "status: error" in out
+
+
+@pytest.mark.parametrize(
+    "literal,column,degree",
+    [
+        ("lam1^999999999", 22, 999999999),
+        ("((del+lam1)^9)^9", 32, 81),
+        ("del + 2^999999999*lam1", 25, 999999999),
+    ],
+)
+def test_literal_degree_is_bounded(tmp_path, literal, column, degree):
+    # each of these ran for more than 10 s before the power was bounded
+    bad = tmp_path / "big.ws"
+    bad.write_text(
+        "module vm\n  basis L\n\nalgebra v3 module vm\n  bracket L L = %s\n"
+        % literal
+    )
+    code, out, _ = run_cli("-f", str(bad), "check", "v3", timeout=10)
+    assert code == 2
+    assert "big.ws:5:%d: power of degree %d exceeds the bound 16" % (
+        column, degree
+    ) in out
     assert "status: error" in out
 
 

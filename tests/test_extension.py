@@ -32,6 +32,41 @@ def _zero_cocycle(quot, sub):
     )
 
 
+def test_non_split_maps_fail_the_split_checks(ext_free):
+    d = Poly.del_(0)
+    e_mod = ext_free.total.algebra.module
+    pieces = (ext_free.total, ext_free.sub, ext_free.quot)
+    inc = ConfLinMap(ext_free.sub.algebra.module, e_mod, [[0], [d]])
+    report = check_extension(
+        ExtensionData(*pieces, inc, ext_free.proj, ext_free.section)
+    )
+    assert report.lines() == [
+        "proj-inc-zero: pass",
+        "proj-section-identity: pass",
+        "inc-split-injective: fail",
+        "proj-split-surjective: pass",
+        "inc-morphism: pass",
+        "proj-morphism: pass",
+        "operator-sub: pass",
+        "operator-quot: pass",
+    ]
+    proj = ConfLinMap(e_mod, ext_free.quot.algebra.module, [[d, 0]])
+    report = check_extension(
+        ExtensionData(*pieces, ext_free.inc, proj, ext_free.section)
+    )
+    assert report.lines() == [
+        "proj-inc-zero: pass",
+        "proj-section-identity: fail",
+        "inc-split-injective: pass",
+        "proj-split-surjective: fail",
+        "inc-morphism: pass",
+        "proj-morphism: fail at=0,0 residual=[(del^2*lam1 + 3*del*lam1^2"
+        " + 2*lam1^3 + del^2 + 2*del*lam1)L]",
+        "operator-sub: pass",
+        "operator-quot: pass",
+    ]
+
+
 def test_zero_cocycle_round_trip(sl2_p, c_triv):
     cocycle = _zero_cocycle(sl2_p, c_triv)
     assert check_nonabelian_cocycle(cocycle, sl2_p, c_triv).passed

@@ -1,8 +1,11 @@
-"""Byte-for-byte stdout and exit code of every benchmark verb and README command.
+"""Byte-for-byte stdout and exit code of every benchmark verb and README command,
+plus the extension and automorphism-pair checks that decide over Q[del].
 
-``tests/golden/`` holds the stdout each command printed before the evaluator,
-dagger and witness-formatter merges; a refactor that moves a single byte of a
-report fails here.  Regenerate a file only for an intended change of output.
+``tests/golden/`` holds the stdout each command printed before the refactor
+that touched its code path (the evaluator, dagger and witness-formatter
+merges; the unimodular Q[del] reduction for the two checks); a refactor that
+moves a single byte of a report fails here.  Regenerate a file only for an
+intended change of output.
 """
 
 import os
@@ -19,6 +22,9 @@ BOTH = CORE + ["-f", HOMOTOPY]
 COMMANDS = [
     ("check-vir", CORE + ["check", "vir"], 0),
     ("check-sl2p", CORE + ["check", "sl2p"], 0),
+    ("check-kmext", CORE + ["check", "kmext"], 0),
+    ("check-wellsgood",
+     CORE + ["check", "wellsgood", "--quot", "sl2id", "--sub", "ctrivid"], 0),
     ("cohomology-vir-zerorepvir-b3",
      CORE + ["cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "3"], 0),
     ("extend-km", CORE + ["extend", "km", "--quot", "sl2id", "--sub", "ctrivid"], 0),

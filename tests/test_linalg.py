@@ -69,6 +69,145 @@ def _dense_solve(rows, rhs, ncols):
     return solution
 
 
+# -- test-only Q[del] references: the Smith form and the cofactor inverse
+# -- that the unimodular reduction replaced -----------------------------
+
+_u = linalg.upoly_from
+
+
+def _ugcd(a, b):
+    a, b = linalg.utrim(a), linalg.utrim(b)
+    while b:
+        a, b = b, linalg.udivmod(a, b)[1]
+    if a:
+        inv = Fraction(1) / a[-1]
+        a = tuple(c * inv for c in a)
+    return a
+
+
+def _smith_invariants(matrix):
+    """Invariant factors of a matrix over Q[del] (monic, unit -> (1,))."""
+    uadd, uneg, umul, udivmod = linalg.uadd, linalg.uneg, linalg.umul, linalg.udivmod
+    m = [[_u(entry) for entry in row] for row in matrix]
+    if not m or not m[0]:
+        return []
+    rows, cols = len(m), len(m[0])
+    invariants = []
+    top = 0
+    while top < min(rows, cols):
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if m[i][j] and (best is None or len(m[i][j]) < len(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        m[top], m[bi] = m[bi], m[top]
+        for row in m:
+            row[top], row[bj] = row[bj], row[top]
+        dirty = True
+        while dirty:
+            dirty = False
+            pivot = m[top][top]
+            for i in range(top + 1, rows):
+                if m[i][top]:
+                    q, rem = udivmod(m[i][top], pivot)
+                    m[i] = [uadd(m[i][j], uneg(umul(q, m[top][j]))) for j in range(cols)]
+                    if rem:
+                        m[top], m[i] = m[i], m[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(top + 1, cols):
+                if m[top][j]:
+                    q, rem = udivmod(m[top][j], pivot)
+                    for i in range(rows):
+                        m[i][j] = uadd(m[i][j], uneg(umul(q, m[i][top])))
+                    if rem:
+                        for i in range(rows):
+                            m[i][top], m[i][j] = m[i][j], m[i][top]
+                        dirty = True
+                        break
+        pivot = m[top][top]
+        inv = Fraction(1) / pivot[-1]
+        invariants.append(tuple(c * inv for c in pivot))
+        top += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(invariants) - 1):
+            a, b = invariants[i], invariants[i + 1]
+            if udivmod(b, a)[1]:
+                g = _ugcd(a, b)
+                lcm = udivmod(umul(a, b), g)[0]
+                inv = Fraction(1) / lcm[-1] if lcm else Fraction(1)
+                invariants[i] = g
+                invariants[i + 1] = tuple(c * inv for c in lcm)
+                changed = True
+    return invariants
+
+
+def _units_only(matrix, count):
+    """``count`` invariant factors, all of them units."""
+    invariants = _smith_invariants(matrix)
+    return len(invariants) == count and all(len(f) == 1 for f in invariants)
+
+
+def _poly_det(matrix):
+    """Determinant of a square matrix of del-only Polys (Bareiss)."""
+    uadd, uneg, umul, udivmod = linalg.uadd, linalg.uneg, linalg.umul, linalg.udivmod
+    m = [[_u(entry) for entry in row] for row in matrix]
+    n = len(m)
+    if n == 0:
+        return Poly.one(0)
+    sign = 1
+    prev = (Fraction(1),)
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return Poly.zero(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = uadd(umul(m[i][j], m[k][k]), uneg(umul(m[i][k], m[k][j])))
+                m[i][j], rem = udivmod(num, prev)
+                assert not rem, "Bareiss exact division failed"
+            m[i][k] = ()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    if sign < 0:
+        det = uneg(det)
+    return linalg.upoly_to(det)
+
+
+def _cofactor_inverse(matrix):
+    """Adjugate over a constant determinant; None when it is not one."""
+    n = len(matrix)
+    u = _u(_poly_det(matrix))
+    if len(u) != 1:
+        return None
+    scale = Fraction(1) / u[0]
+    inverse = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [
+                [matrix[r][c] for c in range(n) if c != i]
+                for r in range(n)
+                if r != j
+            ]
+            cof = _poly_det(minor) if minor else Poly.one(0)
+            if (i + j) % 2:
+                cof = -cof
+            row.append(cof.scale(scale))
+        inverse.append(row)
+    return inverse
+
+
 def _dense(columns, keys):
     """The rows (one per key) of the matrix with these sparse columns."""
     return [[F(col.get(key, 0)) for col in columns] for key in keys]
@@ -185,7 +324,7 @@ def _dpoly(*coeffs):
 def test_poly_rank_and_smith():
     d = _dpoly(0, 1)  # the generator del
     mat = [[_dpoly(1), d], [Poly.zero(0), d]]
-    inv = linalg.smith_invariants(mat)
+    inv = _smith_invariants(mat)
     # two invariant factors: rank 2 over Q(del); the second one is del, so
     # the cokernel has torsion
     assert inv == [(F(1),), (F(0), F(1))]
@@ -216,3 +355,44 @@ def test_split_surjection():
     d = _dpoly(0, 1)
     assert linalg.is_split_surjection([[_dpoly(1), d]])
     assert not linalg.is_split_surjection([[d, d * d]])
+
+
+_coeffs = st.lists(st.integers(-2, 2), max_size=3)
+
+
+@st.composite
+def _qdel_matrices(draw):
+    """Random del-only matrices up to 4 x 4 (empty shapes included), or
+    slices of a product of elementary unimodular matrices."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return [[_dpoly(*draw(_coeffs)) for _ in range(ncols)] for _ in range(nrows)]
+    n = max(nrows, ncols)
+    mat = [[_dpoly(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            unit = draw(st.sampled_from([-2, -1, F(1, 2), 3]))
+            mat[i] = [entry.scale(unit) for entry in mat[i]]
+        elif draw(st.booleans()):
+            mat[i], mat[j] = mat[j], mat[i]
+        else:
+            factor = _dpoly(*draw(_coeffs))
+            mat[i] = [a + factor * b for a, b in zip(mat[i], mat[j])]
+    # all rows of some columns (split injective) or some rows (split
+    # surjective) of a unimodular matrix
+    return [row[:ncols] for row in mat[:nrows]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qdel_matrices())
+def test_unimodular_reduction_matches_smith_and_cofactors(matrix):
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    assert linalg.is_split_injection(matrix) == _units_only(matrix, ncols)
+    assert linalg.is_split_surjection(matrix) == _units_only(matrix, nrows)
+    inverse = linalg.poly_unimodular_inverse(matrix)
+    if nrows == ncols:
+        assert inverse == _cofactor_inverse(matrix)
+    else:
+        assert inverse is None

@@ -158,6 +158,17 @@ def test_inner_pair_lifts_through_a_shifted_section(ext_km, pair_inner, shift):
     assert verified.passed
 
 
+def test_gamma_with_determinant_del_is_not_invertible(ext_free):
+    e_mod = ext_free.total.algebra.module
+    gamma = ConfLinMap(e_mod, e_mod, [[1, 0], [0, Poly.del_(0)]])
+    assert check_h_automorphism(ext_free, gamma).lines() == [
+        "morphism: pass",
+        "operator: pass",
+        "invertible: fail",
+        "preserves-sub: pass",
+    ]
+
+
 def test_lift_map_shape(ext_km, pair_inner):
     _, eta = inducibility(ext_km, pair_inner, SOLVE)
     gamma = lift_map(ext_km, pair_inner, eta)
