@@ -3,7 +3,8 @@ plus the extension and automorphism-pair checks that decide over Q[del].
 
 ``tests/golden/`` holds the stdout each command printed before the refactor
 that touched its code path (the evaluator, dagger and witness-formatter
-merges; the unimodular Q[del] reduction for the two checks); a refactor that
+merges; the unimodular Q[del] reduction for the two checks; the evaluation
+of rank-3 coboundary images on non-decreasing tuples); a refactor that
 moves a single byte of a report fails here.  Regenerate a file only for an
 intended change of output.
 """
@@ -27,6 +28,11 @@ COMMANDS = [
      CORE + ["check", "wellsgood", "--quot", "sl2id", "--sub", "ctrivid"], 0),
     ("cohomology-vir-zerorepvir-b3",
      CORE + ["cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "3"], 0),
+    ("cohomology-sl2-b2", CORE + ["cohomology", "sl2", "--bound", "2"], 0),
+    ("cohomology-sl2-zerorep-b3",
+     CORE + ["cohomology", "sl2", "--coeffs", "zerorep", "--bound", "3"], 0),
+    ("cohomology-sl2p-operator-b2",
+     CORE + ["cohomology", "sl2p", "--operator", "--bound", "2"], 0),
     ("extend-km", CORE + ["extend", "km", "--quot", "sl2id", "--sub", "ctrivid"], 0),
     ("extend-gf", CORE + ["extend", "gf", "--quot", "virid", "--sub", "ctrivid"], 0),
     ("wells-kmext-wellsgood", CORE + ["wells", "kmext", "--pair", "wellsgood"], 0),
