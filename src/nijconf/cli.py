@@ -112,21 +112,26 @@ def _split_block(lines):
     return blocks
 
 
-def _parse_entry_polys(path, lineno, text, expr, arity, count):
-    """Parse a comma-separated coordinate vector of polynomial literals."""
-    parts = expr.split(",")
+def _indent(text):
+    return len(text) - len(text.lstrip())
+
+
+def _parse_entry_polys(path, lineno, text, start, arity, count):
+    """Parse the comma-separated coordinate vector of polynomial literals
+    that fills ``text`` from index ``start`` on."""
+    parts = text[start:].split(",")
     if len(parts) != count:
         raise WorkspaceError(
-            path, lineno, text.index(expr) + 1,
+            path, lineno, start + _indent(text[start:]) + 1,
             "expected %d coordinates, got %d" % (count, len(parts)),
         )
     out = []
-    offset = text.index(expr)
+    offset = start  # index in text of the current part
     for part in parts:
         try:
             out.append(parse_poly(part, arity))
         except (ParseError, StructuralError) as exc:
-            column = offset + expr.index(part) + getattr(exc, "pos", 0) + 1
+            column = offset + getattr(exc, "pos", _indent(part)) + 1
             raise WorkspaceError(path, lineno, column, str(exc))
         offset += len(part) + 1
     return out
@@ -212,9 +217,9 @@ def _parse_block(ws, path, block):
                 raise WorkspaceError(path, bl, 1, "expected a bracket line")
             i = _basis_index(module, bw[1], path, bl, 1)
             j = _basis_index(module, bw[2], path, bl, 1)
-            expr = bt.split("=", 1)[1].strip()
+            start = bt.index("=") + 1
             algebra.set_bracket(
-                i, j, _parse_entry_polys(path, bl, bt, expr, 1, module.rank)
+                i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
             )
         ws.define(name, "algebra", algebra, where)
     elif kind == "map":
@@ -225,8 +230,9 @@ def _parse_block(ws, path, block):
             bw = bt.split(None, 1)
             if bw[0] != "row":
                 raise WorkspaceError(path, bl, 1, "expected a row line")
+            start = _indent(bt) + len(bw[0])
             rows.append(
-                _parse_entry_polys(path, bl, bt, bw[1], 0, source.rank)
+                _parse_entry_polys(path, bl, bt, start, 0, source.rank)
             )
         if len(rows) != target.rank:
             raise WorkspaceError(
@@ -253,9 +259,9 @@ def _parse_block(ws, path, block):
                 raise WorkspaceError(path, bl, 1, "expected an action line")
             i = _basis_index(algebra.module, bw[1], path, bl, 1)
             j = _basis_index(module, bw[2], path, bl, 1)
-            expr = bt.split("=", 1)[1].strip()
+            start = bt.index("=") + 1
             rep.set_action(
-                i, j, _parse_entry_polys(path, bl, bt, expr, 1, module.rank)
+                i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
             )
         ws.define(name, "rep", rep, where)
     elif kind == "cochain":
@@ -271,10 +277,10 @@ def _parse_block(ws, path, block):
                 _basis_index(rep.algebra.module, w, path, bl, 1)
                 for w in bw[1 : 1 + degree]
             )
-            expr = bt.split("=", 1)[1].strip()
+            start = bt.index("=") + 1
             cochain.set_value(
                 key,
-                _parse_entry_polys(path, bl, bt, expr, arity, rep.module.rank),
+                _parse_entry_polys(path, bl, bt, start, arity, rep.module.rank),
             )
         ws.define(name, "cochain", cochain, where)
     elif kind == "cocycle":
@@ -493,9 +499,12 @@ def _verb_cohomology(ws, args, out):
             raise WorkspaceError(
                 "<args>", 0, 0, "--operator needs a nijenhuis object"
             )
-        differential = lambda f: apply_dN(f, operator)  # noqa: E731
+
+        def differential(f, keys=None):
+            return apply_dN(f, operator, keys=keys)
+
     else:
-        differential = lambda f: apply_delta(f)  # noqa: E731
+        differential = apply_delta
     result = solve_truncated(
         rep, args.degree, _bound(args), differential=differential
     )

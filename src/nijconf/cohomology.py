@@ -22,10 +22,22 @@ formula; the xi intertwining law).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
-from .lca import FREE, Elem, RepTable, _expand_value, dagger_substitute
+from .lca import (
+    FREE,
+    Elem,
+    RepTable,
+    _expand_value,
+    _skew_failures,
+    dagger_substitute,
+)
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
 from .poly import Poly
@@ -221,17 +233,20 @@ def _forms(count, arity):
     return [Poly.lam(i + 1, arity) for i in range(count)]
 
 
-def _skew_residuals(f):
+def _skew_residuals(f, keys=None):
     """Yield ((key, k), residual) of conformal skew-symmetry for f.
 
-    For each basis tuple and adjacent transposition k the evaluation with
-    swapped arguments and swapped lambda-roles must be the negative of the
-    original; the last slot goes through the dagger substitution.
+    For each basis tuple (every one, or those in ``keys``) and adjacent
+    transposition k the evaluation with swapped arguments and swapped
+    lambda-roles must be the negative of the original; the last slot goes
+    through the dagger substitution.
     """
     n = f.degree
     module = f.source.module
     forms = _forms(n, n)
-    for key in product(range(module.rank), repeat=n):
+    if keys is None:
+        keys = product(range(module.rank), repeat=n)
+    for key in keys:
         args = _basis_args(module, key)
         base = f.value(key).with_arity(n)
         for k in range(n - 1):
@@ -291,7 +306,7 @@ def _perm_sign(perm):
 # the coboundary map and its twisted variants
 
 
-def apply_delta(f, rep=None, twist=None, insert_table=None):
+def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
     """The conformal coboundary, optionally twisted.
 
     With no options this is the classical two-sum coboundary for the
@@ -299,7 +314,9 @@ def apply_delta(f, rep=None, twist=None, insert_table=None):
     an endomorphism (action terms become rho(N p_i)); ``insert_table``
     replaces the bracket inserted in the second sum (e.g. by a deformed
     bracket).  ``rep`` overrides the coefficient data entirely, which also
-    changes the inserted bracket's default.
+    changes the inserted bracket's default.  ``keys`` are the output basis
+    tuples to evaluate (all of them by default); the result is zero on the
+    others.
     """
     if f.degree + 1 > MAX_DEGREE:
         raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
@@ -315,7 +332,9 @@ def apply_delta(f, rep=None, twist=None, insert_table=None):
     # f on the arguments left after omitting slot i depends only on
     # (i, the remaining key), not on the omitted argument
     inners = {}
-    for key in product(range(module.rank), repeat=n + 1):
+    if keys is None:
+        keys = product(range(module.rank), repeat=n + 1)
+    for key in keys:
         args = _basis_args(module, key)
         acc = rep.module.zero(arity)
         for i in range(n + 1):
@@ -348,25 +367,28 @@ def apply_delta(f, rep=None, twist=None, insert_table=None):
     return out
 
 
-def apply_dNM(f, n_op, n_m, rep=None):
+def apply_dNM(f, n_op, n_m, rep=None, keys=None):
     """General-coefficient differential of a structure operator pair.
 
     Equals the twisted coboundary (action through N, deformed bracket
     inserted) minus N_M composed with the plain coboundary.  At degree 0 this
-    specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
+    specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).  ``keys``
+    restricts the output tuples as in `apply_delta`.
     """
     if rep is None:
         rep = f.rep
     deformed = deformed_table(rep.algebra, n_op)
-    twisted = apply_delta(f, rep=rep, twist=n_op, insert_table=deformed.table)
-    plain = apply_delta(f, rep=rep)
+    twisted = apply_delta(
+        f, rep=rep, twist=n_op, insert_table=deformed.table, keys=keys
+    )
+    plain = apply_delta(f, rep=rep, keys=keys)
     return twisted - plain.map_target(n_m)
 
 
-def apply_dN(f, n_op):
+def apply_dN(f, n_op, keys=None):
     """Adjoint-coefficient differential of a structure operator."""
     _require_adjoint(f)
-    return apply_dNM(f, n_op, n_op)
+    return apply_dNM(f, n_op, n_op, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +614,15 @@ def _cochain_witness(res):
 
 
 def _monomials(nvars, bound, include_del):
-    """Exponent tuples (e_del, e_lam1, ..) of total degree <= bound."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars + 1:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    top = bound if include_del else 0
-    for e0 in range(top + 1):
-        rec([e0], bound - e0)
-    # drop duplicates introduced when include_del is False and e0 capped
-    return sorted(set(out))
+    """Exponent tuples (e_del, e_lam1, ..) of total degree <= bound, in
+    lexicographic order; e_del is 0 unless ``include_del``."""
+    exponents = range(bound + 1)
+    del_exponents = exponents if include_del else range(1)
+    return [
+        mono
+        for mono in product(del_exponents, *[exponents] * nvars)
+        if sum(mono) <= bound
+    ]
 
 
 def _elementary_cochain(rep, degree, key, coord, mono):
@@ -644,6 +660,10 @@ def cochain_space(rep, degree, bound):
 
     del-powers are enumerated only on free coordinates: on an evaluation
     coordinate del is a scalar, so they would repeat (or kill) a monomial.
+    The basis is the kernel of the skew residuals of the elementary cochains
+    (one monomial on one coordinate at one basis tuple).  An elementary
+    cochain's residuals vanish off the permutation orbit of its tuple, so
+    only that orbit is evaluated.
     """
     from .linalg import nullspace
 
@@ -651,22 +671,25 @@ def cochain_space(rep, degree, bound):
     nvars = max(degree - 1, 0)
     free_monos = _monomials(nvars, bound, True)
     fixed_monos = _monomials(nvars, bound, False)
-    elementary = [
-        _elementary_cochain(rep, degree, key, coord, mono)
-        for key in product(range(module.rank), repeat=degree)
+    keys = list(product(range(module.rank), repeat=degree))
+    cells = [
+        (key, coord, mono)
+        for key in keys
         for coord, action in enumerate(rep.module.actions)
         for mono in (free_monos if action == FREE else fixed_monos)
     ]
+    elementary = [_elementary_cochain(rep, degree, *cell) for cell in cells]
     if degree <= 1:
         return elementary
+    orbits = {key: sorted(set(permutations(key))) for key in keys}
     residual_cols = [
         {
-            (k, key, c, mono): coeff
-            for (key, k), residual in _skew_residuals(cochain)
+            (k, res_key, c, mono): coeff
+            for (res_key, k), residual in _skew_residuals(f, orbits[key])
             for c, poly in enumerate(residual.coords)
             for mono, coeff in poly.terms.items()
         }
-        for cochain in elementary
+        for (key, _, _), f in zip(cells, elementary)
     ]
     return [_combine(combo, elementary) for combo in nullspace(residual_cols)]
 
@@ -680,6 +703,14 @@ def _structure_degree(rep):
     return degree
 
 
+def _output_tuples(rank, n, skew):
+    """The basis n-tuples `solve_truncated` evaluates images on: the
+    non-decreasing ones for a skew bracket, else all of them."""
+    if skew:
+        return list(combinations_with_replacement(range(rank), n))
+    return list(product(range(rank), repeat=n))
+
+
 def solve_truncated(rep, degree, bound, differential=None):
     """Exact kernel/image dimensions of a degree-truncated cochain slice.
 
@@ -689,6 +720,16 @@ def solve_truncated(rep, degree, bound, differential=None):
     (enumerated at bound + structure degree) that stay inside the bounded
     slice: their dimension rank V - rank V_high equals that of V(ker V_high),
     where V_high is V restricted to the monomials of degree > bound.
+
+    ``differential(f, keys=...)`` (default `apply_delta`) is evaluated on
+    non-decreasing output tuples only.  This is exact when ``rep.algebra``'s
+    bracket is conformally skew (the action may be anything): it then maps skew
+    cochains to skew cochains, and a skew cochain's value on any other
+    permutation of a tuple is an invertible, degree-preserving substitution
+    of its value on the sorted one.  So a skew cochain vanishes, or has
+    degree <= bound, exactly when its values on sorted tuples do, and every
+    kernel and rank is unchanged.  For a bracket that is not skew every
+    tuple is evaluated.
     """
     from .linalg import nullspace, rank
 
@@ -699,15 +740,19 @@ def solve_truncated(rep, degree, bound, differential=None):
     if bound > MAX_SOLVER_BOUND:
         raise PreconditionError("truncation bound too large")
     if differential is None:
-        differential = lambda f: apply_delta(f)  # noqa: E731
+        differential = apply_delta
+    rank_l = rep.algebra.module.rank
+    skew = not _skew_failures(rep.algebra, product(range(rank_l), repeat=2))
     basis = cochain_space(rep, degree, bound)
-    kernel = nullspace([_cochain_vector(differential(f)) for f in basis])
+    keys = _output_tuples(rank_l, degree + 1, skew)
+    kernel = nullspace([_cochain_vector(differential(f, keys=keys)) for f in basis])
     cocycles = [_combine(combo, basis) for combo in kernel]
 
     dim_im = 0
     if degree >= 1:
         lower = cochain_space(rep, degree - 1, bound + _structure_degree(rep))
-        vecs = [_cochain_vector(differential(g)) for g in lower]
+        keys = _output_tuples(rank_l, degree, skew)
+        vecs = [_cochain_vector(differential(g, keys=keys)) for g in lower]
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = rank(vecs) - rank(vecs, keys=high)
     return {

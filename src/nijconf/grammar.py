@@ -31,8 +31,11 @@ _TOKEN = re.compile(
 
 
 class ParseError(ValueError):
+    """A malformed literal; ``pos`` is the offending index in the literal,
+    which callers turn into a column of their own."""
+
     def __init__(self, message, pos):
-        super().__init__("%s (at position %d)" % (message, pos))
+        super().__init__(message)
         self.pos = pos
 
 
@@ -42,15 +45,15 @@ def tokenize(text):
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if not match or match.end() == match.start():
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], pos)
+            rest = text[pos:]
+            if rest.strip():
+                bad = pos + len(rest) - len(rest.lstrip())
+                raise ParseError("unexpected character %r" % text[bad], bad)
             break
-        if match.group("num") is not None:
-            tokens.append(("num", int(match.group("num")), match.start()))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name"), match.start()))
-        else:
-            tokens.append(("op", match.group("op"), match.start()))
+        # the token's own position, past the whitespace the match skipped
+        kind = match.lastgroup
+        value = int(match.group(kind)) if kind == "num" else match.group(kind)
+        tokens.append((kind, value, match.start(kind)))
         pos = match.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -142,9 +145,11 @@ class _Parser:
                 raise ParseError("unknown variable %r" % value, pos)
             index = VAR_NAMES.index(value)
             if index > self.arity:
-                raise ArityError(
+                error = ArityError(
                     "variable %s exceeds arity %d" % (value, self.arity)
                 )
+                error.pos = pos
+                raise error
             return Poly.var(index, self.arity)
         if kind == "op" and value == "(":
             inner = self.parse_expr()

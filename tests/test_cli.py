@@ -127,6 +127,49 @@ def test_literal_degree_is_bounded(tmp_path, literal, column, degree):
     assert "status: error" in out
 
 
+@pytest.mark.parametrize(
+    "body,diagnostic",
+    [
+        # first coordinate, later coordinate, two equal coordinates
+        ("bracket a a = lam1^99, 0",
+         "5:22: power of degree 99 exceeds the bound 16"),
+        ("bracket a a = lam1, lam1^99",
+         "5:28: power of degree 99 exceeds the bound 16"),
+        ("bracket a a = 0, lam1^99",
+         "5:25: power of degree 99 exceeds the bound 16"),
+        ("bracket a a = lam1^99, lam1^99",
+         "5:22: power of degree 99 exceeds the bound 16"),
+        ("bracket a a = 0,del + ??", "5:25: unexpected character '?'"),
+        ("bracket a a = 0, del + foo", "5:26: unknown variable 'foo'"),
+        ("bracket a a = lam1, lam2", "5:23: variable lam2 exceeds arity 1"),
+        ("bracket a a = lam1, del + lam2", "5:29: variable lam2 exceeds arity 1"),
+        ("bracket a a = 1", "5:17: expected 2 coordinates, got 1"),
+    ],
+)
+def test_literal_errors_name_one_exact_column(tmp_path, body, diagnostic):
+    bad = tmp_path / "lit.ws"
+    bad.write_text("module m\n  basis a b\n\nalgebra x module m\n  %s\n" % body)
+    code, out, _ = run_cli("-f", str(bad), "check", "x")
+    assert code == 2
+    assert "diagnostic: %s:%s\n" % (bad, diagnostic) in out
+
+
+@pytest.mark.parametrize(
+    "rows,diagnostic",
+    [
+        ("  row 1, 0\n  row 0, lam1\n", "6:10: variable lam1 exceeds arity 0"),
+        # a row without coordinates raised IndexError (exit 3)
+        ("  row\n  row 0, 1\n", "5:6: expected 2 coordinates, got 1"),
+    ],
+)
+def test_map_row_errors_name_one_exact_column(tmp_path, rows, diagnostic):
+    bad = tmp_path / "row.ws"
+    bad.write_text("module m\n  basis a b\n\nmap q source m target m\n" + rows)
+    code, out, _ = run_cli("-f", str(bad), "check", "q")
+    assert code == 2
+    assert "diagnostic: %s:%s\n" % (bad, diagnostic) in out
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--parallel"]])
 def test_removed_flags_are_unknown_arguments(flag):
     code, out, _ = run_cli("-f", CORE, "check", "vir", *flag)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -13,6 +14,11 @@ from nijconf.cohomology import (
     apply_delta,
     bracket_cochain,
     _cochain_vector,
+    _combine,
+    _elementary_cochain,
+    _monomials,
+    _skew_residuals,
+    _structure_degree,
     check_cochain_skew,
     cochain_space,
     cup_product,
@@ -29,7 +35,15 @@ from nijconf.cohomology import (
     xi_map,
 )
 from nijconf import linalg
-from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable, eval_bracket
+from nijconf.lca import (
+    FREE,
+    LCA,
+    ConfLinMap,
+    FreeModule,
+    RepTable,
+    check_lca,
+    eval_bracket,
+)
 from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly
 
@@ -234,3 +248,157 @@ def test_eval_cochain_sesquilinearity(ad, sl2):
     plain = eval_cochain(f, [p, q], forms, 2)
     shifted = eval_cochain(f, [p.mul_poly(Poly.del_(0)), q], forms, 2)
     assert shifted == plain.mul_poly(-forms[0])
+
+
+# ---------------------------------------------------------------------------
+# test-only references: the solver as it was before images were evaluated on
+# non-decreasing tuples only and skew residuals on one permutation orbit
+
+
+def _monomials_reference(nvars, bound, include_del):
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == nvars + 1:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e)
+
+    top = bound if include_del else 0
+    for e0 in range(top + 1):
+        rec([e0], bound - e0)
+    return sorted(set(out))
+
+
+def test_monomials_match_reference():
+    for nvars, bound, include_del in product(range(4), range(7), (True, False)):
+        assert _monomials(nvars, bound, include_del) == _monomials_reference(
+            nvars, bound, include_del
+        )
+
+
+def _cochain_space_reference(rep, degree, bound):
+    """Kernel of every elementary cochain's skew residuals on all tuples."""
+    module = rep.algebra.module
+    nvars = max(degree - 1, 0)
+    free_monos = _monomials_reference(nvars, bound, True)
+    fixed_monos = _monomials_reference(nvars, bound, False)
+    elementary = [
+        _elementary_cochain(rep, degree, key, coord, mono)
+        for key in product(range(module.rank), repeat=degree)
+        for coord, action in enumerate(rep.module.actions)
+        for mono in (free_monos if action == FREE else fixed_monos)
+    ]
+    if degree <= 1:
+        return elementary
+    residual_cols = [
+        {
+            (k, key, c, mono): coeff
+            for (key, k), residual in _skew_residuals(cochain)
+            for c, poly in enumerate(residual.coords)
+            for mono, coeff in poly.terms.items()
+        }
+        for cochain in elementary
+    ]
+    return [_combine(combo, elementary) for combo in linalg.nullspace(residual_cols)]
+
+
+def _solve_truncated_reference(rep, degree, bound, differential):
+    """Every image evaluated on every ordered output tuple."""
+    basis = _cochain_space_reference(rep, degree, bound)
+    kernel = linalg.nullspace([_cochain_vector(differential(f)) for f in basis])
+    dim_im = 0
+    if degree >= 1:
+        lower = _cochain_space_reference(
+            rep, degree - 1, bound + _structure_degree(rep)
+        )
+        vecs = [_cochain_vector(differential(g)) for g in lower]
+        high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
+        dim_im = linalg.rank(vecs) - linalg.rank(vecs, keys=high)
+    return {
+        "cochain_dim": len(basis),
+        "cocycle_dim": len(kernel),
+        "coboundary_dim": dim_im,
+        "h_dim": len(kernel) - dim_im,
+        "cocycle_basis": [_combine(combo, basis) for combo in kernel],
+    }
+
+
+def _random_entry(rng, arity, degree=1):
+    # a polynomial in del (and lam1 at arity 1) of total degree <= degree
+    monos = [
+        m for m in product(range(degree + 1), repeat=arity + 1) if sum(m) <= degree
+    ]
+    return Poly(arity, {m: Fraction(rng.randint(-2, 2)) for m in monos})
+
+
+def _random_action(algebra, module, rng):
+    rep = RepTable(algebra, module)
+    for i in range(algebra.module.rank):
+        for j in range(module.rank):
+            rep.set_action(i, j, [_random_entry(rng, 1) for _ in range(module.rank)])
+    return rep
+
+
+def _random_operator(module, rng):
+    return ConfLinMap(
+        module,
+        module,
+        [[_random_entry(rng, 0) for _ in module.basis] for _ in module.basis],
+    )
+
+
+def _assert_solver_matches_reference(rep, cases, differential=apply_delta):
+    for degree, bound in cases:
+        assert cochain_space(rep, degree, bound) == _cochain_space_reference(
+            rep, degree, bound
+        )
+        got = solve_truncated(rep, degree, bound, differential=differential)
+        want = _solve_truncated_reference(rep, degree, bound, differential)
+        for key in ("cochain_dim", "cocycle_dim", "coboundary_dim", "h_dim"):
+            assert got[key] == want[key], (degree, bound, key)
+        assert got["cocycle_basis"] == want["cocycle_basis"]
+
+
+@pytest.mark.parametrize(
+    "seed,cases", [(1, [(1, 2), (2, 2), (3, 1)]), (2, [(2, 2)])], ids=["1", "2"]
+)
+def test_solver_matches_reference_on_random_line_actions(sl2, seed, cases):
+    # the action need not be a representation: a skew bracket is enough
+    rep = _random_action(sl2, FreeModule(["v"]), Random(seed))
+    _assert_solver_matches_reference(rep, cases)
+
+
+def test_solver_matches_reference_on_mixed_coefficients(sl2):
+    module = FreeModule(["a", "c"], ["free", 1])
+    _assert_solver_matches_reference(RepTable(sl2, module), [(2, 1)])
+    rep = _random_action(sl2, module, Random(3))
+    _assert_solver_matches_reference(rep, [(1, 2), (2, 1)])
+
+
+@pytest.mark.parametrize(
+    "seed,cases", [(None, [(1, 2), (2, 1)]), (4, [(2, 1)])], ids=["proj110", "random"]
+)
+def test_operator_solver_matches_reference(sl2, proj_p, seed, cases):
+    # proj110 is Nijenhuis; a random conformal N is not, which the restriction
+    # does not need either: the deformed bracket is skew whenever sl2's is
+    op = proj_p if seed is None else _random_operator(sl2.module, Random(seed))
+
+    def differential(f, keys=None):
+        return apply_dN(f, op, keys=keys)
+
+    _assert_solver_matches_reference(adjoint_rep(sl2), cases, differential)
+
+
+def test_solver_evaluates_every_tuple_for_a_non_skew_bracket(sl2):
+    # a random bracket on the pairs e_i, e_j with i > j only: every image
+    # vanishes on the non-decreasing tuples but not on the others, so
+    # evaluating only those would report (18, 6, 2, 4) and (36, 13, 6, 7)
+    rng = Random(5)
+    algebra = LCA(sl2.module)
+    for i in range(3):
+        for j in range(i):
+            algebra.set_bracket(i, j, [_random_entry(rng, 1) for _ in range(3)])
+    assert not check_lca(algebra).passed
+    _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])

@@ -120,8 +120,11 @@ def test_format_parse_round_trip(p):
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
+    # the position is the offending character's, past any whitespace, and
+    # the message does not repeat it
+    with pytest.raises(ParseError) as exc:
         parse_poly("del + ??", 1)
+    assert (exc.value.pos, str(exc.value)) == (6, "unexpected character '?'")
 
 
 def test_parse_examples():
