@@ -492,6 +492,11 @@ def _verb_cohomology(ws, args, out):
         )
     if args.coeffs:
         rep = ws.get(args.coeffs, "rep")
+        if rep.algebra != algebra:
+            raise WorkspaceError(
+                "<args>", 0, 0,
+                "rep %r is not over the algebra of %r" % (args.coeffs, args.name),
+            )
     else:
         rep = adjoint_rep(algebra)
     if args.operator:
@@ -505,6 +510,17 @@ def _verb_cohomology(ws, args, out):
 
     else:
         differential = apply_delta
+    # the solver assumes a complex: on a non-LCA d^2 need not vanish
+    report = check_representation(rep) if args.coeffs else check_lca(algebra)
+    if not report.passed:
+        raise PreconditionError(
+            "%s fails check_%s: %s"
+            % (
+                args.coeffs or args.name,
+                report.title,
+                "; ".join(line for line in report.lines() if "fail" in line),
+            )
+        )
     result = solve_truncated(
         rep, args.degree, _bound(args), differential=differential
     )

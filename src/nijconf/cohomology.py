@@ -22,12 +22,7 @@ formula; the xi intertwining law).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    permutations,
-    product,
-)
+from itertools import combinations, permutations, product
 
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
 from .lca import (
@@ -35,7 +30,9 @@ from .lca import (
     Elem,
     RepTable,
     _expand_value,
-    _skew_failures,
+    _is_skew,
+    _output_tuples,
+    _torsion_is_inert,
     dagger_substitute,
 )
 from .lca import sesqui_eval as act_form
@@ -703,14 +700,6 @@ def _structure_degree(rep):
     return degree
 
 
-def _output_tuples(rank, n, skew):
-    """The basis n-tuples `solve_truncated` evaluates images on: the
-    non-decreasing ones for a skew bracket, else all of them."""
-    if skew:
-        return list(combinations_with_replacement(range(rank), n))
-    return list(product(range(rank), repeat=n))
-
-
 def solve_truncated(rep, degree, bound, differential=None):
     """Exact kernel/image dimensions of a degree-truncated cochain slice.
 
@@ -723,13 +712,13 @@ def solve_truncated(rep, degree, bound, differential=None):
 
     ``differential(f, keys=...)`` (default `apply_delta`) is evaluated on
     non-decreasing output tuples only.  This is exact when ``rep.algebra``'s
-    bracket is conformally skew (the action may be anything): it then maps skew
-    cochains to skew cochains, and a skew cochain's value on any other
-    permutation of a tuple is an invertible, degree-preserving substitution
-    of its value on the sorted one.  So a skew cochain vanishes, or has
-    degree <= bound, exactly when its values on sorted tuples do, and every
-    kernel and rank is unchanged.  For a bracket that is not skew every
-    tuple is evaluated.
+    bracket is conformally skew and its torsion central (the action may be
+    anything): it then maps skew cochains to skew cochains, and a skew
+    cochain's value on any other permutation of a tuple is an invertible,
+    degree-preserving substitution of its value on the sorted one.  So a
+    skew cochain vanishes, or has degree <= bound, exactly when its values
+    on sorted tuples do, and every kernel and rank is unchanged.  Otherwise
+    every tuple is evaluated.
     """
     from .linalg import nullspace, rank
 
@@ -742,16 +731,16 @@ def solve_truncated(rep, degree, bound, differential=None):
     if differential is None:
         differential = apply_delta
     rank_l = rep.algebra.module.rank
-    skew = not _skew_failures(rep.algebra, product(range(rank_l), repeat=2))
+    sorted_only = _is_skew(rep.algebra) and _torsion_is_inert(rep.algebra)
     basis = cochain_space(rep, degree, bound)
-    keys = _output_tuples(rank_l, degree + 1, skew)
+    keys = _output_tuples(rank_l, degree + 1, sorted_only)
     kernel = nullspace([_cochain_vector(differential(f, keys=keys)) for f in basis])
     cocycles = [_combine(combo, basis) for combo in kernel]
 
     dim_im = 0
     if degree >= 1:
         lower = cochain_space(rep, degree - 1, bound + _structure_degree(rep))
-        keys = _output_tuples(rank_l, degree, skew)
+        keys = _output_tuples(rank_l, degree, sorted_only)
         vecs = [_cochain_vector(differential(g, keys=keys)) for g in lower]
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = rank(vecs) - rank(vecs, keys=high)

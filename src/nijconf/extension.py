@@ -17,6 +17,7 @@ tau over a bounded polynomial coefficient space (with an honest
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cohomology import Cochain, _cochain_vector, _cochain_witness, act_form
 from .errors import ModuleMismatchError, PreconditionError
@@ -27,7 +28,9 @@ from .lca import (
     eval_bracket,
     sum_algebra,
     _jacobi_failures,
+    _output_tuples,
     _skew_failures,
+    _torsion_is_inert,
 )
 from .linalg import (
     is_split_injection,
@@ -238,33 +241,44 @@ def check_nonabelian_cocycle(cocycle, quot, sub):
     The remaining components (H-H skew and Jacobi, H-H Nijenhuis) are the
     axioms of the validated inputs, so a passing report is exactly what
     :func:`build_extension` needs.
+
+    When the candidate total is skew on all its pairs (the L-H pairs are by
+    construction) and its torsion is inert under its bracket and operator,
+    each component is evaluated on the non-decreasing tuples of its index
+    sets only: L-L pairs i <= j, (L, H, H) with a <= b, (L, L, H) with
+    i <= j, sorted (L, L, L) and the mixed pairs (i, a).  As in
+    :func:`check_lca`, this leaves every witness unchanged.  Otherwise every
+    tuple of each set is evaluated.
     """
-    total, operator, rank_l = _candidate_total(cocycle, quot, sub)
+    return _cocycle_report(*_candidate_total(cocycle, quot, sub))
+
+
+def _cocycle_report(total, operator, rank_l):
+    """The report of :func:`check_nonabelian_cocycle` on a candidate total."""
     rank = total.module.rank
     l_idx = range(rank_l)
     h_idx = range(rank_l, rank)
+    skew_failures = _skew_failures(total, _output_tuples(rank, 2, True))
+    sorted_only = not skew_failures and _torsion_is_inert(total, n=operator)
+
+    def tuples(*index_sets):
+        tuples = product(*index_sets)
+        return [t for t in tuples if not sorted_only or list(t) == sorted(t)]
+
     report = Report("nonabelian-cocycle")
-    pairs_ll = [(i, j) for i in l_idx for j in l_idx]
-    failures = _skew_failures(total, pairs_ll)
+    failures = [f for f in skew_failures if f[0][1] < rank_l]
     report.add("chi-skew", not failures, first_witness(failures))
-    failures = _jacobi_failures(
-        total, [(i, a, b) for i in l_idx for a in h_idx for b in h_idx]
-    )
-    report.add("rho-derivation", not failures, first_witness(failures))
-    failures = _jacobi_failures(
-        total, [(i, j, a) for i in l_idx for j in l_idx for a in h_idx]
-    )
-    report.add("curvature", not failures, first_witness(failures))
-    failures = _jacobi_failures(
-        total, [(i, j, k) for i in l_idx for j in l_idx for k in l_idx]
-    )
-    report.add("jacobi", not failures, first_witness(failures))
-    mixed = [(i, a) for i in l_idx for a in h_idx] + [
-        (a, i) for a in h_idx for i in l_idx
-    ]
+    for name, index_sets in (
+        ("rho-derivation", (l_idx, h_idx, h_idx)),
+        ("curvature", (l_idx, l_idx, h_idx)),
+        ("jacobi", (l_idx, l_idx, l_idx)),
+    ):
+        failures = _jacobi_failures(total, tuples(*index_sets))
+        report.add(name, not failures, first_witness(failures))
+    mixed = tuples(l_idx, h_idx) + tuples(h_idx, l_idx)
     failures = _nijenhuis_failures(total, operator, mixed)
     report.add("operator-module", not failures, first_witness(failures))
-    failures = _nijenhuis_failures(total, operator, pairs_ll)
+    failures = _nijenhuis_failures(total, operator, tuples(l_idx, l_idx))
     report.add("operator-bracket", not failures, first_witness(failures))
     return report
 
@@ -276,13 +290,13 @@ def build_extension(cocycle, quot, sub):
     satisfies the conformal axioms and the Nijenhuis identity; the canonical
     inclusion, projection and section are returned alongside.
     """
-    pre = check_nonabelian_cocycle(cocycle, quot, sub)
+    total, operator, rank_l = _candidate_total(cocycle, quot, sub)
+    pre = _cocycle_report(total, operator, rank_l)
     if not pre.passed:
         raise PreconditionError(
             "triple is not a cocycle: %s"
             % "; ".join(line for line in pre.lines() if "fail" in line)
         )
-    total, operator, rank_l = _candidate_total(cocycle, quot, sub)
     total_n = NijenhuisLCA(total, operator)
     l_mod = quot.algebra.module
     h_mod = sub.algebra.module

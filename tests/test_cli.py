@@ -239,3 +239,48 @@ def test_search_path_env(tmp_path):
         env=env,
     )
     assert proc.returncode == 0
+
+
+WITNESS = os.path.join(ROOT, "tests", "witness.ws")
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (["sl2skew"], [
+            "command: cohomology sl2skew",
+            "status: error",
+            "diagnostic: sl2skew fails check_lca: "
+            "jacobi: fail at=0,0,2 residual=[(2*lam1 - 2*lam2)e]",
+        ]),
+        (["sl2", "--coeffs", "badrep"], [
+            "command: cohomology sl2",
+            "status: error",
+            "diagnostic: badrep fails check_representation: "
+            "representation: fail at=0,1,0 residual=[(-2*lam1 - 2*lam2)c]",
+        ]),
+    ],
+    ids=["algebra", "rep"],
+)
+def test_cohomology_needs_coefficients_that_pass_their_axioms(argv, lines):
+    # without the check, d^2 need not vanish and h-dim reads -9 and -3
+    code, out, _ = run_cli(
+        "-f", CORE, "-f", WITNESS, "cohomology", *argv, "--bound", "1"
+    )
+    assert (code, out) == (1, "\n".join(lines) + "\n")
+
+
+def test_cohomology_rejects_a_rep_of_another_algebra():
+    # zerorep is a rep of sl2; it used to give sl2's dimensions under vir
+    code, out, _ = run_cli(
+        "-f", CORE, "cohomology", "vir", "--coeffs", "zerorep", "--bound", "1"
+    )
+    assert code == 2
+    assert out == (
+        "command: cohomology vir\nstatus: error\n"
+        "diagnostic: <args>:0:0: rep 'zerorep' is not over the algebra of 'vir'\n"
+    )
+    code, out, _ = run_cli(
+        "-f", CORE, "cohomology", "sl2p", "--coeffs", "zerorep", "--bound", "1"
+    )
+    assert code == 0 and "h-dim: 1" in out

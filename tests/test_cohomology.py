@@ -402,3 +402,14 @@ def test_solver_evaluates_every_tuple_for_a_non_skew_bracket(sl2):
             algebra.set_bracket(i, j, [_random_entry(rng, 1) for _ in range(3)])
     assert not check_lca(algebra).passed
     _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])
+
+
+def test_solver_evaluates_every_tuple_for_non_central_torsion():
+    # [x lam c] = c with del acting on c by 0 passes check_lca, but c is not
+    # central, so a coordinate with del substituted re-enters the bracket:
+    # sorted tuples alone would report 3 cocycles at degree 2 where there are 2
+    algebra = LCA(FreeModule(["x", "c"], ["free", 0]))
+    algebra.set_bracket(0, 1, [0, 1])
+    algebra.set_bracket(1, 0, [0, -1])
+    assert check_lca(algebra).passed
+    _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])
