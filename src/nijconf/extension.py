@@ -262,8 +262,8 @@ def _cocycle_report(total, operator, rank_l):
     sorted_only = not skew_failures and _torsion_is_inert(total, n=operator)
 
     def tuples(*index_sets):
-        tuples = product(*index_sets)
-        return [t for t in tuples if not sorted_only or list(t) == sorted(t)]
+        every = product(*index_sets)
+        return [t for t in every if not sorted_only or list(t) == sorted(t)]
 
     report = Report("nonabelian-cocycle")
     failures = [f for f in skew_failures if f[0][1] < rank_l]
