@@ -75,6 +75,7 @@ from .extension import (
     check_extension,
     check_extension_equivalence,
     check_nonabelian_cocycle,
+    checked_extension,
     cocycle_equivalence,
     extract_cocycle,
     shear_map,

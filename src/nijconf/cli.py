@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 
 from .cohomology import (
+    MAX_DEGREE,
     MAX_SOLVER_BOUND,
     MAX_SOLVER_DEGREE,
     Cochain,
@@ -34,6 +36,7 @@ from .extension import (
     build_extension,
     check_extension,
     check_nonabelian_cocycle,
+    checked_extension,
     extract_cocycle,
 )
 from .grammar import ParseError, format_poly, parse_poly
@@ -137,6 +140,28 @@ def _parse_entry_polys(path, lineno, text, start, arity, count):
     return out
 
 
+def _parse_rational(path, lineno, text, start):
+    """The rational constant literal that fills ``text`` from ``start`` on."""
+    (value,) = _parse_entry_polys(path, lineno, text, start, 0, 1)
+    if value.total_degree() > 0:
+        raise WorkspaceError(
+            path, lineno, start + _indent(text[start:]) + 1,
+            "expected a rational constant, got %s" % format_poly(value),
+        )
+    return Fraction(value.terms.get((0,), 0))
+
+
+def _option_column(header, key):
+    """The 1-based column of the value of option ``key`` in a block header
+    (its last occurrence, as in :func:`_header_kv`)."""
+    words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", header)]
+    column = 1
+    for (word, _), (_, value_column) in zip(words[2::2], words[3::2]):
+        if word == key:
+            column = value_column
+    return column
+
+
 def _basis_index(module, name, path, lineno, column):
     if name in module.basis:
         return module.basis.index(name)
@@ -184,7 +209,11 @@ def _parse_block(ws, path, block):
 
     if kind == "module":
         basis = []
-        del_action = options.get("del")
+        del_action = None  # (line number, text, start) of the del literal
+        if "del" in options:
+            column = _option_column(header, "del")
+            end = column - 1 + len(options["del"])
+            del_action = (lineno, header[:end], column - 1)
         for bl, bt in body:
             bw = bt.split()
             if bw[0] == "basis":
@@ -198,13 +227,13 @@ def _parse_block(ws, path, block):
                     basis.append(word)
                     column += len(word)
             elif bw[0] == "del" and len(bw) == 2:
-                del_action = bw[1]
+                del_action = (bl, bt, bt.index("del") + len("del"))
             else:
                 raise WorkspaceError(path, bl, 1, "expected a basis or del line")
         if not basis:
             raise WorkspaceError(path, lineno, 1, "module has no basis")
         if del_action is not None:
-            module = FreeModule(basis, Fraction(del_action))
+            module = FreeModule(basis, _parse_rational(path, *del_action))
         else:
             module = FreeModule(basis)
         ws.define(name, "module", module, where)
@@ -266,7 +295,14 @@ def _parse_block(ws, path, block):
         ws.define(name, "rep", rep, where)
     elif kind == "cochain":
         rep = ws.get(need("rep"), "rep", where)
-        degree = int(need("degree"))
+        degree = need("degree")
+        if not (degree.isascii() and degree.isdigit()) or int(degree) > MAX_DEGREE:
+            raise WorkspaceError(
+                path, lineno, _option_column(header, "degree"),
+                "cochain degree must be an integer from 0 to %d, got %r"
+                % (MAX_DEGREE, degree),
+            )
+        degree = int(degree)
         cochain = Cochain(degree, rep)
         arity = max(degree - 1, 0)
         for bl, bt in body:
@@ -534,12 +570,11 @@ def _verb_extend(ws, args, out):
     cocycle = ws.get(args.name, "cocycle")
     quot = ws.get(args.quot, "nijenhuis")
     sub = ws.get(args.sub, "nijenhuis")
-    report = check_nonabelian_cocycle(cocycle, quot, sub)
+    report, ext = checked_extension(cocycle, quot, sub)
     _emit(out, "object", args.name)
     _emit_report(out, report)
-    if not report.passed:
+    if ext is None:
         return False
-    ext = build_extension(cocycle, quot, sub)
     invariants = check_extension(ext)
     _emit_report(out, invariants)
     roundtrip = extract_cocycle(ext) == cocycle

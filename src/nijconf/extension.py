@@ -290,13 +290,25 @@ def build_extension(cocycle, quot, sub):
     satisfies the conformal axioms and the Nijenhuis identity; the canonical
     inclusion, projection and section are returned alongside.
     """
-    total, operator, rank_l = _candidate_total(cocycle, quot, sub)
-    pre = _cocycle_report(total, operator, rank_l)
-    if not pre.passed:
+    report, ext = checked_extension(cocycle, quot, sub)
+    if ext is None:
         raise PreconditionError(
             "triple is not a cocycle: %s"
-            % "; ".join(line for line in pre.lines() if "fail" in line)
+            % "; ".join(line for line in report.lines() if "fail" in line)
         )
+    return ext
+
+
+def checked_extension(cocycle, quot, sub):
+    """The report of :func:`check_nonabelian_cocycle` on a triple, and the
+    extension of :func:`build_extension` when the report passes (else None).
+
+    The candidate total is built and checked once for both.
+    """
+    total, operator, rank_l = _candidate_total(cocycle, quot, sub)
+    report = _cocycle_report(total, operator, rank_l)
+    if not report.passed:
+        return report, None
     total_n = NijenhuisLCA(total, operator)
     l_mod = quot.algebra.module
     h_mod = sub.algebra.module
@@ -319,7 +331,7 @@ def build_extension(cocycle, quot, sub):
         total_mod,
         [[Fraction(r == c) for c in range(l_mod.rank)] for r in range(total_mod.rank)],
     )
-    return ExtensionData(total_n, sub, quot, inc, proj, section)
+    return report, ExtensionData(total_n, sub, quot, inc, proj, section)
 
 
 def _equivalence_residuals(c1, c2, quot, sub, tau):

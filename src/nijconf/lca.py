@@ -388,29 +388,47 @@ def _is_skew(lca):
     return not _skew_failures(lca, _output_tuples(lca.module.rank, 2, True))
 
 
-def _torsion_is_inert(lca, n=None, action=None):
+def _torsion_failures(table, left, right):
+    """(pair, value) of every nonzero table entry on an evaluation generator.
+
+    ``table`` pairs generators of ``left`` with generators of ``right`` and
+    takes values in ``right``: a bracket, or an action on ``right``.
+    Sesquilinearity makes each such value zero.  If del acts on e_j by the
+    scalar a, then [x lam del e_j] is both (del + lam) [x lam e_j] and
+    a [x lam e_j]; if it acts on e_i by a, [del e_i lam y] is both
+    -lam [e_i lam y] and a [e_i lam y].  A nonzero polynomial in lam times a
+    nonzero value is nonzero, on free and on evaluation outputs alike, so
+    torsion is central and the value itself is the residual.
+    """
+    failures = []
+    for (i, j), value in table.entries.items():
+        if left.actions[i] != FREE or right.actions[j] != FREE:
+            value = Elem(right, list(value))
+            if not value.is_zero():
+                failures.append(((i, j), repr(value)))
+    return failures
+
+
+def _torsion_is_inert(lca, n=None):
     """Whether no coordinate on an evaluation generator re-enters a residual.
 
     Such a generator is torsion (del acts on it by a scalar), and its
     coordinates are stored with del substituted.  That is exact while they
-    are only ever output: when the generator is central in ``lca`` (zero
-    table rows and columns), acts by zero in the ``action`` table, and the
-    operator ``n`` maps it only onto generators with the same del action.
-    Otherwise a substituted coordinate is fed back into a bracket or an
-    operator, where the dagger rule no longer relates a residual's values
-    on permuted tuples, so every tuple must be evaluated.
+    are only ever output: when no bracket of ``lca`` involves a torsion
+    generator (see :func:`_torsion_failures`), and the operator ``n`` maps
+    it only onto generators with the same del action.  Otherwise a
+    substituted coordinate is fed back into a bracket or an operator, where
+    the dagger rule no longer relates a residual's values on permuted
+    tuples, so every tuple must be evaluated.
     """
-    actions = lca.module.actions
-    torsion = {t for t, a in enumerate(actions) if a != FREE}
-    if not torsion:
-        return True
-    if any(i in torsion or j in torsion for i, j in lca.table.entries):
+    module = lca.module
+    if _torsion_failures(lca.table, module, module):
         return False
-    if action is not None and any(i in torsion for i, _ in action.entries):
-        return False
+    actions = module.actions
     return n is None or not any(
         n.matrix[s][t] and actions[s] != actions[t]
-        for t in torsion
+        for t, a in enumerate(actions)
+        if a != FREE
         for s in range(len(actions))
     )
 
@@ -420,18 +438,20 @@ def check_lca(lca):
 
     Skew-symmetry is evaluated on pairs i <= j only.  That needs no
     precondition: the residual at (j, i) is the one at (i, j) with
-    lam1 -> -del - lam1.  When skew-symmetry passes and the torsion is inert,
+    lam1 -> -del - lam1.  The skew check also fails every nonzero bracket
+    on an evaluation generator, at its pair, since sesquilinearity forbids
+    it (see :func:`_torsion_failures`).  When the skew check passes,
     Jacobi is evaluated on sorted triples only (see :func:`_output_tuples`);
     otherwise on every triple.
     """
     from .report import Report, first_witness
 
-    rank = lca.module.rank
+    module = lca.module
     report = Report("lca")
-    failures = _skew_failures(lca, _output_tuples(rank, 2, True))
+    failures = _skew_failures(lca, _output_tuples(module.rank, 2, True))
+    failures += _torsion_failures(lca.table, module, module)
     report.add("skew", not failures, first_witness(failures))
-    sorted_only = not failures and _torsion_is_inert(lca)
-    failures = _jacobi_failures(lca, _output_tuples(rank, 3, sorted_only))
+    failures = _jacobi_failures(lca, _output_tuples(module.rank, 3, not failures))
     report.add("jacobi", not failures, first_witness(failures))
     return report
 
@@ -506,9 +526,12 @@ def check_representation(rep):
     """The representation identity, with its least failing (i, j, k).
 
     The algebra must pass :func:`check_lca` first.  Its bracket is then
-    skew, so when its torsion is inert (acting by zero too) the residual at
-    (j, i, k) is minus the one at (i, j, k) with lam1 and lam2 exchanged,
-    and only i <= j is evaluated.  Otherwise every (i, j, k) is.
+    skew with central torsion, so when the action involves no torsion
+    generator either, the residual at (j, i, k) is minus the one at
+    (i, j, k) with lam1 and lam2 exchanged, and only i <= j is evaluated.
+    Otherwise every (i, j, k) is.  An action that satisfies the identity
+    but is nonzero on an evaluation generator, which sesquilinearity
+    forbids (see :func:`_torsion_failures`), fails at its least such pair.
     """
     from .report import PRECONDITION, Report, first_witness
 
@@ -522,8 +545,8 @@ def check_representation(rep):
     failures = []
     l_mod, m_mod = rep.algebra.module, rep.module
     lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
-    sorted_only = _torsion_is_inert(rep.algebra, action=rep.action)
-    for i, j in _output_tuples(l_mod.rank, 2, sorted_only):
+    torsion = _torsion_failures(rep.action, l_mod, m_mod)
+    for i, j in _output_tuples(l_mod.rank, 2, not torsion):
         ei, ej = l_mod.basis_elem(i), l_mod.basis_elem(j)
         inner_ij = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
         for k in range(m_mod.rank):
@@ -537,6 +560,7 @@ def check_representation(rep):
             residual = lhs - right1 + right2
             if not residual.is_zero():
                 failures.append(((i, j, k), repr(residual)))
+    failures = failures or torsion
     report.add("representation", not failures, first_witness(failures))
     return report
 

@@ -23,10 +23,12 @@ from .poly import Poly
 # ---------------------------------------------------------------------------
 # sparse rational vectors
 #
-# A vector is a dict {key: Fraction}; zero entries are ignored.  The callers'
-# vectors are the columns of a matrix whose rows are indexed by the keys, so
-# the keys only need to be hashable.  Rows are sparse dicts too, indexed by
-# column position.
+# A vector is a dict {key: rational}; zero entries are ignored.  Its values may
+# be ints, as Poly coefficients are when integral: ``rref`` converts every
+# entry to Fraction before it divides by one, so no float can arise.  The
+# callers' vectors are the columns of a matrix whose rows are indexed by the
+# keys, so the keys only need to be hashable.  Rows are sparse dicts too,
+# indexed by column position.
 
 
 def _axpy(target, factor, source):
@@ -121,13 +123,17 @@ def solve(columns, target):
 
 
 def upoly_from(poly):
-    """Convert a del-only Poly to a coefficient tuple."""
+    """Convert a del-only Poly to a tuple of Fraction coefficients.
+
+    A Poly coefficient may be an int, which ``_unimodular_reduce`` would turn
+    into a float when it divides by a pivot; Fractions keep that exact.
+    """
     if any(poly.uses_var(i) for i in range(1, poly.arity + 1)):
         raise ValueError("polynomial uses lambda-variables; not univariate")
     degree = poly.degree_in(0)
     coeffs = [Fraction(0)] * (degree + 1 if degree >= 0 else 0)
     for key, coeff in poly.terms.items():
-        coeffs[key[0]] = coeff
+        coeffs[key[0]] = Fraction(coeff)
     return tuple(coeffs)
 
 

@@ -32,6 +32,7 @@ from nijconf.lca import (
     StructureTable,
     _jacobi_failures,
     _skew_failures,
+    _torsion_failures,
     check_lca,
     check_representation,
     sesqui_eval,
@@ -50,6 +51,7 @@ def _check_lca_reference(lca):
     basis = range(lca.module.rank)
     report = Report("lca")
     failures = _skew_failures(lca, product(basis, repeat=2))
+    failures += _torsion_failures(lca.table, lca.module, lca.module)
     report.add("skew", not failures, first_witness(failures))
     failures = _jacobi_failures(lca, product(basis, repeat=3))
     report.add("jacobi", not failures, first_witness(failures))
@@ -85,6 +87,7 @@ def _check_representation_reference(rep):
         residual = lhs - right1 + right2
         if not residual.is_zero():
             failures.append(((i, j, k), repr(residual)))
+    failures = failures or _torsion_failures(rep.action, l_mod, m_mod)
     report.add("representation", not failures, first_witness(failures))
     return report
 
@@ -251,16 +254,19 @@ def test_checks_evaluate_every_tuple_for_a_non_skew_bracket():
 
 
 def test_non_central_torsion_is_evaluated_on_every_tuple():
-    # c is torsion (del acts on it by 1) but not central: skew-symmetry holds
-    # once del is substituted, yet Jacobi fails at (0, 1, 0) and not on any
-    # sorted triple, which would read as a pass
+    # c is torsion (del acts on it by 1) but not central, which
+    # sesquilinearity forbids: the skew residual vanishes once del is
+    # substituted, so the skew line fails on the torsion brackets alone; and
+    # Jacobi fails at (0, 1, 0) and not on any sorted triple, which would
+    # read as a pass
     module = FreeModule(["a", "c"], MIXED)
     algebra = LCA(module)
     algebra.set_bracket(0, 1, [0, Poly.lam(1, 1).scale(-2)])
     algebra.set_bracket(1, 0, [0, (Poly.del_(1) + Poly.lam(1, 1)).scale(-2)])
+    assert not _skew_failures(algebra, product(range(2), repeat=2))
     report = check_lca(algebra)
     assert report.lines() == [
-        "skew: pass",
+        "skew: fail at=0,1 residual=[(-2*lam1)c]",
         "jacobi: fail at=0,1,0 residual=[(-4*lam1^2)c]",
     ]
     _lines_agree(report, _check_lca_reference(algebra))

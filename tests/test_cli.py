@@ -25,6 +25,15 @@ def test_check_passes_and_exits_zero():
     assert "status: pass" in out
 
 
+def test_package_runs_as_a_module():
+    argv = ["-f", CORE, "check", "sl2p"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nijconf"] + argv, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2]
+    assert proc.returncode == 0 and "status: pass" in proc.stdout
+
+
 def test_check_failure_exits_one(tmp_path):
     bad = tmp_path / "bad.ws"
     bad.write_text(
@@ -170,6 +179,32 @@ def test_map_row_errors_name_one_exact_column(tmp_path, rows, diagnostic):
     assert "diagnostic: %s:%s\n" % (bad, diagnostic) in out
 
 
+REP_WS = "module m\n  basis a\n\nalgebra g module m\n\nrep r algebra g module m\n\n"
+
+
+@pytest.mark.parametrize(
+    "text,diagnostic",
+    [
+        # each of the first four raised ValueError or ZeroDivisionError (exit 3)
+        ("module m\n  basis a\n  del x\n", "3:7: unknown variable 'x'"),
+        ("module m\n  basis a\n  del 1/0\n", "3:9: denominator must be a positive integer"),
+        ("module m del nan\n  basis a\n", "1:14: unknown variable 'nan'"),
+        (REP_WS + "cochain k rep r degree x\n",
+         "8:24: cochain degree must be an integer from 0 to 4, got 'x'"),
+        # these exited 1 without a position
+        (REP_WS + "cochain k degree 9 rep r\n",
+         "8:18: cochain degree must be an integer from 0 to 4, got '9'"),
+        ("module m\n  basis a\n  del del\n", "3:7: expected a rational constant, got del"),
+        ("module m\n  basis a\n  del 0.5\n", "3:8: unexpected character '.'"),
+    ],
+)
+def test_header_and_del_literals_name_their_column(tmp_path, text, diagnostic):
+    bad = tmp_path / "lit.ws"
+    bad.write_text(text)
+    code, out, _ = run_cli("-f", str(bad), "check", "m")
+    assert (code, out.splitlines()[-1]) == (2, "diagnostic: %s:%s" % (bad, diagnostic))
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--parallel"]])
 def test_removed_flags_are_unknown_arguments(flag):
     code, out, _ = run_cli("-f", CORE, "check", "vir", *flag)
@@ -268,6 +303,35 @@ def test_cohomology_needs_coefficients_that_pass_their_axioms(argv, lines):
         "-f", CORE, "-f", WITNESS, "cohomology", *argv, "--bound", "1"
     )
     assert (code, out) == (1, "\n".join(lines) + "\n")
+
+
+TORSION_WS = (
+    "module tm\n  basis x c\n  del 0\n\n"
+    "algebra tors module tm\n  bracket x c = 0, 1\n  bracket c x = 0, -1\n"
+)
+
+
+def test_brackets_on_torsion_fail_check_and_cohomology(tmp_path):
+    # del acts on x and c by 0, so sesquilinearity gives lam [x lam c] = 0;
+    # the bracket used to pass `check`, and `cohomology` printed h-dim -6
+    ws = tmp_path / "tors.ws"
+    ws.write_text(TORSION_WS)
+    code, out, _ = run_cli("-f", str(ws), "check", "tors")
+    assert (code, out) == (1, "\n".join([
+        "command: check tors",
+        "object: tors (algebra)",
+        "  skew: fail at=0,1 residual=[(1)c]",
+        "  jacobi: pass",
+        "status: fail",
+    ]) + "\n")
+    code, out, _ = run_cli(
+        "-f", str(ws), "cohomology", "tors", "--degree", "3", "--bound", "1"
+    )
+    assert (code, out) == (1, "\n".join([
+        "command: cohomology tors",
+        "status: error",
+        "diagnostic: tors fails check_lca: skew: fail at=0,1 residual=[(1)c]",
+    ]) + "\n")
 
 
 def test_cohomology_rejects_a_rep_of_another_algebra():

@@ -405,11 +405,16 @@ def test_solver_evaluates_every_tuple_for_a_non_skew_bracket(sl2):
 
 
 def test_solver_evaluates_every_tuple_for_non_central_torsion():
-    # [x lam c] = c with del acting on c by 0 passes check_lca, but c is not
-    # central, so a coordinate with del substituted re-enters the bracket:
-    # sorted tuples alone would report 3 cocycles at degree 2 where there are 2
+    # [x lam c] = c with del acting on c by 0 is skew, but c is not central,
+    # so a coordinate with del substituted re-enters the bracket: sorted
+    # tuples alone would report 3 cocycles at degree 2 where there are 2.
+    # Sesquilinearity forbids the bracket, so check_lca fails it at (0, 1);
+    # the solver, which does not check its input, must still be exact on it
     algebra = LCA(FreeModule(["x", "c"], ["free", 0]))
     algebra.set_bracket(0, 1, [0, 1])
     algebra.set_bracket(1, 0, [0, -1])
-    assert check_lca(algebra).passed
+    assert check_lca(algebra).lines() == [
+        "skew: fail at=0,1 residual=[(1)c]",
+        "jacobi: pass",
+    ]
     _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])

@@ -60,6 +60,31 @@ def test_broken_representation_detected(vir):
     assert not check_representation(rep).passed
 
 
+def test_torsion_must_be_central():
+    # del acts on c by 1: sesquilinearity makes every bracket and every action
+    # on c, or by c, vanish, although each table below is skew or satisfies
+    # the representation identity
+    module = FreeModule(["x", "c"], ["free", 1])
+    algebra = LCA(module)
+    algebra.set_bracket(0, 1, [0, 1])
+    algebra.set_bracket(1, 0, [0, -1])
+    assert check_lca(algebra).lines() == [
+        "skew: fail at=0,1 residual=[(1)c]",
+        "jacobi: pass",
+    ]
+    # rho(x)_lam c = c commutes with itself, so the identity holds
+    rep = RepTable(LCA(FreeModule(["x"])), FreeModule(["c"], 0))
+    rep.set_action(0, 0, [1])
+    assert check_representation(rep).lines() == [
+        "algebra: pass",
+        "representation: fail at=0,0 residual=[(1)c]",
+    ]
+    # a table value that vanishes once del acts on c is no failure
+    algebra = LCA(module)
+    algebra.set_bracket(0, 0, [0, DEL - 1])
+    assert check_lca(algebra).passed
+
+
 def test_semidirect_product_is_an_algebra(vir):
     mm = FreeModule(["m"])
     rep = RepTable(vir, mm)

@@ -345,6 +345,18 @@ def test_unimodular_inverse_round_trip():
             assert acc == (Poly.one(0) if i == j else Poly.zero(0))
 
 
+def test_unimodular_inverse_divides_exactly():
+    # Poly stores integral coefficients as ints; dividing the pivot 3 as an
+    # int would give the float nearest -1/3
+    d = _dpoly(0, 1)
+    inv = linalg.poly_unimodular_inverse([[_dpoly(4), _dpoly(4)], [Poly.zero(0), _dpoly(3)]])
+    assert inv == [[_dpoly(F(1, 4)), _dpoly(F(-1, 3))], [Poly.zero(0), _dpoly(F(1, 3))]]
+    inv = linalg.poly_unimodular_inverse([[_dpoly(2), d], [Poly.zero(0), _dpoly(3)]])
+    assert inv == [[_dpoly(F(1, 2)), _dpoly(0, F(-1, 6))], [Poly.zero(0), _dpoly(F(1, 3))]]
+    for entry in (e for row in inv for e in row):
+        assert all(type(c) in (int, F) for c in entry.terms.values())
+
+
 def test_non_unimodular_has_no_inverse():
     d = _dpoly(0, 1)
     assert linalg.poly_unimodular_inverse([[d]]) is None

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nijconf.grammar import ParseError, format_poly, parse_poly
 from nijconf.poly import Poly
+from reference_poly import Poly as ReferencePoly
 
 import pytest
 
@@ -59,12 +60,16 @@ def test_rational_evaluation_is_a_ring_map(p, q):
 
 
 def _assert_canonical(p):
-    """``p`` is what the validating constructor makes of its own terms."""
+    """``p`` is what the validating constructor makes of its own terms: each
+    coefficient is a nonzero int, or a Fraction that is not integral."""
     assert p == Poly(p.arity, dict(p.terms))
     for key, coeff in p.terms.items():
         assert type(key) is tuple and len(key) == p.arity + 1
         assert all(type(e) is int for e in key)
-        assert type(coeff) is Fraction and coeff != 0
+        assert coeff != 0
+        assert type(coeff) is int or (
+            type(coeff) is Fraction and coeff.denominator > 1
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,11 +86,81 @@ def test_fast_paths_give_canonical_terms(p, q, n):
     assert widened.with_arity(2) == p
 
 
+# -- the kernel against the all-Fraction reference ------------------------
+
+# integral and rational coefficients, with zeros and integral Fractions among
+# them so that the validating constructors see every form
+_ref_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    st.integers(-3, 3).map(Fraction),
+)
+_ref_terms = st.dictionaries(
+    st.tuples(*([st.integers(0, 2)] * 3)), _ref_coeffs, max_size=4
+)
+
+
+def _assert_matches(fast, reference):
+    """Same value, hash and printed form as the reference, in canonical form."""
+    assert fast.arity == reference.arity
+    assert fast.terms == reference.terms
+    assert hash(fast) == hash(reference)
+    assert format_poly(fast) == format_poly(reference)
+    _assert_canonical(fast)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_terms, _ref_terms, _ref_coeffs, st.integers(0, 3), st.integers(0, 2))
+def test_kernel_matches_the_fraction_reference(ta, tb, factor, n, index):
+    p, q = Poly(2, ta), Poly(2, tb)
+    rp, rq = ReferencePoly(2, ta), ReferencePoly(2, tb)
+    _assert_matches(p, rp)
+    for fast, reference in (
+        (p + q, rp + rq),
+        (p - q, rp - rq),
+        (p * q, rp * rq),
+        (-p, -rp),
+        (p ** n, rp ** n),
+        (p + factor, rp + factor),
+        (p * factor, rp * factor),
+        (p.scale(factor), rp.scale(factor)),
+        (p.scale(Fraction(factor) * 3), rp.scale(Fraction(factor) * 3)),
+        (p.scale(Fraction(2, 3)), rp.scale(Fraction(2, 3))),
+        (p.substitute(index, q), rp.substitute(index, rq)),
+        (p.substitute(index, factor), rp.substitute(index, factor)),
+        (p.with_arity(4), rp.with_arity(4)),
+        (p.with_arity(4).with_arity(2), rp.with_arity(4).with_arity(2)),
+        (Poly.const(factor, 2), ReferencePoly.const(factor, 2)),
+        (Poly.var(index, 2), ReferencePoly.var(index, 2)),
+    ):
+        _assert_matches(fast, reference)
+    values = [Fraction(2), Fraction(-1, 3), factor]
+    assert p.eval_rational(values) == rp.eval_rational(values)
+    assert type(p.eval_rational(values)) is Fraction
+    assert (p == q) == (rp == rq)
+    assert (p == factor) == (rp == factor)
+
+
+def test_integral_results_are_stored_as_ints():
+    half = Poly(1, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    for p in (
+        half + half,
+        half.scale(2),
+        half * Poly.const(4, 1),
+        half.substitute(0, Poly.lam(1, 1)),
+        Poly(1, {(1, 0): Fraction(4, 2)}),
+        Poly.const(Fraction(6, 3), 1),
+    ):
+        _assert_canonical(p)
+        assert all(type(c) is int for c in p.terms.values())
+    assert (half + half).terms == {(1, 0): 1, (0, 1): 3}
+
+
 def test_public_constructor_still_validates():
     with pytest.raises(ValueError):
         Poly(1, {(1,): 1})
-    p = Poly(1, {(1, 0): 0, (0, 1): Fraction(0), (2, 0): 3})
-    assert p.terms == {(2, 0): Fraction(3)}
+    p = Poly(1, {(1, 0): 0, (0, 1): Fraction(0), (2, 0): Fraction(3)})
+    assert p.terms == {(2, 0): 3} and type(p.terms[2, 0]) is int
     assert Poly.const(0, 2).is_zero() and not Poly.const(0, 2).terms
 
 
