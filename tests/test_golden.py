@@ -33,6 +33,10 @@ COMMANDS = [
      CORE + ["cohomology", "sl2", "--coeffs", "zerorep", "--bound", "3"], 0),
     ("cohomology-sl2p-operator-b2",
      CORE + ["cohomology", "sl2p", "--operator", "--bound", "2"], 0),
+    ("cohomology-sl2-d3-b1",
+     CORE + ["cohomology", "sl2", "--degree", "3", "--bound", "1"], 0),
+    ("cohomology-sl2p-operator-d3-b1",
+     CORE + ["cohomology", "sl2p", "--operator", "--degree", "3", "--bound", "1"], 0),
     ("extend-km", CORE + ["extend", "km", "--quot", "sl2id", "--sub", "ctrivid"], 0),
     ("extend-gf", CORE + ["extend", "gf", "--quot", "virid", "--sub", "ctrivid"], 0),
     ("wells-kmext-wellsgood", CORE + ["wells", "kmext", "--pair", "wellsgood"], 0),
