@@ -176,6 +176,24 @@ def _basis_index(module, name, path, lineno, column):
     return index
 
 
+def _entry_key(modules, path, lineno, text):
+    """The basis indices named between a bracket, action or value line's
+    keyword and its ``=``, one in each of ``modules``: exactly that many
+    names, else a positioned error at the first surplus name or at the ``=``."""
+    equals = text.index("=")
+    words = list(re.finditer(r"\S+", text[:equals]))[1:]
+    if len(words) != len(modules):
+        surplus = len(words) > len(modules)
+        raise WorkspaceError(
+            path, lineno, words[len(modules)].start() + 1 if surplus else equals + 1,
+            "expected %d basis names, got %d" % (len(modules), len(words)),
+        )
+    return tuple(
+        _basis_index(module, w.group(), path, lineno, w.start() + 1)
+        for module, w in zip(modules, words)
+    )
+
+
 def _header_kv(words):
     """Turn ["algebra", "sl2", "module", "m"] into (name, {module: m})."""
     name = words[1]
@@ -244,8 +262,7 @@ def _parse_block(ws, path, block):
             bw = bt.split()
             if bw[0] != "bracket" or "=" not in bt:
                 raise WorkspaceError(path, bl, 1, "expected a bracket line")
-            i = _basis_index(module, bw[1], path, bl, 1)
-            j = _basis_index(module, bw[2], path, bl, 1)
+            i, j = _entry_key((module, module), path, bl, bt)
             start = bt.index("=") + 1
             algebra.set_bracket(
                 i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
@@ -286,8 +303,7 @@ def _parse_block(ws, path, block):
             bw = bt.split()
             if bw[0] != "action" or "=" not in bt:
                 raise WorkspaceError(path, bl, 1, "expected an action line")
-            i = _basis_index(algebra.module, bw[1], path, bl, 1)
-            j = _basis_index(module, bw[2], path, bl, 1)
+            i, j = _entry_key((algebra.module, module), path, bl, bt)
             start = bt.index("=") + 1
             rep.set_action(
                 i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
@@ -309,10 +325,7 @@ def _parse_block(ws, path, block):
             bw = bt.split()
             if bw[0] != "value" or "=" not in bt:
                 raise WorkspaceError(path, bl, 1, "expected a value line")
-            key = tuple(
-                _basis_index(rep.algebra.module, w, path, bl, 1)
-                for w in bw[1 : 1 + degree]
-            )
+            key = _entry_key((rep.algebra.module,) * degree, path, bl, bt)
             start = bt.index("=") + 1
             cochain.set_value(
                 key,

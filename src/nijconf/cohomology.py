@@ -29,6 +29,7 @@ from .lca import (
     FREE,
     Elem,
     RepTable,
+    _Lifted,
     _expand_value,
     _is_skew,
     _output_tuples,
@@ -195,30 +196,32 @@ def eval_cochain(f, args, forms, arity):
     polynomials playing the role of each argument's lambda.  The last
     argument's form is whatever the caller supplies -- typically a free
     temporary variable eliminated later by `dagger_substitute`.
+
+    Only the support of the arguments is touched: the stored values are
+    looked up on the product of the arguments' nonzero coordinates (one
+    lookup for basis arguments), and del |-> -form is substituted once in
+    each coordinate that meets a stored value.  A zero argument, or no
+    stored value on that product, gives the zero Elem.
     """
     n = f.degree
     if len(args) != n or len(forms) != n:
         raise ModuleMismatchError("expected %d arguments with forms" % n)
     if n == 0:
         return f.value(()).with_arity(arity)
-    subbed = []
-    for k in range(n):
-        image = -forms[k]
-        subbed.append(
-            [c.with_arity(arity).substitute(0, image) for c in args[k].coords]
-        )
+    values = f.values
+    supports = [[i for i, c in enumerate(arg.coords) if c.terms] for arg in args]
+    matched = [(key, values[key]) for key in product(*supports) if key in values]
+    if not matched:
+        return f.target.zero(arity)
+    lifted = [_Lifted(arg.coords, arity, -form) for arg, form in zip(args, forms)]
     coords = [Poly.zero(arity)] * f.target.rank
-    for key, value in f.values.items():
-        factor = None
-        for k, i in enumerate(key):
-            c = subbed[k][i]
-            if c.is_zero():
-                break
-            factor = c if factor is None else factor * c
-        else:
-            for t, vp in enumerate(_expand_value(value.coords, forms, arity)):
-                if vp:
-                    coords[t] = coords[t] + factor * vp
+    for key, value in matched:
+        factor = lifted[0][key[0]]
+        for k in range(1, n):
+            factor = factor * lifted[k][key[k]]
+        for t, vp in enumerate(_expand_value(value.coords, forms, arity)):
+            if vp:
+                coords[t] = coords[t] + factor * vp
     return Elem(f.target, coords)
 
 

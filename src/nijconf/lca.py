@@ -283,30 +283,47 @@ def sesqui_eval(table, target, a, b, form, arity):
     attached to this evaluation: the first argument's coefficients get
     del |-> -form, the second argument's get del |-> del + form, and the
     table value's lam1 becomes ``form``.  Returns an Elem of ``target``.
+
+    Only the support of the arguments is touched: the stored (never zero)
+    table entries are read on pairs of nonzero coordinates, and only the
+    coordinates that meet one are lifted to ``arity`` and substituted.  When
+    either argument is zero, or no entry is met, the zero Elem is returned
+    at once.
     """
-    a = a.with_arity(arity)
-    b = b.with_arity(arity)
-    minus = -form
-    shift = Poly.del_(arity) + form
     result = [Poly.zero(arity)] * target.rank
-    if a.is_zero():
+    entries = table.entries
+    pairs = [
+        (i, j, entries[i, j])
+        for i, fa in enumerate(a.coords)
+        if fa.terms
+        for j, gb in enumerate(b.coords)
+        if gb.terms and (i, j) in entries
+    ]
+    if not pairs:
         return _trusted_elem(target, result)
-    shifted = [gb.substitute(0, shift) if gb else gb for gb in b.coords]
-    for i, fa in enumerate(a.coords):
-        if fa.is_zero():
-            continue
-        fa = fa.substitute(0, minus)
-        for j, gb in enumerate(shifted):
-            if gb.is_zero():
-                continue
-            value = table.get(i, j)
-            if not any(value):
-                continue
-            factor = fa * gb
-            for t, tpoly in enumerate(_expand_value(value, [form], arity)):
-                if tpoly:
-                    result[t] = result[t] + factor * tpoly
+    lifted_a = _Lifted(a.coords, arity, -form)
+    lifted_b = _Lifted(b.coords, arity, Poly.del_(arity) + form)
+    for i, j, value in pairs:
+        factor = lifted_a[i] * lifted_b[j]
+        for t, tpoly in enumerate(_expand_value(value, [form], arity)):
+            if tpoly:
+                result[t] = result[t] + factor * tpoly
     return Elem(target, result)
+
+
+class _Lifted(dict):
+    """The coordinates of an argument lifted to ``arity`` with del |-> image,
+    each computed when it is first used."""
+
+    def __init__(self, coords, arity, image):
+        super().__init__()
+        self.coords, self.arity, self.image = coords, arity, image
+
+    def __missing__(self, index):
+        value = self[index] = (
+            self.coords[index].with_arity(self.arity).substitute(0, self.image)
+        )
+        return value
 
 
 class LCA:
@@ -354,9 +371,12 @@ def dagger_substitute(elem, slot):
     """Substitute lam_slot |-> -del - lam_1 - ... - lam_{slot-1}, del outside.
 
     The result is shrunk back so that lam_slot is out of scope whenever it
-    was the top variable.
+    was the top variable.  A zero element gives the zero element at that
+    arity without building the dagger form.
     """
     arity = max(elem.arity, slot)
+    if elem.is_zero():
+        return elem.module.zero(arity - 1 if slot == arity else arity)
     earlier = sum((Poly.lam(i, arity) for i in range(1, slot)), Poly.zero(arity))
     out = elem.with_arity(arity).substitute(slot, dagger(earlier))
     if slot == arity:
@@ -416,7 +436,8 @@ def _torsion_is_inert(lca, n=None):
     coordinates are stored with del substituted.  That is exact while they
     are only ever output: when no bracket of ``lca`` involves a torsion
     generator (see :func:`_torsion_failures`), and the operator ``n`` maps
-    it only onto generators with the same del action.  Otherwise a
+    it only onto generators with the same del action (see
+    :func:`_torsion_mixing`).  Otherwise a
     substituted coordinate is fed back into a bracket or an operator, where
     the dagger rule no longer relates a residual's values on permuted
     tuples, so every tuple must be evaluated.
@@ -424,13 +445,28 @@ def _torsion_is_inert(lca, n=None):
     module = lca.module
     if _torsion_failures(lca.table, module, module):
         return False
-    actions = module.actions
-    return n is None or not any(
-        n.matrix[s][t] and actions[s] != actions[t]
-        for t, a in enumerate(actions)
-        if a != FREE
-        for s in range(len(actions))
-    )
+    return n is None or not _torsion_mixing(n)
+
+
+def _torsion_mixing(mapping):
+    """(row, column) of every entry of ``mapping`` that sends an evaluation
+    generator onto a generator with another del action, in order.
+
+    If del acts on e_t by the scalar a, Q[del]-linearity asks that the
+    coordinate m(del) e_s of mapping(e_t) satisfy del m e_s = a m e_s.  That
+    fails unless m vanishes on e_s: always on a free e_s, and on an e_s where
+    del acts by b != a unless m(b) = 0.
+    """
+    source, target = mapping.source.actions, mapping.target.actions
+    return [
+        (s, t)
+        for s, row in enumerate(mapping.matrix)
+        for t, entry in enumerate(row)
+        if entry
+        and source[t] != FREE
+        and target[s] != source[t]
+        and (target[s] == FREE or entry.substitute(0, Poly.const(target[s], 0)))
+    ]
 
 
 def check_lca(lca):

@@ -19,6 +19,7 @@ from .lca import (
     _is_skew,
     _output_tuples,
     _torsion_is_inert,
+    _torsion_mixing,
     check_lca,
     check_morphism,
     check_representation,
@@ -79,6 +80,14 @@ class NijenhuisLCA:
         self.algebra = algebra
         self.n = n
         if validate:
+            mixing = _torsion_mixing(n)
+            if mixing:
+                s, t = (algebra.module.basis[k] for k in mixing[0])
+                raise PreconditionError(
+                    "operator is not Q[del]-linear: its entry (%s, %s) maps the "
+                    "torsion generator %s onto %s, where del acts otherwise"
+                    % (s, t, t, s)
+                )
             base = check_lca(algebra)
             if not base.passed:
                 raise PreconditionError("underlying algebra fails check_lca")

@@ -179,6 +179,59 @@ def test_map_row_errors_name_one_exact_column(tmp_path, rows, diagnostic):
     assert "diagnostic: %s:%s\n" % (bad, diagnostic) in out
 
 
+ENTRY_WS = (
+    "module m\n  basis e h\n\nalgebra x module m\n%s\n"
+    "rep r algebra x module m\n%s\n"
+    "cochain k rep r degree 2\n%s"
+)
+
+
+@pytest.mark.parametrize(
+    "bracket,action,value,diagnostic",
+    [
+        # surplus names were ignored: the first of these exited 1 with a
+        # skew failure, the second and third passed
+        ("  bracket e e e = 1, 0\n", "", "", "5:15: expected 2 basis names, got 3"),
+        ("", "  action e h h = 0, 0\n", "", "7:14: expected 2 basis names, got 3"),
+        ("", "", "  value e h e = lam1, 0\n", "9:13: expected 2 basis names, got 3"),
+        # a missing name was read as the name '=' at column 1
+        ("  bracket e = 1, 0\n", "", "", "5:13: expected 2 basis names, got 1"),
+        ("  bracket e zz = 1, 0\n", "", "", "5:13: unknown basis name 'zz'"),
+    ],
+)
+def test_entry_lines_take_exactly_their_basis_names(
+    tmp_path, bracket, action, value, diagnostic
+):
+    bad = tmp_path / "names.ws"
+    bad.write_text(ENTRY_WS % (bracket, action, value))
+    code, out, _ = run_cli("-f", str(bad), "check", "x")
+    assert (code, out.splitlines()[-1]) == (2, "diagnostic: %s:%s" % (bad, diagnostic))
+
+
+def test_extension_operator_must_be_linear_on_torsion(tmp_path):
+    # phi sends the torsion generator c onto the free generator h, so the
+    # total operator is not Q[del]-linear; the block used to be accepted
+    ws = tmp_path / "mix.ws"
+    ws.write_text(
+        "module q\n  basis c\n  del 0\n\nmodule s\n  basis h\n\n"
+        "algebra qa module q\n\nalgebra sa module s\n\n"
+        "map idq source q target q\n  row 1\n\n"
+        "map ids source s target s\n  row 1\n\n"
+        "map phi source q target s\n  row 1\n\n"
+        "nijenhuis qn algebra qa operator idq\n\n"
+        "nijenhuis sn algebra sa operator ids\n\n"
+        "rep zero algebra qa module s\n\n"
+        "cochain chi degree 2 rep zero\n\n"
+        "cocycle cc chi chi rho zero phi phi\n\n"
+        "extension ext cocycle cc quot qn sub sn\n"
+    )
+    code, out, _ = run_cli("-f", str(ws), "check", "ext")
+    assert (code, out.splitlines()[-1]) == (2, (
+        "diagnostic: %s:31:1: operator is not Q[del]-linear: its entry "
+        "(h#M, c#L) maps the torsion generator c#L onto h#M, where del acts otherwise"
+    ) % ws)
+
+
 REP_WS = "module m\n  basis a\n\nalgebra g module m\n\nrep r algebra g module m\n\n"
 
 

@@ -4,8 +4,9 @@ plus the extension and automorphism-pair checks that decide over Q[del].
 ``tests/golden/`` holds the stdout each command printed before the refactor
 that touched its code path (the evaluator, dagger and witness-formatter
 merges; the unimodular Q[del] reduction for the two checks; the evaluation
-of rank-3 coboundary images on non-decreasing tuples); a refactor that
-moves a single byte of a report fails here.  Regenerate a file only for an
+of rank-3 coboundary images on non-decreasing tuples; the evaluation of
+brackets and cochains on the support of their arguments, for the degree-3
+slices); a refactor that moves a single byte of a report fails here.  Regenerate a file only for an
 intended change of output.
 """
 

@@ -41,6 +41,26 @@ def test_constructor_validates(sl2):
     assert NijenhuisLCA.raw(sl2, bad).n is bad
 
 
+def test_constructor_rejects_an_operator_not_linear_on_torsion():
+    # N(c) = a: del c = 0 but del N(c) = del a != 0; this used to be accepted
+    m = FreeModule(["a", "c"], ["free", 0])
+    with pytest.raises(PreconditionError) as info:
+        NijenhuisLCA(LCA(m), ConfLinMap(m, m, [[0, 1], [0, 0]]))
+    assert str(info.value) == (
+        "operator is not Q[del]-linear: its entry (a, c) maps the torsion "
+        "generator c onto a, where del acts otherwise"
+    )
+    # onto torsion with another action, only an entry vanishing there fails
+    m = FreeModule(["b", "c"], [2, 0])
+    with pytest.raises(PreconditionError, match=r"entry \(b, c\)"):
+        NijenhuisLCA(LCA(m), ConfLinMap(m, m, [[0, 1], [0, 0]]))
+    zero_on_b = ConfLinMap(m, m, [[0, Poly.del_(0) - 2], [0, 0]])
+    assert NijenhuisLCA(LCA(m), zero_on_b).n is zero_on_b
+    # a free generator may go anywhere, torsion onto the same action too
+    m = FreeModule(["a", "c", "d"], ["free", 0, 0])
+    assert NijenhuisLCA(LCA(m), ConfLinMap(m, m, [[1, 0, 0], [1, 0, 1], [0, 1, 0]]))
+
+
 def test_deformed_bracket_hand_values(sl2, proj_p):
     # P = diag(1,1,0): [e f]_P = [Pe f] + [e Pf] - P[e f] = [e f] + 0 - h = 0
     deformed = deformed_table(sl2, proj_p)

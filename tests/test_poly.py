@@ -95,8 +95,13 @@ _ref_coeffs = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
     st.integers(-3, 3).map(Fraction),
 )
-_ref_terms = st.dictionaries(
-    st.tuples(*([st.integers(0, 2)] * 3)), _ref_coeffs, max_size=4
+# the constant 1, in both forms, is drawn often: a product with it returns
+# the other factor without multiplying
+_ref_terms = st.one_of(
+    st.sampled_from([{(0, 0, 0): 1}, {(0, 0, 0): Fraction(1)}]),
+    st.dictionaries(
+        st.tuples(*([st.integers(0, 2)] * 3)), _ref_coeffs, max_size=4
+    ),
 )
 
 
@@ -119,6 +124,7 @@ def test_kernel_matches_the_fraction_reference(ta, tb, factor, n, index):
         (p + q, rp + rq),
         (p - q, rp - rq),
         (p * q, rp * rq),
+        (q * p, rq * rp),
         (-p, -rp),
         (p ** n, rp ** n),
         (p + factor, rp + factor),
