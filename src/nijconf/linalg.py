@@ -88,19 +88,23 @@ def nullspace(columns):
     """Basis of the kernel of the matrix with these sparse columns.
 
     Each basis vector is a list of one Fraction per column: the free column's
-    entry is 1 and the pivot entries are read off the reduced echelon form.
+    entry is 1 and the pivot entries are read off the reduced echelon form,
+    from the entries its rows hold in that free column.
     """
     n = len(columns)
     reduced, pivots = rref(_rows(columns))
     pivot_set = set(pivots)
+    in_free = {free: [] for free in range(n) if free not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != pc:
+                in_free[c].append((pc, -v))
     basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for free, entries in in_free.items():
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row.get(free, Fraction(0))
+        for pc, v in entries:
+            vec[pc] = v
         basis.append(vec)
     return basis
 

@@ -254,6 +254,17 @@ def test_rank_restricted_to_keys():
     assert linalg.rank(cols, keys=()) == 0
 
 
+def test_nullspace_negates_only_stored_entries(monkeypatch):
+    # column 3 repeats column 0: the one free column, held by one reduced row
+    # of three; its kernel vector reads that entry and negates nothing else
+    columns = [{0: 1}, {1: 2}, {2: 3}, {0: 1}]
+    negated = []
+    neg = Fraction.__neg__
+    monkeypatch.setattr(Fraction, "__neg__", lambda x: negated.append(x) or neg(x))
+    assert linalg.nullspace(columns) == [[F(-1), F(0), F(0), F(1)]]
+    assert negated == [F(1)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
