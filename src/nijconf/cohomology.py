@@ -31,15 +31,14 @@ from .lca import (
     RepTable,
     _Lifted,
     _expand_value,
-    _is_skew,
     _output_tuples,
-    _torsion_is_inert,
+    _sorted_tuples_suffice,
     dagger_substitute,
 )
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
 from .poly import Poly
-from .report import Report, first_witness
+from .report import Report, failures_of, first_witness
 
 MAX_DEGREE = 4
 # limits of the truncated solver: the cochain degree and the degree bound
@@ -260,12 +259,10 @@ def _skew_residuals(f, keys=None):
 
 def check_cochain_skew(f):
     """Conformal skew-symmetry of the stored table (see `_skew_residuals`)."""
-    failures = [
-        (key + (k,), repr(residual))
-        for (key, k), residual in _skew_residuals(f)
-        if not residual.is_zero()
-    ]
-    return Report("cochain-skew").add("skew", not failures, first_witness(failures))
+    pairs = ((key + (k,), residual) for (key, k), residual in _skew_residuals(f))
+    report = Report("cochain-skew")
+    report.add_failures("skew", failures_of(pairs))
+    return report
 
 
 def skew_symmetrize(f):
@@ -734,7 +731,7 @@ def solve_truncated(rep, degree, bound, differential=None):
     if differential is None:
         differential = apply_delta
     rank_l = rep.algebra.module.rank
-    sorted_only = _is_skew(rep.algebra) and _torsion_is_inert(rep.algebra)
+    sorted_only = _sorted_tuples_suffice(rep.algebra)
     basis = cochain_space(rep, degree, bound)
     keys = _output_tuples(rank_l, degree + 1, sorted_only)
     kernel = nullspace([_cochain_vector(differential(f, keys=keys)) for f in basis])

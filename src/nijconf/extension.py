@@ -23,6 +23,7 @@ from .cohomology import Cochain, _cochain_vector, _cochain_witness, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     ConfLinMap,
+    Elem,
     RepTable,
     check_morphism,
     eval_bracket,
@@ -31,6 +32,7 @@ from .lca import (
     _output_tuples,
     _skew_failures,
     _torsion_is_inert,
+    _torsion_mixing,
 )
 from .linalg import (
     is_split_injection,
@@ -38,9 +40,9 @@ from .linalg import (
     poly_unimodular_inverse,
     solve,
 )
-from .nijenhuis import NijenhuisLCA, _nijenhuis_failures
+from .nijenhuis import NijenhuisLCA, _nijenhuis_failures, _require_linear
 from .poly import Poly, dagger
-from .report import Report, first_witness
+from .report import Report, failures_of
 
 
 class ExtensionData:
@@ -235,7 +237,9 @@ def check_nonabelian_cocycle(cocycle, quot, sub):
       rho to be a representation equals the adjoint action of chi;
     * ``jacobi``           -- Jacobi on (L, L, L) triples (the chi 2-cocycle
       condition twisted by rho);
-    * ``operator-module``  -- the Nijenhuis identity on mixed pairs;
+    * ``operator-module``  -- the Nijenhuis identity on mixed pairs; when
+      it holds, the Q[del]-linearity of the operator on torsion generators,
+      which ``Phi`` can break (see :func:`_mixing_failures`);
     * ``operator-bracket`` -- the Nijenhuis identity on L-L pairs.
 
     The remaining components (H-H skew and Jacobi, H-H Nijenhuis) are the
@@ -266,21 +270,37 @@ def _cocycle_report(total, operator, rank_l):
         return [t for t in every if not sorted_only or list(t) == sorted(t)]
 
     report = Report("nonabelian-cocycle")
-    failures = [f for f in skew_failures if f[0][1] < rank_l]
-    report.add("chi-skew", not failures, first_witness(failures))
+    report.add_failures("chi-skew", [f for f in skew_failures if f[0][1] < rank_l])
     for name, index_sets in (
         ("rho-derivation", (l_idx, h_idx, h_idx)),
         ("curvature", (l_idx, l_idx, h_idx)),
         ("jacobi", (l_idx, l_idx, l_idx)),
     ):
-        failures = _jacobi_failures(total, tuples(*index_sets))
-        report.add(name, not failures, first_witness(failures))
+        report.add_failures(name, _jacobi_failures(total, tuples(*index_sets)))
     mixed = tuples(l_idx, h_idx) + tuples(h_idx, l_idx)
-    failures = _nijenhuis_failures(total, operator, mixed)
-    report.add("operator-module", not failures, first_witness(failures))
-    failures = _nijenhuis_failures(total, operator, tuples(l_idx, l_idx))
-    report.add("operator-bracket", not failures, first_witness(failures))
+    report.add_failures(
+        "operator-module",
+        _nijenhuis_failures(total, operator, mixed) or _mixing_failures(operator),
+    )
+    report.add_failures(
+        "operator-bracket", _nijenhuis_failures(total, operator, tuples(l_idx, l_idx))
+    )
     return report
+
+
+def _mixing_failures(mapping):
+    """(entry, residual) of every entry (s, t) that :func:`_torsion_mixing`
+    finds: coordinate s of mapping(del e_t) - del mapping(e_t), where del
+    acts on the torsion generator e_t by a scalar a."""
+    target = mapping.target
+
+    def residual(s, t):
+        entry = mapping.matrix[s][t]
+        coords = [Poly.zero(0)] * target.rank
+        coords[s] = entry.scale(mapping.source.actions[t]) - Poly.del_(0) * entry
+        return Elem(target, coords)
+
+    return failures_of((key, residual(*key)) for key in _torsion_mixing(mapping))
 
 
 def build_extension(cocycle, quot, sub):
@@ -303,9 +323,12 @@ def checked_extension(cocycle, quot, sub):
     """The report of :func:`check_nonabelian_cocycle` on a triple, and the
     extension of :func:`build_extension` when the report passes (else None).
 
-    The candidate total is built and checked once for both.
+    The candidate total is built and checked once for both.  An operator
+    that is not Q[del]-linear on torsion is refused before the report, as
+    :class:`NijenhuisLCA` refuses it.
     """
     total, operator, rank_l = _candidate_total(cocycle, quot, sub)
+    _require_linear(operator)
     report = _cocycle_report(total, operator, rank_l)
     if not report.passed:
         return report, None

@@ -25,6 +25,7 @@ from itertools import combinations_with_replacement, product
 from .errors import ModuleMismatchError, PreconditionError
 from .grammar import format_poly
 from .poly import Poly, _trusted, dagger
+from .report import PRECONDITION, Report, failures_of
 
 FREE = "free"
 
@@ -389,7 +390,7 @@ def _output_tuples(rank, n, skew):
     when ``skew``, else all of them.
 
     With a conformally skew bracket whose torsion is inert (see
-    :func:`_torsion_is_inert`), the Jacobiator, the Nijenhuis and
+    :func:`_sorted_tuples_suffice`), the Jacobiator, the Nijenhuis and
     representation residuals and every coboundary are skew in their
     arguments: the value on a permuted tuple is, up to sign, an invertible
     substitution of the lambdas (and del) in the value on the sorted tuple.
@@ -403,9 +404,12 @@ def _output_tuples(rank, n, skew):
     return list(product(range(rank), repeat=n))
 
 
-def _is_skew(lca):
-    """Whether the bracket is conformally skew, tested on pairs i <= j."""
-    return not _skew_failures(lca, _output_tuples(lca.module.rank, 2, True))
+def _sorted_tuples_suffice(lca, n=None):
+    """Whether residuals over ``lca`` and the operator ``n`` may be evaluated
+    on non-decreasing tuples only (see :func:`_output_tuples`): the bracket
+    is conformally skew, tested on pairs i <= j, and its torsion is inert."""
+    skew = not _skew_failures(lca, _output_tuples(lca.module.rank, 2, True))
+    return skew and _torsion_is_inert(lca, n=n)
 
 
 def _torsion_failures(table, left, right):
@@ -420,13 +424,11 @@ def _torsion_failures(table, left, right):
     nonzero value is nonzero, on free and on evaluation outputs alike, so
     torsion is central and the value itself is the residual.
     """
-    failures = []
-    for (i, j), value in table.entries.items():
-        if left.actions[i] != FREE or right.actions[j] != FREE:
-            value = Elem(right, list(value))
-            if not value.is_zero():
-                failures.append(((i, j), repr(value)))
-    return failures
+    return failures_of(
+        (key, Elem(right, list(value)))
+        for key, value in table.entries.items()
+        if left.actions[key[0]] != FREE or right.actions[key[1]] != FREE
+    )
 
 
 def _torsion_is_inert(lca, n=None):
@@ -480,36 +482,35 @@ def check_lca(lca):
     Jacobi is evaluated on sorted triples only (see :func:`_output_tuples`);
     otherwise on every triple.
     """
-    from .report import Report, first_witness
-
     module = lca.module
     report = Report("lca")
-    failures = _skew_failures(lca, _output_tuples(module.rank, 2, True))
-    failures += _torsion_failures(lca.table, module, module)
-    report.add("skew", not failures, first_witness(failures))
-    failures = _jacobi_failures(lca, _output_tuples(module.rank, 3, not failures))
-    report.add("jacobi", not failures, first_witness(failures))
+    skew = report.add_failures(
+        "skew",
+        _skew_failures(lca, _output_tuples(module.rank, 2, True))
+        + _torsion_failures(lca.table, module, module),
+    )
+    report.add_failures(
+        "jacobi", _jacobi_failures(lca, _output_tuples(module.rank, 3, not skew))
+    )
     return report
 
 
 def _skew_failures(lca, pairs):
     """(pair, residual) of conformal skew-symmetry on the given basis pairs."""
-    failures = []
-    for i, j in pairs:
-        lhs = lca.bracket_basis(i, j, slot=1)
+
+    def residual(i, j):
         flipped = lca.bracket_basis(j, i, slot=2, arity=2)
-        residual = lhs + dagger_substitute(flipped, 2)
-        if not residual.is_zero():
-            failures.append(((i, j), repr(residual)))
-    return failures
+        return lca.bracket_basis(i, j, slot=1) + dagger_substitute(flipped, 2)
+
+    return failures_of((key, residual(*key)) for key in pairs)
 
 
 def _jacobi_failures(lca, triples):
     """(triple, residual) of the Jacobi identity on the given basis triples."""
     module = lca.module
     lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
-    failures = []
-    for i, j, k in triples:
+
+    def residual(i, j, k):
         term1 = eval_bracket(
             lca, module.basis_elem(i), lca.bracket_basis(j, k, slot=2, arity=2), slot=1
         )
@@ -519,10 +520,9 @@ def _jacobi_failures(lca, triples):
         outer = eval_bracket(
             lca, lca.bracket_basis(i, j, slot=1, arity=3), module.basis_elem(k), slot=3
         )
-        residual = term1 - term2 - outer.substitute(3, lam12).shrink(2)
-        if not residual.is_zero():
-            failures.append(((i, j, k), repr(residual)))
-    return failures
+        return term1 - term2 - outer.substitute(3, lam12).shrink(2)
+
+    return failures_of((key, residual(*key)) for key in triples)
 
 
 class RepTable:
@@ -569,8 +569,6 @@ def check_representation(rep):
     but is nonzero on an evaluation generator, which sesquilinearity
     forbids (see :func:`_torsion_failures`), fails at its least such pair.
     """
-    from .report import PRECONDITION, Report, first_witness
-
     report = Report("representation")
     base = check_lca(rep.algebra)
     if not base.passed:
@@ -578,26 +576,25 @@ def check_representation(rep):
         return report
     report.add("algebra", True)
 
-    failures = []
     l_mod, m_mod = rep.algebra.module, rep.module
     lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
     torsion = _torsion_failures(rep.action, l_mod, m_mod)
-    for i, j in _output_tuples(l_mod.rank, 2, not torsion):
-        ei, ej = l_mod.basis_elem(i), l_mod.basis_elem(j)
-        inner_ij = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
-        for k in range(m_mod.rank):
-            # rho([e_i lam e_j])_{lam+mu} m_k
-            lhs = sesqui_eval(
-                rep.action, m_mod, inner_ij, m_mod.basis_elem(k), Poly.lam(3, 3), 3
-            )
-            lhs = lhs.substitute(3, lam12).shrink(2)
-            right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
-            right2 = rep.act(ej, rep.act_basis(i, k, slot=1, arity=2), slot=2)
-            residual = lhs - right1 + right2
-            if not residual.is_zero():
-                failures.append(((i, j, k), repr(residual)))
-    failures = failures or torsion
-    report.add("representation", not failures, first_witness(failures))
+
+    def residuals():
+        for i, j in _output_tuples(l_mod.rank, 2, not torsion):
+            ei, ej = l_mod.basis_elem(i), l_mod.basis_elem(j)
+            inner_ij = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
+            for k in range(m_mod.rank):
+                # rho([e_i lam e_j])_{lam+mu} m_k
+                lhs = sesqui_eval(
+                    rep.action, m_mod, inner_ij, m_mod.basis_elem(k), Poly.lam(3, 3), 3
+                )
+                lhs = lhs.substitute(3, lam12).shrink(2)
+                right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
+                right2 = rep.act(ej, rep.act_basis(i, k, slot=1, arity=2), slot=2)
+                yield (i, j, k), lhs - right1 + right2
+
+    report.add_failures("representation", failures_of(residuals()) or torsion)
     return report
 
 
@@ -798,24 +795,15 @@ def _sum_module(a, b):
 
 def check_morphism(src, dst, mapping):
     """mapping([a lam b]_src) = [mapping(a) lam mapping(b)]_dst on all pairs."""
-    from .report import Report, first_witness
-
     if mapping.source != src.module or mapping.target != dst.module:
         raise ModuleMismatchError("map endpoints do not match the algebras")
-    failures = []
-    rank = src.module.rank
-    for i in range(rank):
-        for j in range(rank):
-            lhs = mapping.apply(src.bracket_basis(i, j))
-            rhs = eval_bracket(
-                dst,
-                mapping.apply(src.module.basis_elem(i)),
-                mapping.apply(src.module.basis_elem(j)),
-                slot=1,
-            )
-            residual = lhs - rhs
-            if not residual.is_zero():
-                failures.append(((i, j), repr(residual)))
+    image = [mapping.apply(src.module.basis_elem(i)) for i in range(src.module.rank)]
+
+    def residual(i, j):
+        lhs = mapping.apply(src.bracket_basis(i, j))
+        return lhs - eval_bracket(dst, image[i], image[j], slot=1)
+
+    pairs = product(range(src.module.rank), repeat=2)
     report = Report("morphism")
-    report.add("morphism", not failures, first_witness(failures))
+    report.add_residuals("morphism", pairs, residual)
     return report

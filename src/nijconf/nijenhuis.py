@@ -11,26 +11,40 @@ for all a, b; the right-hand inner combination is the deformed bracket
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
     ConfLinMap,
-    _is_skew,
     _output_tuples,
-    _torsion_is_inert,
+    _sorted_tuples_suffice,
     _torsion_mixing,
     check_lca,
     check_morphism,
     check_representation,
     eval_bracket,
 )
-from .report import Report, first_witness
+from .report import Report, failures_of
 
 
 def _require_endo(lca, n):
     if n.source != lca.module or n.target != lca.module:
         raise ModuleMismatchError("operator is not an endomorphism of the algebra")
+
+
+def _require_linear(n):
+    """Refuse an endomorphism that is not Q[del]-linear on torsion (see
+    :func:`_torsion_mixing`), naming its least offending entry."""
+    mixing = _torsion_mixing(n)
+    if mixing:
+        s, t = (n.source.basis[k] for k in mixing[0])
+        raise PreconditionError(
+            "operator is not Q[del]-linear: its entry (%s, %s) maps the "
+            "torsion generator %s onto %s, where del acts otherwise"
+            % (s, t, t, s)
+        )
 
 
 def check_nijenhuis(lca, n):
@@ -42,30 +56,29 @@ def check_nijenhuis(lca, n):
     i <= j are evaluated.  Otherwise every pair is.
     """
     _require_endo(lca, n)
-    sorted_only = _is_skew(lca) and _torsion_is_inert(lca, n=n)
-    pairs = _output_tuples(lca.module.rank, 2, sorted_only)
-    failures = _nijenhuis_failures(lca, n, pairs)
+    pairs = _output_tuples(lca.module.rank, 2, _sorted_tuples_suffice(lca, n=n))
     report = Report("nijenhuis")
-    report.add("nijenhuis", not failures, first_witness(failures))
+    report.add_failures("nijenhuis", _nijenhuis_failures(lca, n, pairs))
     return report
+
+
+def _deformed(bracket, n_a, n_b, n_out, a, b):
+    """[n_a a, b] + [a, n_b b] - n_out [a, b] for ``bracket(a, b)`` a bracket
+    or an action: the bracket deformed by N when all three maps are N."""
+    deformed = bracket(n_a.apply(a), b) + bracket(a, n_b.apply(b))
+    return deformed - n_out.apply(bracket(a, b))
 
 
 def _nijenhuis_failures(lca, n, pairs):
     """(pair, residual) of the Nijenhuis identity on the given basis pairs."""
-    module = lca.module
-    failures = []
-    for i, j in pairs:
-        ei, ej = module.basis_elem(i), module.basis_elem(j)
-        nei, nej = n.apply(ei), n.apply(ej)
-        inner = (
-            eval_bracket(lca, nei, ej)
-            + eval_bracket(lca, ei, nej)
-            - n.apply(eval_bracket(lca, ei, ej))
-        )
-        residual = eval_bracket(lca, nei, nej) - n.apply(inner)
-        if not residual.is_zero():
-            failures.append(((i, j), repr(residual)))
-    return failures
+    basis, bracket = lca.module.basis_elem, partial(eval_bracket, lca)
+
+    def residual(i, j):
+        ei, ej = basis(i), basis(j)
+        lhs = bracket(n.apply(ei), n.apply(ej))
+        return lhs - n.apply(_deformed(bracket, n, n, n, ei, ej))
+
+    return failures_of((key, residual(*key)) for key in pairs)
 
 
 class NijenhuisLCA:
@@ -80,14 +93,7 @@ class NijenhuisLCA:
         self.algebra = algebra
         self.n = n
         if validate:
-            mixing = _torsion_mixing(n)
-            if mixing:
-                s, t = (algebra.module.basis[k] for k in mixing[0])
-                raise PreconditionError(
-                    "operator is not Q[del]-linear: its entry (%s, %s) maps the "
-                    "torsion generator %s onto %s, where del acts otherwise"
-                    % (s, t, t, s)
-                )
+            _require_linear(n)
             base = check_lca(algebra)
             if not base.passed:
                 raise PreconditionError("underlying algebra fails check_lca")
@@ -105,17 +111,9 @@ class NijenhuisLCA:
 def deformed_table(lca, n):
     """Structure table of [a lam b]_N = [Na lam b] + [a lam Nb] - N[a lam b]."""
     out = LCA(lca.module)
-    rank = lca.module.rank
-    for i in range(rank):
-        ei = lca.module.basis_elem(i)
-        for j in range(rank):
-            ej = lca.module.basis_elem(j)
-            value = (
-                eval_bracket(lca, n.apply(ei), ej)
-                + eval_bracket(lca, ei, n.apply(ej))
-                - n.apply(eval_bracket(lca, ei, ej))
-            )
-            out.set_bracket(i, j, value.coords)
+    basis, bracket = lca.module.basis_elem, partial(eval_bracket, lca)
+    for i, j in product(range(lca.module.rank), repeat=2):
+        out.set_bracket(i, j, _deformed(bracket, n, n, n, basis(i), basis(j)).coords)
     return out
 
 
@@ -214,22 +212,14 @@ def check_nij_representation(nlca, nrep):
         )
         return report
     report.add("representation", True)
-    failures = []
-    for i in range(rep.algebra.module.rank):
-        ei = rep.algebra.module.basis_elem(i)
-        nei = n.apply(ei)
-        for j in range(rep.module.rank):
-            mj = rep.module.basis_elem(j)
-            lhs = rep.act(nei, n_m.apply(mj))
-            inner = (
-                rep.act(nei, mj)
-                + rep.act(ei, n_m.apply(mj))
-                - n_m.apply(rep.act(ei, mj))
-            )
-            residual = lhs - n_m.apply(inner)
-            if not residual.is_zero():
-                failures.append(((i, j), repr(residual)))
-    report.add("nijenhuis-representation", not failures, first_witness(failures))
+
+    def residual(i, j):
+        ei, mj = rep.algebra.module.basis_elem(i), rep.module.basis_elem(j)
+        lhs = rep.act(n.apply(ei), n_m.apply(mj))
+        return lhs - n_m.apply(_deformed(rep.act, n, n_m, n_m, ei, mj))
+
+    pairs = product(range(rep.algebra.module.rank), range(rep.module.rank))
+    report.add_residuals("nijenhuis-representation", pairs, residual)
     return report
 
 

@@ -1,8 +1,15 @@
 """Deterministic pass/fail reports shared by all checkers.
 
 A Report is an ordered list of named checks.  Each check is either a pass or
-a fail with a witness string; witnesses always name the lexicographically
-least failing basis tuple so reports do not depend on evaluation order.
+a fail with a witness string.  Every axiom check is an identity on basis
+tuples: its residual at each tuple must vanish.  :func:`failures_of` turns
+(tuple, residual) pairs into the failures (tuple, repr of the residual) of
+the nonzero residuals.  :meth:`Report.add_failures` adds a check from
+them, and :meth:`Report.add_residuals` from a residual function on tuples.
+The check fails exactly when there is a failure.  Its witness, formatted by
+:func:`first_witness` alone, names the lexicographically least failing
+tuple and the residual there, so reports do not depend on evaluation
+order.
 """
 
 from __future__ import annotations
@@ -20,6 +27,17 @@ class Report:
     def add(self, key, ok, witness=None):
         self.checks.append((key, PASS if ok else FAIL, None if ok else witness))
         return self
+
+    def add_failures(self, key, failures):
+        """Add check ``key`` from failures as :func:`failures_of` returns
+        them, witnessed by the least failing tuple; returns ``failures``."""
+        self.add(key, not failures, first_witness(failures))
+        return failures
+
+    def add_residuals(self, key, tuples, residual):
+        """Add check ``key`` of the identity residual(*t) = 0 on each basis
+        tuple t; returns its failures."""
+        return self.add_failures(key, failures_of((t, residual(*t)) for t in tuples))
 
     def add_status(self, key, status, witness=None):
         self.checks.append((key, status, witness))
@@ -61,3 +79,9 @@ def first_witness(failures):
         return None
     key, residual = min(failures, key=lambda item: item[0])
     return "at=%s residual=[%s]" % (",".join(map(str, key)), residual)
+
+
+def failures_of(pairs):
+    """(tuple, repr of the residual) of every nonzero residual among
+    (tuple, residual) pairs, in order."""
+    return [(key, repr(value)) for key, value in pairs if not value.is_zero()]

@@ -208,23 +208,44 @@ def test_entry_lines_take_exactly_their_basis_names(
     assert (code, out.splitlines()[-1]) == (2, "diagnostic: %s:%s" % (bad, diagnostic))
 
 
-def test_extension_operator_must_be_linear_on_torsion(tmp_path):
-    # phi sends the torsion generator c onto the free generator h, so the
-    # total operator is not Q[del]-linear; the block used to be accepted
+# phi sends the torsion generator c onto the free generator h, so the total
+# operator of the triple cc is not Q[del]-linear
+MIX_WS = (
+    "module q\n  basis c\n  del 0\n\nmodule s\n  basis h\n\n"
+    "algebra qa module q\n\nalgebra sa module s\n\n"
+    "map idq source q target q\n  row 1\n\n"
+    "map ids source s target s\n  row 1\n\n"
+    "map phi source q target s\n  row 1\n\n"
+    "nijenhuis qn algebra qa operator idq\n\n"
+    "nijenhuis sn algebra sa operator ids\n\n"
+    "rep zero algebra qa module s\n\n"
+    "cochain chi degree 2 rep zero\n\n"
+    "cocycle cc chi chi rho zero phi phi\n"
+)
+
+
+def test_cocycle_operator_must_be_linear_on_torsion(tmp_path):
+    # the check passed this triple, which the extension block below refuses
     ws = tmp_path / "mix.ws"
-    ws.write_text(
-        "module q\n  basis c\n  del 0\n\nmodule s\n  basis h\n\n"
-        "algebra qa module q\n\nalgebra sa module s\n\n"
-        "map idq source q target q\n  row 1\n\n"
-        "map ids source s target s\n  row 1\n\n"
-        "map phi source q target s\n  row 1\n\n"
-        "nijenhuis qn algebra qa operator idq\n\n"
-        "nijenhuis sn algebra sa operator ids\n\n"
-        "rep zero algebra qa module s\n\n"
-        "cochain chi degree 2 rep zero\n\n"
-        "cocycle cc chi chi rho zero phi phi\n\n"
-        "extension ext cocycle cc quot qn sub sn\n"
-    )
+    ws.write_text(MIX_WS)
+    code, out, _ = run_cli("-f", str(ws), "check", "cc", "--quot", "qn", "--sub", "sn")
+    assert (code, out) == (1, "\n".join([
+        "command: check cc",
+        "object: cc (cocycle)",
+        "  chi-skew: pass",
+        "  rho-derivation: pass",
+        "  curvature: pass",
+        "  jacobi: pass",
+        "  operator-module: fail at=1,0 residual=[(-del)h#M]",
+        "  operator-bracket: pass",
+        "status: fail",
+    ]) + "\n")
+
+
+def test_extension_operator_must_be_linear_on_torsion(tmp_path):
+    # the block used to be accepted
+    ws = tmp_path / "mix.ws"
+    ws.write_text(MIX_WS + "\nextension ext cocycle cc quot qn sub sn\n")
     code, out, _ = run_cli("-f", str(ws), "check", "ext")
     assert (code, out.splitlines()[-1]) == (2, (
         "diagnostic: %s:31:1: operator is not Q[del]-linear: its entry "
