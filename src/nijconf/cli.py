@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .cohomology import (
@@ -151,17 +152,6 @@ def _parse_rational(path, lineno, text, start):
     return Fraction(value.terms.get((0,), 0))
 
 
-def _option_column(header, key):
-    """The 1-based column of the value of option ``key`` in a block header
-    (its last occurrence, as in :func:`_header_kv`)."""
-    words = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", header)]
-    column = 1
-    for (word, _), (_, value_column) in zip(words[2::2], words[3::2]):
-        if word == key:
-            column = value_column
-    return column
-
-
 def _basis_index(module, name, path, lineno, column):
     if name in module.basis:
         return module.basis.index(name)
@@ -194,193 +184,183 @@ def _entry_key(modules, path, lineno, text):
     )
 
 
-def _header_kv(words):
-    """Turn ["algebra", "sl2", "module", "m"] into (name, {module: m})."""
-    name = words[1]
-    options = {}
-    rest = words[2:]
-    if len(rest) % 2:
-        return name, None
-    for key, value in zip(rest[::2], rest[1::2]):
-        options[key] = value
-    return name, options
+def _entry_lines(path, body, keyword, modules, arity, rank):
+    """(key, coordinates) of each line of a block body, which must all be
+    ``keyword`` (bracket, action or value) lines: the basis indices named
+    before the ``=``, one in each of ``modules``, and the ``rank``
+    polynomial coordinates of the given arity after it."""
+    for bl, bt in body:
+        if bt.split()[0] != keyword or "=" not in bt:
+            article = "an" if keyword[0] in "aeiou" else "a"
+            message = "expected %s %s line" % (article, keyword)
+            raise WorkspaceError(path, bl, 1, message)
+        key = _entry_key(modules, path, bl, bt)
+        yield key, _parse_entry_polys(path, bl, bt, bt.index("=") + 1, arity, rank)
+
+
+def _build_module(path, lineno, body, del_literal):
+    basis = []
+    for bl, bt in body:
+        bw = bt.split()
+        if bw[0] == "basis":
+            column = bt.index("basis") + len("basis")
+            for word in bw[1:]:
+                column = bt.index(word, column)
+                if word in basis:
+                    raise WorkspaceError(
+                        path, bl, column + 1, "duplicate basis name %r" % word
+                    )
+                basis.append(word)
+                column += len(word)
+        elif bw[0] == "del" and len(bw) == 2:
+            del_literal = (bl, bt, bt.index("del") + len("del"))
+        else:
+            raise WorkspaceError(path, bl, 1, "expected a basis or del line")
+    if not basis:
+        raise WorkspaceError(path, lineno, 1, "module has no basis")
+    if del_literal is None:
+        return FreeModule(basis)
+    return FreeModule(basis, _parse_rational(path, *del_literal))
+
+
+def _build_algebra(path, lineno, body, module):
+    algebra = LCA(module)
+    for (i, j), coords in _entry_lines(
+        path, body, "bracket", (module, module), 1, module.rank
+    ):
+        algebra.set_bracket(i, j, coords)
+    return algebra
+
+
+def _build_map(path, lineno, body, source, target):
+    rows = []
+    for bl, bt in body:
+        bw = bt.split(None, 1)
+        if bw[0] != "row":
+            raise WorkspaceError(path, bl, 1, "expected a row line")
+        start = _indent(bt) + len(bw[0])
+        rows.append(_parse_entry_polys(path, bl, bt, start, 0, source.rank))
+    if len(rows) != target.rank:
+        raise WorkspaceError(
+            path, lineno, 1, "expected %d rows, got %d" % (target.rank, len(rows))
+        )
+    return ConfLinMap(source, target, rows)
+
+
+def _build_rep(path, lineno, body, algebra, module):
+    rep = RepTable(algebra, module)
+    for (i, j), coords in _entry_lines(
+        path, body, "action", (algebra.module, module), 1, module.rank
+    ):
+        rep.set_action(i, j, coords)
+    return rep
+
+
+def _build_cochain(path, lineno, body, rep, degree_literal):
+    line, text, start = degree_literal
+    degree = text[start:]
+    if not (degree.isascii() and degree.isdigit()) or int(degree) > MAX_DEGREE:
+        raise WorkspaceError(
+            path, line, start + 1,
+            "cochain degree must be an integer from 0 to %d, got %r"
+            % (MAX_DEGREE, degree),
+        )
+    cochain = Cochain(int(degree), rep)
+    for key, coords in _entry_lines(
+        path, body, "value", (rep.algebra.module,) * cochain.degree,
+        cochain.value_arity, rep.module.rank,
+    ):
+        cochain.set_value(key, coords)
+    return cochain
+
+
+_Option = namedtuple("_Option", "key kind required")
+
+
+def _options(spec):
+    """The header options of a block kind, from ``key:kind`` words in the
+    order they are resolved: the option names an object of that kind, and
+    a kind ending in ``+`` a ``+``-separated list of such objects.  A word
+    without ``:kind`` is a literal, passed on as the (line number, text,
+    start) of its value.  A trailing ``?`` marks an optional option."""
+    return tuple(
+        _Option(key, kind or None, not word.endswith("?"))
+        for word in spec.split()
+        for key, _, kind in [word.rstrip("?").partition(":")]
+    )
+
+
+# Each block kind: its header options, its builder, and whether it reads
+# body lines.  A builder that does is called with (path, header line number,
+# body) before the options; the other kinds only name other objects and
+# refuse body lines.
+_BLOCKS = {
+    "module": (_options("del?"), _build_module, True),
+    "algebra": (_options("module:module"), _build_algebra, True),
+    "map": (_options("source:module target:module"), _build_map, True),
+    "nijenhuis": (_options("algebra:algebra operator:map"), NijenhuisLCA, False),
+    "rep": (_options("algebra:algebra module:module"), _build_rep, True),
+    "cochain": (_options("rep:rep degree"), _build_cochain, True),
+    "cocycle": (_options("chi:cochain rho:rep phi:map"), NonAbelianCocycle, False),
+    "extension": (
+        _options("cocycle:cocycle quot:nijenhuis sub:nijenhuis"), build_extension, False
+    ),
+    "pair": (_options("alpha:map beta:map"), AutomorphismPair, False),
+    "series": (_options("base:nijenhuis terms:map+"), DeformationSeries, False),
+    "twoterm": (
+        _options("l0:algebra l1:module d:map action:rep l3:cochain?"),
+        lambda l0, l1, d, action, l3: TwoTermConformal(l0, l1, d, action.action, l3),
+        False,
+    ),
+    "homotopyop": (_options("n0:map n1:map n2:cochain?"), lambda *ops: ops, False),
+}
 
 
 def _parse_block(ws, path, block):
     lineno, header = block[0]
-    words = header.split()
-    kind = words[0]
+    words = [(m.group(), m.start()) for m in re.finditer(r"\S+", header)]
+    kind = words[0][0]
     if len(words) < 2:
         raise WorkspaceError(path, lineno, 1, "missing object name")
-    name, options = _header_kv(words)
-    if options is None:
+    if len(words) % 2:
         raise WorkspaceError(path, lineno, 1, "malformed %s header" % kind)
-    where = (path, lineno, 1)
-    body = block[1:]
-
-    def need(key):
-        if key not in options:
-            raise WorkspaceError(
-                path, lineno, 1, "%s needs a %r option" % (kind, key)
-            )
-        return options[key]
-
-    if kind == "module":
-        basis = []
-        del_action = None  # (line number, text, start) of the del literal
-        if "del" in options:
-            column = _option_column(header, "del")
-            end = column - 1 + len(options["del"])
-            del_action = (lineno, header[:end], column - 1)
-        for bl, bt in body:
-            bw = bt.split()
-            if bw[0] == "basis":
-                column = bt.index("basis") + len("basis")
-                for word in bw[1:]:
-                    column = bt.index(word, column)
-                    if word in basis:
-                        raise WorkspaceError(
-                            path, bl, column + 1, "duplicate basis name %r" % word
-                        )
-                    basis.append(word)
-                    column += len(word)
-            elif bw[0] == "del" and len(bw) == 2:
-                del_action = (bl, bt, bt.index("del") + len("del"))
-            else:
-                raise WorkspaceError(path, bl, 1, "expected a basis or del line")
-        if not basis:
-            raise WorkspaceError(path, lineno, 1, "module has no basis")
-        if del_action is not None:
-            module = FreeModule(basis, _parse_rational(path, *del_action))
-        else:
-            module = FreeModule(basis)
-        ws.define(name, "module", module, where)
-    elif kind == "algebra":
-        module = ws.get(need("module"), "module", where)
-        algebra = LCA(module)
-        for bl, bt in body:
-            bw = bt.split()
-            if bw[0] != "bracket" or "=" not in bt:
-                raise WorkspaceError(path, bl, 1, "expected a bracket line")
-            i, j = _entry_key((module, module), path, bl, bt)
-            start = bt.index("=") + 1
-            algebra.set_bracket(
-                i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
-            )
-        ws.define(name, "algebra", algebra, where)
-    elif kind == "map":
-        source = ws.get(need("source"), "module", where)
-        target = ws.get(need("target"), "module", where)
-        rows = []
-        for bl, bt in body:
-            bw = bt.split(None, 1)
-            if bw[0] != "row":
-                raise WorkspaceError(path, bl, 1, "expected a row line")
-            start = _indent(bt) + len(bw[0])
-            rows.append(
-                _parse_entry_polys(path, bl, bt, start, 0, source.rank)
-            )
-        if len(rows) != target.rank:
-            raise WorkspaceError(
-                path, lineno, 1,
-                "expected %d rows, got %d" % (target.rank, len(rows)),
-            )
-        ws.define(name, "map", ConfLinMap(source, target, rows), where)
-    elif kind == "nijenhuis":
-        algebra = ws.get(need("algebra"), "algebra", where)
-        operator = ws.get(need("operator"), "map", where)
-        try:
-            ws.define(
-                name, "nijenhuis", NijenhuisLCA(algebra, operator), where
-            )
-        except (StructuralError, PreconditionError) as exc:
-            raise WorkspaceError(path, lineno, 1, str(exc))
-    elif kind == "rep":
-        algebra = ws.get(need("algebra"), "algebra", where)
-        module = ws.get(need("module"), "module", where)
-        rep = RepTable(algebra, module)
-        for bl, bt in body:
-            bw = bt.split()
-            if bw[0] != "action" or "=" not in bt:
-                raise WorkspaceError(path, bl, 1, "expected an action line")
-            i, j = _entry_key((algebra.module, module), path, bl, bt)
-            start = bt.index("=") + 1
-            rep.set_action(
-                i, j, _parse_entry_polys(path, bl, bt, start, 1, module.rank)
-            )
-        ws.define(name, "rep", rep, where)
-    elif kind == "cochain":
-        rep = ws.get(need("rep"), "rep", where)
-        degree = need("degree")
-        if not (degree.isascii() and degree.isdigit()) or int(degree) > MAX_DEGREE:
-            raise WorkspaceError(
-                path, lineno, _option_column(header, "degree"),
-                "cochain degree must be an integer from 0 to %d, got %r"
-                % (MAX_DEGREE, degree),
-            )
-        degree = int(degree)
-        cochain = Cochain(degree, rep)
-        arity = max(degree - 1, 0)
-        for bl, bt in body:
-            bw = bt.split()
-            if bw[0] != "value" or "=" not in bt:
-                raise WorkspaceError(path, bl, 1, "expected a value line")
-            key = _entry_key((rep.algebra.module,) * degree, path, bl, bt)
-            start = bt.index("=") + 1
-            cochain.set_value(
-                key,
-                _parse_entry_polys(path, bl, bt, start, arity, rep.module.rank),
-            )
-        ws.define(name, "cochain", cochain, where)
-    elif kind == "cocycle":
-        chi = ws.get(need("chi"), "cochain", where)
-        rho = ws.get(need("rho"), "rep", where)
-        phi = ws.get(need("phi"), "map", where)
-        try:
-            ws.define(
-                name, "cocycle", NonAbelianCocycle(chi, rho, phi), where
-            )
-        except StructuralError as exc:
-            raise WorkspaceError(path, lineno, 1, str(exc))
-    elif kind == "extension":
-        cocycle = ws.get(need("cocycle"), "cocycle", where)
-        quot = ws.get(need("quot"), "nijenhuis", where)
-        sub = ws.get(need("sub"), "nijenhuis", where)
-        try:
-            ws.define(
-                name, "extension", build_extension(cocycle, quot, sub), where
-            )
-        except (StructuralError, PreconditionError) as exc:
-            raise WorkspaceError(path, lineno, 1, str(exc))
-    elif kind == "pair":
-        alpha = ws.get(need("alpha"), "map", where)
-        beta = ws.get(need("beta"), "map", where)
-        ws.define(name, "pair", AutomorphismPair(alpha, beta), where)
-    elif kind == "series":
-        base = ws.get(need("base"), "nijenhuis", where)
-        terms = [
-            ws.get(t, "map", where) for t in need("terms").split("+")
-        ]
-        ws.define(name, "series", DeformationSeries(base, terms), where)
-    elif kind == "twoterm":
-        l0 = ws.get(need("l0"), "algebra", where)
-        l1 = ws.get(need("l1"), "module", where)
-        d = ws.get(need("d"), "map", where)
-        action = ws.get(need("action"), "rep", where)
-        l3 = ws.get(options["l3"], "cochain", where) if "l3" in options else None
-        ws.define(
-            name,
-            "twoterm",
-            TwoTermConformal(l0, l1, d, action.action, l3=l3),
-            where,
-        )
-    elif kind == "homotopyop":
-        n0 = ws.get(need("n0"), "map", where)
-        n1 = ws.get(need("n1"), "map", where)
-        n2 = ws.get(options["n2"], "cochain", where) if "n2" in options else None
-        ws.define(name, "homotopyop", (n0, n1, n2), where)
-    else:
+    if kind not in _BLOCKS:
         raise WorkspaceError(path, lineno, 1, "unknown object kind %r" % kind)
+    options, builder, reads_body = _BLOCKS[kind]
+    given = {}  # key -> (value, its index in the header)
+    for (key, key_start), value in zip(words[2::2], words[3::2]):
+        if key not in [option.key for option in options]:
+            raise WorkspaceError(
+                path, lineno, key_start + 1, "unknown %s option %r" % (kind, key)
+            )
+        given[key] = value
+    body = block[1:]
+    if body and not reads_body:
+        raise WorkspaceError(
+            path, body[0][0], 1, "a %s block takes no body lines" % kind
+        )
+    where = (path, lineno, 1)
+    args = [path, lineno, body] if reads_body else []
+    for option in options:
+        if option.key not in given:
+            if option.required:
+                raise WorkspaceError(
+                    path, lineno, 1, "%s needs a %r option" % (kind, option.key)
+                )
+            args.append(None)
+            continue
+        value, start = given[option.key]
+        if option.kind is None:
+            args.append((lineno, header[: start + len(value)], start))
+        elif option.kind.endswith("+"):
+            args.append([ws.get(v, option.kind[:-1], where) for v in value.split("+")])
+        else:
+            args.append(ws.get(value, option.kind, where))
+    try:
+        obj = builder(*args)
+    except (StructuralError, PreconditionError) as exc:
+        raise WorkspaceError(path, lineno, 1, str(exc))
+    ws.define(words[1][0], kind, obj, where)
 
 
 def _resolve(path, search):
@@ -447,42 +427,38 @@ def _emit_matrix(out, name, mapping, indent=1):
 # verbs
 
 
+def _check_nijenhuis_object(value):
+    report = check_lca(value.algebra)
+    report.checks += check_nijenhuis(value.algebra, value.n).checks
+    return report
+
+
+# kind -> checker; the cocycle and pair checkers also take --quot and --sub
+_CHECKERS = {
+    "algebra": check_lca,
+    "nijenhuis": _check_nijenhuis_object,
+    "rep": check_representation,
+    "extension": check_extension,
+    "cocycle": check_nonabelian_cocycle,
+    "pair": check_automorphism_pair,
+    "twoterm": check_2term,
+}
+
+
 def _verb_check(ws, args, out):
     kind, value = ws.objects.get(args.name, (None, None))
     if kind is None:
         raise WorkspaceError("<args>", 0, 0, "unknown object %r" % args.name)
-    if kind == "algebra":
-        report = check_lca(value)
-    elif kind == "nijenhuis":
-        report = check_lca(value.algebra)
-        for key, status, witness in check_nijenhuis(value.algebra, value.n).checks:
-            report.add_status(key, status, witness)
-    elif kind == "rep":
-        report = check_representation(value)
-    elif kind == "extension":
-        report = check_extension(value)
-    elif kind == "cocycle":
-        quot = ws.get(args.quot, "nijenhuis") if args.quot else None
-        sub = ws.get(args.sub, "nijenhuis") if args.sub else None
-        if quot is None or sub is None:
+    if kind not in _CHECKERS:
+        raise WorkspaceError("<args>", 0, 0, "object kind %r has no checker" % kind)
+    extra = []
+    if kind in ("cocycle", "pair"):
+        extra = [ws.get(n, "nijenhuis") for n in (args.quot, args.sub) if n]
+        if len(extra) < 2:
             raise WorkspaceError(
-                "<args>", 0, 0, "checking a cocycle needs --quot and --sub"
+                "<args>", 0, 0, "checking a %s needs --quot and --sub" % kind
             )
-        report = check_nonabelian_cocycle(value, quot, sub)
-    elif kind == "pair":
-        quot = ws.get(args.quot, "nijenhuis") if args.quot else None
-        sub = ws.get(args.sub, "nijenhuis") if args.sub else None
-        if quot is None or sub is None:
-            raise WorkspaceError(
-                "<args>", 0, 0, "checking a pair needs --quot and --sub"
-            )
-        report = check_automorphism_pair(value, quot, sub)
-    elif kind == "twoterm":
-        report = check_2term(value)
-    else:
-        raise WorkspaceError(
-            "<args>", 0, 0, "object kind %r has no checker" % kind
-        )
+    report = _CHECKERS[kind](value, *extra)
     _emit(out, "object", "%s (%s)" % (args.name, kind))
     _emit_report(out, report)
     return report.passed
@@ -657,8 +633,10 @@ def _verb_lift(ws, args, out):
 
 def _verb_classify(ws, args, out):
     structure = ws.get(args.name, "twoterm")
-    n0, n1, n2 = ws.get(args.op, "homotopyop")
-    op = HomotopyNijenhuis(structure, n0, n1, n2)
+    try:
+        op = HomotopyNijenhuis(structure, *ws.get(args.op, "homotopyop"))
+    except StructuralError as exc:
+        raise WorkspaceError("<args>", 0, 0, str(exc))
     report = check_homotopy_nijenhuis(structure, op)
     _emit(out, "object", args.name)
     _emit_report(out, report)

@@ -31,6 +31,7 @@ from .lca import (
     _jacobi_failures,
     _output_tuples,
     _skew_failures,
+    _torsion_failures,
     _torsion_is_inert,
     _torsion_mixing,
 )
@@ -231,10 +232,15 @@ def check_nonabelian_cocycle(cocycle, quot, sub):
     conformal axioms (or of the Nijenhuis identity) on the candidate total
     structure:
 
-    * ``chi-skew``         -- skew-symmetry on L-L pairs;
+    * ``chi-skew``         -- skew-symmetry on L-L pairs; when it holds,
+      sesquilinearity on those pairs: chi vanishes where either argument is
+      torsion (see :func:`lca._torsion_failures`);
     * ``rho-derivation``   -- Jacobi on (L, H, H) triples;
     * ``curvature``        -- Jacobi on (L, L, H) triples: the failure of
-      rho to be a representation equals the adjoint action of chi;
+      rho to be a representation equals the adjoint action of chi; when it
+      holds, sesquilinearity on the pairs that meet H, as in the
+      ``representation`` line of :func:`lca.check_representation`: rho acts
+      on no torsion generator of H and no torsion generator of L acts;
     * ``jacobi``           -- Jacobi on (L, L, L) triples (the chi 2-cocycle
       condition twisted by rho);
     * ``operator-module``  -- the Nijenhuis identity on mixed pairs; when
@@ -269,14 +275,22 @@ def _cocycle_report(total, operator, rank_l):
         every = product(*index_sets)
         return [t for t in every if not sorted_only or list(t) == sorted(t)]
 
+    # a bracket or action on the total's torsion fails the line of its pair
+    torsion = _torsion_failures(total.table, total.module, total.module)
+    on_l = [f for f in torsion if max(f[0]) < rank_l]
+
     report = Report("nonabelian-cocycle")
-    report.add_failures("chi-skew", [f for f in skew_failures if f[0][1] < rank_l])
-    for name, index_sets in (
-        ("rho-derivation", (l_idx, h_idx, h_idx)),
-        ("curvature", (l_idx, l_idx, h_idx)),
-        ("jacobi", (l_idx, l_idx, l_idx)),
+    report.add_failures(
+        "chi-skew", [f for f in skew_failures if f[0][1] < rank_l] or on_l
+    )
+    for name, index_sets, on_torsion in (
+        ("rho-derivation", (l_idx, h_idx, h_idx), []),
+        ("curvature", (l_idx, l_idx, h_idx), [f for f in torsion if f not in on_l]),
+        ("jacobi", (l_idx, l_idx, l_idx), []),
     ):
-        report.add_failures(name, _jacobi_failures(total, tuples(*index_sets)))
+        report.add_failures(
+            name, _jacobi_failures(total, tuples(*index_sets)) or on_torsion
+        )
     mixed = tuples(l_idx, h_idx) + tuples(h_idx, l_idx)
     report.add_failures(
         "operator-module",

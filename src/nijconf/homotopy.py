@@ -44,6 +44,7 @@ from .nijenhuis import (
     NijenhuisLCA,
     NijenhuisRep,
     _deformed,
+    _require_linear,
     check_nij_representation,
     check_nijenhuis,
     deformed_table,
@@ -65,6 +66,11 @@ class TwoTermConformal:
     def __init__(self, l0, l1, d, action, l3=None, bracket_11=None):
         if d.source != l1 or d.target != l0.module:
             raise ModuleMismatchError("differential must map L1 to L0")
+        _require_linear(d, "differential")
+        if l3 is not None and (l3.degree != 3 or l3.source != l0 or l3.target != l1):
+            raise ModuleMismatchError(
+                "l3 must be a degree-3 cochain on L0 with values in L1"
+            )
         self.l0 = l0
         self.l1 = l1
         self.d = d
@@ -103,6 +109,12 @@ class HomotopyNijenhuis:
             raise ModuleMismatchError("N0 must be an endomorphism of L0")
         if n1.source != structure.l1 or n1.target != structure.l1:
             raise ModuleMismatchError("N1 must be an endomorphism of L1")
+        if n2 is not None and (
+            n2.degree != 2 or n2.source != structure.l0 or n2.target != structure.l1
+        ):
+            raise ModuleMismatchError(
+                "N2 must be a degree-2 cochain on L0 with values in L1"
+            )
         self.structure = structure
         self.n0 = n0
         self.n1 = n1
@@ -421,6 +433,7 @@ class CrossedModule:
             raise ModuleMismatchError("t must map the upper algebra to the lower")
         if rho.algebra != lower.algebra or rho.module != upper.algebra.module:
             raise ModuleMismatchError("rho must act by the lower algebra on the upper")
+        _require_linear(t, "t")
         self.lower = lower
         self.upper = upper
         self.t = t

@@ -34,16 +34,17 @@ def _require_endo(lca, n):
         raise ModuleMismatchError("operator is not an endomorphism of the algebra")
 
 
-def _require_linear(n):
-    """Refuse an endomorphism that is not Q[del]-linear on torsion (see
-    :func:`_torsion_mixing`), naming its least offending entry."""
-    mixing = _torsion_mixing(n)
+def _require_linear(mapping, what="operator"):
+    """Refuse a map that is not Q[del]-linear on torsion (see
+    :func:`_torsion_mixing`), naming its least offending entry by its row
+    in the target basis and its column in the source basis."""
+    mixing = _torsion_mixing(mapping)
     if mixing:
-        s, t = (n.source.basis[k] for k in mixing[0])
+        s, t = mapping.target.basis[mixing[0][0]], mapping.source.basis[mixing[0][1]]
         raise PreconditionError(
-            "operator is not Q[del]-linear: its entry (%s, %s) maps the "
+            "%s is not Q[del]-linear: its entry (%s, %s) maps the "
             "torsion generator %s onto %s, where del acts otherwise"
-            % (s, t, t, s)
+            % (what, s, t, t, s)
         )
 
 

@@ -422,3 +422,98 @@ def test_cohomology_rejects_a_rep_of_another_algebra():
         "-f", CORE, "cohomology", "sl2p", "--coeffs", "zerorep", "--bound", "1"
     )
     assert code == 0 and "h-dim: 1" in out
+
+
+# blocks the refusal cases below build on; each case's block is line 31
+BLOCK_WS = (
+    "module vm\n  basis L\n\nmodule tm\n  basis c\n  del 0\n\n"
+    "algebra vir module vm\n  bracket L L = del + 2*lam1\n\n"
+    "rep zr algebra vir module tm\n\n"
+    "map idv source vm target vm\n  row 1\n\n"
+    "map idt source tm target tm\n  row 1\n\n"
+    "map zd source tm target vm\n  row 0\n\n"
+    "map td source tm target vm\n  row 1\n\n"
+    "nijenhuis vn algebra vir operator idv\n\n"
+    "cochain k2 degree 2 rep zr\n\n"
+    "cochain k3 degree 3 rep zr\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "block,diagnostic",
+    [
+        # the misspelled option was dropped: classify printed class: strict
+        ("twoterm tt l0 vir l1 tm d zd action zr L3 k2",
+         "31:40: unknown twoterm option 'L3'"),
+        # the bracket line was ignored, and `check nn` passed
+        ("nijenhuis nn algebra vir operator idv\n  bracket L L = 1",
+         "32:1: a nijenhuis block takes no body lines"),
+        # these four exited 1 without a position
+        ("pair p alpha idt beta zd", "31:1: pair components must be endomorphisms"),
+        ("series s base vn terms idv+idt",
+         "31:1: deformation terms must be endomorphisms of the algebra"),
+        ("twoterm tt l0 vir l1 vm d zd action zr",
+         "31:1: differential must map L1 to L0"),
+        ("twoterm tt l0 vir l1 tm d zd action zr l3 k2",
+         "31:1: l3 must be a degree-3 cochain on L0 with values in L1"),
+        # d(del c) = 0 but del d(c) = del L; `check tt` evaluated the laws
+        ("twoterm tt l0 vir l1 tm d td action zr",
+         "31:1: differential is not Q[del]-linear: its entry (L, c) maps the "
+         "torsion generator c onto L, where del acts otherwise"),
+    ],
+    ids=["unknown-option", "body-line", "pair", "series", "d-source", "l3-degree",
+         "d-torsion"],
+)
+def test_refused_blocks_exit_two_with_position(tmp_path, block, diagnostic):
+    bad = tmp_path / "blocks.ws"
+    bad.write_text(BLOCK_WS + block + "\n")
+    name = block.split()[1]
+    code, out, _ = run_cli("-f", str(bad), "check", name)
+    assert (code, out.splitlines()[-1]) == (2, "diagnostic: %s:%s" % (bad, diagnostic))
+
+
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        # exited 1 with "expected 3 arguments with forms"
+        ("homotopyop op n0 idv n1 idt n2 k3",
+         "N2 must be a degree-2 cochain on L0 with values in L1"),
+        # exited 1 without a position
+        ("homotopyop op n0 idt n1 idv", "N0 must be an endomorphism of L0"),
+    ],
+    ids=["n2-degree", "n0-module"],
+)
+def test_classify_reports_an_op_that_does_not_fit(tmp_path, op, message):
+    ws = tmp_path / "op.ws"
+    ws.write_text(BLOCK_WS + "twoterm tt l0 vir l1 tm d zd action zr\n\n" + op + "\n")
+    code, out, _ = run_cli("-f", str(ws), "classify", "tt", "--op", "op")
+    assert (code, out.splitlines()[-1]) == (2, "diagnostic: <args>:0:0: " + message)
+
+
+def test_cocycle_action_on_torsion_fails_the_check(tmp_path):
+    # rho(L)_lam c = c on the torsion generator c; the check used to pass
+    ws = tmp_path / "tc.ws"
+    ws.write_text(
+        "module vm\n  basis L\n\nmodule tm\n  basis c\n  del 0\n\n"
+        "algebra ab module vm\n\nalgebra ct module tm\n\n"
+        "map idv source vm target vm\n  row 1\n\n"
+        "map idt source tm target tm\n  row 1\n\n"
+        "nijenhuis abid algebra ab operator idv\n\n"
+        "nijenhuis ctid algebra ct operator idt\n\n"
+        "rep onrep algebra ab module tm\n  action L c = 1\n\n"
+        "cochain zchi degree 2 rep onrep\n\n"
+        "map zphi source vm target tm\n  row 0\n\n"
+        "cocycle tc chi zchi rho onrep phi zphi\n"
+    )
+    code, out, _ = run_cli("-f", str(ws), "check", "tc", "--quot", "abid", "--sub", "ctid")
+    assert (code, out) == (1, "\n".join([
+        "command: check tc",
+        "object: tc (cocycle)",
+        "  chi-skew: pass",
+        "  rho-derivation: pass",
+        "  curvature: fail at=0,1 residual=[(1)c#M]",
+        "  jacobi: pass",
+        "  operator-module: pass",
+        "  operator-bracket: pass",
+        "status: fail",
+    ]) + "\n")

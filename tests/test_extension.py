@@ -224,3 +224,44 @@ def test_section_escaping_kernel_is_rejected(ext_km, sl2_id):
     bad = ConfLinMap(m, emod, [[0] * 3 for _ in range(4)])
     with pytest.raises(PreconditionError):
         extract_cocycle(ext_km, section=bad)
+
+
+def _action_on_torsion(vir, central_line, c_triv):
+    # rho(L)_lam c = c on the torsion generator c (del c = 0)
+    ab = NijenhuisLCA(LCA(vir.module), ConfLinMap.identity(vir.module))
+    rho = RepTable(ab.algebra, central_line)
+    rho.set_action(0, 0, [1])
+    zero = ConfLinMap.zero(vir.module, central_line)
+    return NonAbelianCocycle(Cochain(2, rho), rho, zero), ab, c_triv
+
+
+def _chi_on_torsion(vir, central_line, c_triv):
+    # chi_lam(c, c) = lam c on the torsion quotient: skew, but not sesquilinear
+    chi = Cochain(2, RepTable(c_triv.algebra, central_line))
+    chi.set_value((0, 0), [LAM])
+    rho = RepTable(c_triv.algebra, central_line)
+    zero = ConfLinMap.zero(central_line, central_line)
+    return NonAbelianCocycle(chi, rho, zero), c_triv, c_triv
+
+
+@pytest.mark.parametrize(
+    "triple,failing",
+    [
+        (_action_on_torsion, "curvature: fail at=0,1 residual=[(1)c#M]"),
+        (_chi_on_torsion, "chi-skew: fail at=0,0 residual=[(lam1)c#M]"),
+    ],
+    ids=["action", "chi"],
+)
+def test_brackets_on_torsion_fail_the_cocycle_check(
+    vir, central_line, c_triv, triple, failing
+):
+    # sesquilinearity makes a bracket on a torsion generator zero; both
+    # triples used to pass the check, and building the first one failed
+    # only in the revalidation of the total ("underlying algebra fails
+    # check_lca")
+    cocycle, quot, sub = triple(vir, central_line, c_triv)
+    lines = check_nonabelian_cocycle(cocycle, quot, sub).lines()
+    assert [line for line in lines if not line.endswith(": pass")] == [failing]
+    with pytest.raises(PreconditionError) as caught:
+        build_extension(cocycle, quot, sub)
+    assert str(caught.value) == "triple is not a cocycle: " + failing

@@ -3,7 +3,11 @@
 Each case mutates a few lines of ``fixtures/core.ws`` (deleting, repeating
 or truncating a line, or putting a token into it) and builds an argv from
 the CLI's verbs, the workspace's object names and its flags, with a few
-tokens dropped or added.  ``cli.main`` runs in-process.  Whatever the input,
+tokens dropped or added.  Half the cases first mutate one block header
+through the block grammar of ``cli._BLOCKS``: they rename one of its
+options, or point one of its references at another object of the kind it
+names, so that the header stays well formed and the case can reach the
+builders and checks.  ``cli.main`` runs in-process.  Whatever the input,
 the exit code is 0, 1 or 2; an internal error (3), or a case that runs past
 its time budget, fails.  Solver limits are kept small (degree at most 2,
 bound at most 1) so that a well-formed case stays cheap.
@@ -39,6 +43,15 @@ TOKENS = [
     "module", "algebra", "map", "source", "target", "degree", "rep", "del",
     "del 1", "free", "x", "nan", "0.5", "1e5",
 ] + NAMES
+# the headers of the fixture's blocks, the objects they define by kind, and
+# every option key of the block grammar
+HEADERS = [i for i, line in enumerate(CORE_LINES) if line.split(" ")[0] in cli._BLOCKS]
+OBJECTS = {}
+for _kind, _name, *_ in (CORE_LINES[i].split() for i in HEADERS):
+    OBJECTS.setdefault(_kind, []).append(_name)
+OPTION_KEYS = sorted(
+    {option.key for options, _, _ in cli._BLOCKS.values() for option in options}
+)
 VERBS = ["check", "cohomology", "extend", "wells", "induce", "lift", "deform", "classify"]
 FLAGS = [
     [], ["--bound", "0"], ["--bound", "-1"], ["--bound", "7"], ["--bound", "x"],
@@ -49,10 +62,31 @@ FLAGS = [
 ] + [["--coeffs", name] for name in ("zerorep", "zerorepvir", "nonesuch")]
 
 
+def _mutate_header(draw, words):
+    """Rename one option of a block header, or point one of its references
+    at another object of the kind it names."""
+    options = {option.key: option for option in cli._BLOCKS[words[0]][0]}
+    references = [k for k in range(2, len(words), 2) if options[words[k]].kind]
+    if draw(st.booleans()) or not references:
+        words[draw(st.sampled_from(range(2, len(words), 2)))] = draw(
+            st.sampled_from(OPTION_KEYS)
+        )
+    else:
+        k = draw(st.sampled_from(references))
+        kind = options[words[k]].kind.rstrip("+")
+        words[k + 1] = draw(st.sampled_from(OBJECTS[kind]))
+
+
 @st.composite
 def workspaces(draw):
     lines = list(CORE_LINES)
-    for _ in range(draw(st.integers(1, 3))):
+    header = draw(st.booleans())
+    if header:
+        i = draw(st.sampled_from([i for i in HEADERS if len(lines[i].split()) > 2]))
+        words = lines[i].split()
+        _mutate_header(draw, words)
+        lines[i] = " ".join(words)
+    for _ in range(draw(st.integers(0 if header else 1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         action = draw(st.sampled_from(["delete", "repeat", "truncate", "replace", "insert"]))

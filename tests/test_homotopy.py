@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from nijconf.cohomology import Cochain, apply_delta, cochain_space, random_cochain
+from nijconf.errors import ModuleMismatchError, PreconditionError
 from nijconf.homotopy import (
     CrossedModule,
     HomotopyNijenhuis,
@@ -120,3 +121,37 @@ def test_non_closed_jacobiator_fails_the_last_law(vir, central_line):
     structure = _skeletal(vir, central_line, l3=bad)
     report = check_2term(structure)
     assert not report.passed
+
+
+def test_two_term_refuses_a_jacobiator_of_another_degree(vir, central_line):
+    # a degree-2 l3 was accepted, and check_2term raised StructuralError
+    # ("expected 2 arguments with forms") on evaluating it
+    with pytest.raises(ModuleMismatchError) as caught:
+        _skeletal(vir, central_line, l3=Cochain(2, RepTable(vir, central_line)))
+    assert str(caught.value) == "l3 must be a degree-3 cochain on L0 with values in L1"
+
+
+def test_homotopy_operator_refuses_n2_of_another_degree(vir, central_line):
+    # a degree-3 N2 was accepted, and check_homotopy_nijenhuis raised
+    # StructuralError ("expected 3 arguments with forms") on evaluating it
+    structure = _skeletal(vir, central_line)
+    ids = ConfLinMap.identity(vir.module), ConfLinMap.identity(central_line)
+    with pytest.raises(ModuleMismatchError) as caught:
+        HomotopyNijenhuis(structure, *ids, Cochain(3, structure.rep))
+    assert str(caught.value) == "N2 must be a degree-2 cochain on L0 with values in L1"
+
+
+def test_maps_mixing_torsion_are_refused(vir, vir_id, central_line, c_triv):
+    # c -> L is not Q[del]-linear: del c = 0, but del L != 0; both the
+    # differential and the crossed-module boundary used to be accepted
+    mixing = ConfLinMap(central_line, vir.module, [[1]])
+    message = (
+        "%s is not Q[del]-linear: its entry (L, c) maps the torsion "
+        "generator c onto L, where del acts otherwise"
+    )
+    with pytest.raises(PreconditionError) as caught:
+        TwoTermConformal(vir, central_line, mixing, StructureTable(1, 1, 1))
+    assert str(caught.value) == message % "differential"
+    with pytest.raises(PreconditionError) as caught:
+        CrossedModule(vir_id, c_triv, mixing, RepTable(vir, central_line))
+    assert str(caught.value) == message % "t"

@@ -1,15 +1,20 @@
-"""Source-level rules that keep one failure collector and one witness format.
+"""Source-level rules: one failure collector and one witness format, and a
+documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
 names the least failing tuple in the one ``at=... residual=[...]`` format of
 ``report.first_witness``.  A module that formats that witness itself, or
 appends to a failure list by hand, has grown a second copy of this logic.
+Every block kind of ``cli._BLOCKS`` and each of its options is named in the
+README's workspace grammar.
 """
 
 import glob
 import os
 import re
+
+from nijconf import cli
 
 from test_cli import ROOT
 
@@ -35,3 +40,15 @@ def test_only_report_collects_failures_and_formats_witnesses():
                     if pattern.search(line)
                 ]
     assert offences == []
+
+
+def test_readme_grammar_names_every_block_kind_and_option():
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        readme = handle.read()
+    section = readme.split("### Workspace grammar", 1)[1].split("\n## ", 1)[0]
+    names = [
+        name
+        for kind, (options, _, _) in cli._BLOCKS.items()
+        for name in [kind] + [option.key for option in options]
+    ]
+    assert [name for name in names if "`%s`" % name not in section] == []
