@@ -31,7 +31,7 @@ from .cohomology import (
     solve_truncated,
 )
 from .deformation import DeformationSeries, check_order, infinitesimal_cocycle, obstruction
-from .errors import StructuralError, PreconditionError, UnsupportedModeError
+from .errors import ModuleMismatchError, PreconditionError, StructuralError, UnsupportedModeError
 from .extension import (
     NonAbelianCocycle,
     build_extension,
@@ -274,6 +274,13 @@ def _build_cochain(path, lineno, body, rep, degree_literal):
     return cochain
 
 
+def _build_twoterm(l0, l1, d, action, l3):
+    structure = TwoTermConformal(l0, l1, d, action.action, l3)
+    if action.algebra != l0 or action.module != l1:
+        raise ModuleMismatchError("action must be a rep of L0 on L1")
+    return structure
+
+
 _Option = namedtuple("_Option", "key kind required")
 
 
@@ -309,7 +316,7 @@ _BLOCKS = {
     "series": (_options("base:nijenhuis terms:map+"), DeformationSeries, False),
     "twoterm": (
         _options("l0:algebra l1:module d:map action:rep l3:cochain?"),
-        lambda l0, l1, d, action, l3: TwoTermConformal(l0, l1, d, action.action, l3),
+        _build_twoterm,
         False,
     ),
     "homotopyop": (_options("n0:map n1:map n2:cochain?"), lambda *ops: ops, False),
@@ -699,6 +706,17 @@ def _build_parser():
     return parser
 
 
+# How main reports an exception: the first entry whose classes match gives
+# the status line, the diagnostic's format (of the exception) and the exit
+# code.  Any other exception is an internal invariant violation.
+_ERRORS = (
+    (WorkspaceError, "error", "{0}", 2),
+    (UnsupportedModeError, "error", "unsupported mode: {0}", 2),
+    ((StructuralError, PreconditionError), "error", "{0}", 1),
+    (Exception, "internal-error", "{0.__class__.__name__}: {0}", 3),
+)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -718,29 +736,16 @@ def main(argv=None):
             )
         ws = parse_workspace(args.files)
         passed = _VERBS[args.verb](ws, args, out)
+    except Exception as exc:
+        status, diagnostic, code = next(
+            entry[1:] for entry in _ERRORS if isinstance(exc, entry[0])
+        )
+        _emit(out, "status", status)
+        _emit(out, "diagnostic", diagnostic.format(exc))
+    else:
         status = PASS if passed else FAIL
+        _emit(out, "status", "infeasible" if _infeasible(out, status) else status)
         code = 0 if passed else 1
-    except WorkspaceError as exc:
-        _emit(out, "status", "error")
-        _emit(out, "diagnostic", str(exc))
-        _finish(args, out, started)
-        return 2
-    except UnsupportedModeError as exc:
-        _emit(out, "status", "error")
-        _emit(out, "diagnostic", "unsupported mode: %s" % exc)
-        _finish(args, out, started)
-        return 2
-    except (StructuralError, PreconditionError) as exc:
-        _emit(out, "status", "error")
-        _emit(out, "diagnostic", str(exc))
-        _finish(args, out, started)
-        return 1
-    except Exception as exc:  # internal invariant violation
-        _emit(out, "status", "internal-error")
-        _emit(out, "diagnostic", "%s: %s" % (type(exc).__name__, exc))
-        _finish(args, out, started)
-        return 3
-    _emit(out, "status", "infeasible" if _infeasible(out, status) else status)
     _finish(args, out, started)
     return code
 

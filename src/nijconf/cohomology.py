@@ -558,8 +558,7 @@ class CochainPair:
     def __eq__(self, other):
         if not isinstance(other, CochainPair):
             return NotImplemented
-        ga = self.g if self.g is not None else None
-        gb = other.g if other.g is not None else None
+        ga, gb = self.g, other.g
         if (ga is None) != (gb is None):
             return (ga is None or ga.is_zero()) and (gb is None or gb.is_zero())
         return self.f == other.f and (ga is None or ga == gb)
@@ -691,13 +690,13 @@ def cochain_space(rep, degree, bound):
     return [_combine(combo, elementary) for combo in nullspace(residual_cols)]
 
 
-def _structure_degree(rep):
-    degree = 1
-    for table in (rep.algebra.table, rep.action):
-        for value in table.entries.values():
-            for poly in value:
-                degree = max(degree, poly.total_degree())
-    return degree
+def _max_degree(*vectors):
+    """The largest total degree of a polynomial in ``vectors``, and at least 1.
+
+    Each vector is a sequence of polynomials: a table value, the coordinates
+    of a cochain value or a row of a map.
+    """
+    return max([1] + [poly.total_degree() for vector in vectors for poly in vector])
 
 
 def solve_truncated(rep, degree, bound, differential=None):
@@ -739,7 +738,8 @@ def solve_truncated(rep, degree, bound, differential=None):
 
     dim_im = 0
     if degree >= 1:
-        lower = cochain_space(rep, degree - 1, bound + _structure_degree(rep))
+        values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
+        lower = cochain_space(rep, degree - 1, bound + _max_degree(*values))
         keys = _output_tuples(rank_l, degree, sorted_only)
         vecs = [_cochain_vector(differential(g, keys=keys)) for g in lower]
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}

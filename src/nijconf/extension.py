@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .cohomology import Cochain, _cochain_vector, _cochain_witness, act_form
+from .cohomology import Cochain, _cochain_vector, _cochain_witness, _max_degree, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     ConfLinMap,
@@ -320,8 +320,10 @@ def _mixing_failures(mapping):
 def build_extension(cocycle, quot, sub):
     """The extension on L (+) H carried by a non-abelian 2-cocycle.
 
-    The total structure is constructor-validated, so the output genuinely
-    satisfies the conformal axioms and the Nijenhuis identity; the canonical
+    The total structure is validated by :func:`check_nonabelian_cocycle`
+    alone: with validated ``quot`` and ``sub``, a passing report means that
+    it satisfies the conformal axioms and the Nijenhuis identity, which
+    ``tests/test_totals.py`` pins on seeded random triples.  The canonical
     inclusion, projection and section are returned alongside.
     """
     report, ext = checked_extension(cocycle, quot, sub)
@@ -337,16 +339,17 @@ def checked_extension(cocycle, quot, sub):
     """The report of :func:`check_nonabelian_cocycle` on a triple, and the
     extension of :func:`build_extension` when the report passes (else None).
 
-    The candidate total is built and checked once for both.  An operator
-    that is not Q[del]-linear on torsion is refused before the report, as
-    :class:`NijenhuisLCA` refuses it.
+    The candidate total is built and checked once for both, and the report
+    is its only validation.  An operator that is not Q[del]-linear on
+    torsion is refused before the report, as :class:`NijenhuisLCA` refuses
+    it.
     """
     total, operator, rank_l = _candidate_total(cocycle, quot, sub)
     _require_linear(operator)
     report = _cocycle_report(total, operator, rank_l)
     if not report.passed:
         return report, None
-    total_n = NijenhuisLCA(total, operator)
+    total_n = NijenhuisLCA.raw(total, operator)
     l_mod = quot.algebra.module
     h_mod = sub.algebra.module
     total_mod = total.module
@@ -416,21 +419,6 @@ def _equivalence_residuals(c1, c2, quot, sub, tau):
     for i in range(l_mod.rank):
         operator_res.set_value((i,), defect.apply(l_mod.basis_elem(i)))
     return action_res, bracket_res, operator_res
-
-
-def _default_tau_bound(c1, c2, quot):
-    degree = 1
-    for cocycle in (c1, c2):
-        for value in cocycle.chi.values.values():
-            for p in value.coords:
-                degree = max(degree, p.total_degree())
-        for row in cocycle.phi.matrix:
-            for p in row:
-                degree = max(degree, p.total_degree())
-    for value in quot.algebra.table.entries.values():
-        for p in value:
-            degree = max(degree, p.total_degree())
-    return degree
 
 
 def map_system(l_mod, h_mod, bound, residuals):
@@ -503,7 +491,12 @@ def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
     if not abelian:
         raise PreconditionError("solving for tau needs an abelian H-bracket")
     if bound is None:
-        bound = _default_tau_bound(c1, c2, quot)
+        bound = _max_degree(
+            *(value.coords for c in (c1, c2) for value in c.chi.values.values()),
+            *c1.phi.matrix,
+            *c2.phi.matrix,
+            *quot.algebra.table.entries.values(),
+        )
     columns, rhs, to_map = map_system(
         l_mod,
         h_mod,

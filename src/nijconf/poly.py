@@ -167,12 +167,6 @@ class Poly:
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
 

@@ -517,3 +517,23 @@ def test_cocycle_action_on_torsion_fails_the_check(tmp_path):
         "  operator-bracket: pass",
         "status: fail",
     ]) + "\n")
+
+
+@pytest.mark.parametrize("algebra", ["other", "vir"], ids=["algebra", "module"])
+def test_twoterm_refuses_an_action_of_another_algebra_or_module(tmp_path, algebra):
+    # orep has the shape of an action of vir on tm but acts on wm, and with
+    # `other` by another algebra; `check tt` read its table as [[L_lam x]]
+    # and exited 1 on "L7: fail at=0,0,0 residual=[(lam1^2 - lam2^2)x]"
+    ws = tmp_path / "probe.ws"
+    ws.write_text(
+        "module om\n  basis L\n\nmodule wm\n  basis c\n\n"
+        "module tm\n  basis x\n  del 0\n\n"
+        "algebra other module om\n\n"
+        "rep orep algebra %s module wm\n  action L c = lam1\n\n"
+        "map zd source tm target virmod\n  row 0\n\n"
+        "twoterm tt l0 vir l1 tm d zd action orep\n" % algebra
+    )
+    code, out, _ = run_cli("-f", CORE, "-f", str(ws), "check", "tt")
+    assert (code, out.splitlines()[-1]) == (
+        2, "diagnostic: %s:19:1: action must be a rep of L0 on L1" % ws
+    )

@@ -18,7 +18,7 @@ from nijconf.cohomology import (
     _elementary_cochain,
     _monomials,
     _skew_residuals,
-    _structure_degree,
+    _max_degree,
     check_cochain_skew,
     cochain_space,
     cup_product,
@@ -310,9 +310,8 @@ def _solve_truncated_reference(rep, degree, bound, differential):
     kernel = linalg.nullspace([_cochain_vector(differential(f)) for f in basis])
     dim_im = 0
     if degree >= 1:
-        lower = _cochain_space_reference(
-            rep, degree - 1, bound + _structure_degree(rep)
-        )
+        values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
+        lower = _cochain_space_reference(rep, degree - 1, bound + _max_degree(*values))
         vecs = [_cochain_vector(differential(g)) for g in lower]
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = linalg.rank(vecs) - linalg.rank(vecs, keys=high)

@@ -178,7 +178,7 @@ def report_nij_representation():
     sl2 = sl2_p.algebra
     rep = RepTable(sl2, sl2.module, sl2.table)
     n_m = ConfLinMap.diagonal(sl2.module, [1, 2, 3])
-    return check_nij_representation(sl2_p, NijenhuisRep.raw(rep, n_m))
+    return check_nij_representation(sl2_p, NijenhuisRep(rep, n_m))
 
 
 def report_order():

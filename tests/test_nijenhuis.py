@@ -93,8 +93,8 @@ def test_power_suite_includes_table_identity(sl2_p):
 def test_nijenhuis_representation(sl2, sl2_p, central_line):
     rep = RepTable(sl2, central_line)  # zero action
     nm = ConfLinMap.identity(central_line)
-    assert check_nij_representation(sl2_p, NijenhuisRep.raw(rep, nm)).passed
-    nrep = NijenhuisRep(rep, nm, nlca=sl2_p)
+    nrep = NijenhuisRep(rep, nm)
+    assert check_nij_representation(sl2_p, nrep).passed
     combined = nij_semidirect(sl2_p, nrep)
     assert combined.algebra.module.rank == 4
     assert check_nijenhuis(combined.algebra, combined.n).passed
@@ -102,7 +102,7 @@ def test_nijenhuis_representation(sl2, sl2_p, central_line):
 
 def test_adjoint_as_nijenhuis_representation(sl2, sl2_p, proj_p):
     ad = RepTable(sl2, sl2.module, sl2.table)
-    assert check_nij_representation(sl2_p, NijenhuisRep.raw(ad, proj_p)).passed
+    assert check_nij_representation(sl2_p, NijenhuisRep(ad, proj_p)).passed
 
 
 def test_rejects_mismatched_operator(sl2, vir):

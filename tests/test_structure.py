@@ -1,13 +1,17 @@
-"""Source-level rules: one failure collector and one witness format, and a
-documented workspace grammar.
+"""Source-level rules: one failure collector and one witness format, one
+validation of a Nijenhuis structure, and a documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
 names the least failing tuple in the one ``at=... residual=[...]`` format of
 ``report.first_witness``.  A module that formats that witness itself, or
 appends to a failure list by hand, has grown a second copy of this logic.
-Every block kind of ``cli._BLOCKS`` and each of its options is named in the
-README's workspace grammar.
+A Nijenhuis structure from outside is validated once, by the constructor of
+``NijenhuisLCA``; the builders of totals trust their own checks and package
+the total with ``NijenhuisLCA.raw`` (pinned by ``tests/test_totals.py``), so
+no module calls the validating constructor.  Every block kind of
+``cli._BLOCKS`` and each of its options is named in the README's workspace
+grammar.
 """
 
 import glob
@@ -23,6 +27,7 @@ SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "nijconf", "*.py")))
 RULES = [
     ("formats an at= witness", re.compile(r"""["']at=""")),
     ("appends to a failure list", re.compile(r"\bfailures\s*(\.append\(|\+=)")),
+    ("validates a Nijenhuis structure again", re.compile(r"\bNijenhuisLCA\(")),
 ]
 
 
