@@ -303,6 +303,108 @@ def _perm_sign(perm):
 # the coboundary map and its twisted variants
 
 
+class _Coboundary:
+    """The conformal coboundary of one slice, planned once for its cochains.
+
+    Everything about an output tuple that does not depend on the cochain is
+    built here, once: its basis arguments and lambda-forms, the actors of
+    the first sum (twisted when ``twist`` is given) and the brackets
+    [x_i lam x_j] inserted in the second sum.  ``readers`` maps each input
+    tuple to the outputs that read it: the first sum reads the output tuple
+    with slot i removed, the second sum each coordinate of an inserted
+    bracket followed by the remaining slots.  A cochain is then mapped by
+    evaluating only the outputs its support reaches; the others are zero.
+    """
+
+    def __init__(self, rep, degree, twist=None, insert_table=None, keys=None):
+        if degree + 1 > MAX_DEGREE:
+            raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
+        if insert_table is None:
+            insert_table = rep.algebra.table
+        module = rep.algebra.module
+        arity = degree + 1
+        forms = _forms(arity, arity)
+        basis = _basis_args(module, range(module.rank))
+        actors = basis if twist is None else [twist.apply(x) for x in basis]
+        brackets = {}
+        self.rep, self.degree, self.arity, self.forms = rep, degree, arity, forms
+        self.outputs = []
+        self.readers = {}
+        if keys is None:
+            keys = product(range(module.rank), repeat=arity)
+        for index, key in enumerate(keys):
+            args = [basis[k] for k in key]
+            first = []
+            reads = set()
+            for i in range(arity):
+                rest = key[:i] + key[i + 1 :]
+                rest_args = args[:i] + args[i + 1 :]
+                rest_forms = forms[:i] + forms[i + 1 :]
+                first.append((i, actors[key[i]], rest, rest_args, rest_forms))
+                reads.add(rest)
+            second = []
+            for i, j in combinations(range(arity), 2):
+                slot = (key[i], key[j], i)
+                inserted = brackets.get(slot)
+                if inserted is None:
+                    inserted = brackets[slot] = act_form(
+                        insert_table, module, args[i], args[j], forms[i], arity
+                    )
+                rest = [k for k in range(arity) if k not in (i, j)]
+                second.append(
+                    (
+                        i + j,
+                        [inserted] + [args[k] for k in rest],
+                        [forms[i] + forms[j]] + [forms[k] for k in rest],
+                    )
+                )
+                rest_key = tuple(key[k] for k in rest)
+                reads.update(
+                    (c,) + rest_key for c, coord in enumerate(inserted.coords) if coord
+                )
+            self.outputs.append((key, first, second))
+            for source in reads:
+                self.readers.setdefault(source, []).append(index)
+
+    def __call__(self, f):
+        """The coboundary of ``f``, evaluated on the outputs it reaches."""
+        rep, arity, forms = self.rep, self.arity, self.forms
+        values = f.values
+        reached = {o for key in values for o in self.readers.get(key, ())}
+        out = Cochain(self.degree + 1, rep)
+        # f on the arguments left after omitting slot i depends only on
+        # (i, the remaining key), not on the omitted argument
+        inners = {}
+        for o in sorted(reached):
+            key, first, second = self.outputs[o]
+            acc = rep.module.zero(arity)
+            for i, actor, rest, rest_args, rest_forms in first:
+                if rest not in values:
+                    continue
+                inner = inners.get((i, rest))
+                if inner is None:
+                    inner = inners[i, rest] = eval_cochain(
+                        f, rest_args, rest_forms, arity
+                    )
+                term = act_form(rep.action, rep.module, actor, inner, forms[i], arity)
+                acc = acc + term if i % 2 == 0 else acc - term
+            for sign, args, arg_forms in second:
+                term = eval_cochain(f, args, arg_forms, arity)
+                acc = acc + term if sign % 2 == 0 else acc - term
+            out.set_value(key, dagger_substitute(acc, arity))
+        return out
+
+
+def _operator_coboundary(rep, degree, n_op, n_m, keys=None):
+    """d_{N,M} on degree-``degree`` cochains over ``rep``, planned once: the
+    twisted coboundary (action through N, deformed bracket inserted) minus
+    N_M composed with the plain one."""
+    deformed = deformed_table(rep.algebra, n_op)
+    twisted = _Coboundary(rep, degree, n_op, deformed.table, keys)
+    plain = _Coboundary(rep, degree, keys=keys)
+    return lambda f: twisted(f) - plain(f).map_target(n_m)
+
+
 def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
     """The conformal coboundary, optionally twisted.
 
@@ -313,55 +415,11 @@ def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
     bracket).  ``rep`` overrides the coefficient data entirely, which also
     changes the inserted bracket's default.  ``keys`` are the output basis
     tuples to evaluate (all of them by default); the result is zero on the
-    others.
+    others.  Only the outputs that read the support of ``f`` are evaluated
+    (see `_Coboundary`).
     """
-    if f.degree + 1 > MAX_DEGREE:
-        raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
-    if rep is None:
-        rep = f.rep
-    if insert_table is None:
-        insert_table = rep.algebra.table
-    n = f.degree
-    module = rep.algebra.module
-    arity = n + 1
-    forms = _forms(arity, arity)
-    out = Cochain(n + 1, rep)
-    # f on the arguments left after omitting slot i depends only on
-    # (i, the remaining key), not on the omitted argument
-    inners = {}
-    if keys is None:
-        keys = product(range(module.rank), repeat=n + 1)
-    for key in keys:
-        args = _basis_args(module, key)
-        acc = rep.module.zero(arity)
-        for i in range(n + 1):
-            rest_key = (i,) + key[:i] + key[i + 1 :]
-            inner = inners.get(rest_key)
-            if inner is None:
-                rest_args = args[:i] + args[i + 1 :]
-                rest_forms = forms[:i] + forms[i + 1 :]
-                inner = inners[rest_key] = eval_cochain(
-                    f, rest_args, rest_forms, arity
-                )
-            actor = args[i] if twist is None else twist.apply(args[i])
-            term = act_form(rep.action, rep.module, actor, inner, forms[i], arity)
-            acc = acc + term if i % 2 == 0 else acc - term
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                inserted = act_form(
-                    insert_table, module, args[i], args[j], forms[i], arity
-                )
-                rest_args = [args[k] for k in range(n + 1) if k not in (i, j)]
-                rest_forms = [forms[k] for k in range(n + 1) if k not in (i, j)]
-                term = eval_cochain(
-                    f,
-                    [inserted] + rest_args,
-                    [forms[i] + forms[j]] + rest_forms,
-                    arity,
-                )
-                acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.set_value(key, dagger_substitute(acc, arity))
-    return out
+    rep = f.rep if rep is None else rep
+    return _Coboundary(rep, f.degree, twist, insert_table, keys)(f)
 
 
 def apply_dNM(f, n_op, n_m, rep=None, keys=None):
@@ -372,28 +430,31 @@ def apply_dNM(f, n_op, n_m, rep=None, keys=None):
     specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).  ``keys``
     restricts the output tuples as in `apply_delta`.
     """
-    if rep is None:
-        rep = f.rep
-    deformed = deformed_table(rep.algebra, n_op)
-    twisted = apply_delta(
-        f, rep=rep, twist=n_op, insert_table=deformed.table, keys=keys
-    )
-    plain = apply_delta(f, rep=rep, keys=keys)
-    return twisted - plain.map_target(n_m)
+    rep = f.rep if rep is None else rep
+    return _operator_coboundary(rep, f.degree, n_op, n_m, keys)(f)
 
 
 def apply_dN(f, n_op, keys=None):
     """Adjoint-coefficient differential of a structure operator."""
-    _require_adjoint(f)
-    return apply_dNM(f, n_op, n_op, keys=keys)
+    return _differential(f.rep, f.degree, n_op, keys)(f)
+
+
+def _differential(rep, degree, operator=None, keys=None):
+    """The differential of a slice, given as data: delta when ``operator``
+    is None, else d_N of the structure operator (adjoint coefficients
+    only), planned once for every degree-``degree`` cochain over ``rep``."""
+    if operator is None:
+        return _Coboundary(rep, degree, keys=keys)
+    _require_adjoint(rep)
+    return _operator_coboundary(rep, degree, operator, operator, keys)
 
 
 # ---------------------------------------------------------------------------
 # graded brackets on adjoint cochains
 
 
-def _require_adjoint(f):
-    if f.target != f.source.module:
+def _require_adjoint(rep):
+    if rep.module != rep.algebra.module:
         raise PreconditionError("operation needs adjoint coefficients")
 
 
@@ -403,8 +464,8 @@ def _shuffle_sign(sel, rest):
 
 def circ_insert(J, K):
     """Insertion product: K evaluated on a shuffle block inside J's first slot."""
-    _require_adjoint(J)
-    _require_adjoint(K)
+    _require_adjoint(J.rep)
+    _require_adjoint(K.rep)
     m, n = J.degree, K.degree
     total = m + n - 1
     if total > MAX_DEGREE:
@@ -451,8 +512,8 @@ def nr_bracket(J, K):
 
 def cup_product(J, K):
     """Shuffle-summed bracket of values: sum [J(block1) lam K(block2)]."""
-    _require_adjoint(J)
-    _require_adjoint(K)
+    _require_adjoint(J.rep)
+    _require_adjoint(K.rep)
     m, n = J.degree, K.degree
     total = m + n
     if total > MAX_DEGREE:
@@ -585,7 +646,7 @@ def phi_chain_check(f, n_op):
     Phi(f) = (-1)^{n+1} delta(f) satisfies delta_N(Phi f) = Phi(d_N f), where
     delta_N is the adjoint coboundary of the deformed algebra.
     """
-    _require_adjoint(f)
+    _require_adjoint(f.rep)
     if f.degree > 2:
         raise DegreeOverflowError("chain check needs degree at most 2")
     n = f.degree
@@ -699,25 +760,42 @@ def _max_degree(*vectors):
     return max([1] + [poly.total_degree() for vector in vectors for poly in vector])
 
 
-def solve_truncated(rep, degree, bound, differential=None):
+def _slice(rep, degree, bound, operator=None, keys=None):
+    """A bounded cochain slice: its basis, and the differential images of
+    the basis cochains as sparse vectors on the output tuples ``keys``.
+
+    The one builder of solver slices.  The basis is
+    ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
+    through one plan of the differential (see `_differential`), which
+    touches only the support of each cochain.
+    """
+    basis = cochain_space(rep, degree, bound)
+    differential = _differential(rep, degree, operator, keys)
+    return basis, [_cochain_vector(differential(f)) for f in basis]
+
+
+def solve_truncated(rep, degree, bound, operator=None):
     """Exact kernel/image dimensions of a degree-truncated cochain slice.
 
-    Enumerates skew cochains of the given degree with polynomial entries of
-    total degree <= bound and solves differential = 0 for the cocycles.  The
-    coboundaries are the differential images V of the degree-(n-1) slice
-    (enumerated at bound + structure degree) that stay inside the bounded
-    slice: their dimension rank V - rank V_high equals that of V(ker V_high),
-    where V_high is V restricted to the monomials of degree > bound.
+    The differential is delta, or d_N of the structure operator ``operator``
+    (adjoint coefficients only).  Two truncations are taken.  The cochains
+    are the skew ones of the given degree with polynomial entries of total
+    degree <= ``bound``, and the cocycles solve differential = 0 among them.
+    The coboundaries are the differential images V of the degree-(n-1)
+    slice, truncated at ``bound +`` the structure degree, that stay inside
+    the bounded slice: their dimension rank V - rank V_high equals that of
+    V(ker V_high), where V_high is V restricted to the monomials of degree
+    > bound.
 
-    ``differential(f, keys=...)`` (default `apply_delta`) is evaluated on
-    non-decreasing output tuples only.  This is exact when ``rep.algebra``'s
-    bracket is conformally skew and its torsion central (the action may be
-    anything): it then maps skew cochains to skew cochains, and a skew
-    cochain's value on any other permutation of a tuple is an invertible,
-    degree-preserving substitution of its value on the sorted one.  So a
-    skew cochain vanishes, or has degree <= bound, exactly when its values
-    on sorted tuples do, and every kernel and rank is unchanged.  Otherwise
-    every tuple is evaluated.
+    The differential is evaluated on non-decreasing output tuples only.
+    This is exact when ``rep.algebra``'s bracket is conformally skew and its
+    torsion central, and ``operator`` does not mix torsion (the action may
+    be anything): the differential then maps skew cochains to skew
+    cochains, and a skew cochain's value on any other permutation of a
+    tuple is an invertible, degree-preserving substitution of its value on
+    the sorted one.  So a skew cochain vanishes, or has degree <= bound,
+    exactly when its values on sorted tuples do, and every kernel and rank
+    is unchanged.  Otherwise every tuple is evaluated.
     """
     from .linalg import nullspace, rank
 
@@ -727,21 +805,20 @@ def solve_truncated(rep, degree, bound, differential=None):
         )
     if bound > MAX_SOLVER_BOUND:
         raise PreconditionError("truncation bound too large")
-    if differential is None:
-        differential = apply_delta
     rank_l = rep.algebra.module.rank
-    sorted_only = _sorted_tuples_suffice(rep.algebra)
-    basis = cochain_space(rep, degree, bound)
+    sorted_only = _sorted_tuples_suffice(rep.algebra, n=operator)
     keys = _output_tuples(rank_l, degree + 1, sorted_only)
-    kernel = nullspace([_cochain_vector(differential(f, keys=keys)) for f in basis])
+    basis, images = _slice(rep, degree, bound, operator, keys)
+    kernel = nullspace(images)
     cocycles = [_combine(combo, basis) for combo in kernel]
 
     dim_im = 0
     if degree >= 1:
         values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
-        lower = cochain_space(rep, degree - 1, bound + _max_degree(*values))
         keys = _output_tuples(rank_l, degree, sorted_only)
-        vecs = [_cochain_vector(differential(g, keys=keys)) for g in lower]
+        _, vecs = _slice(
+            rep, degree - 1, bound + _max_degree(*values), operator, keys
+        )
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = rank(vecs) - rank(vecs, keys=high)
     return {
@@ -753,12 +830,17 @@ def solve_truncated(rep, degree, bound, differential=None):
     }
 
 
-def image_contains(rep, bound, differential, target):
-    """Whether ``target`` is a differential image within the bounded slice."""
+def image_contains(rep, bound, target, operator=None):
+    """Whether ``target`` is an image of delta, or of d_N of ``operator``,
+    within the bounded slice.
+
+    Unlike `solve_truncated`'s coboundaries, the preimages are truncated at
+    ``bound`` itself: the degree-(n-1) cochains with entries of total degree
+    <= ``bound``, their images evaluated on every output tuple.
+    """
     from .linalg import solve
 
-    lower = cochain_space(rep, target.degree - 1, bound)
-    vecs = [_cochain_vector(differential(g)) for g in lower]
+    _, vecs = _slice(rep, target.degree - 1, bound, operator)
     return solve(vecs, _cochain_vector(target)) is not None
 
 

@@ -131,8 +131,7 @@ def obstruction(series, bound=3):
     report = Report("obstruction")
     image = apply_dN(ob, base.n)
     report.add("cocycle", image.is_zero(), _cochain_witness(image))
-    differential = lambda f: apply_dN(f, base.n)  # noqa: E731
-    extensible = ob.is_zero() or image_contains(rep, bound, differential, ob)
+    extensible = ob.is_zero() or image_contains(rep, bound, ob, operator=base.n)
     report.add_status(
         "extensibility",
         "extensible@%d" % bound if extensible else "obstructed@%d" % bound,

@@ -38,6 +38,7 @@ from .lca import (
     sum_algebra,
     _output_tuples,
     _skew_failures,
+    _torsion_failures,
 )
 from .nijenhuis import (
     NijenhuisLCA,
@@ -49,7 +50,7 @@ from .nijenhuis import (
     deformed_table,
 )
 from .poly import Poly, dagger
-from .report import Report
+from .report import Report, failures_of
 
 
 class TwoTermConformal:
@@ -127,7 +128,10 @@ def check_2term(structure):
 
     L3, the skew-symmetry of the degree-0 bracket, is evaluated on pairs
     i <= j only, as in :func:`check_lca`: the residual at (j, i) is the one
-    at (i, j) with lam1 -> -del - lam1.
+    at (i, j) with lam1 -> -del - lam1.  As in :func:`check_representation`,
+    an action that satisfies L7 but is nonzero on an evaluation generator,
+    which sesquilinearity forbids (see :func:`_torsion_failures`), fails L7
+    at its least such pair.
     """
     report = Report("2term")
     t = structure
@@ -184,7 +188,11 @@ def check_2term(structure):
         )
 
     triples = product(range(mod0.rank), range(mod0.rank), range(mod1.rank))
-    report.add_residuals("L7", triples, l7)
+    report.add_failures(
+        "L7",
+        failures_of((key, l7(*key)) for key in triples)
+        or _torsion_failures(t.action, mod0, mod1),
+    )
 
     # L8 is the 4-argument cocycle identity for l3; the signs below are
     # pinned by requiring that, for a zero action, L8 holds exactly when

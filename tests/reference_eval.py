@@ -1,19 +1,28 @@
-"""Test-only reference: the dense element and cochain evaluators.
+"""Test-only reference: the dense element and cochain evaluators, and the
+coboundary evaluated cochain by cochain.
 
 These are the sesquilinear evaluator, the cochain evaluator and the dagger
 substitution as the engine had them before they worked only on the support
 of their arguments: every coordinate of both arguments is lifted and
 substituted, every table pair is read through ``StructureTable.get``, and a
-cochain evaluation scans every stored value.  They are kept, unoptimised, as
-the definitions that ``nijconf.lca.sesqui_eval``,
-``nijconf.cohomology.eval_cochain`` and ``nijconf.lca.dagger_substitute``
-are pinned to by ``tests/test_eval_reference.py``.
+cochain evaluation scans every stored value.  ``apply_delta`` is the
+coboundary as it was before it was planned once per slice: every output
+tuple is evaluated, and every inserted bracket is built again for every
+cochain; ``apply_dNM`` is its twisted difference.  They are kept,
+unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
+``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute`` and
+the coboundaries of ``nijconf.cohomology`` are pinned to by
+``tests/test_eval_reference.py``.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
+from nijconf import cohomology
 from nijconf.errors import ModuleMismatchError
 from nijconf.lca import Elem, _trusted_elem
+from nijconf.nijenhuis import deformed_table
 from nijconf.poly import Poly, _trusted, dagger
 
 
@@ -99,3 +108,57 @@ def dagger_substitute(elem, slot):
     if slot == arity:
         out = out.shrink(arity - 1)
     return out
+
+
+def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
+    """The conformal coboundary of ``f`` on every output tuple (or those in
+    ``keys``), with the options of ``nijconf.cohomology.apply_delta``."""
+    if rep is None:
+        rep = f.rep
+    if insert_table is None:
+        insert_table = rep.algebra.table
+    n = f.degree
+    module = rep.algebra.module
+    arity = n + 1
+    forms = [Poly.lam(i + 1, arity) for i in range(arity)]
+    out = cohomology.Cochain(n + 1, rep)
+    if keys is None:
+        keys = product(range(module.rank), repeat=n + 1)
+    for key in keys:
+        args = [module.basis_elem(i) for i in key]
+        acc = rep.module.zero(arity)
+        for i in range(n + 1):
+            inner = cohomology.eval_cochain(
+                f, args[:i] + args[i + 1 :], forms[:i] + forms[i + 1 :], arity
+            )
+            actor = args[i] if twist is None else twist.apply(args[i])
+            term = cohomology.act_form(
+                rep.action, rep.module, actor, inner, forms[i], arity
+            )
+            acc = acc + term if i % 2 == 0 else acc - term
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                inserted = cohomology.act_form(
+                    insert_table, module, args[i], args[j], forms[i], arity
+                )
+                rest_args = [args[k] for k in range(n + 1) if k not in (i, j)]
+                rest_forms = [forms[k] for k in range(n + 1) if k not in (i, j)]
+                term = cohomology.eval_cochain(
+                    f,
+                    [inserted] + rest_args,
+                    [forms[i] + forms[j]] + rest_forms,
+                    arity,
+                )
+                acc = acc + term if (i + j) % 2 == 0 else acc - term
+        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+    return out
+
+
+def apply_dNM(f, n_op, n_m, rep=None, keys=None):
+    """The twisted coboundary (action through N, deformed bracket inserted)
+    minus N_M composed with the plain one."""
+    if rep is None:
+        rep = f.rep
+    deformed = deformed_table(rep.algebra, n_op)
+    twisted = apply_delta(f, rep=rep, twist=n_op, insert_table=deformed.table, keys=keys)
+    return twisted - apply_delta(f, rep=rep, keys=keys).map_target(n_m)

@@ -216,9 +216,7 @@ def test_criterion_06_obstruction(sl2_p, proj_p):
         assert report.status_of("cocycle") == "pass"
         status = report.status_of("extensibility")
         ad = adjoint_rep(sl2_p.algebra)
-        within = ob.is_zero() or image_contains(
-            ad, 3, lambda f: apply_dN(f, sl2_p.n), ob
-        )
+        within = ob.is_zero() or image_contains(ad, 3, ob, operator=sl2_p.n)
         assert status == ("extensible@3" if within else "obstructed@3")
 
 

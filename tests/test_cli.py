@@ -537,3 +537,30 @@ def test_twoterm_refuses_an_action_of_another_algebra_or_module(tmp_path, algebr
     assert (code, out.splitlines()[-1]) == (
         2, "diagnostic: %s:19:1: action must be a rep of L0 on L1" % ws
     )
+
+
+def test_twoterm_action_on_torsion_fails_l7(tmp_path):
+    # [[L_lam x]] = x on the torsion generator x satisfies L1-L8, and `check
+    # tt` used to pass while `check trep` failed the same action
+    ws = tmp_path / "tt.ws"
+    ws.write_text(
+        "module om\n  basis L\n\nmodule tm\n  basis x\n  del 0\n\n"
+        "algebra ab module om\n\n"
+        "rep trep algebra ab module tm\n  action L x = 1\n\n"
+        "map zd source tm target om\n  row 0\n\n"
+        "twoterm tt l0 ab l1 tm d zd action trep\n"
+    )
+    code, out, _ = run_cli("-f", str(ws), "check", "tt")
+    assert (code, out) == (1, "\n".join([
+        "command: check tt",
+        "object: tt (twoterm)",
+        "  L1: pass",
+        "  L2: pass",
+        "  L3: pass",
+        "  L4: pass",
+        "  L5: pass",
+        "  L6: pass",
+        "  L7: fail at=0,0 residual=[(1)x]",
+        "  L8: pass",
+        "status: fail",
+    ]) + "\n")

@@ -5,19 +5,35 @@ nonzero coordinates of their arguments; ``tests/reference_eval.py`` keeps
 the dense versions that lift, substitute and scan everything.  Both must
 give the same coordinates, at the same arity, and print the same, on
 arguments with zero and all-zero coordinates, of mixed arities, over free,
-evaluation and mixed modules, and for cochains of degree 0 to 3.
+evaluation and mixed modules, and for cochains of degree 0 to 3.  The
+coboundaries, planned once and evaluated on the outputs a cochain's support
+reaches, must equal the per-cochain coboundary of the reference on every
+output tuple, or on a subset of them.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_eval
-from nijconf.cohomology import Cochain, eval_cochain
+from conftest import make_sl2, make_vir
+from nijconf.cohomology import (
+    Cochain,
+    adjoint_rep,
+    apply_dN,
+    apply_dNM,
+    apply_delta,
+    eval_cochain,
+    random_cochain,
+    skew_symmetrize,
+)
 from nijconf.lca import (
     FREE,
     LCA,
+    ConfLinMap,
     Elem,
     FreeModule,
     RepTable,
@@ -25,6 +41,7 @@ from nijconf.lca import (
     dagger_substitute,
     sesqui_eval,
 )
+from nijconf.nijenhuis import deformed_table
 from nijconf.poly import Poly
 
 _coeffs = st.one_of(
@@ -141,3 +158,99 @@ def test_dagger_substitute_matches_the_dense_reference(data):
     _assert_same(
         dagger_substitute(elem, slot), reference_eval.dagger_substitute(elem, slot)
     )
+
+
+# ---------------------------------------------------------------------------
+# the planned coboundary against the coboundary evaluated cochain by cochain
+
+
+def _line_rep(algebra, entry):
+    """``algebra`` acting on a free line v by [x_lam v] = entry * v."""
+    rep = RepTable(algebra, FreeModule(["v"]))
+    for i in range(algebra.module.rank):
+        rep.set_action(i, 0, [entry])
+    return rep
+
+
+def _reps():
+    """(name, rep, structure operator N, coefficient operator N_M) of each
+    case; N_M is N on adjoint coefficients."""
+    sl2, vir = make_sl2(), make_vir()
+    lam, dl = Poly.lam(1, 1), Poly.del_(1)
+    proj = ConfLinMap.diagonal(sl2.module, [1, 1, 0])
+    shear = ConfLinMap(sl2.module, sl2.module, [[1, 0, 0], [2, 1, 0], [0, Poly.del_(0), 3]])
+    # [x lam c] = c with del acting on c by 0: torsion that is not central,
+    # so an image on one tuple says nothing about its permutations
+    torsion = LCA(FreeModule(["x", "c"], [FREE, 0]))
+    torsion.set_bracket(0, 1, [0, 1])
+    torsion.set_bracket(1, 0, [0, -1])
+    mixed = RepTable(sl2, FreeModule(["a", "c"], [FREE, 1]))
+    mixed.set_action(0, 0, [lam, dl])
+    mixed.set_action(1, 1, [0, 2])
+    line = RepTable(sl2, FreeModule(["c"], 0))
+    return [
+        ("sl2-adjoint", adjoint_rep(sl2), shear, shear),
+        ("sl2-line", line, proj, ConfLinMap.scalar(line.module, 2)),
+        ("sl2-lam-line", _line_rep(sl2, lam), proj, ConfLinMap.scalar(FreeModule(["v"]), 3)),
+        ("vir-adjoint", adjoint_rep(vir), ConfLinMap.scalar(vir.module, 2),
+         ConfLinMap.scalar(vir.module, 2)),
+        ("vir-weight-2", _line_rep(vir, dl + lam.scale(2)), ConfLinMap.scalar(vir.module, 2),
+         ConfLinMap.scalar(FreeModule(["v"]), -1)),
+        ("torsion-adjoint", adjoint_rep(torsion), ConfLinMap.diagonal(torsion.module, [2, 1]),
+         ConfLinMap.diagonal(torsion.module, [2, 1])),
+        ("mixed-coefficients", mixed, proj, ConfLinMap.diagonal(mixed.module, [1, 2])),
+    ]
+
+
+def _cochains(rep, degree, rng):
+    """The zero cochain, one elementary cochain on one tuple, its skew
+    projection (one permutation orbit) and a random skew cochain."""
+    module = rep.algebra.module
+    arity = max(degree - 1, 0)
+    key = tuple(rng.randrange(module.rank) for _ in range(degree))
+    coord = rng.randrange(rep.module.rank)
+    monos = [m for m in product(range(2), repeat=arity + 1) if sum(m) <= 1]
+    if rep.module.actions[coord] != FREE:
+        monos = [m for m in monos if not m[0]]
+    elementary = Cochain(degree, rep)
+    coords = [Poly.zero(arity)] * rep.module.rank
+    coords[coord] = Poly(arity, {rng.choice(monos): rng.choice([1, -2, Fraction(1, 3)])})
+    elementary.set_value(key, Elem(rep.module, coords))
+    return [
+        Cochain(degree, rep),
+        elementary,
+        skew_symmetrize(elementary),
+        random_cochain(rep, degree, rng, max_degree=1, density=1),
+    ]
+
+
+def _key_subsets(rank, arity, rng):
+    everything = list(product(range(rank), repeat=arity))
+    return [
+        None,
+        list(combinations_with_replacement(range(rank), arity)),
+        rng.sample(everything, max(1, len(everything) // 3)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_coboundaries_match_the_per_cochain_reference(case):
+    _, rep, n_op, n_m = _reps()[case]
+    rng = Random(case)
+    algebra = rep.algebra
+    deformed = deformed_table(algebra, n_op)
+    adjoint = rep.module == algebra.module
+    for degree in range(4):
+        for f in _cochains(rep, degree, rng):
+            for keys in _key_subsets(algebra.module.rank, degree + 1, rng):
+                assert apply_delta(f, keys=keys) == reference_eval.apply_delta(f, keys=keys)
+                twisted = dict(twist=n_op, insert_table=deformed.table, keys=keys)
+                assert apply_delta(f, **twisted) == reference_eval.apply_delta(f, **twisted)
+                want = reference_eval.apply_dNM(f, n_op, n_m, keys=keys)
+                assert apply_dNM(f, n_op, n_m, keys=keys) == want
+                if adjoint:
+                    assert apply_dN(f, n_op, keys=keys) == want
+                    other = adjoint_rep(deformed)
+                    assert apply_delta(f, rep=other, keys=keys) == reference_eval.apply_delta(
+                        f, rep=other, keys=keys
+                    )

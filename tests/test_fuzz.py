@@ -3,11 +3,15 @@
 ``test_mutated_input_never_exits_three`` mutates a few lines of
 ``fixtures/core.ws`` (deleting, repeating or truncating a line, or putting a
 token into it) and runs one well-formed command of ``COMMANDS`` on it, so
-that every case gets past the argv to the objects.  Half the cases first
-mutate one block header through the block grammar of ``cli._BLOCKS``: they
-rename one of its options, or point one of its references at another object
-of the kind it names, so that the header stays well formed and the case can
-reach the builders and checks.  ``test_mutated_argv_never_exits_three``
+that every case gets past the argv to the objects.  Two cases in three
+first make one well-formed change through the workspace grammar, so that the
+case can reach the builders and checks.  Either they mutate one block header
+through the block grammar of ``cli._BLOCKS``: they rename one of its
+options, or point one of its references at another object of the kind it
+names.  Or they change one body line and keep it well formed: one entry of a
+map's ``row`` line becomes another polynomial in del, a module's ``del``
+line another rational, or a ``rep`` block gains an ``action`` line.
+``test_mutated_argv_never_exits_three``
 builds an argv from the CLI's verbs, the workspace's object names and its
 flags, with a few tokens dropped or added, and runs it on the unmutated
 fixture.  ``cli.main`` runs in-process.  Whatever the input, the exit code is
@@ -55,6 +59,28 @@ for _kind, _name, *_ in (CORE_LINES[i].split() for i in HEADERS):
 OPTION_KEYS = sorted(
     {option.key for options, _, _ in cli._BLOCKS.values() for option in options}
 )
+# body lines whose literals a grammar-aware mutation changes, and the rep
+# headers, after which it adds an action line
+BODY = [
+    i for i, line in enumerate(CORE_LINES)
+    if line.startswith("  ") and line.split()[0] in ("row", "del")
+]
+REPS = [i for i in HEADERS if CORE_LINES[i].startswith("rep ")]
+BASES = {
+    CORE_LINES[i].split()[1]: CORE_LINES[i + 1].split()[1:]
+    for i in HEADERS
+    if CORE_LINES[i].startswith("module ")
+}
+ALGEBRA_MODULES = {
+    words[1]: words[3]
+    for words in (CORE_LINES[i].split() for i in HEADERS)
+    if words[0] == "algebra"
+}
+# well-formed literals: in del alone for map rows, in del and lam1 for
+# action entries, rationals for a del action
+ROW_LITERALS = ["0", "1", "-1", "2", "1/2", "del", "-del", "del^2 + 1"]
+ENTRY_LITERALS = ROW_LITERALS + ["lam1", "-2*lam1", "del + 2*lam1", "lam1^2", "lam1^3"]
+DEL_LITERALS = ["0", "1", "-2", "1/2"]
 VERBS = ["check", "cohomology", "extend", "wells", "induce", "lift", "deform", "classify"]
 FLAGS = [
     [], ["--bound", "0"], ["--bound", "-1"], ["--bound", "7"], ["--bound", "x"],
@@ -80,16 +106,44 @@ def _mutate_header(draw, words):
         words[k + 1] = draw(st.sampled_from(OBJECTS[kind]))
 
 
+def _mutate_body(draw, lines):
+    """Change one entry of a ``row`` line or the rational of a ``del`` line
+    to another well-formed literal, or add an ``action`` line to a rep."""
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.sampled_from(REPS))
+        words = lines[i].split()
+        options = dict(zip(words[2::2], words[3::2]))
+        acting = BASES[ALGEBRA_MODULES[options["algebra"]]]
+        module = BASES[options["module"]]
+        entry = ", ".join(draw(st.sampled_from(ENTRY_LITERALS)) for _ in module)
+        lines.insert(i + 1, "  action %s %s = %s" % (
+            draw(st.sampled_from(acting)), draw(st.sampled_from(module)), entry
+        ))
+        return
+    i = draw(st.sampled_from(BODY))
+    kind, rest = lines[i].split(None, 1)
+    if kind == "del":
+        lines[i] = "  del " + draw(st.sampled_from(DEL_LITERALS))
+        return
+    entries = rest.split(", ")
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(ROW_LITERALS))
+    lines[i] = "  row " + ", ".join(entries)
+
+
 @st.composite
 def workspaces(draw):
     lines = list(CORE_LINES)
-    header = draw(st.booleans())
-    if header:
+    grammar = draw(st.sampled_from(["header", "body", None]))
+    if grammar == "header":
         i = draw(st.sampled_from([i for i in HEADERS if len(lines[i].split()) > 2]))
         words = lines[i].split()
         _mutate_header(draw, words)
         lines[i] = " ".join(words)
-    for _ in range(draw(st.integers(0 if header else 1, 3))):
+    elif grammar == "body":
+        _mutate_body(draw, lines)
+    # a changed body line is left well formed, so that the case can reach the checks
+    low, high = {"header": (0, 3), "body": (0, 0), None: (1, 3)}[grammar]
+    for _ in range(draw(st.integers(low, high))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         action = draw(st.sampled_from(["delete", "repeat", "truncate", "replace", "insert"]))
