@@ -69,6 +69,11 @@ class WorkspaceError(Exception):
         self.column = column
 
 
+def _usage(message):
+    """A usage error: a diagnostic about the command line, not a file."""
+    return WorkspaceError("<args>", 0, 0, message)
+
+
 class Workspace:
     """Named objects resolved from definition files."""
 
@@ -454,16 +459,14 @@ _CHECKERS = {
 def _verb_check(ws, args, out):
     kind, value = ws.objects.get(args.name, (None, None))
     if kind is None:
-        raise WorkspaceError("<args>", 0, 0, "unknown object %r" % args.name)
+        raise _usage("unknown object %r" % args.name)
     if kind not in _CHECKERS:
-        raise WorkspaceError("<args>", 0, 0, "object kind %r has no checker" % kind)
+        raise _usage("object kind %r has no checker" % kind)
     extra = []
     if kind in ("cocycle", "pair"):
         extra = [ws.get(n, "nijenhuis") for n in (args.quot, args.sub) if n]
         if len(extra) < 2:
-            raise WorkspaceError(
-                "<args>", 0, 0, "checking a %s needs --quot and --sub" % kind
-            )
+            raise _usage("checking a %s needs --quot and --sub" % kind)
     report = _CHECKERS[kind](value, *extra)
     _emit(out, "object", "%s (%s)" % (args.name, kind))
     _emit_report(out, report)
@@ -498,19 +501,9 @@ def _bound(args):
 
 def _verb_cohomology(ws, args, out):
     if not 0 <= args.degree <= MAX_SOLVER_DEGREE:
-        raise WorkspaceError(
-            "<args>",
-            0,
-            0,
+        raise _usage(
             "--degree must be between 0 and %d, got %d"
-            % (MAX_SOLVER_DEGREE, args.degree),
-        )
-    if _bound(args) > MAX_SOLVER_BOUND:
-        raise WorkspaceError(
-            "<args>",
-            0,
-            0,
-            "--bound must be at most %d, got %d" % (MAX_SOLVER_BOUND, args.bound),
+            % (MAX_SOLVER_DEGREE, args.degree)
         )
     kind, value = ws.objects.get(args.name, (None, None))
     if kind == "nijenhuis":
@@ -518,22 +511,19 @@ def _verb_cohomology(ws, args, out):
     elif kind == "algebra":
         algebra, operator = value, None
     else:
-        raise WorkspaceError(
-            "<args>", 0, 0, "cohomology needs an algebra or nijenhuis object"
-        )
+        raise _usage("cohomology needs an algebra or nijenhuis object")
     if args.coeffs:
         rep = ws.get(args.coeffs, "rep")
         if rep.algebra != algebra:
-            raise WorkspaceError(
-                "<args>", 0, 0,
-                "rep %r is not over the algebra of %r" % (args.coeffs, args.name),
+            raise _usage(
+                "rep %r is not over the algebra of %r" % (args.coeffs, args.name)
             )
     else:
         rep = adjoint_rep(algebra)
     if not args.operator:
         operator = None
     elif operator is None:
-        raise WorkspaceError("<args>", 0, 0, "--operator needs a nijenhuis object")
+        raise _usage("--operator needs a nijenhuis object")
     # the solver assumes a complex: on a non-LCA d^2 need not vanish
     report = check_representation(rep) if args.coeffs else check_lca(algebra)
     if not report.passed:
@@ -575,9 +565,7 @@ def _pair_from_args(ws, args):
         return AutomorphismPair(
             ws.get(args.alpha, "map"), ws.get(args.beta, "map")
         )
-    raise WorkspaceError(
-        "<args>", 0, 0, "needs --pair or both --alpha and --beta"
-    )
+    raise _usage("needs --pair or both --alpha and --beta")
 
 
 def _verb_wells(ws, args, out):
@@ -633,7 +621,7 @@ def _verb_classify(ws, args, out):
     try:
         op = HomotopyNijenhuis(structure, *ws.get(args.op, "homotopyop"))
     except StructuralError as exc:
-        raise WorkspaceError("<args>", 0, 0, str(exc))
+        raise _usage(str(exc))
     report = check_homotopy_nijenhuis(structure, op)
     _emit(out, "object", args.name)
     _emit_report(out, report)
@@ -721,8 +709,10 @@ def main(argv=None):
     _emit(out, "command", args.verb + " " + args.name)
     try:
         if args.bound is not None and args.bound < 0:
-            raise WorkspaceError(
-                "<args>", 0, 0, "--bound must be nonnegative, got %d" % args.bound
+            raise _usage("--bound must be nonnegative, got %d" % args.bound)
+        if args.bound is not None and args.bound > MAX_SOLVER_BOUND:
+            raise _usage(
+                "--bound must be at most %d, got %d" % (MAX_SOLVER_BOUND, args.bound)
             )
         ws = parse_workspace(args.files)
         passed = _VERBS[args.verb](ws, args, out)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
 from .lca import (
@@ -49,6 +50,11 @@ MAX_SOLVER_BOUND = 6
 def adjoint_rep(lca):
     """The adjoint action table of an algebra on its own module."""
     return RepTable(lca, lca.module, lca.table)
+
+
+def _require_adjoint(rep):
+    if rep.module != rep.algebra.module:
+        raise PreconditionError("operation needs adjoint coefficients")
 
 
 class Cochain:
@@ -265,38 +271,59 @@ def check_cochain_skew(f):
     return report
 
 
+def _tabulate(rep, degree, value):
+    """The degree-``degree`` cochain over ``rep`` whose value on each basis
+    tuple is ``value(args, forms)`` after the dagger rule.
+
+    ``args`` are the tuple's basis elements and ``forms`` the lambdas
+    lam1..lam_degree, at working arity ``degree``; the one loop over basis
+    tuples of every table builder.
+    """
+    module = rep.algebra.module
+    forms = _forms(degree, degree)
+    out = Cochain(degree, rep)
+    for key in product(range(module.rank), repeat=degree):
+        acc = value(_basis_args(module, key), forms)
+        out.set_value(key, dagger_substitute(acc, degree))
+    return out
+
+
 def skew_symmetrize(f):
     """Project a cochain table onto its conformal skew-symmetric part."""
     n = f.degree
     if n <= 1:
         return f
-    module = f.source.module
-    out = Cochain(n, f.rep)
-    forms = _forms(n, n)
-    norm = Fraction(1)
-    for k in range(2, n + 1):
-        norm = norm / k
-    for key in product(range(module.rank), repeat=n):
-        args = _basis_args(module, key)
+    norm = Fraction(1, factorial(n))
+
+    def value(args, forms):
         acc = f.target.zero(n)
         for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
             term = eval_cochain(
                 f, [args[p] for p in perm], [forms[p] for p in perm], n
             )
-            acc = acc + term.scale(sign)
-        out.set_value(key, dagger_substitute(acc.scale(norm), n))
-    return out
+            acc = acc + term.scale(_perm_sign(perm))
+        return acc.scale(norm)
+
+    return _tabulate(f.rep, n, value)
 
 
 def _perm_sign(perm):
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
+    inversions = sum(a > b for a, b in combinations(perm, 2))
     return -1 if inversions % 2 else 1
+
+
+def _shuffles(forms, size):
+    """Yield (sign, block, rest, block form) of every shuffle that moves a
+    ``size``-block of the slots of ``forms`` to the front: the block's and
+    the rest's slots in order, the sign of that permutation and the sum of
+    the block's lambda-forms."""
+    total = len(forms)
+    for block in combinations(range(total), size):
+        rest = tuple(k for k in range(total) if k not in block)
+        block_form = Poly.zero(total)
+        for s in block:
+            block_form = block_form + forms[s]
+        yield _perm_sign(block + rest), block, rest, block_form
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +335,29 @@ class _Coboundary:
 
     Everything about an output tuple that does not depend on the cochain is
     built here, once: its basis arguments and lambda-forms, the actors of
-    the first sum (twisted when ``twist`` is given) and the brackets
-    [x_i lam x_j] inserted in the second sum.  ``readers`` maps each input
-    tuple to the outputs that read it: the first sum reads the output tuple
-    with slot i removed, the second sum each coordinate of an inserted
-    bracket followed by the remaining slots.  A cochain is then mapped by
-    evaluating only the outputs its support reaches; the others are zero.
+    the first sum and the brackets [x_i lam x_j] inserted in the second sum.
+    With a structure operator ``n_op`` this is the twisted coboundary: the
+    actors are N x_i and the inserted bracket is the deformed one.  ``keys``
+    are the output tuples (every basis tuple by default).  ``readers`` maps
+    each input tuple to the outputs that read it: the first sum reads the
+    output tuple with slot i removed, the second sum each coordinate of an
+    inserted bracket followed by the remaining slots.  A cochain is then
+    mapped by evaluating only the outputs its support reaches; the others
+    are zero.
     """
 
-    def __init__(self, rep, degree, twist=None, insert_table=None, keys=None):
+    def __init__(self, rep, degree, n_op=None, keys=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
-        if insert_table is None:
-            insert_table = rep.algebra.table
         module = rep.algebra.module
         arity = degree + 1
         forms = _forms(arity, arity)
         basis = _basis_args(module, range(module.rank))
-        actors = basis if twist is None else [twist.apply(x) for x in basis]
+        if n_op is None:
+            insert_table, actors = rep.algebra.table, basis
+        else:
+            insert_table = deformed_table(rep.algebra, n_op).table
+            actors = [n_op.apply(x) for x in basis]
         brackets = {}
         self.rep, self.degree, self.arity, self.forms = rep, degree, arity, forms
         self.outputs = []
@@ -395,71 +427,46 @@ class _Coboundary:
         return out
 
 
-def _operator_coboundary(rep, degree, n_op, n_m, keys=None):
-    """d_{N,M} on degree-``degree`` cochains over ``rep``, planned once: the
-    twisted coboundary (action through N, deformed bracket inserted) minus
-    N_M composed with the plain one."""
-    deformed = deformed_table(rep.algebra, n_op)
-    twisted = _Coboundary(rep, degree, n_op, deformed.table, keys)
+def _differential(rep, degree, n_op=None, n_m=None, keys=None):
+    """The differential of degree-``degree`` cochains over ``rep``, planned
+    once: delta when ``n_op`` is None, else d_{N,M}, the twisted coboundary
+    minus N_M composed with the plain one (``n_m`` defaults to ``n_op``,
+    which gives d_N)."""
     plain = _Coboundary(rep, degree, keys=keys)
+    if n_op is None:
+        return plain
+    twisted = _Coboundary(rep, degree, n_op, keys)
+    n_m = n_op if n_m is None else n_m
     return lambda f: twisted(f) - plain(f).map_target(n_m)
 
 
-def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
-    """The conformal coboundary, optionally twisted.
-
-    With no options this is the classical two-sum coboundary for the
-    coefficient action ``f.rep``.  ``twist`` composes the acting element with
-    an endomorphism (action terms become rho(N p_i)); ``insert_table``
-    replaces the bracket inserted in the second sum (e.g. by a deformed
-    bracket).  ``rep`` overrides the coefficient data entirely, which also
-    changes the inserted bracket's default.  ``keys`` are the output basis
-    tuples to evaluate (all of them by default); the result is zero on the
-    others.  Only the outputs that read the support of ``f`` are evaluated
-    (see `_Coboundary`).
+def apply_delta(f, rep=None):
+    """The conformal coboundary for the coefficient action ``f.rep``, or for
+    ``rep``, which also supplies the inserted bracket.  Only the outputs that
+    read the support of ``f`` are evaluated (see `_Coboundary`).
     """
-    rep = f.rep if rep is None else rep
-    return _Coboundary(rep, f.degree, twist, insert_table, keys)(f)
+    return _Coboundary(f.rep if rep is None else rep, f.degree)(f)
 
 
-def apply_dNM(f, n_op, n_m, rep=None, keys=None):
+def apply_dNM(f, n_op, n_m, rep=None):
     """General-coefficient differential of a structure operator pair.
 
     Equals the twisted coboundary (action through N, deformed bracket
-    inserted) minus N_M composed with the plain coboundary.  At degree 0 this
-    specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).  ``keys``
-    restricts the output tuples as in `apply_delta`.
+    inserted) minus N_M composed with the plain coboundary, for ``f.rep`` or
+    ``rep``.  At degree 0 this specializes to
+    d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
     """
-    rep = f.rep if rep is None else rep
-    return _operator_coboundary(rep, f.degree, n_op, n_m, keys)(f)
+    return _differential(f.rep if rep is None else rep, f.degree, n_op, n_m)(f)
 
 
-def apply_dN(f, n_op, keys=None):
+def apply_dN(f, n_op):
     """Adjoint-coefficient differential of a structure operator."""
-    return _differential(f.rep, f.degree, n_op, keys)(f)
-
-
-def _differential(rep, degree, operator=None, keys=None):
-    """The differential of a slice, given as data: delta when ``operator``
-    is None, else d_N of the structure operator (adjoint coefficients
-    only), planned once for every degree-``degree`` cochain over ``rep``."""
-    if operator is None:
-        return _Coboundary(rep, degree, keys=keys)
-    _require_adjoint(rep)
-    return _operator_coboundary(rep, degree, operator, operator, keys)
+    _require_adjoint(f.rep)
+    return _differential(f.rep, f.degree, n_op)(f)
 
 
 # ---------------------------------------------------------------------------
 # graded brackets on adjoint cochains
-
-
-def _require_adjoint(rep):
-    if rep.module != rep.algebra.module:
-        raise PreconditionError("operation needs adjoint coefficients")
-
-
-def _shuffle_sign(sel, rest):
-    return _perm_sign(tuple(sel) + tuple(rest))
 
 
 def circ_insert(J, K):
@@ -470,31 +477,23 @@ def circ_insert(J, K):
     total = m + n - 1
     if total > MAX_DEGREE:
         raise DegreeOverflowError("insertion exceeds degree %d" % MAX_DEGREE)
-    module = J.source.module
-    arity = total
-    forms = _forms(arity, arity)
-    out = Cochain(total, J.rep)
-    for key in product(range(module.rank), repeat=total):
-        args = _basis_args(module, key)
-        acc = J.target.zero(arity)
-        for sel in combinations(range(total), n):
-            rest = [k for k in range(total) if k not in sel]
-            sign = _shuffle_sign(sel, rest)
+
+    def value(args, forms):
+        acc = J.target.zero(total)
+        for sign, block, rest, block_form in _shuffles(forms, n):
             inner = eval_cochain(
-                K, [args[s] for s in sel], [forms[s] for s in sel], arity
+                K, [args[s] for s in block], [forms[s] for s in block], total
             )
-            sum_form = Poly.zero(arity)
-            for s in sel:
-                sum_form = sum_form + forms[s]
             term = eval_cochain(
                 J,
                 [inner] + [args[r] for r in rest],
-                [sum_form] + [forms[r] for r in rest],
-                arity,
+                [block_form] + [forms[r] for r in rest],
+                total,
             )
             acc = acc + term.scale(sign)
-        out.set_value(key, dagger_substitute(acc, arity))
-    return out
+        return acc
+
+    return _tabulate(J.rep, total, value)
 
 
 def nr_bracket(J, K):
@@ -518,30 +517,22 @@ def cup_product(J, K):
     total = m + n
     if total > MAX_DEGREE:
         raise DegreeOverflowError("cup product exceeds degree %d" % MAX_DEGREE)
-    module = J.source.module
-    table = J.source.table
-    arity = total
-    forms = _forms(arity, arity)
-    out = Cochain(total, J.rep)
-    for key in product(range(module.rank), repeat=total):
-        args = _basis_args(module, key)
-        acc = J.target.zero(arity)
-        for sel in combinations(range(total), m):
-            rest = [k for k in range(total) if k not in sel]
-            sign = _shuffle_sign(sel, rest)
+    module, table = J.source.module, J.source.table
+
+    def value(args, forms):
+        acc = J.target.zero(total)
+        for sign, block, rest, block_form in _shuffles(forms, m):
             left = eval_cochain(
-                J, [args[s] for s in sel], [forms[s] for s in sel], arity
+                J, [args[s] for s in block], [forms[s] for s in block], total
             )
             right = eval_cochain(
-                K, [args[r] for r in rest], [forms[r] for r in rest], arity
+                K, [args[r] for r in rest], [forms[r] for r in rest], total
             )
-            sum_form = Poly.zero(arity)
-            for s in sel:
-                sum_form = sum_form + forms[s]
-            term = act_form(table, module, left, right, sum_form, arity)
+            term = act_form(table, module, left, right, block_form, total)
             acc = acc + term.scale(sign)
-        out.set_value(key, dagger_substitute(acc, arity))
-    return out
+        return acc
+
+    return _tabulate(J.rep, total, value)
 
 
 def fn_bracket(J, K):
@@ -581,24 +572,19 @@ def xi_map(f, n_op, n_m):
     n = f.degree
     if n == 0:
         return f
-    module = f.source.module
-    arity = n
-    forms = _forms(n, n)
-    out = Cochain(n, f.rep)
     powers = [n_m.power(k) for k in range(n + 1)]
-    for key in product(range(module.rank), repeat=n):
-        base = _basis_args(module, key)
-        acc = f.target.zero(arity)
+
+    def value(base, forms):
+        moved = [n_op.apply(x) for x in base]
+        acc = f.target.zero(n)
         for size in range(n + 1):
             for subset in combinations(range(n), size):
-                args = [
-                    base[k] if k in subset else n_op.apply(base[k])
-                    for k in range(n)
-                ]
-                term = powers[size].apply(eval_cochain(f, args, forms, arity))
+                args = [base[k] if k in subset else moved[k] for k in range(n)]
+                term = powers[size].apply(eval_cochain(f, args, forms, n))
                 acc = acc + term if size % 2 == 0 else acc - term
-        out.set_value(key, dagger_substitute(acc, arity))
-    return out
+        return acc
+
+    return _tabulate(f.rep, n, value)
 
 
 class CochainPair:
@@ -766,11 +752,14 @@ def _slice(rep, degree, bound, operator=None, keys=None):
 
     The one builder of solver slices.  The basis is
     ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
-    through one plan of the differential (see `_differential`), which
-    touches only the support of each cochain.
+    through one plan of the differential (see `_differential`): delta, or
+    d_N of ``operator`` on adjoint coefficients.  The plan touches only the
+    support of each cochain.
     """
+    if operator is not None:
+        _require_adjoint(rep)
     basis = cochain_space(rep, degree, bound)
-    differential = _differential(rep, degree, operator, keys)
+    differential = _differential(rep, degree, operator, keys=keys)
     return basis, [_cochain_vector(differential(f)) for f in basis]
 
 
@@ -840,6 +829,8 @@ def image_contains(rep, bound, target, operator=None):
     """
     from .linalg import solve
 
+    if bound > MAX_SOLVER_BOUND:
+        raise PreconditionError("truncation bound too large")
     _, vecs = _slice(rep, target.degree - 1, bound, operator)
     return solve(vecs, _cochain_vector(target)) is not None
 

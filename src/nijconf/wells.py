@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .cohomology import Cochain, _cochain_witness, act_form, eval_cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
-from .extension import NonAbelianCocycle, extract_cocycle, map_system
+from .extension import ExtensionData, NonAbelianCocycle, extract_cocycle, map_system
 from .lca import ConfLinMap, RepTable, check_morphism, eval_bracket
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
-from .report import Report
+from .report import PASS, Report
 
 VERIFY = "verify"
 SOLVE = "solve"
@@ -362,8 +362,6 @@ def _section_status(ext, pair, bound, section):
     so both the lift formula and the retraction change underneath it;
     feasibility must not.
     """
-    from .extension import ExtensionData
-
     moved = ExtensionData(
         ext.total, ext.sub, ext.quot, ext.inc, ext.proj, section
     )
@@ -398,8 +396,6 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
                 None if is_shear else "gamma induces (Id,Id) but is not a shear",
             )
         else:
-            from .report import PASS
-
             report.add_status("kernel-%d" % n, PASS, "not in kernel")
     for n, pair in enumerate(pairs):
         _, obstruction = wells_obstruction(ext, pair, bound)

@@ -8,16 +8,19 @@ substituted, every table pair is read through ``StructureTable.get``, and a
 cochain evaluation scans every stored value.  ``apply_delta`` is the
 coboundary as it was before it was planned once per slice: every output
 tuple is evaluated, and every inserted bracket is built again for every
-cochain; ``apply_dNM`` is its twisted difference.  They are kept,
-unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
-``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute`` and
-the coboundaries of ``nijconf.cohomology`` are pinned to by
-``tests/test_eval_reference.py``.
+cochain; ``apply_dNM`` is its twisted difference.  ``skew_symmetrize``,
+``circ_insert``, ``cup_product`` and ``xi_map`` are the table builders as
+each walked the basis tuples and enumerated its shuffles on its own.  They
+are kept, unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
+``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute``, the
+coboundaries and the table builders of ``nijconf.cohomology`` are pinned to
+by ``tests/test_eval_reference.py``.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 from nijconf import cohomology
 from nijconf.errors import ModuleMismatchError
@@ -162,3 +165,135 @@ def apply_dNM(f, n_op, n_m, rep=None, keys=None):
     deformed = deformed_table(rep.algebra, n_op)
     twisted = apply_delta(f, rep=rep, twist=n_op, insert_table=deformed.table, keys=keys)
     return twisted - apply_delta(f, rep=rep, keys=keys).map_target(n_m)
+
+
+# ---------------------------------------------------------------------------
+# the table builders as each walked its own tuples: skew_symmetrize,
+# circ_insert, cup_product and xi_map, every one with its own loop over the
+# basis tuples and its own shuffle enumeration
+
+
+def _perm_sign(perm):
+    inversions = sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _forms(count, arity):
+    return [Poly.lam(i + 1, arity) for i in range(count)]
+
+
+def skew_symmetrize(f):
+    """Project a cochain table onto its conformal skew-symmetric part."""
+    n = f.degree
+    if n <= 1:
+        return f
+    module = f.source.module
+    out = cohomology.Cochain(n, f.rep)
+    forms = _forms(n, n)
+    norm = Fraction(1)
+    for k in range(2, n + 1):
+        norm = norm / k
+    for key in product(range(module.rank), repeat=n):
+        args = [module.basis_elem(i) for i in key]
+        acc = f.target.zero(n)
+        for perm in permutations(range(n)):
+            sign = _perm_sign(perm)
+            term = cohomology.eval_cochain(
+                f, [args[p] for p in perm], [forms[p] for p in perm], n
+            )
+            acc = acc + term.scale(sign)
+        out.set_value(key, cohomology.dagger_substitute(acc.scale(norm), n))
+    return out
+
+
+def circ_insert(J, K):
+    """Insertion product: K evaluated on a shuffle block inside J's first slot."""
+    m, n = J.degree, K.degree
+    total = m + n - 1
+    module = J.source.module
+    arity = total
+    forms = _forms(arity, arity)
+    out = cohomology.Cochain(total, J.rep)
+    for key in product(range(module.rank), repeat=total):
+        args = [module.basis_elem(i) for i in key]
+        acc = J.target.zero(arity)
+        for sel in combinations(range(total), n):
+            rest = [k for k in range(total) if k not in sel]
+            sign = _perm_sign(tuple(sel) + tuple(rest))
+            inner = cohomology.eval_cochain(
+                K, [args[s] for s in sel], [forms[s] for s in sel], arity
+            )
+            sum_form = Poly.zero(arity)
+            for s in sel:
+                sum_form = sum_form + forms[s]
+            term = cohomology.eval_cochain(
+                J,
+                [inner] + [args[r] for r in rest],
+                [sum_form] + [forms[r] for r in rest],
+                arity,
+            )
+            acc = acc + term.scale(sign)
+        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+    return out
+
+
+def cup_product(J, K):
+    """Shuffle-summed bracket of values: sum [J(block1) lam K(block2)]."""
+    m, n = J.degree, K.degree
+    total = m + n
+    module = J.source.module
+    table = J.source.table
+    arity = total
+    forms = _forms(arity, arity)
+    out = cohomology.Cochain(total, J.rep)
+    for key in product(range(module.rank), repeat=total):
+        args = [module.basis_elem(i) for i in key]
+        acc = J.target.zero(arity)
+        for sel in combinations(range(total), m):
+            rest = [k for k in range(total) if k not in sel]
+            sign = _perm_sign(tuple(sel) + tuple(rest))
+            left = cohomology.eval_cochain(
+                J, [args[s] for s in sel], [forms[s] for s in sel], arity
+            )
+            right = cohomology.eval_cochain(
+                K, [args[r] for r in rest], [forms[r] for r in rest], arity
+            )
+            sum_form = Poly.zero(arity)
+            for s in sel:
+                sum_form = sum_form + forms[s]
+            term = cohomology.act_form(table, module, left, right, sum_form, arity)
+            acc = acc + term.scale(sign)
+        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+    return out
+
+
+def xi_map(f, n_op, n_m):
+    """Subset-alternating comparison map between the two complexes."""
+    n = f.degree
+    if n == 0:
+        return f
+    module = f.source.module
+    arity = n
+    forms = _forms(n, n)
+    out = cohomology.Cochain(n, f.rep)
+    powers = [n_m.power(k) for k in range(n + 1)]
+    for key in product(range(module.rank), repeat=n):
+        base = [module.basis_elem(i) for i in key]
+        acc = f.target.zero(arity)
+        for size in range(n + 1):
+            for subset in combinations(range(n), size):
+                args = [
+                    base[k] if k in subset else n_op.apply(base[k])
+                    for k in range(n)
+                ]
+                term = powers[size].apply(
+                    cohomology.eval_cochain(f, args, forms, arity)
+                )
+                acc = acc + term if size % 2 == 0 else acc - term
+        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+    return out

@@ -104,6 +104,23 @@ def test_solver_limits_are_usage_errors(flags, message):
     assert "status: error" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-f", HOMOTOPY, "deform", "scaledp"],
+        ["induce", "kmext", "--pair", "wellsgood"],
+        ["wells", "kmext", "--pair", "wellsgood"],
+        ["lift", "kmext", "--pair", "wellsgood"],
+    ],
+)
+def test_bound_above_the_solver_limit_exits_two_for_every_verb(argv):
+    # each verb's solve grows with the bound, so every verb caps it
+    code, out, _ = run_cli("-f", CORE, *argv, "--bound", "7")
+    assert code == 2
+    assert "<args>:0:0: --bound must be at most 6, got 7" in out
+    assert "status: error" in out
+
+
 def test_non_utf8_workspace_exits_two_with_position(tmp_path):
     bad = tmp_path / "latin1.ws"
     bad.write_bytes(b"module m\n  basis a\n# caf\xe9\n")

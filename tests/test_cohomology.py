@@ -6,6 +6,7 @@ import pytest
 
 import reference_eval
 from nijconf.cohomology import (
+    MAX_SOLVER_BOUND,
     Cochain,
     CochainPair,
     adjoint_rep,
@@ -36,6 +37,7 @@ from nijconf.cohomology import (
     xi_map,
 )
 from nijconf import linalg
+from nijconf.errors import PreconditionError
 from nijconf.lca import (
     FREE,
     LCA,
@@ -217,6 +219,17 @@ def test_central_charge_slice_hand_solved(vir, central_line):
     assert not image_contains(rep, 4, cubic)
     for cocycle in span:
         assert delta(cocycle).is_zero()
+
+
+def test_solver_bounds_are_refused_above_the_limit(vir, central_line):
+    rep = RepTable(vir, central_line)
+    target = Cochain(2, rep)
+    target.set_value((0, 0), [LAM])
+    with pytest.raises(PreconditionError, match="truncation bound too large"):
+        solve_truncated(rep, 2, MAX_SOLVER_BOUND + 1)
+    with pytest.raises(PreconditionError, match="truncation bound too large"):
+        image_contains(rep, MAX_SOLVER_BOUND + 1, target)
+    assert image_contains(rep, MAX_SOLVER_BOUND, target)
 
 
 @pytest.mark.parametrize(
