@@ -45,6 +45,15 @@ COMMANDS = [
     ("induce-kmext-wellsbad", CORE + ["induce", "kmext", "--pair", "wellsbad"], 1),
     ("induce-kmext-wellsgood", CORE + ["induce", "kmext", "--pair", "wellsgood"], 0),
     ("lift-kmext-wellsgood", CORE + ["lift", "kmext", "--pair", "wellsgood"], 0),
+    ("induce-kmext-wellsgood-eta",
+     CORE + ["induce", "kmext", "--pair", "wellsgood", "--eta", "zerophi"], 0),
+    ("induce-kmext-wellsbad-eta",
+     CORE + ["induce", "kmext", "--pair", "wellsbad", "--eta", "zerophi"], 1),
+    ("lift-kmext-wellsgood-eta",
+     CORE + ["lift", "kmext", "--pair", "wellsgood", "--eta", "zerophi"], 0),
+    ("lift-kmext-wellsbad", CORE + ["lift", "kmext", "--pair", "wellsbad"], 1),
+    ("induce-kmext-mismatch",
+     CORE + ["induce", "kmext", "--alpha", "scale2c", "--beta", "scale2c"], 1),
     ("deform-scaledp", BOTH + ["deform", "scaledp"], 0),
     ("classify-virskeletal-idop", BOTH + ["classify", "virskeletal", "--op", "idop"], 0),
     ("check-nonesuch", CORE + ["check", "nonesuch"], 2),
