@@ -86,6 +86,7 @@ from .wells import (
     check_h_automorphism,
     induced_pair,
     inducibility,
+    lift,
     lift_map,
     transform_cocycle,
     wells_obstruction,

@@ -45,12 +45,10 @@ from .lca import LCA, ConfLinMap, FreeModule, RepTable, check_lca, check_represe
 from .nijenhuis import NijenhuisLCA, check_nijenhuis
 from .report import FAIL, PASS
 from .wells import (
-    LIFT,
-    SOLVE,
-    VERIFY,
     AutomorphismPair,
     check_automorphism_pair,
     inducibility,
+    lift,
     wells_obstruction,
 )
 
@@ -529,11 +527,7 @@ def _verb_cohomology(ws, args, out):
     if not report.passed:
         raise PreconditionError(
             "%s fails check_%s: %s"
-            % (
-                args.coeffs or args.name,
-                report.title,
-                "; ".join(line for line in report.lines() if "fail" in line),
-            )
+            % (args.coeffs or args.name, report.title, report.failing())
         )
     result = solve_truncated(rep, args.degree, _bound(args), operator=operator)
     _emit(out, "object", args.name)
@@ -584,13 +578,9 @@ def _verb_induce(ws, args, out):
     ext = ws.get(args.name, "extension")
     pair = _pair_from_args(ws, args)
     _emit(out, "object", args.name)
-    if args.eta:
-        eta = ws.get(args.eta, "map")
-        report, _ = inducibility(ext, pair, VERIFY, eta, bound=args.bound)
-        _emit(out, "mode", "verify", 1)
-    else:
-        report, eta = inducibility(ext, pair, SOLVE, bound=args.bound)
-        _emit(out, "mode", "solve", 1)
+    given = ws.get(args.eta, "map") if args.eta else None
+    report, eta = inducibility(ext, pair, given, bound=args.bound)
+    _emit(out, "mode", "solve" if given is None else "verify", 1)
     _emit_report(out, report)
     if report.passed and eta is not None:
         _emit_matrix(out, "eta", eta)
@@ -603,12 +593,12 @@ def _verb_lift(ws, args, out):
     if args.eta:
         eta = ws.get(args.eta, "map")
     else:
-        solve_report, eta = inducibility(ext, pair, SOLVE, bound=args.bound)
+        solve_report, eta = inducibility(ext, pair, bound=args.bound)
         if eta is None:
             _emit(out, "object", args.name)
             _emit_report(out, solve_report)
             return False
-    report, gamma = inducibility(ext, pair, LIFT, eta)
+    report, gamma = lift(ext, pair, eta)
     _emit(out, "object", args.name)
     _emit_report(out, report)
     if report.passed:

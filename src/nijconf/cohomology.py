@@ -277,14 +277,15 @@ def _tabulate(rep, degree, value):
 
     ``args`` are the tuple's basis elements and ``forms`` the lambdas
     lam1..lam_degree, at working arity ``degree``; the one loop over basis
-    tuples of every table builder.
+    tuples of every table builder.  A degree-0 value has no lambda to
+    eliminate and is set as it is.
     """
     module = rep.algebra.module
     forms = _forms(degree, degree)
     out = Cochain(degree, rep)
     for key in product(range(module.rank), repeat=degree):
         acc = value(_basis_args(module, key), forms)
-        out.set_value(key, dagger_substitute(acc, degree))
+        out.set_value(key, dagger_substitute(acc, degree) if degree else acc)
     return out
 
 

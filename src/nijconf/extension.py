@@ -11,7 +11,9 @@ Nijenhuis identity -- no separate sign conventions to maintain.
 Equivalence of triples is decided exactly: by direct verification for a
 supplied comparison map tau, or, when H is abelian, by a linear solve for
 tau over a bounded polynomial coefficient space (with an honest
-``infeasible`` verdict when the bound admits no solution).
+``infeasible`` verdict when the bound admits no solution).  The solve,
+:func:`solve_map`, and its reports also serve the eta map of a lift in
+:mod:`nijconf.wells`.
 """
 
 from __future__ import annotations
@@ -328,10 +330,7 @@ def build_extension(cocycle, quot, sub):
     """
     report, ext = checked_extension(cocycle, quot, sub)
     if ext is None:
-        raise PreconditionError(
-            "triple is not a cocycle: %s"
-            % "; ".join(line for line in report.lines() if "fail" in line)
-        )
+        raise PreconditionError("triple is not a cocycle: %s" % report.failing())
     return ext
 
 
@@ -421,15 +420,14 @@ def _equivalence_residuals(c1, c2, quot, sub, tau):
     return action_res, bracket_res, operator_res
 
 
-def map_system(l_mod, h_mod, bound, residuals):
-    """The affine system for an unknown Q[del]-linear map t : L -> H.
+def solve_map(l_mod, h_mod, bound, residuals):
+    """The Q[del]-linear map t : L -> H that makes every cochain of
+    ``residuals(t)`` vanish, or None when there is none.
 
-    ``residuals(t)`` returns residual cochains that are affine in t.  The
-    unknowns are the coefficients of del^e (e <= bound) in each entry of t.
-    The column of an unknown is residuals(unit) - residuals(0) on every key
-    of either side, and the right-hand side is -residuals(0).  Returns
-    (columns, rhs, to_map), where ``to_map`` reads the map back from a
-    solution of the system.
+    The residual cochains are affine in t.  The unknowns are the
+    coefficients of del^e (e <= bound) in each entry of t.  The column of an
+    unknown is residuals(unit) - residuals(0) on every key of either side,
+    and the right-hand side is -residuals(0).
     """
 
     def vector(mapping):
@@ -454,17 +452,37 @@ def map_system(l_mod, h_mod, bound, residuals):
         for key, coeff in base.items():
             column[key] = column.get(key, 0) - coeff
         columns.append(column)
+    solution = solve(columns, {key: -coeff for key, coeff in base.items()})
+    if solution is None:
+        return None
+    matrix = [[Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)]
+    for (r, c, e), coeff in zip(unknowns, solution):
+        if coeff:
+            matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
+    return ConfLinMap(l_mod, h_mod, matrix)
 
-    def to_map(solution):
-        matrix = [
-            [Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)
-        ]
-        for (r, c, e), coeff in zip(unknowns, solution):
-            if coeff:
-                matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
-        return ConfLinMap(l_mod, h_mod, matrix)
 
-    return columns, {key: -coeff for key, coeff in base.items()}, to_map
+def residual_report(title, residuals):
+    """The ``action``, ``bracket`` and ``operator`` lines of three residual
+    cochains: each passes exactly when its cochain vanishes."""
+    report = Report(title)
+    for name, res in zip(("action", "bracket", "operator"), residuals):
+        report.add(name, res.is_zero(), _cochain_witness(res))
+    return report
+
+
+def solve_report(title, found, residuals, bound, certified=False):
+    """The ``solve`` line of a solve for a map: ``infeasible`` with the
+    bound it exhausted when ``found`` is None, else whether every cochain of
+    ``residuals(found)`` vanishes on re-check."""
+    report = Report(title)
+    if found is None:
+        witness = "infeasible within degree bound %d" % bound
+        if certified:
+            witness += " (certified: finite unknown space)"
+        return report.add("solve", False, witness)
+    ok = all(res.is_zero() for res in residuals(found))
+    return report.add("solve", ok, None if ok else "witness fails re-check")
 
 
 def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
@@ -478,17 +496,14 @@ def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
     Returns (report, tau-or-None); a failed solve reports ``infeasible``
     with the bound it exhausted.
     """
-    l_mod = quot.algebra.module
-    h_mod = sub.algebra.module
-    report = Report("cocycle-equivalence")
-    if tau is not None:
-        residuals = _equivalence_residuals(c1, c2, quot, sub, tau)
-        for name, res in zip(("action", "bracket", "operator"), residuals):
-            report.add(name, res.is_zero(), _cochain_witness(res))
-        return report, tau
 
-    abelian = not sub.algebra.table.entries
-    if not abelian:
+    def residuals(t):
+        return _equivalence_residuals(c1, c2, quot, sub, t)
+
+    title = "cocycle-equivalence"
+    if tau is not None:
+        return residual_report(title, residuals(tau)), tau
+    if sub.algebra.table.entries:
         raise PreconditionError("solving for tau needs an abelian H-bracket")
     if bound is None:
         bound = _max_degree(
@@ -497,24 +512,8 @@ def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
             *c2.phi.matrix,
             *quot.algebra.table.entries.values(),
         )
-    columns, rhs, to_map = map_system(
-        l_mod,
-        h_mod,
-        bound,
-        lambda t: _equivalence_residuals(c1, c2, quot, sub, t),
-    )
-    solution = solve(columns, rhs)
-    if solution is None:
-        report.add("solve", False, "infeasible within degree bound %d" % bound)
-        return report, None
-    tau = to_map(solution)
-    verify, _ = cocycle_equivalence(c1, c2, quot, sub, tau=tau)
-    report.add(
-        "solve",
-        verify.passed,
-        None if verify.passed else "witness fails re-check",
-    )
-    return report, tau
+    tau = solve_map(quot.algebra.module, sub.algebra.module, bound, residuals)
+    return solve_report(title, tau, residuals, bound), tau
 
 
 def check_extension_equivalence(e1, e2, mapping):

@@ -59,6 +59,10 @@ class Report:
                 return witness
         raise KeyError(key)
 
+    def failing(self):
+        """The failing lines, joined by "; " (empty when the report passes)."""
+        return "; ".join(line for line in self.lines() if "fail" in line)
+
     def lines(self):
         out = []
         for key, status, witness in self.checks:

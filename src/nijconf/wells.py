@@ -15,17 +15,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cochain, _cochain_witness, act_form, eval_cochain
+from .cohomology import Cochain, act_form, eval_cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
-from .extension import ExtensionData, NonAbelianCocycle, extract_cocycle, map_system
+from .extension import (
+    ExtensionData,
+    NonAbelianCocycle,
+    cocycle_equivalence,
+    extract_cocycle,
+    residual_report,
+    solve_map,
+    solve_report,
+)
 from .lca import ConfLinMap, RepTable, check_morphism, eval_bracket
+# solve is unused here; perfbench/tests checks the tracer rebinds it
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
 from .report import PASS, Report
-
-VERIFY = "verify"
-SOLVE = "solve"
-LIFT = "lift"
 
 
 class AutomorphismPair:
@@ -115,8 +120,7 @@ def induced_pair(ext, gamma):
     pre = check_h_automorphism(ext, gamma)
     if not pre.passed:
         raise PreconditionError(
-            "gamma is not an H-preserving automorphism: %s"
-            % "; ".join(line for line in pre.lines() if "fail" in line)
+            "gamma is not an H-preserving automorphism: %s" % pre.failing()
         )
     retraction = ext.retraction()
     alpha = retraction.compose(gamma).compose(ext.inc)
@@ -222,102 +226,66 @@ def _lift_residuals(ext, gamma):
 def _require_pair(ext, pair):
     pre = check_automorphism_pair(pair, ext.quot, ext.sub)
     if not pre.passed:
-        raise PreconditionError(
-            "invalid automorphism pair: %s"
-            % "; ".join(line for line in pre.lines() if "fail" in line)
-        )
+        raise PreconditionError("invalid automorphism pair: %s" % pre.failing())
 
 
-def _abelian(ext):
-    return not ext.sub.algebra.table.entries
-
-
-def _eta_bound(ext, bound):
-    """Effective degree bound for eta unknowns, and whether infeasibility
-    at that bound is a certificate.
-
-    When H is an evaluation module every del-power in an eta entry collapses
-    to a scalar, so the unknown space is finite regardless of the bound and
-    degree 0 already covers it.
-    """
-    if ext.sub.algebra.module.is_evaluation:
-        return 0, True
-    if bound is None:
-        bound = 2
-    return bound, False
-
-
-def _solve_eta(ext, pair, bound):
-    """Exact affine solve for eta; returns (eta-or-None, bound, certified)."""
-    if not _abelian(ext):
-        raise UnsupportedModeError(
-            "solving for eta needs an abelian H-bracket"
-        )
-    l_mod = ext.quot.algebra.module
-    h_mod = ext.sub.algebra.module
-    bound, certified = _eta_bound(ext, bound)
+def _eta_residuals(ext, pair):
+    """eta -> the three lifting residuals of the lift of the pair through eta."""
     pair_part = _pair_part(ext, pair)
-
-    def residuals(eta):
-        return _lift_residuals(
-            ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
-        )
-
-    columns, rhs, to_map = map_system(l_mod, h_mod, bound, residuals)
-    solution = solve(columns, rhs)
-    if solution is None:
-        return None, bound, certified
-    return to_map(solution), bound, certified
+    return lambda eta: _lift_residuals(
+        ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
+    )
 
 
-def inducibility(ext, pair, mode=VERIFY, eta=None, bound=None):
+def _solve_eta(ext, residuals, bound):
+    """Exact affine solve for eta: (eta-or-None, bound, certified).
+
+    The conditions are affine in eta only when H is abelian.  When H is an
+    evaluation module every del-power in an eta entry collapses to a scalar,
+    so the unknown space is finite regardless of the bound, degree 0 already
+    covers it and infeasibility is a certificate; otherwise the default
+    bound is 2.
+    """
+    if ext.sub.algebra.table.entries:
+        raise UnsupportedModeError("solving for eta needs an abelian H-bracket")
+    certified = ext.sub.algebra.module.is_evaluation
+    if certified:
+        bound = 0
+    elif bound is None:
+        bound = 2
+    l_mod, h_mod = ext.quot.algebra.module, ext.sub.algebra.module
+    return solve_map(l_mod, h_mod, bound, residuals), bound, certified
+
+
+def inducibility(ext, pair, eta=None, bound=None):
     """Decide or certify that (alpha, beta) lifts to the extension.
 
-    ``verify``: check the three lifting conditions for the given eta.
-    ``solve``:  find eta exactly (abelian H, bounded degree) or report
-                ``infeasible``; returns (report, eta-or-None).
-    ``lift``:   build gamma from eta and validate it as an H-preserving
-                automorphism inducing the pair; returns (report, gamma).
+    With ``eta`` supplied, the three lifting conditions are checked for it.
+    Without it, eta is solved for exactly (abelian H, bounded degree) or
+    reported ``infeasible``.  Returns (report, eta-or-None).
     """
     _require_pair(ext, pair)
-    if mode == VERIFY:
-        if eta is None:
-            raise PreconditionError("verify mode needs an eta")
-        report = Report("inducibility")
-        residuals = _lift_residuals(ext, lift_map(ext, pair, eta))
-        for name, res in zip(("action", "bracket", "operator"), residuals):
-            report.add(name, res.is_zero(), _cochain_witness(res))
-        return report, eta
-    if mode == SOLVE:
-        report = Report("inducibility")
-        eta, used, certified = _solve_eta(ext, pair, bound)
-        if eta is None:
-            witness = "infeasible within degree bound %d" % used
-            if certified:
-                witness += " (certified: finite unknown space)"
-            report.add("solve", False, witness)
-            return report, None
-        verify, _ = inducibility(ext, pair, VERIFY, eta)
+    residuals = _eta_residuals(ext, pair)
+    if eta is not None:
+        return residual_report("inducibility", residuals(eta)), eta
+    eta, used, certified = _solve_eta(ext, residuals, bound)
+    return solve_report("inducibility", eta, residuals, used, certified), eta
+
+
+def lift(ext, pair, eta):
+    """gamma built from eta, validated as an H-preserving automorphism that
+    induces the pair; returns (report, gamma)."""
+    _require_pair(ext, pair)
+    gamma = lift_map(ext, pair, eta)
+    report = check_h_automorphism(ext, gamma)
+    if report.passed:
+        induced = induced_pair(ext, gamma)
         report.add(
-            "solve",
-            verify.passed,
-            None if verify.passed else "witness fails re-check",
+            "induces-pair",
+            induced == pair,
+            None if induced == pair else "induced pair differs",
         )
-        return report, eta
-    if mode == LIFT:
-        if eta is None:
-            raise PreconditionError("lift mode needs an eta")
-        gamma = lift_map(ext, pair, eta)
-        report = check_h_automorphism(ext, gamma)
-        if report.passed:
-            induced = induced_pair(ext, gamma)
-            report.add(
-                "induces-pair",
-                induced == pair,
-                None if induced == pair else "induced pair differs",
-            )
-        return report, gamma
-    raise UnsupportedModeError("unknown mode %r" % mode)
+    return report, gamma
 
 
 def wells_obstruction(ext, pair, bound=None):
@@ -365,7 +333,7 @@ def _section_status(ext, pair, bound, section):
     moved = ExtensionData(
         ext.total, ext.sub, ext.quot, ext.inc, ext.proj, section
     )
-    eta, used, certified = _solve_eta(moved, pair, bound)
+    eta, used, certified = _solve_eta(moved, _eta_residuals(moved, pair), bound)
     if eta is None:
         return "nonzero-certified" if certified else "nonzero@%d" % used
     return "zero@%d" % used
@@ -378,7 +346,9 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
         fixes H pointwise-as-a-map and differs from the identity by
         inc . tau . proj;
     (b) for every supplied pair, the Wells status is zero exactly when the
-        eta-solve succeeds (the two sides of the lifting criterion).
+        triple moved by the pair is equivalent to the extension's own (the
+        two sides of the lifting criterion: the eta solve behind the status,
+        and a tau solve on the Wells-map side).
     """
     report = Report("wells-sequence")
     identity = AutomorphismPair.identity(ext.quot, ext.sub)
@@ -397,17 +367,20 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
             )
         else:
             report.add_status("kernel-%d" % n, PASS, "not in kernel")
+    cocycle = extract_cocycle(ext)
     for n, pair in enumerate(pairs):
         _, obstruction = wells_obstruction(ext, pair, bound)
-        zero = obstruction.status_of("class").startswith("zero")
-        solved, eta = inducibility(ext, pair, SOLVE, bound=bound)
-        agree = zero == (eta is not None)
+        status = obstruction.status_of("class")
+        _, tau = cocycle_equivalence(
+            transform_cocycle(cocycle, pair), cocycle, ext.quot, ext.sub
+        )
+        agree = status.startswith("zero") == (tau is not None)
         report.add(
             "pair-%d" % n,
             agree,
             None
             if agree
-            else "obstruction %s but solve %s"
-            % (obstruction.status_of("class"), "found eta" if eta else "infeasible"),
+            else "obstruction %s but moved triple %s"
+            % (status, "equivalent" if tau else "not equivalent"),
         )
     return report

@@ -238,7 +238,7 @@ def circ_insert(J, K):
                 arity,
             )
             acc = acc + term.scale(sign)
-        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+        out.set_value(key, cohomology.dagger_substitute(acc, arity) if arity else acc)
     return out
 
 
@@ -268,7 +268,7 @@ def cup_product(J, K):
                 sum_form = sum_form + forms[s]
             term = cohomology.act_form(table, module, left, right, sum_form, arity)
             acc = acc + term.scale(sign)
-        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+        out.set_value(key, cohomology.dagger_substitute(acc, arity) if arity else acc)
     return out
 
 

@@ -51,12 +51,11 @@ from nijconf.nijenhuis import (
 )
 from nijconf.poly import Poly
 from nijconf.wells import (
-    LIFT,
-    SOLVE,
     AutomorphismPair,
     check_h_automorphism,
     induced_pair,
     inducibility,
+    lift,
     wells_obstruction,
     wells_sequence_check,
 )
@@ -283,7 +282,7 @@ def test_criterion_11_wells_decision(ext_km, sl2_id, c_triv, central_line):
         )
         _, report = wells_obstruction(ext_km, rescale)
         assert report.status_of("class") == "nonzero-certified"
-        solved, eta = inducibility(ext_km, rescale, SOLVE)
+        solved, eta = inducibility(ext_km, rescale)
         assert eta is None and not solved.passed
         assert any("infeasible" in line for line in solved.lines())
 
@@ -293,9 +292,9 @@ def test_criterion_11_wells_decision(ext_km, sl2_id, c_triv, central_line):
         )
         _, report = wells_obstruction(ext_km, inner)
         assert report.status_of("class").startswith("zero@")
-        solved, eta = inducibility(ext_km, inner, SOLVE)
+        solved, eta = inducibility(ext_km, inner)
         assert solved.passed and eta is not None
-        lifted, gamma = inducibility(ext_km, inner, LIFT, eta=eta)
+        lifted, gamma = lift(ext_km, inner, eta)
         assert lifted.passed
         assert induced_pair(ext_km, gamma) == inner
 

@@ -129,6 +129,19 @@ def test_maurer_cartan_characterizes_nijenhuis(sl2):
         assert mc_zero == check_nijenhuis(sl2, op).passed, name
 
 
+def test_degree_zero_products_keep_their_value(vir, sl2, ad, proj_p):
+    # a degree-0 value has no lambda for the dagger rule to eliminate
+    vir_ad = adjoint_rep(vir)
+    a = Cochain(0, vir_ad)
+    a.set_value((), vir.module.basis_elem(0))
+    assert {k: repr(v) for k, v in cup_product(a, a).values.items()} == {(): "(del)L"}
+    fn_bracket(a, a)
+    e = Cochain(0, ad)
+    e.set_value((), sl2.module.basis_elem(0))
+    inserted = circ_insert(Cochain.from_map(proj_p, ad), e)
+    assert inserted.value(()) == proj_p.apply(sl2.module.basis_elem(0))
+
+
 def test_coboundary_compatibilities(sl2, ad, proj_p):
     rng = Random(11)
     J = ConfLinMap.diagonal(sl2.module, [1, 2, 5])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nijconf.cohomology import Cochain
-from nijconf.errors import PreconditionError
+from nijconf.errors import PreconditionError, UnsupportedModeError
 from nijconf.extension import (
     ExtensionData,
     NonAbelianCocycle,
@@ -19,6 +19,7 @@ from nijconf.homotopy import CrossedModule, crossed_direct_sum
 from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable
 from nijconf.nijenhuis import NijenhuisLCA
 from nijconf.poly import Poly
+from nijconf.wells import AutomorphismPair, inducibility
 
 from conftest import LAM
 
@@ -209,6 +210,14 @@ def test_solve_mode_requires_abelian_kernel(nonabelian_ext, sl2_p):
     cocycle = extract_cocycle(nonabelian_ext)
     with pytest.raises(PreconditionError):
         cocycle_equivalence(cocycle, cocycle, sl2_p, sl2_p)
+    # the eta of a lift, like tau, is verified on a non-abelian kernel and
+    # solved for only on an abelian one
+    pair = AutomorphismPair.identity(sl2_p, sl2_p)
+    zero = ConfLinMap.zero(sl2_p.algebra.module, sl2_p.algebra.module)
+    assert cocycle_equivalence(cocycle, cocycle, sl2_p, sl2_p, tau=zero)[0].passed
+    assert inducibility(nonabelian_ext, pair, eta=zero)[0].passed
+    with pytest.raises(UnsupportedModeError, match="^solving for eta needs an abelian"):
+        inducibility(nonabelian_ext, pair)
 
 
 def test_retraction_splits_the_inclusion(ext_km):

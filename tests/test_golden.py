@@ -6,8 +6,9 @@ that touched its code path (the evaluator, dagger and witness-formatter
 merges; the unimodular Q[del] reduction for the two checks; the evaluation
 of rank-3 coboundary images on non-decreasing tuples; the evaluation of
 brackets and cochains on the support of their arguments, for the degree-3
-slices); a refactor that moves a single byte of a report fails here.  Regenerate a file only for an
-intended change of output.
+slices; one verify-or-solve path for the eta map, for induce and lift); a
+refactor that moves a single byte of a report fails here.  Regenerate a file
+only for an intended change of output.
 """
 
 import os

@@ -1,6 +1,6 @@
 """Source-level rules: one failure collector and one witness format, one
-validation of a Nijenhuis structure, one builder of solver slices, and a
-documented workspace grammar.
+validation of a Nijenhuis structure, one builder of solver slices, one
+solver for a map L -> H, and a documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -13,8 +13,11 @@ the total with ``NijenhuisLCA.raw`` (pinned by ``tests/test_totals.py``), so
 no module calls the validating constructor.  ``cochain_space(`` is called
 only from ``cohomology._slice``, the one slice builder, which maps every
 basis cochain through one plan of the differential; so no caller of the
-solver keeps a slice of its own.  Every block kind of ``cli._BLOCKS`` and
-each of its options is named in the README's workspace grammar.
+solver keeps a slice of its own.  ``linalg.solve`` is called only from
+``extension.solve_map``, the one solver for a map L -> H (the tau of an
+equivalence and the eta of a lift), and from ``cohomology.image_contains``.
+Every block kind of ``cli._BLOCKS`` and each of its options is named in the
+README's workspace grammar.
 """
 
 import ast
@@ -51,32 +54,42 @@ def test_only_report_collects_failures_and_formats_witnesses():
     assert offences == []
 
 
-def _calls_cochain_space(node):
-    return isinstance(node, ast.Call) and "cochain_space" in (
+def _calls(node, name):
+    return isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None),
         getattr(node.func, "attr", None),
     )
 
 
-def test_only_the_slice_builder_calls_cochain_space():
-    builder, elsewhere = [], []
+def _callers(name):
+    """(module, function) of every call of ``name``, by source line."""
+    found = []
     for path in SOURCES:
+        module = os.path.basename(path)[:-3]
         with open(path) as handle:
             tree = ast.parse(handle.read())
-        inside = [
-            node
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and function.name == "_slice"
-            for node in ast.walk(function)
-            if _calls_cochain_space(node)
-        ]
-        builder += inside
-        elsewhere += [
-            "%s:%d" % (os.path.basename(path), node.lineno)
-            for node in ast.walk(tree)
-            if _calls_cochain_space(node) and node not in inside
-        ]
-    assert (len(builder), elsewhere) == (1, [])
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _calls(node, name):
+                # the innermost function whose lines hold the call
+                owner = min(
+                    (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                    key=lambda f: f.end_lineno - f.lineno,
+                    default=None,
+                )
+                found.append((module, owner.name if owner else None))
+    return sorted(found)
+
+
+def test_only_the_slice_builder_calls_cochain_space():
+    assert _callers("cochain_space") == [("cohomology", "_slice")]
+
+
+def test_only_the_map_solver_and_the_image_test_call_solve():
+    assert _callers("solve") == [
+        ("cohomology", "image_contains"),
+        ("extension", "solve_map"),
+    ]
 
 
 def test_readme_grammar_names_every_block_kind_and_option():

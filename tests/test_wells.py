@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from nijconf import wells
 from nijconf.extension import ExtensionData, shear_map
 from nijconf.lca import ConfLinMap, FreeModule
 from nijconf.poly import Poly
 from nijconf.wells import (
-    LIFT,
-    SOLVE,
-    VERIFY,
     AutomorphismPair,
     check_automorphism_pair,
     check_h_automorphism,
     induced_pair,
     inducibility,
+    lift,
     lift_map,
     transform_cocycle,
     wells_obstruction,
@@ -73,7 +72,6 @@ def test_rescaling_pair_is_obstructed(ext_km, pair_rescale, central_line):
     verified, _ = inducibility(
         ext_km,
         pair_rescale,
-        VERIFY,
         eta=ConfLinMap.zero(ext_km.quot.algebra.module, central_line),
     )
     assert verified.lines() == [
@@ -83,7 +81,7 @@ def test_rescaling_pair_is_obstructed(ext_km, pair_rescale, central_line):
     ]
     diff, report = wells_obstruction(ext_km, pair_rescale)
     assert report.status_of("class") == "nonzero-certified"
-    solved, eta = inducibility(ext_km, pair_rescale, SOLVE)
+    solved, eta = inducibility(ext_km, pair_rescale)
     assert eta is None
     assert not solved.passed
     assert any("infeasible" in line for line in solved.lines())
@@ -94,11 +92,11 @@ def test_inner_pair_lifts(ext_km, pair_inner):
     diff, report = wells_obstruction(ext_km, pair_inner)
     assert report.status_of("class").startswith("zero@")
     assert report.status_of("section-independent") == "pass"
-    solved, eta = inducibility(ext_km, pair_inner, SOLVE)
+    solved, eta = inducibility(ext_km, pair_inner)
     assert solved.passed and eta is not None
-    verified, _ = inducibility(ext_km, pair_inner, VERIFY, eta=eta)
+    verified, _ = inducibility(ext_km, pair_inner, eta=eta)
     assert verified.passed
-    lifted, gamma = inducibility(ext_km, pair_inner, LIFT, eta=eta)
+    lifted, gamma = lift(ext_km, pair_inner, eta)
     assert lifted.passed
     assert check_h_automorphism(ext_km, gamma).passed
     assert induced_pair(ext_km, gamma) == pair_inner
@@ -122,12 +120,24 @@ def test_shears_lie_in_the_kernel(shear_setup, c_triv, central_line):
 def test_sequence_check_on_the_current_extension(
     ext_km, pair_id, pair_rescale, pair_inner
 ):
-    solved, eta = inducibility(ext_km, pair_inner, SOLVE)
-    _, gamma = inducibility(ext_km, pair_inner, LIFT, eta=eta)
+    solved, eta = inducibility(ext_km, pair_inner)
+    _, gamma = lift(ext_km, pair_inner, eta)
     report = wells_sequence_check(
         ext_km, [gamma], [pair_id, pair_rescale, pair_inner]
     )
     assert report.passed, report.lines()
+
+
+def test_sequence_check_compares_the_class_with_the_moved_triple(
+    ext_km, pair_inner, monkeypatch
+):
+    # the class of pair_inner is zero, so a Wells-map side that finds no
+    # tau must make its pair line fail
+    monkeypatch.setattr(wells, "cocycle_equivalence", lambda *args: (None, None))
+    report = wells_sequence_check(ext_km, [], [pair_inner])
+    assert report.lines() == [
+        "pair-0: fail obstruction zero@0 but moved triple not equivalent"
+    ]
 
 
 def test_induced_pair_is_a_homomorphism(shear_setup, central_line):
@@ -152,9 +162,9 @@ def test_inner_pair_lifts_through_a_shifted_section(ext_km, pair_inner, shift):
         ext_km.proj,
         ext_km.section + ext_km.inc.compose(ConfLinMap(m, ext_km.sub.algebra.module, shift)),
     )
-    solved, eta = inducibility(moved, pair_inner, SOLVE)
+    solved, eta = inducibility(moved, pair_inner)
     assert solved.lines() == ["solve: pass"]
-    verified, _ = inducibility(moved, pair_inner, VERIFY, eta=eta)
+    verified, _ = inducibility(moved, pair_inner, eta=eta)
     assert verified.passed
 
 
@@ -170,7 +180,7 @@ def test_gamma_with_determinant_del_is_not_invertible(ext_free):
 
 
 def test_lift_map_shape(ext_km, pair_inner):
-    _, eta = inducibility(ext_km, pair_inner, SOLVE)
+    _, eta = inducibility(ext_km, pair_inner)
     gamma = lift_map(ext_km, pair_inner, eta)
     assert gamma.source == ext_km.total.algebra.module
     assert gamma.target == ext_km.total.algebra.module
