@@ -565,7 +565,7 @@ def _pair_from_args(ws, args):
 def _verb_wells(ws, args, out):
     ext = ws.get(args.name, "extension")
     pair = _pair_from_args(ws, args)
-    _, report = wells_obstruction(ext, pair, bound=args.bound)
+    report = wells_obstruction(ext, pair, bound=args.bound)
     _emit(out, "object", args.name)
     _emit_report(out, report)
     others_pass = all(

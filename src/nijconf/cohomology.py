@@ -31,14 +31,13 @@ from .lca import (
     Elem,
     RepTable,
     _Lifted,
-    _expand_value,
     _output_tuples,
     _sorted_tuples_suffice,
     dagger_substitute,
 )
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
-from .poly import Poly
+from .poly import Poly, Substitution, dagger
 from .report import Report, failures_of, first_witness
 
 MAX_DEGREE = 4
@@ -206,7 +205,10 @@ def eval_cochain(f, args, forms, arity):
     looked up on the product of the arguments' nonzero coordinates (one
     lookup for basis arguments), and del |-> -form is substituted once in
     each coordinate that meets a stored value.  A zero argument, or no
-    stored value on that product, gives the zero Elem.
+    stored value on that product, gives the zero Elem.  The values are
+    expanded by `_evaluate`, the core this shares with the planned
+    coboundary (see `_Coboundary`); here the substitutions it applies live
+    for one call, there they are held by the plan for the whole slice.
     """
     n = f.degree
     if len(args) != n or len(forms) != n:
@@ -215,19 +217,39 @@ def eval_cochain(f, args, forms, arity):
         return f.value(()).with_arity(arity)
     values = f.values
     supports = [[i for i, c in enumerate(arg.coords) if c.terms] for arg in args]
-    matched = [(key, values[key]) for key in product(*supports) if key in values]
+    matched = [key for key in product(*supports) if key in values]
     if not matched:
         return f.target.zero(arity)
     lifted = [_Lifted(arg.coords, arity, -form) for arg, form in zip(args, forms)]
-    coords = [Poly.zero(arity)] * f.target.rank
-    for key, value in matched:
+    factors = []
+    for key in matched:
         factor = lifted[0][key[0]]
         for k in range(1, n):
             factor = factor * lifted[k][key[k]]
-        for t, vp in enumerate(_expand_value(value.coords, forms, arity)):
-            if vp:
-                coords[t] = coords[t] + factor * vp
-    return Elem(f.target, coords)
+        factors.append((key, factor))
+    pairs = [[] for _ in range(f.target.rank)]
+    _evaluate(pairs, values, factors, Substitution(arity, _value_images(forms)))
+    return Elem(f.target, [Poly.sum_of_products(arity, p) for p in pairs])
+
+
+def _value_images(forms):
+    """The images of a stored value's variables when the arguments carry
+    ``forms``: lam_j |-> forms[j-1], the last form staying implicit, and del
+    kept outermost."""
+    return dict(enumerate(forms[:-1], 1))
+
+
+def _evaluate(pairs, values, factors, expand):
+    """The evaluation core: for each (key, factor) in ``factors`` whose key
+    holds a stored value, append (factor, coordinate t of the value under
+    ``expand``) to ``pairs[t]``.  The factor is the product of the
+    arguments' lifted coordinates on that key."""
+    for key, factor in factors:
+        value = values.get(key)
+        if value is not None:
+            for t, poly in enumerate(value.coords):
+                if poly.terms:
+                    pairs[t].append((factor, expand(poly)))
 
 
 def _basis_args(module, key):
@@ -238,20 +260,17 @@ def _forms(count, arity):
     return [Poly.lam(i + 1, arity) for i in range(count)]
 
 
-def _skew_residuals(f, keys=None):
+def _skew_residuals(f):
     """Yield ((key, k), residual) of conformal skew-symmetry for f.
 
-    For each basis tuple (every one, or those in ``keys``) and adjacent
-    transposition k the evaluation with swapped arguments and swapped
-    lambda-roles must be the negative of the original; the last slot goes
-    through the dagger substitution.
+    For each basis tuple and adjacent transposition k the evaluation with
+    swapped arguments and swapped lambda-roles must be the negative of the
+    original; the last slot goes through the dagger substitution.
     """
     n = f.degree
     module = f.source.module
     forms = _forms(n, n)
-    if keys is None:
-        keys = product(range(module.rank), repeat=n)
-    for key in keys:
+    for key in product(range(module.rank), repeat=n):
         args = _basis_args(module, key)
         base = f.value(key).with_arity(n)
         for k in range(n - 1):
@@ -335,16 +354,28 @@ class _Coboundary:
     """The conformal coboundary of one slice, planned once for its cochains.
 
     Everything about an output tuple that does not depend on the cochain is
-    built here, once: its basis arguments and lambda-forms, the actors of
-    the first sum and the brackets [x_i lam x_j] inserted in the second sum.
-    With a structure operator ``n_op`` this is the twisted coboundary: the
-    actors are N x_i and the inserted bracket is the deformed one.  ``keys``
-    are the output tuples (every basis tuple by default).  ``readers`` maps
-    each input tuple to the outputs that read it: the first sum reads the
-    output tuple with slot i removed, the second sum each coordinate of an
+    built here, once: its slots, the brackets [x_i lam x_j] inserted in the
+    second sum, and which input tuples it reads.  With a structure operator
+    ``n_op`` this is the twisted coboundary: the actors of the first sum are
+    N x_i and the inserted bracket is the deformed one.  ``keys`` are the
+    output tuples (every basis tuple by default).  ``readers`` maps each
+    input tuple to the outputs that read it: the first sum reads the output
+    tuple with slot i removed, the second sum each coordinate of an
     inserted bracket followed by the remaining slots.  A cochain is then
     mapped by evaluating only the outputs its support reaches; the others
     are zero.
+
+    The polynomials that the forms, the inserted brackets and the final
+    dagger substitution fix are held by the plan, each computed when it is
+    first used: the images of a stored value's monomials under the
+    lambda-forms of each slot and of each pair of slots (one
+    `poly.Substitution` each), the action of each actor on each coefficient
+    generator, and the coordinates of the inserted brackets with
+    del |-> -form.  The dagger substitution lam_arity |-> -del - lam_1 - ...
+    is a ring map, so it is applied to each of these once, and an output is
+    a sum of products at its final arity.  Mapping a cochain then only
+    substitutes its values and multiplies them into held polynomials.  All
+    of it lives as long as the plan, one slice.
     """
 
     def __init__(self, rep, degree, n_op=None, keys=None):
@@ -355,53 +386,96 @@ class _Coboundary:
         forms = _forms(arity, arity)
         basis = _basis_args(module, range(module.rank))
         if n_op is None:
-            insert_table, actors = rep.algebra.table, basis
+            insert_table, self.actors = rep.algebra.table, basis
         else:
             insert_table = deformed_table(rep.algebra, n_op).table
-            actors = [n_op.apply(x) for x in basis]
-        brackets = {}
+            self.actors = [n_op.apply(x) for x in basis]
         self.rep, self.degree, self.arity, self.forms = rep, degree, arity, forms
+        earlier = sum(_forms(degree, degree), Poly.zero(degree))
+        self.dagger = Substitution(degree, {arity: dagger(earlier)})
+        # the substitution into a stored value of each slot i of the first
+        # sum (the other slots' forms, and del |-> del + form_i of the
+        # actor's bracket) and of each pair i < j of the second
+        self.spreads = []
+        for i in range(arity):
+            images = _value_images(forms[:i] + forms[i + 1 :])
+            images[0] = Poly.del_(arity) + forms[i]
+            self.spreads.append(self._substitution(images))
+        self.expansions = {
+            (i, j): self._substitution(
+                _value_images(
+                    [forms[i] + forms[j]]
+                    + [forms[k] for k in range(arity) if k not in (i, j)]
+                )
+            )
+            for i, j in combinations(range(arity), 2)
+        }
+        self.actions, self.lifts = {}, {}
+        self.brackets = {}
         self.outputs = []
         self.readers = {}
         if keys is None:
             keys = product(range(module.rank), repeat=arity)
         for index, key in enumerate(keys):
-            args = [basis[k] for k in key]
-            first = []
-            reads = set()
-            for i in range(arity):
-                rest = key[:i] + key[i + 1 :]
-                rest_args = args[:i] + args[i + 1 :]
-                rest_forms = forms[:i] + forms[i + 1 :]
-                first.append((i, actors[key[i]], rest, rest_args, rest_forms))
-                reads.add(rest)
+            first = [(i, key[:i] + key[i + 1 :]) for i in range(arity)]
+            reads = {rest for _, rest in first}
             second = []
             for i, j in combinations(range(arity), 2):
                 slot = (key[i], key[j], i)
-                inserted = brackets.get(slot)
+                inserted = self.brackets.get(slot)
                 if inserted is None:
-                    inserted = brackets[slot] = act_form(
-                        insert_table, module, args[i], args[j], forms[i], arity
+                    inserted = self.brackets[slot] = act_form(
+                        insert_table, module, basis[key[i]], basis[key[j]], forms[i], arity
                     )
-                rest = [k for k in range(arity) if k not in (i, j)]
-                second.append(
-                    (
-                        i + j,
-                        [inserted] + [args[k] for k in rest],
-                        [forms[i] + forms[j]] + [forms[k] for k in rest],
-                    )
-                )
-                rest_key = tuple(key[k] for k in rest)
+                rest = tuple(key[k] for k in range(arity) if k not in (i, j))
+                second.append((i, j, slot, rest))
                 reads.update(
-                    (c,) + rest_key for c, coord in enumerate(inserted.coords) if coord
+                    (c,) + rest for c, coord in enumerate(inserted.coords) if coord
                 )
             self.outputs.append((key, first, second))
             for source in reads:
                 self.readers.setdefault(source, []).append(index)
 
+    def _substitution(self, images):
+        """The substitution ``images`` at the working arity, then the dagger."""
+        return Substitution(self.degree, {v: self.dagger(p) for v, p in images.items()})
+
+    def _action(self, i, generator):
+        """Per coefficient generator b, the nonzero coordinates (t, poly) of
+        the actor of ``generator`` acting on b at slot i's lambda."""
+        action = self.actions.get((i, generator))
+        if action is None:
+            rep, actor, action = self.rep, self.actors[generator], []
+            for b in range(rep.module.rank):
+                image = act_form(
+                    rep.action,
+                    rep.module,
+                    actor,
+                    rep.module.basis_elem(b),
+                    self.forms[i],
+                    self.arity,
+                )
+                action.append(
+                    [(t, self.dagger(poly)) for t, poly in enumerate(image.coords) if poly]
+                )
+            self.actions[i, generator] = action
+        return action
+
+    def _lifted(self, i, j, slot):
+        """The nonzero coordinates (c, poly) of the inserted bracket ``slot``
+        with del |-> -(form_i + form_j), the second-sum argument of i < j."""
+        lifted = self.lifts.get((slot, j))
+        if lifted is None:
+            coords = self.brackets[slot].coords
+            lift = _Lifted(coords, self.arity, -(self.forms[i] + self.forms[j]))
+            lifted = self.lifts[slot, j] = [
+                (c, self.dagger(lift[c])) for c, coord in enumerate(coords) if coord
+            ]
+        return lifted
+
     def __call__(self, f):
         """The coboundary of ``f``, evaluated on the outputs it reaches."""
-        rep, arity, forms = self.rep, self.arity, self.forms
+        rep = self.rep
         values = f.values
         reached = {o for key in values for o in self.readers.get(key, ())}
         out = Cochain(self.degree + 1, rep)
@@ -410,21 +484,30 @@ class _Coboundary:
         inners = {}
         for o in sorted(reached):
             key, first, second = self.outputs[o]
-            acc = rep.module.zero(arity)
-            for i, actor, rest, rest_args, rest_forms in first:
-                if rest not in values:
+            # the terms of sign +1 and of sign -1, per target coordinate
+            terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
+            for i, rest in first:
+                value = values.get(rest)
+                if value is None:
                     continue
                 inner = inners.get((i, rest))
                 if inner is None:
-                    inner = inners[i, rest] = eval_cochain(
-                        f, rest_args, rest_forms, arity
-                    )
-                term = act_form(rep.action, rep.module, actor, inner, forms[i], arity)
-                acc = acc + term if i % 2 == 0 else acc - term
-            for sign, args, arg_forms in second:
-                term = eval_cochain(f, args, arg_forms, arity)
-                acc = acc + term if sign % 2 == 0 else acc - term
-            out.set_value(key, dagger_substitute(acc, arity))
+                    spread = self.spreads[i]
+                    inner = inners[i, rest] = [
+                        (b, spread(c)) for b, c in enumerate(value.coords) if c.terms
+                    ]
+                action, into = self._action(i, key[i]), terms[i % 2]
+                for b, poly in inner:
+                    for t, entry in action[b]:
+                        into[t].append((poly, entry))
+            for i, j, slot, rest in second:
+                factors = [((c,) + rest, a) for c, a in self._lifted(i, j, slot)]
+                _evaluate(terms[(i + j) % 2], values, factors, self.expansions[i, j])
+            coords = [
+                Poly.sum_of_products(self.degree, plus, minus)
+                for plus, minus in zip(*terms)
+            ]
+            out.set_value(key, Elem(rep.module, coords))
         return out
 
 
@@ -669,15 +752,6 @@ def _monomials(nvars, bound, include_del):
     ]
 
 
-def _elementary_cochain(rep, degree, key, coord, mono):
-    out = Cochain(degree, rep)
-    arity = max(degree - 1, 0)
-    coords = [Poly.zero(arity)] * rep.module.rank
-    coords[coord] = Poly(arity, {mono: Fraction(1)})
-    out.set_value(key, Elem(rep.module, coords))
-    return out
-
-
 def _cochain_vector(f):
     """The cochain as a sparse vector over (basis tuple, coordinate, monomial)."""
     return {
@@ -704,10 +778,18 @@ def cochain_space(rep, degree, bound):
 
     del-powers are enumerated only on free coordinates: on an evaluation
     coordinate del is a scalar, so they would repeat (or kill) a monomial.
-    The basis is the kernel of the skew residuals of the elementary cochains
-    (one monomial on one coordinate at one basis tuple).  An elementary
-    cochain's residuals vanish off the permutation orbit of its tuple, so
-    only that orbit is evaluated.
+    The basis is the reduced kernel basis of the skew residuals of the
+    elementary cochains (one monomial on one coordinate at one basis tuple),
+    in the order (tuple, coordinate, monomial); it is built one permutation
+    orbit at a time, since the residuals never leave an orbit.
+
+    A skew cochain's values on an orbit are its value w on the orbit's
+    lexicographically last tuple moved by the dagger rule, as
+    `skew_symmetrize` applies it, so the kernel's free columns are that
+    tuple's cells.  When the tuple's entries are distinct, w is free, and
+    each cell gives one basis cochain whose value there is its monomial.
+    When an entry repeats, w must be fixed by the transpositions of equal
+    entries, and a small kernel on the tuple's cells gives the w's.
     """
     from .linalg import nullspace
 
@@ -715,27 +797,65 @@ def cochain_space(rep, degree, bound):
     nvars = max(degree - 1, 0)
     free_monos = _monomials(nvars, bound, True)
     fixed_monos = _monomials(nvars, bound, False)
-    keys = list(product(range(module.rank), repeat=degree))
     cells = [
-        (key, coord, mono)
-        for key in keys
+        (coord, mono)
         for coord, action in enumerate(rep.module.actions)
         for mono in (free_monos if action == FREE else fixed_monos)
     ]
-    elementary = [_elementary_cochain(rep, degree, *cell) for cell in cells]
-    if degree <= 1:
-        return elementary
-    orbits = {key: sorted(set(permutations(key))) for key in keys}
-    residual_cols = [
-        {
-            (k, res_key, c, mono): coeff
-            for (res_key, k), residual in _skew_residuals(f, orbits[key])
-            for c, poly in enumerate(residual.coords)
-            for mono, coeff in poly.terms.items()
-        }
-        for (key, _, _), f in zip(cells, elementary)
-    ]
-    return [_combine(combo, elementary) for combo in nullspace(residual_cols)]
+    # value on the tuple u, for the permutation p with u[p[k]] = last[k]:
+    # lam_{k+1} |-> the lambda of slot p[k], the last slot's being the
+    # dagger of the others
+    lams = _forms(nvars, nvars)
+    slots = lams + [dagger(sum(lams, Poly.zero(nvars)))]
+    moves = {
+        perm: Substitution(nvars, {k + 1: slots[perm[k]] for k in range(nvars)})
+        for perm in permutations(range(degree))
+    }
+    basis = []
+    for last in product(range(module.rank), repeat=degree):
+        if any(a < b for a, b in zip(last, last[1:])):
+            continue
+        orbit = {}
+        for perm in moves:
+            u = [None] * degree
+            for k, p in enumerate(perm):
+                u[p] = last[k]
+            orbit.setdefault(tuple(u), perm)
+        swaps = [
+            tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, degree))
+            for k in range(nvars)
+            if last[k] == last[k + 1]
+        ]
+        kernel = nullspace(
+            [_swap_residual(rep.module, cell, moves, swaps) for cell in cells]
+        )
+        for vec in kernel:
+            combo = [(c, v) for c, v in enumerate(vec) if v]
+            f = Cochain(degree, rep)
+            for u, perm in orbit.items():
+                coords = [Poly.zero(nvars)] * rep.module.rank
+                for c, coeff in combo:
+                    coord, mono = cells[c]
+                    image = moves[perm][mono].scale(coeff * _perm_sign(perm))
+                    coords[coord] = coords[coord] + image
+                f.set_value(u, Elem(rep.module, coords))
+            basis.append(f)
+    return basis
+
+
+def _swap_residual(module, cell, moves, swaps):
+    """The skew residuals of one cell's monomial under each transposition of
+    equal entries, as a sparse vector over (swap, coordinate, monomial);
+    empty when the entries are distinct, which leaves every cell free."""
+    coord, mono = cell
+    monomial = Poly(len(mono) - 1, {mono: 1})
+    out = {}
+    for swap in swaps:
+        coords = [Poly.zero(monomial.arity)] * module.rank
+        coords[coord] = monomial + moves[swap][mono]
+        residual = module.reduce_coords(coords)[coord]
+        out.update(((swap, coord, m), v) for m, v in residual.terms.items())
+    return out
 
 
 def _max_degree(*vectors):

@@ -151,6 +151,25 @@ class Poly:
                 return result
             base = base * base
 
+    @classmethod
+    def sum_of_products(cls, arity, pairs, negated=()):
+        """The sum of a * b over the (a, b) in ``pairs``, minus that over
+        ``negated``, built in one dict: every factor must be at ``arity``."""
+        terms = {}
+        for sign, group in ((1, pairs), (-1, negated)):
+            for a, b in group:
+                if a.arity != arity or b.arity != arity:
+                    raise ArityError(
+                        "arity mismatch: %d, %d vs %d" % (a.arity, b.arity, arity)
+                    )
+                products = (
+                    (tuple(map(add, ka, kb)), ca * cb if sign > 0 else -ca * cb)
+                    for ka, ca in a.terms.items()
+                    for kb, cb in b.terms.items()
+                )
+                _accumulate(terms, products)
+        return _trusted(arity, terms)
+
     def scale(self, value):
         value = _coefficient(value)
         if not value:
@@ -310,6 +329,54 @@ def _accumulate(terms, items):
             coeff = coeff.numerator
         terms[key] = coeff
     return terms
+
+
+class Substitution(dict):
+    """A fixed simultaneous substitution, applied monomial by monomial.
+
+    Each variable in ``images`` (0 = del) becomes its image, a polynomial at
+    ``arity``; every other variable is kept, so it must lie within
+    ``arity``.  A polynomial of any arity may be substituted, and the result
+    is at ``arity``.  The image of each exponent vector is computed when it
+    is first used and kept, as are the powers it is built from: an owner
+    that substitutes the same way many times holds one.
+    """
+
+    def __init__(self, arity, images):
+        super().__init__()
+        self.arity = arity
+        self.images = images
+        self.powers = {}
+
+    def __missing__(self, key):
+        kept = [0] * (self.arity + 1)
+        image = None
+        for v, e in enumerate(key):
+            if not e:
+                continue
+            if v not in self.images:
+                if v > self.arity:
+                    raise ArityError(
+                        "variable %d is neither substituted nor within arity %d"
+                        % (v, self.arity)
+                    )
+                kept[v] = e
+                continue
+            power = self.powers.get((v, e))
+            if power is None:
+                power = self.powers[v, e] = self.images[v] ** e
+            image = power if image is None else image * power
+        monomial = _trusted(self.arity, {tuple(kept): 1})
+        image = monomial if image is None else image * monomial
+        self[key] = image
+        return image
+
+    def __call__(self, poly):
+        terms = {}
+        for key, coeff in poly.terms.items():
+            image = self[key].terms.items()
+            _accumulate(terms, ((k, c * coeff) for k, c in image))
+        return _trusted(self.arity, terms)
 
 
 def dagger(form):

@@ -291,26 +291,14 @@ def lift(ext, pair, eta):
 def wells_obstruction(ext, pair, bound=None):
     """The Wells decision for a pair: can it be lifted to E.
 
-    Returns (difference-triple, report).  The difference triple is the
-    transformed-minus-original cocycle of the extension; the report status
-    ``class`` is ``zero@D`` when an eta of degree <= D exists, ``nonzero@D``
-    when the bounded solve is infeasible, and ``nonzero-certified`` when
-    infeasibility is conclusive because the eta-unknowns live in a finite
-    space (evaluation-module H).  The status is recomputed with a second
-    section as an independence check.
+    Returns the report.  Its status ``class`` is ``zero@D`` when an eta of
+    degree <= D exists, ``nonzero@D`` when the bounded solve is infeasible,
+    and ``nonzero-certified`` when infeasibility is conclusive because the
+    eta-unknowns live in a finite space (evaluation-module H).  The status
+    is recomputed with a second section as an independence check.  The
+    triple moved by the pair is `transform_cocycle` of `extract_cocycle`.
     """
     _require_pair(ext, pair)
-    cocycle = extract_cocycle(ext)
-    moved = transform_cocycle(cocycle, pair)
-    difference = NonAbelianCocycle(
-        moved.chi - cocycle.chi,
-        RepTable(
-            cocycle.rho.algebra,
-            cocycle.rho.module,
-            moved.rho.action - cocycle.rho.action,
-        ),
-        moved.phi - cocycle.phi,
-    )
     report = Report("wells-obstruction")
     first = _section_status(ext, pair, bound, ext.section)
     report.add_status("class", first)
@@ -320,7 +308,7 @@ def wells_obstruction(ext, pair, bound=None):
         first == second,
         None if first == second else "%s vs %s" % (first, second),
     )
-    return difference, report
+    return report
 
 
 def _section_status(ext, pair, bound, section):
@@ -369,8 +357,7 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
             report.add_status("kernel-%d" % n, PASS, "not in kernel")
     cocycle = extract_cocycle(ext)
     for n, pair in enumerate(pairs):
-        _, obstruction = wells_obstruction(ext, pair, bound)
-        status = obstruction.status_of("class")
+        status = wells_obstruction(ext, pair, bound).status_of("class")
         _, tau = cocycle_equivalence(
             transform_cocycle(cocycle, pair), cocycle, ext.quot, ext.sub
         )

@@ -280,7 +280,7 @@ def test_criterion_11_wells_decision(ext_km, sl2_id, c_triv, central_line):
             ConfLinMap.scalar(central_line, 2),
             ConfLinMap.identity(sl2_id.algebra.module),
         )
-        _, report = wells_obstruction(ext_km, rescale)
+        report = wells_obstruction(ext_km, rescale)
         assert report.status_of("class") == "nonzero-certified"
         solved, eta = inducibility(ext_km, rescale)
         assert eta is None and not solved.passed
@@ -290,7 +290,7 @@ def test_criterion_11_wells_decision(ext_km, sl2_id, c_triv, central_line):
             ConfLinMap.identity(central_line),
             ConfLinMap.diagonal(sl2_id.algebra.module, [2, 1, Fraction(1, 2)]),
         )
-        _, report = wells_obstruction(ext_km, inner)
+        report = wells_obstruction(ext_km, inner)
         assert report.status_of("class").startswith("zero@")
         solved, eta = inducibility(ext_km, inner)
         assert solved.passed and eta is not None

@@ -17,7 +17,6 @@ from nijconf.cohomology import (
     bracket_cochain,
     _cochain_vector,
     _combine,
-    _elementary_cochain,
     _monomials,
     _skew_residuals,
     _max_degree,
@@ -41,6 +40,7 @@ from nijconf.errors import PreconditionError
 from nijconf.lca import (
     FREE,
     LCA,
+    Elem,
     ConfLinMap,
     FreeModule,
     RepTable,
@@ -306,6 +306,15 @@ def test_monomials_match_reference():
         )
 
 
+def _elementary_cochain(rep, degree, key, coord, mono):
+    out = Cochain(degree, rep)
+    arity = max(degree - 1, 0)
+    coords = [Poly.zero(arity)] * rep.module.rank
+    coords[coord] = Poly(arity, {mono: Fraction(1)})
+    out.set_value(key, Elem(rep.module, coords))
+    return out
+
+
 def _cochain_space_reference(rep, degree, bound):
     """Kernel of every elementary cochain's skew residuals on all tuples."""
     module = rep.algebra.module
@@ -391,6 +400,29 @@ def _assert_solver_matches_reference(rep, cases, operator=None):
         for key in ("cochain_dim", "cocycle_dim", "coboundary_dim", "h_dim"):
             assert got[key] == want[key], (degree, bound, key)
         assert got["cocycle_basis"] == want["cocycle_basis"]
+
+
+@pytest.mark.parametrize(
+    "coefficients,degree,bound",
+    [("adjoint", 3, 2), ("mixed", 3, 2), ("central", 2, 6), ("central", 3, 3)],
+    ids=["sl2-adjoint-3-2", "sl2-mixed-3-2", "vir-central-2-6", "vir-central-3-3"],
+)
+def test_orbit_local_basis_matches_the_full_tuple_reference(
+    sl2, vir, central_line, coefficients, degree, bound
+):
+    # the basis is built one permutation orbit at a time: on sl2 at degree 3
+    # the triple (0, 1, 2) has distinct entries and every other orbit a
+    # repeated one; a, c mix a free and an evaluation coordinate, and the
+    # central line is torsion.  The one global kernel of the reference must
+    # give the same vectors in the same order
+    rep = {
+        "adjoint": adjoint_rep(sl2),
+        "mixed": RepTable(sl2, FreeModule(["a", "c"], ["free", 1])),
+        "central": RepTable(vir, central_line),
+    }[coefficients]
+    basis = cochain_space(rep, degree, bound)
+    assert basis == _cochain_space_reference(rep, degree, bound)
+    assert all(check_cochain_skew(f).passed for f in basis)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ arguments with zero and all-zero coordinates, of mixed arities, over free,
 evaluation and mixed modules, and for cochains of degree 0 to 3.  The
 coboundaries, planned once and evaluated on the outputs a cochain's support
 reaches, must equal the per-cochain coboundary of the reference on every
-output tuple, or on a subset of them.  The table builders, which share one
+output tuple, or on a subset of them; and one plan, which holds polynomials
+for its whole slice, must map a run of cochains, in sequence or interleaved
+with other plans, as the reference maps each alone.  The table builders, which share one
 loop over the basis tuples, must equal the copies that each had their own.
 """
 
@@ -261,6 +263,41 @@ def test_coboundaries_match_the_per_cochain_reference(case):
                     assert _Coboundary(other, degree, keys=keys)(f) == (
                         reference_eval.apply_delta(f, rep=other, keys=keys)
                     )
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_one_plan_maps_every_cochain_like_the_reference(case):
+    # a plan holds polynomials for its whole slice: mapping one cochain must
+    # leave nothing behind that changes the image of the next, whatever the
+    # order in which the plans are filled
+    _, rep, n_op, n_m = _reps()[case]
+    rng = Random(200 + case)
+    deformed = deformed_table(rep.algebra, n_op).table
+    for degree in range(4):
+        cochains = _cochains(rep, degree, rng)
+        want = [
+            (
+                reference_eval.apply_delta(f),
+                reference_eval.apply_delta(f, twist=n_op, insert_table=deformed),
+                reference_eval.apply_dNM(f, n_op, n_m),
+            )
+            for f in cochains
+        ]
+
+        def plans():
+            return (
+                _Coboundary(rep, degree),
+                _Coboundary(rep, degree, n_op),
+                _differential(rep, degree, n_op, n_m),
+            )
+
+        # in sequence: every cochain through one plan, then the next plan
+        got = [[plan(f) for f in cochains] for plan in plans()]
+        assert list(zip(*got)) == want
+        # interleaved, last cochain first: the three plans take turns
+        fresh = plans()
+        for f, images in reversed(list(zip(cochains, want))):
+            assert tuple(plan(f) for plan in fresh) == images
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ solver keeps a slice of its own.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
 equivalence and the eta of a lift), and from ``cohomology.image_contains``.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
-README's workspace grammar.
+README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
+cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
+or set that a function writes to, and no ``global`` rebinding.  A cache
+lives on the object that owns it (the slice plan of ``cohomology`` holds
+its polynomials), so nothing it holds outlives that object.
 """
 
 import ast
@@ -89,6 +93,105 @@ def test_only_the_map_solver_and_the_image_test_call_solve():
     assert _callers("solve") == [
         ("cohomology", "image_contains"),
         ("extension", "solve_map"),
+    ]
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+_MUTATORS = {
+    "append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+    "clear", "remove", "add", "discard", "sort", "reverse",
+}
+
+
+def _module_containers(tree):
+    """Names bound at module level to a mutable container."""
+    names = set()
+    for node in tree.body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) and node.value
+            else []
+        )
+        value = getattr(node, "value", None)
+        if isinstance(value, _CONTAINERS) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            in _CONTAINER_CALLS
+        ):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _cache_offences(tree):
+    """(line, what) of every module-level cache in a module's syntax tree."""
+    containers = _module_containers(tree)
+    functions = [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.Lambda))
+    ]
+    offences = []
+    for function in functions:
+        for decorator in getattr(function, "decorator_list", []):
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in ("lru_cache", "cache"):
+                offences.append((decorator.lineno, "a %s decorator" % name))
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                offences.append((node.lineno, "rebinds %s" % ", ".join(node.names)))
+            written = None
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = node.value
+            elif isinstance(node, ast.AugAssign):
+                written = node.target
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _MUTATORS:
+                    written = node.func.value
+            if isinstance(written, ast.Name) and written.id in containers:
+                offences.append((node.lineno, "writes the module's %s" % written.id))
+    # a nested function is walked with its enclosing one too
+    return sorted(set(offences))
+
+
+def test_no_module_level_cache():
+    offences = []
+    for path in SOURCES:
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        offences += [
+            "%s:%d %s" % (os.path.basename(path), line, what)
+            for line, what in _cache_offences(tree)
+        ]
+    assert offences == []
+
+
+def test_the_cache_rule_sees_each_kind_of_module_level_cache():
+    source = """
+import functools
+_MEMO = {}
+_SEEN = []
+_TOTAL = 0
+
+@functools.lru_cache(maxsize=None)
+def cached(x):
+    return x
+
+def memo(x):
+    _MEMO[x] = x
+    _SEEN.append(x)
+    global _TOTAL
+    _TOTAL += 1
+
+def local(x):
+    table = {}
+    table[x] = x
+    return table
+"""
+    assert sorted(what for _, what in _cache_offences(ast.parse(source))) == [
+        "a lru_cache decorator",
+        "rebinds _TOTAL",
+        "writes the module's _MEMO",
+        "writes the module's _SEEN",
     ]
 
 

@@ -79,7 +79,7 @@ def test_rescaling_pair_is_obstructed(ext_km, pair_rescale, central_line):
         "bracket: fail at=0,2 residual=[(lam1)c#M]",
         "operator: pass",
     ]
-    diff, report = wells_obstruction(ext_km, pair_rescale)
+    report = wells_obstruction(ext_km, pair_rescale)
     assert report.status_of("class") == "nonzero-certified"
     solved, eta = inducibility(ext_km, pair_rescale)
     assert eta is None
@@ -89,7 +89,7 @@ def test_rescaling_pair_is_obstructed(ext_km, pair_rescale, central_line):
 
 
 def test_inner_pair_lifts(ext_km, pair_inner):
-    diff, report = wells_obstruction(ext_km, pair_inner)
+    report = wells_obstruction(ext_km, pair_inner)
     assert report.status_of("class").startswith("zero@")
     assert report.status_of("section-independent") == "pass"
     solved, eta = inducibility(ext_km, pair_inner)
