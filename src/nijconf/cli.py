@@ -55,6 +55,10 @@ from .wells import (
 SEARCH_PATH_VAR = "NIJCONF_PATH"
 # degree bound of the cohomology and deform verbs when --bound is not given
 DEFAULT_BOUND = 3
+# Most basis names a module block may declare.  Checking a bracket costs the
+# cube of its module's rank (Jacobi runs over every triple), so the rank is
+# bounded where it is read.
+MAX_RANK = 16
 
 
 class WorkspaceError(Exception):
@@ -211,6 +215,11 @@ def _build_module(path, lineno, body, del_literal):
                 if word in basis:
                     raise WorkspaceError(
                         path, bl, column + 1, "duplicate basis name %r" % word
+                    )
+                if len(basis) == MAX_RANK:
+                    raise WorkspaceError(
+                        path, bl, column + 1,
+                        "module rank exceeds the bound %d" % MAX_RANK,
                     )
                 basis.append(word)
                 column += len(word)

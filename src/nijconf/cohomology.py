@@ -762,17 +762,6 @@ def _cochain_vector(f):
     }
 
 
-def _combine(coeffs, cochains):
-    """The rational combination sum(coeff * f) of cochains of one shape."""
-    values = {}
-    for coeff, f in zip(coeffs, cochains):
-        if coeff:
-            for key, value in f.values.items():
-                term = value.scale(coeff)
-                values[key] = values[key] + term if key in values else term
-    return Cochain(cochains[0].degree, cochains[0].rep, values)
-
-
 def cochain_space(rep, degree, bound):
     """Basis of conformally skew cochains with entries of total degree <= bound.
 
@@ -897,6 +886,9 @@ def solve_truncated(rep, degree, bound, operator=None):
     V(ker V_high), where V_high is V restricted to the monomials of degree
     > bound.
 
+    Returns the four dimensions and ``kernel``, the cocycles as coefficient
+    vectors over ``cochain_space(rep, degree, bound)``.
+
     The differential is evaluated on non-decreasing output tuples only.
     This is exact when ``rep.algebra``'s bracket is conformally skew and its
     torsion central, and ``operator`` does not mix torsion (the action may
@@ -920,7 +912,6 @@ def solve_truncated(rep, degree, bound, operator=None):
     keys = _output_tuples(rank_l, degree + 1, sorted_only)
     basis, images = _slice(rep, degree, bound, operator, keys)
     kernel = nullspace(images)
-    cocycles = [_combine(combo, basis) for combo in kernel]
 
     dim_im = 0
     if degree >= 1:
@@ -936,7 +927,7 @@ def solve_truncated(rep, degree, bound, operator=None):
         "cocycle_dim": len(kernel),
         "coboundary_dim": dim_im,
         "h_dim": len(kernel) - dim_im,
-        "cocycle_basis": cocycles,
+        "kernel": kernel,
     }
 
 

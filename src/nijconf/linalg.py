@@ -2,10 +2,13 @@
 
 Two layers:
 
-* one sparse Gaussian elimination over ``Fraction`` (row reduction, rank,
-  kernel bases, linear solving) on the sparse vectors the callers build --
-  the one elimination behind the truncated cocycle solver, the
-  extensibility test and the tau/eta solvers;
+* one sparse, fraction-free Gaussian elimination over the integers (row
+  reduction, rank, kernel bases, linear solving) on the sparse rational
+  vectors the callers build -- the one elimination behind the truncated
+  cocycle solver, the extensibility test and the tau/eta solvers.  Rows are
+  scaled to primitive integer rows and reduced by cross-multiplication; the
+  reduced rows come back as ``Fraction``s, and no float, modular or
+  probabilistic step is taken;
 * one unimodular reduction of polynomial matrices over Q[del] (a Euclidean
   sweep per column, then a Gauss-Jordan clear of unit pivots, carrying the
   identity block) behind the split-injection and split-surjection tests and
@@ -17,53 +20,113 @@ Two layers:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import Poly
 
 # ---------------------------------------------------------------------------
 # sparse rational vectors
 #
-# A vector is a dict {key: rational}; zero entries are ignored.  Its values may
-# be ints, as Poly coefficients are when integral: ``rref`` converts every
-# entry to Fraction before it divides by one, so no float can arise.  The
-# callers' vectors are the columns of a matrix whose rows are indexed by the
-# keys, so the keys only need to be hashable.  Rows are sparse dicts too,
-# indexed by column position.
-
-
-def _axpy(target, factor, source):
-    """target += factor * source, dropping the entries that cancel."""
-    for c, v in source.items():
-        value = target.get(c, 0) + factor * v
-        if value:
-            target[c] = value
-        else:
-            del target[c]
+# A vector is a dict {key: rational}; zero entries are ignored.  Its values are
+# ints or Fractions, as Poly coefficients are; ``rref`` refuses anything else,
+# so no float enters an elimination.  The callers' vectors are the columns of
+# a matrix whose rows are indexed by the keys, so the keys only need to be
+# hashable.  Rows are sparse dicts too, indexed by column position.  ``rref``
+# eliminates over the integers: each row is scaled to a primitive integer row,
+# and the only Fractions it builds are the entries of its result.
 
 
 def rref(rows):
     """Reduced row echelon form of sparse rows; returns (rows, pivot_columns).
 
     Column indices are ordered; the returned rows are the nonzero rows of the
-    (unique) reduced echelon form, one per pivot, in pivot order.
+    (unique) reduced echelon form, one per pivot, in pivot order, with a
+    Fraction at every entry.  Entries must be ints or Fractions; anything
+    else raises TypeError.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 1968, without
+    his exact divisions).  Each row is cleared of denominators and divided
+    by the gcd of its entries.  Its leading entry is cancelled against the
+    stored row of that column by cross-multiplication, and the result made
+    primitive again, until its leading column is new.  One pass in
+    decreasing pivot order then clears every pivot column above the
+    diagonal, and each entry of the result is one ``Fraction(v, lead)``.
     """
-    echelon = {}  # pivot column -> row, 1 at its pivot, 0 at every other pivot
+    echelon = {}  # pivot column -> primitive integer row, led at that column
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        for c in [c for c in row if c in echelon]:
-            _axpy(row, -row[c], echelon[c])
-        if not row:
-            continue
-        pivot = min(row)
-        inv = 1 / row[pivot]
-        row = {c: v * inv for c, v in row.items()}
-        for other in echelon.values():
-            factor = other.get(pivot)
-            if factor:
-                _axpy(other, -factor, row)
-        echelon[pivot] = row
+        scale = 1
+        for v in row.values():
+            if not isinstance(v, int):
+                if not isinstance(v, Fraction):
+                    raise TypeError(
+                        "rref takes int and Fraction entries, not %s"
+                        % type(v).__name__
+                    )
+                scale = lcm(scale, v.denominator)
+        if scale == 1:
+            row = {c: v.numerator for c, v in row.items() if v}
+        else:
+            row = {
+                c: v.numerator * (scale // v.denominator)
+                for c, v in row.items()
+                if v
+            }
+        while row:
+            content = gcd(*row.values())
+            if content != 1:
+                row = {c: v // content for c, v in row.items()}
+            lead = min(row)
+            base = echelon.get(lead)
+            if base is None:
+                echelon[lead] = row
+                break
+            # row <- a * row - b * base, which cancels the leading entry
+            a, b = base[lead], row[lead]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in base.items():
+                value = row.get(c, 0) - b * v
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
     pivots = sorted(echelon)
-    return [echelon[p] for p in pivots], pivots
+    # back-substitution: the rows of later pivots are reduced already, so
+    # clearing one pivot column brings in no other
+    for p in reversed(pivots):
+        row = echelon[p]
+        above = [c for c in row if c != p and c in echelon]
+        if not above:
+            continue
+        for c in above:
+            base = echelon[c]
+            a, b = base[c], row[c]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in base.items():
+                value = row.get(k, 0) - b * v
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
+        content = gcd(*row.values())
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+        echelon[p] = row
+    reduced = []
+    for p in pivots:
+        row = echelon[p]
+        lead = row[p]
+        reduced.append({c: Fraction(v, lead) for c, v in row.items()})
+    return reduced, pivots
 
 
 def _rows(columns):
@@ -71,8 +134,7 @@ def _rows(columns):
     rows = {}
     for j, column in enumerate(columns):
         for key, value in column.items():
-            if value:
-                rows.setdefault(key, {})[j] = value
+            rows.setdefault(key, {})[j] = value
     return list(rows.values())
 
 

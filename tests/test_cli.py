@@ -70,6 +70,24 @@ def test_duplicate_basis_name_exits_two_with_position(tmp_path):
     assert "status: error" in out
 
 
+def test_module_rank_above_the_bound_exits_two_at_the_first_surplus_name(tmp_path):
+    from nijconf.cli import MAX_RANK
+
+    names = ["g%d" % i for i in range(MAX_RANK + 2)]
+    first, rest = names[:3], names[3:]
+    bad = tmp_path / "wide.ws"
+    bad.write_text("module m\n  basis %s\n  basis %s\n" % (" ".join(first), " ".join(rest)))
+    code, out, _ = run_cli("-f", str(bad), "check", "m")
+    assert code == 2
+    column = len("  basis ") + len(" ".join(rest[: MAX_RANK - 3])) + 2
+    assert "wide.ws:3:%d: module rank exceeds the bound %d" % (column, MAX_RANK) in out
+    assert "status: error" in out
+    ok = tmp_path / "full.ws"
+    ok.write_text("module m\n  basis %s\n\nalgebra z module m\n" % " ".join(names[:MAX_RANK]))
+    code, out, _ = run_cli("-f", str(ok), "check", "z")
+    assert code == 0, out
+
+
 def test_negative_bound_exits_two():
     code, out, _ = run_cli(
         "-f", CORE, "cohomology", "vir", "--coeffs", "zerorepvir", "--bound", "-1"

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijconf import linalg
+from nijconf.cohomology import adjoint_rep, solve_truncated
+from nijconf.lca import RepTable
 from nijconf.poly import Poly
 
 F = Fraction
@@ -310,6 +313,137 @@ def test_sparse_elimination_matches_dense_reference(columns, target, in_span):
         assert expected is not None
     half = keys[::2]
     assert linalg.rank(columns, keys=half) == len(_dense_rref(_dense(columns, half))[1])
+
+
+def _entry(rng):
+    """A nonzero rational with numerator up to 10^6 and denominator up to 12,
+    an int when the denominator is 1."""
+    value = F(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 12))
+    return value.numerator if value.denominator == 1 else value
+
+
+def _seeded_matrix(rng):
+    """Up to 40 x 30 rows: small integer combinations of fewer generators
+    than rows, so the rank is deficient, with zero and duplicate rows."""
+    nrows, ncols = rng.randint(1, 40), rng.randint(1, 30)
+    density = rng.choice([0.1, 0.3, 1.0])
+    generators = [
+        [_entry(rng) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(rng.randint(0, min(nrows, ncols)))
+    ]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15 or not generators:
+            rows.append([0] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            row = [0] * ncols
+            for generator in rng.sample(generators, rng.randint(1, len(generators))):
+                coeff = rng.randint(-3, 3)
+                row = [a + coeff * b for a, b in zip(row, generator)]
+            rows.append([v.numerator if v.denominator == 1 else v for v in map(F, row)])
+    return rows
+
+
+def _sparse(dense_rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in dense_rows]
+
+
+def _all_fractions(values):
+    return all(type(v) is F for v in values)
+
+
+def test_elimination_matches_dense_reference_on_seeded_matrices():
+    rng = Random(17)
+    for _ in range(30):
+        rows = _seeded_matrix(rng)
+        nrows, ncols = len(rows), len(rows[0])
+        dense, pivots = _dense_rref(rows)
+        sparse = [{c: v for c, v in enumerate(row) if v or rng.random() < 0.1} for row in rows]
+        reduced, got_pivots = linalg.rref(sparse)
+        assert (reduced, got_pivots) == (_sparse(dense[: len(pivots)]), pivots)
+        assert _all_fractions(v for row in reduced for v in row.values())
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+        assert linalg.rank(columns) == len(pivots)
+        kernel = linalg.nullspace(columns)
+        assert kernel == _dense_nullspace(rows, ncols)
+        assert _all_fractions(v for vec in kernel for v in vec)
+        for in_span in (True, False):
+            if in_span:
+                x = [rng.randint(-2, 2) for _ in range(ncols)]
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            else:
+                rhs = [_entry(rng) if rng.random() < 0.5 else 0 for _ in range(nrows)]
+            solution = linalg.solve(columns, {i: b for i, b in enumerate(rhs) if b})
+            assert solution == _dense_solve(rows, rhs, ncols)
+            if in_span:
+                assert _all_fractions(solution)
+
+
+def test_elimination_matches_dense_reference_on_the_solver_slices(
+    monkeypatch, sl2, vir, central_line
+):
+    # the three truncated slices of the benchmark's cohomology workload: every
+    # matrix the solver hands to the elimination, reduced both ways
+    recorded = []
+    rref = linalg.rref
+
+    def recording_rref(rows):
+        rows = list(rows)
+        recorded.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    slices = [
+        (adjoint_rep(sl2), 2, 2, [72, 23, 23, 0]),
+        (RepTable(sl2, central_line), 2, 6, [30, 4, 3, 1]),
+        (adjoint_rep(vir), 3, 6, [7, 5, 5, 0]),
+    ]
+    for rep, degree, bound, dims in slices:
+        result = solve_truncated(rep, degree, bound)
+        keys = ("cochain_dim", "cocycle_dim", "coboundary_dim", "h_dim")
+        assert [result[key] for key in keys] == dims
+    assert len(recorded) > 20
+    for rows in recorded:
+        ncols = 1 + max((c for row in rows for c in row), default=-1)
+        dense, pivots = _dense_rref([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        reduced, got_pivots = rref(rows)
+        assert (reduced, got_pivots) == (_sparse(dense[: len(pivots)]), pivots)
+        assert _all_fractions(v for row in reduced for v in row.values())
+
+
+def test_rref_builds_one_fraction_per_output_entry(monkeypatch):
+    # an all-integer matrix of rank 3 with a duplicate and a zero row: the
+    # elimination runs over the integers, and only the result holds Fractions
+    rows = [
+        {0: 2, 1: 4, 2: 6, 4: 1},
+        {0: 3, 1: 5, 2: 7, 3: 1},
+        {0: 3, 1: 5, 2: 7, 3: 1},
+        {},
+        {1: 1, 2: 2, 3: 9, 4: -4},
+        {0: 5, 1: 9, 2: 13, 3: 1, 4: 1},
+    ]
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        linalg.Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)
+    )
+    reduced, pivots = linalg.rref(rows)
+    monkeypatch.undo()
+    assert pivots == [0, 1, 3]
+    assert 0 < len(made) <= sum(len(row) for row in reduced)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, 0.0, Decimal(1), "1", 1j])
+def test_elimination_refuses_entries_that_are_not_int_or_fraction(value):
+    with pytest.raises(TypeError):
+        linalg.rref([{0: 1}, {0: 2, 1: value}])
+    with pytest.raises(TypeError):
+        linalg.rank([{0: F(1, 2)}, {1: value}])
+    with pytest.raises(TypeError):
+        linalg.solve([{0: 1}], {0: value})
 
 
 def test_rank_matches_sympy():
