@@ -2,13 +2,11 @@
 
 Two layers:
 
-* one sparse, fraction-free Gaussian elimination over the integers (row
-  reduction, rank, kernel bases, linear solving) on the sparse rational
+* one sparse Gaussian elimination, fraction-free over the integers (row
+  reduction, rank, kernel bases, linear solving), on the sparse rational
   vectors the callers build -- the one elimination behind the truncated
-  cocycle solver, the extensibility test and the tau/eta solvers.  Rows are
-  scaled to primitive integer rows and reduced by cross-multiplication; the
-  reduced rows come back as ``Fraction``s, and no float, modular or
-  probabilistic step is taken;
+  cocycle solver, the extensibility test and the tau/eta solvers.  It takes
+  no float, modular or probabilistic step;
 * one unimodular reduction of polynomial matrices over Q[del] (a Euclidean
   sweep per column, then a Gauss-Jordan clear of unit pivots, carrying the
   identity block) behind the split-injection and split-surjection tests and
@@ -31,9 +29,7 @@ from .poly import Poly
 # ints or Fractions, as Poly coefficients are; ``rref`` refuses anything else,
 # so no float enters an elimination.  The callers' vectors are the columns of
 # a matrix whose rows are indexed by the keys, so the keys only need to be
-# hashable.  Rows are sparse dicts too, indexed by column position.  ``rref``
-# eliminates over the integers: each row is scaled to a primitive integer row,
-# and the only Fractions it builds are the entries of its result.
+# hashable.  Rows are sparse dicts too, indexed by column position.
 
 
 def rref(rows):

@@ -323,8 +323,9 @@ def _entry(rng):
 
 
 def _seeded_matrix(rng):
-    """Up to 40 x 30 rows: small integer combinations of fewer generators
-    than rows, so the rank is deficient, with zero and duplicate rows."""
+    """Up to 40 x 30 rows: small integer combinations of at most
+    min(rows, columns) generators, so the rank is at most their number and
+    mostly deficient, with zero and duplicate rows."""
     nrows, ncols = rng.randint(1, 40), rng.randint(1, 30)
     density = rng.choice([0.1, 0.3, 1.0])
     generators = [
