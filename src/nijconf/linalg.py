@@ -7,12 +7,12 @@ Two layers:
   vectors the callers build -- the one elimination behind the truncated
   cocycle solver, the extensibility test and the tau/eta solvers.  It takes
   no float, modular or probabilistic step;
-* one unimodular reduction of polynomial matrices over Q[del] (a Euclidean
-  sweep per column, then a Gauss-Jordan clear of unit pivots, carrying the
-  identity block) behind the split-injection and split-surjection tests and
-  the inverse of a matrix invertible over Q[del] -- used to validate
-  extension diagrams and automorphisms exactly rather than over the fraction
-  field.
+* one unimodular reduction of matrices of del-only Polys over Q[del], in
+  Poly's own arithmetic (a Euclidean sweep per column, then a Gauss-Jordan
+  clear of unit pivots, carrying the identity block) behind the
+  split-injection and split-surjection tests and the inverse of a matrix
+  invertible over Q[del] -- used to validate extension diagrams and
+  automorphisms exactly rather than over the fraction field.
 """
 
 from __future__ import annotations
@@ -32,21 +32,14 @@ from .poly import Poly
 # hashable.  Rows are sparse dicts too, indexed by column position.
 
 
-def rref(rows):
-    """Reduced row echelon form of sparse rows; returns (rows, pivot_columns).
+def _echelon(rows):
+    """Forward elimination of sparse rows: {pivot column: integer row}.
 
-    Column indices are ordered; the returned rows are the nonzero rows of the
-    (unique) reduced echelon form, one per pivot, in pivot order, with a
-    Fraction at every entry.  Entries must be ints or Fractions; anything
-    else raises TypeError.
-
-    The elimination is fraction-free (Bareiss, Math. Comp. 1968, without
-    his exact divisions).  Each row is cleared of denominators and divided
-    by the gcd of its entries.  Its leading entry is cancelled against the
-    stored row of that column by cross-multiplication, and the result made
-    primitive again, until its leading column is new.  One pass in
-    decreasing pivot order then clears every pivot column above the
-    diagonal, and each entry of the result is one ``Fraction(v, lead)``.
+    Fraction-free (Bareiss, Math. Comp. 1968, without his exact divisions):
+    each row is cleared of denominators and divided by the gcd of its
+    entries.  Its leading entry is cancelled against the stored row of that
+    column by cross-multiplication, and the result made primitive again,
+    until its leading column is new; there the row is stored.
     """
     echelon = {}  # pivot column -> primitive integer row, led at that column
     for row in rows:
@@ -90,6 +83,22 @@ def rref(rows):
                     row[c] = value
                 else:
                     del row[c]
+    return echelon
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rows; returns (rows, pivot_columns).
+
+    Column indices are ordered; the returned rows are the nonzero rows of the
+    (unique) reduced echelon form, one per pivot, in pivot order, with a
+    Fraction at every entry.  Entries must be ints or Fractions; anything
+    else raises TypeError.
+
+    After the forward elimination (``_echelon``), one pass in decreasing
+    pivot order clears every pivot column above the diagonal, and each
+    entry of the result is one ``Fraction(v, lead)``.
+    """
+    echelon = _echelon(rows)
     pivots = sorted(echelon)
     # back-substitution: the rows of later pivots are reduced already, so
     # clearing one pivot column brings in no other
@@ -139,7 +148,7 @@ def rank(vectors, keys=None):
     if keys is not None:
         keys = set(keys)
         vectors = [{k: v for k, v in vec.items() if k in keys} for vec in vectors]
-    return len(rref(_rows(vectors))[1])
+    return len(_echelon(_rows(vectors)))
 
 
 def nullspace(columns):
@@ -181,125 +190,73 @@ def solve(columns, target):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q (coefficient tuples, low degree first)
+# polynomial matrices (entries: del-only Poly)
 
 
-def upoly_from(poly):
-    """Convert a del-only Poly to a tuple of Fraction coefficients.
-
-    A Poly coefficient may be an int, which ``_unimodular_reduce`` would turn
-    into a float when it divides by a pivot; Fractions keep that exact.
-    """
+def _del_only(poly):
+    """The arity-0 copy of a Poly that uses no lambda-variable."""
     if any(poly.uses_var(i) for i in range(1, poly.arity + 1)):
         raise ValueError("polynomial uses lambda-variables; not univariate")
-    degree = poly.degree_in(0)
-    coeffs = [Fraction(0)] * (degree + 1 if degree >= 0 else 0)
-    for key, coeff in poly.terms.items():
-        coeffs[key[0]] = Fraction(coeff)
-    return tuple(coeffs)
+    return poly.with_arity(0)
 
 
-def upoly_to(coeffs, arity=0):
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            terms[(e,) + (0,) * arity] = c
-    return Poly(arity, terms)
-
-
-def utrim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def uadd(a, b):
-    n = max(len(a), len(b))
-    return utrim(
-        [
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ]
-    )
-
-
-def uneg(a):
-    return tuple(-c for c in a)
-
-
-def umul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return utrim(out)
-
-
-def udivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        factor = a[shift + len(b) - 1] * inv
-        if factor:
-            quotient[shift] = factor
-            for j, cb in enumerate(b):
-                a[shift + j] -= factor * cb
-    return utrim(quotient), utrim(a)
-
-
-# ---------------------------------------------------------------------------
-# polynomial matrices (entries: del-only Poly)
+def _divmod_del(a, b):
+    """(q, r) with a = q * b + r and deg r < deg b, for arity-0 Polys; the
+    lead of b is inverted as a Fraction, as ``/`` makes an int a float."""
+    degree = b.degree_in(0)
+    inverse = Fraction(1, b.terms[(degree,)])
+    quotient = Poly.zero(0)
+    while a.degree_in(0) >= degree:
+        top = a.degree_in(0)
+        term = Poly(0, {(top - degree,): a.terms[(top,)] * inverse})
+        quotient = quotient + term
+        a = a - term * b
+    return quotient, a
 
 
 def _unimodular_reduce(matrix):
     """Reduce a matrix of del-only Polys by unimodular row operations.
 
-    Column by column, a Euclidean sweep (``udivmod`` of every lower entry by
-    the one of least degree, repeated) leaves the gcd of the column's
-    remaining entries in the pivot row.  A nonzero constant pivot is scaled
-    to 1 and cleared from every other row (Gauss-Jordan); the first column
-    whose pivot is zero or not constant ends the reduction.  The identity
-    block rides along to the right of the rows, so it ends as the unimodular
-    U on the left of U M.  Returns (rows, units): the rows [U M | U] as
-    coefficient tuples, and the number of leading unit pivots.
+    Column by column, a Euclidean sweep (``_divmod_del`` of every lower
+    entry by the one of least degree, repeated) leaves the gcd of the
+    column's remaining entries in the pivot row.  A nonzero constant pivot
+    is scaled to 1 and cleared from every other row (Gauss-Jordan); the
+    first column whose pivot is zero or not constant ends the reduction.
+    The identity block rides along to the right of the rows, so it ends as
+    the unimodular U on the left of U M.  Returns (rows, units): the rows
+    [U M | U] as arity-0 Polys, and the number of leading unit pivots.
+    An entry that uses a lambda-variable raises ValueError.
     """
     m = len(matrix)
     n = len(matrix[0]) if matrix else 0
     rows = [
-        [upoly_from(entry) for entry in row]
-        + [(Fraction(1),) if k == i else () for k in range(m)]
+        [_del_only(entry) for entry in row]
+        + [Poly.const(int(k == i), 0) for k in range(m)]
         for i, row in enumerate(matrix)
     ]
-
-    def subtract(row, factor, pivot_row):
-        return [uadd(a, uneg(umul(factor, b))) for a, b in zip(row, pivot_row)]
 
     for col in range(min(m, n)):
         while True:
             live = [i for i in range(col, m) if rows[i][col]]
             if not live:
                 return rows, col
-            least = min(live, key=lambda i: len(rows[i][col]))
+            least = min(live, key=lambda i: rows[i][col].degree_in(0))
             rows[col], rows[least] = rows[least], rows[col]
             pivot = rows[col][col]
             if len(live) == 1:
                 break
             for i in range(col + 1, m):
                 if rows[i][col]:
-                    quotient = udivmod(rows[i][col], pivot)[0]
-                    rows[i] = subtract(rows[i], quotient, rows[col])
-        if len(pivot) != 1:
+                    quotient = _divmod_del(rows[i][col], pivot)[0]
+                    rows[i] = [a - quotient * b for a, b in zip(rows[i], rows[col])]
+        if pivot.degree_in(0):
             return rows, col
-        rows[col] = [tuple(c / pivot[0] for c in entry) for entry in rows[col]]
+        unit = Fraction(1, pivot.terms[(0,)])
+        rows[col] = [entry.scale(unit) for entry in rows[col]]
         for i in range(m):
-            if i != col and rows[i][col]:
-                rows[i] = subtract(rows[i], rows[i][col], rows[col])
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
     return rows, min(m, n)
 
 
@@ -319,10 +276,10 @@ def poly_unimodular_inverse(matrix):
     """Inverse of a square Q[del]-matrix that is invertible over Q[del].
 
     Returns None when the matrix is not square or its determinant is not a
-    nonzero constant.
+    nonzero constant.  The entries of the inverse are arity-0 Polys.
     """
     n = len(matrix)
     rows, units = _unimodular_reduce(matrix)
     if units < n or any(len(row) != n for row in matrix):
         return None
-    return [[upoly_to(entry) for entry in row[n:]] for row in rows]
+    return [row[n:] for row in rows]

@@ -101,7 +101,7 @@ class Poly:
         if not self.terms:
             return other
         return _trusted(
-            self.arity, _accumulate(dict(self.terms), other.terms.items())
+            self.arity, _add_terms(dict(self.terms), other.terms.items())
         )
 
     __radd__ = __add__
@@ -132,7 +132,7 @@ class Poly:
             for ka, ca in self.terms.items()
             for kb, cb in other.terms.items()
         )
-        return _trusted(self.arity, _accumulate({}, products))
+        return _trusted(self.arity, _add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -167,7 +167,7 @@ class Poly:
                     for ka, ca in a.terms.items()
                     for kb, cb in b.terms.items()
                 )
-                _accumulate(terms, products)
+                _add_terms(terms, products)
         return _trusted(arity, terms)
 
     def scale(self, value):
@@ -175,7 +175,7 @@ class Poly:
         if not value:
             return Poly.zero(self.arity)
         products = ((k, c * value) for k, c in self.terms.items())
-        return _trusted(self.arity, _accumulate({}, products))
+        return _trusted(self.arity, _add_terms({}, products))
 
     # -- comparisons and hashing -------------------------------------
 
@@ -256,7 +256,7 @@ class Poly:
                     (tuple(map(add, rest, pk)), coeff * pc)
                     for pk, pc in power.terms.items()
                 )
-            _accumulate(terms, products)
+            _add_terms(terms, products)
         return _trusted(self.arity, terms)
 
     def eval_rational(self, values):
@@ -311,7 +311,7 @@ def _is_one(terms):
     return coeff == 1 and not any(key)
 
 
-def _accumulate(terms, items):
+def _add_terms(terms, items):
     """Add nonzero ``(key, coeff)`` pairs into ``terms``, dropping cancellations.
 
     Each stored value is made canonical: a sum or a product of canonical
@@ -375,7 +375,7 @@ class Substitution(dict):
         terms = {}
         for key, coeff in poly.terms.items():
             image = self[key].terms.items()
-            _accumulate(terms, ((k, c * coeff) for k, c in image))
+            _add_terms(terms, ((k, c * coeff) for k, c in image))
         return _trusted(self.arity, terms)
 
 

@@ -93,7 +93,7 @@ class Poly:
         if not self.terms:
             return other
         return _trusted(
-            self.arity, _accumulate(dict(self.terms), other.terms.items())
+            self.arity, _add_terms(dict(self.terms), other.terms.items())
         )
 
     __radd__ = __add__
@@ -119,7 +119,7 @@ class Poly:
             for ka, ca in self.terms.items()
             for kb, cb in other.terms.items()
         )
-        return _trusted(self.arity, _accumulate({}, products))
+        return _trusted(self.arity, _add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -227,7 +227,7 @@ class Poly:
                     (tuple(map(add, rest, pk)), coeff * pc)
                     for pk, pc in power.terms.items()
                 )
-            _accumulate(terms, products)
+            _add_terms(terms, products)
         return _trusted(self.arity, terms)
 
     def eval_rational(self, values):
@@ -264,7 +264,7 @@ def _trusted(arity, terms):
     return poly
 
 
-def _accumulate(terms, items):
+def _add_terms(terms, items):
     """Add nonzero ``(key, coeff)`` pairs into ``terms``, dropping cancellations."""
     for key, coeff in items:
         old = terms.get(key)

@@ -73,25 +73,37 @@ def _dense_solve(rows, rhs, ncols):
 
 
 # -- test-only Q[del] references: the Smith form and the cofactor inverse
-# -- that the unimodular reduction replaced -----------------------------
+# -- that the unimodular reduction replaced, with a long division of their
+# -- own ---------------------------------------------------------------
 
-_u = linalg.upoly_from
+
+def _lead(p):
+    return F(p.terms[(p.degree_in(0),)])
+
+
+def _monic(p):
+    return p.scale(1 / _lead(p)) if p else p
+
+
+def _long_divide(a, b):
+    """(q, r) with a = q * b + r and deg r < deg b, for del-only Polys."""
+    quotient = Poly.zero(0)
+    while a.degree_in(0) >= b.degree_in(0):
+        step = Poly.del_(0) ** (a.degree_in(0) - b.degree_in(0))
+        step = step.scale(_lead(a) / _lead(b))
+        quotient, a = quotient + step, a - step * b
+    return quotient, a
 
 
 def _ugcd(a, b):
-    a, b = linalg.utrim(a), linalg.utrim(b)
     while b:
-        a, b = b, linalg.udivmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = tuple(c * inv for c in a)
-    return a
+        a, b = b, _long_divide(a, b)[1]
+    return _monic(a)
 
 
 def _smith_invariants(matrix):
-    """Invariant factors of a matrix over Q[del] (monic, unit -> (1,))."""
-    uadd, uneg, umul, udivmod = linalg.uadd, linalg.uneg, linalg.umul, linalg.udivmod
-    m = [[_u(entry) for entry in row] for row in matrix]
+    """Invariant factors of a matrix over Q[del] (monic, unit -> 1)."""
+    m = [list(row) for row in matrix]
     if not m or not m[0]:
         return []
     rows, cols = len(m), len(m[0])
@@ -101,7 +113,10 @@ def _smith_invariants(matrix):
         best = None
         for i in range(top, rows):
             for j in range(top, cols):
-                if m[i][j] and (best is None or len(m[i][j]) < len(m[best[0]][best[1]])):
+                if m[i][j] and (
+                    best is None
+                    or m[i][j].degree_in(0) < m[best[0]][best[1]].degree_in(0)
+                ):
                     best = (i, j)
         if best is None:
             break
@@ -115,8 +130,8 @@ def _smith_invariants(matrix):
             pivot = m[top][top]
             for i in range(top + 1, rows):
                 if m[i][top]:
-                    q, rem = udivmod(m[i][top], pivot)
-                    m[i] = [uadd(m[i][j], uneg(umul(q, m[top][j]))) for j in range(cols)]
+                    q, rem = _long_divide(m[i][top], pivot)
+                    m[i] = [m[i][j] - q * m[top][j] for j in range(cols)]
                     if rem:
                         m[top], m[i] = m[i], m[top]
                         dirty = True
@@ -125,29 +140,25 @@ def _smith_invariants(matrix):
                 continue
             for j in range(top + 1, cols):
                 if m[top][j]:
-                    q, rem = udivmod(m[top][j], pivot)
+                    q, rem = _long_divide(m[top][j], pivot)
                     for i in range(rows):
-                        m[i][j] = uadd(m[i][j], uneg(umul(q, m[i][top])))
+                        m[i][j] = m[i][j] - q * m[i][top]
                     if rem:
                         for i in range(rows):
                             m[i][top], m[i][j] = m[i][j], m[i][top]
                         dirty = True
                         break
-        pivot = m[top][top]
-        inv = Fraction(1) / pivot[-1]
-        invariants.append(tuple(c * inv for c in pivot))
+        invariants.append(_monic(m[top][top]))
         top += 1
     changed = True
     while changed:
         changed = False
         for i in range(len(invariants) - 1):
             a, b = invariants[i], invariants[i + 1]
-            if udivmod(b, a)[1]:
+            if _long_divide(b, a)[1]:
                 g = _ugcd(a, b)
-                lcm = udivmod(umul(a, b), g)[0]
-                inv = Fraction(1) / lcm[-1] if lcm else Fraction(1)
                 invariants[i] = g
-                invariants[i + 1] = tuple(c * inv for c in lcm)
+                invariants[i + 1] = _monic(_long_divide(a * b, g)[0])
                 changed = True
     return invariants
 
@@ -155,18 +166,17 @@ def _smith_invariants(matrix):
 def _units_only(matrix, count):
     """``count`` invariant factors, all of them units."""
     invariants = _smith_invariants(matrix)
-    return len(invariants) == count and all(len(f) == 1 for f in invariants)
+    return len(invariants) == count and all(f.degree_in(0) == 0 for f in invariants)
 
 
 def _poly_det(matrix):
     """Determinant of a square matrix of del-only Polys (Bareiss)."""
-    uadd, uneg, umul, udivmod = linalg.uadd, linalg.uneg, linalg.umul, linalg.udivmod
-    m = [[_u(entry) for entry in row] for row in matrix]
+    m = [list(row) for row in matrix]
     n = len(m)
     if n == 0:
         return Poly.one(0)
     sign = 1
-    prev = (Fraction(1),)
+    prev = Poly.one(0)
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -176,24 +186,22 @@ def _poly_det(matrix):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = uadd(umul(m[i][j], m[k][k]), uneg(umul(m[i][k], m[k][j])))
-                m[i][j], rem = udivmod(num, prev)
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j], rem = _long_divide(num, prev)
                 assert not rem, "Bareiss exact division failed"
-            m[i][k] = ()
+            m[i][k] = Poly.zero(0)
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = uneg(det)
-    return linalg.upoly_to(det)
+    return -det if sign < 0 else det
 
 
 def _cofactor_inverse(matrix):
     """Adjugate over a constant determinant; None when it is not one."""
     n = len(matrix)
-    u = _u(_poly_det(matrix))
-    if len(u) != 1:
+    det = _poly_det(matrix)
+    if det.degree_in(0) != 0:
         return None
-    scale = Fraction(1) / u[0]
+    scale = 1 / _lead(det)
     inverse = []
     for i in range(n):
         row = []
@@ -432,9 +440,14 @@ def test_rref_builds_one_fraction_per_output_entry(monkeypatch):
         linalg.Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)
     )
     reduced, pivots = linalg.rref(rows)
+    by_rref = len(made)
+    columns = [{i: row[c] for i, row in enumerate(rows) if c in row} for c in range(5)]
+    assert linalg.rank(columns) == 3
     monkeypatch.undo()
     assert pivots == [0, 1, 3]
-    assert 0 < len(made) <= sum(len(row) for row in reduced)
+    assert 0 < by_rref <= sum(len(row) for row in reduced)
+    # rank counts the pivots of the forward elimination, which builds none
+    assert len(made) == by_rref
 
 
 @pytest.mark.parametrize("value", [0.5, 2.0, 0.0, Decimal(1), "1", 1j])
@@ -473,7 +486,7 @@ def test_poly_rank_and_smith():
     inv = _smith_invariants(mat)
     # two invariant factors: rank 2 over Q(del); the second one is del, so
     # the cokernel has torsion
-    assert inv == [(F(1),), (F(0), F(1))]
+    assert inv == [Poly.one(0), d]
     assert not linalg.is_split_injection(mat)
 
 
@@ -513,6 +526,51 @@ def test_split_surjection():
     d = _dpoly(0, 1)
     assert linalg.is_split_surjection([[_dpoly(1), d]])
     assert not linalg.is_split_surjection([[d, d * d]])
+
+
+def test_q_del_routines_refuse_lambda_variables():
+    lam = Poly.lam(1, 1)
+    for matrix in ([[lam]], [[Poly.one(1), lam]], [[Poly.del_(1)], [lam]]):
+        with pytest.raises(ValueError):
+            linalg.is_split_injection(matrix)
+        with pytest.raises(ValueError):
+            linalg.is_split_surjection(matrix)
+        with pytest.raises(ValueError):
+            linalg.poly_unimodular_inverse(matrix)
+
+
+def test_q_del_routines_read_del_only_entries_at_any_arity():
+    d = _dpoly(0, 1)
+    mat = [[_dpoly(2), d], [Poly.zero(0), _dpoly(1, 3)]]
+    for arity in (1, 2):
+        lifted = [[entry.with_arity(arity) for entry in row] for row in mat]
+        assert linalg.is_split_injection(lifted) == linalg.is_split_injection(mat)
+        assert linalg.is_split_surjection(lifted) == linalg.is_split_surjection(mat)
+        assert linalg.poly_unimodular_inverse(lifted) is None
+        unimodular = [[_dpoly(2), d], [Poly.zero(0), _dpoly(3)]]
+        lifted = [[entry.with_arity(arity) for entry in row] for row in unimodular]
+        inverse = linalg.poly_unimodular_inverse(lifted)
+        assert inverse == linalg.poly_unimodular_inverse(unimodular)
+        assert all(entry.arity == 0 for row in inverse for entry in row)
+
+
+_rational = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rational, max_size=6), st.lists(_rational, min_size=1, max_size=4))
+def test_del_only_division_is_exact(a_coeffs, b_coeffs):
+    a, b = _dpoly(*a_coeffs), _dpoly(*b_coeffs)
+    if not b:
+        b = _dpoly(*b_coeffs[:-1], 3)
+    q, r = linalg._divmod_del(a, b)
+    assert a == q * b + r
+    assert r.degree_in(0) < b.degree_in(0)
+    assert q == _long_divide(a, b)[0]
+    for p in (q, r):
+        assert all(type(c) in (int, F) for c in p.terms.values())
 
 
 _coeffs = st.lists(st.integers(-2, 2), max_size=3)
