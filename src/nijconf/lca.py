@@ -53,6 +53,8 @@ class FreeModule:
         else:
             actions = [Fraction(del_action)] * len(self.basis)
         self.actions = actions
+        # (index, action) of each evaluation generator
+        self._evaluation = [(t, a) for t, a in enumerate(actions) if a != FREE]
 
     @property
     def del_action(self):
@@ -82,23 +84,21 @@ class FreeModule:
         return Elem(self, list(coords))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FreeModule)
             and self.basis == other.basis
             and self.actions == other.actions
         )
 
     def __repr__(self):
-        tail = "" if all(a == FREE for a in self.actions) else (
-            ", del=%s" % self.del_action
-        )
+        tail = ", del=%s" % self.del_action if self._evaluation else ""
         return "FreeModule(%s%s)" % (",".join(self.basis), tail)
 
     def reduce_coords(self, coords):
         """Apply the evaluation substitution del |-> a where applicable."""
         out = list(coords)
-        for t, action in enumerate(self.actions):
-            if action != FREE and out[t].uses_var(0):
+        for t, action in self._evaluation:
+            if out[t].uses_var(0):
                 out[t] = out[t].substitute(0, Poly.const(action, out[t].arity))
         return out
 
@@ -254,8 +254,8 @@ class StructureTable:
         )
 
 
-def _expand_value(polys, forms, arity):
-    """Map arity-k polynomials into the working arity: lam_j -> forms[j-1].
+def _expand_value(polys, form, arity):
+    """Map arity-1 table values into the working arity: lam1 -> form.
 
     del is left untouched (it acts on the output).
     """
@@ -263,17 +263,36 @@ def _expand_value(polys, forms, arity):
     out = []
     for poly in polys:
         acc = Poly.zero(arity)
-        for key, coeff in poly.terms.items():
-            term = _trusted(arity, {(key[0],) + (0,) * arity: coeff})
-            for j, e in enumerate(key[1:]):
-                if e:
-                    power = powers.get((j, e))
-                    if power is None:
-                        power = powers[j, e] = forms[j] ** e
-                    term = term * power
+        for (d, e), coeff in poly.terms.items():
+            term = _trusted(arity, {(d,) + (0,) * arity: coeff})
+            if e:
+                power = powers.get(e)
+                if power is None:
+                    power = powers[e] = form ** e
+                term = term * power
             acc = acc + term
         out.append(acc)
     return out
+
+
+def _at_form(polys, form, arity):
+    """The arity-1 ``polys`` with lam1 -> ``form``, at ``arity``.
+
+    At a bare lam_s, the form of every plain bracket and action, this is a
+    relabel: each exponent of lam1 moves to index s of a key at ``arity``.
+    Other forms go to :func:`_expand_value`.
+    """
+    if len(form.terms) == 1:
+        ((key, coeff),) = form.terms.items()
+        if coeff == 1 and not key[0] and sum(key) == 1:
+            slot = key.index(1)
+            before, after = (0,) * (slot - 1), (0,) * (arity - slot)
+            return [
+                _trusted(arity, {(d,) + before + (e,) + after: c
+                                 for (d, e), c in poly.terms.items()})
+                for poly in polys
+            ]
+    return _expand_value(polys, form, arity)
 
 
 def sesqui_eval(table, target, a, b, form, arity):
@@ -306,7 +325,7 @@ def sesqui_eval(table, target, a, b, form, arity):
     lifted_b = _Lifted(b.coords, arity, Poly.del_(arity) + form)
     for i, j, value in pairs:
         factor = lifted_a[i] * lifted_b[j]
-        for t, tpoly in enumerate(_expand_value(value, [form], arity)):
+        for t, tpoly in enumerate(_at_form(value, form, arity)):
             if tpoly:
                 result[t] = result[t] + factor * tpoly
     return Elem(target, result)
@@ -348,7 +367,7 @@ class LCA:
         """[e_i lam_slot e_j] as an Elem."""
         if arity is None:
             arity = slot
-        value = _expand_value(self.table.get(i, j), [Poly.lam(slot, arity)], arity)
+        value = _at_form(self.table.get(i, j), Poly.lam(slot, arity), arity)
         return Elem(self.module, value)
 
     def __eq__(self, other):
@@ -554,8 +573,8 @@ class RepTable:
     def act_basis(self, i, j, slot=1, arity=None):
         if arity is None:
             arity = slot
-        coords = _expand_value(self.action.get(i, j), [Poly.lam(slot, arity)], arity)
-        return Elem(self.module, coords)
+        value = _at_form(self.action.get(i, j), Poly.lam(slot, arity), arity)
+        return Elem(self.module, value)
 
 
 def check_representation(rep):
@@ -643,6 +662,8 @@ class ConfLinMap:
             raise ModuleMismatchError("matrix shape does not match modules")
         self.source = source
         self.target = target
+        # arity -> rows of (column, entry lifted to that arity), nonzero only
+        self._lifted = {}
         self.matrix = [
             [
                 entry if isinstance(entry, Poly) else Poly.const(entry, 0)
@@ -693,32 +714,28 @@ class ConfLinMap:
     def apply(self, elem):
         if elem.module != self.source:
             raise ModuleMismatchError("element not in the map's source")
-        arity = elem.arity
-        coords = []
-        for row in self.matrix:
-            acc = Poly.zero(arity)
-            for entry, c in zip(row, elem.coords):
-                if entry and c:
-                    acc = acc + entry.with_arity(arity) * c
-            coords.append(acc)
-        return Elem(self.target, coords)
+        arity, coords = elem.arity, elem.coords
+        rows = self._lifted.get(arity)
+        if rows is None:
+            rows = self._lifted[arity] = [
+                [(k, entry.with_arity(arity)) for k, entry in enumerate(row) if entry]
+                for row in self.matrix
+            ]
+        zero = Poly.zero(arity)
+        return Elem(self.target, [
+            sum((entry * coords[k] for k, entry in row if coords[k].terms), zero)
+            for row in rows
+        ])
 
     def compose(self, other):
         """self o other."""
         if other.target != self.source:
             raise ModuleMismatchError("composition modules do not match")
-        rows = len(self.matrix)
-        cols = len(other.matrix[0]) if other.matrix else 0
-        inner = len(other.matrix)
-        mat = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                acc = Poly.zero(0)
-                for k in range(inner):
-                    acc = acc + self.matrix[i][k] * other.matrix[k][j]
-                row.append(acc)
-            mat.append(row)
+        columns = list(zip(*other.matrix)) or [()] * other.source.rank
+        mat = [
+            [Poly.sum_of_products(0, zip(row, column)) for column in columns]
+            for row in self.matrix
+        ]
         return ConfLinMap(other.source, self.target, mat)
 
     def __add__(self, other):

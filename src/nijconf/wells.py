@@ -295,8 +295,7 @@ def wells_obstruction(ext, pair, bound=None):
     degree <= D exists, ``nonzero@D`` when the bounded solve is infeasible,
     and ``nonzero-certified`` when infeasibility is conclusive because the
     eta-unknowns live in a finite space (evaluation-module H).  The status
-    is recomputed with a second section as an independence check.  The
-    triple moved by the pair is `transform_cocycle` of `extract_cocycle`.
+    is recomputed with a second section as an independence check.
     """
     _require_pair(ext, pair)
     report = Report("wells-obstruction")

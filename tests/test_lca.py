@@ -3,8 +3,11 @@ from random import Random
 
 import pytest
 
+from nijconf import cli, lca
+from nijconf.cohomology import adjoint_rep, cup_product, random_cochain
 from nijconf.errors import ModuleMismatchError
 from nijconf.lca import (
+    FREE,
     LCA,
     ConfLinMap,
     Elem,
@@ -18,9 +21,11 @@ from nijconf.lca import (
     semidirect,
     sesqui_eval,
 )
+from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly
 
 from conftest import DEL, LAM, make_vir
+from test_cli import CORE
 
 
 def test_virasoro_type_axioms(vir):
@@ -182,7 +187,9 @@ def _random_table(rng, rank):
 def test_sesqui_eval_matches_slot_reference(sl2):
     rng = Random(2025)
     mixed = LCA(FreeModule(["x", "y"]), _random_table(rng, 2))
-    for algebra in (sl2, make_vir(), mixed):
+    # del acts by 2 on c: every output coordinate there must lose its del
+    torsion = LCA(FreeModule(["a", "c"], [FREE, 2]), _random_table(Random(2026), 2))
+    for algebra in (sl2, make_vir(), mixed, torsion):
         module = algebra.module
         for slot in (1, 2, 3):
             for arity in range(slot, 4):
@@ -204,3 +211,93 @@ def test_sesqui_eval_matches_slot_reference(sl2):
                     assert got == expected
                     if arity == max(a.arity, b.arity, slot):
                         assert eval_bracket(algebra, a, b, slot) == expected
+
+
+def _random_del_poly(rng):
+    """A del-only Poly, zero about a third of the time, with Fraction terms."""
+    if rng.random() < 0.35:
+        return Poly.zero(0)
+    terms = {(e,): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in range(3)}
+    return Poly(0, terms)
+
+
+def _dense_apply(mapping, elem):
+    """mapping(elem) by the definition: every entry times every coordinate,
+    then del -> a on each generator of the target where del acts by a."""
+    arity = elem.arity
+    coords = []
+    for row, action in zip(mapping.matrix, mapping.target.actions):
+        acc = Poly.zero(arity)
+        for entry, coord in zip(row, elem.coords):
+            acc = acc + entry.with_arity(arity) * coord
+        if action != FREE:
+            acc = acc.substitute(0, Poly.const(action, arity))
+        coords.append(acc)
+    return coords
+
+
+def test_conf_lin_map_apply_and_compose_match_dense_loops():
+    rng = Random(19)
+    modules = [
+        FreeModule(["x"]),
+        FreeModule(["x", "y", "z"]),
+        FreeModule(["a", "c"], [FREE, 2]),
+    ]
+    for _ in range(60):
+        source, target = rng.choice(modules), rng.choice(modules)
+        matrix = [
+            [_random_del_poly(rng) for _ in range(source.rank)]
+            for _ in range(target.rank)
+        ]
+        matrix[rng.randrange(target.rank)] = [0] * source.rank  # a zero row
+        mapping = ConfLinMap(source, target, matrix)
+        first = ConfLinMap(source, source, [
+            [_random_del_poly(rng) for _ in range(source.rank)]
+            for _ in range(source.rank)
+        ])
+        product = [
+            [
+                sum((row[k] * first.matrix[k][j] for k in range(source.rank)), Poly.zero(0))
+                for j in range(source.rank)
+            ]
+            for row in mapping.matrix
+        ]
+        assert mapping.compose(first).matrix == product
+        # arities in a random order, so that each is met again after others
+        for arity in [rng.randint(0, 3) for _ in range(6)]:
+            elem = _random_elem(rng, source, arity)
+            got = mapping.apply(elem)
+            assert got.arity == arity
+            assert got.coords == _dense_apply(mapping, elem)
+            if target is modules[2]:
+                assert not got.coords[1].uses_var(0)
+
+
+def test_plain_brackets_relabel_and_never_expand(monkeypatch):
+    """check_lca, check_nijenhuis and check_representation evaluate every
+    bracket at a bare lam_s, which is a relabel of the stored entries; only a
+    general lambda-form, like the shuffle sums of a cup product, is
+    expanded."""
+    ws = cli.parse_workspace([CORE])
+    calls = []
+    expand = lca._expand_value
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(lca, "_expand_value", counted)
+    kinds = {kind for kind, _ in ws.objects.values()}
+    assert {"algebra", "nijenhuis", "rep"} <= kinds
+    for kind, value in ws.objects.values():
+        if kind == "algebra":
+            check_lca(value)
+        elif kind == "nijenhuis":
+            check_nijenhuis(value.algebra, value.n)
+        elif kind == "rep":
+            check_representation(value)
+    assert calls == []
+    rep = adjoint_rep(ws.get("sl2"))
+    rng = Random(5)
+    cup_product(random_cochain(rep, 2, rng), random_cochain(rep, 1, rng))
+    assert calls
