@@ -208,7 +208,8 @@ def eval_cochain(f, args, forms, arity):
     stored value on that product, gives the zero Elem.  The values are
     expanded by `_evaluate`, the core this shares with the planned
     coboundary (see `_Coboundary`); here the substitutions it applies live
-    for one call, there they are held by the plan for the whole slice.
+    for one call, there they are held by the plan, which the representation
+    holds until its tables change.
     """
     n = f.degree
     if len(args) != n or len(forms) != n:
@@ -351,11 +352,12 @@ def _shuffles(forms, size):
 
 
 class _Coboundary:
-    """The conformal coboundary of one slice, planned once for its cochains.
+    """The conformal coboundary of one degree, planned once for its cochains.
 
     Everything about an output tuple that does not depend on the cochain is
-    built here, once: its slots, the brackets [x_i lam x_j] inserted in the
-    second sum, and which input tuples it reads.  With a structure operator
+    built here, once: the brackets [x_i lam x_j] inserted in the second
+    sum, and which input tuples it reads; its slots are read off the tuple
+    when a cochain is mapped.  With a structure operator
     ``n_op`` this is the twisted coboundary: the actors of the first sum are
     N x_i and the inserted bracket is the deformed one.  ``keys`` are the
     output tuples (every basis tuple by default).  ``readers`` maps each
@@ -374,11 +376,13 @@ class _Coboundary:
     del |-> -form.  The dagger substitution lam_arity |-> -del - lam_1 - ...
     is a ring map, so it is applied to each of these once, and an output is
     a sum of products at its final arity.  Mapping a cochain then only
-    substitutes its values and multiplies them into held polynomials.  All
-    of it lives as long as the plan, one slice.
+    substitutes its values and multiplies them into held polynomials.  The
+    representation holds the plan until its tables change (see
+    `_differential`).  The dagger, spreads and expansions depend only on the
+    degree: ``share``, a plan of the same degree, lends them when given.
     """
 
-    def __init__(self, rep, degree, n_op=None, keys=None):
+    def __init__(self, rep, degree, n_op=None, keys=None, share=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
         module = rep.algebra.module
@@ -391,35 +395,38 @@ class _Coboundary:
             insert_table = deformed_table(rep.algebra, n_op).table
             self.actors = [n_op.apply(x) for x in basis]
         self.rep, self.degree, self.arity, self.forms = rep, degree, arity, forms
-        earlier = sum(_forms(degree, degree), Poly.zero(degree))
-        self.dagger = Substitution(degree, {arity: dagger(earlier)})
-        # the substitution into a stored value of each slot i of the first
-        # sum (the other slots' forms, and del |-> del + form_i of the
-        # actor's bracket) and of each pair i < j of the second
-        self.spreads = []
-        for i in range(arity):
-            images = _value_images(forms[:i] + forms[i + 1 :])
-            images[0] = Poly.del_(arity) + forms[i]
-            self.spreads.append(self._substitution(images))
-        self.expansions = {
-            (i, j): self._substitution(
-                _value_images(
-                    [forms[i] + forms[j]]
-                    + [forms[k] for k in range(arity) if k not in (i, j)]
+        self.n_op = n_op
+        if share is None:
+            earlier = sum(_forms(degree, degree), Poly.zero(degree))
+            self.dagger = Substitution(degree, {arity: dagger(earlier)})
+            # the substitution into a stored value of each slot i of the
+            # first sum (the other slots' forms, and del |-> del + form_i of
+            # the actor's bracket) and of each pair i < j of the second
+            self.spreads = []
+            for i in range(arity):
+                images = _value_images(forms[:i] + forms[i + 1 :])
+                images[0] = Poly.del_(arity) + forms[i]
+                self.spreads.append(self._substitution(images))
+            self.expansions = {
+                (i, j): self._substitution(
+                    _value_images(
+                        [forms[i] + forms[j]]
+                        + [forms[k] for k in range(arity) if k not in (i, j)]
+                    )
                 )
-            )
-            for i, j in combinations(range(arity), 2)
-        }
+                for i, j in combinations(range(arity), 2)
+            }
+        else:
+            self.dagger, self.spreads = share.dagger, share.spreads
+            self.expansions = share.expansions
         self.actions, self.lifts = {}, {}
         self.brackets = {}
-        self.outputs = []
-        self.readers = {}
         if keys is None:
-            keys = product(range(module.rank), repeat=arity)
+            keys = _output_tuples(module.rank, arity, False)
+        self.outputs = keys
+        self.readers = {}
         for index, key in enumerate(keys):
-            first = [(i, key[:i] + key[i + 1 :]) for i in range(arity)]
-            reads = {rest for _, rest in first}
-            second = []
+            reads = {key[:i] + key[i + 1 :] for i in range(arity)}
             for i, j in combinations(range(arity), 2):
                 slot = (key[i], key[j], i)
                 inserted = self.brackets.get(slot)
@@ -427,12 +434,10 @@ class _Coboundary:
                     inserted = self.brackets[slot] = act_form(
                         insert_table, module, basis[key[i]], basis[key[j]], forms[i], arity
                     )
-                rest = tuple(key[k] for k in range(arity) if k not in (i, j))
-                second.append((i, j, slot, rest))
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
                 reads.update(
                     (c,) + rest for c, coord in enumerate(inserted.coords) if coord
                 )
-            self.outputs.append((key, first, second))
             for source in reads:
                 self.readers.setdefault(source, []).append(index)
 
@@ -483,10 +488,11 @@ class _Coboundary:
         # (i, the remaining key), not on the omitted argument
         inners = {}
         for o in sorted(reached):
-            key, first, second = self.outputs[o]
+            key = self.outputs[o]
             # the terms of sign +1 and of sign -1, per target coordinate
             terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
-            for i, rest in first:
+            for i in range(self.arity):
+                rest = key[:i] + key[i + 1 :]
                 value = values.get(rest)
                 if value is None:
                     continue
@@ -500,8 +506,10 @@ class _Coboundary:
                 for b, poly in inner:
                     for t, entry in action[b]:
                         into[t].append((poly, entry))
-            for i, j, slot, rest in second:
-                factors = [((c,) + rest, a) for c, a in self._lifted(i, j, slot)]
+            for i, j in combinations(range(self.arity), 2):
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+                lifted = self._lifted(i, j, (key[i], key[j], i))
+                factors = [((c,) + rest, a) for c, a in lifted]
                 _evaluate(terms[(i + j) % 2], values, factors, self.expansions[i, j])
             coords = [
                 Poly.sum_of_products(self.degree, plus, minus)
@@ -511,15 +519,34 @@ class _Coboundary:
         return out
 
 
-def _differential(rep, degree, n_op=None, n_m=None, keys=None):
-    """The differential of degree-``degree`` cochains over ``rep``, planned
-    once: delta when ``n_op`` is None, else d_{N,M}, the twisted coboundary
-    minus N_M composed with the plain one (``n_m`` defaults to ``n_op``,
-    which gives d_N)."""
-    plain = _Coboundary(rep, degree, keys=keys)
+def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
+    """The differential of degree-``degree`` cochains over ``rep``: delta
+    when ``n_op`` is None, else d_{N,M}, the twisted coboundary minus N_M
+    composed with the plain one (``n_m`` defaults to ``n_op``, which gives
+    d_N), on the non-decreasing output tuples when ``sorted_only``.
+
+    The one lookup of coboundary plans: ``rep._plans`` holds one per
+    (degree, twisted, sorted_only), stamped with the versions of the bracket
+    and action tables, and builds it again when they change or a twisted one
+    is asked for another operator object (a ``ConfLinMap`` never changes).
+    """
+    plans, table, action = rep._plans, rep.algebra.table, rep.action
+    stamp = (table, table.version, action, action.version)
+
+    def plan(operator):
+        slot = (degree, operator is not None, sorted_only)
+        held = plans.get(slot)
+        if held is None or held.stamp != stamp or held.n_op is not operator:
+            keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
+            share = next((p for s, p in plans.items() if s[0] == degree), None)
+            held = plans[slot] = _Coboundary(rep, degree, operator, keys, share)
+            held.stamp = stamp
+        return held
+
+    plain = plan(None)
     if n_op is None:
         return plain
-    twisted = _Coboundary(rep, degree, n_op, keys)
+    twisted = plan(n_op)
     n_m = n_op if n_m is None else n_m
     return lambda f: twisted(f) - plain(f).map_target(n_m)
 
@@ -527,9 +554,10 @@ def _differential(rep, degree, n_op=None, n_m=None, keys=None):
 def apply_delta(f, rep=None):
     """The conformal coboundary for the coefficient action ``f.rep``, or for
     ``rep``, which also supplies the inserted bracket.  Only the outputs that
-    read the support of ``f`` are evaluated (see `_Coboundary`).
+    read the support of ``f`` are evaluated (see `_Coboundary`); the
+    representation holds the plan until its tables change.
     """
-    return _Coboundary(f.rep if rep is None else rep, f.degree)(f)
+    return _differential(f.rep if rep is None else rep, f.degree)(f)
 
 
 def apply_dNM(f, n_op, n_m, rep=None):
@@ -537,7 +565,8 @@ def apply_dNM(f, n_op, n_m, rep=None):
 
     Equals the twisted coboundary (action through N, deformed bracket
     inserted) minus N_M composed with the plain coboundary, for ``f.rep`` or
-    ``rep``.  At degree 0 this specializes to
+    ``rep``, which holds both plans until its tables change or another
+    operator object is given.  At degree 0 this specializes to
     d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
     """
     return _differential(f.rep if rep is None else rep, f.degree, n_op, n_m)(f)
@@ -856,20 +885,21 @@ def _max_degree(*vectors):
     return max([1] + [poly.total_degree() for vector in vectors for poly in vector])
 
 
-def _slice(rep, degree, bound, operator=None, keys=None):
+def _slice(rep, degree, bound, operator=None, sorted_only=False):
     """A bounded cochain slice: its basis, and the differential images of
-    the basis cochains as sparse vectors on the output tuples ``keys``.
+    the basis cochains as sparse vectors on the output tuples, the
+    non-decreasing ones when ``sorted_only``.
 
     The one builder of solver slices.  The basis is
     ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
-    through one plan of the differential (see `_differential`): delta, or
-    d_N of ``operator`` on adjoint coefficients.  The plan touches only the
-    support of each cochain.
+    through the plan of the differential that ``rep`` holds (see
+    `_differential`): delta, or d_N of ``operator`` on adjoint coefficients.
+    The plan touches only the support of each cochain.
     """
     if operator is not None:
         _require_adjoint(rep)
     basis = cochain_space(rep, degree, bound)
-    differential = _differential(rep, degree, operator, keys=keys)
+    differential = _differential(rep, degree, operator, sorted_only=sorted_only)
     return basis, [_cochain_vector(differential(f)) for f in basis]
 
 
@@ -907,18 +937,15 @@ def solve_truncated(rep, degree, bound, operator=None):
         )
     if bound > MAX_SOLVER_BOUND:
         raise PreconditionError("truncation bound too large")
-    rank_l = rep.algebra.module.rank
     sorted_only = _sorted_tuples_suffice(rep.algebra, n=operator)
-    keys = _output_tuples(rank_l, degree + 1, sorted_only)
-    basis, images = _slice(rep, degree, bound, operator, keys)
+    basis, images = _slice(rep, degree, bound, operator, sorted_only)
     kernel = nullspace(images)
 
     dim_im = 0
     if degree >= 1:
         values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
-        keys = _output_tuples(rank_l, degree, sorted_only)
         _, vecs = _slice(
-            rep, degree - 1, bound + _max_degree(*values), operator, keys
+            rep, degree - 1, bound + _max_degree(*values), operator, sorted_only
         )
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = rank(vecs) - rank(vecs, keys=high)

@@ -206,11 +206,16 @@ def _trusted_elem(module, coords):
 
 
 class StructureTable:
-    """Sparse table (i, j) -> coordinate vector of arity-1 Polys."""
+    """Sparse table (i, j) -> coordinate vector of arity-1 Polys.
+
+    ``set``, the one writer of ``entries``, bumps ``version``: what is
+    derived from the table is stamped with (table, version).
+    """
 
     def __init__(self, rank_a, rank_b, rank_out, entries=None):
         self.shape = (rank_a, rank_b, rank_out)
         self.entries = {}
+        self.version = 0
         if entries:
             for (i, j), value in entries.items():
                 self.set(i, j, value)
@@ -223,6 +228,7 @@ class StructureTable:
         if len(value) != rank_out:
             raise ModuleMismatchError("table value has wrong length")
         value = [v.with_arity(1) for v in value]
+        self.version += 1
         if any(v for v in value):
             self.entries[(i, j)] = value
         else:
@@ -350,6 +356,7 @@ class LCA:
     """A lambda-bracket structure table on a free module.
 
     Axioms are not enforced by storage -- use :func:`check_lca`.
+    ``checked`` is the stamp of the table when it last passed.
     """
 
     def __init__(self, module, table=None):
@@ -359,6 +366,7 @@ class LCA:
         if table.shape != (module.rank, module.rank, module.rank):
             raise ModuleMismatchError("bracket table shape mismatch")
         self.table = table
+        self.checked = None
 
     def set_bracket(self, i, j, value):
         self.table.set(i, j, value)
@@ -545,7 +553,8 @@ def _jacobi_failures(lca, triples):
 
 
 class RepTable:
-    """Conformal representation: action table rho(e_i)_lam m_j."""
+    """Conformal representation: action table rho(e_i)_lam m_j.  It holds
+    its coboundary plans in ``_plans`` (see ``cohomology._differential``)."""
 
     def __init__(self, algebra, module, action=None):
         self.algebra = algebra
@@ -555,6 +564,7 @@ class RepTable:
         if action.shape != (algebra.module.rank, module.rank, module.rank):
             raise ModuleMismatchError("action table shape mismatch")
         self.action = action
+        self._plans = {}
 
     def set_action(self, i, j, value):
         self.action.set(i, j, value)

@@ -87,7 +87,8 @@ class NijenhuisLCA:
 
     The constructor is the one validator of a Nijenhuis structure from
     outside: the operator must be Q[del]-linear, the algebra must pass
-    :func:`check_lca` and the operator :func:`check_nijenhuis`.  ``raw``
+    :func:`check_lca` (run once per version of its table, see
+    ``LCA.checked``) and the operator :func:`check_nijenhuis`.  ``raw``
     skips validation.  The builders of totals use it, because their own
     checks already imply both: :func:`nij_semidirect`,
     ``extension.checked_extension`` and ``homotopy.crossed_direct_sum``
@@ -98,8 +99,11 @@ class NijenhuisLCA:
     def __init__(self, algebra, n):
         _require_endo(algebra, n)
         _require_linear(n)
-        if not check_lca(algebra).passed:
-            raise PreconditionError("underlying algebra fails check_lca")
+        stamp = (algebra.table, algebra.table.version)
+        if algebra.checked != stamp:
+            if not check_lca(algebra).passed:
+                raise PreconditionError("underlying algebra fails check_lca")
+            algebra.checked = stamp
         rep = check_nijenhuis(algebra, n)
         if not rep.passed:
             raise PreconditionError("operator is not Nijenhuis: %s" % rep.lines())

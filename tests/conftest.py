@@ -2,6 +2,8 @@
 algebra with its projection operator, evaluation coefficient lines, and the
 standard central extensions built from them."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,23 @@ from nijconf.poly import Poly
 
 LAM = Poly(1, {(0, 1): 1})
 DEL = Poly(1, {(1, 0): 1})
+
+
+def count_calls(monkeypatch, function, key=lambda *args: None):
+    """Count the calls of ``function`` made through any nijconf module's
+    binding of it, per ``key`` of the positional arguments."""
+    counts = Counter()
+
+    def counted(*args, **kwargs):
+        counts[key(*args)] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nijconf":
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
 
 
 def make_vir():

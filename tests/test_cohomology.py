@@ -8,6 +8,8 @@ import reference_eval
 from nijconf.cohomology import (
     MAX_SOLVER_BOUND,
     Cochain,
+    _Coboundary,
+    _differential,
     CochainPair,
     adjoint_rep,
     apply_dN,
@@ -43,13 +45,15 @@ from nijconf.lca import (
     ConfLinMap,
     FreeModule,
     RepTable,
+    _output_tuples,
     check_lca,
     eval_bracket,
+    sesqui_eval,
 )
-from nijconf.nijenhuis import check_nijenhuis
+from nijconf.nijenhuis import check_nijenhuis, deformed_table
 from nijconf.poly import Poly
 
-from conftest import DEL, LAM
+from conftest import DEL, LAM, count_calls, make_sl2
 
 
 def _combine(coeffs, cochains):
@@ -490,3 +494,114 @@ def test_solver_evaluates_every_tuple_for_non_central_torsion():
         "jacobi: pass",
     ]
     _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])
+
+
+# ---------------------------------------------------------------------------
+# coboundary plans held by the representation
+
+
+def _fresh(rep, degree, n_op=None, n_m=None, sorted_only=False):
+    """The differential through plans built afresh, which nothing holds."""
+    keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
+    plain = _Coboundary(rep, degree, keys=keys)
+    if n_op is None:
+        return plain
+    twisted = _Coboundary(rep, degree, n_op, keys)
+    n_m = n_op if n_m is None else n_m
+    return lambda f: twisted(f) - plain(f).map_target(n_m)
+
+
+def _plan_cases(algebra, rng):
+    """(rep, N, N_M) of delta and d_N on adjoint coefficients, and of
+    d_{N,M} on a line with a seeded action, for a seeded operator N."""
+    ad = adjoint_rep(algebra)
+    line = _random_action(algebra, FreeModule(["m"]), rng)
+    op = _random_operator(algebra.module, rng)
+    n_m = ConfLinMap.diagonal(line.module, [2])
+    return [(ad, None, None), (ad, op, None), (line, op, n_m)]
+
+
+def test_held_plans_equal_fresh_ones():
+    rng = Random(17)
+    cases = _plan_cases(make_sl2(), rng)
+    cochains = {
+        (id(rep), n): random_cochain(rep, n, rng, max_degree=1, density=1)
+        for rep, _, _ in cases
+        for n in range(4)
+    }
+    expected = {}
+    # every plan is asked twice, the kinds and the degrees interleaved
+    for order in (cases, cases[::-1]):
+        for n in range(4):
+            for sorted_only in (False, True):
+                for rep, n_op, n_m in order:
+                    f, case = cochains[id(rep), n], (id(rep), id(n_op), n, sorted_only)
+                    if case not in expected:
+                        expected[case] = _fresh(rep, n, n_op, n_m, sorted_only)(f)
+                    held = _differential(rep, n, n_op, n_m, sorted_only)(f)
+                    assert held == expected[case]
+    assert all(not f.is_zero() for f in cochains.values())
+
+
+def test_a_changed_table_is_planned_again():
+    rng = Random(19)
+    algebra = make_sl2()
+    ad, (line, op, n_m) = adjoint_rep(algebra), _plan_cases(algebra, rng)[2]
+    f = random_cochain(ad, 2, rng, max_degree=1)
+    g = random_cochain(line, 2, rng, max_degree=1)
+
+    def held():
+        return [apply_delta(f), apply_dN(f, op), apply_delta(g), apply_dNM(g, op, n_m)]
+
+    def fresh():
+        return [
+            _fresh(ad, 2)(f),
+            _fresh(ad, 2, op)(f),
+            _fresh(line, 2)(g),
+            _fresh(line, 2, op, n_m)(g),
+        ]
+
+    before = held()
+    assert before == fresh()
+    algebra.set_bracket(0, 1, [-2, Poly.lam(1, 1), 0])
+    after_bracket = held()
+    assert after_bracket == fresh()
+    assert [a != b for a, b in zip(before, after_bracket)] == [True] * 4
+    line.set_action(1, 0, [DEL + 1])
+    after_action = held()
+    assert after_action == fresh()
+    assert [a != b for a, b in zip(after_bracket, after_action)] == [
+        False, False, True, True
+    ]
+
+
+def test_each_operator_gets_its_own_twisted_plan(sl2, proj_p):
+    rng = Random(23)
+    ad = adjoint_rep(sl2)
+    f = random_cochain(ad, 1, rng)
+    ops = [proj_p, _random_operator(sl2.module, rng)]
+    expected = [_fresh(ad, 1, op)(f) for op in ops]
+    assert expected[0] != expected[1]
+    for op, want in list(zip(ops, expected)) * 2:
+        assert apply_dN(f, op) == want
+
+
+def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
+    rep = adjoint_rep(sl2)
+    for op in (proj_p, _random_operator(sl2.module, Random(31))):
+        for sorted_only in (False, True):
+            for n in range(4):
+                for n_op in (None, op):
+                    _differential(rep, n, n_op, sorted_only=sorted_only)
+                    assert len(rep._plans) <= 16
+    assert len(rep._plans) == 16
+
+
+def test_a_repeated_differential_is_not_planned_again(monkeypatch, sl2, proj_p):
+    ad = adjoint_rep(sl2)
+    f = random_cochain(ad, 2, Random(29), max_degree=1)
+    first = apply_dN(f, proj_p)
+    deformed = count_calls(monkeypatch, deformed_table)
+    evaluated = count_calls(monkeypatch, sesqui_eval)
+    assert apply_dN(f, proj_p) == first
+    assert (deformed, evaluated) == ({}, {})

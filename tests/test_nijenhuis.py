@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nijconf import cli
 from nijconf.errors import StructuralError, PreconditionError
 from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable, check_lca, eval_bracket
 from nijconf.nijenhuis import (
@@ -14,6 +15,28 @@ from nijconf.nijenhuis import (
     power_compatibility_suite,
 )
 from nijconf.poly import Poly
+
+from conftest import count_calls, make_sl2
+from test_cli import CORE
+
+
+def test_parsing_validates_each_algebra_once(monkeypatch):
+    # sl2id and sl2p both wrap sl2, whose table does not change in between
+    counts = count_calls(monkeypatch, check_lca, key=id)
+    ws = cli.parse_workspace([CORE])
+    names = {id(v): name for name, (kind, v) in ws.objects.items() if kind == "algebra"}
+    assert {names.get(k, k): c for k, c in counts.items()} == {
+        "sl2": 1, "vir": 1, "ctriv": 1
+    }
+
+
+def test_a_changed_bracket_is_validated_again():
+    algebra = make_sl2()
+    identity = ConfLinMap.identity(algebra.module)
+    NijenhuisLCA(algebra, identity)
+    algebra.set_bracket(0, 1, [-3, 0, 0])
+    with pytest.raises(PreconditionError, match="fails check_lca"):
+        NijenhuisLCA(algebra, identity)
 
 
 def test_projection_is_nijenhuis(sl2, proj_p):

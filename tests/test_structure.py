@@ -20,8 +20,11 @@ Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
 or set that a function writes to, and no ``global`` rebinding.  A cache
-lives on the object that owns it (the slice plan of ``cohomology`` holds
-its polynomials), so nothing it holds outlives that object.
+lives on the object that owns it (a representation holds its coboundary
+plans), so nothing it holds outlives that object.  Such a cache is stamped
+with the version of the structure tables it was derived from, so only
+``StructureTable.set``, which bumps the version, writes a table's entries,
+and ``.table`` and ``.action`` are bound only in an ``__init__``.
 """
 
 import ast
@@ -192,6 +195,96 @@ def local(x):
         "rebinds _TOTAL",
         "writes the module's _MEMO",
         "writes the module's _SEEN",
+    ]
+
+
+def _is_entries(node):
+    return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+
+def _stamp_offences(tree):
+    """(line, what) of every write of a table's ``.entries`` outside
+    ``StructureTable.set`` (bar its binding in ``StructureTable.__init__``),
+    and of every binding of ``.table`` or ``.action`` outside an
+    ``__init__``: a write that skips ``set`` would not bump the version
+    that held coboundary plans and ``LCA.checked`` are stamped with."""
+    offences = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if stored and isinstance(child, ast.Attribute):
+                if child.attr == "entries" and owner[-2:] != ("StructureTable", "__init__"):
+                    offences.append((child.lineno, "binds .entries"))
+                if child.attr in ("table", "action") and owner[-1:] != ("__init__",):
+                    offences.append((child.lineno, "binds .%s" % child.attr))
+            written = (
+                stored and isinstance(child, ast.Subscript) and _is_entries(child.value)
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _MUTATORS
+                and _is_entries(child.func.value)
+            )
+            if written and owner[-2:] != ("StructureTable", "set"):
+                offences.append((child.lineno, "writes .entries"))
+            visit(child, owner)
+
+    visit(tree, ())
+    return sorted(offences)
+
+
+def test_only_the_table_setter_writes_entries():
+    offences = []
+    for path in SOURCES:
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        offences += [
+            "%s:%d %s" % (os.path.basename(path), line, what)
+            for line, what in _stamp_offences(tree)
+        ]
+    assert offences == []
+
+
+def test_the_entries_rule_sees_each_kind_of_write():
+    source = """
+class StructureTable:
+    def __init__(self):
+        self.entries = {}
+
+    def set(self, key, value):
+        self.entries[key] = value
+        self.entries.pop(key, None)
+
+
+class RepTable:
+    def __init__(self, algebra, action):
+        self.algebra = algebra
+        self.action = action
+
+
+def poke(table, rep):
+    table.entries[0, 0] = []
+    del table.entries[0, 0]
+    table.entries.pop((0, 0))
+    table.entries.update({})
+    table.entries.clear()
+    table.entries = {}
+    rep.action = table
+    rep.algebra.table = table
+"""
+    assert [what for _, what in _stamp_offences(ast.parse(source))] == [
+        "writes .entries",
+        "writes .entries",
+        "writes .entries",
+        "writes .entries",
+        "writes .entries",
+        "binds .entries",
+        "binds .action",
+        "binds .table",
     ]
 
 
