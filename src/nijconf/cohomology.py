@@ -351,6 +351,36 @@ def _shuffles(forms, size):
 # the coboundary map and its twisted variants
 
 
+def _substitutions(degree):
+    """(dagger, spreads, expansions) of the degree-``degree`` coboundary:
+    the substitution into a stored value of each slot i of the first sum
+    (the other slots' forms, and del |-> del + form_i of the actor's
+    bracket) and of each pair i < j of the second, each then daggered."""
+    arity = degree + 1
+    forms = _forms(arity, arity)
+    earlier = sum(_forms(degree, degree), Poly.zero(degree))
+    final = Substitution(degree, {arity: dagger(earlier)})
+
+    def then_dagger(images):
+        return Substitution(degree, {v: final(p) for v, p in images.items()})
+
+    spreads = []
+    for i in range(arity):
+        images = _value_images(forms[:i] + forms[i + 1 :])
+        images[0] = Poly.del_(arity) + forms[i]
+        spreads.append(then_dagger(images))
+    expansions = {
+        (i, j): then_dagger(
+            _value_images(
+                [forms[i] + forms[j]]
+                + [forms[k] for k in range(arity) if k not in (i, j)]
+            )
+        )
+        for i, j in combinations(range(arity), 2)
+    }
+    return final, spreads, expansions
+
+
 class _Coboundary:
     """The conformal coboundary of one degree, planned once for its cochains.
 
@@ -377,12 +407,12 @@ class _Coboundary:
     is a ring map, so it is applied to each of these once, and an output is
     a sum of products at its final arity.  Mapping a cochain then only
     substitutes its values and multiplies them into held polynomials.  The
-    representation holds the plan until its tables change (see
-    `_differential`).  The dagger, spreads and expansions depend only on the
-    degree: ``share``, a plan of the same degree, lends them when given.
+    representation holds the plan until its tables change and passes itself
+    to each call (see `_differential`); ``substitutions`` are the
+    degree's `_substitutions`, shared by its plans of that degree.
     """
 
-    def __init__(self, rep, degree, n_op=None, keys=None, share=None):
+    def __init__(self, rep, degree, substitutions, n_op=None, keys=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
         module = rep.algebra.module
@@ -394,31 +424,8 @@ class _Coboundary:
         else:
             insert_table = deformed_table(rep.algebra, n_op).table
             self.actors = [n_op.apply(x) for x in basis]
-        self.rep, self.degree, self.arity, self.forms = rep, degree, arity, forms
-        self.n_op = n_op
-        if share is None:
-            earlier = sum(_forms(degree, degree), Poly.zero(degree))
-            self.dagger = Substitution(degree, {arity: dagger(earlier)})
-            # the substitution into a stored value of each slot i of the
-            # first sum (the other slots' forms, and del |-> del + form_i of
-            # the actor's bracket) and of each pair i < j of the second
-            self.spreads = []
-            for i in range(arity):
-                images = _value_images(forms[:i] + forms[i + 1 :])
-                images[0] = Poly.del_(arity) + forms[i]
-                self.spreads.append(self._substitution(images))
-            self.expansions = {
-                (i, j): self._substitution(
-                    _value_images(
-                        [forms[i] + forms[j]]
-                        + [forms[k] for k in range(arity) if k not in (i, j)]
-                    )
-                )
-                for i, j in combinations(range(arity), 2)
-            }
-        else:
-            self.dagger, self.spreads = share.dagger, share.spreads
-            self.expansions = share.expansions
+        self.degree, self.arity, self.forms, self.n_op = degree, arity, forms, n_op
+        self.dagger, self.spreads, self.expansions = substitutions
         self.actions, self.lifts = {}, {}
         self.brackets = {}
         if keys is None:
@@ -441,16 +448,12 @@ class _Coboundary:
             for source in reads:
                 self.readers.setdefault(source, []).append(index)
 
-    def _substitution(self, images):
-        """The substitution ``images`` at the working arity, then the dagger."""
-        return Substitution(self.degree, {v: self.dagger(p) for v, p in images.items()})
-
-    def _action(self, i, generator):
+    def _action(self, rep, i, generator):
         """Per coefficient generator b, the nonzero coordinates (t, poly) of
-        the actor of ``generator`` acting on b at slot i's lambda."""
+        the actor of ``generator`` acting on b at slot i's lambda in ``rep``."""
         action = self.actions.get((i, generator))
         if action is None:
-            rep, actor, action = self.rep, self.actors[generator], []
+            actor, action = self.actors[generator], []
             for b in range(rep.module.rank):
                 image = act_form(
                     rep.action,
@@ -478,9 +481,9 @@ class _Coboundary:
             ]
         return lifted
 
-    def __call__(self, f):
-        """The coboundary of ``f``, evaluated on the outputs it reaches."""
-        rep = self.rep
+    def __call__(self, f, rep):
+        """The coboundary of ``f`` over ``rep``, the representation the plan
+        was built for, evaluated on the outputs it reaches."""
         values = f.values
         reached = {o for key in values for o in self.readers.get(key, ())}
         out = Cochain(self.degree + 1, rep)
@@ -502,7 +505,7 @@ class _Coboundary:
                     inner = inners[i, rest] = [
                         (b, spread(c)) for b, c in enumerate(value.coords) if c.terms
                     ]
-                action, into = self._action(i, key[i]), terms[i % 2]
+                action, into = self._action(rep, i, key[i]), terms[i % 2]
                 for b, poly in inner:
                     for t, entry in action[b]:
                         into[t].append((poly, entry))
@@ -526,29 +529,32 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
     d_N), on the non-decreasing output tuples when ``sorted_only``.
 
     The one lookup of coboundary plans: ``rep._plans`` holds one per
-    (degree, twisted, sorted_only), stamped with the versions of the bracket
-    and action tables, and builds it again when they change or a twisted one
+    (degree, twisted, sorted_only), stamped with the bracket and action
+    tables' stamps, and builds it again when they change or a twisted one
     is asked for another operator object (a ``ConfLinMap`` never changes).
+    Under ``degree`` it holds the `_substitutions` its plans of that degree
+    share; they depend on nothing else, so they are never built again.
     """
-    plans, table, action = rep._plans, rep.algebra.table, rep.action
-    stamp = (table, table.version, action, action.version)
+    plans = rep._plans
+    stamp = rep.algebra.table.stamp + rep.action.stamp
 
     def plan(operator):
         slot = (degree, operator is not None, sorted_only)
         held = plans.get(slot)
         if held is None or held.stamp != stamp or held.n_op is not operator:
+            if degree not in plans:
+                plans[degree] = _substitutions(degree)
             keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
-            share = next((p for s, p in plans.items() if s[0] == degree), None)
-            held = plans[slot] = _Coboundary(rep, degree, operator, keys, share)
+            held = plans[slot] = _Coboundary(rep, degree, plans[degree], operator, keys)
             held.stamp = stamp
         return held
 
     plain = plan(None)
     if n_op is None:
-        return plain
+        return lambda f: plain(f, rep)
     twisted = plan(n_op)
     n_m = n_op if n_m is None else n_m
-    return lambda f: twisted(f) - plain(f).map_target(n_m)
+    return lambda f: twisted(f, rep) - plain(f, rep).map_target(n_m)
 
 
 def apply_delta(f, rep=None):

@@ -209,7 +209,7 @@ class StructureTable:
     """Sparse table (i, j) -> coordinate vector of arity-1 Polys.
 
     ``set``, the one writer of ``entries``, bumps ``version``: what is
-    derived from the table is stamped with (table, version).
+    derived from the table is stamped with its ``stamp``.
     """
 
     def __init__(self, rank_a, rank_b, rank_out, entries=None):
@@ -233,6 +233,11 @@ class StructureTable:
             self.entries[(i, j)] = value
         else:
             self.entries.pop((i, j), None)
+
+    @property
+    def stamp(self):
+        """(table, version): equal only while no entry has been set."""
+        return (self, self.version)
 
     def get(self, i, j):
         rank_out = self.shape[2]

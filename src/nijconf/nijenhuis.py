@@ -99,11 +99,10 @@ class NijenhuisLCA:
     def __init__(self, algebra, n):
         _require_endo(algebra, n)
         _require_linear(n)
-        stamp = (algebra.table, algebra.table.version)
-        if algebra.checked != stamp:
+        if algebra.checked != algebra.table.stamp:
             if not check_lca(algebra).passed:
                 raise PreconditionError("underlying algebra fails check_lca")
-            algebra.checked = stamp
+            algebra.checked = algebra.table.stamp
         rep = check_nijenhuis(algebra, n)
         if not rep.passed:
             raise PreconditionError("operator is not Nijenhuis: %s" % rep.lines())

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -10,6 +12,7 @@ from nijconf.cohomology import (
     Cochain,
     _Coboundary,
     _differential,
+    _substitutions,
     CochainPair,
     adjoint_rep,
     apply_dN,
@@ -503,12 +506,12 @@ def test_solver_evaluates_every_tuple_for_non_central_torsion():
 def _fresh(rep, degree, n_op=None, n_m=None, sorted_only=False):
     """The differential through plans built afresh, which nothing holds."""
     keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
-    plain = _Coboundary(rep, degree, keys=keys)
+    plain = _Coboundary(rep, degree, _substitutions(degree), keys=keys)
     if n_op is None:
-        return plain
-    twisted = _Coboundary(rep, degree, n_op, keys)
+        return lambda f: plain(f, rep)
+    twisted = _Coboundary(rep, degree, _substitutions(degree), n_op, keys)
     n_m = n_op if n_m is None else n_m
-    return lambda f: twisted(f) - plain(f).map_target(n_m)
+    return lambda f: twisted(f, rep) - plain(f, rep).map_target(n_m)
 
 
 def _plan_cases(algebra, rng):
@@ -588,13 +591,37 @@ def test_each_operator_gets_its_own_twisted_plan(sl2, proj_p):
 
 def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
     rep = adjoint_rep(sl2)
+
+    def plans():
+        return [p for p in rep._plans.values() if isinstance(p, _Coboundary)]
+
     for op in (proj_p, _random_operator(sl2.module, Random(31))):
         for sorted_only in (False, True):
             for n in range(4):
                 for n_op in (None, op):
                     _differential(rep, n, n_op, sorted_only=sorted_only)
-                    assert len(rep._plans) <= 16
-    assert len(rep._plans) == 16
+                    assert len(plans()) <= 16
+    assert len(plans()) == 16
+    # the plans of one degree share its substitutions, built once
+    for n in range(4):
+        assert {id(p.spreads) for p in plans() if p.degree == n} == {
+            id(rep._plans[n][1])
+        }
+
+
+def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):
+    # the plans a representation holds do not point back at it
+    rep = adjoint_rep(sl2)
+    f = random_cochain(rep, 1, Random(37), max_degree=1)
+    apply_dN(f, proj_p)
+    assert rep._plans
+    freed = weakref.ref(rep)
+    gc.disable()
+    try:
+        del f, rep
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_a_repeated_differential_is_not_planned_again(monkeypatch, sl2, proj_p):

@@ -28,6 +28,7 @@ from nijconf.cohomology import (
     Cochain,
     _Coboundary,
     _differential,
+    _substitutions,
     adjoint_rep,
     circ_insert,
     cup_product,
@@ -252,21 +253,23 @@ def test_coboundaries_match_the_per_cochain_reference(case):
     for degree in range(4):
         for f in _cochains(rep, degree, rng):
             for keys, sorted_only in _key_subsets(algebra.module.rank, degree + 1, rng):
-                delta = _Coboundary(rep, degree, keys=keys)
-                assert delta(f) == reference_eval.apply_delta(f, keys=keys)
-                twisted = _Coboundary(rep, degree, n_op, keys)
-                assert twisted(f) == reference_eval.apply_delta(
+                delta = _Coboundary(rep, degree, _substitutions(degree), keys=keys)(f, rep)
+                assert delta == reference_eval.apply_delta(f, keys=keys)
+                twisted = _Coboundary(rep, degree, _substitutions(degree), n_op, keys)
+                assert twisted(f, rep) == reference_eval.apply_delta(
                     f, twist=n_op, insert_table=deformed.table, keys=keys
                 )
                 want = reference_eval.apply_dNM(f, n_op, n_m, keys=keys)
-                assert twisted(f) - delta(f).map_target(n_m) == want
+                assert twisted(f, rep) - delta.map_target(n_m) == want
                 if sorted_only is not None:
                     assert _differential(rep, degree, n_op, n_m, sorted_only)(f) == want
-                if adjoint and sorted_only is not None:
-                    d_n = _differential(rep, degree, n_op, sorted_only=sorted_only)
-                    assert d_n(f) == want
+                    if adjoint:
+                        d_n = _differential(rep, degree, n_op, sorted_only=sorted_only)
+                        assert d_n(f) == want
+                if adjoint:
                     other = adjoint_rep(deformed)
-                    assert _Coboundary(other, degree, keys=keys)(f) == (
+                    plan = _Coboundary(other, degree, _substitutions(degree), keys=keys)
+                    assert plan(f, other) == (
                         reference_eval.apply_delta(f, rep=other, keys=keys)
                     )
 
@@ -291,9 +294,11 @@ def test_one_plan_maps_every_cochain_like_the_reference(case):
         ]
 
         def plans():
+            plain = _Coboundary(rep, degree, _substitutions(degree))
+            twisted = _Coboundary(rep, degree, _substitutions(degree), n_op)
             return (
-                _Coboundary(rep, degree),
-                _Coboundary(rep, degree, n_op),
+                lambda f: plain(f, rep),
+                lambda f: twisted(f, rep),
                 _differential(rep, degree, n_op, n_m),
             )
 
