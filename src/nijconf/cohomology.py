@@ -10,6 +10,10 @@ to arguments that each carry an explicit "lambda-form" (an arbitrary
 polynomial standing for that argument's lambda).  Sesquilinearity is then
 uniform -- the coefficient of argument k is substituted del |-> -form_k, the
 stored value's lam_j is substituted by form_j, and del stays outermost.
+That primitive, `eval_cochain`, is the evaluation core of `lca`, which
+evaluates structure tables too (a table is a 2-cochain), and conformal
+skew-symmetry is the one residual `lca._skew_residual`; only the planned
+coboundary (`_Coboundary`) holds substitutions of its own for a whole slice.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -31,7 +35,9 @@ from .lca import (
     Elem,
     RepTable,
     _Lifted,
+    _evaluate,
     _output_tuples,
+    _skew_residual,
     _sorted_tuples_suffice,
     dagger_substitute,
 )
@@ -201,36 +207,17 @@ def eval_cochain(f, args, forms, arity):
     argument's form is whatever the caller supplies -- typically a free
     temporary variable eliminated later by `dagger_substitute`.
 
-    Only the support of the arguments is touched: the stored values are
-    looked up on the product of the arguments' nonzero coordinates (one
-    lookup for basis arguments), and del |-> -form is substituted once in
-    each coordinate that meets a stored value.  A zero argument, or no
-    stored value on that product, gives the zero Elem.  The values are
-    expanded by `_evaluate`, the core this shares with the planned
-    coboundary (see `_Coboundary`); here the substitutions it applies live
-    for one call, there they are held by the plan, which the representation
-    holds until its tables change.
+    This is one call of the evaluation core `lca._evaluate`, which it shares
+    with every table: only the support of the arguments is touched, and a
+    zero argument, or no stored value on the product of their nonzero
+    coordinates, gives the zero Elem.
     """
     n = f.degree
     if len(args) != n or len(forms) != n:
         raise ModuleMismatchError("expected %d arguments with forms" % n)
     if n == 0:
         return f.value(()).with_arity(arity)
-    values = f.values
-    supports = [[i for i, c in enumerate(arg.coords) if c.terms] for arg in args]
-    matched = [key for key in product(*supports) if key in values]
-    if not matched:
-        return f.target.zero(arity)
-    lifted = [_Lifted(arg.coords, arity, -form) for arg, form in zip(args, forms)]
-    factors = []
-    for key in matched:
-        factor = lifted[0][key[0]]
-        for k in range(1, n):
-            factor = factor * lifted[k][key[k]]
-        factors.append((key, factor))
-    pairs = [[] for _ in range(f.target.rank)]
-    _evaluate(pairs, values, factors, Substitution(arity, _value_images(forms)))
-    return Elem(f.target, [Poly.sum_of_products(arity, p) for p in pairs])
+    return _evaluate(f.values, f.target, args, forms, arity)
 
 
 def _value_images(forms):
@@ -238,19 +225,6 @@ def _value_images(forms):
     ``forms``: lam_j |-> forms[j-1], the last form staying implicit, and del
     kept outermost."""
     return dict(enumerate(forms[:-1], 1))
-
-
-def _evaluate(pairs, values, factors, expand):
-    """The evaluation core: for each (key, factor) in ``factors`` whose key
-    holds a stored value, append (factor, coordinate t of the value under
-    ``expand``) to ``pairs[t]``.  The factor is the product of the
-    arguments' lifted coordinates on that key."""
-    for key, factor in factors:
-        value = values.get(key)
-        if value is not None:
-            for t, poly in enumerate(value.coords):
-                if poly.terms:
-                    pairs[t].append((factor, expand(poly)))
 
 
 def _basis_args(module, key):
@@ -261,33 +235,18 @@ def _forms(count, arity):
     return [Poly.lam(i + 1, arity) for i in range(count)]
 
 
-def _skew_residuals(f):
-    """Yield ((key, k), residual) of conformal skew-symmetry for f.
-
-    For each basis tuple and adjacent transposition k the evaluation with
-    swapped arguments and swapped lambda-roles must be the negative of the
-    original; the last slot goes through the dagger substitution.
-    """
-    n = f.degree
-    module = f.source.module
-    forms = _forms(n, n)
-    for key in product(range(module.rank), repeat=n):
-        args = _basis_args(module, key)
-        base = f.value(key).with_arity(n)
-        for k in range(n - 1):
-            s_args = list(args)
-            s_args[k], s_args[k + 1] = s_args[k + 1], s_args[k]
-            s_forms = list(forms)
-            s_forms[k], s_forms[k + 1] = s_forms[k + 1], s_forms[k]
-            swapped = eval_cochain(f, s_args, s_forms, n)
-            yield (key, k), dagger_substitute(base + swapped, n)
-
-
 def check_cochain_skew(f):
-    """Conformal skew-symmetry of the stored table (see `_skew_residuals`)."""
-    pairs = ((key + (k,), residual) for (key, k), residual in _skew_residuals(f))
+    """Conformal skew-symmetry of the stored table: on every basis tuple and
+    adjacent transposition k, the residual of `lca._skew_residual`, witnessed
+    at the tuple followed by k."""
+    n = f.degree
+    residuals = (
+        (key + (k,), _skew_residual(f.values, f.target, key, k))
+        for key in product(range(f.source.module.rank), repeat=n)
+        for k in range(n - 1)
+    )
     report = Report("cochain-skew")
-    report.add_failures("skew", failures_of(pairs))
+    report.add_failures("skew", failures_of(residuals))
     return report
 
 
@@ -475,7 +434,7 @@ class _Coboundary:
         lifted = self.lifts.get((slot, j))
         if lifted is None:
             coords = self.brackets[slot].coords
-            lift = _Lifted(coords, self.arity, -(self.forms[i] + self.forms[j]))
+            lift = _Lifted(coords, self.arity, self.forms[i] + self.forms[j])
             lifted = self.lifts[slot, j] = [
                 (c, self.dagger(lift[c])) for c, coord in enumerate(coords) if coord
             ]
@@ -511,9 +470,13 @@ class _Coboundary:
                         into[t].append((poly, entry))
             for i, j in combinations(range(self.arity), 2):
                 rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                lifted = self._lifted(i, j, (key[i], key[j], i))
-                factors = [((c,) + rest, a) for c, a in lifted]
-                _evaluate(terms[(i + j) % 2], values, factors, self.expansions[i, j])
+                expand, into = self.expansions[i, j], terms[(i + j) % 2]
+                for c, factor in self._lifted(i, j, (key[i], key[j], i)):
+                    value = values.get((c,) + rest)
+                    if value is not None:
+                        for t, poly in enumerate(value.coords):
+                            if poly.terms:
+                                into[t].append((factor, expand(poly)))
             coords = [
                 Poly.sum_of_products(self.degree, plus, minus)
                 for plus, minus in zip(*terms)

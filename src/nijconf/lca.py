@@ -11,9 +11,12 @@ to act on the output.  Sesquilinearity is implemented by substitution:
 * table value:     lam1 |-> form, del kept outermost;
 
 where the lambda-form is the slot variable lam_slot for a plain bracket, or
-any polynomial standing for the argument's lambda inside a cochain.  All
-axioms (skew-symmetry, Jacobi, representation identity) are checked by
-expanding these substitutions to literal polynomial identities.
+any polynomial standing for the argument's lambda inside a cochain.  A table
+is a conformal 2-cochain, so tables and cochains share one evaluation core
+(:func:`_evaluate`), one expansion of a stored value (:func:`_expansion`) and
+one skew-symmetry residual (:func:`_skew_residual`).  All axioms
+(skew-symmetry, Jacobi, representation identity) are checked by expanding
+these substitutions to literal polynomial identities.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import combinations_with_replacement, product
 
 from .errors import ModuleMismatchError, PreconditionError
 from .grammar import format_poly
-from .poly import Poly, _trusted, dagger
+from .poly import Poly, Substitution, _trusted, dagger
 from .report import PRECONDITION, Report, failures_of
 
 FREE = "free"
@@ -182,6 +185,10 @@ class Elem:
         a, b = self._coerce(other)
         return a.coords == b.coords
 
+    def __iter__(self):
+        """The coordinates, as a stored table entry lists them."""
+        return iter(self.coords)
+
     def __repr__(self):
         parts = []
         for name, coeff in zip(self.module.basis, self.coords):
@@ -197,7 +204,9 @@ def _trusted_elem(module, coords):
     del left on evaluation generators, as the results of ``+``, ``-``,
     ``scale``, ``with_arity`` and ``shrink`` on Elems are.  Anything into
     which del can enter on such a generator (``mul_poly``, ``substitute``,
-    bracket values, parsed coordinates) goes through ``Elem(module, coords)``.
+    bracket values, parsed coordinates) goes through ``Elem(module, coords)``,
+    or through ``module.reduce_coords`` when its shape is known, as in the
+    evaluation core.
     """
     elem = object.__new__(Elem)
     elem.module = module
@@ -265,45 +274,70 @@ class StructureTable:
         )
 
 
-def _expand_value(polys, form, arity):
-    """Map arity-1 table values into the working arity: lam1 -> form.
-
-    del is left untouched (it acts on the output).
-    """
-    powers = {}
-    out = []
-    for poly in polys:
-        acc = Poly.zero(arity)
-        for (d, e), coeff in poly.terms.items():
-            term = _trusted(arity, {(d,) + (0,) * arity: coeff})
-            if e:
-                power = powers.get(e)
-                if power is None:
-                    power = powers[e] = form ** e
-                term = term * power
-            acc = acc + term
-        out.append(acc)
-    return out
+def _expansion(forms, arity):
+    """The map taking a stored value's polynomials to ``arity`` with
+    lam_j |-> forms[j-1], del kept outermost: a relabel at distinct bare
+    lambdas (see :func:`_relabeling`), else a `poly.Substitution`, which
+    keeps each monomial's image while it is held."""
+    slots = list(map(_bare_slot, forms))
+    if arity and None not in slots and len(set(slots)) == len(slots):
+        return _relabeling(slots, arity)
+    return Substitution(arity, dict(enumerate(forms, 1)))
 
 
-def _at_form(polys, form, arity):
-    """The arity-1 ``polys`` with lam1 -> ``form``, at ``arity``.
-
-    At a bare lam_s, the form of every plain bracket and action, this is a
-    relabel: each exponent of lam1 moves to index s of a key at ``arity``.
-    Other forms go to :func:`_expand_value`.
-    """
+def _bare_slot(form):
+    """s when ``form`` is the bare lam_s, else None."""
     if len(form.terms) == 1:
         ((key, coeff),) = form.terms.items()
         if coeff == 1 and not key[0] and sum(key) == 1:
-            slot = key.index(1)
-            before, after = (0,) * (slot - 1), (0,) * (arity - slot)
-            return [
-                _trusted(arity, {(d,) + before + (e,) + after: c
-                                 for (d, e), c in poly.terms.items()})
-                for poly in polys
-            ]
-    return _expand_value(polys, form, arity)
+            return key.index(1)
+    return None
+
+
+def _relabeling(slots, arity):
+    """The expansion at the distinct bare lambdas lam_{slots[j-1]}, at
+    ``arity`` >= 1: exponent j of a monomial moves to index slots[j-1], so
+    no two monomials meet and nothing is multiplied."""
+    pick = [len(slots) + 1] * (arity + 1)
+    pick[0] = 0
+    for j, s in enumerate(slots, 1):
+        pick[s] = j
+    pick = operator.itemgetter(*pick)
+    return lambda poly: _trusted(
+        arity, {pick(key + (0,)): c for key, c in poly.terms.items()}
+    )
+
+
+def _evaluate(values, target, args, forms, arity):
+    """The evaluation core of tables and cochains, into ``target``.
+
+    ``values`` maps basis n-tuples to stored vectors (a table's entries or a
+    cochain's Elems) in del and lam_1..lam_{n-1}; ``args`` are n Elems and
+    ``forms`` their lambda-forms at ``arity``.  For n >= 2 the last form may
+    be left out: it is then the dagger -del - (sum of the others).  Argument
+    k gets del |-> -form_k, lam_j becomes form_j (see :func:`_expansion`)
+    and del stays outermost.  Only the values on the product of the
+    arguments' nonzero coordinates are read, and only the coordinates that
+    meet one are lifted (see :class:`_Lifted`); when none is met, the zero
+    Elem is returned at once.
+    """
+    supports = [[i for i, c in enumerate(arg.coords) if c.terms] for arg in args]
+    matched = [key for key in product(*supports) if key in values]
+    if not matched:
+        return target.zero(arity)
+    lifted = [_Lifted(arg.coords, arity, form) for arg, form in zip(args, forms)]
+    if len(forms) < len(args):
+        lifted.append(_Lifted(args[-1].coords, arity, sum(forms[1:], forms[0]), True))
+    expand = _expansion(forms[: len(args) - 1], arity)
+    result = [Poly.zero(arity)] * target.rank
+    for key in matched:
+        factor = lifted[0][key[0]]
+        for k in range(1, len(key)):
+            factor = factor * lifted[k][key[k]]
+        for t, poly in enumerate(values[key]):
+            if poly.terms:
+                result[t] = result[t] + factor * expand(poly)
+    return _trusted_elem(target, target.reduce_coords(result))
 
 
 def sesqui_eval(table, target, a, b, form, arity):
@@ -314,47 +348,32 @@ def sesqui_eval(table, target, a, b, form, arity):
     attached to this evaluation: the first argument's coefficients get
     del |-> -form, the second argument's get del |-> del + form, and the
     table value's lam1 becomes ``form``.  Returns an Elem of ``target``.
-
-    Only the support of the arguments is touched: the stored (never zero)
-    table entries are read on pairs of nonzero coordinates, and only the
-    coordinates that meet one are lifted to ``arity`` and substituted.  When
-    either argument is zero, or no entry is met, the zero Elem is returned
-    at once.
+    The table is a 2-cochain whose arguments carry ``form`` and its dagger,
+    evaluated by the core :func:`_evaluate` on the support of ``a`` and ``b``.
     """
-    result = [Poly.zero(arity)] * target.rank
-    entries = table.entries
-    pairs = [
-        (i, j, entries[i, j])
-        for i, fa in enumerate(a.coords)
-        if fa.terms
-        for j, gb in enumerate(b.coords)
-        if gb.terms and (i, j) in entries
-    ]
-    if not pairs:
-        return _trusted_elem(target, result)
-    lifted_a = _Lifted(a.coords, arity, -form)
-    lifted_b = _Lifted(b.coords, arity, Poly.del_(arity) + form)
-    for i, j, value in pairs:
-        factor = lifted_a[i] * lifted_b[j]
-        for t, tpoly in enumerate(_at_form(value, form, arity)):
-            if tpoly:
-                result[t] = result[t] + factor * tpoly
-    return Elem(target, result)
+    return _evaluate(table.entries, target, (a, b), (form,), arity)
 
 
 class _Lifted(dict):
-    """The coordinates of an argument lifted to ``arity`` with del |-> image,
-    each computed when it is first used."""
+    """The coordinates of an argument with lambda-form ``form``, or with its
+    dagger, lifted to ``arity`` with del |-> -form, or del |-> del + form,
+    each when it is first used; that image is built only once a coordinate
+    holds del, so basis arguments never build it."""
 
-    def __init__(self, coords, arity, image):
+    def __init__(self, coords, arity, form, dagger=False):
         super().__init__()
-        self.coords, self.arity, self.image = coords, arity, image
+        self.coords, self.arity, self.form, self.dagger = coords, arity, form, dagger
+        self.image = None
 
     def __missing__(self, index):
-        value = self[index] = (
-            self.coords[index].with_arity(self.arity).substitute(0, self.image)
-        )
-        return value
+        coord = self.coords[index].with_arity(self.arity)
+        if coord.uses_var(0):
+            if self.image is None:
+                form = self.form
+                self.image = Poly.del_(self.arity) + form if self.dagger else -form
+            coord = coord.substitute(0, self.image)
+        self[index] = coord
+        return coord
 
 
 class LCA:
@@ -380,8 +399,8 @@ class LCA:
         """[e_i lam_slot e_j] as an Elem."""
         if arity is None:
             arity = slot
-        value = _at_form(self.table.get(i, j), Poly.lam(slot, arity), arity)
-        return Elem(self.module, value)
+        relabel = _relabeling((slot,), arity)
+        return Elem(self.module, [relabel(poly) for poly in self.table.get(i, j)])
 
     def __eq__(self, other):
         return (
@@ -528,13 +547,30 @@ def check_lca(lca):
 
 
 def _skew_failures(lca, pairs):
-    """(pair, residual) of conformal skew-symmetry on the given basis pairs."""
+    """(pair, residual) of conformal skew-symmetry on the given basis pairs
+    (see :func:`_skew_residual`)."""
+    entries, module = lca.table.entries, lca.module
+    return failures_of((key, _skew_residual(entries, module, key, 0)) for key in pairs)
 
-    def residual(i, j):
-        flipped = lca.bracket_basis(j, i, slot=2, arity=2)
-        return lca.bracket_basis(i, j, slot=1) + dagger_substitute(flipped, 2)
 
-    return failures_of((key, residual(*key)) for key in pairs)
+def _skew_residual(values, target, key, k):
+    """The conformal skew-symmetry residual of stored ``values`` (as in
+    :func:`_evaluate`) at the basis n-tuple ``key`` and the transposition of
+    its slots k and k + 1: the value at ``key`` plus the relabelled value at
+    the swapped tuple, then the dagger rule for the last lambda.  For a
+    table, [e_i lam e_j] + [e_j_{-del-lam} e_i]."""
+    n = len(key)
+    slots = list(range(1, n + 1))
+    slots[k], slots[k + 1] = slots[k + 1], slots[k]
+    swapped = key[:k] + (key[k + 1], key[k]) + key[k + 2 :]
+    coords = [Poly.zero(n)] * target.rank
+    for value, relabel in (
+        (values.get(key), _relabeling(range(1, n), n)),
+        (values.get(swapped), _relabeling(slots[:-1], n)),
+    ):
+        if value is not None:
+            coords = [acc + relabel(poly) for acc, poly in zip(coords, value)]
+    return dagger_substitute(Elem(target, coords), n)
 
 
 def _jacobi_failures(lca, triples):
@@ -588,8 +624,8 @@ class RepTable:
     def act_basis(self, i, j, slot=1, arity=None):
         if arity is None:
             arity = slot
-        value = _at_form(self.action.get(i, j), Poly.lam(slot, arity), arity)
-        return Elem(self.module, value)
+        relabel = _relabeling((slot,), arity)
+        return Elem(self.module, [relabel(poly) for poly in self.action.get(i, j)])
 
 
 def check_representation(rep):

@@ -14,7 +14,10 @@ each walked the basis tuples and enumerated its shuffles on its own.  They
 are kept, unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
 ``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute``, the
 coboundaries and the table builders of ``nijconf.cohomology`` are pinned to
-by ``tests/test_eval_reference.py``.
+by ``tests/test_eval_reference.py``.  The engine evaluates tables and
+cochains with one core, ``nijconf.lca._evaluate``, which relabels a stored
+value at distinct bare lambdas; the two evaluators here stay separate, and
+both expand every stored value by multiplying out powers of the forms.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from nijconf.cohomology import (
     bracket_cochain,
     _cochain_vector,
     _monomials,
-    _skew_residuals,
     _max_degree,
     check_cochain_skew,
     cochain_space,
@@ -49,6 +48,7 @@ from nijconf.lca import (
     FreeModule,
     RepTable,
     _output_tuples,
+    _skew_residual,
     check_lca,
     eval_bracket,
     sesqui_eval,
@@ -349,8 +349,11 @@ def _cochain_space_reference(rep, degree, bound):
     residual_cols = [
         {
             (k, key, c, mono): coeff
-            for (key, k), residual in _skew_residuals(cochain)
-            for c, poly in enumerate(residual.coords)
+            for key in product(range(module.rank), repeat=degree)
+            for k in range(degree - 1)
+            for c, poly in enumerate(
+                _skew_residual(cochain.values, cochain.target, key, k).coords
+            )
             for mono, coeff in poly.terms.items()
         }
         for cochain in elementary

@@ -5,7 +5,10 @@ nonzero coordinates of their arguments; ``tests/reference_eval.py`` keeps
 the dense versions that lift, substitute and scan everything.  Both must
 give the same coordinates, at the same arity, and print the same, on
 arguments with zero and all-zero coordinates, of mixed arities, over free,
-evaluation and mixed modules, and for cochains of degree 0 to 3.  The
+evaluation and mixed modules, and for cochains of degree 0 to 3, at bare
+lambda-forms in any order, repeated or not, and at general ones; the
+evaluation core must also agree when the last form is left out, as the
+dagger of the others.  The
 coboundaries, planned once and evaluated on the outputs a cochain's support
 reaches, must equal the per-cochain coboundary of the reference on every
 output tuple, or on a subset of them; and one plan, which holds polynomials
@@ -45,11 +48,12 @@ from nijconf.lca import (
     FreeModule,
     RepTable,
     StructureTable,
+    _evaluate,
     dagger_substitute,
     sesqui_eval,
 )
 from nijconf.nijenhuis import deformed_table
-from nijconf.poly import Poly
+from nijconf.poly import Poly, dagger
 
 _coeffs = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -146,14 +150,31 @@ def test_eval_cochain_matches_the_dense_reference(data):
         data.draw(_elems(source, data.draw(st.integers(0, arity))))
         for _ in range(degree)
     ]
-    forms = [
-        data.draw(st.one_of(st.just(Poly.lam(k + 1, arity)), _polys(arity)))
-        for k in range(degree)
-    ]
-    _assert_same(
-        eval_cochain(f, args, forms, arity),
-        reference_eval.eval_cochain(f, args, forms, arity),
-    )
+    # any bare lambda, in or out of order and repeated, or any polynomial
+    bare = st.integers(1, arity).map(lambda k: Poly.lam(k, arity))
+    forms = [data.draw(st.one_of(bare, _polys(arity))) for _ in range(degree)]
+    cases = [(args, forms)]
+    if degree and f.values:
+        # the sum of the basis in every slot, the last times del, reads
+        # every stored value whole and lifts the last argument: at the drawn
+        # forms and at every tuple of bare lambdas
+        whole = source.elem([Poly.one(0)] * source.rank)
+        whole = [whole] * (degree - 1) + [whole.mul_poly(Poly.del_(0))]
+        lams = [Poly.lam(k, arity) for k in range(1, arity + 1)]
+        cases += [(whole, list(tup)) for tup in product(lams, repeat=degree)]
+        cases.append((whole, forms))
+    for args, forms in cases:
+        _assert_same(
+            eval_cochain(f, args, forms, arity),
+            reference_eval.eval_cochain(f, args, forms, arity),
+        )
+        if degree > 1:
+            # the core with the last form left out, as the dagger of the others
+            implicit = forms[:-1] + [dagger(sum(forms[1:-1], forms[0]))]
+            _assert_same(
+                _evaluate(f.values, target, args, forms[:-1], arity),
+                reference_eval.eval_cochain(f, args, implicit, arity),
+            )
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,7 +22,7 @@ from nijconf.lca import (
     sesqui_eval,
 )
 from nijconf.nijenhuis import check_nijenhuis
-from nijconf.poly import Poly
+from nijconf.poly import Poly, Substitution
 
 from conftest import DEL, LAM, make_vir
 from test_cli import CORE
@@ -277,16 +277,16 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     """check_lca, check_nijenhuis and check_representation evaluate every
     bracket at a bare lam_s, which is a relabel of the stored entries; only a
     general lambda-form, like the shuffle sums of a cup product, is
-    expanded."""
+    expanded, through a `poly.Substitution`."""
     ws = cli.parse_workspace([CORE])
     calls = []
-    expand = lca._expand_value
 
-    def counted(*args):
-        calls.append(args)
-        return expand(*args)
+    class Counted(Substitution):
+        def __init__(self, *args):
+            calls.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(lca, "_expand_value", counted)
+    monkeypatch.setattr(lca, "Substitution", Counted)
     kinds = {kind for kind, _ in ws.objects.values()}
     assert {"algebra", "nijenhuis", "rep"} <= kinds
     for kind, value in ws.objects.values():

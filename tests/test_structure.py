@@ -1,6 +1,7 @@
 """Source-level rules: one failure collector and one witness format, one
 validation of a Nijenhuis structure, one builder of solver slices, one
-solver for a map L -> H, and a documented workspace grammar.
+solver for a map L -> H, one evaluation core and one expansion, and a
+documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -16,6 +17,12 @@ basis cochain through one plan of the differential; so no caller of the
 solver keeps a slice of its own.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
 equivalence and the eta of a lift), and from ``cohomology.image_contains``.
+Tables and cochains share one evaluator: ``_Lifted(`` is called only by
+``lca._evaluate``, the evaluation core, and by the coboundary plan's
+``cohomology._Coboundary._lifted``; outside ``poly.py``, a
+``Substitution(`` is built only by ``lca._expansion``, the one expansion of
+a stored value, and by ``cohomology._substitutions`` and ``cochain_space``,
+which hold theirs for a whole plan or slice.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -90,6 +97,24 @@ def _callers(name):
 
 def test_only_the_slice_builder_calls_cochain_space():
     assert _callers("cochain_space") == [("cohomology", "_slice")]
+
+
+def test_only_the_evaluation_core_and_the_coboundary_plan_lift_arguments():
+    assert _callers("_Lifted") == [
+        ("cohomology", "_lifted"),
+        ("lca", "_evaluate"),
+        ("lca", "_evaluate"),
+    ]
+
+
+def test_only_the_expansion_and_the_solver_build_substitutions():
+    # then_dagger is the helper nested in cohomology._substitutions
+    assert _callers("Substitution") == [
+        ("cohomology", "_substitutions"),
+        ("cohomology", "cochain_space"),
+        ("cohomology", "then_dagger"),
+        ("lca", "_expansion"),
+    ]
 
 
 def test_only_the_map_solver_and_the_image_test_call_solve():
