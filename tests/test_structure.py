@@ -107,7 +107,7 @@ def test_only_the_evaluation_core_and_the_coboundary_plan_lift_arguments():
     ]
 
 
-def test_only_the_expansion_and_the_solver_build_substitutions():
+def test_only_the_expansion_the_plans_and_cochain_space_build_substitutions():
     # then_dagger is the helper nested in cohomology._substitutions
     assert _callers("Substitution") == [
         ("cohomology", "_substitutions"),
