@@ -5,15 +5,19 @@ algebra, a coefficient-module element whose coordinates are polynomials in
 (del, lam1, ..., lam_{n-1}); the n-th lambda is implicit (it equals
 -del - lam1 - ... - lam_{n-1} with del acting on the value).
 
-Every operator here is built from one evaluation primitive: a cochain applied
-to arguments that each carry an explicit "lambda-form" (an arbitrary
+Every operator here rests on one evaluation rule: a cochain applied to
+arguments that each carry an explicit "lambda-form" (an arbitrary
 polynomial standing for that argument's lambda).  Sesquilinearity is then
 uniform -- the coefficient of argument k is substituted del |-> -form_k, the
 stored value's lam_j is substituted by form_j, and del stays outermost.
-That primitive, `eval_cochain`, is the evaluation core of `lca`, which
-evaluates structure tables too (a table is a 2-cochain), and conformal
-skew-symmetry is the one residual `lca._skew_residual`; only the planned
-coboundary (`_Coboundary`) holds substitutions of its own for a whole slice.
+The table builders (`skew_symmetrize` and the bilinear products) evaluate
+through `eval_cochain`, the evaluation core of `lca`, which evaluates
+structure tables too (a table is a 2-cochain), and conformal skew-symmetry
+is the one residual `lca._skew_residual`.  The linear maps of a cochain are
+planned once instead (`_Plan`): the coboundary (`_Coboundary`) and the
+comparison map xi (`_Xi`) each hold, per output tuple, the polynomials that
+do not depend on the cochain, and share the dagger substitution of their
+degree (`_substitutions`).
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -340,7 +344,33 @@ def _substitutions(degree):
     return final, spreads, expansions
 
 
-class _Coboundary:
+class _Plan:
+    """A linear map of cochains, planned once over its output tuples.
+
+    ``outputs`` are the output tuples, and ``readers`` maps each input tuple
+    to the indices of the outputs that read it (see `_index`).  A cochain is
+    mapped by evaluating only the outputs that its support reaches (see
+    `_reached`); the others are zero.  The coboundary `_Coboundary` and the
+    comparison map `_Xi` are the two kinds.  A representation holds its
+    plans in ``_plans``; a plan does not hold the representation, which
+    passes itself to each call, so dropping it frees its plans at once.
+    """
+
+    def _index(self, keys, reads):
+        """Index the output tuples ``keys``, of which ``reads(key)`` gives
+        the input tuples that each one reads."""
+        self.outputs, self.readers = keys, {}
+        for index, key in enumerate(keys):
+            for source in reads(key):
+                self.readers.setdefault(source, []).append(index)
+
+    def _reached(self, values):
+        """The indices of the outputs that read a tuple of ``values``, in
+        order."""
+        return sorted({o for key in values for o in self.readers.get(key, ())})
+
+
+class _Coboundary(_Plan):
     """The conformal coboundary of one degree, planned once for its cochains.
 
     Everything about an output tuple that does not depend on the cochain is
@@ -349,12 +379,9 @@ class _Coboundary:
     when a cochain is mapped.  With a structure operator
     ``n_op`` this is the twisted coboundary: the actors of the first sum are
     N x_i and the inserted bracket is the deformed one.  ``keys`` are the
-    output tuples (every basis tuple by default).  ``readers`` maps each
-    input tuple to the outputs that read it: the first sum reads the output
-    tuple with slot i removed, the second sum each coordinate of an
-    inserted bracket followed by the remaining slots.  A cochain is then
-    mapped by evaluating only the outputs its support reaches; the others
-    are zero.
+    output tuples (every basis tuple by default).  The first sum reads the
+    output tuple with slot i removed, the second sum each coordinate of an
+    inserted bracket followed by the remaining slots.
 
     The polynomials that the forms, the inserted brackets and the final
     dagger substitution fix are held by the plan, each computed when it is
@@ -389,10 +416,9 @@ class _Coboundary:
         self.brackets = {}
         if keys is None:
             keys = _output_tuples(module.rank, arity, False)
-        self.outputs = keys
-        self.readers = {}
-        for index, key in enumerate(keys):
-            reads = {key[:i] + key[i + 1 :] for i in range(arity)}
+
+        def reads(key):
+            sources = {key[:i] + key[i + 1 :] for i in range(arity)}
             for i, j in combinations(range(arity), 2):
                 slot = (key[i], key[j], i)
                 inserted = self.brackets.get(slot)
@@ -401,11 +427,12 @@ class _Coboundary:
                         insert_table, module, basis[key[i]], basis[key[j]], forms[i], arity
                     )
                 rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                reads.update(
+                sources.update(
                     (c,) + rest for c, coord in enumerate(inserted.coords) if coord
                 )
-            for source in reads:
-                self.readers.setdefault(source, []).append(index)
+            return sources
+
+        self._index(keys, reads)
 
     def _action(self, rep, i, generator):
         """Per coefficient generator b, the nonzero coordinates (t, poly) of
@@ -444,12 +471,11 @@ class _Coboundary:
         """The coboundary of ``f`` over ``rep``, the representation the plan
         was built for, evaluated on the outputs it reaches."""
         values = f.values
-        reached = {o for key in values for o in self.readers.get(key, ())}
         out = Cochain(self.degree + 1, rep)
         # f on the arguments left after omitting slot i depends only on
         # (i, the remaining key), not on the omitted argument
         inners = {}
-        for o in sorted(reached):
+        for o in self._reached(values):
             key = self.outputs[o]
             # the terms of sign +1 and of sign -1, per target coordinate
             terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
@@ -644,29 +670,136 @@ def fn_bracket_of_maps(lca, a, b):
 # the combined complex
 
 
+class _Xi(_Plan):
+    """The comparison map xi of one degree, planned once for its cochains.
+
+    xi is linear in f.  Its value on an output tuple ``key``, at coefficient
+    coordinate t, is the sum over input tuples c and coordinates s of
+    P[key, c][t][s] f_{c,s}.  P[key, c] is the sum over the subsets S of the
+    slots of (-1)^{|S|} N_M^{|S|} times the product, over the slots k
+    outside S, of the c_k-th coordinate of N x_{key_k} with del |-> -lam_k;
+    on S, c_k = key_k.  The dagger lam_n |-> -del - lam_1 - ... - lam_{n-1}
+    is a ring map and f's values hold no lam_n, so it is applied once, to
+    each held P; ``final`` is that substitution (None at degree 0, which has
+    no lambda).  ``coefficients`` lists per output the (c, [(s, t, P)]) of
+    its nonzero P, and its c are the tuples it reads.  A call multiplies
+    f's values into them, one `Poly.sum_of_products` per coordinate, and
+    builds an Elem, which reduces the evaluation coordinates.  The
+    representation holds the plan (see `_comparison`).
+    """
+
+    def __init__(self, rep, degree, n_op, n_m, final):
+        module = rep.algebra.module
+        forms = _forms(degree, degree)
+        self.degree, self.n_op, self.n_m = degree, n_op, n_m
+        one = Poly.one(degree)
+        images = [n_op.apply(x).coords for x in _basis_args(module, range(module.rank))]
+
+        def lift(poly, form):
+            poly = poly.with_arity(degree)
+            return poly.substitute(0, -form) if poly.uses_var(0) else poly
+
+        # per slot k and basis index i, the nonzero coordinates (c, poly) of
+        # N x_i with del |-> -lam_k
+        moved = [
+            [[(c, lift(p, form)) for c, p in enumerate(coords) if p] for coords in images]
+            for form in forms
+        ]
+        # per |S|, the nonzero entries (t, s, entry) of N_M^{|S|}
+        powers = [
+            [
+                (t, s, entry.with_arity(degree))
+                for t, row in enumerate(n_m.power(size).matrix)
+                for s, entry in enumerate(row)
+                if entry
+            ]
+            for size in range(degree + 1)
+        ]
+        self.coefficients = []
+
+        def reads(key):
+            # (c, s, t) -> the (entry, factor) pairs of even and of odd |S|
+            sums = {}
+            for size in range(degree + 1):
+                for subset in combinations(range(degree), size):
+                    choices = [
+                        [(key[k], None)] if k in subset else moved[k][key[k]]
+                        for k in range(degree)
+                    ]
+                    for picks in product(*choices):
+                        c = tuple(i for i, _ in picks)
+                        factor = one
+                        for _, poly in picks:
+                            if poly is not None:
+                                factor = factor * poly
+                        for t, s, entry in powers[size]:
+                            pairs = sums.setdefault((c, s, t), ([], []))
+                            pairs[size % 2].append((entry, factor))
+            held = {}
+            for (c, s, t), (plus, minus) in sums.items():
+                poly = Poly.sum_of_products(degree, plus, minus)
+                if degree:
+                    poly = final(poly)
+                if poly.terms:
+                    held.setdefault(c, []).append((s, t, poly))
+            self.coefficients.append(list(held.items()))
+            return held
+
+        self._index(_output_tuples(module.rank, degree, False), reads)
+
+    def __call__(self, f, rep):
+        """xi of ``f`` over ``rep``, the representation the plan was built
+        for, evaluated on the outputs it reaches."""
+        values = f.values
+        out = Cochain(self.degree, rep)
+        arity = out.value_arity
+        for o in self._reached(values):
+            terms = [[] for _ in range(rep.module.rank)]
+            for c, coefficients in self.coefficients[o]:
+                value = values.get(c)
+                if value is not None:
+                    coords = value.coords
+                    for s, t, poly in coefficients:
+                        if coords[s].terms:
+                            terms[t].append((poly, coords[s]))
+            coords = [Poly.sum_of_products(arity, pairs) for pairs in terms]
+            out.set_value(self.outputs[o], Elem(rep.module, coords))
+        return out
+
+
+def _comparison(rep, degree, n_op, n_m):
+    """xi of degree-``degree`` cochains over ``rep``, through the `_Xi` plan
+    that ``rep._plans`` holds for the degree.
+
+    There is one per degree, built again when it is asked for with another
+    ``n_op`` or ``n_m`` object; xi reads neither the bracket nor the action
+    table, so no stamp applies.  Its dagger is that of the `_substitutions`
+    of degree - 1, which the coboundary plans of that degree share.
+    """
+    plans = rep._plans
+    held = plans.get(("xi", degree))
+    if held is None or held.n_op is not n_op or held.n_m is not n_m:
+        final = None
+        if degree:
+            if degree - 1 not in plans:
+                plans[degree - 1] = _substitutions(degree - 1)
+            final = plans[degree - 1][0]
+        held = plans["xi", degree] = _Xi(rep, degree, n_op, n_m, final)
+    return lambda f: held(f, rep)
+
+
 def xi_map(f, n_op, n_m):
     """Subset-alternating comparison map between the two complexes.
 
     xi(f)(p_1..p_n) = sum over subsets S of arguments of (-1)^{|S|}
-    N_M^{|S|} applied to f evaluated with N on the arguments outside S.
-    Pinned by the intertwining law d_{N,M} o xi = xi o delta.
+    N_M^{|S|} applied to f evaluated with N on the arguments outside S; at
+    degree 0 it is the identity.  Pinned by the intertwining law
+    d_{N,M} o xi = xi o delta.  xi is linear in f, and ``f.rep`` holds its
+    plan for the degree (see `_Xi`), so only the outputs that read the
+    support of ``f`` are evaluated, and a repeated call with the same
+    operator objects builds nothing.
     """
-    n = f.degree
-    if n == 0:
-        return f
-    powers = [n_m.power(k) for k in range(n + 1)]
-
-    def value(base, forms):
-        moved = [n_op.apply(x) for x in base]
-        acc = f.target.zero(n)
-        for size in range(n + 1):
-            for subset in combinations(range(n), size):
-                args = [base[k] if k in subset else moved[k] for k in range(n)]
-                term = powers[size].apply(eval_cochain(f, args, forms, n))
-                acc = acc + term if size % 2 == 0 else acc - term
-        return acc
-
-    return _tabulate(f.rep, n, value)
+    return _comparison(f.rep, f.degree, n_op, n_m)(f)
 
 
 class CochainPair:
@@ -697,11 +830,14 @@ def apply_dNL(pair, n_op, n_m, rep=None):
     """Differential of the combined complex.
 
     d(f) = (delta f, -xi f) when there is no second component, and
-    d(f, g) = (delta f, (-1)^n xi(f) + d_{N,M}(g)) in general.
+    d(f, g) = (delta f, (-1)^n xi(f) + d_{N,M}(g)) in general.  delta, xi
+    and d_{N,M} are each mapped through the plan that ``rep`` (by default
+    ``f.rep``) holds, so both components are cochains over it.
     """
     f, g = pair.f, pair.g
+    rep = f.rep if rep is None else rep
     df = apply_delta(f, rep=rep)
-    xf = xi_map(f, n_op, n_m)
+    xf = _comparison(rep, f.degree, n_op, n_m)(f)
     if g is None:
         return CochainPair(df, xf.scale(-1))
     second = xf.scale((-1) ** f.degree) + apply_dNM(g, n_op, n_m, rep=rep)

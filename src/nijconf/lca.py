@@ -574,21 +574,29 @@ def _skew_residual(values, target, key, k):
 
 
 def _jacobi_failures(lca, triples):
-    """(triple, residual) of the Jacobi identity on the given basis triples."""
+    """(triple, residual) of the Jacobi identity on the given basis triples.
+
+    A term whose inner bracket is zero is the zero Elem at arity 2, without
+    evaluating the outer bracket against it."""
     module = lca.module
     lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
+    zero = module.zero(2)
 
     def residual(i, j, k):
-        term1 = eval_bracket(
-            lca, module.basis_elem(i), lca.bracket_basis(j, k, slot=2, arity=2), slot=1
-        )
-        term2 = eval_bracket(
-            lca, module.basis_elem(j), lca.bracket_basis(i, k, slot=1, arity=2), slot=2
-        )
-        outer = eval_bracket(
-            lca, lca.bracket_basis(i, j, slot=1, arity=3), module.basis_elem(k), slot=3
-        )
-        return term1 - term2 - outer.substitute(3, lam12).shrink(2)
+        inner = lca.bracket_basis(j, k, slot=2, arity=2)
+        term1 = zero
+        if not inner.is_zero():
+            term1 = eval_bracket(lca, module.basis_elem(i), inner, slot=1)
+        inner = lca.bracket_basis(i, k, slot=1, arity=2)
+        term2 = zero
+        if not inner.is_zero():
+            term2 = eval_bracket(lca, module.basis_elem(j), inner, slot=2)
+        inner = lca.bracket_basis(i, j, slot=1, arity=3)
+        term3 = zero
+        if not inner.is_zero():
+            outer = eval_bracket(lca, inner, module.basis_elem(k), slot=3)
+            term3 = outer.substitute(3, lam12).shrink(2)
+        return term1 - term2 - term3
 
     return failures_of((key, residual(*key)) for key in triples)
 

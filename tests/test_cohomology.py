@@ -8,9 +8,13 @@ import pytest
 
 import reference_eval
 from nijconf.cohomology import (
+    MAX_DEGREE,
     MAX_SOLVER_BOUND,
     Cochain,
     _Coboundary,
+    _Plan,
+    _Xi,
+    _comparison,
     _differential,
     _substitutions,
     CochainPair,
@@ -47,6 +51,7 @@ from nijconf.lca import (
     ConfLinMap,
     FreeModule,
     RepTable,
+    _evaluate,
     _output_tuples,
     _skew_residual,
     check_lca,
@@ -593,21 +598,27 @@ def test_each_operator_gets_its_own_twisted_plan(sl2, proj_p):
 
 
 def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
+    # 16 coboundary plans, and one xi plan per degree besides
     rep = adjoint_rep(sl2)
 
-    def plans():
-        return [p for p in rep._plans.values() if isinstance(p, _Coboundary)]
+    def plans(kind=_Plan):
+        return [p for p in rep._plans.values() if isinstance(p, kind)]
 
     for op in (proj_p, _random_operator(sl2.module, Random(31))):
         for sorted_only in (False, True):
             for n in range(4):
                 for n_op in (None, op):
                     _differential(rep, n, n_op, sorted_only=sorted_only)
-                    assert len(plans()) <= 16
-    assert len(plans()) == 16
+                    assert len(plans(_Coboundary)) <= 16
+    for n_m in (proj_p, ConfLinMap.identity(sl2.module)):
+        for n in range(MAX_DEGREE + 1):
+            _comparison(rep, n, proj_p, n_m)
+            assert len(plans(_Xi)) <= MAX_DEGREE + 1
+    assert len(plans(_Coboundary)) == 16
+    assert len(plans()) == 16 + MAX_DEGREE + 1
     # the plans of one degree share its substitutions, built once
     for n in range(4):
-        assert {id(p.spreads) for p in plans() if p.degree == n} == {
+        assert {id(p.spreads) for p in plans(_Coboundary) if p.degree == n} == {
             id(rep._plans[n][1])
         }
 
@@ -617,7 +628,9 @@ def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):
     rep = adjoint_rep(sl2)
     f = random_cochain(rep, 1, Random(37), max_degree=1)
     apply_dN(f, proj_p)
-    assert rep._plans
+    xi_map(f, proj_p, proj_p)
+    assert any(isinstance(p, _Coboundary) for p in rep._plans.values())
+    assert any(isinstance(p, _Xi) for p in rep._plans.values())
     freed = weakref.ref(rep)
     gc.disable()
     try:
@@ -635,3 +648,63 @@ def test_a_repeated_differential_is_not_planned_again(monkeypatch, sl2, proj_p):
     evaluated = count_calls(monkeypatch, sesqui_eval)
     assert apply_dN(f, proj_p) == first
     assert (deformed, evaluated) == ({}, {})
+
+
+def _fresh_xi(rep, degree, n_op, n_m):
+    """xi through a plan built afresh, which nothing holds."""
+    final = _substitutions(degree - 1)[0] if degree else None
+    plan = _Xi(rep, degree, n_op, n_m, final)
+    return lambda f: plan(f, rep)
+
+
+def test_held_xi_plans_equal_fresh_ones(sl2, proj_p):
+    rng = Random(41)
+    rep = adjoint_rep(sl2)
+    ops = [proj_p, _random_operator(sl2.module, rng)]
+    cochains = [random_cochain(rep, n, rng, max_degree=1, density=1) for n in range(4)]
+    expected = {}
+    # every degree's plan is asked twice for each operator pair in turn: it
+    # is held for the second call and built again for the next pair
+    pairs = [(a, b) for a in ops for b in ops]
+    for order in (pairs, pairs[::-1]):
+        for f in cochains:
+            for n_op, n_m in order:
+                case = (id(n_op), id(n_m), f.degree)
+                if case not in expected:
+                    expected[case] = _fresh_xi(rep, f.degree, n_op, n_m)(f)
+                for _ in range(2):
+                    assert xi_map(f, n_op, n_m) == expected[case]
+    assert all(not f.is_zero() for f in cochains)
+    for n in range(1, 4):
+        images = [expected[id(a), id(b), n] for a in ops for b in ops]
+        assert len({repr(sorted(g.values.items())) for g in images}) == 4
+
+
+def test_a_repeated_xi_is_not_planned_again(monkeypatch, sl2, proj_p):
+    ad = adjoint_rep(sl2)
+    f = random_cochain(ad, 2, Random(43), max_degree=1)
+    first = xi_map(f, proj_p, proj_p)
+    assert not first.is_zero()
+    evaluated = count_calls(monkeypatch, _evaluate)
+    powers = []
+    power = ConfLinMap.power
+
+    def counted(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(ConfLinMap, "power", counted)
+    assert xi_map(f, proj_p, proj_p) == first
+    assert (evaluated, powers) == ({}, [])
+
+
+def test_the_combined_differential_is_over_one_representation(sl2, proj_p):
+    a, b = adjoint_rep(sl2), adjoint_rep(sl2)
+    rng = Random(47)
+    for n in range(3):
+        f = random_cochain(a, n, rng, max_degree=1)
+        g = random_cochain(a, n - 1, rng, max_degree=1) if n else None
+        for pair in (CochainPair(f, g), CochainPair(f)):
+            image = apply_dNL(pair, proj_p, proj_p, rep=b)
+            assert image.f.rep is b and image.g.rep is b
+            assert image == apply_dNL(pair, proj_p, proj_p)

@@ -24,7 +24,7 @@ from nijconf.lca import (
 from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly, Substitution
 
-from conftest import DEL, LAM, make_vir
+from conftest import DEL, LAM, count_calls, make_vir
 from test_cli import CORE
 
 
@@ -301,3 +301,17 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     rng = Random(5)
     cup_product(random_cochain(rep, 2, rng), random_cochain(rep, 1, rng))
     assert calls
+
+
+def test_jacobi_evaluates_no_bracket_against_zero(monkeypatch):
+    """A Jacobi term whose inner bracket is zero is zero: check_lca skips
+    its outer bracket instead of evaluating it against a zero argument."""
+    ws = cli.parse_workspace([CORE])
+    calls = count_calls(
+        monkeypatch, eval_bracket, key=lambda _, a, b, *rest: a.is_zero() or b.is_zero()
+    )
+    algebras = [value for kind, value in ws.objects.values() if kind == "algebra"]
+    assert algebras
+    for algebra in algebras:
+        check_lca(algebra)
+    assert calls[False] and not calls[True]

@@ -22,7 +22,11 @@ Tables and cochains share one evaluator: ``_Lifted(`` is called only by
 ``cohomology._Coboundary._lifted``; outside ``poly.py``, a
 ``Substitution(`` is built only by ``lca._expansion``, the one expansion of
 a stored value, and by ``cohomology._substitutions`` and ``cochain_space``,
-which hold theirs for a whole plan or slice.
+which hold theirs for a whole plan or slice.  ``_tabulate``, the one loop
+over basis tuples that evaluates a value per tuple, is called only by the
+bilinear products ``circ_insert`` and ``cup_product`` and by
+``skew_symmetrize``: the comparison map xi is linear and planned
+(``cohomology._Xi``), so a tabulated xi would be a second code path.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -75,13 +79,19 @@ def _calls(node, name):
     )
 
 
-def _callers(name):
-    """(module, function) of every call of ``name``, by source line."""
-    found = []
+def _sources():
+    """(module, source text) of every module of the package."""
     for path in SOURCES:
-        module = os.path.basename(path)[:-3]
         with open(path) as handle:
-            tree = ast.parse(handle.read())
+            yield os.path.basename(path)[:-3], handle.read()
+
+
+def _callers(name, sources=None):
+    """(module, function) of every call of ``name``, by source line, in the
+    package or in the (module, source text) pairs ``sources``."""
+    found = []
+    for module, source in _sources() if sources is None else sources:
+        tree = ast.parse(source)
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
             if _calls(node, name):
@@ -115,6 +125,28 @@ def test_only_the_expansion_the_plans_and_cochain_space_build_substitutions():
         ("cohomology", "then_dagger"),
         ("lca", "_expansion"),
     ]
+
+
+_TABULATORS = [
+    ("cohomology", "circ_insert"),
+    ("cohomology", "cup_product"),
+    ("cohomology", "skew_symmetrize"),
+]
+
+
+def test_only_the_bilinear_products_and_the_skew_projection_tabulate():
+    assert _callers("_tabulate") == _TABULATORS
+
+
+def test_the_tabulate_rule_sees_a_tabulated_comparison_map():
+    source = """
+def xi_map(f, n_op, n_m):
+    def value(base, forms):
+        return f.target.zero(f.degree)
+
+    return _tabulate(f.rep, f.degree, value)
+"""
+    assert _callers("_tabulate", [("cohomology", source)]) == [("cohomology", "xi_map")]
 
 
 def test_only_the_map_solver_and_the_image_test_call_solve():
