@@ -10,14 +10,16 @@ arguments that each carry an explicit "lambda-form" (an arbitrary
 polynomial standing for that argument's lambda).  Sesquilinearity is then
 uniform -- the coefficient of argument k is substituted del |-> -form_k, the
 stored value's lam_j is substituted by form_j, and del stays outermost.
-The table builders (`skew_symmetrize` and the bilinear products) evaluate
+The table builders (`skew_symmetrize` and the cup product) evaluate
 through `eval_cochain`, the evaluation core of `lca`, which evaluates
 structure tables too (a table is a 2-cochain), and conformal skew-symmetry
 is the one residual `lca._skew_residual`.  The linear maps of a cochain are
-planned once instead (`_Plan`): the coboundary (`_Coboundary`) and the
-comparison map xi (`_Xi`) each hold, per output tuple, the polynomials that
-do not depend on the cochain, and share the dagger substitution of their
-degree (`_substitutions`).
+planned once instead (`_Plan`): the coboundary (`_Coboundary`), the
+comparison map xi (`_Xi`) and the insertion product with one factor fixed
+(`_Insertion`) each hold, per output tuple, the polynomials that do not
+depend on the cochain mapped, and share the substitutions of their degree
+(`_substitutions`).  A representation holds the first two; the fixed
+factor holds the third, until one of its values is set.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -72,8 +74,13 @@ class Cochain:
     ``rep`` supplies both the source algebra and the coefficient action used
     by the coboundary map.  Values are stored sparsely; skew-symmetry is a
     checked property (see :func:`check_cochain_skew`), not a storage
-    invariant.
+    invariant.  A cochain holds the plans of its insertion products in
+    ``_plans`` (see `_insertion`); `set_value`, the one writer of
+    ``values``, drops them.
     """
+
+    # None until a plan is held, so a cochain without plans stores nothing
+    _plans = None
 
     def __init__(self, degree, rep, values=None):
         if not 0 <= degree <= MAX_DEGREE:
@@ -125,6 +132,11 @@ class Cochain:
         return self.target.zero(self.value_arity)
 
     def set_value(self, key, value):
+        """Store ``value`` at the basis tuple ``key``, dropping a zero value.
+
+        The one writer of ``values``: the insertion plans that the cochain
+        holds were read off its values, so they are dropped.
+        """
         key = tuple(key)
         if len(key) != self.degree:
             raise ModuleMismatchError(
@@ -133,6 +145,8 @@ class Cochain:
         if not isinstance(value, Elem):
             value = Elem(self.target, list(value))
         value = value.with_arity(self.value_arity)
+        if self._plans is not None:
+            self._plans = None
         if value.is_zero():
             self.values.pop(key, None)
         else:
@@ -296,18 +310,13 @@ def _perm_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def _shuffles(forms, size):
-    """Yield (sign, block, rest, block form) of every shuffle that moves a
-    ``size``-block of the slots of ``forms`` to the front: the block's and
-    the rest's slots in order, the sign of that permutation and the sum of
-    the block's lambda-forms."""
-    total = len(forms)
+def _shuffles(total, size):
+    """Yield (sign, block, rest) of every shuffle that moves a ``size``-block
+    of ``total`` slots to the front: the block's and the rest's slots in
+    order, and the sign of that permutation."""
     for block in combinations(range(total), size):
         rest = tuple(k for k in range(total) if k not in block)
-        block_form = Poly.zero(total)
-        for s in block:
-            block_form = block_form + forms[s]
-        yield _perm_sign(block + rest), block, rest, block_form
+        yield _perm_sign(block + rest), block, rest
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +324,56 @@ def _shuffles(forms, size):
 
 
 def _substitutions(degree):
-    """(dagger, spreads, expansions) of the degree-``degree`` coboundary:
-    the substitution into a stored value of each slot i of the first sum
-    (the other slots' forms, and del |-> del + form_i of the actor's
-    bracket) and of each pair i < j of the second, each then daggered."""
+    """(dagger, spreads, expansions, block) at working arity degree + 1,
+    each substitution into a stored value then daggered.
+
+    ``block(inside, slots)``, built when first asked for and kept, reads a
+    value at a shuffle block of slots: inside, with the block inserted in
+    its first slot (lam_1 |-> the sum of their forms, then the other forms,
+    del kept); else evaluated on the block (their forms, and del |-> -(the
+    sum of their forms)), to be inserted itself.  The coboundary's first
+    sum reads the ``spreads``, the blocks that omit one slot i (under the
+    dagger, -(the other forms) is del + form_i), and its second the
+    ``expansions``, each pair i < j inside.
+    """
     arity = degree + 1
     forms = _forms(arity, arity)
     earlier = sum(_forms(degree, degree), Poly.zero(degree))
     final = Substitution(degree, {arity: dagger(earlier)})
+    held = {}
 
     def then_dagger(images):
         return Substitution(degree, {v: final(p) for v, p in images.items()})
 
-    spreads = []
-    for i in range(arity):
-        images = _value_images(forms[:i] + forms[i + 1 :])
-        images[0] = Poly.del_(arity) + forms[i]
-        spreads.append(then_dagger(images))
-    expansions = {
-        (i, j): then_dagger(
-            _value_images(
-                [forms[i] + forms[j]]
-                + [forms[k] for k in range(arity) if k not in (i, j)]
-            )
-        )
-        for i, j in combinations(range(arity), 2)
-    }
-    return final, spreads, expansions
+    def block(inside, slots):
+        substitution = held.get((inside, slots))
+        if substitution is None:
+            summed = sum((forms[s] for s in slots), Poly.zero(arity))
+            if inside:
+                images = _value_images(
+                    [summed] + [forms[k] for k in range(arity) if k not in slots]
+                )
+            else:
+                images = _value_images([forms[s] for s in slots])
+                images[0] = -summed
+            substitution = held[inside, slots] = then_dagger(images)
+        return substitution
+
+    spreads = [
+        block(False, tuple(k for k in range(arity) if k != i)) for i in range(arity)
+    ]
+    expansions = {pair: block(True, pair) for pair in combinations(range(arity), 2)}
+    return final, spreads, expansions, block
+
+
+def _shared_substitutions(rep, degree):
+    """The `_substitutions` of ``degree`` that ``rep._plans`` holds for its
+    plans and its cochains' insertion plans; they depend on nothing else, so
+    they are built once."""
+    held = rep._plans.get(degree)
+    if held is None:
+        held = rep._plans[degree] = _substitutions(degree)
+    return held
 
 
 class _Plan:
@@ -350,10 +382,11 @@ class _Plan:
     ``outputs`` are the output tuples, and ``readers`` maps each input tuple
     to the indices of the outputs that read it (see `_index`).  A cochain is
     mapped by evaluating only the outputs that its support reaches (see
-    `_reached`); the others are zero.  The coboundary `_Coboundary` and the
-    comparison map `_Xi` are the two kinds.  A representation holds its
-    plans in ``_plans``; a plan does not hold the representation, which
-    passes itself to each call, so dropping it frees its plans at once.
+    `_reached`); the others are zero.  The coboundary `_Coboundary`, the
+    comparison map `_Xi` and the insertion `_Insertion` are the three kinds.
+    A representation holds its plans in ``_plans``, and a cochain its
+    insertion plans; a plan holds neither, so dropping the owner frees its
+    plans at once.
     """
 
     def _index(self, keys, reads):
@@ -411,7 +444,7 @@ class _Coboundary(_Plan):
             insert_table = deformed_table(rep.algebra, n_op).table
             self.actors = [n_op.apply(x) for x in basis]
         self.degree, self.arity, self.forms, self.n_op = degree, arity, forms, n_op
-        self.dagger, self.spreads, self.expansions = substitutions
+        self.dagger, self.spreads, self.expansions, _ = substitutions
         self.actions, self.lifts = {}, {}
         self.brackets = {}
         if keys is None:
@@ -522,7 +555,7 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
     tables' stamps, and builds it again when they change or a twisted one
     is asked for another operator object (a ``ConfLinMap`` never changes).
     Under ``degree`` it holds the `_substitutions` its plans of that degree
-    share; they depend on nothing else, so they are never built again.
+    share (see `_shared_substitutions`).
     """
     plans = rep._plans
     stamp = rep.algebra.table.stamp + rep.action.stamp
@@ -531,10 +564,9 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
         slot = (degree, operator is not None, sorted_only)
         held = plans.get(slot)
         if held is None or held.stamp != stamp or held.n_op is not operator:
-            if degree not in plans:
-                plans[degree] = _substitutions(degree)
             keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
-            held = plans[slot] = _Coboundary(rep, degree, plans[degree], operator, keys)
+            substitutions = _shared_substitutions(rep, degree)
+            held = plans[slot] = _Coboundary(rep, degree, substitutions, operator, keys)
             held.stamp = stamp
         return held
 
@@ -577,31 +609,149 @@ def apply_dN(f, n_op):
 # graded brackets on adjoint cochains
 
 
-def circ_insert(J, K):
-    """Insertion product: K evaluated on a shuffle block inside J's first slot."""
+def _require_factors(J, K):
+    """The bilinear products take adjoint cochains over one module."""
     _require_adjoint(J.rep)
     _require_adjoint(K.rep)
-    m, n = J.degree, K.degree
-    total = m + n - 1
-    if total > MAX_DEGREE:
-        raise DegreeOverflowError("insertion exceeds degree %d" % MAX_DEGREE)
+    if J.source.module != K.source.module:
+        raise ModuleMismatchError("cochains are over different modules")
 
-    def value(args, forms):
-        acc = J.target.zero(total)
-        for sign, block, rest, block_form in _shuffles(forms, n):
-            inner = eval_cochain(
-                K, [args[s] for s in block], [forms[s] for s in block], total
-            )
-            term = eval_cochain(
-                J,
-                [inner] + [args[r] for r in rest],
-                [block_form] + [forms[r] for r in rest],
-                total,
-            )
-            acc = acc + term.scale(sign)
-        return acc
 
-    return _tabulate(J.rep, total, value)
+class _Insertion(_Plan):
+    """The insertion product with one cochain J fixed, planned once for the
+    cochains K of one degree.
+
+    Both K |-> circ_insert(J, K) (J outside) and K |-> circ_insert(K, J)
+    (J ``inside``) are linear in K.  On an output tuple ``key`` each is a
+    signed sum over the shuffle blocks b of the inner factor, of products
+    of a factor read off J and a coordinate of K's value:
+
+    * J outside: coordinate c of K's value at key[b], evaluated on b, times
+      J's value at (c,) + key[rest] with b inserted in its first slot;
+    * J inside: K's value at (c,) + key[rest] with b inserted, times
+      coordinate c of J's value at key[b], evaluated on b.
+
+    Both substitutions of b depend only on the degree (`_substitutions`'
+    ``block``, the dagger included), so the factors are held at the final
+    arity.  ``terms`` lists per output its (negative, b, input tuple,
+    [(s, t, factor)]); a call substitutes each value of K that it reads
+    once, multiplies coordinate s into the factor at output coordinate t,
+    one `Poly.sum_of_products` per coordinate, and builds an Elem.  The
+    plan holds neither J nor a representation (see `_insertion`).
+    """
+
+    def __init__(self, J, inside, degree, block):
+        total = J.degree + degree - 1
+        rank = J.target.rank
+        shuffles = list(_shuffles(total, J.degree if inside else degree))
+        self.degree = total
+        # K's values are substituted on the side opposite J's
+        self.blocks = {b: block(inside, b) for _, b, _ in shuffles}
+        # (b, a tuple of J) -> the coefficients of J's value there under b:
+        # inside, (c, [(t, t, factor)]) per coordinate c, the factor of
+        # every coordinate t of K's value at (c,) + key[rest]; outside, the
+        # [(c, t, factor)] of coordinate c of K's value at key[b]
+        held = {}
+        for _, b, _ in shuffles:
+            substitution = block(not inside, b)
+            for source, value in J.values.items():
+                images = [(t, substitution(p)) for t, p in enumerate(value.coords) if p]
+                factors = [(t, factor) for t, factor in images if factor]
+                if inside:
+                    held[b, source] = [
+                        (c, [(t, t, factor) for t in range(rank)])
+                        for c, factor in factors
+                    ]
+                elif factors:
+                    held[b, source] = [(source[0], t, factor) for t, factor in factors]
+
+        def reads(key):
+            terms = []
+            for sign, b, rest in shuffles:
+                inner = tuple(key[k] for k in b)
+                outer = tuple(key[k] for k in rest)
+                if inside:
+                    terms += [
+                        (sign < 0, b, (c,) + outer, coefficients)
+                        for c, coefficients in held.get((b, inner), ())
+                    ]
+                else:
+                    terms += [
+                        (sign < 0, b, inner, held[b, (c,) + outer])
+                        for c in range(rank)
+                        if (b, (c,) + outer) in held
+                    ]
+            self.terms.append(terms)
+            return [source for _, _, source, _ in terms]
+
+        self.terms = []
+        self._index(_output_tuples(J.source.module.rank, total, False), reads)
+
+    def __call__(self, K, rep):
+        """The product with ``K``, as a cochain over ``rep``, evaluated on
+        the outputs that K's support reaches."""
+        values = K.values
+        out = Cochain(self.degree, rep)
+        arity = out.value_arity
+        # K's value at an input tuple, substituted for a block
+        inners = {}
+        for o in self._reached(values):
+            # the terms of sign +1 and of sign -1, per output coordinate
+            terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
+            for negative, b, source, coefficients in self.terms[o]:
+                value = values.get(source)
+                if value is None:
+                    continue
+                inner = inners.get((b, source))
+                if inner is None:
+                    substitution = self.blocks[b]
+                    inner = inners[b, source] = [
+                        substitution(poly) if poly.terms else None
+                        for poly in value.coords
+                    ]
+                into = terms[negative]
+                for s, t, factor in coefficients:
+                    if inner[s] is not None:
+                        into[t].append((factor, inner[s]))
+            coords = [
+                Poly.sum_of_products(arity, plus, minus) for plus, minus in zip(*terms)
+            ]
+            out.set_value(self.outputs[o], Elem(rep.module, coords))
+        return out
+
+
+def _insertion(J, inside, K):
+    """J's `_Insertion` plan, outside or ``inside``, for K's degree.
+
+    J holds one per (side, degree) in ``J._plans``, at most 10 since a
+    product has degree 0 to MAX_DEGREE, until `Cochain.set_value` drops
+    them.  Their blocks are those of the `_substitutions` that ``K.rep``
+    holds for the product's degree; for J of degree 2 they are the spreads
+    and expansions of K's coboundary.
+    """
+    total = J.degree + K.degree - 1
+    if not 0 <= total <= MAX_DEGREE:
+        raise DegreeOverflowError("insertion degree %d out of range" % total)
+    if J._plans is None:
+        J._plans = {}
+    held = J._plans.get((inside, K.degree))
+    if held is None:
+        # at degree 0 the one block is empty, and the blocks of working
+        # arity 1 leave no lambda: del |-> 0 evaluated on it, else nothing
+        block = _shared_substitutions(K.rep, max(total - 1, 0))[3]
+        held = J._plans[inside, K.degree] = _Insertion(J, inside, K.degree, block)
+    return held
+
+
+def circ_insert(J, K):
+    """Insertion product: K evaluated on a shuffle block inside J's first slot.
+
+    It is linear in K, and K is mapped through the plan that J holds for
+    K's degree (see `_Insertion`), so a repeated product with the same J
+    builds nothing.  Both are adjoint cochains over one module.
+    """
+    _require_factors(J, K)
+    return _insertion(J, False, K)(K, J.rep)
 
 
 def nr_bracket(J, K):
@@ -609,18 +759,19 @@ def nr_bracket(J, K):
 
     [J, K] = J(.)K - (-1)^{(m-1)(n-1)} K(.)J; the structure cochain of a
     bracket pairs with any f to give (-1)^{n-1} times its coboundary, which
-    is the identity pinning this convention.
+    is the identity pinning this convention.  Both terms are linear in K,
+    and J holds the plan of each (see `_Insertion`).
     """
     m, n = J.degree, K.degree
-    second = circ_insert(K, J)
     sign = -1 if ((m - 1) * (n - 1)) % 2 == 0 else 1
-    return circ_insert(J, K) + second.scale(sign)
+    first = circ_insert(J, K)
+    return first + _insertion(J, True, K)(K, K.rep).scale(sign)
 
 
 def cup_product(J, K):
-    """Shuffle-summed bracket of values: sum [J(block1) lam K(block2)]."""
-    _require_adjoint(J.rep)
-    _require_adjoint(K.rep)
+    """Shuffle-summed bracket of values: sum [J(block1) lam K(block2)], of
+    adjoint cochains over one module."""
+    _require_factors(J, K)
     m, n = J.degree, K.degree
     total = m + n
     if total > MAX_DEGREE:
@@ -629,13 +780,14 @@ def cup_product(J, K):
 
     def value(args, forms):
         acc = J.target.zero(total)
-        for sign, block, rest, block_form in _shuffles(forms, m):
+        for sign, block, rest in _shuffles(total, m):
             left = eval_cochain(
                 J, [args[s] for s in block], [forms[s] for s in block], total
             )
             right = eval_cochain(
                 K, [args[r] for r in rest], [forms[r] for r in rest], total
             )
+            block_form = sum((forms[s] for s in block), Poly.zero(total))
             term = act_form(table, module, left, right, block_form, total)
             acc = acc + term.scale(sign)
         return acc
@@ -649,14 +801,15 @@ def fn_bracket(J, K):
     [J, K] = J cup K + (-1)^m K(.)delta J - (-1)^{(m+1)n} J(.)delta K, with
     the coboundaries inserted into the other factor's first slot.  The signs
     and insertion direction are pinned by two oracles: the explicit degree-1
-    expansion and agreement of [N, -] with the operator differential.
+    expansion and agreement of [N, -] with the operator differential.  The
+    insertions are mapped through plans of the fresh coboundaries, inside.
     """
     m, n = J.degree, K.degree
     dJ = apply_delta(J)
     dK = apply_delta(K)
     term1 = cup_product(J, K)
-    term2 = circ_insert(K, dJ).scale((-1) ** m)
-    term3 = circ_insert(J, dK).scale(-((-1) ** (((m + 1) * n) % 2)))
+    term2 = _insertion(dJ, True, K)(K, K.rep).scale((-1) ** m)
+    term3 = _insertion(dK, True, J)(J, J.rep).scale(-((-1) ** (((m + 1) * n) % 2)))
     return term1 + term2 + term3
 
 
@@ -779,11 +932,7 @@ def _comparison(rep, degree, n_op, n_m):
     plans = rep._plans
     held = plans.get(("xi", degree))
     if held is None or held.n_op is not n_op or held.n_m is not n_m:
-        final = None
-        if degree:
-            if degree - 1 not in plans:
-                plans[degree - 1] = _substitutions(degree - 1)
-            final = plans[degree - 1][0]
+        final = _shared_substitutions(rep, degree - 1)[0] if degree else None
         held = plans["xi", degree] = _Xi(rep, degree, n_op, n_m, final)
     return lambda f: held(f, rep)
 

@@ -13,11 +13,14 @@ cochain; ``apply_dNM`` is its twisted difference.  ``skew_symmetrize``,
 each walked the basis tuples and enumerated its shuffles on its own.
 ``xi_map`` is also the comparison map as it was before it was planned once
 per degree: 2^n cochain evaluations per output tuple, with N applied to the
-arguments and the powers of N_M computed again on every call.  They
+arguments and the powers of N_M computed again on every call.
+``circ_insert`` is also the insertion product as it was before it was
+planned once per fixed cochain: two cochain evaluations per shuffle block
+and output tuple, on every call.  They
 are kept, unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
 ``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute``, the
-coboundaries, the table builders and the planned xi of
-``nijconf.cohomology`` are pinned to by ``tests/test_eval_reference.py``.  The engine evaluates tables and
+coboundaries, the table builders, the planned xi and the planned insertion
+of ``nijconf.cohomology`` are pinned to by ``tests/test_eval_reference.py``.  The engine evaluates tables and
 cochains with one core, ``nijconf.lca._evaluate``, which relabels a stored
 value at distinct bare lambdas; the two evaluators here stay separate, and
 both expand every stored value by multiplying out powers of the forms.

@@ -12,10 +12,12 @@ from nijconf.cohomology import (
     MAX_SOLVER_BOUND,
     Cochain,
     _Coboundary,
+    _Insertion,
     _Plan,
     _Xi,
     _comparison,
     _differential,
+    _insertion,
     _substitutions,
     CochainPair,
     adjoint_rep,
@@ -43,7 +45,7 @@ from nijconf.cohomology import (
     xi_map,
 )
 from nijconf import linalg
-from nijconf.errors import PreconditionError
+from nijconf.errors import ModuleMismatchError, PreconditionError
 from nijconf.lca import (
     FREE,
     LCA,
@@ -58,10 +60,17 @@ from nijconf.lca import (
     eval_bracket,
     sesqui_eval,
 )
-from nijconf.nijenhuis import check_nijenhuis, deformed_table
+from nijconf.nijenhuis import (
+    NijenhuisLCA,
+    NijenhuisRep,
+    check_nij_representation,
+    check_nijenhuis,
+    deformed_table,
+)
 from nijconf.poly import Poly
 
 from conftest import DEL, LAM, count_calls, make_sl2
+from test_eval_reference import _reps
 
 
 def _combine(coeffs, cochains):
@@ -196,6 +205,35 @@ def test_xi_intertwines_the_differentials(ad, proj_p):
         lhs = apply_dNM(xi_map(f, proj_p, proj_p), proj_p, proj_p)
         rhs = xi_map(apply_delta(f), proj_p, proj_p)
         assert lhs == rhs
+
+
+def test_xi_intertwines_the_differentials_of_every_nijenhuis_representation():
+    # the cases are those where N is Nijenhuis and (rep, N_M) a Nijenhuis
+    # representation, found by the checks; the shear on sl2 is not
+    # Nijenhuis, and there the law fails
+    rng = Random(83)
+    selected = []
+    for name, rep, n_op, n_m in _reps():
+        nlca = NijenhuisLCA.raw(rep.algebra, n_op)
+        if not (
+            check_nijenhuis(rep.algebra, n_op).passed
+            and check_nij_representation(nlca, NijenhuisRep(rep, n_m)).passed
+        ):
+            continue
+        selected.append(name)
+        for n in range(4):
+            # a nonzero combination of a skew basis: on a rank-1 algebra a
+            # skew n-cochain needs entries of degree n
+            basis = cochain_space(rep, n, max(n, 1))
+            f = _combine([rng.choice([-2, -1, 1, 3]) for _ in basis], basis)
+            lhs = apply_dNM(xi_map(f, n_op, n_m), n_op, n_m)
+            assert lhs == xi_map(apply_delta(f), n_op, n_m), (name, n)
+    assert selected == ["sl2-line", "vir-adjoint", "vir-weight-2"]
+    name, rep, shear, _ = _reps()[0]
+    assert name == "sl2-adjoint" and not check_nijenhuis(rep.algebra, shear).passed
+    f = random_cochain(rep, 1, rng, max_degree=1)
+    lhs = apply_dNM(xi_map(f, shear, shear), shear, shear)
+    assert lhs != xi_map(apply_delta(f), shear, shear)
 
 
 def test_phi_chain_map(ad, proj_p):
@@ -708,3 +746,120 @@ def test_the_combined_differential_is_over_one_representation(sl2, proj_p):
             image = apply_dNL(pair, proj_p, proj_p, rep=b)
             assert image.f.rep is b and image.g.rep is b
             assert image == apply_dNL(pair, proj_p, proj_p)
+
+
+# ---------------------------------------------------------------------------
+# insertion plans held by the fixed cochain
+
+
+def _fresh_insertion(J, inside, degree):
+    """J's insertion, outside or inside, through a plan built afresh, which
+    nothing holds."""
+    total = J.degree + degree - 1
+    block = _substitutions(max(total - 1, 0))[3]
+    plan = _Insertion(J, inside, degree, block)
+    return lambda K: plan(K, K.rep if inside else J.rep)
+
+
+def test_held_insertion_plans_equal_fresh_ones(sl2):
+    rng = Random(53)
+    rep = adjoint_rep(sl2)
+    cochains = [random_cochain(rep, n, rng, max_degree=1, density=1) for n in range(4)]
+    cochains.append(bracket_cochain(sl2))
+    expected = {}
+    # every plan is asked twice, the sides and the degrees interleaved, and
+    # a plan for degree 2 maps two cochains
+    for order in (cochains, cochains[::-1]):
+        for J in order:
+            for K in cochains:
+                if not 0 <= J.degree + K.degree - 1 <= MAX_DEGREE:
+                    continue
+                for inside in (False, True):
+                    case = (id(J), id(K), inside)
+                    if case not in expected:
+                        expected[case] = _fresh_insertion(J, inside, K.degree)(K)
+                    held = _insertion(J, inside, K)
+                    assert held(K, K.rep if inside else J.rep) == expected[case]
+    assert all(not f.is_zero() for f in cochains)
+    assert sum(not image.is_zero() for image in expected.values()) > len(expected) // 2
+
+
+def test_a_changed_cochain_is_planned_again(sl2):
+    rng = Random(59)
+    J = bracket_cochain(sl2)
+    f = random_cochain(J.rep, 2, rng, max_degree=1)
+    before = nr_bracket(J, f)
+    assert before == apply_delta(f).scale(-1)
+    # a new value on one tuple, then none there
+    for value in ([Poly.lam(1, 1), Poly.zero(1), Poly.one(1)], J.target.zero(1)):
+        J.set_value((0, 1), value)
+        after = nr_bracket(J, f)
+        assert after != before
+        want = reference_eval.circ_insert(J, f) + reference_eval.circ_insert(f, J)
+        assert after == want
+        before = after
+
+
+def test_a_repeated_bracket_is_not_planned_again(monkeypatch, sl2):
+    ad = adjoint_rep(sl2)
+    mc = bracket_cochain(sl2)
+    rng = Random(61)
+    f, g = (random_cochain(ad, 2, rng, max_degree=1) for _ in range(2))
+    first = nr_bracket(mc, f)
+    plans = dict(mc._plans)
+    want = apply_delta(g).scale(-1)
+    evaluated = count_calls(monkeypatch, _evaluate)
+    images = nr_bracket(mc, f), nr_bracket(mc, g)
+    assert evaluated == {}
+    assert images == (first, want)
+    # the two plans of the first call, both sides for degree 2, map both
+    assert sorted(plans) == [(False, 2), (True, 2)]
+    assert all(mc._plans[key] is plan for key, plan in plans.items())
+
+
+def test_a_dropped_cochain_needs_no_cycle_collection(sl2):
+    # the plans a cochain holds do not point back at it
+    J = bracket_cochain(sl2)
+    f = random_cochain(J.rep, 1, Random(67), max_degree=1)
+    nr_bracket(J, f)
+    assert all(isinstance(p, _Insertion) for p in J._plans.values())
+    assert len(J._plans) == 2
+    freed = weakref.ref(J)
+    gc.disable()
+    try:
+        del J
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_a_cochain_holds_at_most_10_plans(sl2):
+    # one plan per side and degree of the other factor, whose product has
+    # degree 0 to MAX_DEGREE
+    rep = adjoint_rep(sl2)
+    rng = Random(71)
+    for m in range(3):
+        J = random_cochain(rep, m, rng, max_degree=1, density=1)
+        degrees = [n for n in range(MAX_DEGREE + 1) if 0 <= m + n - 1 <= MAX_DEGREE]
+        for _ in range(2):
+            for n in degrees:
+                nr_bracket(J, Cochain(n, rep))
+                assert len(J._plans) <= 10
+        assert len(J._plans) == 2 * len(degrees)
+        assert m != 1 or len(J._plans) == 10
+
+
+def test_the_bilinear_products_refuse_cochains_over_different_modules(sl2, vir):
+    f = random_cochain(adjoint_rep(sl2), 1, Random(73), max_degree=1)
+    g = random_cochain(adjoint_rep(vir), 1, Random(79), max_degree=1)
+    products = (circ_insert, cup_product, nr_bracket, fn_bracket)
+    for product_of in products:
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ModuleMismatchError):
+                product_of(a, b)
+    assert (f._plans, g._plans) == (None, None)
+    # two adjoint representations of one algebra share its module
+    h = Cochain(1, adjoint_rep(sl2), f.values)
+    for product_of in products:
+        assert product_of(f, h) == product_of(f, f)
+        assert product_of(h, f) == product_of(f, f)

@@ -16,7 +16,10 @@ for its whole slice, must map a run of cochains, in sequence or interleaved
 with other plans, as the reference maps each alone.  The table builders, which share one
 loop over the basis tuples, must equal the copies that each had their own,
 and the comparison map xi, planned once per degree, must equal the
-tabulated xi on every case at degrees 0 to 4.
+tabulated xi on every case at degrees 0 to 4.  The insertion product,
+planned once per fixed cochain and degree on either side, must equal the
+tabulated product, and the graded bracket the tabulated difference, in
+every degree up to MAX_DEGREE, on every case with adjoint coefficients.
 """
 
 from fractions import Fraction
@@ -33,11 +36,14 @@ from nijconf.cohomology import (
     Cochain,
     _Coboundary,
     _differential,
+    _insertion,
     _substitutions,
     adjoint_rep,
+    bracket_cochain,
     circ_insert,
     cup_product,
     eval_cochain,
+    nr_bracket,
     random_cochain,
     skew_symmetrize,
     xi_map,
@@ -395,3 +401,50 @@ def test_planned_xi_matches_the_tabulated_reference(case):
             assert {key: repr(v) for key, v in got.values.items()} == {
                 key: repr(v) for key, v in want.values.items()
             }
+
+
+# ---------------------------------------------------------------------------
+# the planned insertion product against the tabulated one
+
+
+def _assert_same_cochain(got, want):
+    assert got == want
+    assert {key: repr(v) for key, v in got.values.items()} == {
+        key: repr(v) for key, v in want.values.items()
+    }
+
+
+_ADJOINT_CASES = ("sl2-adjoint", "vir-adjoint", "torsion-adjoint")
+
+
+@pytest.mark.parametrize("name", _ADJOINT_CASES)
+def test_planned_insertion_matches_the_tabulated_reference(name):
+    # torsion that is not central among the cases; J holds one plan per side
+    # and degree of K, so each plan maps several cochains: sparse ones, a
+    # random skew one up to degree 2, and the bracket cochain, a J of degree
+    # 2 whose values are all the algebra's brackets
+    _, rep, _, _ = next(case for case in _reps() if case[0] == name)
+    rng = Random(400 + _ADJOINT_CASES.index(name))
+    cochains = {
+        d: [_sparse_cochain(rep, d, rng), _sparse_cochain(rep, d, rng, entries=6)]
+        for d in range(MAX_DEGREE + 1)
+    }
+    for d in range(3):
+        cochains[d].append(random_cochain(rep, d, rng, max_degree=1, density=1))
+    cochains[2].append(bracket_cochain(rep.algebra))
+    references = {}
+
+    def reference(J, K):
+        if (id(J), id(K)) not in references:
+            references[id(J), id(K)] = reference_eval.circ_insert(J, K)
+        return references[id(J), id(K)]
+
+    for m, n in product(cochains, repeat=2):
+        if not 0 <= m + n - 1 <= MAX_DEGREE:
+            continue
+        sign = -1 if ((m - 1) * (n - 1)) % 2 == 0 else 1
+        for J, K in product(cochains[m], cochains[n]):
+            outside, inside = reference(J, K), reference(K, J)
+            _assert_same_cochain(circ_insert(J, K), outside)
+            _assert_same_cochain(_insertion(J, True, K)(K, K.rep), inside)
+            _assert_same_cochain(nr_bracket(J, K), outside + inside.scale(sign))

@@ -24,9 +24,10 @@ Tables and cochains share one evaluator: ``_Lifted(`` is called only by
 a stored value, and by ``cohomology._substitutions`` and ``cochain_space``,
 which hold theirs for a whole plan or slice.  ``_tabulate``, the one loop
 over basis tuples that evaluates a value per tuple, is called only by the
-bilinear products ``circ_insert`` and ``cup_product`` and by
-``skew_symmetrize``: the comparison map xi is linear and planned
-(``cohomology._Xi``), so a tabulated xi would be a second code path.
+cup product ``cup_product`` and by ``skew_symmetrize``: the comparison map
+xi is linear and planned (``cohomology._Xi``), and so is the insertion
+product in the factor that is not fixed (``cohomology._Insertion``), so a
+tabulated xi or insertion would be a second code path.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -35,7 +36,10 @@ lives on the object that owns it (a representation holds its coboundary
 plans), so nothing it holds outlives that object.  Such a cache is stamped
 with the version of the structure tables it was derived from, so only
 ``StructureTable.set``, which bumps the version, writes a table's entries,
-and ``.table`` and ``.action`` are bound only in an ``__init__``.
+and ``.table`` and ``.action`` are bound only in an ``__init__``.  A
+cochain holds the insertion plans read off its values, so only
+``Cochain.set_value``, which drops them, writes a cochain's ``.values``,
+bound only in ``Cochain.__init__``.
 """
 
 import ast
@@ -128,7 +132,6 @@ def test_only_the_expansion_the_plans_and_cochain_space_build_substitutions():
 
 
 _TABULATORS = [
-    ("cohomology", "circ_insert"),
     ("cohomology", "cup_product"),
     ("cohomology", "skew_symmetrize"),
 ]
@@ -147,6 +150,19 @@ def xi_map(f, n_op, n_m):
     return _tabulate(f.rep, f.degree, value)
 """
     assert _callers("_tabulate", [("cohomology", source)]) == [("cohomology", "xi_map")]
+
+
+def test_the_tabulate_rule_sees_a_tabulated_insertion():
+    source = """
+def circ_insert(J, K):
+    def value(args, forms):
+        return J.target.zero(J.degree + K.degree - 1)
+
+    return _tabulate(J.rep, J.degree + K.degree - 1, value)
+"""
+    assert _callers("_tabulate", [("cohomology", source)]) == [
+        ("cohomology", "circ_insert")
+    ]
 
 
 def test_only_the_map_solver_and_the_image_test_call_solve():
@@ -255,8 +271,41 @@ def local(x):
     ]
 
 
-def _is_entries(node):
-    return isinstance(node, ast.Attribute) and node.attr == "entries"
+def _is_attribute(node, attr):
+    return isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def _writes(tree, attr):
+    """(line, kind, owner) of every write of an attribute ``attr`` in a
+    module's syntax tree: kind "binds" when ``x.attr`` itself is assigned or
+    deleted, "writes" when one of its items is, or a mutating method is
+    called on it; owner is the path of class and function names around it."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if stored and _is_attribute(child, attr):
+                found.append((child.lineno, "binds", owner))
+            written = (
+                stored
+                and isinstance(child, ast.Subscript)
+                and _is_attribute(child.value, attr)
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _MUTATORS
+                and _is_attribute(child.func.value, attr)
+            )
+            if written:
+                found.append((child.lineno, "writes", owner))
+            visit(child, owner)
+
+    visit(tree, ())
+    return found
 
 
 def _stamp_offences(tree):
@@ -265,33 +314,30 @@ def _stamp_offences(tree):
     and of every binding of ``.table`` or ``.action`` outside an
     ``__init__``: a write that skips ``set`` would not bump the version
     that held coboundary plans and ``LCA.checked`` are stamped with."""
-    offences = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, owner + (child.name,))
-                continue
-            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
-            if stored and isinstance(child, ast.Attribute):
-                if child.attr == "entries" and owner[-2:] != ("StructureTable", "__init__"):
-                    offences.append((child.lineno, "binds .entries"))
-                if child.attr in ("table", "action") and owner[-1:] != ("__init__",):
-                    offences.append((child.lineno, "binds .%s" % child.attr))
-            written = (
-                stored and isinstance(child, ast.Subscript) and _is_entries(child.value)
-            ) or (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _MUTATORS
-                and _is_entries(child.func.value)
-            )
-            if written and owner[-2:] != ("StructureTable", "set"):
-                offences.append((child.lineno, "writes .entries"))
-            visit(child, owner)
-
-    visit(tree, ())
+    offences = [
+        (line, "%s .entries" % kind)
+        for line, kind, owner in _writes(tree, "entries")
+        if owner[-2:] != ("StructureTable", "__init__" if kind == "binds" else "set")
+    ]
+    offences += [
+        (line, "binds .%s" % attr)
+        for attr in ("table", "action")
+        for line, kind, owner in _writes(tree, attr)
+        if kind == "binds" and owner[-1:] != ("__init__",)
+    ]
     return sorted(offences)
+
+
+def _values_offences(tree):
+    """(line, what) of every write of a cochain's ``.values`` outside
+    ``Cochain.set_value`` (bar its binding in ``Cochain.__init__``): a write
+    that skips ``set_value`` would leave the insertion plans that the
+    cochain holds reading its old values."""
+    return sorted(
+        (line, "%s .values" % kind)
+        for line, kind, owner in _writes(tree, "values")
+        if owner[-2:] != ("Cochain", "__init__" if kind == "binds" else "set_value")
+    )
 
 
 def test_only_the_table_setter_writes_entries():
@@ -342,6 +388,48 @@ def poke(table, rep):
         "binds .entries",
         "binds .action",
         "binds .table",
+    ]
+
+
+def test_only_the_cochain_setter_writes_values():
+    offences = []
+    for path in SOURCES:
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        offences += [
+            "%s:%d %s" % (os.path.basename(path), line, what)
+            for line, what in _values_offences(tree)
+        ]
+    assert offences == []
+
+
+def test_the_values_rule_sees_each_kind_of_write():
+    source = """
+class Cochain:
+    def __init__(self):
+        self.values = {}
+
+    def set_value(self, key, value):
+        self.values[key] = value
+        self.values.pop(key, None)
+
+
+def poke(f, g):
+    f.values[0, 0] = None
+    del f.values[0, 0]
+    f.values.pop((0, 0))
+    f.values.update(g.values)
+    f.values.clear()
+    f.values = {}
+    return list(g.values.values())
+"""
+    assert [what for _, what in _values_offences(ast.parse(source))] == [
+        "writes .values",
+        "writes .values",
+        "writes .values",
+        "writes .values",
+        "writes .values",
+        "binds .values",
     ]
 
 
