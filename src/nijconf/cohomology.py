@@ -14,12 +14,15 @@ The table builders (`skew_symmetrize` and the cup product) evaluate
 through `eval_cochain`, the evaluation core of `lca`, which evaluates
 structure tables too (a table is a 2-cochain), and conformal skew-symmetry
 is the one residual `lca._skew_residual`.  The linear maps of a cochain are
-planned once instead (`_Plan`): the coboundary (`_Coboundary`), the
-comparison map xi (`_Xi`) and the insertion product with one factor fixed
-(`_Insertion`) each hold, per output tuple, the polynomials that do not
-depend on the cochain mapped, and share the substitutions of their degree
-(`_substitutions`).  A representation holds the first two; the fixed
-factor holds the third, until one of its values is set.
+planned once instead: the coboundary (`_Coboundary`), the comparison map xi
+(`_Xi`) and the insertion product with one factor fixed (`_Insertion`) each
+build, per output tuple, a list of terms, and one loop (`_Plan.__call__`)
+maps every cochain through them.  A term takes one coordinate of one input
+value under a substitution of its degree (`_substitutions`), times a held
+polynomial that does not depend on the cochain mapped, into one output
+coordinate.  The coboundary inserts the bracket as the insertion inserts a
+fixed factor inside.  A representation holds the first two plans; the
+fixed factor holds the third, until one of its values is set.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -40,7 +43,6 @@ from .lca import (
     FREE,
     Elem,
     RepTable,
-    _Lifted,
     _evaluate,
     _output_tuples,
     _skew_residual,
@@ -334,7 +336,8 @@ def _substitutions(degree):
     sum of their forms)), to be inserted itself.  The coboundary's first
     sum reads the ``spreads``, the blocks that omit one slot i (under the
     dagger, -(the other forms) is del + form_i), and its second the
-    ``expansions``, each pair i < j inside.
+    ``expansions``, each pair i < j inside, and the bracket inserted there
+    evaluated on the pair.
     """
     arity = degree + 1
     forms = _forms(arity, arity)
@@ -379,169 +382,160 @@ def _shared_substitutions(rep, degree):
 class _Plan:
     """A linear map of cochains, planned once over its output tuples.
 
-    ``outputs`` are the output tuples, and ``readers`` maps each input tuple
-    to the indices of the outputs that read it (see `_index`).  A cochain is
-    mapped by evaluating only the outputs that its support reaches (see
-    `_reached`); the others are zero.  The coboundary `_Coboundary`, the
-    comparison map `_Xi` and the insertion `_Insertion` are the three kinds.
-    A representation holds its plans in ``_plans``, and a cochain its
-    insertion plans; a plan holds neither, so dropping the owner frees its
-    plans at once.
+    Every kind describes an output tuple as a list of terms ``(negative,
+    slot, source, [(s, t, factor)])``: coordinate s of the mapped cochain's
+    value at the input tuple ``source``, substituted by
+    ``self.substitutions[slot]``, times the held ``factor``, goes into
+    output coordinate t, with a minus sign when ``negative``.  The
+    coboundary `_Coboundary`, the comparison map `_Xi` and the insertion
+    `_Insertion` are the three kinds; each only builds its terms (see
+    `_index`), and `__call__` is the one mapping loop.  ``degree`` is the
+    output degree.  A representation holds its plans in ``_plans``, and a
+    cochain its insertion plans; a plan holds neither, so dropping the owner
+    frees its plans at once.
     """
 
-    def _index(self, keys, reads):
-        """Index the output tuples ``keys``, of which ``reads(key)`` gives
-        the input tuples that each one reads."""
-        self.outputs, self.readers = keys, {}
+    def _index(self, keys, terms_of):
+        """Hold the terms ``terms_of(key)`` of each output tuple of
+        ``keys``, and ``readers``, which maps each input tuple to the
+        indices of the outputs that read it."""
+        self.outputs, self.terms, self.readers = keys, [], {}
         for index, key in enumerate(keys):
-            for source in reads(key):
+            terms = terms_of(key)
+            self.terms.append(terms)
+            for source in {source for _, _, source, _ in terms}:
                 self.readers.setdefault(source, []).append(index)
 
-    def _reached(self, values):
-        """The indices of the outputs that read a tuple of ``values``, in
-        order."""
-        return sorted({o for key in values for o in self.readers.get(key, ())})
+    def __call__(self, f, rep):
+        """The image of ``f``, as a cochain over ``rep``, evaluated on the
+        outputs that f's support reaches; the others are zero.
+
+        Each value of f that a term reads is substituted once per slot, and
+        each output coordinate is one `Poly.sum_of_products` of the held
+        factors and those images.
+        """
+        values = f.values
+        out = Cochain(self.degree, rep)
+        arity, rank = out.value_arity, rep.module.rank
+        # f's value at an input tuple, substituted for a slot
+        inners = {}
+        for o in sorted({o for key in values for o in self.readers.get(key, ())}):
+            # the pairs of sign +1 and of sign -1, per output coordinate
+            pairs = [[[] for _ in range(rank)] for _ in range(2)]
+            for negative, slot, source, coefficients in self.terms[o]:
+                value = values.get(source)
+                if value is None:
+                    continue
+                inner = inners.get((slot, source))
+                if inner is None:
+                    substitution = self.substitutions[slot]
+                    inner = inners[slot, source] = [
+                        substitution(poly) if poly.terms else None
+                        for poly in value.coords
+                    ]
+                into = pairs[negative]
+                for s, t, factor in coefficients:
+                    if inner[s] is not None:
+                        into[t].append((factor, inner[s]))
+            coords = [
+                Poly.sum_of_products(arity, plus, minus) for plus, minus in zip(*pairs)
+            ]
+            out.set_value(self.outputs[o], Elem(rep.module, coords))
+        return out
 
 
 class _Coboundary(_Plan):
     """The conformal coboundary of one degree, planned once for its cochains.
 
-    Everything about an output tuple that does not depend on the cochain is
-    built here, once: the brackets [x_i lam x_j] inserted in the second
-    sum, and which input tuples it reads; its slots are read off the tuple
-    when a cochain is mapped.  With a structure operator
-    ``n_op`` this is the twisted coboundary: the actors of the first sum are
-    N x_i and the inserted bracket is the deformed one.  ``keys`` are the
-    output tuples (every basis tuple by default).  The first sum reads the
-    output tuple with slot i removed, the second sum each coordinate of an
-    inserted bracket followed by the remaining slots.
+    With a structure operator ``n_op`` this is the twisted coboundary: the
+    actors of the first sum are N x_i and the inserted bracket is the
+    deformed one.  ``keys`` are the output tuples (every basis tuple by
+    default).  On an output tuple ``key`` the terms (see `_Plan`) are:
 
-    The polynomials that the forms, the inserted brackets and the final
-    dagger substitution fix are held by the plan, each computed when it is
-    first used: the images of a stored value's monomials under the
-    lambda-forms of each slot and of each pair of slots (one
-    `poly.Substitution` each), the action of each actor on each coefficient
-    generator, and the coordinates of the inserted brackets with
-    del |-> -form.  The dagger substitution lam_arity |-> -del - lam_1 - ...
-    is a ring map, so it is applied to each of these once, and an output is
-    a sum of products at its final arity.  Mapping a cochain then only
-    substitutes its values and multiplies them into held polynomials.  The
-    representation holds the plan until its tables change and passes itself
-    to each call (see `_differential`); ``substitutions`` are the
-    degree's `_substitutions`, shared by its plans of that degree.
+    * the first sum, per slot i: coordinate b of f's value at key without
+      slot i, under the spread omitting i, times coordinate t of the actor
+      of key[i] acting on generator b at slot i's lambda, into coordinate t,
+      of sign (-1)^i;
+    * the second sum, per slots i < j: f's value at (c,) + the other slots,
+      under the expansion of (i, j), times coordinate c of the inserted
+      bracket [x_key[i] lam x_key[j]] evaluated on (i, j), which is the
+      insertion's inside factor (`_Insertion`), of sign (-1)^(i + j).
+
+    The actions and the inserted brackets are read off the tables once per
+    (slot, generator) and (slots, generators), daggered, while the plan is
+    built.  The representation holds the plan until its tables change and
+    passes itself to each call (see `_differential`); ``substitutions`` are
+    the degree's `_substitutions`, shared by its plans of that degree.
     """
 
     def __init__(self, rep, degree, substitutions, n_op=None, keys=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
-        module = rep.algebra.module
+        module, target = rep.algebra.module, rep.module
         arity = degree + 1
         forms = _forms(arity, arity)
         basis = _basis_args(module, range(module.rank))
         if n_op is None:
-            insert_table, self.actors = rep.algebra.table, basis
+            insert_table, actors = rep.algebra.table, basis
         else:
             insert_table = deformed_table(rep.algebra, n_op).table
-            self.actors = [n_op.apply(x) for x in basis]
-        self.degree, self.arity, self.forms, self.n_op = degree, arity, forms, n_op
-        self.dagger, self.spreads, self.expansions, _ = substitutions
-        self.actions, self.lifts = {}, {}
-        self.brackets = {}
+            actors = [n_op.apply(x) for x in basis]
+        self.degree, self.n_op = arity, n_op
+        final, self.spreads, expansions, block = substitutions
+        self.substitutions = dict(enumerate(self.spreads)) | expansions
+        actions, brackets = {}, {}
+
+        def action(i, generator):
+            """[(b, t, coordinate t of the actor of ``generator`` on b at
+            slot i's lambda)], the nonzero ones."""
+            held = actions.get((i, generator))
+            if held is None:
+                held = actions[i, generator] = []
+                for b in range(target.rank):
+                    image = act_form(
+                        rep.action,
+                        target,
+                        actors[generator],
+                        target.basis_elem(b),
+                        forms[i],
+                        arity,
+                    )
+                    held += [(b, t, final(p)) for t, p in enumerate(image.coords) if p]
+            return held
+
+        def bracket(i, j, a, b):
+            """[(c, [(t, t, factor)])] per nonzero coordinate c of the
+            table's [x_a lam x_b], reduced on evaluation generators as
+            `act_form` reduces it, the factor being that coordinate
+            evaluated on the slots (i, j)."""
+            held = brackets.get((i, j, a, b))
+            if held is None:
+                evaluate = block(False, (i, j))
+                coords = module.reduce_coords(insert_table.get(a, b))
+                factors = [(c, evaluate(p)) for c, p in enumerate(coords) if p]
+                held = brackets[i, j, a, b] = [
+                    (c, [(t, t, factor) for t in range(target.rank)])
+                    for c, factor in factors
+                ]
+            return held
+
+        def terms(key):
+            out = []
+            for i in range(arity):
+                coefficients = action(i, key[i])
+                if coefficients:
+                    out.append((i % 2, i, key[:i] + key[i + 1 :], coefficients))
+            for i, j in combinations(range(arity), 2):
+                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
+                out += [
+                    ((i + j) % 2, (i, j), (c,) + rest, coefficients)
+                    for c, coefficients in bracket(i, j, key[i], key[j])
+                ]
+            return out
+
         if keys is None:
             keys = _output_tuples(module.rank, arity, False)
-
-        def reads(key):
-            sources = {key[:i] + key[i + 1 :] for i in range(arity)}
-            for i, j in combinations(range(arity), 2):
-                slot = (key[i], key[j], i)
-                inserted = self.brackets.get(slot)
-                if inserted is None:
-                    inserted = self.brackets[slot] = act_form(
-                        insert_table, module, basis[key[i]], basis[key[j]], forms[i], arity
-                    )
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                sources.update(
-                    (c,) + rest for c, coord in enumerate(inserted.coords) if coord
-                )
-            return sources
-
-        self._index(keys, reads)
-
-    def _action(self, rep, i, generator):
-        """Per coefficient generator b, the nonzero coordinates (t, poly) of
-        the actor of ``generator`` acting on b at slot i's lambda in ``rep``."""
-        action = self.actions.get((i, generator))
-        if action is None:
-            actor, action = self.actors[generator], []
-            for b in range(rep.module.rank):
-                image = act_form(
-                    rep.action,
-                    rep.module,
-                    actor,
-                    rep.module.basis_elem(b),
-                    self.forms[i],
-                    self.arity,
-                )
-                action.append(
-                    [(t, self.dagger(poly)) for t, poly in enumerate(image.coords) if poly]
-                )
-            self.actions[i, generator] = action
-        return action
-
-    def _lifted(self, i, j, slot):
-        """The nonzero coordinates (c, poly) of the inserted bracket ``slot``
-        with del |-> -(form_i + form_j), the second-sum argument of i < j."""
-        lifted = self.lifts.get((slot, j))
-        if lifted is None:
-            coords = self.brackets[slot].coords
-            lift = _Lifted(coords, self.arity, self.forms[i] + self.forms[j])
-            lifted = self.lifts[slot, j] = [
-                (c, self.dagger(lift[c])) for c, coord in enumerate(coords) if coord
-            ]
-        return lifted
-
-    def __call__(self, f, rep):
-        """The coboundary of ``f`` over ``rep``, the representation the plan
-        was built for, evaluated on the outputs it reaches."""
-        values = f.values
-        out = Cochain(self.degree + 1, rep)
-        # f on the arguments left after omitting slot i depends only on
-        # (i, the remaining key), not on the omitted argument
-        inners = {}
-        for o in self._reached(values):
-            key = self.outputs[o]
-            # the terms of sign +1 and of sign -1, per target coordinate
-            terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
-            for i in range(self.arity):
-                rest = key[:i] + key[i + 1 :]
-                value = values.get(rest)
-                if value is None:
-                    continue
-                inner = inners.get((i, rest))
-                if inner is None:
-                    spread = self.spreads[i]
-                    inner = inners[i, rest] = [
-                        (b, spread(c)) for b, c in enumerate(value.coords) if c.terms
-                    ]
-                action, into = self._action(rep, i, key[i]), terms[i % 2]
-                for b, poly in inner:
-                    for t, entry in action[b]:
-                        into[t].append((poly, entry))
-            for i, j in combinations(range(self.arity), 2):
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                expand, into = self.expansions[i, j], terms[(i + j) % 2]
-                for c, factor in self._lifted(i, j, (key[i], key[j], i)):
-                    value = values.get((c,) + rest)
-                    if value is not None:
-                        for t, poly in enumerate(value.coords):
-                            if poly.terms:
-                                into[t].append((factor, expand(poly)))
-            coords = [
-                Poly.sum_of_products(self.degree, plus, minus)
-                for plus, minus in zip(*terms)
-            ]
-            out.set_value(key, Elem(rep.module, coords))
-        return out
+        self._index(keys, terms)
 
 
 def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
@@ -624,7 +618,8 @@ class _Insertion(_Plan):
     Both K |-> circ_insert(J, K) (J outside) and K |-> circ_insert(K, J)
     (J ``inside``) are linear in K.  On an output tuple ``key`` each is a
     signed sum over the shuffle blocks b of the inner factor, of products
-    of a factor read off J and a coordinate of K's value:
+    of a factor read off J and a coordinate of K's value; its terms (see
+    `_Plan`) have the slot b:
 
     * J outside: coordinate c of K's value at key[b], evaluated on b, times
       J's value at (c,) + key[rest] with b inserted in its first slot;
@@ -633,11 +628,8 @@ class _Insertion(_Plan):
 
     Both substitutions of b depend only on the degree (`_substitutions`'
     ``block``, the dagger included), so the factors are held at the final
-    arity.  ``terms`` lists per output its (negative, b, input tuple,
-    [(s, t, factor)]); a call substitutes each value of K that it reads
-    once, multiplies coordinate s into the factor at output coordinate t,
-    one `Poly.sum_of_products` per coordinate, and builds an Elem.  The
-    plan holds neither J nor a representation (see `_insertion`).
+    arity.  The plan holds neither J nor a representation (see
+    `_insertion`).
     """
 
     def __init__(self, J, inside, degree, block):
@@ -646,7 +638,7 @@ class _Insertion(_Plan):
         shuffles = list(_shuffles(total, J.degree if inside else degree))
         self.degree = total
         # K's values are substituted on the side opposite J's
-        self.blocks = {b: block(inside, b) for _, b, _ in shuffles}
+        self.substitutions = {b: block(inside, b) for _, b, _ in shuffles}
         # (b, a tuple of J) -> the coefficients of J's value there under b:
         # inside, (c, [(t, t, factor)]) per coordinate c, the factor of
         # every coordinate t of K's value at (c,) + key[rest]; outside, the
@@ -665,59 +657,25 @@ class _Insertion(_Plan):
                 elif factors:
                     held[b, source] = [(source[0], t, factor) for t, factor in factors]
 
-        def reads(key):
-            terms = []
+        def terms(key):
+            out = []
             for sign, b, rest in shuffles:
                 inner = tuple(key[k] for k in b)
                 outer = tuple(key[k] for k in rest)
                 if inside:
-                    terms += [
+                    out += [
                         (sign < 0, b, (c,) + outer, coefficients)
                         for c, coefficients in held.get((b, inner), ())
                     ]
                 else:
-                    terms += [
+                    out += [
                         (sign < 0, b, inner, held[b, (c,) + outer])
                         for c in range(rank)
                         if (b, (c,) + outer) in held
                     ]
-            self.terms.append(terms)
-            return [source for _, _, source, _ in terms]
+            return out
 
-        self.terms = []
-        self._index(_output_tuples(J.source.module.rank, total, False), reads)
-
-    def __call__(self, K, rep):
-        """The product with ``K``, as a cochain over ``rep``, evaluated on
-        the outputs that K's support reaches."""
-        values = K.values
-        out = Cochain(self.degree, rep)
-        arity = out.value_arity
-        # K's value at an input tuple, substituted for a block
-        inners = {}
-        for o in self._reached(values):
-            # the terms of sign +1 and of sign -1, per output coordinate
-            terms = [[[] for _ in range(rep.module.rank)] for _ in range(2)]
-            for negative, b, source, coefficients in self.terms[o]:
-                value = values.get(source)
-                if value is None:
-                    continue
-                inner = inners.get((b, source))
-                if inner is None:
-                    substitution = self.blocks[b]
-                    inner = inners[b, source] = [
-                        substitution(poly) if poly.terms else None
-                        for poly in value.coords
-                    ]
-                into = terms[negative]
-                for s, t, factor in coefficients:
-                    if inner[s] is not None:
-                        into[t].append((factor, inner[s]))
-            coords = [
-                Poly.sum_of_products(arity, plus, minus) for plus, minus in zip(*terms)
-            ]
-            out.set_value(self.outputs[o], Elem(rep.module, coords))
-        return out
+        self._index(_output_tuples(J.source.module.rank, total, False), terms)
 
 
 def _insertion(J, inside, K):
@@ -834,17 +792,17 @@ class _Xi(_Plan):
     on S, c_k = key_k.  The dagger lam_n |-> -del - lam_1 - ... - lam_{n-1}
     is a ring map and f's values hold no lam_n, so it is applied once, to
     each held P; ``final`` is that substitution (None at degree 0, which has
-    no lambda).  ``coefficients`` lists per output the (c, [(s, t, P)]) of
-    its nonzero P, and its c are the tuples it reads.  A call multiplies
-    f's values into them, one `Poly.sum_of_products` per coordinate, and
-    builds an Elem, which reduces the evaluation coordinates.  The
-    representation holds the plan (see `_comparison`).
+    no lambda).  The terms (see `_Plan`) of an output are the (c, [(s, t,
+    P)]) of its nonzero P, of sign +1, and f's values are read as they are:
+    the one slot's substitution is the identity.  The representation holds
+    the plan (see `_comparison`).
     """
 
     def __init__(self, rep, degree, n_op, n_m, final):
         module = rep.algebra.module
         forms = _forms(degree, degree)
         self.degree, self.n_op, self.n_m = degree, n_op, n_m
+        self.substitutions = {None: lambda poly: poly}
         one = Poly.one(degree)
         images = [n_op.apply(x).coords for x in _basis_args(module, range(module.rank))]
 
@@ -868,9 +826,8 @@ class _Xi(_Plan):
             ]
             for size in range(degree + 1)
         ]
-        self.coefficients = []
 
-        def reads(key):
+        def terms(key):
             # (c, s, t) -> the (entry, factor) pairs of even and of odd |S|
             sums = {}
             for size in range(degree + 1):
@@ -895,29 +852,9 @@ class _Xi(_Plan):
                     poly = final(poly)
                 if poly.terms:
                     held.setdefault(c, []).append((s, t, poly))
-            self.coefficients.append(list(held.items()))
-            return held
+            return [(False, None, c, coefficients) for c, coefficients in held.items()]
 
-        self._index(_output_tuples(module.rank, degree, False), reads)
-
-    def __call__(self, f, rep):
-        """xi of ``f`` over ``rep``, the representation the plan was built
-        for, evaluated on the outputs it reaches."""
-        values = f.values
-        out = Cochain(self.degree, rep)
-        arity = out.value_arity
-        for o in self._reached(values):
-            terms = [[] for _ in range(rep.module.rank)]
-            for c, coefficients in self.coefficients[o]:
-                value = values.get(c)
-                if value is not None:
-                    coords = value.coords
-                    for s, t, poly in coefficients:
-                        if coords[s].terms:
-                            terms[t].append((poly, coords[s]))
-            coords = [Poly.sum_of_products(arity, pairs) for pairs in terms]
-            out.set_value(self.outputs[o], Elem(rep.module, coords))
-        return out
+        self._index(_output_tuples(module.rank, degree, False), terms)
 
 
 def _comparison(rep, degree, n_op, n_m):
@@ -970,9 +907,12 @@ class CochainPair:
         if not isinstance(other, CochainPair):
             return NotImplemented
         ga, gb = self.g, other.g
-        if (ga is None) != (gb is None):
-            return (ga is None or ga.is_zero()) and (gb is None or gb.is_zero())
-        return self.f == other.f and (ga is None or ga == gb)
+        if ga is None or gb is None:
+            # a missing second component equals a zero one
+            same = all(g is None or g.is_zero() for g in (ga, gb))
+        else:
+            same = ga == gb
+        return self.f == other.f and same
 
 
 def apply_dNL(pair, n_op, n_m, rep=None):
@@ -1157,6 +1097,14 @@ def _slice(rep, degree, bound, operator=None, sorted_only=False):
     return basis, [_cochain_vector(differential(f)) for f in basis]
 
 
+def _check_bound(bound):
+    """Refuse a truncation bound outside 0..MAX_SOLVER_BOUND."""
+    if bound < 0:
+        raise PreconditionError("truncation bound %d is negative" % bound)
+    if bound > MAX_SOLVER_BOUND:
+        raise PreconditionError("truncation bound too large")
+
+
 def solve_truncated(rep, degree, bound, operator=None):
     """Exact kernel/image dimensions of a degree-truncated cochain slice.
 
@@ -1185,12 +1133,13 @@ def solve_truncated(rep, degree, bound, operator=None):
     """
     from .linalg import nullspace, rank
 
+    if degree < 0:
+        raise DegreeOverflowError("cochain degree %d out of range" % degree)
     if degree > MAX_SOLVER_DEGREE:
         raise DegreeOverflowError(
             "solver supports degree at most %d" % MAX_SOLVER_DEGREE
         )
-    if bound > MAX_SOLVER_BOUND:
-        raise PreconditionError("truncation bound too large")
+    _check_bound(bound)
     sorted_only = _sorted_tuples_suffice(rep.algebra, n=operator)
     basis, images = _slice(rep, degree, bound, operator, sorted_only)
     kernel = nullspace(images)
@@ -1222,8 +1171,9 @@ def image_contains(rep, bound, target, operator=None):
     """
     from .linalg import solve
 
-    if bound > MAX_SOLVER_BOUND:
-        raise PreconditionError("truncation bound too large")
+    if target.degree == 0:
+        raise DegreeOverflowError("a degree-0 target has no preimages")
+    _check_bound(bound)
     _, vecs = _slice(rep, target.degree - 1, bound, operator)
     return solve(vecs, _cochain_vector(target)) is not None
 

@@ -45,7 +45,7 @@ from nijconf.cohomology import (
     xi_map,
 )
 from nijconf import linalg
-from nijconf.errors import ModuleMismatchError, PreconditionError
+from nijconf.errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
 from nijconf.lca import (
     FREE,
     LCA,
@@ -303,6 +303,25 @@ def test_solver_bounds_are_refused_above_the_limit(vir, central_line):
     with pytest.raises(PreconditionError, match="truncation bound too large"):
         image_contains(rep, MAX_SOLVER_BOUND + 1, target)
     assert image_contains(rep, MAX_SOLVER_BOUND, target)
+
+
+@pytest.mark.parametrize(
+    "refused,error",
+    [
+        (lambda rep, target: solve_truncated(rep, -1, 2), DegreeOverflowError),
+        (lambda rep, target: solve_truncated(rep, 2, -1), PreconditionError),
+        (lambda rep, target: image_contains(rep, -1, target), PreconditionError),
+        (lambda rep, target: image_contains(rep, 2, Cochain(0, rep)), DegreeOverflowError),
+    ],
+    ids=["negative-degree", "negative-bound", "negative-image-bound", "degree-0-target"],
+)
+def test_solver_inputs_are_refused_below_the_limit(vir, central_line, refused, error):
+    # refused up front, before the slice is built
+    rep = RepTable(vir, central_line)
+    target = Cochain(2, rep)
+    target.set_value((0, 0), [LAM])
+    with pytest.raises(error):
+        refused(rep, target)
 
 
 @pytest.mark.parametrize(
@@ -654,9 +673,10 @@ def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
             assert len(plans(_Xi)) <= MAX_DEGREE + 1
     assert len(plans(_Coboundary)) == 16
     assert len(plans()) == 16 + MAX_DEGREE + 1
-    # the plans of one degree share its substitutions, built once
+    # the plans of one degree share its substitutions, built once; a
+    # plan's degree is that of its output
     for n in range(4):
-        assert {id(p.spreads) for p in plans(_Coboundary) if p.degree == n} == {
+        assert {id(p.spreads) for p in plans(_Coboundary) if p.degree == n + 1} == {
             id(rep._plans[n][1])
         }
 
@@ -746,6 +766,20 @@ def test_the_combined_differential_is_over_one_representation(sl2, proj_p):
             image = apply_dNL(pair, proj_p, proj_p, rep=b)
             assert image.f.rep is b and image.g.rep is b
             assert image == apply_dNL(pair, proj_p, proj_p)
+
+
+def test_pairs_compare_f_when_one_second_component_is_missing(ad):
+    # a missing g equals a zero g, and f is compared either way
+    rng = Random(79)
+    f1, f2 = (random_cochain(ad, 2, rng) for _ in range(2))
+    assert f1 != f2
+    zero, g = Cochain(1, ad), random_cochain(ad, 1, rng)
+    assert CochainPair(f1) != CochainPair(f2, zero)
+    assert CochainPair(f2, zero) != CochainPair(f1)
+    assert CochainPair(f1) == CochainPair(f1, zero)
+    assert CochainPair(f1, zero) == CochainPair(f1)
+    assert CochainPair(f1) != CochainPair(f1, g)
+    assert CochainPair(f1) != CochainPair(f2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ and the comparison map xi, planned once per degree, must equal the
 tabulated xi on every case at degrees 0 to 4.  The insertion product,
 planned once per fixed cochain and degree on either side, must equal the
 tabulated product, and the graded bracket the tabulated difference, in
-every degree up to MAX_DEGREE, on every case with adjoint coefficients.
+every degree up to MAX_DEGREE, on every case with adjoint coefficients;
+there the bracket cochain, the Maurer-Cartan element, pairs with every
+cochain to its coboundary up to sign, which pins the coboundary's inserted
+bracket to the insertion plans.
 """
 
 from fractions import Fraction
@@ -39,6 +42,7 @@ from nijconf.cohomology import (
     _insertion,
     _substitutions,
     adjoint_rep,
+    apply_delta,
     bracket_cochain,
     circ_insert,
     cup_product,
@@ -340,6 +344,19 @@ def test_one_plan_maps_every_cochain_like_the_reference(case):
             assert tuple(plan(f) for plan in fresh) == images
 
 
+def test_the_inserted_bracket_is_reduced_on_evaluation_generators():
+    # [x lam x] = (del + 2 lam) c with del acting by 3 on c: the table entry
+    # holds del where the bracket's value has the scalar 3, and f's value at
+    # c is free, so only the reduced bracket gives the reference's image
+    torsion = LCA(FreeModule(["x", "c"], [FREE, 3]))
+    torsion.set_bracket(0, 0, [0, Poly.del_(1) + Poly.lam(1, 1).scale(2)])
+    rep = adjoint_rep(torsion)
+    rng = Random(150)
+    for degree in range(4):
+        for f in _cochains(rep, degree, rng) + [_sparse_cochain(rep, degree, rng)]:
+            assert apply_delta(f) == reference_eval.apply_delta(f)
+
+
 # ---------------------------------------------------------------------------
 # the table builders against the copies that each walked their own tuples
 
@@ -448,3 +465,17 @@ def test_planned_insertion_matches_the_tabulated_reference(name):
             _assert_same_cochain(circ_insert(J, K), outside)
             _assert_same_cochain(_insertion(J, True, K)(K, K.rep), inside)
             _assert_same_cochain(nr_bracket(J, K), outside + inside.scale(sign))
+
+
+@pytest.mark.parametrize("name", _ADJOINT_CASES)
+def test_the_bracket_cochain_pairs_to_the_coboundary(name):
+    # the bracket is the Maurer-Cartan element of the insertion bracket:
+    # [m, f] = (-1)^{n-1} delta f, so the coboundary's second sum, which
+    # inserts the bracket, agrees with the insertion plans of m
+    _, rep, _, _ = next(case for case in _reps() if case[0] == name)
+    rng = Random(500 + _ADJOINT_CASES.index(name))
+    mc = bracket_cochain(rep.algebra)
+    for degree in range(4):
+        for f in _cochains(rep, degree, rng) + [random_cochain(rep, degree, rng)]:
+            want = apply_delta(f).scale((-1) ** (degree - 1))
+            assert nr_bracket(mc, f) == want

@@ -18,8 +18,12 @@ solver keeps a slice of its own.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
 equivalence and the eta of a lift), and from ``cohomology.image_contains``.
 Tables and cochains share one evaluator: ``_Lifted(`` is called only by
-``lca._evaluate``, the evaluation core, and by the coboundary plan's
-``cohomology._Coboundary._lifted``; outside ``poly.py``, a
+``lca._evaluate``, the evaluation core; the coboundary plan reads its
+inserted bracket off the table under a block substitution, as the
+insertion plan does a fixed factor.  The linear maps of cochains share one
+mapping loop: among ``cohomology._Plan`` and its subclasses only ``_Plan``
+defines ``__call__``, and the coboundary, xi and the insertion only build
+terms for it.  Outside ``poly.py``, a
 ``Substitution(`` is built only by ``lca._expansion``, the one expansion of
 a stored value, and by ``cohomology._substitutions`` and ``cochain_space``,
 which hold theirs for a whole plan or slice.  ``_tabulate``, the one loop
@@ -113,12 +117,67 @@ def test_only_the_slice_builder_calls_cochain_space():
     assert _callers("cochain_space") == [("cohomology", "_slice")]
 
 
-def test_only_the_evaluation_core_and_the_coboundary_plan_lift_arguments():
+def test_only_the_evaluation_core_lifts_arguments():
     assert _callers("_Lifted") == [
-        ("cohomology", "_lifted"),
         ("lca", "_evaluate"),
         ("lca", "_evaluate"),
     ]
+
+
+def _mapping_loops(source):
+    """The classes among ``_Plan`` and its subclasses, in ``source``, that
+    define ``__call__``."""
+    classes = {
+        node.name: node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_plan(node):
+        return node.name == "_Plan" or any(
+            getattr(base, "id", None) in classes and is_plan(classes[base.id])
+            for base in node.bases
+        )
+
+    return sorted(
+        name
+        for name, node in classes.items()
+        if is_plan(node)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__call__"
+            for item in node.body
+        )
+    )
+
+
+def test_only_the_plan_base_maps_cochains():
+    sources = dict(_sources())
+    assert "_Plan" in sources["cohomology"]
+    assert _mapping_loops(sources["cohomology"]) == ["_Plan"]
+
+
+def test_the_mapping_loop_rule_sees_a_plan_with_its_own_loop():
+    source = """
+class _Plan:
+    def __call__(self, f, rep):
+        return f
+
+
+class _Coboundary(_Plan):
+    def __init__(self):
+        self.degree = 1
+
+
+class _Insertion(_Coboundary):
+    def __call__(self, K, rep):
+        return K
+
+
+class Report:
+    def __call__(self):
+        return None
+"""
+    assert _mapping_loops(source) == ["_Insertion", "_Plan"]
 
 
 def test_only_the_expansion_the_plans_and_cochain_space_build_substitutions():
