@@ -546,6 +546,8 @@ def _verb_cohomology(ws, args, out):
 
 
 def _verb_extend(ws, args, out):
+    if not (args.quot and args.sub):
+        raise _usage("extend needs --quot and --sub")
     cocycle = ws.get(args.name, "cocycle")
     quot = ws.get(args.quot, "nijenhuis")
     sub = ws.get(args.sub, "nijenhuis")

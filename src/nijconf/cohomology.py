@@ -10,19 +10,19 @@ arguments that each carry an explicit "lambda-form" (an arbitrary
 polynomial standing for that argument's lambda).  Sesquilinearity is then
 uniform -- the coefficient of argument k is substituted del |-> -form_k, the
 stored value's lam_j is substituted by form_j, and del stays outermost.
-The table builders (`skew_symmetrize` and the cup product) evaluate
+The cup product, the one product still evaluated tuple by tuple, goes
 through `eval_cochain`, the evaluation core of `lca`, which evaluates
 structure tables too (a table is a 2-cochain), and conformal skew-symmetry
 is the one residual `lca._skew_residual`.  The linear maps of a cochain are
-planned once instead: the coboundary (`_Coboundary`), the comparison map xi
-(`_Xi`) and the insertion product with one factor fixed (`_Insertion`) each
-build, per output tuple, a list of terms, and one loop (`_Plan.__call__`)
-maps every cochain through them.  A term takes one coordinate of one input
-value under a substitution of its degree (`_substitutions`), times a held
-polynomial that does not depend on the cochain mapped, into one output
-coordinate.  The coboundary inserts the bracket as the insertion inserts a
-fixed factor inside.  A representation holds the first two plans; the
-fixed factor holds the third, until one of its values is set.
+planned once instead: the coboundary (`_Coboundary`), xi (`_Xi`), the
+insertion product with one factor fixed (`_Insertion`) and the skew
+projection (`_Skew`) each build, per output tuple, a list of terms, and one
+loop (`_Plan.__call__`) maps every cochain through them.  A term takes one
+coordinate of one input value under a substitution of its degree
+(`_substitutions`), times a held polynomial that does not depend on the
+cochain mapped, into one output coordinate.  The coboundary inserts the
+bracket as the insertion inserts a fixed factor inside.  A representation
+holds the first two plans, and the fixed factor the third.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -270,41 +270,11 @@ def check_cochain_skew(f):
     return report
 
 
-def _tabulate(rep, degree, value):
-    """The degree-``degree`` cochain over ``rep`` whose value on each basis
-    tuple is ``value(args, forms)`` after the dagger rule.
-
-    ``args`` are the tuple's basis elements and ``forms`` the lambdas
-    lam1..lam_degree, at working arity ``degree``; the one loop over basis
-    tuples of every table builder.  A degree-0 value has no lambda to
-    eliminate and is set as it is.
-    """
-    module = rep.algebra.module
-    forms = _forms(degree, degree)
-    out = Cochain(degree, rep)
-    for key in product(range(module.rank), repeat=degree):
-        acc = value(_basis_args(module, key), forms)
-        out.set_value(key, dagger_substitute(acc, degree) if degree else acc)
-    return out
-
-
 def skew_symmetrize(f):
-    """Project a cochain table onto its conformal skew-symmetric part."""
-    n = f.degree
-    if n <= 1:
+    """Project a cochain table onto its conformal skew-symmetric part (`_Skew`)."""
+    if f.degree <= 1:
         return f
-    norm = Fraction(1, factorial(n))
-
-    def value(args, forms):
-        acc = f.target.zero(n)
-        for perm in permutations(range(n)):
-            term = eval_cochain(
-                f, [args[p] for p in perm], [forms[p] for p in perm], n
-            )
-            acc = acc + term.scale(_perm_sign(perm))
-        return acc.scale(norm)
-
-    return _tabulate(f.rep, n, value)
+    return _Skew(f.rep, f.degree)(f, f.rep)
 
 
 def _perm_sign(perm):
@@ -337,7 +307,8 @@ def _substitutions(degree):
     sum reads the ``spreads``, the blocks that omit one slot i (under the
     dagger, -(the other forms) is del + form_i), and its second the
     ``expansions``, each pair i < j inside, and the bracket inserted there
-    evaluated on the pair.
+    evaluated on the pair.  Evaluated on a permutation of every slot, a
+    block keeps del: it moves a value along the permutation (`_Skew`).
     """
     arity = degree + 1
     forms = _forms(arity, arity)
@@ -387,12 +358,12 @@ class _Plan:
     value at the input tuple ``source``, substituted by
     ``self.substitutions[slot]``, times the held ``factor``, goes into
     output coordinate t, with a minus sign when ``negative``.  The
-    coboundary `_Coboundary`, the comparison map `_Xi` and the insertion
-    `_Insertion` are the three kinds; each only builds its terms (see
-    `_index`), and `__call__` is the one mapping loop.  ``degree`` is the
-    output degree.  A representation holds its plans in ``_plans``, and a
-    cochain its insertion plans; a plan holds neither, so dropping the owner
-    frees its plans at once.
+    coboundary `_Coboundary`, the comparison map `_Xi`, the insertion
+    `_Insertion` and the skew projection `_Skew` are the four kinds; each
+    only builds its terms (see `_index`), and `__call__` is the one mapping
+    loop.  ``degree`` is the output degree.  A representation holds its
+    plans in ``_plans``, and a cochain its insertion plans; a plan holds
+    neither, so dropping the owner frees its plans at once.
     """
 
     def _index(self, keys, terms_of):
@@ -442,6 +413,30 @@ class _Plan:
             ]
             out.set_value(self.outputs[o], Elem(rep.module, coords))
         return out
+
+
+class _Skew(_Plan):
+    """The projection onto conformally skew cochains of a degree n >= 2,
+    built per call and held by nobody.  On an output tuple ``key`` it has,
+    per permutation p of the slots, the terms (see `_Plan`) of sign(p): f's
+    value at ``key[p[0]], .., key[p[n-1]]`` under the block of p that
+    ``rep`` holds for degree n - 1, times 1/n!, on every coordinate."""
+
+    def __init__(self, rep, degree):
+        block = _shared_substitutions(rep, degree - 1)[3]
+        perms = [(_perm_sign(p) < 0, p) for p in permutations(range(degree))]
+        norm = Poly.const(Fraction(1, factorial(degree)), degree - 1)
+        coefficients = [(t, t, norm) for t in range(rep.module.rank)]
+        self.degree = degree
+        self.substitutions = {p: block(False, p) for _, p in perms}
+
+        def terms(key):
+            return [
+                (negative, p, tuple(key[k] for k in p), coefficients)
+                for negative, p in perms
+            ]
+
+        self._index(_output_tuples(rep.algebra.module.rank, degree, False), terms)
 
 
 class _Coboundary(_Plan):
@@ -735,8 +730,10 @@ def cup_product(J, K):
     if total > MAX_DEGREE:
         raise DegreeOverflowError("cup product exceeds degree %d" % MAX_DEGREE)
     module, table = J.source.module, J.source.table
-
-    def value(args, forms):
+    forms = _forms(total, total)
+    out = Cochain(total, J.rep)
+    for key in product(range(module.rank), repeat=total):
+        args = _basis_args(module, key)
         acc = J.target.zero(total)
         for sign, block, rest in _shuffles(total, m):
             left = eval_cochain(
@@ -748,9 +745,8 @@ def cup_product(J, K):
             block_form = sum((forms[s] for s in block), Poly.zero(total))
             term = act_form(table, module, left, right, block_form, total)
             acc = acc + term.scale(sign)
-        return acc
-
-    return _tabulate(J.rep, total, value)
+        out.set_value(key, dagger_substitute(acc, total) if total else acc)
+    return out
 
 
 def fn_bracket(J, K):
@@ -996,12 +992,12 @@ def cochain_space(rep, degree, bound):
     orbit at a time, since the residuals never leave an orbit.
 
     A skew cochain's values on an orbit are its value w on the orbit's
-    lexicographically last tuple moved by the dagger rule, as
-    `skew_symmetrize` applies it, so the kernel's free columns are that
-    tuple's cells.  When the tuple's entries are distinct, w is free, and
-    each cell gives one basis cochain whose value there is its monomial.
-    When an entry repeats, w must be fixed by the transpositions of equal
-    entries, and a small kernel on the tuple's cells gives the w's.
+    lexicographically last tuple moved by `_Skew`'s blocks, so the kernel's
+    free columns are that tuple's cells.  When the tuple's entries are
+    distinct, w is free, and each cell gives one basis cochain whose value
+    there is its monomial.  When an entry repeats, w must be fixed by the
+    transpositions of equal entries, and a small kernel on the tuple's cells
+    gives the w's.  Below degree 2 every elementary cochain is skew.
     """
     from .linalg import nullspace
 
@@ -1014,15 +1010,18 @@ def cochain_space(rep, degree, bound):
         for coord, action in enumerate(rep.module.actions)
         for mono in (free_monos if action == FREE else fixed_monos)
     ]
+    if degree <= 1:
+        values = [rep.module.basis_elem(c).mul_poly(Poly(0, {m: 1})) for c, m in cells]
+        return [
+            Cochain(degree, rep, {key: value})
+            for key in product(range(module.rank), repeat=degree)
+            for value in values
+        ]
     # value on the tuple u, for the permutation p with u[p[k]] = last[k]:
     # lam_{k+1} |-> the lambda of slot p[k], the last slot's being the
-    # dagger of the others
-    lams = _forms(nvars, nvars)
-    slots = lams + [dagger(sum(lams, Poly.zero(nvars)))]
-    moves = {
-        perm: Substitution(nvars, {k + 1: slots[perm[k]] for k in range(nvars)})
-        for perm in permutations(range(degree))
-    }
+    # dagger of the others, and del kept
+    block = _shared_substitutions(rep, degree - 1)[3]
+    moves = {perm: block(False, perm) for perm in permutations(range(degree))}
     basis = []
     for last in product(range(module.rank), repeat=degree):
         if any(a < b for a, b in zip(last, last[1:])):

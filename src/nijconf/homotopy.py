@@ -124,7 +124,7 @@ class HomotopyNijenhuis:
 
 
 def check_2term(structure):
-    """The eight defining identities, each on all applicable basis tuples.
+    """l3-skew, then the eight defining identities on all applicable tuples.
 
     L3, the skew-symmetry of the degree-0 bracket, is evaluated on pairs
     i <= j only, as in :func:`check_lca`: the residual at (j, i) is the one
@@ -138,6 +138,9 @@ def check_2term(structure):
     mod0, mod1 = t.l0.module, t.l1
     d = t.d
     basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+
+    skew = check_cochain_skew(t.l3)
+    report.add("l3-skew", skew.passed, skew.witness_of("skew"))
 
     zero11 = all(
         all(p.is_zero() for p in value)

@@ -32,6 +32,31 @@ from .poly import Poly
 # hashable.  Rows are sparse dicts too, indexed by column position.
 
 
+def _cancel(row, base, column):
+    """row <- a * row - b * base, for the least integers a, b that cancel
+    ``column``; ``row`` may be changed in place."""
+    a, b = base[column], row[column]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in base.items():
+        value = row.get(c, 0) - b * v
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+    return row
+
+
+def _primitive(row):
+    """A nonzero integer row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return row if content == 1 else {c: v // content for c, v in row.items()}
+
+
 def _echelon(rows):
     """Forward elimination of sparse rows: {pivot column: integer row}.
 
@@ -61,28 +86,13 @@ def _echelon(rows):
                 if v
             }
         while row:
-            content = gcd(*row.values())
-            if content != 1:
-                row = {c: v // content for c, v in row.items()}
+            row = _primitive(row)
             lead = min(row)
             base = echelon.get(lead)
             if base is None:
                 echelon[lead] = row
                 break
-            # row <- a * row - b * base, which cancels the leading entry
-            a, b = base[lead], row[lead]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, v in base.items():
-                value = row.get(c, 0) - b * v
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
+            row = _cancel(row, base, lead)
     return echelon
 
 
@@ -108,24 +118,8 @@ def rref(rows):
         if not above:
             continue
         for c in above:
-            base = echelon[c]
-            a, b = base[c], row[c]
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                row = {k: a * v for k, v in row.items()}
-            for k, v in base.items():
-                value = row.get(k, 0) - b * v
-                if value:
-                    row[k] = value
-                else:
-                    del row[k]
-        content = gcd(*row.values())
-        if content != 1:
-            row = {c: v // content for c, v in row.items()}
-        echelon[p] = row
+            row = _cancel(row, echelon[c], c)
+        echelon[p] = _primitive(row)
     reduced = []
     for p in pivots:
         row = echelon[p]

@@ -314,6 +314,42 @@ def test_header_and_del_literals_name_their_column(tmp_path, text, diagnostic):
     assert (code, out.splitlines()[-1]) == (2, "diagnostic: %s:%s" % (bad, diagnostic))
 
 
+def test_twoterm_with_a_non_skew_l3_fails_l3_skew(tmp_path):
+    # l3 = 1 at (a, b, b) only is not skew, but L1-L8 pass on it, and `check
+    # tt` used to exit 0 while `classify` called the structure skeletal
+    ws = tmp_path / "tt.ws"
+    ws.write_text(
+        "module om\n  basis a b\n\nmodule tm\n  basis m\n\n"
+        "algebra ab module om\n\nrep zr algebra ab module tm\n\n"
+        "map zd source tm target om\n  row 0\n  row 0\n\n"
+        "map idom source om target om\n  row 1, 0\n  row 0, 1\n\n"
+        "map idtm source tm target tm\n  row 1\n\n"
+        "cochain l3c rep zr degree 3\n  value a b b = 1\n\n"
+        "twoterm tt l0 ab l1 tm d zd action zr l3 l3c\n\n"
+        "homotopyop op n0 idom n1 idtm\n"
+    )
+    code, out, _ = run_cli("-f", str(ws), "check", "tt")
+    lines = out.splitlines()
+    assert (code, lines[2], lines[-1]) == (
+        1, "  l3-skew: fail at=0,1,1,0 residual=[(1)m]", "status: fail"
+    )
+    assert all(line.endswith(": pass") for line in lines[3:-1])
+    code, out, _ = run_cli("-f", str(ws), "classify", "tt", "--op", "op")
+    assert code == 1
+    assert "class: skeletal" not in out
+
+
+@pytest.mark.parametrize("missing", ["--quot", "--sub"])
+def test_extend_without_quot_or_sub_is_a_usage_error(missing):
+    # a missing --sub used to print "unknown object None"
+    flags = {"--quot": "sl2id", "--sub": "ctrivid"}
+    del flags[missing]
+    code, out, _ = run_cli("-f", CORE, "extend", "km", *[*flags.items()][0])
+    assert (code, out.splitlines()[-1]) == (
+        2, "diagnostic: <args>:0:0: extend needs --quot and --sub"
+    )
+
+
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--parallel"]])
 def test_removed_flags_are_unknown_arguments(flag):
     code, out, _ = run_cli("-f", CORE, "check", "vir", *flag)
@@ -589,6 +625,7 @@ def test_twoterm_action_on_torsion_fails_l7(tmp_path):
     assert (code, out) == (1, "\n".join([
         "command: check tt",
         "object: tt (twoterm)",
+        "  l3-skew: pass",
         "  L1: pass",
         "  L2: pass",
         "  L3: pass",

@@ -488,8 +488,16 @@ def _assert_solver_matches_reference(rep, cases, operator=None):
 
 @pytest.mark.parametrize(
     "coefficients,degree,bound",
-    [("adjoint", 3, 2), ("mixed", 3, 2), ("central", 2, 6), ("central", 3, 3)],
-    ids=["sl2-adjoint-3-2", "sl2-mixed-3-2", "vir-central-2-6", "vir-central-3-3"],
+    [
+        ("adjoint", 3, 2), ("mixed", 3, 2), ("central", 2, 6), ("central", 3, 3),
+        ("adjoint", 0, 2), ("adjoint", 1, 2), ("mixed", 0, 2), ("mixed", 1, 2),
+        ("central", 0, 3), ("central", 1, 3),
+    ],
+    ids=[
+        "sl2-adjoint-3-2", "sl2-mixed-3-2", "vir-central-2-6", "vir-central-3-3",
+        "sl2-adjoint-0-2", "sl2-adjoint-1-2", "sl2-mixed-0-2", "sl2-mixed-1-2",
+        "vir-central-0-3", "vir-central-1-3",
+    ],
 )
 def test_orbit_local_basis_matches_the_full_tuple_reference(
     sl2, vir, central_line, coefficients, degree, bound
@@ -497,8 +505,9 @@ def test_orbit_local_basis_matches_the_full_tuple_reference(
     # the basis is built one permutation orbit at a time: on sl2 at degree 3
     # the triple (0, 1, 2) has distinct entries and every other orbit a
     # repeated one; a, c mix a free and an evaluation coordinate, and the
-    # central line is torsion.  The one global kernel of the reference must
-    # give the same vectors in the same order
+    # central line is torsion.  Below degree 2 no lambda moves, and the
+    # basis keeps every del-power of a free coordinate.  The one global
+    # kernel of the reference must give the same vectors in the same order
     rep = {
         "adjoint": adjoint_rep(sl2),
         "mixed": RepTable(sl2, FreeModule(["a", "c"], ["free", 1])),
@@ -679,6 +688,20 @@ def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
         assert {id(p.spreads) for p in plans(_Coboundary) if p.degree == n + 1} == {
             id(rep._plans[n][1])
         }
+
+
+def test_the_skew_projection_and_the_orbit_basis_hold_only_blocks(sl2):
+    # both move values by the blocks of degree n - 1 that the representation
+    # holds, and neither leaves a plan of its own; below degree 2 nothing
+    # is read
+    rep = adjoint_rep(sl2)
+    f = random_cochain(rep, 3, Random(41))
+    assert skew_symmetrize(f) == f
+    cochain_space(rep, 2, 1)
+    cochain_space(rep, 1, 1)
+    random_cochain(rep, 1, Random(43))
+    assert set(rep._plans) == {1, 2}
+    assert rep._plans[2][3](False, (2, 0, 1)) is rep._plans[2][3](False, (2, 0, 1))
 
 
 def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):

@@ -198,6 +198,7 @@ def report_infinitesimal():
 # name -> report lines
 FAILING = {
     "2term": [
+        "l3-skew: fail at=0,0,0,0 residual=[(2*lam1 + 2*lam2)m]",
         "L1: pass",
         "L2: pass",
         "L3: fail at=0,0 residual=[(4*del)p + (2)q]",
@@ -208,6 +209,7 @@ FAILING = {
         "L8: fail at=0,0,0,0 residual=[(-2*del*lam1*lam3 - 2*del*lam2*lam3 + del*lam1 - 3*del*lam2 + 6*lam1^2 + 2*lam1*lam2 + 16*lam1*lam3 - 2*lam2^2 - 4*lam2*lam3 - 2*del - 2*lam1 + 2*lam2)m]",
     ],
     "2term_sparse": [
+        "l3-skew: fail at=1,0,2,1 residual=[(lam1)y]",
         "L1: pass",
         "L2: pass",
         "L3: fail at=1,2 residual=[(lam1)h]",

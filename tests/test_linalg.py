@@ -414,7 +414,9 @@ def test_elimination_matches_dense_reference_on_the_solver_slices(
         result = solve_truncated(rep, degree, bound)
         keys = ("cochain_dim", "cocycle_dim", "coboundary_dim", "h_dim")
         assert [result[key] for key in keys] == dims
-    assert len(recorded) > 20
+    # the matrices with rows: the orbit kernels of a degree-1 slice, which
+    # are built without an elimination, had none
+    assert sum(1 for rows in recorded if rows) > 10
     for rows in recorded:
         ncols = 1 + max((c for row in rows for c in row), default=-1)
         dense, pivots = _dense_rref([[row.get(c, 0) for c in range(ncols)] for row in rows])

@@ -23,15 +23,15 @@ inserted bracket off the table under a block substitution, as the
 insertion plan does a fixed factor.  The linear maps of cochains share one
 mapping loop: among ``cohomology._Plan`` and its subclasses only ``_Plan``
 defines ``__call__``, and the coboundary, xi and the insertion only build
-terms for it.  Outside ``poly.py``, a
+terms for it, as does the skew projection.  Outside ``poly.py``, a
 ``Substitution(`` is built only by ``lca._expansion``, the one expansion of
-a stored value, and by ``cohomology._substitutions`` and ``cochain_space``,
-which hold theirs for a whole plan or slice.  ``_tabulate``, the one loop
-over basis tuples that evaluates a value per tuple, is called only by the
-cup product ``cup_product`` and by ``skew_symmetrize``: the comparison map
-xi is linear and planned (``cohomology._Xi``), and so is the insertion
-product in the factor that is not fixed (``cohomology._Insertion``), so a
-tabulated xi or insertion would be a second code path.
+a stored value, and by ``cohomology._substitutions``, which holds its
+substitutions for every plan and for the orbit moves of ``cochain_space``.
+Within ``cohomology`` only the cup product ``cup_product`` calls
+``eval_cochain``, one basis tuple at a time: the coboundary, xi, the
+insertion product in the factor that is not fixed and the skew projection
+are linear and planned (``cohomology._Plan``), so evaluating one of them
+per tuple would be a second code path.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -180,47 +180,60 @@ class Report:
     assert _mapping_loops(source) == ["_Insertion", "_Plan"]
 
 
-def test_only_the_expansion_the_plans_and_cochain_space_build_substitutions():
+def test_only_the_expansion_and_the_plans_build_substitutions():
     # then_dagger is the helper nested in cohomology._substitutions
     assert _callers("Substitution") == [
         ("cohomology", "_substitutions"),
-        ("cohomology", "cochain_space"),
         ("cohomology", "then_dagger"),
         ("lca", "_expansion"),
     ]
 
 
-_TABULATORS = [
-    ("cohomology", "cup_product"),
-    ("cohomology", "skew_symmetrize"),
-]
+def _cohomology_evaluators(sources=None):
+    """The functions of ``cohomology`` that call ``eval_cochain``."""
+    return [
+        caller
+        for caller in _callers("eval_cochain", sources)
+        if caller[0] == "cohomology"
+    ]
 
 
-def test_only_the_bilinear_products_and_the_skew_projection_tabulate():
-    assert _callers("_tabulate") == _TABULATORS
+def test_only_the_cup_product_evaluates_cochains_in_cohomology():
+    assert _cohomology_evaluators() == [
+        ("cohomology", "cup_product"),
+        ("cohomology", "cup_product"),
+    ]
 
 
-def test_the_tabulate_rule_sees_a_tabulated_comparison_map():
+def test_the_evaluation_rule_sees_a_tabulated_comparison_map():
     source = """
 def xi_map(f, n_op, n_m):
-    def value(base, forms):
-        return f.target.zero(f.degree)
-
-    return _tabulate(f.rep, f.degree, value)
+    out = Cochain(f.degree, f.rep)
+    for key in product(range(f.source.module.rank), repeat=f.degree):
+        args = _basis_args(f.source.module, key)
+        out.set_value(key, eval_cochain(f, args, _forms(f.degree, f.degree), f.degree))
+    return out
 """
-    assert _callers("_tabulate", [("cohomology", source)]) == [("cohomology", "xi_map")]
+    assert _cohomology_evaluators([("cohomology", source)]) == [
+        ("cohomology", "xi_map")
+    ]
 
 
-def test_the_tabulate_rule_sees_a_tabulated_insertion():
+def test_the_evaluation_rule_sees_a_tabulated_insertion():
     source = """
 def circ_insert(J, K):
-    def value(args, forms):
-        return J.target.zero(J.degree + K.degree - 1)
-
-    return _tabulate(J.rep, J.degree + K.degree - 1, value)
+    total = J.degree + K.degree - 1
+    out, forms = Cochain(total, J.rep), _forms(total, total)
+    for key in product(range(J.source.module.rank), repeat=total):
+        args = _basis_args(J.source.module, key)
+        inner = eval_cochain(K, args[: K.degree], forms[: K.degree], total)
+        rest = args[K.degree :]
+        out.set_value(key, eval_cochain(J, [inner] + rest, forms[K.degree - 1 :], total))
+    return out
 """
-    assert _callers("_tabulate", [("cohomology", source)]) == [
-        ("cohomology", "circ_insert")
+    assert _cohomology_evaluators([("cohomology", source)]) == [
+        ("cohomology", "circ_insert"),
+        ("cohomology", "circ_insert"),
     ]
 
 
