@@ -10,11 +10,11 @@ arguments that each carry an explicit "lambda-form" (an arbitrary
 polynomial standing for that argument's lambda).  Sesquilinearity is then
 uniform -- the coefficient of argument k is substituted del |-> -form_k, the
 stored value's lam_j is substituted by form_j, and del stays outermost.
-The cup product, the one product still evaluated tuple by tuple, goes
-through `eval_cochain`, the evaluation core of `lca`, which evaluates
-structure tables too (a table is a 2-cochain), and conformal skew-symmetry
-is the one residual `lca._skew_residual`.  The linear maps of a cochain are
-planned once instead: the coboundary (`_Coboundary`), xi (`_Xi`), the
+`eval_cochain` is that rule through the evaluation core of `lca`, which
+evaluates structure tables too (a table is a 2-cochain); no operator here
+calls it, and conformal skew-symmetry is the one residual
+`lca._skew_residual`.  The linear maps of a cochain are
+planned once: the coboundary (`_Coboundary`), xi (`_Xi`), the
 insertion product with one factor fixed (`_Insertion`) and the skew
 projection (`_Skew`) each build, per output tuple, a list of terms, and one
 loop (`_Plan.__call__`) maps every cochain through them.  A term takes one
@@ -22,7 +22,10 @@ coordinate of one input value under a substitution of its degree
 (`_substitutions`), times a held polynomial that does not depend on the
 cochain mapped, into one output coordinate.  The coboundary inserts the
 bracket as the insertion inserts a fixed factor inside.  A representation
-holds the first two plans, and the fixed factor the third.
+holds the first two plans, and the fixed factor the third.  The cup
+product is an insertion too: J inserted into K's left bracket
+(`_left_bracket`), whose values are one `act_form` per stored value and
+generator.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -41,13 +44,14 @@ from math import factorial
 from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
 from .lca import (
     FREE,
+    ConfLinMap,
     Elem,
     RepTable,
     _evaluate,
     _output_tuples,
+    _relabeling,
     _skew_residual,
     _sorted_tuples_suffice,
-    dagger_substitute,
 )
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
@@ -116,8 +120,6 @@ class Cochain:
 
     def to_map(self):
         """Degree-1 cochains are exactly Q[del]-linear maps."""
-        from .lca import ConfLinMap
-
         if self.degree != 1:
             raise DegreeOverflowError("only degree-1 cochains are linear maps")
         rank = self.source.module.rank
@@ -209,13 +211,32 @@ class Cochain:
 
 
 def bracket_cochain(lca):
-    """The algebra's own bracket as a degree-2 adjoint cochain."""
-    rep = adjoint_rep(lca)
-    out = Cochain(2, rep)
-    rank = lca.module.rank
-    for i in range(rank):
-        for j in range(rank):
-            out.set_value((i, j), lca.bracket_basis(i, j))
+    """The algebra's own bracket as a degree-2 adjoint cochain: the left
+    bracket (`_left_bracket`) of the identity 1-cochain."""
+    identity = ConfLinMap.identity(lca.module)
+    return _left_bracket(Cochain.from_map(identity, adjoint_rep(lca)))
+
+
+def _left_bracket(K):
+    """The degree-(n+1) cochain (x_0, x_1..x_n) |-> [x_0 lam_0 K(x_1..x_n)]
+    of an adjoint n-cochain K, over ``K.rep``.
+
+    Its value at (a,) + key is `act_form` of e_a and K's value at key, with
+    K's lam_j relabelled lam_{j+1} and x_0's form lam_1, which is the
+    implicit -del at n = 0: one sesquilinear evaluation per stored value and
+    generator.
+    """
+    n, algebra = K.degree, K.rep.algebra
+    basis = _basis_args(algebra.module, range(algebra.module.rank))
+    form = Poly.lam(1, n) if n else -Poly.del_(0)
+    relabel = _relabeling(range(2, n + 1), n) if n else None
+    out = Cochain(n + 1, K.rep)
+    for key, value in K.values.items():
+        if relabel:
+            value = Elem(value.module, [relabel(poly) for poly in value.coords])
+        for a, x in enumerate(basis):
+            image = act_form(algebra.table, algebra.module, x, value, form, n)
+            out.set_value((a,) + key, image)
     return out
 
 
@@ -723,30 +744,21 @@ def nr_bracket(J, K):
 
 def cup_product(J, K):
     """Shuffle-summed bracket of values: sum [J(block1) lam K(block2)], of
-    adjoint cochains over one module."""
+    adjoint cochains over one module.
+
+    For deg J >= 1 this is J inserted into K's left bracket (`_left_bracket`),
+    mapped through the plan that the left bracket holds (`_Insertion`).  At
+    deg J = 0, J = a, it is K followed by [a _0 -], the bracket cochain with
+    a inserted: there the empty block's lambda is 0, while a left bracket of
+    degree 1 would give x_0 the implicit -del, and at deg K = 4 it would
+    exceed MAX_DEGREE.
+    """
     _require_factors(J, K)
-    m, n = J.degree, K.degree
-    total = m + n
-    if total > MAX_DEGREE:
+    if J.degree + K.degree > MAX_DEGREE:
         raise DegreeOverflowError("cup product exceeds degree %d" % MAX_DEGREE)
-    module, table = J.source.module, J.source.table
-    forms = _forms(total, total)
-    out = Cochain(total, J.rep)
-    for key in product(range(module.rank), repeat=total):
-        args = _basis_args(module, key)
-        acc = J.target.zero(total)
-        for sign, block, rest in _shuffles(total, m):
-            left = eval_cochain(
-                J, [args[s] for s in block], [forms[s] for s in block], total
-            )
-            right = eval_cochain(
-                K, [args[r] for r in rest], [forms[r] for r in rest], total
-            )
-            block_form = sum((forms[s] for s in block), Poly.zero(total))
-            term = act_form(table, module, left, right, block_form, total)
-            acc = acc + term.scale(sign)
-        out.set_value(key, dagger_substitute(acc, total) if total else acc)
-    return out
+    if J.degree == 0:
+        return K.map_target(circ_insert(bracket_cochain(K.source), J).to_map())
+    return circ_insert(_left_bracket(K), J)
 
 
 def fn_bracket(J, K):
@@ -756,7 +768,9 @@ def fn_bracket(J, K):
     the coboundaries inserted into the other factor's first slot.  The signs
     and insertion direction are pinned by two oracles: the explicit degree-1
     expansion and agreement of [N, -] with the operator differential.  The
-    insertions are mapped through plans of the fresh coboundaries, inside.
+    insertions are mapped through plans of the fresh coboundaries, inside,
+    and the cup product through the plan of K's left bracket (see
+    `cup_product`), so no term is evaluated tuple by tuple.
     """
     m, n = J.degree, K.degree
     dJ = apply_delta(J)

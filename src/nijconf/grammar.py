@@ -18,9 +18,10 @@ from .errors import ArityError
 from .poly import Poly
 
 MAX_ARITY = 4
-# Largest total degree a power may produce.  Powers are computed eagerly, so
-# without a bound one short literal can take unbounded time; a constant base
-# counts as degree 1, which also bounds the size of its coefficient.
+# Largest total degree a power or a product may produce.  Both are computed
+# eagerly, so without a bound one short literal can take unbounded time; a
+# constant base of a power counts as degree 1, which also bounds the size of
+# its coefficient.
 MAX_LITERAL_DEGREE = 16
 
 VAR_NAMES = ["del"] + ["lam%d" % i for i in range(1, MAX_ARITY + 1)]
@@ -105,7 +106,17 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                acc = acc * self.parse_power()
+                pos = self.peek()[2]
+                factor = self.parse_power()
+                # each factor is bounded already; their product is bounded here
+                degree = acc.total_degree() + factor.total_degree()
+                if degree > MAX_LITERAL_DEGREE:
+                    raise ParseError(
+                        "product of degree %d exceeds the bound %d"
+                        % (degree, MAX_LITERAL_DEGREE),
+                        pos,
+                    )
+                acc = acc * factor
             elif kind == "op" and value == "/":
                 # rational literal continuation: numeric denominator only
                 self.advance()

@@ -319,7 +319,10 @@ def check_homotopy_nijenhuis(structure, op):
     """The four identities of a homotopy Nijenhuis operator, plus N2 skewness."""
     pre = check_2term(structure)
     if not pre.passed:
-        raise PreconditionError("underlying 2-term structure fails its axioms")
+        raise PreconditionError(
+            "underlying 2-term structure fails check_%s: %s"
+            % (pre.title, pre.failing())
+        )
     t, n0, n1, n2 = structure, op.n0, op.n1, op.n2
     mod0, mod1 = t.l0.module, t.l1
     report = Report("homotopy-nijenhuis")

@@ -16,11 +16,15 @@ per degree: 2^n cochain evaluations per output tuple, with N applied to the
 arguments and the powers of N_M computed again on every call.
 ``circ_insert`` is also the insertion product as it was before it was
 planned once per fixed cochain: two cochain evaluations per shuffle block
-and output tuple, on every call.  They
+and output tuple, on every call.  ``cup_product`` is also the cup product
+as it was before it became an insertion into its right factor's left
+bracket: two cochain evaluations and a bracket per shuffle and output
+tuple.  They
 are kept, unoptimised, as the definitions that ``nijconf.lca.sesqui_eval``,
 ``nijconf.cohomology.eval_cochain``, ``nijconf.lca.dagger_substitute``, the
-coboundaries, the table builders, the planned xi and the planned insertion
-of ``nijconf.cohomology`` are pinned to by ``tests/test_eval_reference.py``.  The engine evaluates tables and
+coboundaries, the table builders, the planned xi, the planned insertion and
+the cup product of ``nijconf.cohomology`` are pinned to by
+``tests/test_eval_reference.py``.  The engine evaluates tables and
 cochains with one core, ``nijconf.lca._evaluate``, which relabels a stored
 value at distinct bare lambdas; the two evaluators here stay separate, and
 both expand every stored value by multiplying out powers of the forms.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from nijconf import cohomology
+from nijconf import cohomology, lca
 from nijconf.errors import ModuleMismatchError
 from nijconf.lca import Elem, _trusted_elem
 from nijconf.nijenhuis import deformed_table
@@ -162,7 +166,7 @@ def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):
                     arity,
                 )
                 acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+        out.set_value(key, lca.dagger_substitute(acc, arity))
     return out
 
 
@@ -216,7 +220,7 @@ def skew_symmetrize(f):
                 f, [args[p] for p in perm], [forms[p] for p in perm], n
             )
             acc = acc + term.scale(sign)
-        out.set_value(key, cohomology.dagger_substitute(acc.scale(norm), n))
+        out.set_value(key, lca.dagger_substitute(acc.scale(norm), n))
     return out
 
 
@@ -247,7 +251,7 @@ def circ_insert(J, K):
                 arity,
             )
             acc = acc + term.scale(sign)
-        out.set_value(key, cohomology.dagger_substitute(acc, arity) if arity else acc)
+        out.set_value(key, lca.dagger_substitute(acc, arity) if arity else acc)
     return out
 
 
@@ -277,7 +281,7 @@ def cup_product(J, K):
                 sum_form = sum_form + forms[s]
             term = cohomology.act_form(table, module, left, right, sum_form, arity)
             acc = acc + term.scale(sign)
-        out.set_value(key, cohomology.dagger_substitute(acc, arity) if arity else acc)
+        out.set_value(key, lca.dagger_substitute(acc, arity) if arity else acc)
     return out
 
 
@@ -304,5 +308,5 @@ def xi_map(f, n_op, n_m):
                     cohomology.eval_cochain(f, args, forms, arity)
                 )
                 acc = acc + term if size % 2 == 0 else acc - term
-        out.set_value(key, cohomology.dagger_substitute(acc, arity))
+        out.set_value(key, lca.dagger_substitute(acc, arity))
     return out

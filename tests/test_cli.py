@@ -148,16 +148,21 @@ def test_non_utf8_workspace_exits_two_with_position(tmp_path):
     assert "status: error" in out
 
 
+# twelve factors, each a power within the bound; the second one crosses it
+_TWELVE_POWERS = "*".join(["(del+lam1)^16"] * 12)
+
+
 @pytest.mark.parametrize(
     "literal,column,degree",
     [
         ("lam1^999999999", 22, 999999999),
         ("((del+lam1)^9)^9", 32, 81),
         ("del + 2^999999999*lam1", 25, 999999999),
+        pytest.param(_TWELVE_POWERS, 31, 32, id="twelve-powers-of-degree-16"),
     ],
 )
 def test_literal_degree_is_bounded(tmp_path, literal, column, degree):
-    # each of these ran for more than 10 s before the power was bounded
+    # each of these ran for more than 10 s before its degree was bounded
     bad = tmp_path / "big.ws"
     bad.write_text(
         "module vm\n  basis L\n\nalgebra v3 module vm\n  bracket L L = %s\n"
@@ -165,8 +170,9 @@ def test_literal_degree_is_bounded(tmp_path, literal, column, degree):
     )
     code, out, _ = run_cli("-f", str(bad), "check", "v3", timeout=10)
     assert code == 2
-    assert "big.ws:5:%d: power of degree %d exceeds the bound 16" % (
-        column, degree
+    kind = "product" if literal == _TWELVE_POWERS else "power"
+    assert "big.ws:5:%d: %s of degree %d exceeds the bound 16" % (
+        column, kind, degree
     ) in out
     assert "status: error" in out
 
@@ -337,6 +343,11 @@ def test_twoterm_with_a_non_skew_l3_fails_l3_skew(tmp_path):
     code, out, _ = run_cli("-f", str(ws), "classify", "tt", "--op", "op")
     assert code == 1
     assert "class: skeletal" not in out
+    # the diagnostic names the failing line and its witness, as `check` does
+    assert (
+        "diagnostic: underlying 2-term structure fails check_2term: "
+        "l3-skew: fail at=0,1,1,0 residual=[(1)m]"
+    ) in out.splitlines()
 
 
 @pytest.mark.parametrize("missing", ["--quot", "--sub"])

@@ -361,7 +361,14 @@ def test_the_inserted_bracket_is_reduced_on_evaluation_generators():
 # the table builders against the copies that each walked their own tuples
 
 
-_BUILDER_CASES = ("sl2-adjoint", "vir-adjoint", "vir-weight-2", "mixed-coefficients")
+# torsion-adjoint has an evaluation generator and torsion that is not central
+_BUILDER_CASES = (
+    "sl2-adjoint",
+    "vir-adjoint",
+    "vir-weight-2",
+    "mixed-coefficients",
+    "torsion-adjoint",
+)
 
 
 def _sparse_cochain(rep, degree, rng, entries=3):
@@ -396,7 +403,7 @@ def test_table_builders_match_their_own_loops(name):
         if 0 <= m + n - 1 <= MAX_DEGREE:
             assert circ_insert(J, K) == reference_eval.circ_insert(J, K)
         if m + n <= MAX_DEGREE:
-            assert cup_product(J, K) == reference_eval.cup_product(J, K)
+            _assert_same_cochain(cup_product(J, K), reference_eval.cup_product(J, K))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from random import Random
 import pytest
 
 from nijconf import cli, lca
-from nijconf.cohomology import adjoint_rep, cup_product, random_cochain
 from nijconf.errors import ModuleMismatchError
+from nijconf.homotopy import check_2term
 from nijconf.lca import (
     FREE,
     LCA,
@@ -25,7 +25,7 @@ from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly, Substitution
 
 from conftest import DEL, LAM, count_calls, make_vir
-from test_cli import CORE
+from test_cli import CORE, HOMOTOPY
 
 
 def test_virasoro_type_axioms(vir):
@@ -276,8 +276,8 @@ def test_conf_lin_map_apply_and_compose_match_dense_loops():
 def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     """check_lca, check_nijenhuis and check_representation evaluate every
     bracket at a bare lam_s, which is a relabel of the stored entries; only a
-    general lambda-form, like the shuffle sums of a cup product, is
-    expanded, through a `poly.Substitution`."""
+    general lambda-form, like a sum of lambdas in the identities of
+    `check_2term`, is expanded, through a `poly.Substitution`."""
     ws = cli.parse_workspace([CORE])
     calls = []
 
@@ -297,9 +297,8 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
         elif kind == "rep":
             check_representation(value)
     assert calls == []
-    rep = adjoint_rep(ws.get("sl2"))
-    rng = Random(5)
-    cup_product(random_cochain(rep, 2, rng), random_cochain(rep, 1, rng))
+    structure = cli.parse_workspace([CORE, HOMOTOPY]).get("virskeletal")
+    check_2term(structure)
     assert calls
 
 

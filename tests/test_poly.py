@@ -220,9 +220,10 @@ def test_power_degree_is_bounded():
     assert parse_poly("lam1^16", 1) == Poly(1, {(0, 16): Fraction(1)})
     assert parse_poly("(lam1^4)^4", 1) == parse_poly("lam1^16", 1)
     assert parse_poly("2^16", 0) == Poly.const(2 ** 16, 0)
-    # the bound is on each power, not on a product of powers
-    assert parse_poly("del^16*lam1^16", 1).total_degree() == 32
-    for text, pos in [("lam1^17", 5), ("(lam1^4)^5", 9), ("2^17", 2), ("0^99", 2)]:
+    # a product of powers is bounded too, at the factor that crosses the bound
+    assert parse_poly("del^8*lam1^8", 1).total_degree() == 16
+    refused = [("lam1^17", 5), ("(lam1^4)^5", 9), ("2^17", 2), ("0^99", 2)]
+    for text, pos in refused + [("del^16*lam1^16", 7), ("2*lam1^9*del^8", 9)]:
         with pytest.raises(ParseError) as info:
             parse_poly(text, 1)
         assert info.value.pos == pos

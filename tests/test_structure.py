@@ -27,11 +27,11 @@ terms for it, as does the skew projection.  Outside ``poly.py``, a
 ``Substitution(`` is built only by ``lca._expansion``, the one expansion of
 a stored value, and by ``cohomology._substitutions``, which holds its
 substitutions for every plan and for the orbit moves of ``cochain_space``.
-Within ``cohomology`` only the cup product ``cup_product`` calls
-``eval_cochain``, one basis tuple at a time: the coboundary, xi, the
-insertion product in the factor that is not fixed and the skew projection
-are linear and planned (``cohomology._Plan``), so evaluating one of them
-per tuple would be a second code path.
+No function of ``cohomology`` calls ``eval_cochain``: the coboundary, xi,
+the insertion product in the factor that is not fixed and the skew
+projection are linear and planned (``cohomology._Plan``), and the cup
+product is an insertion into its right factor's left bracket, so evaluating
+one of them tuple by tuple would be a second code path.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -198,11 +198,8 @@ def _cohomology_evaluators(sources=None):
     ]
 
 
-def test_only_the_cup_product_evaluates_cochains_in_cohomology():
-    assert _cohomology_evaluators() == [
-        ("cohomology", "cup_product"),
-        ("cohomology", "cup_product"),
-    ]
+def test_no_function_of_cohomology_evaluates_cochains():
+    assert _cohomology_evaluators() == []
 
 
 def test_the_evaluation_rule_sees_a_tabulated_comparison_map():
