@@ -42,7 +42,7 @@ from .extension import (
 from .grammar import ParseError, format_poly, parse_poly
 from .homotopy import HomotopyNijenhuis, TwoTermConformal, check_2term, check_homotopy_nijenhuis, classify
 from .lca import LCA, ConfLinMap, FreeModule, RepTable, check_lca, check_representation
-from .nijenhuis import NijenhuisLCA, check_nijenhuis
+from .nijenhuis import NijenhuisLCA, _require_linear, check_nijenhuis
 from .report import FAIL, PASS
 from .wells import (
     AutomorphismPair,
@@ -292,6 +292,14 @@ def _build_twoterm(l0, l1, d, action, l3):
     return structure
 
 
+def _build_homotopyop(n0, n1, n2):
+    """The operator triple, refused here when N0 or N1 is not Q[del]-linear;
+    the structure it acts on is named only by `classify`."""
+    _require_linear(n0, "N0")
+    _require_linear(n1, "N1")
+    return n0, n1, n2
+
+
 _Option = namedtuple("_Option", "key kind required")
 
 
@@ -330,7 +338,7 @@ _BLOCKS = {
         _build_twoterm,
         False,
     ),
-    "homotopyop": (_options("n0:map n1:map n2:cochain?"), lambda *ops: ops, False),
+    "homotopyop": (_options("n0:map n1:map n2:cochain?"), _build_homotopyop, False),
 }
 
 

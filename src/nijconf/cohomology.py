@@ -39,9 +39,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
-from .errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
+from .errors import (
+    DegreeOverflowError,
+    ModuleMismatchError,
+    PreconditionError,
+    UnsupportedModeError,
+)
 from .lca import (
     FREE,
     ConfLinMap,
@@ -59,9 +64,11 @@ from .poly import Poly, Substitution, dagger
 from .report import Report, failures_of, first_witness
 
 MAX_DEGREE = 4
-# limits of the truncated solver: the cochain degree and the degree bound
+# limits of the truncated solver: the cochain degree, the degree bound and
+# the cells of one slice (see `_slice_cells`)
 MAX_SOLVER_DEGREE = 3
 MAX_SOLVER_BOUND = 6
+MAX_SLICE_CELLS = 4096
 
 
 def adjoint_rep(lca):
@@ -1092,6 +1099,30 @@ def _max_degree(*vectors):
     return max([1] + [poly.total_degree() for vector in vectors for poly in vector])
 
 
+def _slice_cells(rep, degree, bound):
+    """The cells of a bounded slice: its non-decreasing basis tuples times
+    the monomials of every coefficient coordinate that `cochain_space`
+    enumerates, with del-powers on free coordinates only."""
+    nvars = max(degree - 1, 0)
+    monomials = sum(
+        comb(bound + nvars + free, nvars + free)
+        for free in (action == FREE for action in rep.module.actions)
+    )
+    return comb(rep.algebra.module.rank + degree - 1, degree) * monomials
+
+
+def _refuse_large_slices(rep, *slices):
+    """Refuse the slices, given as (degree, bound), if one has more than
+    MAX_SLICE_CELLS cells; called before any of them is built."""
+    for degree, bound in slices:
+        cells = _slice_cells(rep, degree, bound)
+        if cells > MAX_SLICE_CELLS:
+            raise UnsupportedModeError(
+                "a degree-%d slice at bound %d has %d cells, above the cap of %d"
+                % (degree, bound, cells, MAX_SLICE_CELLS)
+            )
+
+
 def _slice(rep, degree, bound, operator=None, sorted_only=False):
     """A bounded cochain slice: its basis, and the differential images of
     the basis cochains as sparse vectors on the output tuples, the
@@ -1101,10 +1132,12 @@ def _slice(rep, degree, bound, operator=None, sorted_only=False):
     ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
     through the plan of the differential that ``rep`` holds (see
     `_differential`): delta, or d_N of ``operator`` on adjoint coefficients.
-    The plan touches only the support of each cochain.
+    The plan touches only the support of each cochain.  A slice of more
+    than MAX_SLICE_CELLS cells is refused before anything is built.
     """
     if operator is not None:
         _require_adjoint(rep)
+    _refuse_large_slices(rep, (degree, bound))
     basis = cochain_space(rep, degree, bound)
     differential = _differential(rep, degree, operator, sorted_only=sorted_only)
     return basis, [_cochain_vector(differential(f)) for f in basis]
@@ -1132,7 +1165,9 @@ def solve_truncated(rep, degree, bound, operator=None):
     > bound.
 
     Returns the four dimensions and ``kernel``, the cocycles as coefficient
-    vectors over ``cochain_space(rep, degree, bound)``.
+    vectors over ``cochain_space(rep, degree, bound)``.  Both slices are
+    refused before either is built when one has more than MAX_SLICE_CELLS
+    cells.
 
     The differential is evaluated on non-decreasing output tuples only.
     This is exact when ``rep.algebra``'s bracket is conformally skew and its
@@ -1153,16 +1188,18 @@ def solve_truncated(rep, degree, bound, operator=None):
             "solver supports degree at most %d" % MAX_SOLVER_DEGREE
         )
     _check_bound(bound)
+    slices = [(degree, bound)]
+    if degree >= 1:
+        values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
+        slices.append((degree - 1, bound + _max_degree(*values)))
+    _refuse_large_slices(rep, *slices)
     sorted_only = _sorted_tuples_suffice(rep.algebra, n=operator)
     basis, images = _slice(rep, degree, bound, operator, sorted_only)
     kernel = nullspace(images)
 
     dim_im = 0
     if degree >= 1:
-        values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
-        _, vecs = _slice(
-            rep, degree - 1, bound + _max_degree(*values), operator, sorted_only
-        )
+        _, vecs = _slice(rep, *slices[1], operator, sorted_only)
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = rank(vecs) - rank(vecs, keys=high)
     return {

@@ -542,9 +542,14 @@ BLOCK_WS = (
         ("twoterm tt l0 vir l1 tm d td action zr",
          "31:1: differential is not Q[del]-linear: its entry (L, c) maps the "
          "torsion generator c onto L, where del acts otherwise"),
+        # `check op` said that a homotopyop has no checker, and `classify`
+        # reached the operator only to refuse it as no endomorphism
+        ("homotopyop op n0 idv n1 td",
+         "31:1: N1 is not Q[del]-linear: its entry (L, c) maps the "
+         "torsion generator c onto L, where del acts otherwise"),
     ],
     ids=["unknown-option", "body-line", "pair", "series", "d-source", "l3-degree",
-         "d-torsion"],
+         "d-torsion", "n1-torsion"],
 )
 def test_refused_blocks_exit_two_with_position(tmp_path, block, diagnostic):
     bad = tmp_path / "blocks.ws"

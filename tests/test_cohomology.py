@@ -9,6 +9,7 @@ import pytest
 import reference_eval
 from nijconf.cohomology import (
     MAX_DEGREE,
+    MAX_SLICE_CELLS,
     MAX_SOLVER_BOUND,
     Cochain,
     _Coboundary,
@@ -29,6 +30,7 @@ from nijconf.cohomology import (
     _cochain_vector,
     _monomials,
     _max_degree,
+    _slice_cells,
     check_cochain_skew,
     cochain_space,
     cup_product,
@@ -45,7 +47,12 @@ from nijconf.cohomology import (
     xi_map,
 )
 from nijconf import linalg
-from nijconf.errors import DegreeOverflowError, ModuleMismatchError, PreconditionError
+from nijconf.errors import (
+    DegreeOverflowError,
+    ModuleMismatchError,
+    PreconditionError,
+    UnsupportedModeError,
+)
 from nijconf.lca import (
     FREE,
     LCA,
@@ -69,7 +76,7 @@ from nijconf.nijenhuis import (
 )
 from nijconf.poly import Poly
 
-from conftest import DEL, LAM, count_calls, make_sl2
+from conftest import DEL, LAM, count_calls, make_sl2, make_vir
 from test_eval_reference import _reps
 
 
@@ -322,6 +329,67 @@ def test_solver_inputs_are_refused_below_the_limit(vir, central_line, refused, e
     target.set_value((0, 0), [LAM])
     with pytest.raises(error):
         refused(rep, target)
+
+
+def _wide_abelian():
+    return adjoint_rep(LCA(FreeModule(["x%d" % i for i in range(16)])))
+
+
+SLICE_COEFFS = {
+    "sl2": lambda: adjoint_rep(make_sl2()),
+    "abelian16": _wide_abelian,
+    # a free and a torsion coordinate: del-powers on the free one only
+    "vir-mixed": lambda: RepTable(make_vir(), FreeModule(["m", "c"], [FREE, 0])),
+}
+
+
+@pytest.mark.parametrize(
+    "coeffs,degree,bound,cells",
+    [
+        # sl2's top slice at the solver's limits, and its lower slice
+        ("sl2", 3, 6, 2520),
+        ("sl2", 2, 7, 648),
+        ("sl2", 0, 4, 15),
+        ("abelian16", 2, 2, 13056),
+        ("abelian16", 3, 2, 130560),
+        ("vir-mixed", 2, 3, 14),
+    ],
+)
+def test_slice_cells_are_sorted_tuples_times_monomials(coeffs, degree, bound, cells):
+    rep = SLICE_COEFFS[coeffs]()
+    rank, nvars = rep.algebra.module.rank, max(degree - 1, 0)
+    tuples = [key for key in product(range(rank), repeat=degree) if list(key) == sorted(key)]
+    monomials = [_monomials(nvars, bound, action == FREE) for action in rep.module.actions]
+    assert _slice_cells(rep, degree, bound) == len(tuples) * sum(map(len, monomials)) == cells
+
+
+def _steep_rank3():
+    # one bracket entry of degree 16 lifts the lower slice's bound to 22
+    algebra = LCA(FreeModule(["a", "b", "c"]))
+    algebra.set_bracket(0, 0, [Poly.lam(1, 1) ** 16, 0, 0])
+    return adjoint_rep(algebra)
+
+
+@pytest.mark.parametrize(
+    "coeffs,degree,bound,refused",
+    [
+        # on the rank-16 abelian algebra this slice ran out of memory
+        (_wide_abelian, 3, 2, "a degree-3 slice at bound 2 has 130560 cells"),
+        # the top slice has 2520 cells; the lower one was refused only
+        # after the top one was solved, 16 s later
+        (_steep_rank3, 3, 6, "a degree-2 slice at bound 22 has 4968 cells"),
+    ],
+    ids=["top", "lower"],
+)
+def test_a_slice_above_the_cell_cap_is_refused_before_it_is_built(
+    monkeypatch, coeffs, degree, bound, refused
+):
+    rep = coeffs()
+    counts = count_calls(monkeypatch, cochain_space)
+    with pytest.raises(UnsupportedModeError) as caught:
+        solve_truncated(rep, degree, bound)
+    assert str(caught.value) == refused + ", above the cap of %d" % MAX_SLICE_CELLS
+    assert not counts
 
 
 @pytest.mark.parametrize(

@@ -206,7 +206,7 @@ FAILING = {
         "L5: fail at=0,0 residual=[(2*del^2 + del - 4)m]",
         "L6: fail at=0,0,0 residual=[(-6*del*lam1)p + (-3*lam1 + lam2 - 1)q]",
         "L7: fail at=0,0,0 residual=[(-2*del*lam1 - 2*del*lam2 - 4*lam1^2 - 6*lam1*lam2 - 4*lam2^2 + 2*del - 4*lam1 - 4*lam2)m]",
-        "L8: fail at=0,0,0,0 residual=[(-2*del*lam1*lam3 - 2*del*lam2*lam3 + del*lam1 - 3*del*lam2 + 6*lam1^2 + 2*lam1*lam2 + 16*lam1*lam3 - 2*lam2^2 - 4*lam2*lam3 - 2*del - 2*lam1 + 2*lam2)m]",
+        "L8: fail at=0,0,0,0 residual=[(2*del^2*lam2 + 2*del*lam1*lam2 - 6*del*lam1*lam3 + 2*del*lam2^2 + 2*del*lam2*lam3 + 3*del^2 + 2*del*lam1 + 8*del*lam2 + 2*lam1^2 + 10*lam1*lam2 + 4*lam1*lam3 + 8*lam2^2 + 8*lam2*lam3 - 2*lam1 + 2*lam2)m]",
     ],
     "2term_sparse": [
         "l3-skew: fail at=1,0,2,1 residual=[(lam1)y]",

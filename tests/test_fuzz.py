@@ -247,3 +247,16 @@ def test_mutated_input_never_exits_three(text, command):
 def test_mutated_argv_never_exits_three(argv):
     code, out = _run(CORE, argv)
     assert code in (0, 1, 2), out
+
+
+def test_a_slice_above_the_cell_cap_exits_two_within_the_budget(tmp_path):
+    # on the abelian algebra of a 16-name module this exited 3 with
+    # MemoryError after 23.5 s under a 3 GB address-space limit
+    ws = tmp_path / "wide.ws"
+    names = " ".join("x%d" % i for i in range(16))
+    ws.write_text("module m\n  basis %s\n\nalgebra ab module m\n" % names)
+    code, out = _run(str(ws), ["cohomology", "ab", "--degree", "3", "--bound", "2"])
+    assert (code, out.splitlines()[-1]) == (2, (
+        "diagnostic: unsupported mode: a degree-3 slice at bound 2 has 130560 "
+        "cells, above the cap of 4096"
+    ))
