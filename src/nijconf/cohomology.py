@@ -146,15 +146,21 @@ class Cochain:
         """Store ``value`` at the basis tuple ``key``, dropping a zero value.
 
         The one writer of ``values``: the insertion plans that the cochain
-        holds were read off its values, so they are dropped.
+        holds were read off its values, so they are dropped.  A key outside
+        the source basis, which no differential would read, and a value in
+        another module are refused.
         """
         key = tuple(key)
         if len(key) != self.degree:
             raise ModuleMismatchError(
                 "key %r does not index a degree-%d cochain" % (key, self.degree)
             )
+        if key and not (0 <= min(key) and max(key) < self.source.module.rank):
+            raise ModuleMismatchError("key %r is outside the source basis" % (key,))
         if not isinstance(value, Elem):
             value = Elem(self.target, list(value))
+        elif value.module is not self.target and value.module != self.target:
+            raise ModuleMismatchError("value is not in the coefficient module")
         value = value.with_arity(self.value_arity)
         if self._plans is not None:
             self._plans = None

@@ -60,17 +60,15 @@ def _order_residuals(series, n):
     module = series.base.algebra.module
     bracket = partial(eval_bracket, series.base.algebra)
     maps = [series.term(i) for i in range(n + 1)]
-
-    def residual(a, b):
+    residuals = {}
+    for a, b in product(range(module.rank), repeat=2):
         pa, qb = module.basis_elem(a), module.basis_elem(b)
         lhs = rhs = module.zero(1)
         for left, right in zip(maps, reversed(maps)):
             lhs = lhs + bracket(left.apply(pa), right.apply(qb))
             rhs = rhs + left.apply(_deformed(bracket, right, right, right, pa, qb))
-        return lhs - rhs
-
-    pairs = product(range(module.rank), repeat=2)
-    return failures_of((key, residual(*key)) for key in pairs)
+        residuals[a, b] = lhs - rhs
+    return failures_of(residuals.items())
 
 
 def check_order(series):
@@ -99,7 +97,7 @@ def infinitesimal_cocycle(series):
     report.add(
         "order-1-agreement",
         image.is_zero() == order1,
-        "cocycle and order-1 condition disagree" if image.is_zero() != order1 else None,
+        "cocycle and order-1 condition disagree",
     )
     return report
 
@@ -123,10 +121,7 @@ def obstruction(series, bound=3):
     k = series.order
     ob = Cochain.zero(2, rep)
     for i in range(1, k + 1):
-        j = k + 1 - i
-        if j < 1 or j > k:
-            continue
-        ob = ob + fn_bracket_of_maps(lca, series.term(i), series.term(j))
+        ob = ob + fn_bracket_of_maps(lca, series.term(i), series.term(k + 1 - i))
     ob = ob.scale(Fraction(-1, 2))
     report = Report("obstruction")
     image = apply_dN(ob, base.n)
@@ -157,8 +152,5 @@ def verify_equivalence_order1(series, other, p):
     difference = series.terms[0] - other.terms[0]
     residual = difference - expected
     report = Report("equivalence-order1")
-    witness = None
-    if not residual.is_zero():
-        witness = "residual map matrix %r" % residual.matrix
-    report.add("cohomologous", residual.is_zero(), witness)
-    return report
+    witness = "residual map matrix %r" % residual.matrix
+    return report.add("cohomologous", residual.is_zero(), witness)

@@ -482,7 +482,7 @@ def solve_report(title, found, residuals, bound, certified=False):
             witness += " (certified: finite unknown space)"
         return report.add("solve", False, witness)
     ok = all(res.is_zero() for res in residuals(found))
-    return report.add("solve", ok, None if ok else "witness fails re-check")
+    return report.add("solve", ok, "witness fails re-check")
 
 
 def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):

@@ -12,6 +12,21 @@ as cochains: l3 is stored exactly like a degree-3 cochain over L0 with
 coefficients in L1 under the action rho(p)_lam m = [[p_lam m]].  So L8 and
 the jacobiator defect are read off the planned differentials, and on a
 skeletal structure they pass exactly when :func:`skeletal_to_cocycle` does.
+
+Every other identity is a strict axiom relaxed by a homotopy term (Baez-Crans,
+"Higher-dimensional algebra VI: Lie 2-algebras", TAC 2004, for the Lie
+2-algebra case), and its line is the strict axiom's residual, defined once in
+``lca`` or ``nijenhuis``, plus that correction:
+
+* L4 and peiffer-1: the intertwining residual d [[p lam m]] - [p lam dm]
+  (``lca._intertwining``), with no correction;
+* L6: d l3(p, q, r) minus the Jacobi residual of L0 (``lca._jacobi``);
+* L7: l3(p, q, dm) plus the representation residual (``lca._representation``);
+* H2: d f2(p, q) plus the morphism residual of f0 (``lca._morphism``);
+* square-defect: d N2(p, q) plus the Nijenhuis residual of N0
+  (``nijenhuis._nijenhuis``);
+* module-defect: N2(p, dm) plus the Nijenhuis residual of (N0, N1) over the
+  action.
 """
 
 from __future__ import annotations
@@ -42,7 +57,11 @@ from .lca import (
     check_representation,
     eval_bracket,
     sum_algebra,
+    _intertwining,
+    _jacobi,
+    _morphism,
     _output_tuples,
+    _representation,
     _skew_failures,
     _torsion_failures,
 )
@@ -50,6 +69,7 @@ from .nijenhuis import (
     NijenhuisLCA,
     NijenhuisRep,
     _deformed,
+    _nijenhuis,
     _require_linear,
     check_nij_representation,
     check_nijenhuis,
@@ -100,12 +120,6 @@ class TwoTermConformal:
         """[[m_lam p]] := -[[p_{-del-lam} m]], the skew-derived mixed bracket."""
         return -self.act(p, m, dagger(form), arity)
 
-    def bracket0(self, p, q, form, arity):
-        return act_form(self.l0.table, self.l0.module, p, q, form, arity)
-
-    def jacobiator(self, args, forms, arity):
-        return eval_cochain(self.l3, args, forms, arity)
-
 
 class HomotopyNijenhuis:
     """Operator triple (N0 on L0, N1 on L1, N2 : L0 x L0 -> L1[lam])."""
@@ -134,16 +148,26 @@ class HomotopyNijenhuis:
 def check_2term(structure):
     """l3-skew, then the eight defining identities on all applicable tuples.
 
-    L3, the skew-symmetry of the degree-0 bracket, is evaluated on pairs
-    i <= j only, as in :func:`check_lca`: the residual at (j, i) is the one
-    at (i, j) with lam1 -> -del - lam1.  As in :func:`check_representation`,
-    an action that satisfies L7 but is nonzero on an evaluation generator,
-    which sesquilinearity forbids (see :func:`_torsion_failures`), fails L7
-    at its least such pair.  L8, the higher Jacobi law of l3, is the
+    Each line is a strict axiom's residual plus its homotopy correction,
+    which is zero where none is named:
+
+    * L1: the degree-1 bracket vanishes;
+    * L2: [[m lam p]] = -[[p_{-del-lam} m]], which holds by construction;
+    * L3: skew-symmetry of the degree-0 bracket;
+    * L4: the intertwining residual of d, d [[p lam m]] - [p lam dm];
+    * L5: [[dm lam n]] - [[m lam dn]];
+    * L6: d l3(p, q, r) minus the Jacobi residual of L0;
+    * L7: l3(p, q, dm) plus the representation residual of the action;
+    * L8: delta(l3), the higher Jacobi law of l3.
+
+    L3 is evaluated on pairs i <= j only, as in :func:`check_lca`: the
+    residual at (j, i) is the one at (i, j) with lam1 -> -del - lam1.  As
+    in :func:`check_representation`, an action that satisfies L7 but is
+    nonzero on an evaluation generator, which sesquilinearity forbids (see
+    :func:`_torsion_failures`), fails L7 at its least such pair.  L8 is the
     Chevalley-Eilenberg cocycle condition delta(l3) = 0 over the action
-    (Baez-Crans, "Higher-dimensional algebra VI: Lie 2-algebras", TAC 2004),
-    read off `apply_delta`; its witness is the least nonzero entry of
-    delta(l3).
+    (Baez-Crans, TAC 2004), read off `apply_delta`; its witness is the least
+    nonzero entry of delta(l3).
     """
     report = Report("2term")
     t = structure
@@ -163,13 +187,10 @@ def check_2term(structure):
 
     report.add_failures("L3", _skew_failures(t.l0, _output_tuples(mod0.rank, 2, True)))
 
+    pairs = product(range(mod0.rank), range(mod1.rank))
+    report.add_residuals("L4", pairs, _intertwining(t.rep, d))
+
     lam1 = Poly.lam(1, 1)
-
-    def l4(i, j):
-        p, m = basis0(i), basis1(j)
-        return d.apply(t.act(p, m, lam1, 1)) - t.bracket0(p, d.apply(m), lam1, 1)
-
-    report.add_residuals("L4", product(range(mod0.rank), range(mod1.rank)), l4)
 
     def l5(i, j):
         m, n = basis1(i), basis1(j)
@@ -178,27 +199,18 @@ def check_2term(structure):
     report.add_residuals("L5", product(range(mod1.rank), repeat=2), l5)
 
     la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
-    dagger2 = dagger(la + mu)
+    forms = [la, mu, dagger(la + mu)]
+    jacobi, representation = _jacobi(t.l0), _representation(t.rep)
 
     def l6(*key):
-        p, q, r = _basis_args(mod0, key)
-        lhs = d.apply(t.jacobiator([p, q, r], [la, mu, dagger2], 2))
-        return lhs - (
-            t.bracket0(p, t.bracket0(q, r, mu, 2), la, 2)
-            - t.bracket0(t.bracket0(p, q, la, 2), r, la + mu, 2)
-            - t.bracket0(q, t.bracket0(p, r, la, 2), mu, 2)
-        )
+        l3 = eval_cochain(t.l3, _basis_args(mod0, key), forms, 2)
+        return d.apply(l3) - jacobi(*key)
 
     report.add_residuals("L6", product(range(mod0.rank), repeat=3), l6)
 
     def l7(i, j, k):
-        p, q, m = basis0(i), basis0(j), basis1(k)
-        lhs = t.jacobiator([p, q, d.apply(m)], [la, mu, dagger2], 2)
-        return lhs - (
-            t.act(p, t.act(q, m, mu, 2), la, 2)
-            - t.act(t.bracket0(p, q, la, 2), m, la + mu, 2)
-            - t.act(q, t.act(p, m, la, 2), mu, 2)
-        )
+        args = [basis0(i), basis0(j), d.apply(basis1(k))]
+        return eval_cochain(t.l3, args, forms, 2) + representation(i, j, k)
 
     triples = product(range(mod0.rank), range(mod0.rank), range(mod1.rank))
     report.add_failures(
@@ -213,7 +225,18 @@ def check_2term(structure):
 
 
 def check_homomorphism(src, dst, f0, f1, f2):
-    """The five conditions for a morphism (f0, f1, f2) of 2-term structures."""
+    """The five conditions for a morphism (f0, f1, f2) of 2-term structures.
+
+    Each line is a strict axiom's residual plus its homotopy correction,
+    which is zero where none is named:
+
+    * H1: f0 d - d' f1, the chain-map condition;
+    * H2: d' f2(p, q) plus the morphism residual of f0 on L0;
+    * H3: f2(p, dm) plus f1 [[p lam m]] - [[f0 p lam f1 m]]';
+    * H4: f2(dm, p) plus f1 [[m lam p]] - [[f1 m lam f0 p]]';
+    * H5: l3'(f0 p, f0 q, f0 r) - f1 l3(p, q, r) minus the f2 terms of the
+      Jacobiator law, all of which vanish in the strict case.
+    """
     report = Report("2term-homomorphism")
     mod0, mod1 = src.l0.module, src.l1
     basis0, basis1 = mod0.basis_elem, mod1.basis_elem
@@ -222,14 +245,11 @@ def check_homomorphism(src, dst, f0, f1, f2):
 
     lam1 = Poly.lam(1, 1)
     dag1 = dagger(lam1)
+    morphism = _morphism(src.l0, dst.l0, f0)
 
     def h2(i, j):
-        p, q = basis0(i), basis0(j)
-        lhs = dst.d.apply(eval_cochain(f2, [p, q], [lam1, dag1], 1))
-        rhs = dst.bracket0(f0.apply(p), f0.apply(q), lam1, 1) - f0.apply(
-            src.bracket0(p, q, lam1, 1)
-        )
-        return lhs - rhs
+        f2_pq = eval_cochain(f2, [basis0(i), basis0(j)], [lam1, dag1], 1)
+        return dst.d.apply(f2_pq) + morphism(i, j)
 
     report.add_residuals("H2", product(range(mod0.rank), repeat=2), h2)
 
@@ -254,28 +274,25 @@ def check_homomorphism(src, dst, f0, f1, f2):
     report.add_residuals("H4", product(range(mod1.rank), range(mod0.rank)), h4)
 
     la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
-    dagger2 = dagger(la + mu)
+    forms = [la, mu, dagger(la + mu)]
+    src0, dst0 = src.l0, dst.l0
 
     def h5(*key):
         p, q, r = _basis_args(mod0, key)
         fp, fq, fr = f0.apply(p), f0.apply(q), f0.apply(r)
-        lhs = dst.jacobiator([fp, fq, fr], [la, mu, dagger2], 2) - f1.apply(
-            src.jacobiator([p, q, r], [la, mu, dagger2], 2)
+        lhs = eval_cochain(dst.l3, [fp, fq, fr], forms, 2) - f1.apply(
+            eval_cochain(src.l3, [p, q, r], forms, 2)
         )
+        qr = act_form(src0.table, src0.module, q, r, mu, 2)
+        fp_r = act_form(dst0.table, dst0.module, fp, r, la, 2)
+        fp_q = act_form(dst0.table, dst0.module, fp, q, la, 2)
         rhs = (
             dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
-            + eval_cochain(f2, [p, src.bracket0(q, r, mu, 2)], [la, dagger(la)], 2)
+            + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
             - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
-            - eval_cochain(f2, [q, dst.bracket0(fp, r, la, 2)], [mu, dagger(mu)], 2)
-            - dst.act_rev(
-                eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2
-            )
-            - eval_cochain(
-                f2,
-                [dst.bracket0(fp, q, la, 2), r],
-                [la + mu, dagger2],
-                2,
-            )
+            - eval_cochain(f2, [q, fp_r], [mu, dagger(mu)], 2)
+            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - eval_cochain(f2, [fp_q, r], [la + mu, forms[2]], 2)
         )
         return lhs - rhs
 
@@ -285,6 +302,15 @@ def check_homomorphism(src, dst, f0, f1, f2):
 
 def check_homotopy_nijenhuis(structure, op):
     """The four identities of a homotopy Nijenhuis operator, plus N2 skewness.
+
+    Each line is a strict axiom's residual plus its homotopy correction:
+
+    * n2-skew: skew-symmetry of N2;
+    * chain-map: d N1 - N0 d;
+    * square-defect: d N2(p, q) plus the Nijenhuis residual of N0 on L0;
+    * module-defect: N2(p, dm) plus the Nijenhuis residual of (N0, N1) over
+      the action, as in a Nijenhuis representation;
+    * jacobiator-defect: the homotopy law of N2 against l3, below.
 
     The jacobiator defect is the second component of d_NL(l3, N2), that is
     d_{N,M}(N2) - xi(l3) with d_{N,M} and xi for N0 on L0 and N1 on L1,
@@ -307,28 +333,20 @@ def check_homotopy_nijenhuis(structure, op):
     ok = (t.d.compose(n1) - n0.compose(t.d)).is_zero()
     report.add("chain-map", ok, "d N1 != N0 d")
 
-    lam1 = Poly.lam(1, 1)
-    dag1 = dagger(lam1)
-    bracket1 = partial(t.bracket0, form=lam1, arity=1)
-    act1 = partial(t.act, form=lam1, arity=1)
+    forms = [Poly.lam(1, 1), dagger(Poly.lam(1, 1))]
+    bracket = partial(eval_bracket, t.l0)
 
     def square(i, j):
         p, q = mod0.basis_elem(i), mod0.basis_elem(j)
-        lhs = t.d.apply(eval_cochain(n2, [p, q], [lam1, dag1], 1))
-        rhs = n0.apply(_deformed(bracket1, n0, n0, n0, p, q)) - bracket1(
-            n0.apply(p), n0.apply(q)
-        )
-        return lhs - rhs
+        n2_pq = eval_cochain(n2, [p, q], forms, 1)
+        return t.d.apply(n2_pq) + _nijenhuis(bracket, n0, n0, p, q)
 
     report.add_residuals("square-defect", product(range(mod0.rank), repeat=2), square)
 
     def module(i, j):
         p, m = mod0.basis_elem(i), mod1.basis_elem(j)
-        lhs = eval_cochain(n2, [p, t.d.apply(m)], [lam1, dag1], 1)
-        rhs = n1.apply(_deformed(act1, n0, n1, n1, p, m)) - act1(
-            n0.apply(p), n1.apply(m)
-        )
-        return lhs - rhs
+        n2_pdm = eval_cochain(n2, [p, t.d.apply(m)], forms, 1)
+        return n2_pdm + _nijenhuis(t.rep.act, n0, n1, p, m)
 
     pairs = product(range(mod0.rank), range(mod1.rank))
     report.add_residuals("module-defect", pairs, module)
@@ -380,7 +398,20 @@ class CrossedModule:
 
 def check_crossed_module(x):
     """Peiffer identities, morphism/representation axioms, and the derived
-    crossed-module statements for the deformed algebras."""
+    crossed-module statements for the deformed algebras.
+
+    A crossed module is strict, so each line is a strict axiom's residual
+    with no homotopy correction:
+
+    * lower-algebra, upper-algebra: :func:`check_lca` and
+      :func:`check_nijenhuis` of each Nijenhuis algebra;
+    * t-morphism: the morphism residual of t, and t N1 = N0 t;
+    * representation: :func:`check_nij_representation` of (rho, N1);
+    * peiffer-1: the intertwining residual of t, t(rho(p)_lam m) - [p lam t m];
+    * peiffer-2: rho(t m)_lam n - [m lam n];
+    * the same lines over the deformed brackets and rho1, the action
+      deformed by (N0, N1), once the plain lines pass.
+    """
     report = Report("crossed-module")
     lower, upper, t, rho = x.lower, x.upper, x.t, x.rho
     mod0, mod1 = lower.algebra.module, upper.algebra.module
@@ -399,23 +430,19 @@ def check_crossed_module(x):
     nrep = check_nij_representation(lower, NijenhuisRep(rho, upper.n))
     report.add("representation", nrep.passed, "; ".join(nrep.lines()))
 
-    def peiffer(prefix, action, lower_alg, upper_alg):
+    def peiffer(prefix, action, upper_alg):
         """t(rho(p)_lam m) = [p lam t m] and rho(t m)_lam n = [m lam n]."""
-
-        def first(i, j):
-            p, m = mod0.basis_elem(i), mod1.basis_elem(j)
-            return t.apply(action.act(p, m)) - eval_bracket(lower_alg, p, t.apply(m))
 
         def second(i, j):
             m, n = mod1.basis_elem(i), mod1.basis_elem(j)
             return action.act(t.apply(m), n) - eval_bracket(upper_alg, m, n)
 
         pairs = product(range(mod0.rank), range(mod1.rank))
-        report.add_residuals(prefix + "peiffer-1", pairs, first)
+        report.add_residuals(prefix + "peiffer-1", pairs, _intertwining(action, t))
         pairs = product(range(mod1.rank), repeat=2)
         report.add_residuals(prefix + "peiffer-2", pairs, second)
 
-    peiffer("", rho, lower.algebra, upper.algebra)
+    peiffer("", rho, upper.algebra)
     if not report.passed:
         return report
 
@@ -435,7 +462,7 @@ def check_crossed_module(x):
         rho1.set_action(i, j, value.coords)
     r = check_representation(rho1)
     report.add("deformed-representation", r.passed, "; ".join(r.lines()))
-    peiffer("deformed-", rho1, def_lower, def_upper)
+    peiffer("deformed-", rho1, def_upper)
     return report
 
 

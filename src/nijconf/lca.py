@@ -16,7 +16,11 @@ is a conformal 2-cochain, so tables and cochains share one evaluation core
 (:func:`_evaluate`), one expansion of a stored value (:func:`_expansion`) and
 one skew-symmetry residual (:func:`_skew_residual`).  All axioms
 (skew-symmetry, Jacobi, representation identity) are checked by expanding
-these substitutions to literal polynomial identities.
+these substitutions to literal polynomial identities.  The Jacobi, the
+representation, the morphism and the intertwining residuals on basis tuples
+(:func:`_jacobi`, :func:`_representation`, :func:`_morphism`,
+:func:`_intertwining`) are each defined once: the 2-term checks of
+``homotopy`` add their homotopy corrections to them.
 """
 
 from __future__ import annotations
@@ -540,9 +544,7 @@ def check_lca(lca):
         _skew_failures(lca, _output_tuples(module.rank, 2, True))
         + _torsion_failures(lca.table, module, module),
     )
-    report.add_failures(
-        "jacobi", _jacobi_failures(lca, _output_tuples(module.rank, 3, not skew))
-    )
+    report.add_residuals("jacobi", _output_tuples(module.rank, 3, not skew), _jacobi(lca))
     return report
 
 
@@ -574,7 +576,15 @@ def _skew_residual(values, target, key, k):
 
 
 def _jacobi_failures(lca, triples):
-    """(triple, residual) of the Jacobi identity on the given basis triples.
+    """(triple, residual) of the Jacobi identity on the given basis triples."""
+    residual = _jacobi(lca)
+    return failures_of((key, residual(*key)) for key in triples)
+
+
+def _jacobi(lca):
+    """The Jacobi residual (i, j, k) -> [e_i lam [e_j mu e_k]]
+    - [e_j mu [e_i lam e_k]] - [[e_i lam e_j] lam+mu e_k] at arity 2, with
+    lam = lam1 and mu = lam2.
 
     A term whose inner bracket is zero is the zero Elem at arity 2, without
     evaluating the outer bracket against it."""
@@ -598,7 +608,7 @@ def _jacobi_failures(lca, triples):
             term3 = outer.substitute(3, lam12).shrink(2)
         return term1 - term2 - term3
 
-    return failures_of((key, residual(*key)) for key in triples)
+    return residual
 
 
 class RepTable:
@@ -655,25 +665,35 @@ def check_representation(rep):
     report.add("algebra", True)
 
     l_mod, m_mod = rep.algebra.module, rep.module
-    lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
     torsion = _torsion_failures(rep.action, l_mod, m_mod)
-
-    def residuals():
-        for i, j in _output_tuples(l_mod.rank, 2, not torsion):
-            ei, ej = l_mod.basis_elem(i), l_mod.basis_elem(j)
-            inner_ij = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
-            for k in range(m_mod.rank):
-                # rho([e_i lam e_j])_{lam+mu} m_k
-                lhs = sesqui_eval(
-                    rep.action, m_mod, inner_ij, m_mod.basis_elem(k), Poly.lam(3, 3), 3
-                )
-                lhs = lhs.substitute(3, lam12).shrink(2)
-                right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
-                right2 = rep.act(ej, rep.act_basis(i, k, slot=1, arity=2), slot=2)
-                yield (i, j, k), lhs - right1 + right2
-
-    report.add_failures("representation", failures_of(residuals()) or torsion)
+    residual = _representation(rep)
+    pairs = _output_tuples(l_mod.rank, 2, not torsion)
+    triples = [pair + (k,) for pair in pairs for k in range(m_mod.rank)]
+    report.add_failures(
+        "representation",
+        failures_of((key, residual(*key)) for key in triples) or torsion,
+    )
     return report
+
+
+def _representation(rep):
+    """The residual (i, j, k) -> rho([e_i lam e_j])_{lam+mu} m_k
+    - rho(e_i)_lam rho(e_j)_mu m_k + rho(e_j)_mu rho(e_i)_lam m_k of the
+    representation identity at arity 2, with lam = lam1 and mu = lam2."""
+    l_mod, m_mod = rep.algebra.module, rep.module
+    lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
+
+    def residual(i, j, k):
+        ei, ej, mk = l_mod.basis_elem(i), l_mod.basis_elem(j), m_mod.basis_elem(k)
+        # rho([e_i lam e_j])_{lam+mu} m_k
+        inner = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
+        lhs = sesqui_eval(rep.action, m_mod, inner, mk, Poly.lam(3, 3), 3)
+        lhs = lhs.substitute(3, lam12).shrink(2)
+        right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
+        right2 = rep.act(ej, rep.act_basis(i, k, slot=1, arity=2), slot=2)
+        return lhs - right1 + right2
+
+    return residual
 
 
 def semidirect(rep):
@@ -873,13 +893,32 @@ def check_morphism(src, dst, mapping):
     """mapping([a lam b]_src) = [mapping(a) lam mapping(b)]_dst on all pairs."""
     if mapping.source != src.module or mapping.target != dst.module:
         raise ModuleMismatchError("map endpoints do not match the algebras")
+    pairs = product(range(src.module.rank), repeat=2)
+    report = Report("morphism")
+    report.add_residuals("morphism", pairs, _morphism(src, dst, mapping))
+    return report
+
+
+def _morphism(src, dst, mapping):
+    """The residual (i, j) -> mapping([e_i lam e_j]_src)
+    - [mapping(e_i) lam mapping(e_j)]_dst of a morphism of algebras."""
     image = [mapping.apply(src.module.basis_elem(i)) for i in range(src.module.rank)]
 
     def residual(i, j):
         lhs = mapping.apply(src.bracket_basis(i, j))
         return lhs - eval_bracket(dst, image[i], image[j], slot=1)
 
-    pairs = product(range(src.module.rank), repeat=2)
-    report = Report("morphism")
-    report.add_residuals("morphism", pairs, residual)
-    return report
+    return residual
+
+
+def _intertwining(rep, mapping):
+    """The residual (i, j) -> mapping(rho(e_i)_lam m_j) - [e_i lam mapping(m_j)]
+    of a map from the module of ``rep`` into its algebra that intertwines
+    the action with the bracket."""
+    algebra, module = rep.algebra, rep.module
+
+    def residual(i, j):
+        e, m = algebra.module.basis_elem(i), module.basis_elem(j)
+        return mapping.apply(rep.act(e, m)) - eval_bracket(algebra, e, mapping.apply(m))
+
+    return residual

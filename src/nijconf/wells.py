@@ -280,11 +280,7 @@ def lift(ext, pair, eta):
     report = check_h_automorphism(ext, gamma)
     if report.passed:
         induced = induced_pair(ext, gamma)
-        report.add(
-            "induces-pair",
-            induced == pair,
-            None if induced == pair else "induced pair differs",
-        )
+        report.add("induces-pair", induced == pair, "induced pair differs")
     return report, gamma
 
 
@@ -302,11 +298,7 @@ def wells_obstruction(ext, pair, bound=None):
     first = _section_status(ext, pair, bound, ext.section)
     report.add_status("class", first)
     second = _section_status(ext, pair, bound, _second_section(ext))
-    report.add(
-        "section-independent",
-        first == second,
-        None if first == second else "%s vs %s" % (first, second),
-    )
+    report.add("section-independent", first == second, "%s vs %s" % (first, second))
     return report
 
 
@@ -348,9 +340,7 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
                 and delta.compose(ext.inc).is_zero()
             )
             report.add(
-                "kernel-%d" % n,
-                is_shear,
-                None if is_shear else "gamma induces (Id,Id) but is not a shear",
+                "kernel-%d" % n, is_shear, "gamma induces (Id,Id) but is not a shear"
             )
         else:
             report.add_status("kernel-%d" % n, PASS, "not in kernel")
@@ -364,9 +354,7 @@ def wells_sequence_check(ext, gammas, pairs, bound=None):
         report.add(
             "pair-%d" % n,
             agree,
-            None
-            if agree
-            else "obstruction %s but moved triple %s"
+            "obstruction %s but moved triple %s"
             % (status, "equivalent" if tau else "not equivalent"),
         )
     return report

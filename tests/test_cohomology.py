@@ -988,3 +988,22 @@ def test_the_bilinear_products_refuse_cochains_over_different_modules(sl2, vir):
     for product_of in products:
         assert product_of(f, h) == product_of(f, f)
         assert product_of(h, f) == product_of(f, f)
+
+
+def test_a_cochain_refuses_a_value_in_another_module(sl2, vir):
+    # stored, such a value makes the coboundary index past the module
+    f = Cochain(1, adjoint_rep(sl2))
+    with pytest.raises(ModuleMismatchError):
+        f.set_value((0,), vir.module.basis_elem(0))
+    assert f.is_zero()
+
+
+def test_a_cochain_refuses_a_key_outside_the_source_basis(sl2):
+    # stored, such a key makes a nonzero cochain with a zero coboundary
+    f = Cochain(1, adjoint_rep(sl2))
+    for key in ((7,), (3,), (-1,)):
+        with pytest.raises(ModuleMismatchError):
+            f.set_value(key, sl2.module.basis_elem(0))
+    assert f.is_zero()
+    f.set_value((2,), sl2.module.basis_elem(0))
+    assert not apply_delta(f).is_zero()

@@ -5,7 +5,7 @@ import pytest
 
 from nijconf import cli, lca
 from nijconf.errors import ModuleMismatchError
-from nijconf.homotopy import check_2term
+from nijconf.homotopy import CrossedModule, check_2term, crossed_to_strict
 from nijconf.lca import (
     FREE,
     LCA,
@@ -275,9 +275,12 @@ def test_conf_lin_map_apply_and_compose_match_dense_loops():
 
 def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     """check_lca, check_nijenhuis and check_representation evaluate every
-    bracket at a bare lam_s, which is a relabel of the stored entries; only a
-    general lambda-form, like a sum of lambdas in the identities of
-    `check_2term`, is expanded, through a `poly.Substitution`."""
+    bracket at a bare lam_s, which is a relabel of the stored entries; so
+    does `check_2term` on a skeletal structure, whose lines are these
+    residuals plus cochain terms at bare lambdas.  Only a general
+    lambda-form, like the dagger form at which L5 evaluates the mixed
+    bracket of a strict structure, is expanded, through a
+    `poly.Substitution`."""
     ws = cli.parse_workspace([CORE])
     calls = []
 
@@ -297,8 +300,15 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
         elif kind == "rep":
             check_representation(value)
     assert calls == []
-    structure = cli.parse_workspace([CORE, HOMOTOPY]).get("virskeletal")
-    check_2term(structure)
+    check_2term(cli.parse_workspace([CORE, HOMOTOPY]).get("virskeletal"))
+    assert calls == []
+    sl2p = ws.get("sl2p")
+    sl2 = sl2p.algebra
+    adjoint = RepTable(sl2, sl2.module, sl2.table)
+    identity = ConfLinMap.identity(sl2.module)
+    strict, _ = crossed_to_strict(CrossedModule(sl2p, sl2p, identity, adjoint))
+    assert not strict.d.is_zero()
+    check_2term(strict)
     assert calls
 
 

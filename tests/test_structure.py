@@ -32,6 +32,11 @@ the insertion product in the factor that is not fixed and the skew
 projection are linear and planned (``cohomology._Plan``), and the cup
 product is an insertion into its right factor's left bracket, so evaluating
 one of them tuple by tuple would be a second code path.
+``nijenhuis._deformed``, the deformed bracket, is called only by
+``nijenhuis._nijenhuis``, the one residual of the Nijenhuis identity over a
+bracket or an action, by ``nijenhuis.deformed_table``, by
+``deformation._order_residuals`` and by ``homotopy.check_crossed_module``
+for its deformed action; so no check writes that identity a second time.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -232,6 +237,36 @@ def circ_insert(J, K):
         ("cohomology", "circ_insert"),
         ("cohomology", "circ_insert"),
     ]
+
+
+_DEFORMERS = [
+    ("deformation", "_order_residuals"),
+    ("homotopy", "check_crossed_module"),
+    ("nijenhuis", "_nijenhuis"),
+    ("nijenhuis", "deformed_table"),
+]
+
+
+def test_only_the_nijenhuis_residual_and_the_deformers_deform_a_bracket():
+    assert _callers("_deformed") == _DEFORMERS
+
+
+def test_the_deformation_rule_sees_a_hand_written_nijenhuis_residual():
+    source = """
+def check_homotopy_nijenhuis(structure, op):
+    def square(i, j):
+        p, q = basis(i), basis(j)
+        lhs = t.d.apply(eval_cochain(n2, [p, q], forms, 1))
+        rhs = n0.apply(_deformed(bracket, n0, n0, n0, p, q)) - bracket(
+            n0.apply(p), n0.apply(q)
+        )
+        return lhs - rhs
+
+    return square
+"""
+    found = _callers("_deformed", [("homotopy", source)])
+    assert found == [("homotopy", "square")]
+    assert not set(found) <= set(_DEFORMERS)
 
 
 def test_only_the_map_solver_and_the_image_test_call_solve():
