@@ -61,7 +61,7 @@ from .lca import (
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
 from .poly import Poly, Substitution, dagger
-from .report import Report, failures_of, first_witness
+from .report import Report, failures_of
 
 MAX_DEGREE = 4
 # limits of the truncated solver: the cochain degree, the degree bound and
@@ -971,15 +971,9 @@ def phi_chain_check(f, n_op):
     lhs = apply_delta(phi_f, rep=deformed_rep)
     rhs = apply_delta(apply_dN(f, n_op)).scale((-1) ** (n + 2))
     diff = lhs - rhs
-    return Report("phi-chain").add("intertwine", diff.is_zero(), _cochain_witness(diff))
-
-
-def _cochain_witness(res):
-    """The least nonzero entry of a residual cochain, or None when it is zero."""
-    if res.is_zero():
-        return None
-    key = min(res.values)
-    return first_witness([(key, repr(res.values[key]))])
+    report = Report("phi-chain")
+    report.add_failures("intertwine", failures_of(diff.values.items()))
+    return report
 
 
 # ---------------------------------------------------------------------------

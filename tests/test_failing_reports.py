@@ -232,7 +232,7 @@ FAILING = {
         "H2: fail at=0,0 residual=[(del + 3*lam1 - 1)p + (-2*del*lam1 - 2*del + 1)q]",
         "H3: fail at=0,0 residual=[(del*lam1 + 2*del + 1)m]",
         "H4: fail at=0,0 residual=[(-2*del + 2)m]",
-        "H5: fail at=0,0,0 residual=[(3*del^2*lam1^2 + 4*del^2*lam1*lam2 + 2*del*lam1^3 + 7*del*lam1^2*lam2 + 2*del^2*lam1 + 5*del*lam1^2 + 8*del*lam1*lam2 - 6*del^2 + 8*del*lam1 - 16*del*lam2 + lam1^2 + 2*lam1*lam2 + 2*del + 17*lam1 - 3)m]",
+        "H5: fail at=0,0,0 residual=[(3*del^2*lam1^2 + 3*del^2*lam1*lam2 + 3*del*lam1^3 + 9*del*lam1^2*lam2 + 2*del^2*lam1 - 2*del^2*lam2 + 4*del*lam1^2 + 6*del*lam1*lam2 - 6*del^2 + 4*del*lam1 - 18*del*lam2 + 3*lam1^2 + 2*lam1*lam2 - 2*del + 9*lam1 - 5)m]",
     ],
     "homomorphism_sparse": [
         "H1: pass",

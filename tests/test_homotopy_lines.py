@@ -6,16 +6,25 @@ deformed-peiffer-1 are each a strict axiom's residual from ``lca`` or
 out again, term by term, as a test-local reference, and the whole list of
 (tuple, residual) failures the check records is compared with the
 reference's on seeded random broken structures: the pinned reports of
-``tests/test_failing_reports.py`` show only the least failing tuple.
+``tests/test_failing_reports.py`` show only the least failing tuple.  H5 is
+checked on a homomorphism with f0 != id and f2 != 0, into the target whose
+l3' its Jacobiator law forces.
 """
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
 
 from nijconf import cli
-from nijconf.cohomology import Cochain, _basis_args, act_form, eval_cochain
+from nijconf.cohomology import (
+    Cochain,
+    _basis_args,
+    act_form,
+    eval_cochain,
+    random_cochain,
+)
 from nijconf.homotopy import (
     CrossedModule,
     HomotopyNijenhuis,
@@ -299,3 +308,56 @@ def test_the_identity_is_a_homomorphism(name):
     )
     assert report.passed
     assert report.lines() == ["H%d: pass" % n for n in range(1, 6)]
+
+
+_DIAGONAL = [2, 1, Fraction(1, 2)]
+
+
+def _forced_target(src, f0, f2, on_target):
+    """A copy of ``src``, the adjoint skeletal structure, whose l3' the
+    Jacobiator law forces for the homomorphism (f0, f0, f2), f0 diagonal:
+    l3'(f0 p, f0 q, f0 r) is the sum of the f2 terms of H5.  Their inner
+    brackets [p lam r] and [p lam q] are taken in the source, as in
+    Baez-Crans, or as [f0 p lam r]' and [f0 p lam q]' when ``on_target``."""
+    dst = _adjoint_skeletal()
+    table, mod0 = src.l0.table, src.l0.module
+    la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
+    for key in product(range(mod0.rank), repeat=3):
+        p, q, r = _basis_args(mod0, key)
+        fp, fq, fr = f0.apply(p), f0.apply(q), f0.apply(r)
+        first = fp if on_target else p
+        qr = act_form(table, mod0, q, r, mu, 2)
+        pr = act_form(table, mod0, first, r, la, 2)
+        pq = act_form(table, mod0, first, q, la, 2)
+        terms = (
+            dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
+            + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
+            - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
+            - eval_cochain(f2, [q, pr], [mu, dagger(mu)], 2)
+            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - eval_cochain(f2, [pq, r], [la + mu, dagger(la + mu)], 2)
+        )
+        scale = _DIAGONAL[key[0]] * _DIAGONAL[key[1]] * _DIAGONAL[key[2]]
+        dst.l3.set_value(key, terms.scale(1 / Fraction(scale)))
+    return dst
+
+
+def test_h5_applies_f2_to_source_brackets():
+    # f0 = f1 = diag(2, 1, 1/2) is an automorphism of sl2 and of its adjoint
+    # action, so with d = 0 H1-H4 hold for every f2 and H5 forces l3'.  Forced
+    # with source brackets inside f2, l3' is skew and a 3-cocycle, so the
+    # target is a 2-term structure and (f0, f1, f2) a homomorphism into it.
+    src = _adjoint_skeletal()
+    f0 = ConfLinMap.diagonal(src.l0.module, _DIAGONAL)
+    f1 = ConfLinMap.diagonal(src.l1, _DIAGONAL)
+    f2 = random_cochain(src.rep, 2, Random(3), max_degree=1)
+    dst = _forced_target(src, f0, f2, on_target=False)
+    assert check_2term(dst).passed
+    assert check_homomorphism(src, dst, f0, f1, f2).lines() == [
+        "H%d: pass" % n for n in range(1, 6)
+    ]
+    # with the target brackets [f0 p lam r]' and [f0 p lam q]' instead, the
+    # forced l3' is neither skew nor closed
+    wrong = _forced_target(src, f0, f2, on_target=True)
+    failing = check_2term(wrong).failing().split("; ")
+    assert [line.split(":")[0] for line in failing] == ["l3-skew", "L8"]

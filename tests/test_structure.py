@@ -37,6 +37,14 @@ one of them tuple by tuple would be a second code path.
 bracket or an action, by ``nijenhuis.deformed_table``, by
 ``deformation._order_residuals`` and by ``homotopy.check_crossed_module``
 for its deformed action; so no check writes that identity a second time.
+Likewise ``lca._morphism``, the residual of a morphism of algebras, is
+called only by ``lca.check_morphism``, ``homotopy.check_homomorphism`` and
+``extension._map_residuals``, the one residual of a Nijenhuis morphism
+between extension totals, which both the tau of an equivalence and the eta
+of a lift read.  In ``extension`` and ``wells`` no other function evaluates
+a bracket by hand: ``eval_bracket`` is called only by
+``extension.extract_cocycle`` and ``act_form`` only by
+``wells.transform_cocycle``.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -267,6 +275,82 @@ def check_homotopy_nijenhuis(structure, op):
     found = _callers("_deformed", [("homotopy", source)])
     assert found == [("homotopy", "square")]
     assert not set(found) <= set(_DEFORMERS)
+
+
+def _extension_evaluators(sources=None):
+    """(name, caller) of every call of ``eval_bracket`` or ``act_form`` in
+    ``extension`` and ``wells``."""
+    return [
+        (name, caller)
+        for name in ("act_form", "eval_bracket")
+        for caller in _callers(name, sources)
+        if caller[0] in ("extension", "wells")
+    ]
+
+
+def test_one_morphism_residual_behind_tau_and_eta():
+    assert _callers("_morphism") == [
+        ("extension", "_map_residuals"),
+        ("extension", "_map_residuals"),
+        ("homotopy", "check_homomorphism"),
+        ("lca", "check_morphism"),
+    ]
+    assert _extension_evaluators() == [
+        ("act_form", ("wells", "transform_cocycle")),
+        ("eval_bracket", ("extension", "extract_cocycle")),
+        ("eval_bracket", ("extension", "extract_cocycle")),
+    ]
+
+
+def test_the_morphism_rule_sees_a_hand_written_lift_residual():
+    source = '''
+def _lift_residuals(ext, gamma):
+    """Automorphism defect of the lift gamma, split by argument type.
+
+    ``action``   -- morphism residual on (section, inclusion) pairs;
+    ``bracket``  -- morphism residual on (section, section) pairs;
+    ``operator`` -- (gamma R - R gamma) on section images.
+    With the pair itself valid, these are exactly the three lifting
+    conditions on eta.
+    """
+    total = ext.total
+    l_mod = ext.quot.algebra.module
+    h_mod = ext.sub.algebra.module
+    e_mod = total.algebra.module
+    rep = RepTable(ext.quot.algebra, e_mod)
+
+    action_res = Cochain(2, rep)
+    bracket_res = Cochain(2, rep)
+    sections = [
+        ext.section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)
+    ]
+    included = [ext.inc.apply(h_mod.basis_elem(j)) for j in range(h_mod.rank)]
+    g_sections = [gamma.apply(x) for x in sections]
+    g_included = [gamma.apply(x) for x in included]
+    for i in range(l_mod.rank):
+        for j in range(h_mod.rank):
+            residual = gamma.apply(
+                eval_bracket(total.algebra, sections[i], included[j])
+            ) - eval_bracket(total.algebra, g_sections[i], g_included[j])
+            action_res.set_value((i, j), residual)
+        for j in range(l_mod.rank):
+            residual = gamma.apply(
+                eval_bracket(total.algebra, sections[i], sections[j])
+            ) - eval_bracket(total.algebra, g_sections[i], g_sections[j])
+            bracket_res.set_value((i, j), residual)
+
+    operator_res = Cochain(1, rep)
+    defect = gamma.compose(total.n) - total.n.compose(gamma)
+    for i in range(l_mod.rank):
+        operator_res.set_value((i,), defect.apply(sections[i]))
+    return action_res, bracket_res, operator_res
+'''
+    assert _extension_evaluators([("wells", source)]) == [
+        ("eval_bracket", ("wells", "_lift_residuals")),
+        ("eval_bracket", ("wells", "_lift_residuals")),
+        ("eval_bracket", ("wells", "_lift_residuals")),
+        ("eval_bracket", ("wells", "_lift_residuals")),
+    ]
 
 
 def test_only_the_map_solver_and_the_image_test_call_solve():
