@@ -20,9 +20,11 @@ projection (`_Skew`) each build, per output tuple, a list of terms, and one
 loop (`_Plan.__call__`) maps every cochain through them.  A term takes one
 coordinate of one input value under a substitution of its degree
 (`_substitutions`), times a held polynomial that does not depend on the
-cochain mapped, into one output coordinate.  The coboundary inserts the
-bracket as the insertion inserts a fixed factor inside.  A representation
-holds the first two plans, and the fixed factor the third.  The cup
+cochain mapped, into one output coordinate.  The coboundary's bracket sum
+is the insertion of the bracket cochain inside (`_inserted`), and the
+twisted coboundary of an operator N is the plain plan over the deformed
+algebra acting through N (`_pulled_back`).  A representation holds the
+first two plans, and the fixed factor the third.  The cup
 product is an insertion too: J inserted into K's left bracket
 (`_left_bracket`), whose values are one `act_form` per stored value and
 generator.
@@ -224,10 +226,12 @@ class Cochain:
 
 
 def bracket_cochain(lca):
-    """The algebra's own bracket as a degree-2 adjoint cochain: the left
-    bracket (`_left_bracket`) of the identity 1-cochain."""
-    identity = ConfLinMap.identity(lca.module)
-    return _left_bracket(Cochain.from_map(identity, adjoint_rep(lca)))
+    """The algebra's own bracket as a degree-2 adjoint cochain: its table,
+    reduced on evaluation generators as `act_form` reduces it, which is the
+    left bracket (`_left_bracket`) of the identity 1-cochain."""
+    reduce = lca.module.reduce_coords
+    values = {key: reduce(value) for key, value in lca.table.entries.items()}
+    return Cochain(2, adjoint_rep(lca), values)
 
 
 def _left_bracket(K):
@@ -337,12 +341,13 @@ def _substitutions(degree):
     value at a shuffle block of slots: inside, with the block inserted in
     its first slot (lam_1 |-> the sum of their forms, then the other forms,
     del kept); else evaluated on the block (their forms, and del |-> -(the
-    sum of their forms)), to be inserted itself.  The coboundary's first
+    sum of their forms)), to be inserted itself.  The coboundary's action
     sum reads the ``spreads``, the blocks that omit one slot i (under the
-    dagger, -(the other forms) is del + form_i), and its second the
-    ``expansions``, each pair i < j inside, and the bracket inserted there
-    evaluated on the pair.  Evaluated on a permutation of every slot, a
-    block keeps del: it moves a value along the permutation (`_Skew`).
+    dagger, -(the other forms) is del + form_i), and its bracket sum, the
+    insertion of the bracket (`_inserted`), the ``expansions``, each pair
+    i < j inside, and the bracket inserted there evaluated on the pair.
+    Evaluated on a permutation of every slot, a block keeps del: it moves a
+    value along the permutation (`_Skew`).
     """
     arity = degree + 1
     forms = _forms(arity, arity)
@@ -476,47 +481,44 @@ class _Skew(_Plan):
 class _Coboundary(_Plan):
     """The conformal coboundary of one degree, planned once for its cochains.
 
-    With a structure operator ``n_op`` this is the twisted coboundary: the
-    actors of the first sum are N x_i and the inserted bracket is the
-    deformed one.  ``keys`` are the output tuples (every basis tuple by
-    default).  On an output tuple ``key`` the terms (see `_Plan`) are:
+    ``keys`` are the output tuples (every basis tuple by default).  On an
+    output tuple ``key`` the terms (see `_Plan`) are:
 
-    * the first sum, per slot i: coordinate b of f's value at key without
-      slot i, under the spread omitting i, times coordinate t of the actor
-      of key[i] acting on generator b at slot i's lambda, into coordinate t,
-      of sign (-1)^i;
-    * the second sum, per slots i < j: f's value at (c,) + the other slots,
-      under the expansion of (i, j), times coordinate c of the inserted
-      bracket [x_key[i] lam x_key[j]] evaluated on (i, j), which is the
-      insertion's inside factor (`_Insertion`), of sign (-1)^(i + j).
+    * the action sum, per slot i: coordinate b of f's value at key without
+      slot i, under the spread omitting i, times coordinate t of x_key[i]
+      acting on generator b at slot i's lambda, into coordinate t, of sign
+      (-1)^i;
+    * the bracket sum: the insertion of the algebra's bracket cochain inside
+      f (`_inserted`), each term's sign flipped, since the shuffle of the
+      slots i < j has sign (-1)^(i + j - 1) and the coboundary's term
+      (-1)^(i + j).
 
-    The actions and the inserted brackets are read off the tables once per
-    (slot, generator) and (slots, generators), daggered, while the plan is
-    built.  The representation holds the plan until its tables change and
-    passes itself to each call (see `_differential`); ``substitutions`` are
-    the degree's `_substitutions`, shared by its plans of that degree.
+    The actions are read off the table once per (slot, generator), daggered,
+    while the plan is built.  The twisted coboundary of an operator is this
+    plan over a pulled-back action (see `_differential`).  The
+    representation holds the plan until its tables change and passes itself
+    to each call; ``substitutions`` are the degree's `_substitutions`,
+    shared by its plans of that degree.
     """
 
-    def __init__(self, rep, degree, substitutions, n_op=None, keys=None):
+    def __init__(self, rep, degree, substitutions, keys=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
         module, target = rep.algebra.module, rep.module
         arity = degree + 1
         forms = _forms(arity, arity)
         basis = _basis_args(module, range(module.rank))
-        if n_op is None:
-            insert_table, actors = rep.algebra.table, basis
-        else:
-            insert_table = deformed_table(rep.algebra, n_op).table
-            actors = [n_op.apply(x) for x in basis]
-        self.degree, self.n_op = arity, n_op
-        final, self.spreads, expansions, block = substitutions
-        self.substitutions = dict(enumerate(self.spreads)) | expansions
-        actions, brackets = {}, {}
+        final, self.spreads, _, block = substitutions
+        inserted, brackets = _inserted(
+            bracket_cochain(rep.algebra), True, degree, block, target.rank
+        )
+        self.degree = arity
+        self.substitutions = dict(enumerate(self.spreads)) | inserted
+        actions = {}
 
         def action(i, generator):
-            """[(b, t, coordinate t of the actor of ``generator`` on b at
-            slot i's lambda)], the nonzero ones."""
+            """[(b, t, coordinate t of x_generator acting on b at slot i's
+            lambda)], the nonzero ones."""
             held = actions.get((i, generator))
             if held is None:
                 held = actions[i, generator] = []
@@ -524,28 +526,12 @@ class _Coboundary(_Plan):
                     image = act_form(
                         rep.action,
                         target,
-                        actors[generator],
+                        basis[generator],
                         target.basis_elem(b),
                         forms[i],
                         arity,
                     )
                     held += [(b, t, final(p)) for t, p in enumerate(image.coords) if p]
-            return held
-
-        def bracket(i, j, a, b):
-            """[(c, [(t, t, factor)])] per nonzero coordinate c of the
-            table's [x_a lam x_b], reduced on evaluation generators as
-            `act_form` reduces it, the factor being that coordinate
-            evaluated on the slots (i, j)."""
-            held = brackets.get((i, j, a, b))
-            if held is None:
-                evaluate = block(False, (i, j))
-                coords = module.reduce_coords(insert_table.get(a, b))
-                factors = [(c, evaluate(p)) for c, p in enumerate(coords) if p]
-                held = brackets[i, j, a, b] = [
-                    (c, [(t, t, factor) for t in range(target.rank)])
-                    for c, factor in factors
-                ]
             return held
 
         def terms(key):
@@ -554,17 +540,22 @@ class _Coboundary(_Plan):
                 coefficients = action(i, key[i])
                 if coefficients:
                     out.append((i % 2, i, key[:i] + key[i + 1 :], coefficients))
-            for i, j in combinations(range(arity), 2):
-                rest = key[:i] + key[i + 1 : j] + key[j + 1 :]
-                out += [
-                    ((i + j) % 2, (i, j), (c,) + rest, coefficients)
-                    for c, coefficients in bracket(i, j, key[i], key[j])
-                ]
-            return out
+            return out + [(not negative, *term) for negative, *term in brackets(key)]
 
         if keys is None:
             keys = _output_tuples(module.rank, arity, False)
         self._index(keys, terms)
+
+
+def _pulled_back(rep, mapping, algebra):
+    """The action of ``algebra`` on ``rep.module`` pulled back through
+    ``mapping``, a map from ``algebra``'s module to ``rep.algebra``'s: its
+    (i, j) entry is rep's action of mapping(e_i) on m_j."""
+    out = RepTable(algebra, rep.module)
+    for i, j in product(range(algebra.module.rank), range(rep.module.rank)):
+        x = mapping.apply(algebra.module.basis_elem(i))
+        out.set_action(i, j, rep.act(x, rep.module.basis_elem(j)).coords)
+    return out
 
 
 def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
@@ -573,12 +564,14 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
     composed with the plain one (``n_m`` defaults to ``n_op``, which gives
     d_N), on the non-decreasing output tuples when ``sorted_only``.
 
-    The one lookup of coboundary plans: ``rep._plans`` holds one per
-    (degree, twisted, sorted_only), stamped with the bracket and action
-    tables' stamps, and builds it again when they change or a twisted one
-    is asked for another operator object (a ``ConfLinMap`` never changes).
-    Under ``degree`` it holds the `_substitutions` its plans of that degree
-    share (see `_shared_substitutions`).
+    The twisted coboundary is the plain plan over the deformed algebra
+    acting through N (`_pulled_back`): N x acts, and the deformed bracket
+    [.,.]_N is inserted.  The one lookup of coboundary plans: ``rep._plans``
+    holds one per (degree, twisted, sorted_only), stamped with the bracket
+    and action tables' stamps, and builds it again when they change or a
+    twisted one is asked for another operator object (a ``ConfLinMap``
+    never changes).  Under ``degree`` it holds the `_substitutions` its
+    plans of that degree share (see `_shared_substitutions`).
     """
     plans = rep._plans
     stamp = rep.algebra.table.stamp + rep.action.stamp
@@ -589,8 +582,12 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
         if held is None or held.stamp != stamp or held.n_op is not operator:
             keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
             substitutions = _shared_substitutions(rep, degree)
-            held = plans[slot] = _Coboundary(rep, degree, substitutions, operator, keys)
-            held.stamp = stamp
+            over = rep
+            if operator is not None:
+                deformed = deformed_table(rep.algebra, operator)
+                over = _pulled_back(rep, operator, deformed)
+            held = plans[slot] = _Coboundary(over, degree, substitutions, keys)
+            held.stamp, held.n_op = stamp, operator
         return held
 
     plain = plan(None)
@@ -640,15 +637,15 @@ def _require_factors(J, K):
         raise ModuleMismatchError("cochains are over different modules")
 
 
-class _Insertion(_Plan):
-    """The insertion product with one cochain J fixed, planned once for the
-    cochains K of one degree.
+def _inserted(J, inside, degree, block, rank):
+    """The substitutions and the terms (see `_Plan`) of the insertion of a
+    fixed cochain J into the cochains K of ``degree``, J outside or
+    ``inside``; ``rank`` is the coordinate count of K's values.
 
-    Both K |-> circ_insert(J, K) (J outside) and K |-> circ_insert(K, J)
-    (J ``inside``) are linear in K.  On an output tuple ``key`` each is a
-    signed sum over the shuffle blocks b of the inner factor, of products
-    of a factor read off J and a coordinate of K's value; its terms (see
-    `_Plan`) have the slot b:
+    On an output tuple ``key`` the insertion is a signed sum over the
+    shuffle blocks b of the inner factor, of products of a factor read off
+    J and a coordinate of K's value; ``terms(key)`` lists them with the
+    slot b:
 
     * J outside: coordinate c of K's value at key[b], evaluated on b, times
       J's value at (c,) + key[rest] with b inserted in its first slot;
@@ -657,54 +654,63 @@ class _Insertion(_Plan):
 
     Both substitutions of b depend only on the degree (`_substitutions`'
     ``block``, the dagger included), so the factors are held at the final
-    arity.  The plan holds neither J nor a representation (see
-    `_insertion`).
+    arity.  The insertion plan and the coboundary's bracket sum read it.
+    """
+    total = J.degree + degree - 1
+    shuffles = list(_shuffles(total, J.degree if inside else degree))
+    # K's values are substituted on the side opposite J's
+    substitutions = {b: block(inside, b) for _, b, _ in shuffles}
+    # (b, a tuple of J) -> the coefficients of J's value there under b:
+    # inside, (c, [(t, t, factor)]) per coordinate c, the factor of every
+    # coordinate t of K's value at (c,) + key[rest]; outside, the
+    # [(c, t, factor)] of coordinate c of K's value at key[b]
+    held = {}
+    for _, b, _ in shuffles:
+        substitution = block(not inside, b)
+        for source, value in J.values.items():
+            images = [(t, substitution(p)) for t, p in enumerate(value.coords) if p]
+            factors = [(t, factor) for t, factor in images if factor]
+            if inside:
+                held[b, source] = [
+                    (c, [(t, t, factor) for t in range(rank)]) for c, factor in factors
+                ]
+            elif factors:
+                held[b, source] = [(source[0], t, factor) for t, factor in factors]
+
+    def terms(key):
+        out = []
+        for sign, b, rest in shuffles:
+            inner = tuple(key[k] for k in b)
+            outer = tuple(key[k] for k in rest)
+            if inside:
+                out += [
+                    (sign < 0, b, (c,) + outer, coefficients)
+                    for c, coefficients in held.get((b, inner), ())
+                ]
+            else:
+                out += [
+                    (sign < 0, b, inner, held[b, (c,) + outer])
+                    for c in range(rank)
+                    if (b, (c,) + outer) in held
+                ]
+        return out
+
+    return substitutions, terms
+
+
+class _Insertion(_Plan):
+    """The insertion product with one cochain J fixed, planned once for the
+    cochains K of one degree.
+
+    Both K |-> circ_insert(J, K) (J outside) and K |-> circ_insert(K, J)
+    (J ``inside``) are linear in K; their terms are `_inserted`'s.  The
+    plan holds neither J nor a representation (see `_insertion`).
     """
 
     def __init__(self, J, inside, degree, block):
-        total = J.degree + degree - 1
-        rank = J.target.rank
-        shuffles = list(_shuffles(total, J.degree if inside else degree))
-        self.degree = total
-        # K's values are substituted on the side opposite J's
-        self.substitutions = {b: block(inside, b) for _, b, _ in shuffles}
-        # (b, a tuple of J) -> the coefficients of J's value there under b:
-        # inside, (c, [(t, t, factor)]) per coordinate c, the factor of
-        # every coordinate t of K's value at (c,) + key[rest]; outside, the
-        # [(c, t, factor)] of coordinate c of K's value at key[b]
-        held = {}
-        for _, b, _ in shuffles:
-            substitution = block(not inside, b)
-            for source, value in J.values.items():
-                images = [(t, substitution(p)) for t, p in enumerate(value.coords) if p]
-                factors = [(t, factor) for t, factor in images if factor]
-                if inside:
-                    held[b, source] = [
-                        (c, [(t, t, factor) for t in range(rank)])
-                        for c, factor in factors
-                    ]
-                elif factors:
-                    held[b, source] = [(source[0], t, factor) for t, factor in factors]
-
-        def terms(key):
-            out = []
-            for sign, b, rest in shuffles:
-                inner = tuple(key[k] for k in b)
-                outer = tuple(key[k] for k in rest)
-                if inside:
-                    out += [
-                        (sign < 0, b, (c,) + outer, coefficients)
-                        for c, coefficients in held.get((b, inner), ())
-                    ]
-                else:
-                    out += [
-                        (sign < 0, b, inner, held[b, (c,) + outer])
-                        for c in range(rank)
-                        if (b, (c,) + outer) in held
-                    ]
-            return out
-
-        self._index(_output_tuples(J.source.module.rank, total, False), terms)
+        self.degree = J.degree + degree - 1
+        self.substitutions, terms = _inserted(J, inside, degree, block, J.target.rank)
+        self._index(_output_tuples(J.source.module.rank, self.degree, False), terms)
 
 
 def _insertion(J, inside, K):

@@ -214,8 +214,12 @@ def _candidate_total(cocycle, quot, sub):
     [(p,h) lam (q,k)] = ([p lam q], rho(p)_lam k - rho(q)_{-del-lam} h
     + chi_lam(p,q) + [h lam k]);  R(p,h) = (N p, Q h + Phi p).
     No axiom is assumed: the result is raw material for the checks below.
+    A triple whose rho is not an action of the quotient on the kernel's
+    module is refused.
     """
     l_alg, h_alg = quot.algebra, sub.algebra
+    if cocycle.rho.algebra != l_alg or cocycle.rho.module != h_alg.module:
+        raise ModuleMismatchError("rho must act by the quotient on the kernel's module")
     rank_l, rank_h = l_alg.module.rank, h_alg.module.rank
     total = sum_algebra(l_alg, cocycle.rho, h_alg.table, cocycle.chi)
     total_mod = total.module

@@ -294,6 +294,43 @@ def test_extension_operator_must_be_linear_on_torsion(tmp_path):
     ) % ws)
 
 
+# a rank-1 trivial algebra on a module other than core.ws's triv0
+DTRIV_WS = (
+    "module triv1\n  basis d\n  del 0\n\n"
+    "map idd source triv1 target triv1\n  row 1\n\n"
+    "algebra dtriv module triv1\n\n"
+    "nijenhuis dtrivid algebra dtriv operator idd\n"
+)
+OFF_TRIPLE = "rho must act by the quotient on the kernel's module"
+
+
+@pytest.mark.parametrize("verb", ["check", "extend"])
+@pytest.mark.parametrize("quot,sub", [("virid", "ctrivid"), ("sl2id", "dtrivid")])
+def test_a_triple_over_another_quotient_or_kernel_is_an_error(
+    tmp_path, verb, quot, sub
+):
+    # km's rho is sl2 acting on triv0: check passed every line and exited 0,
+    # and extend failed only its roundtrip
+    ws = tmp_path / "dtriv.ws"
+    ws.write_text(DTRIV_WS)
+    code, out, _ = run_cli(
+        "-f", CORE, "-f", str(ws), verb, "km", "--quot", quot, "--sub", sub
+    )
+    assert (code, out) == (1, "\n".join([
+        "command: %s km" % verb,
+        "status: error",
+        "diagnostic: " + OFF_TRIPLE,
+    ]) + "\n")
+
+
+def test_an_extension_block_over_another_kernel_exits_two(tmp_path):
+    ws = tmp_path / "dtriv.ws"
+    ws.write_text(DTRIV_WS + "\nextension bad cocycle km quot sl2id sub dtrivid\n")
+    code, out, _ = run_cli("-f", CORE, "-f", str(ws), "check", "bad")
+    diagnostic = "diagnostic: %s:12:1: %s" % (ws, OFF_TRIPLE)
+    assert (code, out.splitlines()[-1]) == (2, diagnostic)
+
+
 REP_WS = "module m\n  basis a\n\nalgebra g module m\n\nrep r algebra g module m\n\n"
 
 

@@ -19,6 +19,7 @@ from nijconf.cohomology import (
     _comparison,
     _differential,
     _insertion,
+    _pulled_back,
     _substitutions,
     CochainPair,
     adjoint_rep,
@@ -651,7 +652,8 @@ def _fresh(rep, degree, n_op=None, n_m=None, sorted_only=False):
     plain = _Coboundary(rep, degree, _substitutions(degree), keys=keys)
     if n_op is None:
         return lambda f: plain(f, rep)
-    twisted = _Coboundary(rep, degree, _substitutions(degree), n_op, keys)
+    pulled = _pulled_back(rep, n_op, deformed_table(rep.algebra, n_op))
+    twisted = _Coboundary(pulled, degree, _substitutions(degree), keys)
     n_m = n_op if n_m is None else n_m
     return lambda f: twisted(f, rep) - plain(f, rep).map_target(n_m)
 

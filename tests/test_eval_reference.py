@@ -40,6 +40,7 @@ from nijconf.cohomology import (
     _Coboundary,
     _differential,
     _insertion,
+    _pulled_back,
     _substitutions,
     adjoint_rep,
     apply_delta,
@@ -288,7 +289,8 @@ def test_coboundaries_match_the_per_cochain_reference(case):
             for keys, sorted_only in _key_subsets(algebra.module.rank, degree + 1, rng):
                 delta = _Coboundary(rep, degree, _substitutions(degree), keys=keys)(f, rep)
                 assert delta == reference_eval.apply_delta(f, keys=keys)
-                twisted = _Coboundary(rep, degree, _substitutions(degree), n_op, keys)
+                pulled = _pulled_back(rep, n_op, deformed)
+                twisted = _Coboundary(pulled, degree, _substitutions(degree), keys)
                 assert twisted(f, rep) == reference_eval.apply_delta(
                     f, twist=n_op, insert_table=deformed.table, keys=keys
                 )
@@ -328,7 +330,8 @@ def test_one_plan_maps_every_cochain_like_the_reference(case):
 
         def plans():
             plain = _Coboundary(rep, degree, _substitutions(degree))
-            twisted = _Coboundary(rep, degree, _substitutions(degree), n_op)
+            pulled = _pulled_back(rep, n_op, deformed_table(rep.algebra, n_op))
+            twisted = _Coboundary(pulled, degree, _substitutions(degree))
             return (
                 lambda f: plain(f, rep),
                 lambda f: twisted(f, rep),

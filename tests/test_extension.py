@@ -5,7 +5,7 @@ import pytest
 
 from nijconf import cli
 from nijconf.cohomology import Cochain
-from nijconf.errors import PreconditionError, UnsupportedModeError
+from nijconf.errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
 from nijconf.extension import (
     ExtensionData,
     NonAbelianCocycle,
@@ -13,6 +13,7 @@ from nijconf.extension import (
     check_extension,
     check_extension_equivalence,
     check_nonabelian_cocycle,
+    checked_extension,
     cocycle_equivalence,
     extract_cocycle,
     shear_map,
@@ -288,3 +289,18 @@ def test_equivalence_is_solved_on_a_kernel_of_higher_rank():
     report, tau = cocycle_equivalence(cocycle, cocycle, quot, sub)
     assert report.lines() == ["solve: pass"]
     assert tau == ConfLinMap.zero(quot.algebra.module, sub.algebra.module)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_nonabelian_cocycle,
+        checked_extension,
+        lambda c, quot, sub: cocycle_equivalence(c, c, quot, sub),
+    ],
+    ids=["cocycle", "extension", "equivalence"],
+)
+def test_a_triple_over_another_quotient_is_refused(c_km, vir_id, c_triv, check):
+    # km's rho is an action of sl2, not of vir
+    with pytest.raises(ModuleMismatchError, match="rho must act by the quotient"):
+        check(c_km, vir_id, c_triv)

@@ -228,13 +228,15 @@ FAILING = {
         "peiffer-2: fail at=0,0 residual=[(2*del + 4)e + (4*lam1 - 4)h + (2*lam1 - 4)f]",
     ],
     "homomorphism": [
+        "f2-skew: fail at=0,0,0 residual=[(del^2 - 4)m]",
         "H1: fail chain maps do not commute",
         "H2: fail at=0,0 residual=[(del + 3*lam1 - 1)p + (-2*del*lam1 - 2*del + 1)q]",
         "H3: fail at=0,0 residual=[(del*lam1 + 2*del + 1)m]",
         "H4: fail at=0,0 residual=[(-2*del + 2)m]",
-        "H5: fail at=0,0,0 residual=[(3*del^2*lam1^2 + 3*del^2*lam1*lam2 + 3*del*lam1^3 + 9*del*lam1^2*lam2 + 2*del^2*lam1 - 2*del^2*lam2 + 4*del*lam1^2 + 6*del*lam1*lam2 - 6*del^2 + 4*del*lam1 - 18*del*lam2 + 3*lam1^2 + 2*lam1*lam2 - 2*del + 9*lam1 - 5)m]",
+        "H5: fail at=0,0,0 residual=[(3*del^2*lam1^2 + 3*del^2*lam1*lam2 + 3*del*lam1^3 + 9*del*lam1^2*lam2 + 4*del^2*lam1 - 4*del^2*lam2 + 4*del*lam1^2 + 6*del*lam1*lam2 - 6*del^2 + 5*del*lam1 - 19*del*lam2 + 3*lam1^2 + 2*lam1*lam2 - 2*del + lam1 + 8*lam2 - 5)m]",
     ],
     "homomorphism_sparse": [
+        "f2-skew: fail at=1,2,0 residual=[(-del - lam1)z]",
         "H1: pass",
         "H2: pass",
         "H3: fail at=0,2 residual=[(-1)y]",

@@ -7,8 +7,10 @@ out again, term by term, as a test-local reference, and the whole list of
 (tuple, residual) failures the check records is compared with the
 reference's on seeded random broken structures: the pinned reports of
 ``tests/test_failing_reports.py`` show only the least failing tuple.  H5 is
-checked on a homomorphism with f0 != id and f2 != 0, into the target whose
-l3' its Jacobiator law forces.
+delta(f2) over the action pulled back through f0; its reference writes out
+the six f2 terms of the Jacobiator law, which equal delta(f2) on a skew f2.
+H5 is also checked on a homomorphism with f0 != id and f2 != 0, into the
+target whose l3' its Jacobiator law forces.
 """
 
 from fractions import Fraction
@@ -36,9 +38,11 @@ from nijconf.homotopy import (
     crossed_to_strict,
 )
 from nijconf.lca import (
+    LCA,
     ConfLinMap,
     FreeModule,
     RepTable,
+    StructureTable,
     _torsion_failures,
     eval_bracket,
 )
@@ -137,6 +141,36 @@ def _reference_h2(src, dst, f0, f2):
 
     pairs = product(range(src.l0.module.rank), repeat=2)
     return failures_of((key, h2(*key)) for key in pairs)
+
+
+def _reference_h5(src, dst, f0, f1, f2):
+    """H5 with the six f2 terms of the Jacobiator law written out, f2 taking
+    the source brackets; on a skew f2 they are delta(f2)."""
+    mod0 = src.l0.module
+    la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
+    forms = [la, mu, dagger(la + mu)]
+
+    def h5(*key):
+        p, q, r = _basis_args(mod0, key)
+        fp, fq, fr = f0.apply(p), f0.apply(q), f0.apply(r)
+        lhs = eval_cochain(dst.l3, [fp, fq, fr], forms, 2) - f1.apply(
+            eval_cochain(src.l3, [p, q, r], forms, 2)
+        )
+        qr = _bracket0(src, q, r, mu, 2)
+        pr = _bracket0(src, p, r, la, 2)
+        pq = _bracket0(src, p, q, la, 2)
+        rhs = (
+            dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
+            + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
+            - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
+            - eval_cochain(f2, [q, pr], [mu, dagger(mu)], 2)
+            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - eval_cochain(f2, [pq, r], [la + mu, forms[2]], 2)
+        )
+        return lhs - rhs
+
+    triples = product(range(mod0.rank), repeat=3)
+    return failures_of((key, h5(*key)) for key in triples)
 
 
 def _deformed(bracket, n_a, n_b, n_out, a, b):
@@ -238,6 +272,34 @@ def test_h2_lists_every_failure_of_the_reference(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_h5_lists_every_failure_of_the_reference(monkeypatch, seed):
+    # targets with the adjoint action at even seeds, a random one at odd
+    src, dst = _sl2_2term(seed), _sl2_2term(seed + 2)
+    rng = Random(seed)
+    f0 = _map(rng, src.l0.module, dst.l0.module)
+    f1 = _map(rng, src.l1, dst.l1)
+    f2 = random_cochain(dst.rep, 2, rng, max_degree=1)
+    lines = _recorded(monkeypatch, check_homomorphism, src, dst, f0, f1, f2)
+    expected = _reference_h5(src, dst, f0, f1, f2)
+    assert expected
+    assert lines["H5"] == expected
+
+
+def test_a_non_skew_f2_fails_f2_skew():
+    # an abelian L0 acting trivially on L1, d = 0: every f2 term of H1-H5
+    # vanishes, so a non-skew f2 passed every line
+    l0, l1 = LCA(FreeModule(["a"])), FreeModule(["m"])
+    d = ConfLinMap.zero(l1, l0.module)
+    t = TwoTermConformal(l0, l1, d, StructureTable(1, 1, 1))
+    f2 = Cochain(2, t.rep)
+    f2.set_value((0, 0), [Poly.lam(1, 1)])
+    identities = ConfLinMap.identity(l0.module), ConfLinMap.identity(l1)
+    assert check_homomorphism(t, t, *identities, f2).lines() == [
+        "f2-skew: fail at=0,0,0 residual=[(-del)m]",
+    ] + ["H%d: pass" % n for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_defect_lines_list_every_failure_of_the_reference(monkeypatch, seed):
     rng = Random(seed)
 
@@ -307,7 +369,7 @@ def test_the_identity_is_a_homomorphism(name):
         Cochain.zero(2, structure.rep),
     )
     assert report.passed
-    assert report.lines() == ["H%d: pass" % n for n in range(1, 6)]
+    assert report.lines() == ["f2-skew: pass"] + ["H%d: pass" % n for n in range(1, 6)]
 
 
 _DIAGONAL = [2, 1, Fraction(1, 2)]
@@ -354,8 +416,8 @@ def test_h5_applies_f2_to_source_brackets():
     dst = _forced_target(src, f0, f2, on_target=False)
     assert check_2term(dst).passed
     assert check_homomorphism(src, dst, f0, f1, f2).lines() == [
-        "H%d: pass" % n for n in range(1, 6)
-    ]
+        "f2-skew: pass"
+    ] + ["H%d: pass" % n for n in range(1, 6)]
     # with the target brackets [f0 p lam r]' and [f0 p lam q]' instead, the
     # forced l3' is neither skew nor closed
     wrong = _forced_target(src, f0, f2, on_target=True)

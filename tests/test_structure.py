@@ -18,9 +18,14 @@ solver keeps a slice of its own.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
 equivalence and the eta of a lift), and from ``cohomology.image_contains``.
 Tables and cochains share one evaluator: ``_Lifted(`` is called only by
-``lca._evaluate``, the evaluation core; the coboundary plan reads its
-inserted bracket off the table under a block substitution, as the
-insertion plan does a fixed factor.  The linear maps of cochains share one
+``lca._evaluate``, the evaluation core.  One coboundary formula: the
+coboundary plan's bracket sum is the insertion of the bracket cochain, so
+``cohomology._inserted`` is called only by ``_Insertion.__init__`` and
+``_Coboundary.__init__``; ``_Coboundary.__init__`` takes no operator, and
+the twisted coboundary and H5 are that plan over a pulled-back action, so
+``cohomology._pulled_back`` is called only by ``_differential`` and
+``homotopy.check_homomorphism``, and in ``homotopy`` only
+``TwoTermConformal.act`` calls ``act_form``.  The linear maps of cochains share one
 mapping loop: among ``cohomology._Plan`` and its subclasses only ``_Plan``
 defines ``__call__``, and the coboundary, xi and the insertion only build
 terms for it, as does the skew projection.  Outside ``poly.py``, a
@@ -124,6 +129,81 @@ def _callers(name, sources=None):
                 )
                 found.append((module, owner.name if owner else None))
     return sorted(found)
+
+
+def _owners(name, sources=None):
+    """(module, owner) of every call of ``name``, in the package or in the
+    (module, source text) pairs ``sources``: the owner is the dotted path of
+    the classes and functions around the call."""
+    found = []
+
+    def visit(module, node, path):
+        for child in ast.iter_child_nodes(node):
+            if _calls(child, name):
+                found.append((module, ".".join(path)))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(module, child, path + (child.name,) if named else path)
+
+    for module, source in _sources() if sources is None else sources:
+        visit(module, ast.parse(source), ())
+    return sorted(found)
+
+
+def _homotopy_actors(sources=None):
+    """The owners of every call of ``act_form`` in ``homotopy``."""
+    return [
+        owner for module, owner in _owners("act_form", sources) if module == "homotopy"
+    ]
+
+
+def test_one_coboundary_formula():
+    assert _owners("_inserted") == [
+        ("cohomology", "_Coboundary.__init__"),
+        ("cohomology", "_Insertion.__init__"),
+    ]
+    assert _owners("_pulled_back") == [
+        ("cohomology", "_differential.plan"),
+        ("homotopy", "check_homomorphism"),
+    ]
+    tree = ast.parse(dict(_sources())["cohomology"])
+    init = next(
+        item
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_Coboundary"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    )
+    assert [arg.arg for arg in init.args.args] == [
+        "self", "rep", "degree", "substitutions", "keys"
+    ]
+    assert _homotopy_actors() == ["TwoTermConformal.act"]
+
+
+def test_the_coboundary_rule_sees_a_hand_written_h5():
+    source = """
+def check_homomorphism(src, dst, f0, f1, f2):
+    def h5(*key):
+        p, q, r = _basis_args(mod0, key)
+        fp, fq, fr = f0.apply(p), f0.apply(q), f0.apply(r)
+        lhs = eval_cochain(dst.l3, [fp, fq, fr], forms, 2) - f1.apply(
+            eval_cochain(src.l3, [p, q, r], forms, 2)
+        )
+        qr = act_form(src0.table, src0.module, q, r, mu, 2)
+        pr = act_form(src0.table, src0.module, p, r, la, 2)
+        pq = act_form(src0.table, src0.module, p, q, la, 2)
+        rhs = (
+            dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
+            + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
+            - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
+            - eval_cochain(f2, [q, pr], [mu, dagger(mu)], 2)
+            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - eval_cochain(f2, [pq, r], [la + mu, forms[2]], 2)
+        )
+        return lhs - rhs
+
+    report.add_residuals("H5", product(range(mod0.rank), repeat=3), h5)
+"""
+    assert _homotopy_actors([("homotopy", source)]) == ["check_homomorphism.h5"] * 3
 
 
 def test_only_the_slice_builder_calls_cochain_space():
