@@ -28,6 +28,16 @@ first two plans, and the fixed factor the third.  The cup
 product is an insertion too: J inserted into K's left bracket
 (`_left_bracket`), whose values are one `act_form` per stored value and
 generator.
+The public operators -- delta, d_N, d_{N,M} (so d_NL), xi and the NR
+bracket -- evaluate one tuple per permutation orbit when the image of their
+input is skew (`_mapped`): the algebra has rank >= 2, the tables and the
+operators keep skew cochains skew (`_sorted_outputs`, the precondition the
+solver's sorted slices share; the NR bracket asks for a module without
+torsion), and the input passes an exact skew test (`_is_skew`).  The plans
+then map onto the non-decreasing tuples only, and `_Orbit` fills every
+other tuple from its sorted one by the block of its sorting permutation.
+Any other input is mapped on every tuple, and those plans are built only
+when such an input arrives; both paths give the same cochain.
 Working values keep a free temporary lambda for the last argument which is
 eliminated at the very end by the dagger substitution.
 
@@ -59,6 +69,8 @@ from .lca import (
     _relabeling,
     _skew_residual,
     _sorted_tuples_suffice,
+    _torsion_failures,
+    _torsion_mixing,
 )
 from .lca import sesqui_eval as act_form
 from .nijenhuis import deformed_table
@@ -90,12 +102,13 @@ class Cochain:
     by the coboundary map.  Values are stored sparsely; skew-symmetry is a
     checked property (see :func:`check_cochain_skew`), not a storage
     invariant.  A cochain holds the plans of its insertion products in
-    ``_plans`` (see `_insertion`); `set_value`, the one writer of
-    ``values``, drops them.
+    ``_plans`` (see `_insertion`), and the answer of its skew test in
+    ``_skew`` (see `_is_skew`); `set_value`, the one writer of ``values``,
+    drops them.
     """
 
-    # None until a plan is held, so a cochain without plans stores nothing
-    _plans = None
+    # None until a plan or an answer is held, so a cochain stores nothing
+    _plans = _skew = None
 
     def __init__(self, degree, rep, values=None):
         if not 0 <= degree <= MAX_DEGREE:
@@ -164,8 +177,8 @@ class Cochain:
         elif value.module is not self.target and value.module != self.target:
             raise ModuleMismatchError("value is not in the coefficient module")
         value = value.with_arity(self.value_arity)
-        if self._plans is not None:
-            self._plans = None
+        if self._plans is not None or self._skew is not None:
+            self._plans = self._skew = None
         if value.is_zero():
             self.values.pop(key, None)
         else:
@@ -309,10 +322,13 @@ def check_cochain_skew(f):
 
 
 def skew_symmetrize(f):
-    """Project a cochain table onto its conformal skew-symmetric part (`_Skew`)."""
+    """Project a cochain table onto its conformal skew-symmetric part
+    (`_Skew`), which holds that it is skew (see `_is_skew`)."""
     if f.degree <= 1:
         return f
-    return _Skew(f.rep, f.degree)(f, f.rep)
+    out = _Skew(f.rep, f.degree)(f, f.rep)
+    out._skew = True
+    return out
 
 
 def _perm_sign(perm):
@@ -334,8 +350,8 @@ def _shuffles(total, size):
 
 
 def _substitutions(degree):
-    """(dagger, spreads, expansions, block) at working arity degree + 1,
-    each substitution into a stored value then daggered.
+    """(dagger, spreads, block) at working arity degree + 1, each
+    substitution into a stored value then daggered.
 
     ``block(inside, slots)``, built when first asked for and kept, reads a
     value at a shuffle block of slots: inside, with the block inserted in
@@ -344,10 +360,10 @@ def _substitutions(degree):
     sum of their forms)), to be inserted itself.  The coboundary's action
     sum reads the ``spreads``, the blocks that omit one slot i (under the
     dagger, -(the other forms) is del + form_i), and its bracket sum, the
-    insertion of the bracket (`_inserted`), the ``expansions``, each pair
-    i < j inside, and the bracket inserted there evaluated on the pair.
-    Evaluated on a permutation of every slot, a block keeps del: it moves a
-    value along the permutation (`_Skew`).
+    insertion of the bracket (`_inserted`), each pair i < j inside, and the
+    bracket inserted there evaluated on the pair.  Evaluated on a
+    permutation of every slot, a block keeps del: it moves a value along the
+    permutation (`_Skew`, `_Orbit`).
     """
     arity = degree + 1
     forms = _forms(arity, arity)
@@ -375,8 +391,7 @@ def _substitutions(degree):
     spreads = [
         block(False, tuple(k for k in range(arity) if k != i)) for i in range(arity)
     ]
-    expansions = {pair: block(True, pair) for pair in combinations(range(arity), 2)}
-    return final, spreads, expansions, block
+    return final, spreads, block
 
 
 def _shared_substitutions(rep, degree):
@@ -398,11 +413,12 @@ class _Plan:
     ``self.substitutions[slot]``, times the held ``factor``, goes into
     output coordinate t, with a minus sign when ``negative``.  The
     coboundary `_Coboundary`, the comparison map `_Xi`, the insertion
-    `_Insertion` and the skew projection `_Skew` are the four kinds; each
-    only builds its terms (see `_index`), and `__call__` is the one mapping
-    loop.  ``degree`` is the output degree.  A representation holds its
-    plans in ``_plans``, and a cochain its insertion plans; a plan holds
-    neither, so dropping the owner frees its plans at once.
+    `_Insertion`, the skew projection `_Skew` and the orbit fill `_Orbit`
+    are the five kinds; each only builds its terms (see `_index`), and
+    `__call__` is the one mapping loop.  ``degree`` is the output degree.
+    A representation holds its plans in ``_plans``, and a cochain its
+    insertion plans; a plan holds neither, so dropping the owner frees its
+    plans at once.
     """
 
     def _index(self, keys, terms_of):
@@ -416,16 +432,18 @@ class _Plan:
             for source in {source for _, _, source, _ in terms}:
                 self.readers.setdefault(source, []).append(index)
 
-    def __call__(self, f, rep):
+    def __call__(self, f, rep, out=None):
         """The image of ``f``, as a cochain over ``rep``, evaluated on the
-        outputs that f's support reaches; the others are zero.
+        outputs that f's support reaches; the others are zero.  It is
+        written into ``out`` when given, whose values on the outputs no term
+        may read (see `_filled`).
 
         Each value of f that a term reads is substituted once per slot, and
         each output coordinate is one `Poly.sum_of_products` of the held
         factors and those images.
         """
         values = f.values
-        out = Cochain(self.degree, rep)
+        out = Cochain(self.degree, rep) if out is None else out
         arity, rank = out.value_arity, rep.module.rank
         # f's value at an input tuple, substituted for a slot
         inners = {}
@@ -462,7 +480,7 @@ class _Skew(_Plan):
     ``rep`` holds for degree n - 1, times 1/n!, on every coordinate."""
 
     def __init__(self, rep, degree):
-        block = _shared_substitutions(rep, degree - 1)[3]
+        block = _shared_substitutions(rep, degree - 1)[2]
         perms = [(_perm_sign(p) < 0, p) for p in permutations(range(degree))]
         norm = Poly.const(Fraction(1, factorial(degree)), degree - 1)
         coefficients = [(t, t, norm) for t in range(rep.module.rank)]
@@ -476,6 +494,32 @@ class _Skew(_Plan):
             ]
 
         self._index(_output_tuples(rep.algebra.module.rank, degree, False), terms)
+
+
+class _Orbit(_Plan):
+    """The orbit fill of a degree n >= 2: from a cochain's values on the
+    non-decreasing tuples, the values on every other tuple of the skew
+    cochain that agrees with it there.  A representation holds one per
+    degree (see `_filled`).
+
+    A skew cochain's value on a tuple u is sign(p) times its value at the
+    sorted tuple u[p[0]], .., u[p[n-1]] under the block of p (as in
+    `_Skew`), for the stable sorting permutation p of u; that is u's one
+    term (see `_Plan`), on every coordinate.
+    """
+
+    def __init__(self, rep, degree):
+        block = _shared_substitutions(rep, degree - 1)[2]
+        coefficients = [(t, t, Poly.one(degree - 1)) for t in range(rep.module.rank)]
+        self.degree = degree
+        self.substitutions = {p: block(False, p) for p in permutations(range(degree))}
+
+        def terms(key):
+            p = tuple(sorted(range(degree), key=key.__getitem__))
+            return [(_perm_sign(p) < 0, p, tuple(key[k] for k in p), coefficients)]
+
+        keys = _output_tuples(rep.algebra.module.rank, degree, False)
+        self._index([key for key in keys if list(key) != sorted(key)], terms)
 
 
 class _Coboundary(_Plan):
@@ -508,7 +552,7 @@ class _Coboundary(_Plan):
         arity = degree + 1
         forms = _forms(arity, arity)
         basis = _basis_args(module, range(module.rank))
-        final, self.spreads, _, block = substitutions
+        final, self.spreads, block = substitutions
         inserted, brackets = _inserted(
             bracket_cochain(rep.algebra), True, degree, block, target.rank
         )
@@ -598,13 +642,79 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
     return lambda f: twisted(f, rep) - plain(f, rep).map_target(n_m)
 
 
+def _sorted_outputs(rep, n_op=None, n_m=None):
+    """Whether the images of skew cochains over ``rep`` are skew, so that
+    they may be evaluated on the non-decreasing output tuples only: the one
+    precondition of the solver's sorted slices and of orbit evaluation
+    (`_mapped`).
+
+    The bracket must be conformally skew with inert torsion, and ``n_op``
+    mix no torsion (`lca._sorted_tuples_suffice`); the action must act on
+    no torsion generator (`lca._torsion_failures`), and ``n_m`` mix no
+    torsion either.  An action on a torsion generator, which sesquilinearity
+    forbids, makes delta of a skew cochain fail the skew check.
+    ``rep._plans`` holds the verdict on the tables, stamped with their
+    stamps; the operators are read on each call.
+    """
+    stamp = rep.algebra.table.stamp + rep.action.stamp
+    held = rep._plans.get("sorted")
+    if held is None or held[0] != stamp:
+        verdict = _sorted_tuples_suffice(rep.algebra) and not _torsion_failures(
+            rep.action, rep.algebra.module, rep.module
+        )
+        held = rep._plans["sorted"] = (stamp, verdict)
+    return held[1] and not any(
+        _torsion_mixing(m) for m in (n_op, n_m) if m is not None
+    )
+
+
+def _is_skew(f):
+    """Whether ``f`` passes `check_cochain_skew`, as every cochain below
+    degree 2 does; ``f._skew`` holds the answer until `Cochain.set_value`."""
+    if f._skew is None:
+        f._skew = f.degree < 2 or check_cochain_skew(f).passed
+    return f._skew
+
+
+def _filled(rep, image, sorted_only):
+    """``image``, a fresh cochain, filled on the tuples that are not
+    non-decreasing through the `_Orbit` plan that ``rep._plans`` holds for
+    the degree when ``sorted_only`` (below degree 2 every tuple is sorted);
+    it is then skew by construction, and holds that answer (`_is_skew`)."""
+    if sorted_only and image.degree > 1:
+        held = rep._plans.get(("orbit", image.degree))
+        if held is None:
+            held = rep._plans["orbit", image.degree] = _Orbit(rep, image.degree)
+        held(image, rep, out=image)
+        image._skew = True
+    return image
+
+
+def _mapped(plan, rep, f, n_op=None, n_m=None):
+    """The image of ``f`` under ``plan(rep, f.degree, n_op, n_m,
+    sorted_only)``, `_differential` or `_comparison`, evaluated one tuple
+    per permutation orbit when it can be.
+
+    That is when the algebra has rank >= 2, `_sorted_outputs` holds for the
+    operators, and ``f`` is skew (`_is_skew`): then the image is skew, and
+    it is mapped on the non-decreasing output tuples and filled
+    (`_filled`).  Any other ``f`` is mapped on every tuple, whose plans are
+    built only then.
+    """
+    sorted_only = (
+        rep.algebra.module.rank > 1 and _sorted_outputs(rep, n_op, n_m) and _is_skew(f)
+    )
+    return _filled(rep, plan(rep, f.degree, n_op, n_m, sorted_only)(f), sorted_only)
+
+
 def apply_delta(f, rep=None):
     """The conformal coboundary for the coefficient action ``f.rep``, or for
     ``rep``, which also supplies the inserted bracket.  Only the outputs that
-    read the support of ``f`` are evaluated (see `_Coboundary`); the
-    representation holds the plan until its tables change.
+    read the support of ``f`` are evaluated (see `_Coboundary`), one per
+    permutation orbit when they can be (`_mapped`); the representation holds
+    the plan until its tables change.
     """
-    return _differential(f.rep if rep is None else rep, f.degree)(f)
+    return _mapped(_differential, f.rep if rep is None else rep, f)
 
 
 def apply_dNM(f, n_op, n_m, rep=None):
@@ -613,16 +723,16 @@ def apply_dNM(f, n_op, n_m, rep=None):
     Equals the twisted coboundary (action through N, deformed bracket
     inserted) minus N_M composed with the plain coboundary, for ``f.rep`` or
     ``rep``, which holds both plans until its tables change or another
-    operator object is given.  At degree 0 this specializes to
-    d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
+    operator object is given; evaluated as `apply_delta` is.  At degree 0
+    this specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
     """
-    return _differential(f.rep if rep is None else rep, f.degree, n_op, n_m)(f)
+    return _mapped(_differential, f.rep if rep is None else rep, f, n_op, n_m)
 
 
 def apply_dN(f, n_op):
     """Adjoint-coefficient differential of a structure operator."""
     _require_adjoint(f.rep)
-    return _differential(f.rep, f.degree, n_op)(f)
+    return _mapped(_differential, f.rep, f, n_op)
 
 
 # ---------------------------------------------------------------------------
@@ -654,28 +764,33 @@ def _inserted(J, inside, degree, block, rank):
 
     Both substitutions of b depend only on the degree (`_substitutions`'
     ``block``, the dagger included), so the factors are held at the final
-    arity.  The insertion plan and the coboundary's bracket sum read it.
+    arity, each read off J when ``terms`` first asks for it: a plan on the
+    non-decreasing tuples reads about half of them.  The insertion plan and
+    the coboundary's bracket sum read it.
     """
     total = J.degree + degree - 1
     shuffles = list(_shuffles(total, J.degree if inside else degree))
     # K's values are substituted on the side opposite J's
     substitutions = {b: block(inside, b) for _, b, _ in shuffles}
-    # (b, a tuple of J) -> the coefficients of J's value there under b:
-    # inside, (c, [(t, t, factor)]) per coordinate c, the factor of every
-    # coordinate t of K's value at (c,) + key[rest]; outside, the
-    # [(c, t, factor)] of coordinate c of K's value at key[b]
     held = {}
-    for _, b, _ in shuffles:
-        substitution = block(not inside, b)
-        for source, value in J.values.items():
-            images = [(t, substitution(p)) for t, p in enumerate(value.coords) if p]
-            factors = [(t, factor) for t, factor in images if factor]
+
+    def factors(b, source):
+        """The coefficients of J's value at ``source`` under b: inside,
+        (c, [(t, t, factor)]) per coordinate c, the factor of every
+        coordinate t of K's value at (c,) + key[rest]; outside, the
+        [(c, t, factor)] of coordinate c of K's value at key[b]."""
+        out = held.get((b, source))
+        if out is None:
+            substitution = block(not inside, b)
+            value = J.values.get(source, ())
+            images = [(t, substitution(p)) for t, p in enumerate(value) if p]
+            images = [(t, factor) for t, factor in images if factor]
             if inside:
-                held[b, source] = [
-                    (c, [(t, t, factor) for t in range(rank)]) for c, factor in factors
-                ]
-            elif factors:
-                held[b, source] = [(source[0], t, factor) for t, factor in factors]
+                out = [(c, [(t, t, f) for t in range(rank)]) for c, f in images]
+            else:
+                out = [(source[0], t, factor) for t, factor in images]
+            held[b, source] = out
+        return out
 
     def terms(key):
         out = []
@@ -685,14 +800,13 @@ def _inserted(J, inside, degree, block, rank):
             if inside:
                 out += [
                     (sign < 0, b, (c,) + outer, coefficients)
-                    for c, coefficients in held.get((b, inner), ())
+                    for c, coefficients in factors(b, inner)
                 ]
             else:
-                out += [
-                    (sign < 0, b, inner, held[b, (c,) + outer])
-                    for c in range(rank)
-                    if (b, (c,) + outer) in held
-                ]
+                for c in range(rank):
+                    coefficients = factors(b, (c,) + outer)
+                    if coefficients:
+                        out.append((sign < 0, b, inner, coefficients))
         return out
 
     return substitutions, terms
@@ -700,39 +814,42 @@ def _inserted(J, inside, degree, block, rank):
 
 class _Insertion(_Plan):
     """The insertion product with one cochain J fixed, planned once for the
-    cochains K of one degree.
+    cochains K of one degree, on the non-decreasing output tuples when
+    ``sorted_only``.
 
     Both K |-> circ_insert(J, K) (J outside) and K |-> circ_insert(K, J)
     (J ``inside``) are linear in K; their terms are `_inserted`'s.  The
     plan holds neither J nor a representation (see `_insertion`).
     """
 
-    def __init__(self, J, inside, degree, block):
+    def __init__(self, J, inside, degree, block, sorted_only=False):
         self.degree = J.degree + degree - 1
         self.substitutions, terms = _inserted(J, inside, degree, block, J.target.rank)
-        self._index(_output_tuples(J.source.module.rank, self.degree, False), terms)
+        self._index(_output_tuples(J.source.module.rank, self.degree, sorted_only), terms)
 
 
-def _insertion(J, inside, K):
-    """J's `_Insertion` plan, outside or ``inside``, for K's degree.
+def _insertion(J, inside, K, sorted_only=False):
+    """J's `_Insertion` plan, outside or ``inside``, for K's degree, on
+    the non-decreasing output tuples when ``sorted_only``.
 
-    J holds one per (side, degree) in ``J._plans``, at most 10 since a
-    product has degree 0 to MAX_DEGREE, until `Cochain.set_value` drops
-    them.  Their blocks are those of the `_substitutions` that ``K.rep``
-    holds for the product's degree; for J of degree 2 they are the spreads
-    and expansions of K's coboundary.
+    J holds one per (side, degree, sorted_only) in ``J._plans``, at most 10
+    of each kind since a product has degree 0 to MAX_DEGREE, until
+    `Cochain.set_value` drops them.  Their blocks are those of the
+    `_substitutions` that ``K.rep`` holds for the product's degree; for J of
+    degree 2 they are the spreads and the pair blocks of K's coboundary.
     """
     total = J.degree + K.degree - 1
     if not 0 <= total <= MAX_DEGREE:
         raise DegreeOverflowError("insertion degree %d out of range" % total)
     if J._plans is None:
         J._plans = {}
-    held = J._plans.get((inside, K.degree))
+    slot = (inside, K.degree, sorted_only)
+    held = J._plans.get(slot)
     if held is None:
         # at degree 0 the one block is empty, and the blocks of working
         # arity 1 leave no lambda: del |-> 0 evaluated on it, else nothing
-        block = _shared_substitutions(K.rep, max(total - 1, 0))[3]
-        held = J._plans[inside, K.degree] = _Insertion(J, inside, K.degree, block)
+        block = _shared_substitutions(K.rep, max(total - 1, 0))[2]
+        held = J._plans[slot] = _Insertion(J, inside, K.degree, block, sorted_only)
     return held
 
 
@@ -754,11 +871,25 @@ def nr_bracket(J, K):
     bracket pairs with any f to give (-1)^{n-1} times its coboundary, which
     is the identity pinning this convention.  Both terms are linear in K,
     and J holds the plan of each (see `_Insertion`).
+
+    The bracket of skew cochains over a module without torsion, of rank at
+    least 2, is skew, and is evaluated one tuple per permutation orbit
+    (`_filled`).  A torsion generator breaks that even where no bracket
+    involves it, since the insertion feeds its del-reduced coordinates back
+    into an argument; then, as for any other pair, every tuple is mapped.
     """
+    _require_factors(J, K)
     m, n = J.degree, K.degree
     sign = -1 if ((m - 1) * (n - 1)) % 2 == 0 else 1
-    first = circ_insert(J, K)
-    return first + _insertion(J, True, K)(K, K.rep).scale(sign)
+    sorted_only = (
+        J.source.module.rank > 1
+        and J.target.del_action == FREE
+        and _is_skew(J)
+        and _is_skew(K)
+    )
+    first = _insertion(J, False, K, sorted_only)(K, J.rep)
+    image = first + _insertion(J, True, K, sorted_only)(K, K.rep).scale(sign)
+    return _filled(J.rep, image, sorted_only)
 
 
 def cup_product(J, K):
@@ -823,11 +954,12 @@ class _Xi(_Plan):
     each held P; ``final`` is that substitution (None at degree 0, which has
     no lambda).  The terms (see `_Plan`) of an output are the (c, [(s, t,
     P)]) of its nonzero P, of sign +1, and f's values are read as they are:
-    the one slot's substitution is the identity.  The representation holds
+    the one slot's substitution is the identity.  The outputs are the
+    non-decreasing tuples when ``sorted_only``.  The representation holds
     the plan (see `_comparison`).
     """
 
-    def __init__(self, rep, degree, n_op, n_m, final):
+    def __init__(self, rep, degree, n_op, n_m, final, sorted_only=False):
         module = rep.algebra.module
         forms = _forms(degree, degree)
         self.degree, self.n_op, self.n_m = degree, n_op, n_m
@@ -883,23 +1015,25 @@ class _Xi(_Plan):
                     held.setdefault(c, []).append((s, t, poly))
             return [(False, None, c, coefficients) for c, coefficients in held.items()]
 
-        self._index(_output_tuples(module.rank, degree, False), terms)
+        self._index(_output_tuples(module.rank, degree, sorted_only), terms)
 
 
-def _comparison(rep, degree, n_op, n_m):
+def _comparison(rep, degree, n_op, n_m, sorted_only=False):
     """xi of degree-``degree`` cochains over ``rep``, through the `_Xi` plan
-    that ``rep._plans`` holds for the degree.
+    that ``rep._plans`` holds for the degree, on the non-decreasing output
+    tuples when ``sorted_only``.
 
-    There is one per degree, built again when it is asked for with another
-    ``n_op`` or ``n_m`` object; xi reads neither the bracket nor the action
-    table, so no stamp applies.  Its dagger is that of the `_substitutions`
-    of degree - 1, which the coboundary plans of that degree share.
+    There is one per (degree, sorted_only), built again when it is asked
+    for with another ``n_op`` or ``n_m`` object; xi reads neither the
+    bracket nor the action table, so no stamp applies.  Its dagger is that
+    of the `_substitutions` of degree - 1, which the coboundary plans of
+    that degree share.
     """
-    plans = rep._plans
-    held = plans.get(("xi", degree))
+    plans, slot = rep._plans, ("xi", degree, sorted_only)
+    held = plans.get(slot)
     if held is None or held.n_op is not n_op or held.n_m is not n_m:
         final = _shared_substitutions(rep, degree - 1)[0] if degree else None
-        held = plans["xi", degree] = _Xi(rep, degree, n_op, n_m, final)
+        held = plans[slot] = _Xi(rep, degree, n_op, n_m, final, sorted_only)
     return lambda f: held(f, rep)
 
 
@@ -911,10 +1045,11 @@ def xi_map(f, n_op, n_m):
     degree 0 it is the identity.  Pinned by the intertwining law
     d_{N,M} o xi = xi o delta.  xi is linear in f, and ``f.rep`` holds its
     plan for the degree (see `_Xi`), so only the outputs that read the
-    support of ``f`` are evaluated, and a repeated call with the same
-    operator objects builds nothing.
+    support of ``f`` are evaluated, one per permutation orbit when they can
+    be (`_mapped`), and a repeated call with the same operator objects
+    builds nothing.
     """
-    return _comparison(f.rep, f.degree, n_op, n_m)(f)
+    return _mapped(_comparison, f.rep, f, n_op, n_m)
 
 
 class CochainPair:
@@ -950,12 +1085,13 @@ def apply_dNL(pair, n_op, n_m, rep=None):
     d(f) = (delta f, -xi f) when there is no second component, and
     d(f, g) = (delta f, (-1)^n xi(f) + d_{N,M}(g)) in general.  delta, xi
     and d_{N,M} are each mapped through the plan that ``rep`` (by default
-    ``f.rep``) holds, so both components are cochains over it.
+    ``f.rep``) holds, one tuple per permutation orbit when they can be
+    (`_mapped`), so both components are cochains over it.
     """
     f, g = pair.f, pair.g
     rep = f.rep if rep is None else rep
     df = apply_delta(f, rep=rep)
-    xf = _comparison(rep, f.degree, n_op, n_m)(f)
+    xf = _mapped(_comparison, rep, f, n_op, n_m)
     if g is None:
         return CochainPair(df, xf.scale(-1))
     second = xf.scale((-1) ** f.degree) + apply_dNM(g, n_op, n_m, rep=rep)
@@ -1047,7 +1183,7 @@ def cochain_space(rep, degree, bound):
     # value on the tuple u, for the permutation p with u[p[k]] = last[k]:
     # lam_{k+1} |-> the lambda of slot p[k], the last slot's being the
     # dagger of the others, and del kept
-    block = _shared_substitutions(rep, degree - 1)[3]
+    block = _shared_substitutions(rep, degree - 1)[2]
     moves = {perm: block(False, perm) for perm in permutations(range(degree))}
     basis = []
     for last in product(range(module.rank), repeat=degree):
@@ -1175,15 +1311,15 @@ def solve_truncated(rep, degree, bound, operator=None):
     refused before either is built when one has more than MAX_SLICE_CELLS
     cells.
 
-    The differential is evaluated on non-decreasing output tuples only.
-    This is exact when ``rep.algebra``'s bracket is conformally skew and its
-    torsion central, and ``operator`` does not mix torsion (the action may
-    be anything): the differential then maps skew cochains to skew
-    cochains, and a skew cochain's value on any other permutation of a
-    tuple is an invertible, degree-preserving substitution of its value on
-    the sorted one.  So a skew cochain vanishes, or has degree <= bound,
-    exactly when its values on sorted tuples do, and every kernel and rank
-    is unchanged.  Otherwise every tuple is evaluated.
+    The differential is evaluated on non-decreasing output tuples only
+    when `_sorted_outputs` holds: ``rep.algebra``'s bracket is conformally
+    skew and its torsion inert, ``operator`` does not mix torsion, and the
+    action acts on no torsion generator.  The differential then maps skew
+    cochains to skew cochains, and a skew cochain's value on any other
+    permutation of a tuple is an invertible, degree-preserving substitution
+    of its value on the sorted one.  So a skew cochain vanishes, or has
+    degree <= bound, exactly when its values on sorted tuples do, and every
+    kernel and rank is unchanged.  Otherwise every tuple is evaluated.
     """
     from .linalg import nullspace, rank
 
@@ -1199,7 +1335,7 @@ def solve_truncated(rep, degree, bound, operator=None):
         values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
         slices.append((degree - 1, bound + _max_degree(*values)))
     _refuse_large_slices(rep, *slices)
-    sorted_only = _sorted_tuples_suffice(rep.algebra, n=operator)
+    sorted_only = _sorted_outputs(rep, operator)
     basis, images = _slice(rep, degree, bound, operator, sorted_only)
     kernel = nullspace(images)
 

@@ -14,6 +14,7 @@ from nijconf.cohomology import (
     Cochain,
     _Coboundary,
     _Insertion,
+    _Orbit,
     _Plan,
     _Xi,
     _comparison,
@@ -31,6 +32,7 @@ from nijconf.cohomology import (
     _cochain_vector,
     _monomials,
     _max_degree,
+    _slice,
     _slice_cells,
     check_cochain_skew,
     cochain_space,
@@ -642,6 +644,19 @@ def test_solver_evaluates_every_tuple_for_non_central_torsion():
     _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])
 
 
+def test_solver_evaluates_every_tuple_for_an_action_on_torsion():
+    # sl2 acts on the evaluation generator c of the mixed coefficients by
+    # [x_1 lam c] = 2c, which sesquilinearity forbids: delta then takes skew
+    # cochains to cochains that are not skew, and the sorted tuples alone
+    # would report 6 and 9 cocycles at (3, 1) and (3, 2) where there are 3
+    # and 4
+    rep = next(rep for name, rep, *_ in _reps() if name == "mixed-coefficients")
+    images = [_slice(rep, 3, b, sorted_only=True)[1] for b in (1, 2)]
+    assert [len(linalg.nullspace(vecs)) for vecs in images] == [6, 9]
+    assert [solve_truncated(rep, 3, b)["cocycle_dim"] for b in (1, 2)] == [3, 4]
+    _assert_solver_matches_reference(rep, [(3, 1)])
+
+
 # ---------------------------------------------------------------------------
 # coboundary plans held by the representation
 
@@ -734,7 +749,8 @@ def test_each_operator_gets_its_own_twisted_plan(sl2, proj_p):
 
 
 def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
-    # 16 coboundary plans, and one xi plan per degree besides
+    # 16 coboundary plans; besides, two xi plans per degree, on every tuple
+    # and on the sorted ones, and one orbit fill per degree from 2
     rep = adjoint_rep(sl2)
 
     def plans(kind=_Plan):
@@ -748,10 +764,18 @@ def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
                     assert len(plans(_Coboundary)) <= 16
     for n_m in (proj_p, ConfLinMap.identity(sl2.module)):
         for n in range(MAX_DEGREE + 1):
-            _comparison(rep, n, proj_p, n_m)
-            assert len(plans(_Xi)) <= MAX_DEGREE + 1
+            for sorted_only in (False, True):
+                _comparison(rep, n, proj_p, n_m, sorted_only)
+                assert len(plans(_Xi)) <= 2 * (MAX_DEGREE + 1)
+    # the public operators on skew cochains add only the orbit fills
+    rng = Random(33)
+    for n in range(4):
+        f = random_cochain(rep, n, rng, max_degree=1, density=1)
+        apply_delta(f), apply_dN(f, proj_p), xi_map(f, proj_p, proj_p)
+        assert len(plans(_Orbit)) == n
     assert len(plans(_Coboundary)) == 16
-    assert len(plans()) == 16 + MAX_DEGREE + 1
+    assert len(plans(_Xi)) == 2 * (MAX_DEGREE + 1)
+    assert len(plans()) == 16 + 2 * (MAX_DEGREE + 1) + MAX_DEGREE - 1
     # the plans of one degree share its substitutions, built once; a
     # plan's degree is that of its output
     for n in range(4):
@@ -771,7 +795,7 @@ def test_the_skew_projection_and_the_orbit_basis_hold_only_blocks(sl2):
     cochain_space(rep, 1, 1)
     random_cochain(rep, 1, Random(43))
     assert set(rep._plans) == {1, 2}
-    assert rep._plans[2][3](False, (2, 0, 1)) is rep._plans[2][3](False, (2, 0, 1))
+    assert rep._plans[2][2](False, (2, 0, 1)) is rep._plans[2][2](False, (2, 0, 1))
 
 
 def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):
@@ -883,7 +907,7 @@ def _fresh_insertion(J, inside, degree):
     """J's insertion, outside or inside, through a plan built afresh, which
     nothing holds."""
     total = J.degree + degree - 1
-    block = _substitutions(max(total - 1, 0))[3]
+    block = _substitutions(max(total - 1, 0))[2]
     plan = _Insertion(J, inside, degree, block)
     return lambda K: plan(K, K.rep if inside else J.rep)
 
@@ -939,8 +963,9 @@ def test_a_repeated_bracket_is_not_planned_again(monkeypatch, sl2):
     images = nr_bracket(mc, f), nr_bracket(mc, g)
     assert evaluated == {}
     assert images == (first, want)
-    # the two plans of the first call, both sides for degree 2, map both
-    assert sorted(plans) == [(False, 2), (True, 2)]
+    # the two plans of the first call, both sides for degree 2 on the
+    # sorted tuples, since both factors are skew, map both
+    assert sorted(plans) == [(False, 2, True), (True, 2, True)]
     assert all(mc._plans[key] is plan for key, plan in plans.items())
 
 
@@ -950,7 +975,7 @@ def test_a_dropped_cochain_needs_no_cycle_collection(sl2):
     f = random_cochain(J.rep, 1, Random(67), max_degree=1)
     nr_bracket(J, f)
     assert all(isinstance(p, _Insertion) for p in J._plans.values())
-    assert len(J._plans) == 2
+    assert set(J._plans) == {(False, 1, True), (True, 1, True)}
     freed = weakref.ref(J)
     gc.disable()
     try:
@@ -962,18 +987,29 @@ def test_a_dropped_cochain_needs_no_cycle_collection(sl2):
 
 def test_a_cochain_holds_at_most_10_plans(sl2):
     # one plan per side and degree of the other factor, whose product has
-    # degree 0 to MAX_DEGREE
+    # degree 0 to MAX_DEGREE, on each path: the sorted tuples when both
+    # factors are skew, else every tuple; below degree 2 every cochain is
+    # skew, and an elementary cochain on an unsorted tuple is not
     rep = adjoint_rep(sl2)
     rng = Random(71)
+
+    def held(sorted_only):
+        return [key for key in J._plans if key[2] is sorted_only]
+
     for m in range(3):
         J = random_cochain(rep, m, rng, max_degree=1, density=1)
         degrees = [n for n in range(MAX_DEGREE + 1) if 0 <= m + n - 1 <= MAX_DEGREE]
         for _ in range(2):
             for n in degrees:
                 nr_bracket(J, Cochain(n, rep))
-                assert len(J._plans) <= 10
-        assert len(J._plans) == 2 * len(degrees)
-        assert m != 1 or len(J._plans) == 10
+                if n >= 2:
+                    key = (1, 0) + (0,) * (n - 2)
+                    nr_bracket(J, Cochain(n, rep, {key: sl2.module.basis_elem(0)}))
+                assert len(held(True)) <= 10 and len(held(False)) <= 10
+        assert all(isinstance(p, _Insertion) for p in J._plans.values())
+        assert len(held(True)) == 2 * len(degrees)
+        assert len(held(False)) == 2 * len([n for n in degrees if n >= 2])
+        assert m != 1 or len(held(True)) == 10
 
 
 def test_the_bilinear_products_refuse_cochains_over_different_modules(sl2, vir):

@@ -38,13 +38,18 @@ from nijconf.cohomology import (
     MAX_DEGREE,
     Cochain,
     _Coboundary,
+    _Plan,
     _differential,
     _insertion,
+    _is_skew,
     _pulled_back,
     _substitutions,
     adjoint_rep,
     apply_delta,
+    apply_dN,
+    apply_dNM,
     bracket_cochain,
+    check_cochain_skew,
     circ_insert,
     cup_product,
     eval_cochain,
@@ -489,3 +494,116 @@ def test_the_bracket_cochain_pairs_to_the_coboundary(name):
         for f in _cochains(rep, degree, rng) + [random_cochain(rep, degree, rng)]:
             want = apply_delta(f).scale((-1) ** (degree - 1))
             assert nr_bracket(mc, f) == want
+
+
+# ---------------------------------------------------------------------------
+# the public operators, one tuple per permutation orbit or on every tuple
+
+
+# the cases where a skew input takes the sorted path: rank >= 2, and no
+# torsion re-entering through the bracket, the action or the operators
+_ORBIT_CASES = ("sl2-adjoint", "sl2-line", "sl2-lam-line")
+
+
+def _held_plans(sorted_only, rep, *cochains):
+    """The slots of the plans on the sorted or on every output tuple that
+    ``rep`` and ``cochains`` hold; an orbit fill is neither."""
+    held = [slot for slot, plan in rep._plans.items() if isinstance(plan, _Plan)]
+    held += [slot for f in cochains for slot in f._plans or ()]
+    return [slot for slot in held if slot[-1] is sorted_only]
+
+
+def _public_images(f, n_op, n_m, mc):
+    """(public image, reference image) of every operator on ``f``; the
+    adjoint-only ones when ``mc``, the bracket cochain, is given."""
+    pairs = [
+        (apply_delta(f), reference_eval.apply_delta(f)),
+        (apply_dNM(f, n_op, n_m), reference_eval.apply_dNM(f, n_op, n_m)),
+        (xi_map(f, n_op, n_m), reference_eval.xi_map(f, n_op, n_m)),
+    ]
+    if mc is not None:
+        pairs.append((apply_dN(f, n_op), reference_eval.apply_dNM(f, n_op, n_op)))
+        for J, K in ((mc, f), (f, mc)):
+            sign = -1 if ((J.degree - 1) * (K.degree - 1)) % 2 == 0 else 1
+            inside = reference_eval.circ_insert(K, J).scale(sign)
+            pairs.append((nr_bracket(J, K), reference_eval.circ_insert(J, K) + inside))
+    return pairs
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_the_public_operators_match_the_reference_on_either_path(case):
+    # skew inputs first: on the orbit cases nothing is planned on every
+    # tuple, and elsewhere nothing on the sorted ones; then the elementary
+    # cochains, which from degree 2 are mostly not skew, and then are mapped
+    # on every tuple
+    name, rep, n_op, n_m = _reps()[case]
+    rng = Random(600 + case)
+    mc = bracket_cochain(rep.algebra) if rep.module == rep.algebra.module else None
+    held = [mc] if mc is not None else []
+    inputs = {degree: _cochains(rep, degree, rng) for degree in range(4)}
+    for degree, (zero, elementary, projected, skew) in inputs.items():
+        for f in (zero, projected, skew):
+            for got, want in _public_images(f, n_op, n_m, mc):
+                _assert_same_cochain(got, want)
+    orbits = name in _ORBIT_CASES
+    assert _held_plans(not orbits, rep, *held) == []
+    assert _held_plans(orbits, rep, *held) != []
+    unskewed = 0
+    for degree, (_, elementary, _, _) in inputs.items():
+        for got, want in _public_images(elementary, n_op, n_m, mc):
+            _assert_same_cochain(got, want)
+        full = (degree, False, False) in rep._plans
+        skew = check_cochain_skew(elementary).passed
+        assert full == (not orbits or not skew)
+        unskewed += not skew
+    assert unskewed >= 1
+
+
+def test_the_nr_bracket_maps_every_tuple_over_torsion():
+    # sl2 and a central torsion generator c that no bracket involves: delta
+    # keeps skew cochains skew, but the insertion feeds c's del-reduced
+    # coordinates back into an argument, so the NR bracket of two skew
+    # cochains need not be skew and is mapped on every tuple
+    sl2 = make_sl2()
+    algebra = LCA(FreeModule(["e", "h", "f", "c"], [FREE] * 3 + [2]))
+    for (i, j), value in sl2.table.entries.items():
+        algebra.set_bracket(i, j, list(value) + [Poly.zero(1)])
+    rep = adjoint_rep(algebra)
+    rng = Random(650)
+    for degree in range(1, 3):
+        J = random_cochain(rep, 2, rng, max_degree=1, density=1)
+        K = random_cochain(rep, degree, rng, max_degree=1, density=1)
+        sign = -1 if (degree - 1) % 2 == 0 else 1
+        inside = reference_eval.circ_insert(K, J).scale(sign)
+        _assert_same_cochain(nr_bracket(J, K), reference_eval.circ_insert(J, K) + inside)
+        _assert_same_cochain(apply_delta(K), reference_eval.apply_delta(K))
+        assert _held_plans(False, rep) == []
+        assert list(J._plans) == [(False, degree, False), (True, degree, False)]
+    assert not check_cochain_skew(nr_bracket(J, K)).passed
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_the_skew_test_agrees_with_the_skew_check(case):
+    # on fresh copies, which hold no answer; one copy is perturbed on the
+    # tuple (a, .., a), which only the transpositions of its equal entries
+    # see, after its answer is held: setting the value drops the answer
+    _, rep, _, _ = _reps()[case]
+    rng = Random(700 + case)
+    for degree in range(MAX_DEGREE + 1):
+        cochains = _cochains(rep, degree, rng) + [
+            _sparse_cochain(rep, degree, rng),
+            random_cochain(rep, degree, rng, max_degree=1, density=1),
+        ]
+        for f in cochains:
+            g = Cochain(degree, rep, f.values)
+            assert _is_skew(g) == check_cochain_skew(g).passed
+        if degree < 2:
+            continue
+        a = rng.randrange(rep.algebra.module.rank)
+        g = Cochain(degree, rep, cochains[-1].values)
+        assert _is_skew(g) and g._skew
+        g.set_value((a,) * degree, g.value((a,) * degree) + rep.module.basis_elem(0))
+        assert g._skew is None
+        assert not _is_skew(g)
+        witness = "skew: fail at=%s " % ",".join(map(str, (a,) * degree + (0,)))
+        assert check_cochain_skew(g).lines()[0].startswith(witness)
