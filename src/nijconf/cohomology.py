@@ -20,10 +20,11 @@ projection (`_Skew`) each build, per output tuple, a list of terms, and one
 loop (`_Plan.__call__`) maps every cochain through them.  A term takes one
 coordinate of one input value under a substitution of its degree
 (`_substitutions`), times a held polynomial that does not depend on the
-cochain mapped, into one output coordinate.  The coboundary's bracket sum
-is the insertion of the bracket cochain inside (`_inserted`), and the
-twisted coboundary of an operator N is the plain plan over the deformed
-algebra acting through N (`_pulled_back`).  A representation holds the
+cochain mapped, into one output coordinate.  The coboundary is two
+insertions (`_inserted`): f into the first slot of the flipped action
+(`lca._flipped_action`), and the bracket cochain into f; the twisted
+coboundary of an operator N is the plain plan over the deformed algebra
+acting through N (`_pulled_back`).  A representation holds the
 first two plans, and the fixed factor the third.  The cup
 product is an insertion too: J inserted into K's left bracket
 (`_left_bracket`), whose values are one `act_form` per stored value and
@@ -65,6 +66,7 @@ from .lca import (
     Elem,
     RepTable,
     _evaluate,
+    _flipped_action,
     _output_tuples,
     _relabeling,
     _skew_residual,
@@ -104,7 +106,8 @@ class Cochain:
     invariant.  A cochain holds the plans of its insertion products in
     ``_plans`` (see `_insertion`), and the answer of its skew test in
     ``_skew`` (see `_is_skew`); `set_value`, the one writer of ``values``,
-    drops them.
+    drops them.  A multiple of a skew cochain, and a sum of two, hold that
+    they are skew.
     """
 
     # None until a plan or an answer is held, so a cochain stores nothing
@@ -198,6 +201,8 @@ class Cochain:
         out = Cochain(self.degree, self.rep)
         for key in set(self.values) | set(other.values):
             out.set_value(key, self.value(key) + other.value(key))
+        if self._skew and other._skew:
+            out._skew = True
         return out
 
     def __sub__(self, other):
@@ -210,6 +215,8 @@ class Cochain:
         out = Cochain(self.degree, self.rep)
         for key, value in self.values.items():
             out.set_value(key, value.scale(factor))
+        if self._skew:
+            out._skew = True
         return out
 
     def map_target(self, mapping):
@@ -350,20 +357,20 @@ def _shuffles(total, size):
 
 
 def _substitutions(degree):
-    """(dagger, spreads, block) at working arity degree + 1, each
-    substitution into a stored value then daggered.
+    """(dagger, block) at working arity degree + 1, each substitution into a
+    stored value then daggered.
 
     ``block(inside, slots)``, built when first asked for and kept, reads a
     value at a shuffle block of slots: inside, with the block inserted in
     its first slot (lam_1 |-> the sum of their forms, then the other forms,
     del kept); else evaluated on the block (their forms, and del |-> -(the
-    sum of their forms)), to be inserted itself.  The coboundary's action
-    sum reads the ``spreads``, the blocks that omit one slot i (under the
-    dagger, -(the other forms) is del + form_i), and its bracket sum, the
-    insertion of the bracket (`_inserted`), each pair i < j inside, and the
-    bracket inserted there evaluated on the pair.  Evaluated on a
-    permutation of every slot, a block keeps del: it moves a value along the
-    permutation (`_Skew`, `_Orbit`).
+    sum of their forms)), to be inserted itself.  The coboundary's two
+    insertions (`_inserted`) read both sides: f evaluated on the blocks that
+    omit one slot i, inserted into the flipped action (under the dagger,
+    the sum of the other forms is -del - form_i), and each pair i < j
+    inside f, the bracket inserted there evaluated on the pair.  Evaluated
+    on a permutation of every slot, a block keeps del: it moves a value
+    along the permutation (`_Skew`, `_Orbit`).
     """
     arity = degree + 1
     forms = _forms(arity, arity)
@@ -388,10 +395,7 @@ def _substitutions(degree):
             substitution = held[inside, slots] = then_dagger(images)
         return substitution
 
-    spreads = [
-        block(False, tuple(k for k in range(arity) if k != i)) for i in range(arity)
-    ]
-    return final, spreads, block
+    return final, block
 
 
 def _shared_substitutions(rep, degree):
@@ -480,7 +484,7 @@ class _Skew(_Plan):
     ``rep`` holds for degree n - 1, times 1/n!, on every coordinate."""
 
     def __init__(self, rep, degree):
-        block = _shared_substitutions(rep, degree - 1)[2]
+        block = _shared_substitutions(rep, degree - 1)[1]
         perms = [(_perm_sign(p) < 0, p) for p in permutations(range(degree))]
         norm = Poly.const(Fraction(1, factorial(degree)), degree - 1)
         coefficients = [(t, t, norm) for t in range(rep.module.rank)]
@@ -509,7 +513,7 @@ class _Orbit(_Plan):
     """
 
     def __init__(self, rep, degree):
-        block = _shared_substitutions(rep, degree - 1)[2]
+        block = _shared_substitutions(rep, degree - 1)[1]
         coefficients = [(t, t, Poly.one(degree - 1)) for t in range(rep.module.rank)]
         self.degree = degree
         self.substitutions = {p: block(False, p) for p in permutations(range(degree))}
@@ -525,69 +529,45 @@ class _Orbit(_Plan):
 class _Coboundary(_Plan):
     """The conformal coboundary of one degree, planned once for its cochains.
 
-    ``keys`` are the output tuples (every basis tuple by default).  On an
-    output tuple ``key`` the terms (see `_Plan`) are:
+    ``keys`` are the output tuples (every basis tuple by default).  Its
+    terms (see `_Plan`) are those of two insertions (`_inserted`):
 
-    * the action sum, per slot i: coordinate b of f's value at key without
-      slot i, under the spread omitting i, times coordinate t of x_key[i]
-      acting on generator b at slot i's lambda, into coordinate t, of sign
-      (-1)^i;
-    * the bracket sum: the insertion of the algebra's bracket cochain inside
-      f (`_inserted`), each term's sign flipped, since the shuffle of the
-      slots i < j has sign (-1)^(i + j - 1) and the coboundary's term
-      (-1)^(i + j).
+    * the action sum: f inserted into the first slot of the flipped action
+      [m lam x] = -rho(x)_{-del-lam} m (`lca._flipped_action`), J outside.
+      The shuffle that moves slot i last has sign (-1)^(n - i), the flip
+      gives -rho(x_i) at slot i's lambda, and the coboundary's term is
+      (-1)^i: so each term's sign is flipped at even degree n;
+    * the bracket sum: the algebra's bracket cochain inserted inside f,
+      each term's sign flipped, since the shuffle of the slots i < j has
+      sign (-1)^(i + j - 1) and the coboundary's term (-1)^(i + j).
 
-    The actions are read off the table once per (slot, generator), daggered,
-    while the plan is built.  The twisted coboundary of an operator is this
-    plan over a pulled-back action (see `_differential`).  The
-    representation holds the plan until its tables change and passes itself
-    to each call; ``substitutions`` are the degree's `_substitutions`,
-    shared by its plans of that degree.
+    Both are read off their tables, daggered, while the plan is built.  The
+    twisted coboundary of an operator is this plan over a pulled-back action
+    (see `_differential`).  The representation holds the plan until its
+    tables change and passes itself to each call; ``substitutions`` are the
+    degree's `_substitutions`, shared by its plans of that degree.
     """
 
     def __init__(self, rep, degree, substitutions, keys=None):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
-        module, target = rep.algebra.module, rep.module
-        arity = degree + 1
-        forms = _forms(arity, arity)
-        basis = _basis_args(module, range(module.rank))
-        final, self.spreads, block = substitutions
+        block, rank = substitutions[1], rep.module.rank
+        acting, actions = _inserted(_flipped_action(rep), 2, False, degree, block, rank)
         inserted, brackets = _inserted(
-            bracket_cochain(rep.algebra), True, degree, block, target.rank
+            bracket_cochain(rep.algebra).values, 2, True, degree, block, rank
         )
-        self.degree = arity
-        self.substitutions = dict(enumerate(self.spreads)) | inserted
-        actions = {}
-
-        def action(i, generator):
-            """[(b, t, coordinate t of x_generator acting on b at slot i's
-            lambda)], the nonzero ones."""
-            held = actions.get((i, generator))
-            if held is None:
-                held = actions[i, generator] = []
-                for b in range(target.rank):
-                    image = act_form(
-                        rep.action,
-                        target,
-                        basis[generator],
-                        target.basis_elem(b),
-                        forms[i],
-                        arity,
-                    )
-                    held += [(b, t, final(p)) for t, p in enumerate(image.coords) if p]
-            return held
+        self.degree = degree + 1
+        self.substitutions = acting | inserted
 
         def terms(key):
-            out = []
-            for i in range(arity):
-                coefficients = action(i, key[i])
-                if coefficients:
-                    out.append((i % 2, i, key[:i] + key[i + 1 :], coefficients))
-            return out + [(not negative, *term) for negative, *term in brackets(key)]
+            return [
+                (negative != flip, *term)
+                for flip, side in ((degree % 2 == 0, actions), (True, brackets))
+                for negative, *term in side(key)
+            ]
 
         if keys is None:
-            keys = _output_tuples(module.rank, arity, False)
+            keys = _output_tuples(rep.algebra.module.rank, self.degree, False)
         self._index(keys, terms)
 
 
@@ -747,18 +727,21 @@ def _require_factors(J, K):
         raise ModuleMismatchError("cochains are over different modules")
 
 
-def _inserted(J, inside, degree, block, rank):
+def _inserted(values, order, inside, degree, block, rank):
     """The substitutions and the terms (see `_Plan`) of the insertion of a
-    fixed cochain J into the cochains K of ``degree``, J outside or
-    ``inside``; ``rank`` is the coordinate count of K's values.
+    fixed cochain J of degree ``order``, whose values are ``values``, into
+    the cochains K of ``degree``, J outside or ``inside``; ``rank`` is the
+    coordinate count of K's values.
 
     On an output tuple ``key`` the insertion is a signed sum over the
     shuffle blocks b of the inner factor, of products of a factor read off
     J and a coordinate of K's value; ``terms(key)`` lists them with the
-    slot b:
+    slot (inside, b):
 
     * J outside: coordinate c of K's value at key[b], evaluated on b, times
-      J's value at (c,) + key[rest] with b inserted in its first slot;
+      J's value at (c,) + key[rest] with b inserted in its first slot; every
+      c is read off K's one value at key[b], so a block has one term, whose
+      coefficients are held per (b, key[rest]);
     * J inside: K's value at (c,) + key[rest] with b inserted, times
       coordinate c of J's value at key[b], evaluated on b.
 
@@ -766,47 +749,53 @@ def _inserted(J, inside, degree, block, rank):
     ``block``, the dagger included), so the factors are held at the final
     arity, each read off J when ``terms`` first asks for it: a plan on the
     non-decreasing tuples reads about half of them.  The insertion plan and
-    the coboundary's bracket sum read it.
+    both sums of the coboundary read it.
     """
-    total = J.degree + degree - 1
-    shuffles = list(_shuffles(total, J.degree if inside else degree))
+    total = order + degree - 1
+    shuffles = [
+        (sign < 0, (inside, b), b, rest)
+        for sign, b, rest in _shuffles(total, order if inside else degree)
+    ]
     # K's values are substituted on the side opposite J's
-    substitutions = {b: block(inside, b) for _, b, _ in shuffles}
+    substitutions = {slot: block(*slot) for _, slot, _, _ in shuffles}
     held = {}
 
     def factors(b, source):
-        """The coefficients of J's value at ``source`` under b: inside,
-        (c, [(t, t, factor)]) per coordinate c, the factor of every
-        coordinate t of K's value at (c,) + key[rest]; outside, the
-        [(c, t, factor)] of coordinate c of K's value at key[b]."""
+        """The coefficients under b of J's values: inside, (c, [(t, t,
+        factor)]) per coordinate c of J's value at ``source``, key[b], the
+        factor of every coordinate t of K's value at (c,) + key[rest];
+        outside, the [(c, t, factor)] of every coordinate c of K's value at
+        key[b], J's value read at (c,) + ``source``, key[rest]."""
         out = held.get((b, source))
         if out is None:
             substitution = block(not inside, b)
-            value = J.values.get(source, ())
-            images = [(t, substitution(p)) for t, p in enumerate(value) if p]
-            images = [(t, factor) for t, factor in images if factor]
+
+            def images(at):
+                value = values.get(at, ())
+                images = [(t, substitution(p)) for t, p in enumerate(value) if p]
+                return [(t, factor) for t, factor in images if factor]
+
             if inside:
-                out = [(c, [(t, t, f) for t in range(rank)]) for c, f in images]
+                out = [(c, [(t, t, f) for t in range(rank)]) for c, f in images(source)]
             else:
-                out = [(source[0], t, factor) for t, factor in images]
+                out = [(c, t, f) for c in range(rank) for t, f in images((c,) + source)]
             held[b, source] = out
         return out
 
     def terms(key):
         out = []
-        for sign, b, rest in shuffles:
+        for negative, slot, b, rest in shuffles:
             inner = tuple(key[k] for k in b)
             outer = tuple(key[k] for k in rest)
             if inside:
                 out += [
-                    (sign < 0, b, (c,) + outer, coefficients)
+                    (negative, slot, (c,) + outer, coefficients)
                     for c, coefficients in factors(b, inner)
                 ]
             else:
-                for c in range(rank):
-                    coefficients = factors(b, (c,) + outer)
-                    if coefficients:
-                        out.append((sign < 0, b, inner, coefficients))
+                coefficients = factors(b, outer)
+                if coefficients:
+                    out.append((negative, slot, inner, coefficients))
         return out
 
     return substitutions, terms
@@ -824,7 +813,9 @@ class _Insertion(_Plan):
 
     def __init__(self, J, inside, degree, block, sorted_only=False):
         self.degree = J.degree + degree - 1
-        self.substitutions, terms = _inserted(J, inside, degree, block, J.target.rank)
+        self.substitutions, terms = _inserted(
+            J.values, J.degree, inside, degree, block, J.target.rank
+        )
         self._index(_output_tuples(J.source.module.rank, self.degree, sorted_only), terms)
 
 
@@ -836,7 +827,7 @@ def _insertion(J, inside, K, sorted_only=False):
     of each kind since a product has degree 0 to MAX_DEGREE, until
     `Cochain.set_value` drops them.  Their blocks are those of the
     `_substitutions` that ``K.rep`` holds for the product's degree; for J of
-    degree 2 they are the spreads and the pair blocks of K's coboundary.
+    degree 2 they are the blocks of K's coboundary.
     """
     total = J.degree + K.degree - 1
     if not 0 <= total <= MAX_DEGREE:
@@ -848,7 +839,7 @@ def _insertion(J, inside, K, sorted_only=False):
     if held is None:
         # at degree 0 the one block is empty, and the blocks of working
         # arity 1 leave no lambda: del |-> 0 evaluated on it, else nothing
-        block = _shared_substitutions(K.rep, max(total - 1, 0))[2]
+        block = _shared_substitutions(K.rep, max(total - 1, 0))[1]
         held = J._plans[slot] = _Insertion(J, inside, K.degree, block, sorted_only)
     return held
 
@@ -1183,7 +1174,7 @@ def cochain_space(rep, degree, bound):
     # value on the tuple u, for the permutation p with u[p[k]] = last[k]:
     # lam_{k+1} |-> the lambda of slot p[k], the last slot's being the
     # dagger of the others, and del kept
-    block = _shared_substitutions(rep, degree - 1)[2]
+    block = _shared_substitutions(rep, degree - 1)[1]
     moves = {perm: block(False, perm) for perm in permutations(range(degree))}
     basis = []
     for last in product(range(module.rank), repeat=degree):

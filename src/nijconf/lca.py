@@ -704,6 +704,18 @@ def semidirect(rep):
     return sum_algebra(rep.algebra, rep)
 
 
+def _flipped_action(rho):
+    """The action of L on M read as M acting on L: {(j, i): the coordinates
+    of [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j}, on the nonzero entries of
+    rho.  The bracket of a sum algebra and the coboundary's action sum read
+    it (see ``cohomology._Coboundary``)."""
+    out = {}
+    for i, j in rho.action.entries:
+        flipped = dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
+        out[j, i] = [-c for c in flipped.coords]
+    return out
+
+
 def sum_algebra(l_alg, rho, m_table=None, chi=None):
     """The lambda-bracket table on L (+) M built from an action rho of L on M.
 
@@ -714,6 +726,7 @@ def sum_algebra(l_alg, rho, m_table=None, chi=None):
     rank_l, rank_m = l_alg.module.rank, rho.module.rank
     out = LCA(_sum_module(l_alg.module, rho.module))
     zero_l, zero_m = [Poly.zero(1)] * rank_l, [Poly.zero(1)] * rank_m
+    flipped = _flipped_action(rho)
     for i in range(rank_l):
         for j in range(rank_l):
             m_part = zero_m if chi is None else chi.value((i, j)).coords
@@ -721,9 +734,8 @@ def sum_algebra(l_alg, rho, m_table=None, chi=None):
         for j in range(rank_m):
             # [e_i lam m_j] = rho(e_i)_lam m_j
             out.set_bracket(i, rank_l + j, zero_l + list(rho.action.get(i, j)))
-            # [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j
-            flipped = dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
-            out.set_bracket(rank_l + j, i, zero_l + [-c for c in flipped.coords])
+            # [m_j lam e_i], the flipped action
+            out.set_bracket(rank_l + j, i, zero_l + flipped.get((j, i), zero_m))
     if m_table is not None:
         for i in range(rank_m):
             for j in range(rank_m):

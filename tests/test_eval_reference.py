@@ -22,7 +22,10 @@ tabulated product, and the graded bracket the tabulated difference, in
 every degree up to MAX_DEGREE, on every case with adjoint coefficients;
 there the bracket cochain, the Maurer-Cartan element, pairs with every
 cochain to its coboundary up to sign, which pins the coboundary's inserted
-bracket to the insertion plans.
+bracket to the insertion plans.  On every case, the bracket of L (+) M
+pairs with every cochain valued in M to its coboundary on the tuples of L,
+which pins the coboundary's action sum, the insertion into the flipped
+action, on coefficients that are not adjoint.
 """
 
 from fractions import Fraction
@@ -69,6 +72,7 @@ from nijconf.lca import (
     _evaluate,
     dagger_substitute,
     sesqui_eval,
+    sum_algebra,
 )
 from nijconf.nijenhuis import deformed_table
 from nijconf.poly import Poly, dagger
@@ -494,6 +498,30 @@ def test_the_bracket_cochain_pairs_to_the_coboundary(name):
         for f in _cochains(rep, degree, rng) + [random_cochain(rep, degree, rng)]:
             want = apply_delta(f).scale((-1) ** (degree - 1))
             assert nr_bracket(mc, f) == want
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_the_coboundary_is_the_bracket_with_the_semidirect_mc_element(case):
+    # on any coefficients M, the bracket of L (+) M is the Maurer-Cartan
+    # element whose bracket with f, valued in M, is (-1)^(n-1) delta f on
+    # the tuples of L: inserting f into its first slot reads the flipped
+    # action [m lam x], which pins the coboundary's action sum, with its
+    # sign flip at even degree, and the insertion of [x lam y] its bracket
+    # sum
+    _, rep, _, _ = _reps()[case]
+    rank = rep.algebra.module.rank
+    mc = bracket_cochain(sum_algebra(rep.algebra, rep))
+    rng = Random(800 + case)
+    for degree in range(4):
+        for f in _cochains(rep, degree, rng):
+            zero = [Poly.zero(f.value_arity)] * rank
+            values = {key: zero + value.coords for key, value in f.values.items()}
+            image = nr_bracket(mc, Cochain(degree, mc.rep, values))
+            want = apply_delta(f).scale((-1) ** (degree - 1))
+            for key in product(range(rank), repeat=degree + 1):
+                coords = image.value(key).coords
+                assert not any(coords[:rank])
+                assert coords[rank:] == want.value(key).coords
 
 
 # ---------------------------------------------------------------------------

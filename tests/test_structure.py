@@ -19,19 +19,24 @@ solver keeps a slice of its own.  ``linalg.solve`` is called only from
 equivalence and the eta of a lift), and from ``cohomology.image_contains``.
 Tables and cochains share one evaluator: ``_Lifted(`` is called only by
 ``lca._evaluate``, the evaluation core.  One coboundary formula: the
-coboundary plan's bracket sum is the insertion of the bracket cochain, so
-``cohomology._inserted`` is called only by ``_Insertion.__init__`` and
-``_Coboundary.__init__``; ``_Coboundary.__init__`` takes no operator, and
-the twisted coboundary and H5 are that plan over a pulled-back action, so
-``cohomology._pulled_back`` is called only by ``_differential`` and
-``homotopy.check_homomorphism``, and in ``homotopy`` only
-``TwoTermConformal.act`` calls ``act_form``.  The linear maps of cochains share one
-mapping loop: among ``cohomology._Plan`` and its subclasses only ``_Plan``
-defines ``__call__``, and the coboundary, xi and the insertion only build
-terms for it, as does the skew projection.  Outside ``poly.py``, a
-``Substitution(`` is built only by ``lca._expansion``, the one expansion of
-a stored value, and by ``cohomology._substitutions``, which holds its
-substitutions for every plan and for the orbit moves of ``cochain_space``.
+coboundary plan is two insertions, of f into the flipped action and of the
+bracket cochain into f, so ``cohomology._inserted`` is called only by
+``_Insertion.__init__`` and twice by ``_Coboundary.__init__``, and in
+``cohomology`` only ``_left_bracket`` calls ``act_form``.  The action flip
+[m lam x] = -rho(x)_{-del-lam} m, a ``dagger_substitute`` of an
+``act_basis(..., slot=2, ...)``, is written only in ``lca._flipped_action``,
+which the coboundary and ``lca.sum_algebra`` read.
+``_Coboundary.__init__`` takes no operator, and the twisted coboundary and
+H5 are that plan over a pulled-back action, so ``cohomology._pulled_back``
+is called only by ``_differential`` and ``homotopy.check_homomorphism``,
+and in ``homotopy`` only ``TwoTermConformal.act`` calls ``act_form``.  The
+linear maps of cochains share one mapping loop: among ``cohomology._Plan``
+and its subclasses only ``_Plan`` defines ``__call__``, and the coboundary,
+xi and the insertion only build terms for it, as does the skew projection.
+Outside ``poly.py``, a ``Substitution(`` is built only by
+``lca._expansion``, the one expansion of a stored value, and by
+``cohomology._substitutions``, which holds its substitutions for every plan
+and for the orbit moves of ``cochain_space``.
 No function of ``cohomology`` calls ``eval_cochain``: the coboundary, xi,
 the insertion product in the factor that is not fixed and the skew
 projection are linear and planned (``cohomology._Plan``), and the cup
@@ -131,15 +136,15 @@ def _callers(name, sources=None):
     return sorted(found)
 
 
-def _owners(name, sources=None):
-    """(module, owner) of every call of ``name``, in the package or in the
-    (module, source text) pairs ``sources``: the owner is the dotted path of
-    the classes and functions around the call."""
+def _owners(name, sources=None, keep=lambda call: True):
+    """(module, owner) of every call of ``name`` that ``keep`` accepts, in
+    the package or in the (module, source text) pairs ``sources``: the owner
+    is the dotted path of the classes and functions around the call."""
     found = []
 
     def visit(module, node, path):
         for child in ast.iter_child_nodes(node):
-            if _calls(child, name):
+            if _calls(child, name) and keep(child):
                 found.append((module, ".".join(path)))
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(module, child, path + (child.name,) if named else path)
@@ -149,17 +154,37 @@ def _owners(name, sources=None):
     return sorted(found)
 
 
-def _homotopy_actors(sources=None):
-    """The owners of every call of ``act_form`` in ``homotopy``."""
-    return [
-        owner for module, owner in _owners("act_form", sources) if module == "homotopy"
-    ]
+def _actors(module, sources=None):
+    """The owners of every call of ``act_form`` in ``module``."""
+    return [owner for name, owner in _owners("act_form", sources) if name == module]
+
+
+def _flips_an_action(call):
+    """Whether ``call``'s first argument is an ``act_basis`` at slot 2."""
+    inner = call.args[0] if call.args else None
+    if not _calls(inner, "act_basis"):
+        return False
+    slots = inner.args[2:3] + [k.value for k in inner.keywords if k.arg == "slot"]
+    return any(getattr(slot, "value", None) == 2 for slot in slots)
+
+
+def _action_flips(sources=None):
+    """(module, owner) of every ``dagger_substitute`` of an ``act_basis``
+    at slot 2: the action flip [m lam x] = -rho(x)_{-del-lam} m."""
+    return _owners("dagger_substitute", sources, keep=_flips_an_action)
 
 
 def test_one_coboundary_formula():
     assert _owners("_inserted") == [
         ("cohomology", "_Coboundary.__init__"),
+        ("cohomology", "_Coboundary.__init__"),
         ("cohomology", "_Insertion.__init__"),
+    ]
+    assert _actors("cohomology") == ["_left_bracket"]
+    assert _action_flips() == [("lca", "_flipped_action")]
+    assert _owners("_flipped_action") == [
+        ("cohomology", "_Coboundary.__init__"),
+        ("lca", "sum_algebra"),
     ]
     assert _owners("_pulled_back") == [
         ("cohomology", "_differential.plan"),
@@ -176,7 +201,7 @@ def test_one_coboundary_formula():
     assert [arg.arg for arg in init.args.args] == [
         "self", "rep", "degree", "substitutions", "keys"
     ]
-    assert _homotopy_actors() == ["TwoTermConformal.act"]
+    assert _actors("homotopy") == ["TwoTermConformal.act"]
 
 
 def test_the_coboundary_rule_sees_a_hand_written_h5():
@@ -203,7 +228,75 @@ def check_homomorphism(src, dst, f0, f1, f2):
 
     report.add_residuals("H5", product(range(mod0.rank), repeat=3), h5)
 """
-    assert _homotopy_actors([("homotopy", source)]) == ["check_homomorphism.h5"] * 3
+    actors = _actors("homotopy", [("homotopy", source)])
+    assert actors == ["check_homomorphism.h5"] * 3
+
+
+def test_the_coboundary_rule_sees_a_hand_written_action_sum():
+    # the coboundary whose action sum evaluated the action table itself
+    source = """
+class _Coboundary(_Plan):
+    def __init__(self, rep, degree, substitutions, keys=None):
+        module, target = rep.algebra.module, rep.module
+        arity = degree + 1
+        forms = _forms(arity, arity)
+        basis = _basis_args(module, range(module.rank))
+        final, self.spreads, block = substitutions
+        inserted, brackets = _inserted(
+            bracket_cochain(rep.algebra), True, degree, block, target.rank
+        )
+        self.degree = arity
+        self.substitutions = dict(enumerate(self.spreads)) | inserted
+        actions = {}
+
+        def action(i, generator):
+            held = actions.get((i, generator))
+            if held is None:
+                held = actions[i, generator] = []
+                for b in range(target.rank):
+                    image = act_form(
+                        rep.action, target, basis[generator],
+                        target.basis_elem(b), forms[i], arity,
+                    )
+                    held += [(b, t, final(p)) for t, p in enumerate(image.coords) if p]
+            return held
+
+        def terms(key):
+            out = []
+            for i in range(arity):
+                coefficients = action(i, key[i])
+                if coefficients:
+                    out.append((i % 2, i, key[:i] + key[i + 1 :], coefficients))
+            return out + [(not negative, *term) for negative, *term in brackets(key)]
+
+        self._index(keys, terms)
+"""
+    sources = [("cohomology", source)]
+    assert _actors("cohomology", sources) == ["_Coboundary.__init__.action"]
+    assert _owners("_inserted", sources) == [("cohomology", "_Coboundary.__init__")]
+
+
+def test_the_flip_rule_sees_a_hand_written_flip():
+    # the sum algebra's bracket [m_j lam e_i], flipped by hand; a flip at
+    # slot 1, or of a bracket, is no action flip
+    source = """
+def sum_algebra(l_alg, rho, m_table=None, chi=None):
+    for i in range(rank_l):
+        for j in range(rank_m):
+            flipped = dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
+            out.set_bracket(rank_l + j, i, zero_l + [-c for c in flipped.coords])
+
+
+def _moved(rep, i, j):
+    return dagger_substitute(rep.act_basis(i, j, 2, 2), 2)
+
+
+def _kept(rep, lca, i, j):
+    first = dagger_substitute(rep.act_basis(i, j, slot=1, arity=2), 2)
+    return first, dagger_substitute(lca.bracket_basis(i, j, slot=2, arity=2), 2)
+"""
+    flips = _action_flips([("lca", source)])
+    assert flips == [("lca", "_moved"), ("lca", "sum_algebra")]
 
 
 def test_only_the_slice_builder_calls_cochain_space():
