@@ -1265,15 +1265,36 @@ def _slice(rep, degree, bound, operator=None, sorted_only=False):
     ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
     through the plan of the differential that ``rep`` holds (see
     `_differential`): delta, or d_N of ``operator`` on adjoint coefficients.
-    The plan touches only the support of each cochain.  A slice of more
-    than MAX_SLICE_CELLS cells is refused before anything is built.
+    The plan touches only the support of each cochain.  Its callers refuse
+    a slice of more than MAX_SLICE_CELLS cells (`_refuse_large_slices`)
+    before it is built.
     """
     if operator is not None:
         _require_adjoint(rep)
-    _refuse_large_slices(rep, (degree, bound))
     basis = cochain_space(rep, degree, bound)
     differential = _differential(rep, degree, operator, sorted_only=sorted_only)
     return basis, [_cochain_vector(differential(f)) for f in basis]
+
+
+def _lower(rep, degree, bound):
+    """The (degree, bound) of the slice whose images are the coboundaries
+    of degree ``degree`` at ``bound``: degree - 1, at ``bound`` plus the
+    structure degree, the largest degree of a bracket or action entry."""
+    values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
+    return degree - 1, bound + _max_degree(*values)
+
+
+def _coboundaries(rep, degree, bound, operator=None, sorted_only=False):
+    """The coboundaries of degree ``degree`` at ``bound``: the images of the
+    `_lower` slice, and the set of their cells of degree > ``bound``.
+
+    The coboundaries in the bounded slice are the combinations of the images
+    that vanish on those cells; their dimension is rank V - rank V_high,
+    V_high being the images restricted to the cells.  The one truncation
+    convention of `solve_truncated` and `image_contains`.
+    """
+    _, vecs = _slice(rep, *_lower(rep, degree, bound), operator, sorted_only)
+    return vecs, {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
 
 
 def _check_bound(bound):
@@ -1291,11 +1312,11 @@ def solve_truncated(rep, degree, bound, operator=None):
     (adjoint coefficients only).  Two truncations are taken.  The cochains
     are the skew ones of the given degree with polynomial entries of total
     degree <= ``bound``, and the cocycles solve differential = 0 among them.
-    The coboundaries are the differential images V of the degree-(n-1)
-    slice, truncated at ``bound +`` the structure degree, that stay inside
-    the bounded slice: their dimension rank V - rank V_high equals that of
-    V(ker V_high), where V_high is V restricted to the monomials of degree
-    > bound.
+    The coboundaries are those of `_coboundaries`: the differential images
+    V of the degree-(n-1) slice, truncated at ``bound +`` the structure
+    degree, that stay inside the bounded slice.  Their dimension
+    rank V - rank V_high equals that of V(ker V_high), where V_high is V
+    restricted to the monomials of degree > bound.
 
     Returns the four dimensions and ``kernel``, the cocycles as coefficient
     vectors over ``cochain_space(rep, degree, bound)``.  Both slices are
@@ -1321,19 +1342,15 @@ def solve_truncated(rep, degree, bound, operator=None):
             "solver supports degree at most %d" % MAX_SOLVER_DEGREE
         )
     _check_bound(bound)
-    slices = [(degree, bound)]
-    if degree >= 1:
-        values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
-        slices.append((degree - 1, bound + _max_degree(*values)))
-    _refuse_large_slices(rep, *slices)
+    lower = [_lower(rep, degree, bound)] if degree >= 1 else []
+    _refuse_large_slices(rep, (degree, bound), *lower)
     sorted_only = _sorted_outputs(rep, operator)
     basis, images = _slice(rep, degree, bound, operator, sorted_only)
     kernel = nullspace(images)
 
     dim_im = 0
-    if degree >= 1:
-        _, vecs = _slice(rep, *slices[1], operator, sorted_only)
-        high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
+    if lower:
+        vecs, high = _coboundaries(rep, degree, bound, operator, sorted_only)
         dim_im = rank(vecs) - rank(vecs, keys=high)
     return {
         "cochain_dim": len(basis),
@@ -1345,19 +1362,24 @@ def solve_truncated(rep, degree, bound, operator=None):
 
 
 def image_contains(rep, bound, target, operator=None):
-    """Whether ``target`` is an image of delta, or of d_N of ``operator``,
-    within the bounded slice.
+    """Whether ``target`` is an image, under delta or d_N of ``operator``,
+    of the lower slice from which `solve_truncated` counts its coboundaries
+    at ``bound`` (`_coboundaries`).
 
-    Unlike `solve_truncated`'s coboundaries, the preimages are truncated at
-    ``bound`` itself: the degree-(n-1) cochains with entries of total degree
-    <= ``bound``, their images evaluated on every output tuple.
+    A target inside the bounded slice is contained exactly when it is one
+    of those coboundaries: its preimages are the
+    degree-(n-1) cochains with entries of total degree <= ``bound +`` the
+    structure degree, not ``bound``.  The images are evaluated on every
+    output tuple, since a target need not be skew.  The slice is refused
+    before it is built when it has more than MAX_SLICE_CELLS cells.
     """
     from .linalg import solve
 
     if target.degree == 0:
         raise DegreeOverflowError("a degree-0 target has no preimages")
     _check_bound(bound)
-    _, vecs = _slice(rep, target.degree - 1, bound, operator)
+    _refuse_large_slices(rep, _lower(rep, target.degree, bound))
+    vecs, _ = _coboundaries(rep, target.degree, bound, operator)
     return solve(vecs, _cochain_vector(target)) is not None
 
 

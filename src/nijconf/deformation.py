@@ -9,7 +9,6 @@ degree-2 obstruction class.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -17,7 +16,6 @@ from .cohomology import (
     Cochain,
     adjoint_rep,
     apply_dN,
-    fn_bracket_of_maps,
     image_contains,
 )
 from .errors import ModuleMismatchError, PreconditionError
@@ -54,8 +52,13 @@ class DeformationSeries:
 
 
 def _order_residuals(series, n):
-    """(pair, residual) of the t^n-coefficient of the deformed Nijenhuis
-    identity on every basis pair."""
+    """{pair: residual} of the t^n-coefficient of the deformed Nijenhuis
+    identity on every basis pair, with N_i = 0 for i beyond the order.
+
+    At n = k + 1 on an order-k series this is minus the obstruction class
+    (`obstruction`).  So an N_{k+1} with d_N(N_{k+1}) = Ob makes the t^{k+1}
+    residual vanish: the sign of the next term is the residual's.
+    """
     module = series.base.algebra.module
     bracket = partial(eval_bracket, series.base.algebra)
     maps = [series.term(i) for i in range(n + 1)]
@@ -67,14 +70,15 @@ def _order_residuals(series, n):
             lhs = lhs + bracket(left.apply(pa), right.apply(qb))
             rhs = rhs + left.apply(_deformed(bracket, right, right, right, pa, qb))
         residuals[a, b] = lhs - rhs
-    return failures_of(residuals.items())
+    return residuals
 
 
 def check_order(series):
     """t-coefficient conditions of the deformed Nijenhuis identity, n = 0..k."""
     report = Report("deformation-order")
     for n in range(series.order + 1):
-        report.add_failures("order-%d" % n, _order_residuals(series, n))
+        residuals = _order_residuals(series, n).items()
+        report.add_failures("order-%d" % n, failures_of(residuals))
     return report
 
 
@@ -92,7 +96,7 @@ def infinitesimal_cocycle(series):
     image = apply_dN(cochain, base.n)
     report = Report("infinitesimal")
     report.add_failures("cocycle", failures_of(image.values.items()))
-    order1 = not _order_residuals(series, 1)
+    order1 = not failures_of(_order_residuals(series, 1).items())
     report.add(
         "order-1-agreement",
         image.is_zero() == order1,
@@ -104,10 +108,14 @@ def infinitesimal_cocycle(series):
 def obstruction(series, bound=3):
     """Obstruction class to extending an order-k deformation one step.
 
-    Ob = -1/2 sum_{i+j=k+1, i,j>=1} [N_i, N_j]_FN.  Returns the degree-2
-    cochain together with a report: the class is always a d_N-cocycle, and
-    extensibility is decided only within the polynomial degree bound and
-    reported as ``extensible@D`` / ``obstructed@D``.
+    Ob = -1/2 sum_{i+j=k+1, i,j>=1} [N_i, N_j]_FN, read as minus the
+    t^{k+1} residual of the Nijenhuis identity with N_{k+1} = 0
+    (`_order_residuals`): its terms with i, j >= 1 are the polarization of
+    the FN sum, and each term with N_0 has the factor N_{k+1}.
+    Returns the degree-2 cochain together with a report: the class is
+    always a d_N-cocycle, and ``extensible@D`` says that Ob is a d_N-image
+    of the preimages from which `solve_truncated` counts its coboundaries at
+    bound D (`image_contains`), ``obstructed@D`` that it is not.
     """
     pre = check_order(series)
     if not pre.passed:
@@ -115,13 +123,9 @@ def obstruction(series, bound=3):
             "series fails its own order conditions: %s" % pre.lines()
         )
     base = series.base
-    lca = base.algebra
-    rep = adjoint_rep(lca)
-    k = series.order
-    ob = Cochain.zero(2, rep)
-    for i in range(1, k + 1):
-        ob = ob + fn_bracket_of_maps(lca, series.term(i), series.term(k + 1 - i))
-    ob = ob.scale(Fraction(-1, 2))
+    rep = adjoint_rep(base.algebra)
+    residuals = _order_residuals(series, series.order + 1)
+    ob = Cochain(2, rep, {key: -residual for key, residual in residuals.items()})
     report = Report("obstruction")
     image = apply_dN(ob, base.n)
     report.add_failures("cocycle", failures_of(image.values.items()))

@@ -388,27 +388,30 @@ def _candidate_extension(cocycle, quot, sub):
     return ExtensionData(total_n, sub, quot, inc, proj, section)
 
 
-def _map_residuals(e1, e2, gamma):
-    """The residual of "gamma : E1 -> E2 is a Nijenhuis morphism" on the
-    arguments of e1's diagram: three dicts from basis tuples to elements of
-    E2.
+def _map_residuals(e1, e2):
+    """gamma -> the residual of "gamma : E1 -> E2 is a Nijenhuis morphism"
+    on the arguments of e1's diagram: three dicts from basis tuples to
+    elements of E2.
 
     ``action``   -- :func:`lca._morphism` on the pairs (s p_i, inc h_j);
     ``bracket``  -- :func:`lca._morphism` on the pairs (s p_i, s p_j);
     ``operator`` -- gamma R1 - R2 gamma on s p_i.
+
+    The source brackets are evaluated once, when the function is built.
     """
     l_mod, h_mod = e1.quot.algebra.module, e1.sub.algebra.module
     sections = [e1.section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
     included = [e1.inc.apply(h_mod.basis_elem(j)) for j in range(h_mod.rank)]
     src, dst = e1.total.algebra, e2.total.algebra
-    action = _morphism(src, dst, gamma, sections, included)
-    bracket = _morphism(src, dst, gamma, sections, sections)
-    defect = gamma.compose(e1.total.n) - e2.total.n.compose(gamma)
-    return (
-        {key: action(*key) for key in product(range(l_mod.rank), range(h_mod.rank))},
-        {key: bracket(*key) for key in product(range(l_mod.rank), repeat=2)},
-        {(i,): defect.apply(x) for i, x in enumerate(sections)},
-    )
+    actions = _morphism(src, dst, sections, included)
+    brackets = _morphism(src, dst, sections, sections)
+
+    def residuals(gamma):
+        defect = gamma.compose(e1.total.n) - e2.total.n.compose(gamma)
+        operator = {(i,): defect.apply(x) for i, x in enumerate(sections)}
+        return actions(gamma), brackets(gamma), operator
+
+    return residuals
 
 
 def _equivalence_residuals(c1, c2, quot, sub):
@@ -424,11 +427,12 @@ def _equivalence_residuals(c1, c2, quot, sub):
     e1 = _candidate_extension(c1, quot, sub)
     e2 = _candidate_extension(c2, quot, sub)
     retraction = e1.retraction()
+    map_residuals = _map_residuals(e1, e2)
 
     def residuals(tau):
         return tuple(
             {key: retraction.apply(value) for key, value in res.items()}
-            for res in _map_residuals(e1, e2, shear_map(e1, tau))
+            for res in map_residuals(shear_map(e1, tau))
         )
 
     return residuals

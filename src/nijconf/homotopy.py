@@ -256,11 +256,11 @@ def check_homomorphism(src, dst, f0, f1, f2):
 
     lam1 = Poly.lam(1, 1)
     dag1 = dagger(lam1)
-    morphism = _morphism(src.l0, dst.l0, f0)
+    morphism = _morphism(src.l0, dst.l0)(f0)
 
     def h2(i, j):
         f2_pq = eval_cochain(f2, [basis0(i), basis0(j)], [lam1, dag1], 1)
-        return dst.d.apply(f2_pq) + morphism(i, j)
+        return dst.d.apply(f2_pq) + morphism[i, j]
 
     report.add_residuals("H2", product(range(mod0.rank), repeat=2), h2)
 

@@ -905,31 +905,35 @@ def check_morphism(src, dst, mapping):
     """mapping([a lam b]_src) = [mapping(a) lam mapping(b)]_dst on all pairs."""
     if mapping.source != src.module or mapping.target != dst.module:
         raise ModuleMismatchError("map endpoints do not match the algebras")
-    pairs = product(range(src.module.rank), repeat=2)
     report = Report("morphism")
-    report.add_residuals("morphism", pairs, _morphism(src, dst, mapping))
+    report.add_failures("morphism", failures_of(_morphism(src, dst)(mapping).items()))
     return report
 
 
-def _morphism(src, dst, mapping, left=None, right=None):
-    """The residual (i, j) -> mapping([x_i lam y_j]_src)
-    - [mapping(x_i) lam mapping(y_j)]_dst of a morphism of algebras, on the
+def _morphism(src, dst, left=None, right=None):
+    """mapping -> the residuals {(i, j): mapping([x_i lam y_j]_src)
+    - [mapping(x_i) lam mapping(y_j)]_dst} of a morphism of algebras, on the
     elements x = ``left`` and y = ``right`` of src, or on its basis, whose
-    brackets are read off the table, when they are not given."""
+    brackets are read off the table, when they are not given.  The source
+    brackets do not depend on the mapping: they are evaluated once, here."""
     on_basis = left is None
     if on_basis:
         left = right = [src.module.basis_elem(i) for i in range(src.module.rank)]
-    image_left = [mapping.apply(x) for x in left]
-    image_right = image_left if right is left else [mapping.apply(y) for y in right]
+    brackets = {
+        (i, j): src.bracket_basis(i, j) if on_basis else eval_bracket(src, x, y)
+        for (i, x), (j, y) in product(enumerate(left), enumerate(right))
+    }
 
-    def residual(i, j):
-        if on_basis:
-            lhs = mapping.apply(src.bracket_basis(i, j))
-        else:
-            lhs = mapping.apply(eval_bracket(src, left[i], right[j]))
-        return lhs - eval_bracket(dst, image_left[i], image_right[j], slot=1)
+    def residuals(mapping):
+        image_left = [mapping.apply(x) for x in left]
+        image_right = image_left if right is left else [mapping.apply(y) for y in right]
+        return {
+            (i, j): mapping.apply(value)
+            - eval_bracket(dst, image_left[i], image_right[j], slot=1)
+            for (i, j), value in brackets.items()
+        }
 
-    return residual
+    return residuals
 
 
 def _intertwining(rep, mapping):

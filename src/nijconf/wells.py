@@ -196,9 +196,8 @@ def _eta_residuals(ext, pair):
     pair itself valid, these are exactly the three lifting conditions on
     eta."""
     pair_part = _pair_part(ext, pair)
-    return lambda eta: _map_residuals(
-        ext, ext, pair_part + ext.inc.compose(eta).compose(ext.proj)
-    )
+    map_residuals = _map_residuals(ext, ext)
+    return lambda eta: map_residuals(pair_part + ext.inc.compose(eta).compose(ext.proj))
 
 
 def _solve_eta(ext, residuals, bound):

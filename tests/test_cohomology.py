@@ -31,8 +31,11 @@ from nijconf.cohomology import (
     apply_delta,
     bracket_cochain,
     _cochain_vector,
+    _lower,
     _monomials,
+    _perm_sign,
     _max_degree,
+    _refuse_large_slices,
     _slice,
     _slice_cells,
     check_cochain_skew,
@@ -299,8 +302,9 @@ def test_central_charge_slice_hand_solved(vir, central_line):
     cubic = Cochain(2, rep)
     cubic.set_value((0, 0), [LAM ** 3])
     delta = apply_delta
-    assert image_contains(rep, 4, lam_only)
-    assert not image_contains(rep, 4, cubic)
+    for bound in range(3, MAX_SOLVER_BOUND + 1):
+        assert image_contains(rep, bound, lam_only)
+        assert not image_contains(rep, bound, cubic)
     for cocycle in span:
         assert delta(cocycle).is_zero()
 
@@ -656,6 +660,115 @@ def test_solver_evaluates_every_tuple_for_an_action_on_torsion():
     assert [len(linalg.nullspace(vecs)) for vecs in images] == [6, 9]
     assert [solve_truncated(rep, 3, b)["cocycle_dim"] for b in (1, 2)] == [3, 4]
     _assert_solver_matches_reference(rep, [(3, 1)])
+
+
+# ---------------------------------------------------------------------------
+# one truncation convention: image_contains tests a target against the
+# coboundaries solve_truncated counts
+
+
+def _module_m(weight, alpha):
+    """vir on M_{Delta,alpha}: [L lam m] = (del + alpha + Delta lam) m."""
+    rep = RepTable(make_vir(), FreeModule(["m"]))
+    rep.set_action(0, 0, [DEL + Poly.const(alpha, 1) + LAM.scale(weight)])
+    return rep
+
+
+def _sl2p():
+    rep = adjoint_rep(make_sl2())
+    return rep, ConfLinMap.diagonal(rep.algebra.module, [1, 1, 0])
+
+
+CONVENTION_CASES = {
+    "M0,0": (lambda: (_module_m(0, 0), None), [1, 2, 3], range(4)),
+    "M1,0": (lambda: (_module_m(1, 0), None), [1, 2, 3], range(4)),
+    "M1/2,1": (lambda: (_module_m(Fraction(1, 2), 1), None), [1, 2, 3], range(4)),
+    "M2,-1": (lambda: (_module_m(2, -1), None), [1, 2, 3], range(4)),
+    "M-1/2,3": (lambda: (_module_m(Fraction(-1, 2), 3), None), [1, 2, 3], range(4)),
+    "sl2p": (_sl2p, [1, 2], range(3)),
+}
+
+
+def _bounded_preimages(rep, degree, bound, operator=None):
+    """The images of the degree-(n-1) slice at ``bound`` itself, on every
+    output tuple: the other truncation convention, whose preimages have
+    entries of degree <= bound."""
+    return _slice(rep, degree - 1, bound, operator)[1]
+
+
+def _bounded_coboundary_dim(rep, degree, bound, operator=None):
+    vecs = _bounded_preimages(rep, degree, bound, operator)
+    high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
+    return linalg.rank(vecs) - linalg.rank(vecs, keys=high)
+
+
+@pytest.mark.parametrize("case", CONVENTION_CASES)
+def test_the_two_truncation_conventions_count_the_same_coboundaries(case):
+    # truncating the preimages at the bound itself, or at the bound plus the
+    # structure degree, leaves the same coboundaries inside the bound here
+    build, degrees, bounds = CONVENTION_CASES[case]
+    rep, operator = build()
+    for degree, bound in product(degrees, bounds):
+        counted = solve_truncated(rep, degree, bound, operator)["coboundary_dim"]
+        assert _bounded_coboundary_dim(rep, degree, bound, operator) == counted
+
+
+@pytest.mark.parametrize("case", ["M1/2,1", "M-1/2,3", "sl2p"])
+@pytest.mark.parametrize("seed", range(2))
+def test_image_contains_the_images_of_the_lower_slice(case, seed):
+    build, degrees, bounds = CONVENTION_CASES[case]
+    rep, operator = build()
+    rng = Random(seed)
+    for degree, bound in product(degrees, bounds):
+        lower = cochain_space(rep, *_lower(rep, degree, bound))
+        x = _combine([rng.randint(-2, 2) for _ in lower], lower)
+        image = apply_delta(x) if operator is None else apply_dN(x, operator)
+        assert image_contains(rep, bound, image, operator)
+
+
+def test_a_constant_cocycle_is_a_coboundary_of_a_preimage_above_the_bound():
+    # sl2 acting trivially on a line c on which del acts by 1.  The constant
+    # 3-cocycle eps is delta(x) for an x linear in lam, whose degree is
+    # above the bound 0: the coboundaries solve_truncated counts at bound 0
+    # hold eps, and preimages truncated at the bound itself miss it.  The
+    # one target inside the bound found whose answer moves between the two
+    # conventions.
+    sl2 = make_sl2()
+    rep = RepTable(sl2, FreeModule(["c"], [1]))
+    x = Cochain(2, rep)
+    one = Poly.one(1)
+    x.set_value((1, 1), [LAM.scale(2) + one])
+    x.set_value((2, 0), [LAM])
+    x.set_value((0, 2), [LAM + one])
+    eps = Cochain(3, rep)
+    for key in product(range(3), repeat=3):
+        if sorted(key) == [0, 1, 2]:
+            eps.set_value(key, [Poly.const(-_perm_sign(key), 2)])
+    assert reference_eval.apply_delta(x) == eps == apply_delta(x)
+    assert image_contains(rep, 0, eps)
+    assert linalg.solve(_bounded_preimages(rep, 3, 0), _cochain_vector(eps)) is None
+    result = solve_truncated(rep, 3, 0)
+    assert (result["cocycle_dim"], result["coboundary_dim"], result["h_dim"]) == (1, 1, 0)
+    assert _bounded_coboundary_dim(rep, 3, 0) == 0
+
+
+def test_image_contains_refuses_its_slice_once_before_it_is_built(monkeypatch):
+    # the lower slice of a degree-3 target at bound 6 has 4968 cells
+    rep = _steep_rank3()
+    target = Cochain(3, rep)
+    target.set_value((0, 1, 2), [Poly.zero(2), Poly.zero(2), Poly.one(2)])
+    built = count_calls(monkeypatch, cochain_space)
+    refused = count_calls(monkeypatch, _refuse_large_slices)
+    with pytest.raises(UnsupportedModeError, match="degree-2 slice at bound 22"):
+        image_contains(rep, 6, target)
+    assert not built
+    assert sum(refused.values()) == 1
+
+
+def test_a_solve_refuses_its_slices_once(monkeypatch, ad):
+    refused = count_calls(monkeypatch, _refuse_large_slices, lambda rep, *s: s)
+    solve_truncated(ad, 2, 1)
+    assert refused == {((2, 1), (1, 2)): 1}
 
 
 # ---------------------------------------------------------------------------

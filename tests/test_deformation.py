@@ -1,7 +1,10 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from nijconf import deformation
+from nijconf.cohomology import Cochain, adjoint_rep, fn_bracket_of_maps
 from nijconf.deformation import (
     DeformationSeries,
     check_order,
@@ -10,8 +13,9 @@ from nijconf.deformation import (
     operator_coboundary,
     verify_equivalence_order1,
 )
-from nijconf.lca import ConfLinMap
+from nijconf.lca import ConfLinMap, Elem
 from nijconf.poly import Poly
+from nijconf.report import Report
 
 
 def test_zero_series_is_a_deformation(sl2_p):
@@ -72,3 +76,54 @@ def test_obstruction_vanishing_is_exact(sl2_p, proj_p):
     ob, report = obstruction(series)
     # d_N(Ob) = 0 holds identically, not only modulo the degree bound
     assert report.status_of("cocycle") == "pass"
+
+
+def _del_poly(rng):
+    # a polynomial in del of degree <= 1
+    return Poly(0, {(e,): Fraction(rng.randint(-2, 2)) for e in range(2)})
+
+
+def _random_map(rng, module):
+    return ConfLinMap(
+        module, module, [[_del_poly(rng) for _ in module.basis] for _ in module.basis]
+    )
+
+
+def _fn_obstruction(series):
+    """-1/2 sum_{i+j=k+1, i,j>=1} [N_i, N_j]_FN: the obstruction written
+    with the FN bracket."""
+    lca, k = series.base.algebra, series.order
+    ob = Cochain.zero(2, adjoint_rep(lca))
+    for i in range(1, k + 1):
+        ob = ob + fn_bracket_of_maps(lca, series.term(i), series.term(k + 1 - i))
+    return ob.scale(Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("base", ["sl2_p", "vir_id"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_obstruction_is_the_fn_bracket_sum(request, monkeypatch, base, order, seed):
+    # Ob, read off the next-order residual, is a function of the terms
+    # alone; the order conditions are lifted so that random terms reach it
+    base = request.getfixturevalue(base)
+    monkeypatch.setattr(deformation, "check_order", lambda series: Report())
+    rng = Random(seed)
+    terms = [_random_map(rng, base.algebra.module) for _ in range(order)]
+    series = DeformationSeries(base, terms)
+    assert obstruction(series, bound=0)[0] == _fn_obstruction(series)
+
+
+def test_the_obstruction_of_a_coboundary_term_is_the_fn_bracket_sum(sl2_p):
+    # N_1 = d_N(p) is a deformation of order 1; its obstruction is not zero
+    # at most seeds
+    module = sl2_p.algebra.module
+    nonzero = 0
+    for seed in range(8):
+        rng = Random(seed)
+        p = Elem(module, [_del_poly(rng) for _ in module.basis])
+        series = DeformationSeries(sl2_p, [operator_coboundary(sl2_p, p)])
+        ob, report = obstruction(series, bound=0)
+        assert ob == _fn_obstruction(series)
+        assert report.status_of("cocycle") == "pass"
+        nonzero += not ob.is_zero()
+    assert nonzero == 7

@@ -1,7 +1,7 @@
 """Source-level rules: one failure collector and one witness format, one
-validation of a Nijenhuis structure, one builder of solver slices, one
-solver for a map L -> H, one evaluation core and one expansion, and a
-documented workspace grammar.
+validation of a Nijenhuis structure, one builder of solver slices and one
+space of coboundaries, one obstruction, one solver for a map L -> H, one
+evaluation core and one expansion, and a documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -13,10 +13,20 @@ A Nijenhuis structure from outside is validated once, by the constructor of
 the total with ``NijenhuisLCA.raw`` (pinned by ``tests/test_totals.py``), so
 no module calls the validating constructor.  ``cochain_space(`` is called
 only from ``cohomology._slice``, the one slice builder, which maps every
-basis cochain through one plan of the differential; so no caller of the
-solver keeps a slice of its own.  ``linalg.solve`` is called only from
+basis cochain through one plan of the differential.  ``_slice(`` is called
+only by ``solve_truncated`` and by ``_coboundaries``, the one space of
+coboundaries and so the one truncation convention, which
+``image_contains`` reads too; so no caller of the solver keeps a slice of
+its own.  Each slice is refused once, before any is built:
+``_refuse_large_slices(`` is called only by ``solve_truncated`` and
+``image_contains``.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
-equivalence and the eta of a lift), and from ``cohomology.image_contains``.
+equivalence and the eta of a lift), and from ``cohomology.image_contains``,
+which tests a target against the coboundaries ``solve_truncated`` counts.
+One obstruction: ``deformation`` calls neither ``fn_bracket`` nor
+``fn_bracket_of_maps``, since the obstruction is minus the next-order
+residual of ``deformation._order_residuals``; the FN bracket is the
+oracle that the tests hold it to.
 Tables and cochains share one evaluator: ``_Lifted(`` is called only by
 ``lca._evaluate``, the evaluation core.  One coboundary formula: the
 coboundary plan is two insertions, of f into the flipped action and of the
@@ -301,6 +311,89 @@ def _kept(rep, lca, i, j):
 
 def test_only_the_slice_builder_calls_cochain_space():
     assert _callers("cochain_space") == [("cohomology", "_slice")]
+
+
+def test_one_space_of_coboundaries_and_each_slice_refused_once():
+    assert _callers("_slice") == [
+        ("cohomology", "_coboundaries"),
+        ("cohomology", "solve_truncated"),
+    ]
+    assert _callers("_refuse_large_slices") == [
+        ("cohomology", "image_contains"),
+        ("cohomology", "solve_truncated"),
+    ]
+
+
+def test_the_slice_rules_see_a_second_convention_and_a_second_refusal():
+    # the image test that truncated its preimages at the bound itself, and
+    # the slice builder that refused its slice a second time
+    source = """
+def _slice(rep, degree, bound, operator=None, sorted_only=False):
+    if operator is not None:
+        _require_adjoint(rep)
+    _refuse_large_slices(rep, (degree, bound))
+    basis = cochain_space(rep, degree, bound)
+    differential = _differential(rep, degree, operator, sorted_only=sorted_only)
+    return basis, [_cochain_vector(differential(f)) for f in basis]
+
+
+def image_contains(rep, bound, target, operator=None):
+    from .linalg import solve
+
+    if target.degree == 0:
+        raise DegreeOverflowError("a degree-0 target has no preimages")
+    _check_bound(bound)
+    _, vecs = _slice(rep, target.degree - 1, bound, operator)
+    return solve(vecs, _cochain_vector(target)) is not None
+"""
+    sources = [("cohomology", source)]
+    assert _callers("_slice", sources) == [("cohomology", "image_contains")]
+    assert _callers("_refuse_large_slices", sources) == [("cohomology", "_slice")]
+
+
+def _fn_brackets(module, sources=None):
+    """(module, caller) of every call of an FN bracket in ``module``."""
+    return [
+        caller
+        for name in ("fn_bracket", "fn_bracket_of_maps")
+        for caller in _callers(name, sources)
+        if caller[0] == module
+    ]
+
+
+def test_the_obstruction_is_read_off_the_next_order_residual():
+    assert _fn_brackets("deformation") == []
+    assert ("deformation", "obstruction") in _callers("_order_residuals")
+
+
+def test_the_obstruction_rule_sees_the_fn_bracket_sum():
+    source = """
+def obstruction(series, bound=3):
+    pre = check_order(series)
+    if not pre.passed:
+        raise PreconditionError(
+            "series fails its own order conditions: %s" % pre.lines()
+        )
+    base = series.base
+    lca = base.algebra
+    rep = adjoint_rep(lca)
+    k = series.order
+    ob = Cochain.zero(2, rep)
+    for i in range(1, k + 1):
+        ob = ob + fn_bracket_of_maps(lca, series.term(i), series.term(k + 1 - i))
+    ob = ob.scale(Fraction(-1, 2))
+    report = Report("obstruction")
+    image = apply_dN(ob, base.n)
+    report.add_failures("cocycle", failures_of(image.values.items()))
+    extensible = ob.is_zero() or image_contains(rep, bound, ob, operator=base.n)
+    report.add_status(
+        "extensibility",
+        "extensible@%d" % bound if extensible else "obstructed@%d" % bound,
+    )
+    return ob, report
+"""
+    sources = [("deformation", source)]
+    assert _fn_brackets("deformation", sources) == [("deformation", "obstruction")]
 
 
 def test_only_the_evaluation_core_lifts_arguments():
