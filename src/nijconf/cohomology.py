@@ -65,6 +65,7 @@ from .lca import (
     ConfLinMap,
     Elem,
     RepTable,
+    adjoint_rep,
     _evaluate,
     _flipped_action,
     _output_tuples,
@@ -85,11 +86,6 @@ MAX_DEGREE = 4
 MAX_SOLVER_DEGREE = 3
 MAX_SOLVER_BOUND = 6
 MAX_SLICE_CELLS = 4096
-
-
-def adjoint_rep(lca):
-    """The adjoint action table of an algebra on its own module."""
-    return RepTable(lca, lca.module, lca.table)
 
 
 def _require_adjoint(rep):
@@ -1125,11 +1121,12 @@ def _monomials(nvars, bound, include_del):
     ]
 
 
-def _cochain_vector(f):
-    """The cochain as a sparse vector over (basis tuple, coordinate, monomial)."""
+def _cells(values):
+    """A ``{basis tuple: Elem}`` dict as a sparse vector over (tuple,
+    coordinate, monomial): the one cell format of the solver's columns."""
     return {
         (key, c, mono): coeff
-        for key, value in f.values.items()
+        for key, value in values.items()
         for c, poly in enumerate(value.coords)
         for mono, coeff in poly.terms.items()
     }
@@ -1256,24 +1253,19 @@ def _refuse_large_slices(rep, *slices):
             )
 
 
-def _slice(rep, degree, bound, operator=None, sorted_only=False):
-    """A bounded cochain slice: its basis, and the differential images of
-    the basis cochains as sparse vectors on the output tuples, the
-    non-decreasing ones when ``sorted_only``.
+def _slice(rep, degree, bound, image):
+    """A bounded cochain slice: its basis ``cochain_space(rep, degree,
+    bound)``, and the cells (`_cells`) of ``image(f)``, a ``{tuple: Elem}``
+    dict, for each basis cochain f.
 
-    The one builder of solver slices.  The basis is
-    ``cochain_space(rep, degree, bound)``, and every basis cochain is mapped
-    through the plan of the differential that ``rep`` holds (see
-    `_differential`): delta, or d_N of ``operator`` on adjoint coefficients.
-    The plan touches only the support of each cochain.  Its callers refuse
-    a slice of more than MAX_SLICE_CELLS cells (`_refuse_large_slices`)
-    before it is built.
+    The one builder of solve columns: the solver's images are the values of
+    the differential that ``rep`` holds (see `_differential`), and a map
+    solve's are the residuals of a map L -> H, a degree-1 cochain
+    (`extension.solve_map`).  The solver's callers refuse a slice of more
+    than MAX_SLICE_CELLS cells (`_refuse_large_slices`) before it is built.
     """
-    if operator is not None:
-        _require_adjoint(rep)
     basis = cochain_space(rep, degree, bound)
-    differential = _differential(rep, degree, operator, sorted_only=sorted_only)
-    return basis, [_cochain_vector(differential(f)) for f in basis]
+    return basis, [_cells(image(f)) for f in basis]
 
 
 def _lower(rep, degree, bound):
@@ -1293,16 +1285,21 @@ def _coboundaries(rep, degree, bound, operator=None, sorted_only=False):
     V_high being the images restricted to the cells.  The one truncation
     convention of `solve_truncated` and `image_contains`.
     """
-    _, vecs = _slice(rep, *_lower(rep, degree, bound), operator, sorted_only)
+    lower, top = _lower(rep, degree, bound)
+    differential = _differential(rep, lower, operator, sorted_only=sorted_only)
+    _, vecs = _slice(rep, lower, top, lambda f: differential(f).values)
     return vecs, {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
 
 
-def _check_bound(bound):
-    """Refuse a truncation bound outside 0..MAX_SOLVER_BOUND."""
+def _check_solve(rep, bound, operator):
+    """Refuse a truncation bound outside 0..MAX_SOLVER_BOUND, and an
+    operator over coefficients that are not adjoint."""
     if bound < 0:
         raise PreconditionError("truncation bound %d is negative" % bound)
     if bound > MAX_SOLVER_BOUND:
         raise PreconditionError("truncation bound too large")
+    if operator is not None:
+        _require_adjoint(rep)
 
 
 def solve_truncated(rep, degree, bound, operator=None):
@@ -1341,11 +1338,12 @@ def solve_truncated(rep, degree, bound, operator=None):
         raise DegreeOverflowError(
             "solver supports degree at most %d" % MAX_SOLVER_DEGREE
         )
-    _check_bound(bound)
+    _check_solve(rep, bound, operator)
     lower = [_lower(rep, degree, bound)] if degree >= 1 else []
     _refuse_large_slices(rep, (degree, bound), *lower)
     sorted_only = _sorted_outputs(rep, operator)
-    basis, images = _slice(rep, degree, bound, operator, sorted_only)
+    differential = _differential(rep, degree, operator, sorted_only=sorted_only)
+    basis, images = _slice(rep, degree, bound, lambda f: differential(f).values)
     kernel = nullspace(images)
 
     dim_im = 0
@@ -1366,21 +1364,23 @@ def image_contains(rep, bound, target, operator=None):
     of the lower slice from which `solve_truncated` counts its coboundaries
     at ``bound`` (`_coboundaries`).
 
-    A target inside the bounded slice is contained exactly when it is one
-    of those coboundaries: its preimages are the
-    degree-(n-1) cochains with entries of total degree <= ``bound +`` the
-    structure degree, not ``bound``.  The images are evaluated on every
-    output tuple, since a target need not be skew.  The slice is refused
-    before it is built when it has more than MAX_SLICE_CELLS cells.
+    Its preimages are the degree-(n-1) cochains with entries of total
+    degree <= ``bound +`` the structure degree, not ``bound``; the target
+    itself is not asked to have degree <= ``bound``.  So a target inside
+    the bounded slice is contained exactly when it is one of those
+    coboundaries, and a coboundary of higher degree with such a preimage is
+    contained too.  The images are evaluated on every output tuple, since a
+    target need not be skew.  The slice is refused before it is built when
+    it has more than MAX_SLICE_CELLS cells.
     """
     from .linalg import solve
 
     if target.degree == 0:
         raise DegreeOverflowError("a degree-0 target has no preimages")
-    _check_bound(bound)
+    _check_solve(rep, bound, operator)
     _refuse_large_slices(rep, _lower(rep, target.degree, bound))
     vecs, _ = _coboundaries(rep, target.degree, bound, operator)
-    return solve(vecs, _cochain_vector(target)) is not None
+    return solve(vecs, _cells(target.values)) is not None
 
 
 def random_cochain(rep, degree, rng, max_degree=2, density=2):

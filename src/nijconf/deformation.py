@@ -115,7 +115,9 @@ def obstruction(series, bound=3):
     Returns the degree-2 cochain together with a report: the class is
     always a d_N-cocycle, and ``extensible@D`` says that Ob is a d_N-image
     of the preimages from which `solve_truncated` counts its coboundaries at
-    bound D (`image_contains`), ``obstructed@D`` that it is not.
+    bound D (`image_contains`), 1-cochains of degree at most D plus the
+    structure degree, whatever the degree of Ob; ``obstructed@D`` that it
+    is not.
     """
     pre = check_order(series)
     if not pre.passed:

@@ -11,7 +11,10 @@ Nijenhuis identity -- no separate sign conventions to maintain.
 Equivalence of triples is decided exactly: by direct verification for a
 supplied comparison map tau, or, when H is abelian, by a linear solve for
 tau over a bounded polynomial coefficient space (with an honest
-``infeasible`` verdict when the bound admits no solution).  tau is an
+``infeasible`` verdict when the bound admits no solution).  A map L -> H is
+a degree-1 cochain, so that space is the solver's degree-1 slice
+(``cohomology._slice``): an evaluation H has finitely many unknowns by its
+construction, constants on every entry, whatever the bound.  tau is an
 equivalence exactly when the shear (p, h) -> (p, h + tau p) between the
 extensions the two triples rebuild is a Nijenhuis morphism.  That residual,
 :func:`_map_residuals`, is written once, over ``lca._morphism``, and also
@@ -25,9 +28,10 @@ from fractions import Fraction
 from itertools import product
 
 # act_form is unused here; perfbench/tests checks the tracer rebinds it
-from .cohomology import Cochain, _max_degree, act_form
+from .cohomology import Cochain, _cells, _max_degree, _slice, act_form
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
+    LCA,
     ConfLinMap,
     Elem,
     RepTable,
@@ -443,44 +447,33 @@ def solve_map(l_mod, h_mod, bound, residuals):
     ``residuals(t)`` vanish, or None when there is none.
 
     ``residuals(t)`` is a sequence of dicts from basis tuples to elements,
-    affine in t.  The unknowns are the
-    coefficients of del^e (e <= bound) in each entry of t.  The column of an
-    unknown is residuals(unit) - residuals(0) on every key of either side,
-    and the right-hand side is -residuals(0).
+    affine in t.  A map L -> H is a degree-1 cochain of L with values in H,
+    so the unknowns are the basis of the solver's degree-1 slice at
+    ``bound`` (`cohomology._slice`): del^e (e <= bound) on a free coordinate
+    of H, a constant on an evaluation one.  The image of a unit is its
+    residuals in one dict, a key of the n-th residual dict read as
+    (n,) + key; its column is that image minus the image of the zero map,
+    and the right-hand side is minus the latter.  The answer is the sum of
+    the units scaled by the solution.
     """
+    rep = RepTable(LCA(l_mod), h_mod)
 
-    def vector(mapping):
+    def image(f):
         return {
-            (tag, key, c, mono): coeff
-            for tag, res in enumerate(residuals(mapping))
+            (tag,) + key: value
+            for tag, res in enumerate(residuals(f.to_map()))
             for key, value in res.items()
-            for c, poly in enumerate(value.coords)
-            for mono, coeff in poly.terms.items()
         }
 
-    base = vector(ConfLinMap.zero(l_mod, h_mod))
-    unknowns = [
-        (r, c, e)
-        for r in range(h_mod.rank)
-        for c in range(l_mod.rank)
-        for e in range(bound + 1)
-    ]
-    columns = []
-    for r, c, e in unknowns:
-        matrix = [[Poly.zero(0)] * l_mod.rank for _ in range(h_mod.rank)]
-        matrix[r][c] = Poly(0, {(e,): Fraction(1)})
-        column = vector(ConfLinMap(l_mod, h_mod, matrix))
+    base = _cells(image(Cochain(1, rep)))
+    units, columns = _slice(rep, 1, bound, image)
+    for column in columns:
         for key, coeff in base.items():
             column[key] = column.get(key, 0) - coeff
-        columns.append(column)
     solution = solve(columns, {key: -coeff for key, coeff in base.items()})
     if solution is None:
         return None
-    matrix = [[Poly.zero(0) for _ in range(l_mod.rank)] for _ in range(h_mod.rank)]
-    for (r, c, e), coeff in zip(unknowns, solution):
-        if coeff:
-            matrix[r][c] = matrix[r][c] + Poly(0, {(e,): coeff})
-    return ConfLinMap(l_mod, h_mod, matrix)
+    return sum(map(Cochain.scale, units, solution), Cochain(1, rep)).to_map()
 
 
 def residual_report(title, residuals):

@@ -53,7 +53,6 @@ from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
     RepTable,
-    StructureTable,
     check_lca,
     check_morphism,
     check_representation,
@@ -86,12 +85,12 @@ class TwoTermConformal:
 
     ``l0`` is an LCA carrying the degree-0 bracket; ``action`` is the
     structure table of [[p_lam m]] (degree 0 on degree 1); the bracket of two
-    degree-1 elements must vanish and is stored only so that violations can
-    be represented.  The [[m_lam p]] bracket is derived from conformal
-    skew-symmetry.  ``l3`` is a degree-3 cochain with values in L1.
+    degree-1 elements would land in degree 2, which the complex does not
+    have, so it is not stored.  The [[m_lam p]] bracket is derived from
+    conformal skew-symmetry.  ``l3`` is a degree-3 cochain with values in L1.
     """
 
-    def __init__(self, l0, l1, d, action, l3=None, bracket_11=None):
+    def __init__(self, l0, l1, d, action, l3=None):
         if d.source != l1 or d.target != l0.module:
             raise ModuleMismatchError("differential must map L1 to L0")
         _require_linear(d, "differential")
@@ -103,9 +102,6 @@ class TwoTermConformal:
         self.l1 = l1
         self.d = d
         self.rep = RepTable(l0, l1, action)
-        if bracket_11 is None:
-            bracket_11 = StructureTable(l1.rank, l1.rank, l1.rank)
-        self.bracket_11 = bracket_11
         if l3 is None:
             l3 = Cochain.zero(3, self.rep)
         self.l3 = l3
@@ -153,7 +149,7 @@ def check_2term(structure):
     Each line is a strict axiom's residual plus its homotopy correction,
     which is zero where none is named:
 
-    * L1: the degree-1 bracket vanishes;
+    * L1: the degree-1 bracket vanishes, which holds by construction;
     * L2: [[m lam p]] = -[[p_{-del-lam} m]], which holds by construction;
     * L3: skew-symmetry of the degree-0 bracket;
     * L4: the intertwining residual of d, d [[p lam m]] - [p lam dm];
@@ -180,9 +176,9 @@ def check_2term(structure):
     skew = check_cochain_skew(t.l3)
     report.add("l3-skew", skew.passed, skew.witness_of("skew"))
 
-    # the table stores nonzero values only
-    zero11 = not t.bracket_11.entries
-    report.add("L1", zero11, "degree-1 bracket is nonzero")
+    # L1 holds by construction: the complex has no degree-2 part, so the
+    # bracket of two degree-1 elements vanishes.
+    report.add("L1", True)
 
     # L2 holds by construction: the m-on-p bracket is defined through it.
     report.add("L2", True)

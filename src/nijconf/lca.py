@@ -20,7 +20,8 @@ these substitutions to literal polynomial identities.  The Jacobi, the
 representation, the morphism and the intertwining residuals on basis tuples
 (:func:`_jacobi`, :func:`_representation`, :func:`_morphism`,
 :func:`_intertwining`) are each defined once: the 2-term checks of
-``homotopy`` add their homotopy corrections to them.
+``homotopy`` add their homotopy corrections to them.  The Jacobi residual is
+minus the representation residual of the adjoint action.
 """
 
 from __future__ import annotations
@@ -401,10 +402,7 @@ class LCA:
 
     def bracket_basis(self, i, j, slot=1, arity=None):
         """[e_i lam_slot e_j] as an Elem."""
-        if arity is None:
-            arity = slot
-        relabel = _relabeling((slot,), arity)
-        return Elem(self.module, [relabel(poly) for poly in self.table.get(i, j)])
+        return _basis_value(self.table, self.module, i, j, slot, arity)
 
     def __eq__(self, other):
         return (
@@ -584,31 +582,10 @@ def _jacobi_failures(lca, triples):
 def _jacobi(lca):
     """The Jacobi residual (i, j, k) -> [e_i lam [e_j mu e_k]]
     - [e_j mu [e_i lam e_k]] - [[e_i lam e_j] lam+mu e_k] at arity 2, with
-    lam = lam1 and mu = lam2.
-
-    A term whose inner bracket is zero is the zero Elem at arity 2, without
-    evaluating the outer bracket against it."""
-    module = lca.module
-    lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
-    zero = module.zero(2)
-
-    def residual(i, j, k):
-        inner = lca.bracket_basis(j, k, slot=2, arity=2)
-        term1 = zero
-        if not inner.is_zero():
-            term1 = eval_bracket(lca, module.basis_elem(i), inner, slot=1)
-        inner = lca.bracket_basis(i, k, slot=1, arity=2)
-        term2 = zero
-        if not inner.is_zero():
-            term2 = eval_bracket(lca, module.basis_elem(j), inner, slot=2)
-        inner = lca.bracket_basis(i, j, slot=1, arity=3)
-        term3 = zero
-        if not inner.is_zero():
-            outer = eval_bracket(lca, inner, module.basis_elem(k), slot=3)
-            term3 = outer.substitute(3, lam12).shrink(2)
-        return term1 - term2 - term3
-
-    return residual
+    lam = lam1 and mu = lam2: minus the representation residual of the
+    adjoint action (:func:`_representation`)."""
+    representation = _representation(adjoint_rep(lca))
+    return lambda i, j, k: -representation(i, j, k)
 
 
 class RepTable:
@@ -640,10 +617,23 @@ class RepTable:
         )
 
     def act_basis(self, i, j, slot=1, arity=None):
-        if arity is None:
-            arity = slot
-        relabel = _relabeling((slot,), arity)
-        return Elem(self.module, [relabel(poly) for poly in self.action.get(i, j)])
+        """rho(e_i)_lam_slot m_j as an Elem."""
+        return _basis_value(self.action, self.module, i, j, slot, arity)
+
+
+def _basis_value(table, module, i, j, slot, arity):
+    """The value of ``table`` at the basis pair (i, j) as an Elem of
+    ``module``, its lam1 read as lam_slot at ``arity`` (``slot`` when None):
+    the one reader of a bracket or an action on basis elements."""
+    if arity is None:
+        arity = slot
+    relabel = _relabeling((slot,), arity)
+    return Elem(module, [relabel(poly) for poly in table.get(i, j)])
+
+
+def adjoint_rep(lca):
+    """The adjoint action table of an algebra on its own module."""
+    return RepTable(lca, lca.module, lca.table)
 
 
 def check_representation(rep):
@@ -679,18 +669,24 @@ def check_representation(rep):
 def _representation(rep):
     """The residual (i, j, k) -> rho([e_i lam e_j])_{lam+mu} m_k
     - rho(e_i)_lam rho(e_j)_mu m_k + rho(e_j)_mu rho(e_i)_lam m_k of the
-    representation identity at arity 2, with lam = lam1 and mu = lam2."""
+    representation identity at arity 2, with lam = lam1 and mu = lam2.
+
+    A term whose inner value is zero is the zero Elem at arity 2, without
+    evaluating the outer action against it."""
     l_mod, m_mod = rep.algebra.module, rep.module
     lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
+    zero = m_mod.zero(2)
 
     def residual(i, j, k):
-        ei, ej, mk = l_mod.basis_elem(i), l_mod.basis_elem(j), m_mod.basis_elem(k)
-        # rho([e_i lam e_j])_{lam+mu} m_k
         inner = rep.algebra.bracket_basis(i, j, slot=1, arity=3)
-        lhs = sesqui_eval(rep.action, m_mod, inner, mk, Poly.lam(3, 3), 3)
-        lhs = lhs.substitute(3, lam12).shrink(2)
-        right1 = rep.act(ei, rep.act_basis(j, k, slot=2, arity=2), slot=1)
-        right2 = rep.act(ej, rep.act_basis(i, k, slot=1, arity=2), slot=2)
+        lhs = zero
+        if not inner.is_zero():
+            lhs = rep.act(inner, m_mod.basis_elem(k), slot=3)
+            lhs = lhs.substitute(3, lam12).shrink(2)
+        inner = rep.act_basis(j, k, slot=2, arity=2)
+        right1 = zero if inner.is_zero() else rep.act(l_mod.basis_elem(i), inner, slot=1)
+        inner = rep.act_basis(i, k, slot=1, arity=2)
+        right2 = zero if inner.is_zero() else rep.act(l_mod.basis_elem(j), inner, slot=2)
         return lhs - right1 + right2
 
     return residual

@@ -204,10 +204,10 @@ def _solve_eta(ext, residuals, bound):
     """Exact affine solve for eta: (eta-or-None, bound, certified).
 
     The conditions are affine in eta only when H is abelian.  When H is an
-    evaluation module every del-power in an eta entry collapses to a scalar,
-    so the unknown space is finite regardless of the bound, degree 0 already
-    covers it and infeasibility is a certificate; otherwise the default
-    bound is 2.
+    evaluation module its del is a scalar, so the degree-1 slice of
+    `extension.solve_map` has finitely many unknowns by construction,
+    constants on every entry: degree 0 already covers every bound, and
+    infeasibility is a certificate.  Otherwise the default bound is 2.
     """
     if ext.sub.algebra.table.entries:
         raise UnsupportedModeError("solving for eta needs an abelian H-bracket")

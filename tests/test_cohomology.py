@@ -30,7 +30,7 @@ from nijconf.cohomology import (
     apply_dNM,
     apply_delta,
     bracket_cochain,
-    _cochain_vector,
+    _cells,
     _lower,
     _monomials,
     _perm_sign,
@@ -412,7 +412,7 @@ def test_cochain_space_is_a_basis_on_mixed_coefficients(
     rep = RepTable(request.getfixturevalue(algebra), FreeModule(["a", "c"], ["free", 1]))
     basis = cochain_space(rep, degree, bound)
     assert len(basis) == dim
-    assert linalg.rank([_cochain_vector(f) for f in basis]) == dim
+    assert linalg.rank([_cells(f.values) for f in basis]) == dim
     res = solve_truncated(rep, degree, bound)
     assert res["cochain_dim"] == dim
     # the same cocycle and coboundary dimensions as the spanning set with
@@ -502,12 +502,12 @@ def _cochain_space_reference(rep, degree, bound):
 def _solve_truncated_reference(rep, degree, bound, differential):
     """Every image evaluated on every ordered output tuple."""
     basis = _cochain_space_reference(rep, degree, bound)
-    kernel = linalg.nullspace([_cochain_vector(differential(f)) for f in basis])
+    kernel = linalg.nullspace([_cells(differential(f).values) for f in basis])
     dim_im = 0
     if degree >= 1:
         values = (*rep.algebra.table.entries.values(), *rep.action.entries.values())
         lower = _cochain_space_reference(rep, degree - 1, bound + _max_degree(*values))
-        vecs = [_cochain_vector(differential(g)) for g in lower]
+        vecs = [_cells(differential(g).values) for g in lower]
         high = {slot for vec in vecs for slot in vec if sum(slot[2]) > bound}
         dim_im = linalg.rank(vecs) - linalg.rank(vecs, keys=high)
     return {
@@ -649,6 +649,13 @@ def test_solver_evaluates_every_tuple_for_non_central_torsion():
     _assert_solver_matches_reference(adjoint_rep(algebra), [(1, 1), (2, 1)])
 
 
+def _images(rep, degree, bound, operator=None, sorted_only=False):
+    """The cells of the differential images of a slice's basis, as the
+    solver builds them (`_slice`)."""
+    differential = _differential(rep, degree, operator, sorted_only=sorted_only)
+    return _slice(rep, degree, bound, lambda f: differential(f).values)[1]
+
+
 def test_solver_evaluates_every_tuple_for_an_action_on_torsion():
     # sl2 acts on the evaluation generator c of the mixed coefficients by
     # [x_1 lam c] = 2c, which sesquilinearity forbids: delta then takes skew
@@ -656,7 +663,7 @@ def test_solver_evaluates_every_tuple_for_an_action_on_torsion():
     # would report 6 and 9 cocycles at (3, 1) and (3, 2) where there are 3
     # and 4
     rep = next(rep for name, rep, *_ in _reps() if name == "mixed-coefficients")
-    images = [_slice(rep, 3, b, sorted_only=True)[1] for b in (1, 2)]
+    images = [_images(rep, 3, b, sorted_only=True) for b in (1, 2)]
     assert [len(linalg.nullspace(vecs)) for vecs in images] == [6, 9]
     assert [solve_truncated(rep, 3, b)["cocycle_dim"] for b in (1, 2)] == [3, 4]
     _assert_solver_matches_reference(rep, [(3, 1)])
@@ -693,7 +700,7 @@ def _bounded_preimages(rep, degree, bound, operator=None):
     """The images of the degree-(n-1) slice at ``bound`` itself, on every
     output tuple: the other truncation convention, whose preimages have
     entries of degree <= bound."""
-    return _slice(rep, degree - 1, bound, operator)[1]
+    return _images(rep, degree - 1, bound, operator)
 
 
 def _bounded_coboundary_dim(rep, degree, bound, operator=None):
@@ -746,10 +753,22 @@ def test_a_constant_cocycle_is_a_coboundary_of_a_preimage_above_the_bound():
             eps.set_value(key, [Poly.const(-_perm_sign(key), 2)])
     assert reference_eval.apply_delta(x) == eps == apply_delta(x)
     assert image_contains(rep, 0, eps)
-    assert linalg.solve(_bounded_preimages(rep, 3, 0), _cochain_vector(eps)) is None
+    assert linalg.solve(_bounded_preimages(rep, 3, 0), _cells(eps.values)) is None
     result = solve_truncated(rep, 3, 0)
     assert (result["cocycle_dim"], result["coboundary_dim"], result["h_dim"]) == (1, 1, 0)
     assert _bounded_coboundary_dim(rep, 3, 0) == 0
+
+
+def test_a_coboundary_above_the_bound_is_contained(ad):
+    # extensible@D asks for a preimage in the lower slice only, not that the
+    # target have degree <= D: delta of a 1-cochain with a del entry has
+    # degree 1 and is contained at bound 0, where solve_truncated counts
+    # only coboundaries of degree 0
+    f = Cochain(1, ad)
+    f.set_value((0,), [Poly.del_(0), Poly.zero(0), Poly.zero(0)])
+    target = apply_delta(f)
+    assert _max_degree(*(value.coords for value in target.values.values())) == 1
+    assert image_contains(ad, 0, target)
 
 
 def test_image_contains_refuses_its_slice_once_before_it_is_built(monkeypatch):

@@ -1,9 +1,10 @@
 import os
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from nijconf import cli
+from nijconf import cli, linalg
 from nijconf.cohomology import Cochain
 from nijconf.errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
 from nijconf.extension import (
@@ -24,7 +25,7 @@ from nijconf.nijenhuis import NijenhuisLCA
 from nijconf.poly import Poly
 from nijconf.wells import AutomorphismPair, inducibility
 
-from conftest import LAM
+from conftest import DEL, LAM, count_calls
 from test_cli import ROOT
 
 
@@ -143,6 +144,58 @@ def test_central_charge_is_an_invariant(c_km, sl2_id, c_triv):
     assert not report.passed
     assert tau is None
     assert any("infeasible" in line for line in report.lines())
+
+
+def test_an_evaluation_kernel_has_the_same_unknowns_at_every_bound(
+    monkeypatch, c_km, sl2_id, c_triv
+):
+    # a map sl2 -> c, del acting on c by 0, is a degree-1 cochain whose
+    # evaluation coordinate holds constants only: 3 unknowns at every bound,
+    # where del^e (e <= bound) on each entry gave 12 at bound 3
+    columns = count_calls(monkeypatch, linalg.solve, key=lambda cols, rhs: len(cols))
+    zero = ConfLinMap.zero(sl2_id.algebra.module, c_triv.algebra.module)
+    for bound in range(4):
+        report, tau = cocycle_equivalence(c_km, c_km, sl2_id, c_triv, bound=bound)
+        assert report.lines() == ["solve: pass"] and tau == zero
+    assert columns == {3: 4}
+
+
+def _free_kernel(vir_id):
+    """The zero cocycle of vir on the free module h, k, on which L acts by
+    del + lam and del + 2 lam: a kernel where del^e is an unknown of its
+    own for every e."""
+    hm = FreeModule(["h", "k"])
+    rho = RepTable(vir_id.algebra, hm)
+    rho.set_action(0, 0, [DEL + LAM, Poly.zero(1)])
+    rho.set_action(0, 1, [Poly.zero(1), DEL + LAM.scale(2)])
+    sub = NijenhuisLCA(LCA(hm), ConfLinMap.identity(hm))
+    zero = ConfLinMap.zero(vir_id.algebra.module, hm)
+    return NonAbelianCocycle(Cochain(2, RepTable(vir_id.algebra, hm)), rho, zero), sub
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_planted_tau_of_degree_two_is_solved_on_a_free_kernel(monkeypatch, vir_id, seed):
+    # the triple of the section moved by a seeded tau with del^2 entries:
+    # no tau exists at bounds 0 and 1, one at bounds 2 and 3, and it differs
+    # from minus the planted one by a self-equivalence of the triple; the
+    # unknowns are rank L x rank H x (bound + 1)
+    cocycle, sub = _free_kernel(vir_id)
+    ext = build_extension(cocycle, vir_id, sub)
+    rng = Random(seed)
+    rows = [[Poly(0, {(e,): Fraction(rng.randint(1, 3)) for e in range(3)})] for _ in range(2)]
+    planted = ConfLinMap(vir_id.algebra.module, sub.algebra.module, rows)
+    moved = extract_cocycle(ext, ext.section + ext.inc.compose(planted))
+    columns = count_calls(monkeypatch, linalg.solve, key=lambda cols, rhs: len(cols))
+    for bound in range(4):
+        report, tau = cocycle_equivalence(cocycle, moved, vir_id, sub, bound=bound)
+        if bound < 2:
+            assert tau is None and "infeasible" in report.lines()[0]
+            continue
+        assert report.lines() == ["solve: pass"]
+        assert cocycle_equivalence(cocycle, moved, vir_id, sub, tau=tau)[0].passed
+        self_map = tau + planted
+        assert cocycle_equivalence(cocycle, cocycle, vir_id, sub, tau=self_map)[0].passed
+    assert columns == {1 * 2 * (bound + 1): 1 for bound in range(4)}
 
 
 @pytest.fixture(scope="module")

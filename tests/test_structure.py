@@ -1,7 +1,8 @@
 """Source-level rules: one failure collector and one witness format, one
-validation of a Nijenhuis structure, one builder of solver slices and one
-space of coboundaries, one obstruction, one solver for a map L -> H, one
-evaluation core and one expansion, and a documented workspace grammar.
+validation of a Nijenhuis structure, one builder of solve columns, one cell
+format and one space of coboundaries, one obstruction, one solver for a map
+L -> H, one Jacobi residual, one evaluation core and one expansion, and a
+documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -12,12 +13,17 @@ A Nijenhuis structure from outside is validated once, by the constructor of
 ``NijenhuisLCA``; the builders of totals trust their own checks and package
 the total with ``NijenhuisLCA.raw`` (pinned by ``tests/test_totals.py``), so
 no module calls the validating constructor.  ``cochain_space(`` is called
-only from ``cohomology._slice``, the one slice builder, which maps every
-basis cochain through one plan of the differential.  ``_slice(`` is called
+only from ``cohomology._slice``, the one builder of solve columns, which
+turns the image of every basis cochain into cells.  ``_slice(`` is called
 only by ``solve_truncated`` and by ``_coboundaries``, the one space of
 coboundaries and so the one truncation convention, which
-``image_contains`` reads too; so no caller of the solver keeps a slice of
-its own.  Each slice is refused once, before any is built:
+``image_contains`` reads too, each through one plan of the differential;
+and by ``extension.solve_map``, whose unknowns are the degree-1 slice,
+since a map L -> H is a degree-1 cochain.  So no solve keeps an unknown
+space of its own, and the (tuple, coordinate, monomial) cell format is
+written only by ``cohomology._cells``: no other comprehension flattens an
+element's coordinates and their terms.  Each slice of the solver is
+refused once, before any is built:
 ``_refuse_large_slices(`` is called only by ``solve_truncated`` and
 ``image_contains``.  ``linalg.solve`` is called only from
 ``extension.solve_map``, the one solver for a map L -> H (the tau of an
@@ -27,6 +33,9 @@ One obstruction: ``deformation`` calls neither ``fn_bracket`` nor
 ``fn_bracket_of_maps``, since the obstruction is minus the next-order
 residual of ``deformation._order_residuals``; the FN bracket is the
 oracle that the tests hold it to.
+One residual per axiom: ``lca._jacobi`` is minus the representation
+residual of the adjoint action, so it calls ``_representation`` and
+evaluates nothing itself.
 Tables and cochains share one evaluator: ``_Lifted(`` is called only by
 ``lca._evaluate``, the evaluation core.  One coboundary formula: the
 coboundary plan is two insertions, of f into the flipped action and of the
@@ -317,6 +326,7 @@ def test_one_space_of_coboundaries_and_each_slice_refused_once():
     assert _callers("_slice") == [
         ("cohomology", "_coboundaries"),
         ("cohomology", "solve_truncated"),
+        ("extension", "solve_map"),
     ]
     assert _callers("_refuse_large_slices") == [
         ("cohomology", "image_contains"),
@@ -349,6 +359,124 @@ def image_contains(rep, bound, target, operator=None):
     sources = [("cohomology", source)]
     assert _callers("_slice", sources) == [("cohomology", "image_contains")]
     assert _callers("_refuse_large_slices", sources) == [("cohomology", "_slice")]
+
+
+def _cell_writers(sources=None):
+    """(module, owner) of every comprehension, in the package or in the
+    (module, source text) pairs ``sources``, that writes the solver's cell
+    format: it enumerates an element's ``coords`` and reads a polynomial's
+    ``terms.items()``, flattening values into (coordinate, monomial) cells."""
+
+    def reads(generators, attr, call):
+        return any(
+            _calls(g.iter, call)
+            and any(_is_attribute(arg, attr) for arg in ast.walk(g.iter))
+            for g in generators
+        )
+
+    found = []
+
+    def visit(module, node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.DictComp, ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                generators = child.generators
+                if reads(generators, "coords", "enumerate") and reads(
+                    generators, "terms", "items"
+                ):
+                    found.append((module, ".".join(path)))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(module, child, path + (child.name,) if named else path)
+
+    for module, source in _sources() if sources is None else sources:
+        visit(module, ast.parse(source), ())
+    return sorted(found)
+
+
+def test_one_cell_format_for_every_solve():
+    assert _cell_writers() == [("cohomology", "_cells")]
+
+
+def test_the_cell_rule_sees_a_map_solve_with_its_own_cells():
+    # the map solve that flattened its residuals into cells of its own
+    source = """
+def solve_map(l_mod, h_mod, bound, residuals):
+    def vector(mapping):
+        return {
+            (tag, key, c, mono): coeff
+            for tag, res in enumerate(residuals(mapping))
+            for key, value in res.items()
+            for c, poly in enumerate(value.coords)
+            for mono, coeff in poly.terms.items()
+        }
+
+    base = vector(ConfLinMap.zero(l_mod, h_mod))
+    unknowns = [
+        (r, c, e)
+        for r in range(h_mod.rank)
+        for c in range(l_mod.rank)
+        for e in range(bound + 1)
+    ]
+    columns = []
+    for r, c, e in unknowns:
+        matrix = [[Poly.zero(0)] * l_mod.rank for _ in range(h_mod.rank)]
+        matrix[r][c] = Poly(0, {(e,): Fraction(1)})
+        column = vector(ConfLinMap(l_mod, h_mod, matrix))
+        for key, coeff in base.items():
+            column[key] = column.get(key, 0) - coeff
+        columns.append(column)
+    return solve(columns, {key: -coeff for key, coeff in base.items()})
+"""
+    assert _cell_writers([("extension", source)]) == [("extension", "solve_map.vector")]
+
+
+_EVALUATORS = ("eval_bracket", "sesqui_eval", "act", "act_form", "_evaluate")
+
+
+def _jacobi_evaluations(sources=None):
+    """(evaluator, owner) of every evaluation inside ``lca._jacobi``."""
+    return [
+        (name, owner)
+        for name in _EVALUATORS
+        for module, owner in _owners(name, sources)
+        if module == "lca" and owner.split(".")[0] == "_jacobi"
+    ]
+
+
+def test_the_jacobi_residual_is_the_adjoint_representation_residual():
+    assert _jacobi_evaluations() == []
+    assert ("lca", "_jacobi") in _callers("_representation")
+
+
+def test_the_jacobi_rule_sees_a_hand_written_jacobi_residual():
+    source = """
+def _jacobi(lca):
+    module = lca.module
+    lam12 = Poly.lam(1, 3) + Poly.lam(2, 3)
+    zero = module.zero(2)
+
+    def residual(i, j, k):
+        inner = lca.bracket_basis(j, k, slot=2, arity=2)
+        term1 = zero
+        if not inner.is_zero():
+            term1 = eval_bracket(lca, module.basis_elem(i), inner, slot=1)
+        inner = lca.bracket_basis(i, k, slot=1, arity=2)
+        term2 = zero
+        if not inner.is_zero():
+            term2 = eval_bracket(lca, module.basis_elem(j), inner, slot=2)
+        inner = lca.bracket_basis(i, j, slot=1, arity=3)
+        term3 = zero
+        if not inner.is_zero():
+            outer = eval_bracket(lca, inner, module.basis_elem(k), slot=3)
+            term3 = outer.substitute(3, lam12).shrink(2)
+        return term1 - term2 - term3
+
+    return residual
+"""
+    assert _jacobi_evaluations([("lca", source)]) == [
+        ("eval_bracket", "_jacobi.residual"),
+        ("eval_bracket", "_jacobi.residual"),
+        ("eval_bracket", "_jacobi.residual"),
+    ]
 
 
 def _fn_brackets(module, sources=None):
