@@ -20,7 +20,6 @@ from .nijenhuis import (
     NijenhuisRep,
     check_nij_representation,
     check_nijenhuis,
-    deformed_bracket,
     deformed_table,
     nij_semidirect,
     power_compatibility_suite,

@@ -72,6 +72,7 @@ from .lca import (
     _relabeling,
     _skew_residual,
     _sorted_tuples_suffice,
+    _tabulated,
     _torsion_failures,
     _torsion_mixing,
 )
@@ -548,7 +549,8 @@ class _Coboundary(_Plan):
         if degree + 1 > MAX_DEGREE:
             raise DegreeOverflowError("coboundary would exceed degree %d" % MAX_DEGREE)
         block, rank = substitutions[1], rep.module.rank
-        acting, actions = _inserted(_flipped_action(rep), 2, False, degree, block, rank)
+        flipped = _flipped_action(rep).entries
+        acting, actions = _inserted(flipped, 2, False, degree, block, rank)
         inserted, brackets = _inserted(
             bracket_cochain(rep.algebra).values, 2, True, degree, block, rank
         )
@@ -571,11 +573,13 @@ def _pulled_back(rep, mapping, algebra):
     """The action of ``algebra`` on ``rep.module`` pulled back through
     ``mapping``, a map from ``algebra``'s module to ``rep.algebra``'s: its
     (i, j) entry is rep's action of mapping(e_i) on m_j."""
-    out = RepTable(algebra, rep.module)
-    for i, j in product(range(algebra.module.rank), range(rep.module.rank)):
+
+    def pulled(i, j):
         x = mapping.apply(algebra.module.basis_elem(i))
-        out.set_action(i, j, rep.act(x, rep.module.basis_elem(j)).coords)
-    return out
+        return rep.act(x, rep.module.basis_elem(j))
+
+    table = _tabulated(algebra.module, rep.module, rep.module, pulled)
+    return RepTable(algebra, rep.module, table)
 
 
 def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):

@@ -2,11 +2,14 @@
 
 An extension 0 -> H -> E -> L -> 0 with a section s yields a triple
 (chi, rho, Phi): the bracket defect of the section, the induced action of L
-on H, and the operator defect R s - s N.  Conversely, a triple satisfying
-the cocycle conditions rebuilds an extension on L (+) H.  The conditions
-are checked component-wise on the candidate total structure, so every
-identity here is literally a restriction of the conformal axioms or of the
-Nijenhuis identity -- no separate sign conventions to maintain.
+on H, and the operator defect R s - s N.  Each is read off in H through the
+retraction: chi is minus the morphism residual of s (``lca._morphism``),
+rho is tabulated from the total's bracket (``lca._tabulated``), and Phi is
+the retraction composed with the operator defect.  Conversely, a triple
+satisfying the cocycle conditions rebuilds an extension on L (+) H.  The
+conditions are checked component-wise on the candidate total structure, so
+every identity here is literally a restriction of the conformal axioms or
+of the Nijenhuis identity -- no separate sign conventions to maintain.
 
 Equivalence of triples is decided exactly: by direct verification for a
 supplied comparison map tau, or, when H is abelian, by a linear solve for
@@ -42,6 +45,7 @@ from .lca import (
     _morphism,
     _output_tuples,
     _skew_failures,
+    _tabulated,
     _torsion_failures,
     _torsion_is_inert,
     _torsion_mixing,
@@ -163,10 +167,12 @@ class NonAbelianCocycle:
 
 def extract_cocycle(ext, section=None):
     """The triple of an extension: chi_lam(p,q) = [s p lam s q] - s[p lam q],
-    rho(p)_lam h = [s p lam h], Phi = R s - s N.
+    minus the morphism residual of s; rho(p)_lam h = [s p lam h];
+    Phi = R s - s N.
 
-    Every value is checked to lie in the kernel of proj before being
-    rewritten in H-coordinates through the retraction.
+    Every value of chi and rho, and every column of Phi, is checked to lie
+    in the kernel of proj before being rewritten in H-coordinates through
+    the retraction.
     """
     if section is None:
         section = ext.section
@@ -180,35 +186,20 @@ def extract_cocycle(ext, section=None):
             raise PreconditionError("%s escapes the kernel of proj" % where)
         return retraction.apply(value)
 
-    rep = RepTable(ext.quot.algebra, h_mod)
-    chi = Cochain(2, rep)
-    rho = RepTable(ext.quot.algebra, h_mod)
-    for i in range(l_mod.rank):
-        sp = section.apply(l_mod.basis_elem(i))
-        for j in range(l_mod.rank):
-            sq = section.apply(l_mod.basis_elem(j))
-            value = eval_bracket(total, sp, sq) - section.apply(
-                ext.quot.algebra.bracket_basis(i, j)
-            )
-            chi.set_value((i, j), to_h(value, "chi(%d,%d)" % (i, j)))
-        for j in range(h_mod.rank):
-            value = eval_bracket(
-                total, sp, ext.inc.apply(h_mod.basis_elem(j))
-            )
-            rho.set_action(i, j, to_h(value, "rho(%d,%d)" % (i, j)).coords)
+    chi = Cochain(2, RepTable(ext.quot.algebra, h_mod))
+    for (i, j), value in _morphism(ext.quot.algebra, total)(section).items():
+        chi.set_value((i, j), to_h(-value, "chi(%d,%d)" % (i, j)))
+    sections = [section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
+
+    def action(i, j):
+        value = eval_bracket(total, sections[i], ext.inc.apply(h_mod.basis_elem(j)))
+        return to_h(value, "rho(%d,%d)" % (i, j))
+
+    rho = RepTable(ext.quot.algebra, h_mod, _tabulated(l_mod, h_mod, h_mod, action))
     defect = ext.total.n.compose(section) - section.compose(ext.quot.n)
-    columns = [
+    for i in range(l_mod.rank):
         to_h(defect.apply(l_mod.basis_elem(i)), "phi(%d)" % i)
-        for i in range(l_mod.rank)
-    ]
-    phi = ConfLinMap(
-        l_mod,
-        h_mod,
-        [
-            [columns[c].coords[r] for c in range(l_mod.rank)]
-            for r in range(h_mod.rank)
-        ],
-    )
+    phi = retraction.compose(defect)
     return NonAbelianCocycle(chi, rho, phi)
 
 

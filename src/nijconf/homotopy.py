@@ -29,6 +29,13 @@ Every other identity is a strict axiom relaxed by a homotopy term (Baez-Crans,
   (``nijenhuis._nijenhuis``);
 * module-defect: N2(p, dm) plus the Nijenhuis residual of (N0, N1) over the
   action.
+
+A 2-term structure holds data only: [[p lam m]] is evaluated through its
+representation, and the mixed bracket [[m lam p]] through the flipped action
+table (``lca._flipped_action``), built once per check.  A line that needs a
+cochain on basis arguments reads its stored value.  The deformed action of
+a crossed module and the upper bracket of a strict structure are tables
+tabulated from the action (``lca._tabulated``).
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from itertools import product
 from .cohomology import (
     Cochain,
     CochainPair,
-    act_form,
     apply_delta,
     apply_dNL,
     apply_dNM,
@@ -57,19 +63,22 @@ from .lca import (
     check_morphism,
     check_representation,
     eval_bracket,
+    sesqui_eval,
     sum_algebra,
+    _flipped_action,
     _intertwining,
     _jacobi,
     _morphism,
     _output_tuples,
     _representation,
     _skew_failures,
+    _tabulated,
     _torsion_failures,
 )
 from .nijenhuis import (
     NijenhuisLCA,
     NijenhuisRep,
-    _deformed,
+    _deformed_action,
     _nijenhuis,
     _require_linear,
     check_nij_representation,
@@ -87,7 +96,9 @@ class TwoTermConformal:
     structure table of [[p_lam m]] (degree 0 on degree 1); the bracket of two
     degree-1 elements would land in degree 2, which the complex does not
     have, so it is not stored.  The [[m_lam p]] bracket is derived from
-    conformal skew-symmetry.  ``l3`` is a degree-3 cochain with values in L1.
+    conformal skew-symmetry: it is the flipped action
+    (``lca._flipped_action``).  ``l3`` is a degree-3 cochain with values in
+    L1.
     """
 
     def __init__(self, l0, l1, d, action, l3=None):
@@ -109,14 +120,6 @@ class TwoTermConformal:
     @property
     def action(self):
         return self.rep.action
-
-    def act(self, p, m, form, arity):
-        """[[p_lam m]] evaluated at an explicit lambda-form."""
-        return act_form(self.action, self.l1, p, m, form, arity)
-
-    def act_rev(self, m, p, form, arity):
-        """[[m_lam p]] := -[[p_{-del-lam} m]], the skew-derived mixed bracket."""
-        return -self.act(p, m, dagger(form), arity)
 
 
 class HomotopyNijenhuis:
@@ -188,11 +191,12 @@ def check_2term(structure):
     pairs = product(range(mod0.rank), range(mod1.rank))
     report.add_residuals("L4", pairs, _intertwining(t.rep, d))
 
-    lam1 = Poly.lam(1, 1)
+    lam1, flipped = Poly.lam(1, 1), _flipped_action(t.rep)
 
     def l5(i, j):
         m, n = basis1(i), basis1(j)
-        return t.act(d.apply(m), n, lam1, 1) - t.act_rev(m, d.apply(n), lam1, 1)
+        mixed = sesqui_eval(flipped, mod1, m, d.apply(n), lam1, 1)
+        return t.rep.act(d.apply(m), n) - mixed
 
     report.add_residuals("L5", product(range(mod1.rank), repeat=2), l5)
 
@@ -201,8 +205,7 @@ def check_2term(structure):
     jacobi, representation = _jacobi(t.l0), _representation(t.rep)
 
     def l6(*key):
-        l3 = eval_cochain(t.l3, _basis_args(mod0, key), forms, 2)
-        return d.apply(l3) - jacobi(*key)
+        return d.apply(t.l3.value(key)) - jacobi(*key)
 
     report.add_residuals("L6", product(range(mod0.rank), repeat=3), l6)
 
@@ -255,28 +258,26 @@ def check_homomorphism(src, dst, f0, f1, f2):
     morphism = _morphism(src.l0, dst.l0)(f0)
 
     def h2(i, j):
-        f2_pq = eval_cochain(f2, [basis0(i), basis0(j)], [lam1, dag1], 1)
-        return dst.d.apply(f2_pq) + morphism[i, j]
+        return dst.d.apply(f2.value((i, j))) + morphism[i, j]
 
     report.add_residuals("H2", product(range(mod0.rank), repeat=2), h2)
 
     def h3(i, j):
         p, m = basis0(i), basis1(j)
         lhs = eval_cochain(f2, [p, src.d.apply(m)], [lam1, dag1], 1)
-        rhs = -f1.apply(src.act(p, m, lam1, 1)) + dst.act(
-            f0.apply(p), f1.apply(m), lam1, 1
-        )
+        rhs = -f1.apply(src.rep.act(p, m)) + dst.rep.act(f0.apply(p), f1.apply(m))
         return lhs - rhs
 
     report.add_residuals("H3", product(range(mod0.rank), range(mod1.rank)), h3)
 
+    src_flipped, dst_flipped = _flipped_action(src.rep), _flipped_action(dst.rep)
+
     def h4(i, j):
         m, p = basis1(i), basis0(j)
         lhs = eval_cochain(f2, [src.d.apply(m), p], [lam1, dag1], 1)
-        rhs = -f1.apply(src.act_rev(m, p, lam1, 1)) + dst.act_rev(
-            f1.apply(m), f0.apply(p), lam1, 1
-        )
-        return lhs - rhs
+        mixed = sesqui_eval(src_flipped, mod1, m, p, lam1, 1)
+        image = sesqui_eval(dst_flipped, dst.l1, f1.apply(m), f0.apply(p), lam1, 1)
+        return lhs + f1.apply(mixed) - image
 
     report.add_residuals("H4", product(range(mod1.rank), range(mod0.rank)), h4)
 
@@ -285,10 +286,8 @@ def check_homomorphism(src, dst, f0, f1, f2):
     delta_f2 = apply_delta(Cochain(2, _pulled_back(dst.rep, f0, src.l0), f2.values))
 
     def h5(*key):
-        args = _basis_args(mod0, key)
-        lhs = eval_cochain(dst.l3, [f0.apply(x) for x in args], forms, 2) - f1.apply(
-            eval_cochain(src.l3, args, forms, 2)
-        )
+        images = [f0.apply(x) for x in _basis_args(mod0, key)]
+        lhs = eval_cochain(dst.l3, images, forms, 2) - f1.apply(src.l3.value(key))
         return lhs - delta_f2.value(key)
 
     report.add_residuals("H5", product(range(mod0.rank), repeat=3), h5)
@@ -333,8 +332,7 @@ def check_homotopy_nijenhuis(structure, op):
 
     def square(i, j):
         p, q = mod0.basis_elem(i), mod0.basis_elem(j)
-        n2_pq = eval_cochain(n2, [p, q], forms, 1)
-        return t.d.apply(n2_pq) + _nijenhuis(bracket, n0, n0, p, q)
+        return t.d.apply(n2.value((i, j))) + _nijenhuis(bracket, n0, n0, p, q)
 
     report.add_residuals("square-defect", product(range(mod0.rank), repeat=2), square)
 
@@ -449,12 +447,7 @@ def check_crossed_module(x):
     morph = check_morphism(def_upper, def_lower, t)
     report.add("t-deformed-morphism", morph.passed, morph.witness_of("morphism"))
 
-    rho1 = RepTable(def_lower, mod1)
-    for i, j in product(range(mod0.rank), range(mod1.rank)):
-        value = _deformed(
-            rho.act, lower.n, upper.n, upper.n, mod0.basis_elem(i), mod1.basis_elem(j)
-        )
-        rho1.set_action(i, j, value.coords)
+    rho1 = RepTable(def_lower, mod1, _deformed_action(rho, lower.n, upper.n))
     r = check_representation(rho1)
     report.add("deformed-representation", r.passed, "; ".join(r.lines()))
     peiffer("deformed-", rho1, def_upper)
@@ -475,14 +468,12 @@ def strict_to_crossed(structure, op):
     """
     if not (structure.l3.is_zero() and op.n2.is_zero()):
         raise PreconditionError("structure is not strict")
-    mod1 = structure.l1
-    upper_alg = LCA(mod1)
-    for i in range(mod1.rank):
-        m = mod1.basis_elem(i)
-        for j in range(mod1.rank):
-            n = mod1.basis_elem(j)
-            value = structure.act(structure.d.apply(m), n, Poly.lam(1, 1), 1)
-            upper_alg.set_bracket(i, j, value.coords)
+    mod1, d = structure.l1, structure.d
+
+    def upper_bracket(i, j):
+        return structure.rep.act(d.apply(mod1.basis_elem(i)), mod1.basis_elem(j))
+
+    upper_alg = LCA(mod1, _tabulated(mod1, mod1, mod1, upper_bracket))
     lower = NijenhuisLCA.raw(structure.l0, op.n0)
     upper = NijenhuisLCA.raw(upper_alg, op.n1)
     rho = RepTable(structure.l0, mod1, structure.action)

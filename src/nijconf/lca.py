@@ -22,6 +22,15 @@ representation, the morphism and the intertwining residuals on basis tuples
 :func:`_intertwining`) are each defined once: the 2-term checks of
 ``homotopy`` add their homotopy corrections to them.  The Jacobi residual is
 minus the representation residual of the adjoint action.
+
+A table derived from another structure is tabulated from that structure's
+evaluator on basis pairs by :func:`_tabulated`, the one loop that fills a
+table from an evaluator: the deformed bracket and action (``nijenhuis``),
+the pulled-back action (``cohomology._pulled_back``), the upper bracket of a
+strict 2-term structure, the actions of an extracted or a moved triple, and
+the flipped action [m lam x] = -rho(x)_{-del-lam} m, which only
+:func:`_flipped_action` builds.  Outside this module only the parser writes
+table entries.
 """
 
 from __future__ import annotations
@@ -267,9 +276,6 @@ class StructureTable:
 
     def __add__(self, other):
         return self._combine(other, operator.add)
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
 
     def __eq__(self, other):
         return (
@@ -700,16 +706,27 @@ def semidirect(rep):
     return sum_algebra(rep.algebra, rep)
 
 
-def _flipped_action(rho):
-    """The action of L on M read as M acting on L: {(j, i): the coordinates
-    of [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j}, on the nonzero entries of
-    rho.  The bracket of a sum algebra and the coboundary's action sum read
-    it (see ``cohomology._Coboundary``)."""
-    out = {}
-    for i, j in rho.action.entries:
-        flipped = dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
-        out[j, i] = [-c for c in flipped.coords]
+def _tabulated(left, right, target, value):
+    """The table of ``value(i, j)``, an Elem of ``target``, on the basis
+    pairs (e_i of ``left``, e_j of ``right``): the one loop that fills a
+    table from an evaluator."""
+    out = StructureTable(left.rank, right.rank, target.rank)
+    for i, j in product(range(left.rank), range(right.rank)):
+        out.set(i, j, value(i, j).coords)
     return out
+
+
+def _flipped_action(rho):
+    """The action of L on M read as M acting on L: the table of
+    [m_j lam e_i] = -rho(e_i)_{-del-lam} m_j at (j, i), the mixed bracket of
+    a sum algebra and of a 2-term structure.  ``sum_algebra``, the
+    coboundary's action sum (see ``cohomology._Coboundary``) and the L5 and
+    H4 lines of ``homotopy`` read it."""
+
+    def flipped(j, i):
+        return -dagger_substitute(rho.act_basis(i, j, slot=2, arity=2), 2)
+
+    return _tabulated(rho.module, rho.algebra.module, rho.module, flipped)
 
 
 def sum_algebra(l_alg, rho, m_table=None, chi=None):
@@ -731,7 +748,7 @@ def sum_algebra(l_alg, rho, m_table=None, chi=None):
             # [e_i lam m_j] = rho(e_i)_lam m_j
             out.set_bracket(i, rank_l + j, zero_l + list(rho.action.get(i, j)))
             # [m_j lam e_i], the flipped action
-            out.set_bracket(rank_l + j, i, zero_l + flipped.get((j, i), zero_m))
+            out.set_bracket(rank_l + j, i, zero_l + flipped.get(j, i))
     if m_table is not None:
         for i in range(rank_m):
             for j in range(rank_m):

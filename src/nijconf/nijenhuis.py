@@ -8,7 +8,10 @@ for all a, b; the right-hand inner combination is the deformed bracket
 [a lam b]_N, which is again a conformal bracket with N still Nijenhuis.
 Its residual, over a bracket or an action, is defined once
 (:func:`_nijenhuis`): the Nijenhuis representation and the homotopy
-Nijenhuis defects use it too.
+Nijenhuis defects use it too.  So is the deformation of an action,
+rho(N p) + rho(p) N_M - N_M rho(p) (:func:`_deformed_action`): the deformed
+bracket is that of the adjoint action with N_M = N, and a crossed module
+deforms its action by (N0, N1) through it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from itertools import product
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
+    adjoint_rep,
     _output_tuples,
     _sorted_tuples_suffice,
+    _tabulated,
     _torsion_mixing,
     check_lca,
     check_morphism,
@@ -128,18 +133,21 @@ class NijenhuisLCA:
         return nlca
 
 
+def _deformed_action(rep, n, n_m):
+    """The table of rho(N p) + rho(p) N_M - N_M rho(p), the action of
+    ``rep`` deformed by N on its algebra and N_M on its module: for the
+    adjoint action with N_M = N, the deformed bracket."""
+    algebra, module = rep.algebra.module, rep.module
+
+    def deformed(i, j):
+        return _deformed(rep.act, n, n_m, n_m, algebra.basis_elem(i), module.basis_elem(j))
+
+    return _tabulated(algebra, module, module, deformed)
+
+
 def deformed_table(lca, n):
     """Structure table of [a lam b]_N = [Na lam b] + [a lam Nb] - N[a lam b]."""
-    out = LCA(lca.module)
-    basis, bracket = lca.module.basis_elem, partial(eval_bracket, lca)
-    for i, j in product(range(lca.module.rank), repeat=2):
-        out.set_bracket(i, j, _deformed(bracket, n, n, n, basis(i), basis(j)).coords)
-    return out
-
-
-def deformed_bracket(nlca):
-    """The deformed algebra of a (validated) Nijenhuis structure."""
-    return deformed_table(nlca.algebra, nlca.n)
+    return LCA(lca.module, _deformed_action(adjoint_rep(lca), n, n))
 
 
 def power_compatibility_suite(nlca, k, l):

@@ -9,14 +9,15 @@ the three conditions on eta are the residual of "gamma is a Nijenhuis
 morphism" on the arguments of the diagram, ``extension._map_residuals``,
 which the tau of an equivalence reads too, so no separate sign conventions
 exist here.  For abelian H the conditions are affine in eta and solved
-exactly over a bounded coefficient space.
+exactly over a bounded coefficient space.  The triple moved by a pair reads
+its action through ``RepTable.act``, tabulated by ``lca._tabulated``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cochain, act_form, eval_cochain
+from .cohomology import Cochain, eval_cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
 from .extension import (
     ExtensionData,
@@ -28,7 +29,7 @@ from .extension import (
     solve_map,
     solve_report,
 )
-from .lca import ConfLinMap, RepTable, check_morphism
+from .lca import ConfLinMap, RepTable, check_morphism, _tabulated
 # solve is unused here; perfbench/tests checks the tracer rebinds it
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
@@ -146,18 +147,18 @@ def transform_cocycle(cocycle, pair):
     h_mod = cocycle.rho.module
     lam1 = Poly.lam(1, 1)
     dag1 = dagger(lam1)
+    moved = [b_inv.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
     chi = Cochain(2, cocycle.chi.rep)
-    rho = RepTable(cocycle.rho.algebra, h_mod)
-    for i in range(l_mod.rank):
-        bp = b_inv.apply(l_mod.basis_elem(i))
-        for j in range(l_mod.rank):
-            bq = b_inv.apply(l_mod.basis_elem(j))
+    for i, bp in enumerate(moved):
+        for j, bq in enumerate(moved):
             value = eval_cochain(cocycle.chi, [bp, bq], [lam1, dag1], 1)
             chi.set_value((i, j), pair.alpha.apply(value))
-        for j in range(h_mod.rank):
-            ah = a_inv.apply(h_mod.basis_elem(j))
-            value = act_form(cocycle.rho.action, h_mod, bp, ah, lam1, 1)
-            rho.set_action(i, j, pair.alpha.apply(value).coords)
+
+    def action(i, j):
+        value = cocycle.rho.act(moved[i], a_inv.apply(h_mod.basis_elem(j)))
+        return pair.alpha.apply(value)
+
+    rho = RepTable(cocycle.rho.algebra, h_mod, _tabulated(l_mod, h_mod, h_mod, action))
     phi = pair.alpha.compose(cocycle.phi).compose(b_inv)
     return NonAbelianCocycle(chi, rho, phi)
 

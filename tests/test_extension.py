@@ -93,6 +93,15 @@ def test_cubic_cocycle_round_trip(c_gf, vir_id, c_triv, ext_gf):
     assert extract_cocycle(ext_gf) == c_gf
 
 
+def test_a_phi_with_del_on_an_evaluation_kernel_round_trips(c_gf, vir_id, c_triv):
+    # del acts on c by 0, so del + 1 and 1 are one map; the extracted Phi is
+    # the composite of the retraction and the operator defect, unreduced
+    phi = ConfLinMap(vir_id.algebra.module, c_gf.rho.module, [[Poly.del_(0) + 1]])
+    cocycle = NonAbelianCocycle(c_gf.chi, c_gf.rho, phi)
+    ext = build_extension(cocycle, vir_id, c_triv)
+    assert extract_cocycle(ext) == cocycle
+
+
 def test_quadratic_central_term_is_not_a_cocycle(vir_id, c_triv):
     rep = RepTable(vir_id.algebra, c_triv.algebra.module)
     chi = Cochain(2, rep)

@@ -59,6 +59,22 @@ def test_strict_structure_satisfies_all_laws(adjoint_crossed):
     assert classify(structure, operator) == "strict"
 
 
+def test_a_structure_with_d_and_a_homotopy_term_is_neither(sl2):
+    # classify reads the data only, so no law needs to hold
+    ad = RepTable(sl2, sl2.module, sl2.table)
+    identity = ConfLinMap.identity(sl2.module)
+    l3 = random_cochain(ad, 3, Random(0), max_degree=1)
+    structure = TwoTermConformal(sl2, sl2.module, identity, sl2.table, l3=l3)
+    assert not l3.is_zero()
+    op = HomotopyNijenhuis(structure, identity, identity)
+    assert classify(structure, op) == "neither"
+    strict = TwoTermConformal(sl2, sl2.module, identity, sl2.table)
+    n2 = random_cochain(strict.rep, 2, Random(0), max_degree=1)
+    assert not n2.is_zero()
+    op = HomotopyNijenhuis(strict, identity, identity, n2)
+    assert classify(strict, op) == "neither"
+
+
 def test_scaled_boundary_breaks_peiffer(sl2, sl2_p):
     ad = RepTable(sl2, sl2.module, sl2.table)
     bad = CrossedModule(

@@ -84,6 +84,16 @@ def _bracket0(t, p, q, form, arity):
     return act_form(t.l0.table, t.l0.module, p, q, form, arity)
 
 
+def _act(t, p, m, form, arity):
+    """[[p lam m]] of a 2-term structure at an explicit lambda-form."""
+    return act_form(t.action, t.l1, p, m, form, arity)
+
+
+def _act_rev(t, m, p, form, arity):
+    """[[m lam p]] = -[[p_{-del-lam} m]], the mixed bracket by skew-symmetry."""
+    return -_act(t, p, m, dagger(form), arity)
+
+
 def _reference_2term(t):
     """L4, L6 and L7, each written out in full."""
     mod0, mod1, d = t.l0.module, t.l1, t.d
@@ -92,7 +102,7 @@ def _reference_2term(t):
 
     def l4(i, j):
         p, m = basis0(i), basis1(j)
-        return d.apply(t.act(p, m, lam1, 1)) - _bracket0(t, p, d.apply(m), lam1, 1)
+        return d.apply(_act(t, p, m, lam1, 1)) - _bracket0(t, p, d.apply(m), lam1, 1)
 
     la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
     forms = [la, mu, dagger(la + mu)]
@@ -110,9 +120,9 @@ def _reference_2term(t):
         p, q, m = basis0(i), basis0(j), basis1(k)
         lhs = eval_cochain(t.l3, [p, q, d.apply(m)], forms, 2)
         return lhs - (
-            t.act(p, t.act(q, m, mu, 2), la, 2)
-            - t.act(_bracket0(t, p, q, la, 2), m, la + mu, 2)
-            - t.act(q, t.act(p, m, la, 2), mu, 2)
+            _act(t, p, _act(t, q, m, mu, 2), la, 2)
+            - _act(t, _bracket0(t, p, q, la, 2), m, la + mu, 2)
+            - _act(t, q, _act(t, p, m, la, 2), mu, 2)
         )
 
     pairs = product(range(mod0.rank), range(mod1.rank))
@@ -160,11 +170,11 @@ def _reference_h5(src, dst, f0, f1, f2):
         pr = _bracket0(src, p, r, la, 2)
         pq = _bracket0(src, p, q, la, 2)
         rhs = (
-            dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
+            _act(dst, fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
             + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
-            - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
+            - _act(dst, fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
             - eval_cochain(f2, [q, pr], [mu, dagger(mu)], 2)
-            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - _act_rev(dst, eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
             - eval_cochain(f2, [pq, r], [la + mu, forms[2]], 2)
         )
         return lhs - rhs
@@ -189,7 +199,7 @@ def _reference_defects(t, op):
         return _bracket0(t, p, q, lam1, 1)
 
     def act1(p, m):
-        return t.act(p, m, lam1, 1)
+        return _act(t, p, m, lam1, 1)
 
     def square(i, j):
         p, q = mod0.basis_elem(i), mod0.basis_elem(j)
@@ -392,11 +402,11 @@ def _forced_target(src, f0, f2, on_target):
         pr = act_form(table, mod0, first, r, la, 2)
         pq = act_form(table, mod0, first, q, la, 2)
         terms = (
-            dst.act(fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
+            _act(dst, fp, eval_cochain(f2, [q, r], [mu, dagger(mu)], 2), la, 2)
             + eval_cochain(f2, [p, qr], [la, dagger(la)], 2)
-            - dst.act(fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
+            - _act(dst, fq, eval_cochain(f2, [p, r], [la, dagger(la)], 2), mu, 2)
             - eval_cochain(f2, [q, pr], [mu, dagger(mu)], 2)
-            - dst.act_rev(eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
+            - _act_rev(dst, eval_cochain(f2, [p, q], [la, mu], 2), fr, la + mu, 2)
             - eval_cochain(f2, [pq, r], [la + mu, dagger(la + mu)], 2)
         )
         scale = _DIAGONAL[key[0]] * _DIAGONAL[key[1]] * _DIAGONAL[key[2]]

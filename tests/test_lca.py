@@ -23,7 +23,7 @@ from nijconf.lca import (
     sesqui_eval,
 )
 from nijconf.nijenhuis import check_nijenhuis
-from nijconf.poly import Poly, Substitution
+from nijconf.poly import Poly, Substitution, dagger
 
 from conftest import DEL, LAM, make_vir
 from test_cli import CORE, HOMOTOPY
@@ -278,9 +278,9 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     """check_lca, check_nijenhuis and check_representation evaluate every
     bracket at a bare lam_s, which is a relabel of the stored entries; so
     does `check_2term` on a skeletal structure, whose lines are these
-    residuals plus cochain terms at bare lambdas.  Only a general
-    lambda-form, like the dagger form at which L5 evaluates the mixed
-    bracket of a strict structure, is expanded, through a
+    residuals plus cochain terms at bare lambdas, and on a strict one, whose
+    L5 evaluates the mixed bracket through the flipped table at lam1.  Only
+    a general lambda-form, like the dagger form, is expanded, through a
     `poly.Substitution`."""
     ws = cli.parse_workspace([CORE])
     calls = []
@@ -310,6 +310,10 @@ def test_plain_brackets_relabel_and_never_expand(monkeypatch):
     strict, _ = crossed_to_strict(CrossedModule(sl2p, sl2p, identity, adjoint))
     assert not strict.d.is_zero()
     check_2term(strict)
+    assert calls == []
+    # the control: the same action table evaluated at the dagger form
+    p, m = sl2.module.basis_elem(0), strict.l1.basis_elem(1)
+    sesqui_eval(strict.action, strict.l1, p, m, dagger(Poly.lam(1, 1)), 1)
     assert calls
 
 

@@ -1,8 +1,8 @@
 """Source-level rules: one failure collector and one witness format, one
 validation of a Nijenhuis structure, one builder of solve columns, one cell
 format and one space of coboundaries, one obstruction, one solver for a map
-L -> H, one Jacobi residual, one evaluation core and one expansion, and a
-documented workspace grammar.
+L -> H, one Jacobi residual, one evaluation core and one expansion, one
+builder of derived tables, and a documented workspace grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -44,11 +44,18 @@ bracket cochain into f, so ``cohomology._inserted`` is called only by
 ``cohomology`` only ``_left_bracket`` calls ``act_form``.  The action flip
 [m lam x] = -rho(x)_{-del-lam} m, a ``dagger_substitute`` of an
 ``act_basis(..., slot=2, ...)``, is written only in ``lca._flipped_action``,
-which the coboundary and ``lca.sum_algebra`` read.
+which the coboundary, ``lca.sum_algebra`` and the mixed bracket of the L5
+and H4 lines of ``homotopy.check_2term`` and ``check_homomorphism`` read.
 ``_Coboundary.__init__`` takes no operator, and the twisted coboundary and
 H5 are that plan over a pulled-back action, so ``cohomology._pulled_back``
-is called only by ``_differential`` and ``homotopy.check_homomorphism``,
-and in ``homotopy`` only ``TwoTermConformal.act`` calls ``act_form``.  The
+is called only by ``_differential`` and ``homotopy.check_homomorphism``.
+A 2-term structure holds data only: ``TwoTermConformal`` defines no ``act``
+or ``act_rev``, and ``homotopy`` neither imports nor calls ``act_form``.
+One builder fills derived tables: a table writer (``set_bracket``,
+``set_action`` or a table's ``.set``) is called only by the parser in
+``cli``, by the table's own methods, by ``lca._tabulated``, which tabulates
+every derived bracket and action from its owner's evaluator, and by
+``lca.sum_algebra``.  The
 linear maps of cochains share one mapping loop: among ``cohomology._Plan``
 and its subclasses only ``_Plan`` defines ``__call__``, and the coboundary,
 xi and the insertion only build terms for it, as does the skew projection.
@@ -60,20 +67,26 @@ No function of ``cohomology`` calls ``eval_cochain``: the coboundary, xi,
 the insertion product in the factor that is not fixed and the skew
 projection are linear and planned (``cohomology._Plan``), and the cup
 product is an insertion into its right factor's left bracket, so evaluating
-one of them tuple by tuple would be a second code path.
+one of them tuple by tuple would be a second code path.  Nor does any
+module call ``eval_cochain`` on basis arguments only, whose value it reads
+with ``Cochain.value``: ``eval_cochain`` is called only by L7, H3, H4, the
+target side of H5, the module defect and ``wells.transform_cocycle``.
 ``nijenhuis._deformed``, the deformed bracket, is called only by
 ``nijenhuis._nijenhuis``, the one residual of the Nijenhuis identity over a
-bracket or an action, by ``nijenhuis.deformed_table``, by
-``deformation._order_residuals`` and by ``homotopy.check_crossed_module``
-for its deformed action; so no check writes that identity a second time.
+bracket or an action, by ``nijenhuis._deformed_action``, the one deformed
+action, which ``deformed_table`` and ``homotopy.check_crossed_module``
+read, and by ``deformation._order_residuals``; so no check writes that
+identity a second time.
 Likewise ``lca._morphism``, the residual of a morphism of algebras, is
-called only by ``lca.check_morphism``, ``homotopy.check_homomorphism`` and
-``extension._map_residuals``, the one residual of a Nijenhuis morphism
+called only by ``lca.check_morphism``, ``homotopy.check_homomorphism``,
+``extension.extract_cocycle``, whose chi is minus the section's residual,
+and ``extension._map_residuals``, the one residual of a Nijenhuis morphism
 between extension totals, which both the tau of an equivalence and the eta
 of a lift read.  In ``extension`` and ``wells`` no other function evaluates
-a bracket by hand: ``eval_bracket`` is called only by
-``extension.extract_cocycle`` and ``act_form`` only by
-``wells.transform_cocycle``.
+a bracket by hand: ``eval_bracket`` is called only by the action of
+``extension.extract_cocycle``, and ``act_form`` not at all.
+No module keeps an unused import, but for the three aliases that
+``perfbench/tests`` checks the tracer rebinds.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
 cache: no ``lru_cache`` or ``cache`` decorator, no module-level dict, list
@@ -200,9 +213,13 @@ def test_one_coboundary_formula():
         ("cohomology", "_Insertion.__init__"),
     ]
     assert _actors("cohomology") == ["_left_bracket"]
-    assert _action_flips() == [("lca", "_flipped_action")]
+    assert _action_flips() == [("lca", "_flipped_action.flipped")]
+    # H4 flips the source's action and the target's, once each
     assert _owners("_flipped_action") == [
         ("cohomology", "_Coboundary.__init__"),
+        ("homotopy", "check_2term"),
+        ("homotopy", "check_homomorphism"),
+        ("homotopy", "check_homomorphism"),
         ("lca", "sum_algebra"),
     ]
     assert _owners("_pulled_back") == [
@@ -220,7 +237,7 @@ def test_one_coboundary_formula():
     assert [arg.arg for arg in init.args.args] == [
         "self", "rep", "degree", "substitutions", "keys"
     ]
-    assert _actors("homotopy") == ["TwoTermConformal.act"]
+    assert _actors("homotopy") == []
 
 
 def test_the_coboundary_rule_sees_a_hand_written_h5():
@@ -316,6 +333,249 @@ def _kept(rep, lca, i, j):
 """
     flips = _action_flips([("lca", source)])
     assert flips == [("lca", "_moved"), ("lca", "sum_algebra")]
+
+
+def _table_writes(sources=None):
+    """(module, owner) of every call of a table writer: ``set_bracket``,
+    ``set_action`` or a ``.set`` attribute, the setter of a table."""
+
+    def on_attribute(call):
+        return isinstance(call.func, ast.Attribute)
+
+    return sorted(
+        found
+        for name in ("set_bracket", "set_action", "set")
+        for found in _owners(name, sources, keep=on_attribute)
+    )
+
+
+def test_only_the_parser_and_the_tabulator_write_tables():
+    assert _table_writes() == [
+        ("cli", "_build_algebra"),
+        ("cli", "_build_rep"),
+        ("lca", "LCA.set_bracket"),
+        ("lca", "RepTable.set_action"),
+        ("lca", "StructureTable.__init__"),
+        ("lca", "StructureTable._combine"),
+        ("lca", "_tabulated"),
+    ] + [("lca", "sum_algebra")] * 4
+
+
+def test_the_table_rule_sees_a_hand_written_pull_back():
+    # the pulled-back action, tabulated by hand
+    source = """
+def _pulled_back(rep, mapping, algebra):
+    out = RepTable(algebra, rep.module)
+    for i, j in product(range(algebra.module.rank), range(rep.module.rank)):
+        x = mapping.apply(algebra.module.basis_elem(i))
+        out.set_action(i, j, rep.act(x, rep.module.basis_elem(j)).coords)
+    return out
+"""
+    assert _table_writes([("cohomology", source)]) == [("cohomology", "_pulled_back")]
+
+
+def _evaluators_of_two_term(source):
+    """The methods that ``TwoTermConformal`` defines among ``act`` and
+    ``act_rev``, and the names ``homotopy`` imports as ``act_form``, in the
+    source text of ``homotopy``."""
+    tree = ast.parse(source)
+    methods = [
+        item.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "TwoTermConformal"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("act", "act_rev")
+    ]
+    imports = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "act_form"
+    ]
+    return methods, imports
+
+
+def test_the_two_term_structure_holds_data_only():
+    assert _evaluators_of_two_term(dict(_sources())["homotopy"]) == ([], [])
+
+
+def test_the_two_term_rule_sees_an_evaluator_on_the_structure():
+    source = """
+from .cohomology import Cochain, act_form, eval_cochain
+
+
+class TwoTermConformal:
+    @property
+    def action(self):
+        return self.rep.action
+
+    def act(self, p, m, form, arity):
+        return act_form(self.action, self.l1, p, m, form, arity)
+
+    def act_rev(self, m, p, form, arity):
+        return -self.act(p, m, dagger(form), arity)
+"""
+    assert _evaluators_of_two_term(source) == (["act", "act_rev"], ["act_form"])
+
+
+def _bindings(function, outer):
+    """``outer`` updated with the names that the assignments in ``function``
+    bind, each to its value, a tuple unpacked element by element."""
+    bound = dict(outer)
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                bound.update((t.id, v) for t, v in pairs if isinstance(t, ast.Name))
+    return bound
+
+
+def _basis_valued(node, bound, depth=0):
+    """Whether ``node`` is a basis element or a list of them: a call of
+    ``_basis_args`` or of a ``basis_elem``, a list of such, or a name that
+    ``bound`` binds to one."""
+    if isinstance(node, ast.Name) and depth < 4:
+        return node.id in bound and _basis_valued(bound[node.id], bound, depth + 1)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return bool(node.elts) and all(_basis_valued(e, bound, depth) for e in node.elts)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            func = bound.get(func.id, func)
+        return _calls(node, "_basis_args") or _is_attribute(func, "basis_elem")
+    return False
+
+
+def _basis_evaluations(sources=None):
+    """(module, owner) of every ``eval_cochain`` call on basis arguments
+    only: it returns the stored value, which ``Cochain.value`` reads."""
+    found = []
+
+    def visit(module, node, path, bound):
+        for child in ast.iter_child_nodes(node):
+            inner = bound
+            if isinstance(child, ast.FunctionDef):
+                inner = _bindings(child, bound)
+            if _calls(child, "eval_cochain") and len(child.args) > 1:
+                if _basis_valued(child.args[1], bound):
+                    found.append((module, ".".join(path)))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(module, child, path + (child.name,) if named else path, inner)
+
+    for module, source in _sources() if sources is None else sources:
+        visit(module, ast.parse(source), (), {})
+    return sorted(found)
+
+
+def test_basis_values_are_read_not_evaluated():
+    assert _basis_evaluations() == []
+    assert _owners("eval_cochain") == [
+        ("homotopy", "check_2term.l7"),
+        ("homotopy", "check_homomorphism.h3"),
+        ("homotopy", "check_homomorphism.h4"),
+        ("homotopy", "check_homomorphism.h5"),
+        ("homotopy", "check_homotopy_nijenhuis.module"),
+        ("wells", "transform_cocycle"),
+    ]
+
+
+def test_the_basis_rule_sees_evaluations_at_basis_arguments():
+    # L6, H2 and the square defect, each evaluating a stored value
+    source = """
+def check_2term(structure):
+    def l6(*key):
+        l3 = eval_cochain(t.l3, _basis_args(mod0, key), forms, 2)
+        return d.apply(l3) - jacobi(*key)
+
+    def l7(i, j, k):
+        args = [basis0(i), basis0(j), d.apply(basis1(k))]
+        return eval_cochain(t.l3, args, forms, 2) + representation(i, j, k)
+
+
+def check_homomorphism(src, dst, f0, f1, f2):
+    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+
+    def h2(i, j):
+        f2_pq = eval_cochain(f2, [basis0(i), basis0(j)], [lam1, dag1], 1)
+        return dst.d.apply(f2_pq) + morphism[i, j]
+
+    def h5(*key):
+        args = _basis_args(mod0, key)
+        return eval_cochain(dst.l3, [f0.apply(x) for x in args], forms, 2) - f1.apply(
+            eval_cochain(src.l3, args, forms, 2)
+        )
+
+
+def check_homotopy_nijenhuis(structure, op):
+    def square(i, j):
+        p, q = mod0.basis_elem(i), mod0.basis_elem(j)
+        n2_pq = eval_cochain(n2, [p, q], forms, 1)
+        return t.d.apply(n2_pq) + _nijenhuis(bracket, n0, n0, p, q)
+
+    def module(i, j):
+        p, m = mod0.basis_elem(i), mod1.basis_elem(j)
+        return eval_cochain(n2, [p, t.d.apply(m)], forms, 1)
+"""
+    assert _basis_evaluations([("homotopy", source)]) == [
+        ("homotopy", "check_2term.l6"),
+        ("homotopy", "check_homomorphism.h2"),
+        ("homotopy", "check_homomorphism.h5"),
+        ("homotopy", "check_homotopy_nijenhuis.square"),
+    ]
+
+
+# imports that perfbench/tests pins: the tracer must rebind each alias
+_PINNED_IMPORTS = [("cli", "apply_delta"), ("extension", "act_form"), ("wells", "solve")]
+
+
+def _unused_imports(sources=None):
+    """(module, name) of every name that a module imports and never reads;
+    the package's ``__init__`` re-exports what it imports."""
+    found = []
+    for module, source in _sources() if sources is None else sources:
+        if module == "__init__":
+            continue
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            (module, name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            if name not in read
+        ]
+    return sorted(found)
+
+
+def test_no_module_keeps_an_unused_import():
+    assert _unused_imports() == _PINNED_IMPORTS
+
+
+def test_the_import_rule_sees_an_import_left_behind():
+    # the moved triple's action read through RepTable.act, with the import
+    # of the evaluator it replaced left in place
+    source = """
+from .cohomology import Cochain, act_form, eval_cochain
+from .lca import ConfLinMap, RepTable, check_morphism, _tabulated
+
+
+def transform_cocycle(cocycle, pair):
+    def action(i, j):
+        value = cocycle.rho.act(moved[i], a_inv.apply(h_mod.basis_elem(j)))
+        return pair.alpha.apply(value)
+
+    chi = Cochain(2, cocycle.chi.rep, eval_cochain)
+    rho = RepTable(cocycle.rho.algebra, h_mod, _tabulated(l_mod, h_mod, h_mod, action))
+"""
+    assert _unused_imports([("wells", source)]) == [
+        ("wells", "ConfLinMap"),
+        ("wells", "act_form"),
+        ("wells", "check_morphism"),
+    ]
 
 
 def test_only_the_slice_builder_calls_cochain_space():
@@ -643,14 +903,17 @@ def circ_insert(J, K):
 
 _DEFORMERS = [
     ("deformation", "_order_residuals"),
-    ("homotopy", "check_crossed_module"),
+    ("nijenhuis", "_deformed_action.deformed"),
     ("nijenhuis", "_nijenhuis"),
-    ("nijenhuis", "deformed_table"),
 ]
 
 
 def test_only_the_nijenhuis_residual_and_the_deformers_deform_a_bracket():
-    assert _callers("_deformed") == _DEFORMERS
+    assert _owners("_deformed") == _DEFORMERS
+    assert _owners("_deformed_action") == [
+        ("homotopy", "check_crossed_module"),
+        ("nijenhuis", "deformed_table"),
+    ]
 
 
 def test_the_deformation_rule_sees_a_hand_written_nijenhuis_residual():
@@ -666,33 +929,49 @@ def check_homotopy_nijenhuis(structure, op):
 
     return square
 """
-    found = _callers("_deformed", [("homotopy", source)])
-    assert found == [("homotopy", "square")]
+    found = _owners("_deformed", [("homotopy", source)])
+    assert found == [("homotopy", "check_homotopy_nijenhuis.square")]
+    assert not set(found) <= set(_DEFORMERS)
+
+
+def test_the_deformation_rule_sees_a_hand_written_deformed_action():
+    # the deformed action rho1 of a crossed module, tabulated by hand
+    source = """
+def check_crossed_module(x):
+    rho1 = RepTable(def_lower, mod1)
+    for i, j in product(range(mod0.rank), range(mod1.rank)):
+        value = _deformed(
+            rho.act, lower.n, upper.n, upper.n, mod0.basis_elem(i), mod1.basis_elem(j)
+        )
+        rho1.set_action(i, j, value.coords)
+"""
+    found = _owners("_deformed", [("homotopy", source)])
+    assert found == [("homotopy", "check_crossed_module")]
     assert not set(found) <= set(_DEFORMERS)
 
 
 def _extension_evaluators(sources=None):
-    """(name, caller) of every call of ``eval_bracket`` or ``act_form`` in
+    """(name, owner) of every call of ``eval_bracket`` or ``act_form`` in
     ``extension`` and ``wells``."""
     return [
-        (name, caller)
+        (name, owner)
         for name in ("act_form", "eval_bracket")
-        for caller in _callers(name, sources)
-        if caller[0] in ("extension", "wells")
+        for owner in _owners(name, sources)
+        if owner[0] in ("extension", "wells")
     ]
 
 
 def test_one_morphism_residual_behind_tau_and_eta():
+    # the chi of an extracted triple is minus the section's morphism residual
     assert _callers("_morphism") == [
         ("extension", "_map_residuals"),
         ("extension", "_map_residuals"),
+        ("extension", "extract_cocycle"),
         ("homotopy", "check_homomorphism"),
         ("lca", "check_morphism"),
     ]
     assert _extension_evaluators() == [
-        ("act_form", ("wells", "transform_cocycle")),
-        ("eval_bracket", ("extension", "extract_cocycle")),
-        ("eval_bracket", ("extension", "extract_cocycle")),
+        ("eval_bracket", ("extension", "extract_cocycle.action")),
     ]
 
 

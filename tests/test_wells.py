@@ -179,6 +179,19 @@ def test_gamma_with_determinant_del_is_not_invertible(ext_free):
     ]
 
 
+def test_the_default_eta_bound_on_a_free_kernel(ext_free):
+    # the kernel h is free, so the eta solve takes the default bound 2; an
+    # evaluation kernel would take bound 0
+    identity = AutomorphismPair.identity(ext_free.quot, ext_free.sub)
+    assert wells_obstruction(ext_free, identity).lines() == [
+        "class: zero@2",
+        "section-independent: pass",
+    ]
+    report, eta = inducibility(ext_free, identity)
+    assert report.lines() == ["solve: pass"]
+    assert eta.is_zero()
+
+
 def test_lift_map_shape(ext_km, pair_inner):
     _, eta = inducibility(ext_km, pair_inner)
     gamma = lift_map(ext_km, pair_inner, eta)
