@@ -25,7 +25,9 @@ insertions (`_inserted`): f into the first slot of the flipped action
 (`lca._flipped_action`), and the bracket cochain into f; the twisted
 coboundary of an operator N is the plain plan over the deformed algebra
 acting through N (`_pulled_back`).  A representation holds the
-first two plans, and the fixed factor the third.  The cup
+first two plans, and the fixed factor the third, each through one lookup
+(`_held`) that builds a plan again when the table stamps or operator maps
+it was built from change.  The cup
 product is an insertion too: J inserted into K's left bracket
 (`_left_bracket`), whose values are one `act_form` per stored value and
 generator.
@@ -101,7 +103,7 @@ class Cochain:
     by the coboundary map.  Values are stored sparsely; skew-symmetry is a
     checked property (see :func:`check_cochain_skew`), not a storage
     invariant.  A cochain holds the plans of its insertion products in
-    ``_plans`` (see `_insertion`), and the answer of its skew test in
+    ``_plans`` (see `_held`), and the answer of its skew test in
     ``_skew`` (see `_is_skew`); `set_value`, the one writer of ``values``,
     drops them.  A multiple of a skew cochain, and a sum of two, hold that
     they are skew.
@@ -244,11 +246,10 @@ class Cochain:
 
 def bracket_cochain(lca):
     """The algebra's own bracket as a degree-2 adjoint cochain: its table,
-    reduced on evaluation generators as `act_form` reduces it, which is the
-    left bracket (`_left_bracket`) of the identity 1-cochain."""
-    reduce = lca.module.reduce_coords
-    values = {key: reduce(value) for key, value in lca.table.entries.items()}
-    return Cochain(2, adjoint_rep(lca), values)
+    reduced on evaluation generators by `Cochain.set_value` as `act_form`
+    reduces it, which is the left bracket (`_left_bracket`) of the identity
+    1-cochain."""
+    return Cochain(2, adjoint_rep(lca), lca.table.entries)
 
 
 def _left_bracket(K):
@@ -395,14 +396,34 @@ def _substitutions(degree):
     return final, block
 
 
+def _held(owner, key, build, *sources):
+    """What ``owner._plans`` holds under ``key``, built by ``build()`` when
+    it is missing or was built from other ``sources``: the table stamps and
+    operator maps that it reads, compared by ``==``.
+
+    The one reader and writer of ``_plans``, which a representation binds
+    in ``RepTable.__init__`` and a cochain gets here, and which
+    `Cochain.set_value` drops.  An entry is the pair (sources, what was
+    built), so a plan carries no stamp or operator of its own.
+    """
+    if owner._plans is None:
+        owner._plans = {}
+    held = owner._plans.get(key)
+    if held is None or held[0] != sources:
+        held = owner._plans[key] = sources, build()
+    return held[1]
+
+
+def _stamps(rep):
+    """The stamps of the bracket and action tables of ``rep``."""
+    return rep.algebra.table.stamp, rep.action.stamp
+
+
 def _shared_substitutions(rep, degree):
-    """The `_substitutions` of ``degree`` that ``rep._plans`` holds for its
-    plans and its cochains' insertion plans; they depend on nothing else, so
-    they are built once."""
-    held = rep._plans.get(degree)
-    if held is None:
-        held = rep._plans[degree] = _substitutions(degree)
-    return held
+    """The `_substitutions` of ``degree`` that ``rep`` holds for its plans
+    and its cochains' insertion plans; they depend on nothing else, so they
+    are built once."""
+    return _held(rep, degree, lambda: _substitutions(degree))
 
 
 class _Plan:
@@ -417,9 +438,9 @@ class _Plan:
     `_Insertion`, the skew projection `_Skew` and the orbit fill `_Orbit`
     are the five kinds; each only builds its terms (see `_index`), and
     `__call__` is the one mapping loop.  ``degree`` is the output degree.
-    A representation holds its plans in ``_plans``, and a cochain its
-    insertion plans; a plan holds neither, so dropping the owner frees its
-    plans at once.
+    A representation holds its plans, and a cochain its insertion plans,
+    through `_held`; a plan holds neither, nor what it was built from, so
+    dropping the owner frees its plans at once.
     """
 
     def _index(self, keys, terms_of):
@@ -590,29 +611,23 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
 
     The twisted coboundary is the plain plan over the deformed algebra
     acting through N (`_pulled_back`): N x acts, and the deformed bracket
-    [.,.]_N is inserted.  The one lookup of coboundary plans: ``rep._plans``
-    holds one per (degree, twisted, sorted_only), stamped with the bracket
-    and action tables' stamps, and builds it again when they change or a
-    twisted one is asked for another operator object (a ``ConfLinMap``
-    never changes).  Under ``degree`` it holds the `_substitutions` its
-    plans of that degree share (see `_shared_substitutions`).
+    [.,.]_N is inserted.  ``rep`` holds one plan per (degree, twisted,
+    sorted_only) (`_held`), built from the bracket and action tables'
+    stamps and the operator, and built again when one of them is another.
+    Under ``degree`` it holds the `_substitutions` its plans of that degree
+    share (see `_shared_substitutions`).
     """
-    plans = rep._plans
-    stamp = rep.algebra.table.stamp + rep.action.stamp
 
     def plan(operator):
-        slot = (degree, operator is not None, sorted_only)
-        held = plans.get(slot)
-        if held is None or held.stamp != stamp or held.n_op is not operator:
+        def build():
             keys = _output_tuples(rep.algebra.module.rank, degree + 1, sorted_only)
-            substitutions = _shared_substitutions(rep, degree)
             over = rep
             if operator is not None:
-                deformed = deformed_table(rep.algebra, operator)
-                over = _pulled_back(rep, operator, deformed)
-            held = plans[slot] = _Coboundary(over, degree, substitutions, keys)
-            held.stamp, held.n_op = stamp, operator
-        return held
+                over = _pulled_back(rep, operator, deformed_table(rep.algebra, operator))
+            return _Coboundary(over, degree, _shared_substitutions(rep, degree), keys)
+
+        slot = (degree, operator is not None, sorted_only)
+        return _held(rep, slot, build, *_stamps(rep), operator)
 
     plain = plan(None)
     if n_op is None:
@@ -633,17 +648,16 @@ def _sorted_outputs(rep, n_op=None, n_m=None):
     no torsion generator (`lca._torsion_failures`), and ``n_m`` mix no
     torsion either.  An action on a torsion generator, which sesquilinearity
     forbids, makes delta of a skew cochain fail the skew check.
-    ``rep._plans`` holds the verdict on the tables, stamped with their
-    stamps; the operators are read on each call.
+    ``rep`` holds the verdict on the tables, built from their stamps
+    (`_held`); the operators are read on each call.
     """
-    stamp = rep.algebra.table.stamp + rep.action.stamp
-    held = rep._plans.get("sorted")
-    if held is None or held[0] != stamp:
-        verdict = _sorted_tuples_suffice(rep.algebra) and not _torsion_failures(
+
+    def build():
+        return _sorted_tuples_suffice(rep.algebra) and not _torsion_failures(
             rep.action, rep.algebra.module, rep.module
         )
-        held = rep._plans["sorted"] = (stamp, verdict)
-    return held[1] and not any(
+
+    return _held(rep, "sorted", build, *_stamps(rep)) and not any(
         _torsion_mixing(m) for m in (n_op, n_m) if m is not None
     )
 
@@ -658,14 +672,13 @@ def _is_skew(f):
 
 def _filled(rep, image, sorted_only):
     """``image``, a fresh cochain, filled on the tuples that are not
-    non-decreasing through the `_Orbit` plan that ``rep._plans`` holds for
-    the degree when ``sorted_only`` (below degree 2 every tuple is sorted);
-    it is then skew by construction, and holds that answer (`_is_skew`)."""
-    if sorted_only and image.degree > 1:
-        held = rep._plans.get(("orbit", image.degree))
-        if held is None:
-            held = rep._plans["orbit", image.degree] = _Orbit(rep, image.degree)
-        held(image, rep, out=image)
+    non-decreasing through the `_Orbit` plan that ``rep`` holds for the
+    degree (`_held`) when ``sorted_only`` (below degree 2 every tuple is
+    sorted); it is then skew by construction, and holds that answer
+    (`_is_skew`)."""
+    n = image.degree
+    if sorted_only and n > 1:
+        _held(rep, ("orbit", n), lambda: _Orbit(rep, n))(image, rep, out=image)
         image._skew = True
     return image
 
@@ -703,7 +716,7 @@ def apply_dNM(f, n_op, n_m, rep=None):
     Equals the twisted coboundary (action through N, deformed bracket
     inserted) minus N_M composed with the plain coboundary, for ``f.rep`` or
     ``rep``, which holds both plans until its tables change or another
-    operator object is given; evaluated as `apply_delta` is.  At degree 0
+    operator is given (`_held`); evaluated as `apply_delta` is.  At degree 0
     this specializes to d(m)(p) = rho(N p)_lam m - N_M(rho(p)_lam m).
     """
     return _mapped(_differential, f.rep if rep is None else rep, f, n_op, n_m)
@@ -823,8 +836,8 @@ def _insertion(J, inside, K, sorted_only=False):
     """J's `_Insertion` plan, outside or ``inside``, for K's degree, on
     the non-decreasing output tuples when ``sorted_only``.
 
-    J holds one per (side, degree, sorted_only) in ``J._plans``, at most 10
-    of each kind since a product has degree 0 to MAX_DEGREE, until
+    J holds one per (side, degree, sorted_only) (`_held`), at most 10 of
+    each kind since a product has degree 0 to MAX_DEGREE, until
     `Cochain.set_value` drops them.  Their blocks are those of the
     `_substitutions` that ``K.rep`` holds for the product's degree; for J of
     degree 2 they are the blocks of K's coboundary.
@@ -832,16 +845,14 @@ def _insertion(J, inside, K, sorted_only=False):
     total = J.degree + K.degree - 1
     if not 0 <= total <= MAX_DEGREE:
         raise DegreeOverflowError("insertion degree %d out of range" % total)
-    if J._plans is None:
-        J._plans = {}
-    slot = (inside, K.degree, sorted_only)
-    held = J._plans.get(slot)
-    if held is None:
+
+    def build():
         # at degree 0 the one block is empty, and the blocks of working
         # arity 1 leave no lambda: del |-> 0 evaluated on it, else nothing
         block = _shared_substitutions(K.rep, max(total - 1, 0))[1]
-        held = J._plans[slot] = _Insertion(J, inside, K.degree, block, sorted_only)
-    return held
+        return _Insertion(J, inside, K.degree, block, sorted_only)
+
+    return _held(J, (inside, K.degree, sorted_only), build)
 
 
 def circ_insert(J, K):
@@ -953,7 +964,7 @@ class _Xi(_Plan):
     def __init__(self, rep, degree, n_op, n_m, final, sorted_only=False):
         module = rep.algebra.module
         forms = _forms(degree, degree)
-        self.degree, self.n_op, self.n_m = degree, n_op, n_m
+        self.degree = degree
         self.substitutions = {None: lambda poly: poly}
         one = Poly.one(degree)
         images = [n_op.apply(x).coords for x in _basis_args(module, range(module.rank))]
@@ -1011,20 +1022,21 @@ class _Xi(_Plan):
 
 def _comparison(rep, degree, n_op, n_m, sorted_only=False):
     """xi of degree-``degree`` cochains over ``rep``, through the `_Xi` plan
-    that ``rep._plans`` holds for the degree, on the non-decreasing output
-    tuples when ``sorted_only``.
+    that ``rep`` holds for the degree, on the non-decreasing output tuples
+    when ``sorted_only``.
 
-    There is one per (degree, sorted_only), built again when it is asked
-    for with another ``n_op`` or ``n_m`` object; xi reads neither the
-    bracket nor the action table, so no stamp applies.  Its dagger is that
-    of the `_substitutions` of degree - 1, which the coboundary plans of
-    that degree share.
+    There is one per (degree, sorted_only) (`_held`), built from ``n_op``
+    and ``n_m`` and built again when it is asked for with others; xi reads
+    neither the bracket nor the action table, so no stamp applies.  Its
+    dagger is that of the `_substitutions` of degree - 1, which the
+    coboundary plans of that degree share.
     """
-    plans, slot = rep._plans, ("xi", degree, sorted_only)
-    held = plans.get(slot)
-    if held is None or held.n_op is not n_op or held.n_m is not n_m:
+
+    def build():
         final = _shared_substitutions(rep, degree - 1)[0] if degree else None
-        held = plans[slot] = _Xi(rep, degree, n_op, n_m, final, sorted_only)
+        return _Xi(rep, degree, n_op, n_m, final, sorted_only)
+
+    held = _held(rep, ("xi", degree, sorted_only), build, n_op, n_m)
     return lambda f: held(f, rep)
 
 
@@ -1037,8 +1049,8 @@ def xi_map(f, n_op, n_m):
     d_{N,M} o xi = xi o delta.  xi is linear in f, and ``f.rep`` holds its
     plan for the degree (see `_Xi`), so only the outputs that read the
     support of ``f`` are evaluated, one per permutation orbit when they can
-    be (`_mapped`), and a repeated call with the same operator objects
-    builds nothing.
+    be (`_mapped`), and a repeated call with equal operators builds
+    nothing.
     """
     return _mapped(_comparison, f.rep, f, n_op, n_m)
 
@@ -1073,20 +1085,19 @@ class CochainPair:
 def apply_dNL(pair, n_op, n_m, rep=None):
     """Differential of the combined complex.
 
-    d(f) = (delta f, -xi f) when there is no second component, and
-    d(f, g) = (delta f, (-1)^n xi(f) + d_{N,M}(g)) in general.  delta, xi
-    and d_{N,M} are each mapped through the plan that ``rep`` (by default
-    ``f.rep``) holds, one tuple per permutation orbit when they can be
-    (`_mapped`), so both components are cochains over it.
+    d(f, g) = (delta f, (-1)^n xi(f) + d_{N,M}(g)) for f of degree n, a
+    missing g read as zero, so d(d(f, g)) = 0 at every degree (by d_{N,M}
+    xi = xi delta).  delta, xi and d_{N,M} are each mapped through the plan
+    that ``rep`` (by default ``f.rep``) holds, one tuple per permutation
+    orbit when they can be (`_mapped`), so both components are cochains
+    over it.
     """
     f, g = pair.f, pair.g
     rep = f.rep if rep is None else rep
-    df = apply_delta(f, rep=rep)
-    xf = _mapped(_comparison, rep, f, n_op, n_m)
-    if g is None:
-        return CochainPair(df, xf.scale(-1))
-    second = xf.scale((-1) ** f.degree) + apply_dNM(g, n_op, n_m, rep=rep)
-    return CochainPair(df, second)
+    second = _mapped(_comparison, rep, f, n_op, n_m).scale((-1) ** f.degree)
+    if g is not None:
+        second = second + apply_dNM(g, n_op, n_m, rep=rep)
+    return CochainPair(apply_delta(f, rep=rep), second)
 
 
 def phi_chain_check(f, n_op):

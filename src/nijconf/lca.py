@@ -516,17 +516,15 @@ def _torsion_mixing(mapping):
     If del acts on e_t by the scalar a, Q[del]-linearity asks that the
     coordinate m(del) e_s of mapping(e_t) satisfy del m e_s = a m e_s.  That
     fails unless m vanishes on e_s: always on a free e_s, and on an e_s where
-    del acts by b != a unless m(b) = 0.
+    del acts by b != a unless m(b) = 0.  An entry in the row of such an e_s
+    is held as m(b) (see `ConfLinMap`), so any nonzero entry fails.
     """
     source, target = mapping.source.actions, mapping.target.actions
     return [
         (s, t)
         for s, row in enumerate(mapping.matrix)
         for t, entry in enumerate(row)
-        if entry
-        and source[t] != FREE
-        and target[s] != source[t]
-        and (target[s] == FREE or entry.substitute(0, Poly.const(target[s], 0)))
+        if entry and source[t] != FREE and target[s] != source[t]
     ]
 
 
@@ -596,7 +594,7 @@ def _jacobi(lca):
 
 class RepTable:
     """Conformal representation: action table rho(e_i)_lam m_j.  It holds
-    its coboundary plans in ``_plans`` (see ``cohomology._differential``)."""
+    its plans in ``_plans`` (see ``cohomology._held``)."""
 
     def __init__(self, algebra, module, action=None):
         self.algebra = algebra
@@ -757,7 +755,14 @@ def sum_algebra(l_alg, rho, m_table=None, chi=None):
 
 
 class ConfLinMap:
-    """Q[del]-linear map given by a matrix of del-only polynomials."""
+    """Q[del]-linear map given by a matrix of del-only polynomials.
+
+    Each column, the image of a source generator, is reduced through
+    ``target.reduce_coords`` as an `Elem` is: on an evaluation generator
+    del acts by a scalar, so an entry in its row is held with del |-> that
+    scalar.  Maps that act alike on every generator then have one matrix,
+    which ``==``, `compose` and the inverses read.
+    """
 
     def __init__(self, source, target, matrix):
         if len(matrix) != target.rank or any(
@@ -779,6 +784,9 @@ class ConfLinMap:
             for entry in row:
                 if entry.arity != 0:
                     raise ModuleMismatchError("matrix entries must be del-only")
+        if target._evaluation and source.rank:
+            columns = [target.reduce_coords(column) for column in zip(*self.matrix)]
+            self.matrix = [list(row) for row in zip(*columns)]
 
     @classmethod
     def identity(cls, module):

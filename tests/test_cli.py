@@ -432,6 +432,21 @@ def test_wells_rescaling_is_infeasible():
     assert "status: infeasible" in out
 
 
+def test_a_pair_written_with_del_on_the_central_line_is_the_pair_without(tmp_path):
+    # del acts by 0 on triv0, so alpha = del + 2 is the map alpha = 2 of
+    # wellsbad, and every Wells verb prints wellsbad's lines
+    extra = tmp_path / "pdel.ws"
+    extra.write_text(
+        "map delplus2 source triv0 target triv0\n  row del + 2\n\n"
+        "pair pdel alpha delplus2 beta idsl2\n"
+    )
+    for verb in ("wells", "induce", "lift"):
+        got = run_cli("-f", CORE, "-f", str(extra), verb, "kmext", "--pair", "pdel")
+        want = run_cli("-f", CORE, verb, "kmext", "--pair", "wellsbad")
+        assert got[:2] == want[:2]
+        assert verb != "wells" or "class: nonzero-certified" in got[1]
+
+
 def test_wells_inner_pair_lifts():
     code, out, _ = run_cli("-f", CORE, "lift", "kmext", "--pair", "wellsgood")
     assert code == 0

@@ -212,6 +212,23 @@ def test_differentials_square_to_zero(ad, proj_p):
         assert apply_dNL(apply_dNL(pair, proj_p, proj_p), proj_p, proj_p).is_zero()
 
 
+def test_a_missing_second_component_is_read_as_zero(ad, proj_p):
+    # d(f) = (delta f, (-1)^n xi f) at every degree n, so d squares to zero
+    # on a pair without g, and (f) and (f, 0) have one image
+    rng = Random(83)
+    for n in range(3):
+        for _ in range(2):
+            f = random_cochain(ad, n, rng, max_degree=1)
+            image = apply_dNL(CochainPair(f), proj_p, proj_p)
+            assert not image.g.is_zero()
+            assert apply_dNL(image, proj_p, proj_p).is_zero()
+            assert image.g == xi_map(f, proj_p, proj_p).scale((-1) ** n)
+            if n:
+                zero = CochainPair(f, Cochain(n - 1, ad))
+                with_zero = apply_dNL(zero, proj_p, proj_p)
+                assert (with_zero.f, with_zero.g) == (image.f, image.g)
+
+
 def test_xi_intertwines_the_differentials(ad, proj_p):
     rng = Random(31)
     for n in (1, 2):
@@ -881,13 +898,19 @@ def test_each_operator_gets_its_own_twisted_plan(sl2, proj_p):
         assert apply_dN(f, op) == want
 
 
+def _holds(owner):
+    """What ``owner`` holds through `cohomology._held`, by key: each entry
+    of its ``_plans`` is (sources, what was built from them)."""
+    return {key: built for key, (_, built) in (owner._plans or {}).items()}
+
+
 def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
     # 16 coboundary plans; besides, two xi plans per degree, on every tuple
     # and on the sorted ones, and one orbit fill per degree from 2
     rep = adjoint_rep(sl2)
 
     def plans(kind=_Plan):
-        return [p for p in rep._plans.values() if isinstance(p, kind)]
+        return [p for p in _holds(rep).values() if isinstance(p, kind)]
 
     for op in (proj_p, _random_operator(sl2.module, Random(31))):
         for sorted_only in (False, True):
@@ -895,11 +918,28 @@ def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
                 for n_op in (None, op):
                     _differential(rep, n, n_op, sorted_only=sorted_only)
                     assert len(plans(_Coboundary)) <= 16
-    for n_m in (proj_p, ConfLinMap.identity(sl2.module)):
+    identity = ConfLinMap.identity(sl2.module)
+    for n_m in (proj_p, identity):
         for n in range(MAX_DEGREE + 1):
             for sorted_only in (False, True):
                 _comparison(rep, n, proj_p, n_m, sorted_only)
                 assert len(plans(_Xi)) <= 2 * (MAX_DEGREE + 1)
+    # each plan is held with what it was built from, the last operators
+    # asked for, and carries none of it
+    stamps = (sl2.table.stamp, rep.action.stamp)
+    sources = {key: entry[0] for key, entry in rep._plans.items()}
+    coboundaries = [
+        sources[n, n_op is not None, sorted_only]
+        for n in range(4)
+        for sorted_only in (False, True)
+        for n_op in (None, op)
+    ]
+    assert coboundaries == [stamps + (n_op,) for n_op in (None, op)] * 8
+    xis = [sources["xi", n, s] for n in range(MAX_DEGREE + 1) for s in (False, True)]
+    assert xis == [(proj_p, identity)] * 2 * (MAX_DEGREE + 1)
+    assert all(
+        not hasattr(p, name) for p in plans() for name in ("stamp", "n_op", "n_m")
+    )
     # the public operators on skew cochains add only the orbit fills
     rng = Random(33)
     for n in range(4):
@@ -912,7 +952,7 @@ def test_a_representation_holds_at_most_16_plans(sl2, proj_p):
     # a degree's coboundary plans share the blocks the representation holds
     # for it, built once; a plan's degree is that of its output
     for n in range(4):
-        block = rep._plans[n][1]
+        block = _holds(rep)[n][1]
         for p in plans(_Coboundary):
             if p.degree == n + 1:
                 assert all(s is block(*slot) for slot, s in p.substitutions.items())
@@ -929,7 +969,8 @@ def test_the_skew_projection_and_the_orbit_basis_hold_only_blocks(sl2):
     cochain_space(rep, 1, 1)
     random_cochain(rep, 1, Random(43))
     assert set(rep._plans) == {1, 2}
-    assert rep._plans[2][1](False, (2, 0, 1)) is rep._plans[2][1](False, (2, 0, 1))
+    block = _holds(rep)[2][1]
+    assert block(False, (2, 0, 1)) is block(False, (2, 0, 1))
 
 
 def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):
@@ -938,8 +979,8 @@ def test_a_dropped_representation_needs_no_cycle_collection(sl2, proj_p):
     f = random_cochain(rep, 1, Random(37), max_degree=1)
     apply_dN(f, proj_p)
     xi_map(f, proj_p, proj_p)
-    assert any(isinstance(p, _Coboundary) for p in rep._plans.values())
-    assert any(isinstance(p, _Xi) for p in rep._plans.values())
+    assert any(isinstance(p, _Coboundary) for p in _holds(rep).values())
+    assert any(isinstance(p, _Xi) for p in _holds(rep).values())
     freed = weakref.ref(rep)
     gc.disable()
     try:
@@ -1141,7 +1182,7 @@ def test_a_dropped_cochain_needs_no_cycle_collection(sl2):
     J = bracket_cochain(sl2)
     f = random_cochain(J.rep, 1, Random(67), max_degree=1)
     nr_bracket(J, f)
-    assert all(isinstance(p, _Insertion) for p in J._plans.values())
+    assert all(isinstance(p, _Insertion) for p in _holds(J).values())
     assert set(J._plans) == {(False, 1, True), (True, 1, True)}
     freed = weakref.ref(J)
     gc.disable()
@@ -1173,7 +1214,7 @@ def test_a_cochain_holds_at_most_10_plans(sl2):
                     key = (1, 0) + (0,) * (n - 2)
                     nr_bracket(J, Cochain(n, rep, {key: sl2.module.basis_elem(0)}))
                 assert len(held(True)) <= 10 and len(held(False)) <= 10
-        assert all(isinstance(p, _Insertion) for p in J._plans.values())
+        assert all(isinstance(p, _Insertion) for p in _holds(J).values())
         assert len(held(True)) == 2 * len(degrees)
         assert len(held(False)) == 2 * len([n for n in degrees if n >= 2])
         assert m != 1 or len(held(True)) == 10

@@ -536,7 +536,7 @@ _ORBIT_CASES = ("sl2-adjoint", "sl2-line", "sl2-lam-line")
 def _held_plans(sorted_only, rep, *cochains):
     """The slots of the plans on the sorted or on every output tuple that
     ``rep`` and ``cochains`` hold; an orbit fill is neither."""
-    held = [slot for slot, plan in rep._plans.items() if isinstance(plan, _Plan)]
+    held = [slot for slot, (_, plan) in rep._plans.items() if isinstance(plan, _Plan)]
     held += [slot for f in cochains for slot in f._plans or ()]
     return [slot for slot in held if slot[-1] is sorted_only]
 

@@ -237,6 +237,16 @@ def _dense_apply(mapping, elem):
     return coords
 
 
+def _reduced(rows, module):
+    """A matrix into ``module`` with del -> a in the row of each generator
+    where del acts by a, its numbers read as constants."""
+    rows = [[e if isinstance(e, Poly) else Poly.const(e, 0) for e in row] for row in rows]
+    return [
+        row if a == FREE else [e.substitute(0, Poly.const(a, 0)) for e in row]
+        for row, a in zip(rows, module.actions)
+    ]
+
+
 def test_conf_lin_map_apply_and_compose_match_dense_loops():
     rng = Random(19)
     modules = [
@@ -252,10 +262,15 @@ def test_conf_lin_map_apply_and_compose_match_dense_loops():
         ]
         matrix[rng.randrange(target.rank)] = [0] * source.rank  # a zero row
         mapping = ConfLinMap(source, target, matrix)
-        first = ConfLinMap(source, source, [
+        assert mapping.matrix == _reduced(matrix, target)
+        written = [
             [_random_del_poly(rng) for _ in range(source.rank)]
             for _ in range(source.rank)
-        ])
+        ]
+        first = ConfLinMap(source, source, written)
+        assert first.matrix == _reduced(written, source)
+        # the product of the held matrices, reduced as the target's
+        # coordinates are
         product = [
             [
                 sum((row[k] * first.matrix[k][j] for k in range(source.rank)), Poly.zero(0))
@@ -263,7 +278,7 @@ def test_conf_lin_map_apply_and_compose_match_dense_loops():
             ]
             for row in mapping.matrix
         ]
-        assert mapping.compose(first).matrix == product
+        assert mapping.compose(first).matrix == _reduced(product, target)
         # arities in a random order, so that each is met again after others
         for arity in [rng.randint(0, 3) for _ in range(6)]:
             elem = _random_elem(rng, source, arity)

@@ -98,7 +98,11 @@ with the version of the structure tables it was derived from, so only
 and ``.table`` and ``.action`` are bound only in an ``__init__``.  A
 cochain holds the insertion plans read off its values, so only
 ``Cochain.set_value``, which drops them, writes a cochain's ``.values``,
-bound only in ``Cochain.__init__``.
+bound only in ``Cochain.__init__``.  Every held plan is fetched through one
+lookup with one staleness rule: only ``cohomology._held`` reads or writes
+an owner's ``._plans``, bar its binding in ``RepTable.__init__`` and its
+drop in ``Cochain.set_value``, and no function of ``cohomology`` sets a
+``.stamp``, ``.n_op`` or ``.n_m`` on a plan.
 """
 
 import ast
@@ -223,7 +227,7 @@ def test_one_coboundary_formula():
         ("lca", "sum_algebra"),
     ]
     assert _owners("_pulled_back") == [
-        ("cohomology", "_differential.plan"),
+        ("cohomology", "_differential.plan.build"),
         ("homotopy", "check_homomorphism"),
     ]
     tree = ast.parse(dict(_sources())["cohomology"])
@@ -1291,6 +1295,76 @@ def poke(f, g):
         "writes .values",
         "writes .values",
         "binds .values",
+    ]
+
+
+def _holder_offences(tree):
+    """(line, what) of every read or write of an attribute ``_plans``
+    outside ``_held``, ``RepTable.__init__`` and ``Cochain.set_value``, and
+    of every binding of ``.stamp``, ``.n_op`` or ``.n_m``: a lookup of its
+    own would bring its own key scheme and staleness rule."""
+    exempt = {("_held",), ("RepTable", "__init__"), ("Cochain", "set_value")}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if _is_attribute(child, "_plans") and owner not in exempt:
+                found.append((child.lineno, "._plans in %s" % ".".join(owner)))
+            stored = isinstance(getattr(child, "ctx", None), ast.Store)
+            if stored and isinstance(child, ast.Attribute):
+                if child.attr in ("stamp", "n_op", "n_m"):
+                    found.append((child.lineno, "binds .%s" % child.attr))
+            visit(child, owner)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_only_the_holder_reads_or_writes_plans():
+    # a NijenhuisRep holds its own n_m; only a plan may not
+    offences = [
+        "%s:%d %s" % (module, line, what)
+        for module, source in _sources()
+        for line, what in _holder_offences(ast.parse(source))
+        if module == "cohomology" or not what.startswith("binds")
+    ]
+    assert offences == []
+
+
+def test_the_holder_rule_sees_a_hand_written_lookup():
+    # the orbit fill and the coboundary lookup, each with a key scheme and a
+    # staleness rule of its own
+    source = """
+def _filled(rep, image, sorted_only):
+    if sorted_only and image.degree > 1:
+        held = rep._plans.get(("orbit", image.degree))
+        if held is None:
+            held = rep._plans["orbit", image.degree] = _Orbit(rep, image.degree)
+        held(image, rep, out=image)
+        image._skew = True
+    return image
+
+
+def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
+    plans = rep._plans
+    stamp = rep.algebra.table.stamp + rep.action.stamp
+
+    def plan(operator):
+        held = plans.get(degree)
+        if held is None or held.stamp != stamp or held.n_op is not operator:
+            held = plans[degree] = _Coboundary(rep, degree)
+            held.stamp, held.n_op = stamp, operator
+        return held
+"""
+    assert _holder_offences(ast.parse(source)) == [
+        (4, "._plans in _filled"),
+        (6, "._plans in _filled"),
+        (13, "._plans in _differential"),
+        (20, "binds .n_op"),
+        (20, "binds .stamp"),
     ]
 
 
