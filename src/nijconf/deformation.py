@@ -4,28 +4,35 @@ Orders are finite and explicit: a series is its list of coefficient maps, and
 every statement below is a t-coefficient comparison carried out exactly on
 basis pairs.  The order-1 coefficient is a 1-cocycle for the operator
 differential, and the first failure to extend an order-k deformation is the
-degree-2 obstruction class.
+degree-2 obstruction class.  A series holds the residual of each order (see
+`_order_residuals`), so checking the orders, the cocycle and the
+obstruction of one series computes each order once.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 
 from .cohomology import (
     Cochain,
+    _held,
     adjoint_rep,
     apply_dN,
     image_contains,
 )
 from .errors import ModuleMismatchError, PreconditionError
-from .lca import ConfLinMap, eval_bracket
+from .lca import ConfLinMap, _BasisPairs
 from .nijenhuis import _deformed
 from .report import Report, failures_of
 
 
 class DeformationSeries:
-    """A Nijenhuis structure together with deformation terms N_1..N_k."""
+    """A Nijenhuis structure together with deformation terms N_1..N_k.
+
+    It holds the residuals of its orders in ``_plans`` (see
+    `_order_residuals`)."""
+
+    _plans = None
 
     def __init__(self, base, terms):
         module = base.algebra.module
@@ -58,19 +65,30 @@ def _order_residuals(series, n):
     At n = k + 1 on an order-k series this is minus the obstruction class
     (`obstruction`).  So an N_{k+1} with d_N(N_{k+1}) = Ob makes the t^{k+1}
     residual vanish: the sign of the next term is the residual's.
+
+    The series holds each order's residuals and one `lca._BasisPairs` of
+    its bracket, from which every order reads the images of the basis under
+    N_0..N_n and the brackets of them (`cohomology._held`); both are built
+    again once the bracket table, the base operator or the terms change.
+    The residuals are shared: a caller copies before it edits.
     """
-    module = series.base.algebra.module
-    bracket = partial(eval_bracket, series.base.algebra)
-    maps = [series.term(i) for i in range(n + 1)]
-    residuals = {}
-    for a, b in product(range(module.rank), repeat=2):
-        pa, qb = module.basis_elem(a), module.basis_elem(b)
-        lhs = rhs = module.zero(1)
-        for left, right in zip(maps, reversed(maps)):
-            lhs = lhs + bracket(left.apply(pa), right.apply(qb))
-            rhs = rhs + left.apply(_deformed(bracket, right, right, right, pa, qb))
-        residuals[a, b] = lhs - rhs
-    return residuals
+    algebra = series.base.algebra
+    sources = algebra.table.stamp, series.base.n, *series.terms
+    held = _held(series, "pairs", lambda: _BasisPairs.of_bracket(algebra), *sources)
+
+    def build():
+        module = algebra.module
+        maps = [held.operator(series.term(i)) for i in range(n + 1)]
+        residuals = {}
+        for a, b in product(range(module.rank), repeat=2):
+            lhs = rhs = module.zero(1)
+            for left, right in zip(maps, reversed(maps)):
+                lhs = lhs + held.value(held.image(left, a), held.image(right, b))
+                rhs = rhs + held.apply(left, _deformed(held, right, right, right, a, b))
+            residuals[a, b] = lhs - rhs
+        return residuals
+
+    return _held(series, n, build, *sources)
 
 
 def check_order(series):

@@ -41,6 +41,7 @@ from .lca import (
     check_morphism,
     eval_bracket,
     sum_algebra,
+    _BasisPairs,
     _jacobi_failures,
     _morphism,
     _output_tuples,
@@ -297,13 +298,16 @@ def _cocycle_report(total, operator, rank_l):
         report.add_failures(
             name, _jacobi_failures(total, tuples(*index_sets)) or on_torsion
         )
+    # both operator lines read one holder of images and bracket values
+    held = _BasisPairs.of_bracket(total)
     mixed = tuples(l_idx, h_idx) + tuples(h_idx, l_idx)
     report.add_failures(
         "operator-module",
-        _nijenhuis_failures(total, operator, mixed) or _mixing_failures(operator),
+        _nijenhuis_failures(held, operator, mixed) or _mixing_failures(operator),
     )
+    pairs = tuples(l_idx, l_idx)
     report.add_failures(
-        "operator-bracket", _nijenhuis_failures(total, operator, tuples(l_idx, l_idx))
+        "operator-bracket", _nijenhuis_failures(held, operator, pairs)
     )
     return report
 

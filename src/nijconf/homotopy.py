@@ -40,7 +40,6 @@ tabulated from the action (``lca._tabulated``).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 
 from .cohomology import (
@@ -65,6 +64,7 @@ from .lca import (
     eval_bracket,
     sesqui_eval,
     sum_algebra,
+    _BasisPairs,
     _flipped_action,
     _intertwining,
     _jacobi,
@@ -328,18 +328,20 @@ def check_homotopy_nijenhuis(structure, op):
     report.add("chain-map", ok, "d N1 != N0 d")
 
     forms = [Poly.lam(1, 1), dagger(Poly.lam(1, 1))]
-    bracket = partial(eval_bracket, t.l0)
+    bracket = _BasisPairs.of_bracket(t.l0)
+    on_l0 = bracket.operator(n0)
 
     def square(i, j):
-        p, q = mod0.basis_elem(i), mod0.basis_elem(j)
-        return t.d.apply(n2.value((i, j))) + _nijenhuis(bracket, n0, n0, p, q)
+        return t.d.apply(n2.value((i, j))) + _nijenhuis(bracket, on_l0, on_l0, i, j)
 
     report.add_residuals("square-defect", product(range(mod0.rank), repeat=2), square)
+    action = _BasisPairs.of_action(t.rep)
+    on_mod0, on_mod1, d = action.operator(n0), action.operator(n1), action.operator(t.d)
 
     def module(i, j):
-        p, m = mod0.basis_elem(i), mod1.basis_elem(j)
-        n2_pdm = eval_cochain(n2, [p, t.d.apply(m)], forms, 1)
-        return n2_pdm + _nijenhuis(t.rep.act, n0, n1, p, m)
+        dm = action.elements[0][action.image(d, j)]
+        n2_pdm = eval_cochain(n2, [mod0.basis_elem(i), dm], forms, 1)
+        return n2_pdm + _nijenhuis(action, on_mod0, on_mod1, i, j)
 
     pairs = product(range(mod0.rank), range(mod1.rank))
     report.add_residuals("module-defect", pairs, module)

@@ -21,7 +21,9 @@ representation, the morphism and the intertwining residuals on basis tuples
 (:func:`_jacobi`, :func:`_representation`, :func:`_morphism`,
 :func:`_intertwining`) are each defined once: the 2-term checks of
 ``homotopy`` add their homotopy corrections to them.  The Jacobi residual is
-minus the representation residual of the adjoint action.
+minus the representation residual of the adjoint action.  The Nijenhuis and
+deformation residuals on basis pairs read their arguments and values from
+one holder, :class:`_BasisPairs`, which computes each once.
 
 A table derived from another structure is tabulated from that structure's
 evaluator on basis pairs by :func:`_tabulated`, the one loop that fills a
@@ -712,6 +714,88 @@ def _tabulated(left, right, target, value):
     for i, j in product(range(left.rank), range(right.rank)):
         out.set(i, j, value(i, j).coords)
     return out
+
+
+class _BasisPairs:
+    """What a residual loop over basis pairs (e_i of ``left``, e_j of
+    ``right``) reads of a bracket or an action ``table`` with values in
+    ``right``, each computed once: the basis elements of both modules, their
+    images under the loop's operators (`image`), and the table on pairs of
+    held elements at lam1 (`value`), read on first use.
+
+    A module's elements are held once each, keyed by their coordinates: an
+    image equal to its basis element, or to an image held before, is that
+    element, so equal arguments share one value.  So an element is named by
+    what it is, its index among the elements held for its module (the basis
+    first), and an operator by the slot that `operator` gives it, since a
+    map is unhashable.  The two modules share their elements when they are
+    equal.  A holder lives as long as whoever built it: one check, both
+    operator lines of ``extension._cocycle_report``, or a deformation
+    series (``deformation._order_residuals``).
+    """
+
+    def __init__(self, table, left, right):
+        self.table, self.modules = table, (left, right)
+        modules = [left] if right == left else [left, right]
+        self.elements = [[m.basis_elem(i) for i in range(m.rank)] for m in modules]
+        self.keys = [
+            {tuple(e.coords): k for k, e in enumerate(held)} for held in self.elements
+        ]
+        if right == left:
+            self.elements.append(self.elements[0])
+            self.keys.append(self.keys[0])
+        self.operators, self.images, self.evaluated = [], {}, {}
+
+    @classmethod
+    def of_bracket(cls, lca):
+        return cls(lca.table, lca.module, lca.module)
+
+    @classmethod
+    def of_action(cls, rep):
+        return cls(rep.action, rep.algebra.module, rep.module)
+
+    def operator(self, mapping):
+        """The slot of ``mapping``, an equal map's when one is held already;
+        it maps the elements of one module into those of the other or the
+        same one."""
+        for slot, (held, _, _) in enumerate(self.operators):
+            if held is mapping or held == mapping:
+                return slot
+        left = self.modules[0]
+        self.operators.append((mapping, mapping.source != left, mapping.target != left))
+        return len(self.operators) - 1
+
+    def image(self, slot, i):
+        """The key of the image of basis element i under operator ``slot``."""
+        key = self.images.get((slot, i))
+        if key is None:
+            mapping, source, target = self.operators[slot]
+            image = mapping.apply(self.elements[source][i])
+            elements = self.elements[target]
+            key = self.keys[target].setdefault(tuple(image.coords), len(elements))
+            if key == len(elements):
+                elements.append(image)
+            self.images[slot, i] = key
+        return key
+
+    def value(self, a, b):
+        """The table at lam1 on held elements a of the left module and b of
+        the right: read off the table on a basis pair (`_basis_value`), else
+        evaluated."""
+        value = self.evaluated.get((a, b))
+        if value is None:
+            (left, right), table = self.modules, self.table
+            if a < left.rank and b < right.rank:
+                value = _basis_value(table, right, a, b, 1, None)
+            else:
+                x, y = self.elements[0][a], self.elements[1][b]
+                value = sesqui_eval(table, right, x, y, Poly.lam(1, 1), 1)
+            self.evaluated[a, b] = value
+        return value
+
+    def apply(self, slot, elem):
+        """Operator ``slot`` applied to ``elem``."""
+        return self.operators[slot][0].apply(elem)
 
 
 def _flipped_action(rho):

@@ -12,17 +12,27 @@ Nijenhuis defects use it too.  So is the deformation of an action,
 rho(N p) + rho(p) N_M - N_M rho(p) (:func:`_deformed_action`): the deformed
 bracket is that of the adjoint action with N_M = N, and a crossed module
 deforms its action by (N0, N1) through it.
+
+Both read basis pairs through one `lca._BasisPairs` per loop: it holds the
+basis elements, their images under the loop's operators, computed once,
+and the bracket or action on pairs of held elements, read or evaluated on
+first use.  An image equal to its basis element, or to another image, is
+held as that element, so equal arguments share one value: under an
+identity or projection column [N e_i, e_j] and [N e_i, N e_j] are one
+evaluation.  A holder lasts for one check (both operator lines of an
+extension's cocycle report share one) or, for the order residuals of
+``deformation``, as long as its series is unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
+    _BasisPairs,
     adjoint_rep,
     _output_tuples,
     _sorted_tuples_suffice,
@@ -31,7 +41,6 @@ from .lca import (
     check_lca,
     check_morphism,
     check_representation,
-    eval_bracket,
     sum_algebra,
 )
 from .report import Report, failures_of
@@ -67,32 +76,41 @@ def check_nijenhuis(lca, n):
     _require_endo(lca, n)
     pairs = _output_tuples(lca.module.rank, 2, _sorted_tuples_suffice(lca, n=n))
     report = Report("nijenhuis")
-    report.add_failures("nijenhuis", _nijenhuis_failures(lca, n, pairs))
+    held = _BasisPairs.of_bracket(lca)
+    report.add_failures("nijenhuis", _nijenhuis_failures(held, n, pairs))
     return report
 
 
-def _deformed(bracket, n_a, n_b, n_out, a, b):
-    """[n_a a, b] + [a, n_b b] - n_out [a, b] for ``bracket(a, b)`` a bracket
-    or an action: the bracket deformed by N when all three maps are N."""
-    deformed = bracket(n_a.apply(a), b) + bracket(a, n_b.apply(b))
-    return deformed - n_out.apply(bracket(a, b))
+def _deformed(held, n_a, n_b, n_out, i, j):
+    """[n_a a, b] + [a, n_b b] - n_out [a, b] at the basis elements a = e_i
+    and b = e_j of ``held``, a `lca._BasisPairs` over a bracket or an
+    action, whose operator slots n_a, n_b and n_out name the maps: the
+    bracket deformed by N when all three are N.  Each image and each value
+    is read from ``held``, so it is computed once while the holder lives,
+    and equal images share one value."""
+    value, image = held.value, held.image
+    deformed = value(image(n_a, i), j) + value(i, image(n_b, j))
+    return deformed - held.apply(n_out, value(i, j))
 
 
-def _nijenhuis(bracket, n, n_m, left, right):
-    """bracket(N left, N_M right) - N_M [left, right]_N for ``bracket`` a
-    bracket (N_M = N) or an action of the algebra of N on the module of
-    N_M: the residual of the Nijenhuis identity, or of a Nijenhuis
-    representation, at the elements ``left`` and ``right``."""
-    lhs = bracket(n.apply(left), n_m.apply(right))
-    return lhs - n_m.apply(_deformed(bracket, n, n_m, n_m, left, right))
+def _nijenhuis(held, n, n_m, i, j):
+    """[N e_i, N_M e_j] - N_M [e_i, e_j]_N over the bracket (N_M = N) or the
+    action of the algebra of N on the module of N_M that ``held`` (a
+    `lca._BasisPairs`) evaluates, n and n_m being the slots of the maps
+    there: the residual of the Nijenhuis identity, or of a Nijenhuis
+    representation, at the basis pair (i, j).  It reads every image and
+    value from ``held`` (see :func:`_deformed`); where N e_i = e_i, the
+    values [N e_i, N_M e_j] and [e_i, N_M e_j] are one."""
+    lhs = held.value(held.image(n, i), held.image(n_m, j))
+    return lhs - held.apply(n_m, _deformed(held, n, n_m, n_m, i, j))
 
 
-def _nijenhuis_failures(lca, n, pairs):
-    """(pair, residual) of the Nijenhuis identity on the given basis pairs."""
-    basis, bracket = lca.module.basis_elem, partial(eval_bracket, lca)
-    return failures_of(
-        ((i, j), _nijenhuis(bracket, n, n, basis(i), basis(j))) for i, j in pairs
-    )
+def _nijenhuis_failures(held, n, pairs):
+    """(pair, residual) of the Nijenhuis identity on the given basis pairs,
+    read from ``held``, the `lca._BasisPairs` of the bracket, which the
+    caller's other loops may share."""
+    n = held.operator(n)
+    return failures_of(((i, j), _nijenhuis(held, n, n, i, j)) for i, j in pairs)
 
 
 class NijenhuisLCA:
@@ -138,9 +156,11 @@ def _deformed_action(rep, n, n_m):
     ``rep`` deformed by N on its algebra and N_M on its module: for the
     adjoint action with N_M = N, the deformed bracket."""
     algebra, module = rep.algebra.module, rep.module
+    held = _BasisPairs.of_action(rep)
+    n, n_m = held.operator(n), held.operator(n_m)
 
     def deformed(i, j):
-        return _deformed(rep.act, n, n_m, n_m, algebra.basis_elem(i), module.basis_elem(j))
+        return _deformed(held, n, n_m, n_m, i, j)
 
     return _tabulated(algebra, module, module, deformed)
 
@@ -230,9 +250,11 @@ def check_nij_representation(nlca, nrep):
     report.add("representation", True)
 
     algebra, module = rep.algebra.module, rep.module
+    held = _BasisPairs.of_action(rep)
+    n, n_m = held.operator(n), held.operator(n_m)
 
     def residual(i, j):
-        return _nijenhuis(rep.act, n, n_m, algebra.basis_elem(i), module.basis_elem(j))
+        return _nijenhuis(held, n, n_m, i, j)
 
     pairs = product(range(algebra.rank), range(module.rank))
     report.add_residuals("nijenhuis-representation", pairs, residual)

@@ -30,6 +30,7 @@ from nijconf.lca import (
     FreeModule,
     RepTable,
     StructureTable,
+    _BasisPairs,
     _jacobi_failures,
     _skew_failures,
     _torsion_failures,
@@ -60,7 +61,7 @@ def _check_lca_reference(lca):
 
 def _check_nijenhuis_reference(lca, n):
     pairs = product(range(lca.module.rank), repeat=2)
-    failures = _nijenhuis_failures(lca, n, pairs)
+    failures = _nijenhuis_failures(_BasisPairs.of_bracket(lca), n, pairs)
     report = Report("nijenhuis")
     report.add("nijenhuis", not failures, first_witness(failures))
     return report
@@ -109,9 +110,10 @@ def _check_nonabelian_cocycle_reference(cocycle, quot, sub):
         failures = _jacobi_failures(total, triples)
         report.add(name, not failures, first_witness(failures))
     mixed = list(product(l_idx, h_idx)) + list(product(h_idx, l_idx))
-    failures = _nijenhuis_failures(total, operator, mixed)
+    held = _BasisPairs.of_bracket(total)
+    failures = _nijenhuis_failures(held, operator, mixed)
     report.add("operator-module", not failures, first_witness(failures))
-    failures = _nijenhuis_failures(total, operator, pairs_ll)
+    failures = _nijenhuis_failures(held, operator, pairs_ll)
     report.add("operator-bracket", not failures, first_witness(failures))
     return report
 

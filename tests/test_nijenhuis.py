@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nijconf import cli
+from nijconf import cli, lca
 from nijconf.errors import StructuralError, PreconditionError
 from nijconf.lca import LCA, ConfLinMap, FreeModule, RepTable, check_lca, eval_bracket
 from nijconf.nijenhuis import (
@@ -28,6 +28,26 @@ def test_parsing_validates_each_algebra_once(monkeypatch):
     assert {names.get(k, k): c for k, c in counts.items()} == {
         "sl2": 1, "vir": 1, "ctriv": 1
     }
+
+
+def test_parsing_evaluates_no_bracket_twice(monkeypatch):
+    """Parsing proves the Nijenhuis identity of every nijenhuis and extension
+    block; each residual loop reads its images and brackets from one holder,
+    and both operator lines of an extension share theirs, so no evaluation
+    repeats.  A call is keyed by its table, target, argument coordinates,
+    forms and arity."""
+    kept = []
+
+    def key(values, target, args, forms, arity):
+        kept.append(values)  # a table kept alive keeps its id
+        module = tuple(target.basis), tuple(target.actions)
+        coords = tuple(tuple(arg.coords) for arg in args)
+        return id(values), module, coords, tuple(forms), arity
+
+    counts = count_calls(monkeypatch, lca._evaluate, key=key)
+    cli.parse_workspace([CORE])
+    assert counts
+    assert [call for call, count in counts.items() if count > 1] == []
 
 
 def test_a_changed_bracket_is_validated_again():

@@ -75,8 +75,12 @@ target side of H5, the module defect and ``wells.transform_cocycle``.
 ``nijenhuis._nijenhuis``, the one residual of the Nijenhuis identity over a
 bracket or an action, by ``nijenhuis._deformed_action``, the one deformed
 action, which ``deformed_table`` and ``homotopy.check_crossed_module``
-read, and by ``deformation._order_residuals``; so no check writes that
-identity a second time.
+read, and by the loop that ``deformation._order_residuals`` holds; so no
+check writes that identity a second time.  Each residual loop over basis
+pairs reads its images and brackets from an ``lca._BasisPairs``, which
+computes each once: no function that calls ``_nijenhuis`` or ``_deformed``
+applies a map to a basis element, passes one to them, or passes them a bare
+``partial(eval_bracket, ...)``.
 Likewise ``lca._morphism``, the residual of a morphism of algebras, is
 called only by ``lca.check_morphism``, ``homotopy.check_homomorphism``,
 ``extension.extract_cocycle``, whose chi is minus the section's residual,
@@ -906,7 +910,7 @@ def circ_insert(J, K):
 
 
 _DEFORMERS = [
-    ("deformation", "_order_residuals"),
+    ("deformation", "_order_residuals.build"),
     ("nijenhuis", "_deformed_action.deformed"),
     ("nijenhuis", "_nijenhuis"),
 ]
@@ -952,6 +956,128 @@ def check_crossed_module(x):
     found = _owners("_deformed", [("homotopy", source)])
     assert found == [("homotopy", "check_crossed_module")]
     assert not set(found) <= set(_DEFORMERS)
+
+
+_RESIDUALS = ("_nijenhuis", "_deformed")
+
+
+def _bound_names(tree, is_value):
+    """The names that an assignment in ``tree`` binds to an expression that
+    ``is_value`` accepts, pairing the elements of a tuple assignment."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {
+                    t.id for t, v in pairs if isinstance(t, ast.Name) and is_value(v)
+                }
+    return names
+
+
+def _residual_offences(sources=None):
+    """(module, function, what) in every function that calls ``_nijenhuis``
+    or ``_deformed``, a residual loop over basis pairs, which reads its
+    images and brackets from an ``lca._BasisPairs``: each map applied to a
+    basis element, each basis element passed to those residuals, which
+    apply the loop's maps to it, and each bare ``partial(eval_bracket,
+    ...)`` passed to them.  A basis element is a ``basis_elem`` call, or a
+    name bound to one or to a ``.basis_elem`` that is then called."""
+    found = set()
+    for module, function in _residual_loops(sources):
+        readers = _bound_names(function, lambda v: _is_attribute(v, "basis_elem"))
+
+        def is_basis(node):
+            called = getattr(node, "func", None)
+            return _calls(node, "basis_elem") or getattr(called, "id", None) in readers
+
+        elements = _bound_names(function, is_basis)
+        brackets = _bound_names(function, _is_bare_bracket)
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            basis = [
+                a for a in node.args if is_basis(a) or getattr(a, "id", None) in elements
+            ]
+            residual = any(_calls(node, name) for name in _RESIDUALS)
+            if _calls(node, "apply") and basis:
+                found.add((module, function.name, "applies a map to a basis element"))
+            if residual and basis:
+                found.add((module, function.name, "passes a basis element"))
+            first = node.args[0] if residual and node.args else None
+            if _is_bare_bracket(first) or getattr(first, "id", None) in brackets:
+                found.add((module, function.name, "passes a bare bracket"))
+    return sorted(found)
+
+
+def _residual_loops(sources=None):
+    """(module, function) of every function that calls ``_nijenhuis`` or
+    ``_deformed``, nested ones too."""
+    return [
+        (module, node)
+        for module, source in (_sources() if sources is None else sources)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(_calls(call, name) for call in ast.walk(node) for name in _RESIDUALS)
+    ]
+
+
+def _is_bare_bracket(node):
+    """Whether ``node`` is a call ``partial(eval_bracket, ...)``."""
+    return (
+        _calls(node, "partial")
+        and bool(node.args)
+        and getattr(node.args[0], "id", None) == "eval_bracket"
+    )
+
+
+def test_residual_loops_read_images_and_brackets_from_their_holder():
+    assert _residual_offences() == []
+    # the rule reads the loops it is meant for
+    loops = {(module, function.name) for module, function in _residual_loops()}
+    assert {
+        ("deformation", "_order_residuals"),
+        ("homotopy", "check_homotopy_nijenhuis"),
+        ("nijenhuis", "_deformed_action"),
+        ("nijenhuis", "_nijenhuis_failures"),
+        ("nijenhuis", "check_nij_representation"),
+    } <= loops
+
+
+def test_the_holder_rule_sees_residuals_that_apply_maps_to_the_basis():
+    # the Nijenhuis failures and the order residuals that evaluated their
+    # brackets afresh for every pair
+    source = """
+def _nijenhuis_failures(lca, n, pairs):
+    basis, bracket = lca.module.basis_elem, partial(eval_bracket, lca)
+    return failures_of(
+        ((i, j), _nijenhuis(bracket, n, n, basis(i), basis(j))) for i, j in pairs
+    )
+
+
+def _order_residuals(series, n):
+    module = series.base.algebra.module
+    bracket = partial(eval_bracket, series.base.algebra)
+    maps = [series.term(i) for i in range(n + 1)]
+    residuals = {}
+    for a, b in product(range(module.rank), repeat=2):
+        pa, qb = module.basis_elem(a), module.basis_elem(b)
+        lhs = rhs = module.zero(1)
+        for left, right in zip(maps, reversed(maps)):
+            lhs = lhs + bracket(left.apply(pa), right.apply(qb))
+            rhs = rhs + left.apply(_deformed(bracket, right, right, right, pa, qb))
+        residuals[a, b] = lhs - rhs
+    return residuals
+"""
+    assert _residual_offences([("nijenhuis", source)]) == [
+        ("nijenhuis", "_nijenhuis_failures", "passes a bare bracket"),
+        ("nijenhuis", "_nijenhuis_failures", "passes a basis element"),
+        ("nijenhuis", "_order_residuals", "applies a map to a basis element"),
+        ("nijenhuis", "_order_residuals", "passes a bare bracket"),
+        ("nijenhuis", "_order_residuals", "passes a basis element"),
+    ]
 
 
 def _extension_evaluators(sources=None):
