@@ -539,6 +539,8 @@ def _verb_cohomology(ws, args, out):
         operator = None
     elif operator is None:
         raise _usage("--operator needs a nijenhuis object")
+    elif rep.module != algebra.module:
+        raise _usage("--operator needs adjoint coefficients")
     # the solver assumes a complex: on a non-LCA d^2 need not vanish
     report = check_representation(rep) if args.coeffs else check_lca(algebra)
     if not report.passed:

@@ -68,6 +68,7 @@ from .lca import (
     Elem,
     RepTable,
     adjoint_rep,
+    _BasisPairs,
     _evaluate,
     _flipped_action,
     _output_tuples,
@@ -594,12 +595,11 @@ def _pulled_back(rep, mapping, algebra):
     """The action of ``algebra`` on ``rep.module`` pulled back through
     ``mapping``, a map from ``algebra``'s module to ``rep.algebra``'s: its
     (i, j) entry is rep's action of mapping(e_i) on m_j."""
-
-    def pulled(i, j):
-        x = mapping.apply(algebra.module.basis_elem(i))
-        return rep.act(x, rep.module.basis_elem(j))
-
-    table = _tabulated(algebra.module, rep.module, rep.module, pulled)
+    held = _BasisPairs.of_action(rep)
+    slot = held.operator(mapping)
+    table = _tabulated(
+        algebra.module, rep.module, rep.module, lambda i, j: held.at(slot, None, i, j)
+    )
     return RepTable(algebra, rep.module, table)
 
 

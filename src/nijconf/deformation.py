@@ -83,7 +83,7 @@ def _order_residuals(series, n):
         for a, b in product(range(module.rank), repeat=2):
             lhs = rhs = module.zero(1)
             for left, right in zip(maps, reversed(maps)):
-                lhs = lhs + held.value(held.image(left, a), held.image(right, b))
+                lhs = lhs + held.at(left, right, a, b)
                 rhs = rhs + held.apply(left, _deformed(held, right, right, right, a, b))
             residuals[a, b] = lhs - rhs
         return residuals

@@ -4,12 +4,14 @@ An extension 0 -> H -> E -> L -> 0 with a section s yields a triple
 (chi, rho, Phi): the bracket defect of the section, the induced action of L
 on H, and the operator defect R s - s N.  Each is read off in H through the
 retraction: chi is minus the morphism residual of s (``lca._morphism``),
-rho is tabulated from the total's bracket (``lca._tabulated``), and Phi is
-the retraction composed with the operator defect.  Conversely, a triple
-satisfying the cocycle conditions rebuilds an extension on L (+) H.  The
-conditions are checked component-wise on the candidate total structure, so
-every identity here is literally a restriction of the conformal axioms or
-of the Nijenhuis identity -- no separate sign conventions to maintain.
+rho is tabulated (``lca._tabulated``) from the total's bracket at
+(s p, inc h), and Phi is the retraction composed with the operator defect;
+chi and rho read one holder of the total's bracket (``lca._BasisPairs``).
+Conversely, a triple satisfying the cocycle conditions rebuilds an
+extension on L (+) H.  The conditions are checked component-wise on the
+candidate total structure, so every identity here is literally a
+restriction of the conformal axioms or of the Nijenhuis identity -- no
+separate sign conventions to maintain.
 
 Equivalence of triples is decided exactly: by direct verification for a
 supplied comparison map tau, or, when H is abelian, by a linear solve for
@@ -20,7 +22,9 @@ a degree-1 cochain, so that space is the solver's degree-1 slice
 construction, constants on every entry, whatever the bound.  tau is an
 equivalence exactly when the shear (p, h) -> (p, h + tau p) between the
 extensions the two triples rebuild is a Nijenhuis morphism.  That residual,
-:func:`_map_residuals`, is written once, over ``lca._morphism``, and also
+:func:`_map_residuals`, is written once, over ``lca._morphism``: its source
+side is read once from a holder of E1's bracket at (s, inc) and (s, s), and
+each map gamma reads E2's bracket at (gamma s, gamma inc).  It also
 gives the three conditions on the eta map of a lift in :mod:`nijconf.wells`;
 so do the solve, :func:`solve_map`, and its reports.
 """
@@ -28,6 +32,7 @@ so do the solve, :func:`solve_map`, and its reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 # act_form is unused here; perfbench/tests checks the tracer rebinds it
@@ -39,7 +44,6 @@ from .lca import (
     Elem,
     RepTable,
     check_morphism,
-    eval_bracket,
     sum_algebra,
     _BasisPairs,
     _jacobi_failures,
@@ -180,21 +184,21 @@ def extract_cocycle(ext, section=None):
     retraction = ext.retraction(section)
     l_mod = ext.quot.algebra.module
     h_mod = ext.sub.algebra.module
-    total = ext.total.algebra
 
     def to_h(value, where):
         if not ext.proj.apply(value).is_zero():
             raise PreconditionError("%s escapes the kernel of proj" % where)
         return retraction.apply(value)
 
+    held = _BasisPairs.of_bracket(ext.total.algebra)
+    s, inc = held.operator(section), held.operator(ext.inc)
     chi = Cochain(2, RepTable(ext.quot.algebra, h_mod))
-    for (i, j), value in _morphism(ext.quot.algebra, total)(section).items():
-        chi.set_value((i, j), to_h(-value, "chi(%d,%d)" % (i, j)))
-    sections = [section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
+    residual = _morphism(ext.quot.algebra.bracket_basis, held, section, section, section)
+    for i, j in product(range(l_mod.rank), repeat=2):
+        chi.set_value((i, j), to_h(-residual(i, j), "chi(%d,%d)" % (i, j)))
 
     def action(i, j):
-        value = eval_bracket(total, sections[i], ext.inc.apply(h_mod.basis_elem(j)))
-        return to_h(value, "rho(%d,%d)" % (i, j))
+        return to_h(held.at(s, inc, i, j), "rho(%d,%d)" % (i, j))
 
     rho = RepTable(ext.quot.algebra, h_mod, _tabulated(l_mod, h_mod, h_mod, action))
     defect = ext.total.n.compose(section) - section.compose(ext.quot.n)
@@ -396,19 +400,26 @@ def _map_residuals(e1, e2):
     ``bracket``  -- :func:`lca._morphism` on the pairs (s p_i, s p_j);
     ``operator`` -- gamma R1 - R2 gamma on s p_i.
 
-    The source brackets are evaluated once, when the function is built.
+    The source side, [s p_i lam inc h_j]_1 and [s p_i lam s p_j]_1, is read
+    from one holder of E1's bracket, so each is evaluated once, however
+    many maps gamma are read; each gamma reads E2's bracket at its images
+    of s p_i and inc h_j through a holder of its own.
     """
     l_mod, h_mod = e1.quot.algebra.module, e1.sub.algebra.module
-    sections = [e1.section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
-    included = [e1.inc.apply(h_mod.basis_elem(j)) for j in range(h_mod.rank)]
-    src, dst = e1.total.algebra, e2.total.algebra
-    actions = _morphism(src, dst, sections, included)
-    brackets = _morphism(src, dst, sections, sections)
+    source = _BasisPairs.of_bracket(e1.total.algebra)
+    s, inc = source.operator(e1.section), source.operator(e1.inc)
 
     def residuals(gamma):
+        held = _BasisPairs.of_bracket(e2.total.algebra)
+        image_s, image_inc = gamma.compose(e1.section), gamma.compose(e1.inc)
+        action = _morphism(partial(source.at, s, inc), held, gamma, image_s, image_inc)
+        bracket = _morphism(partial(source.at, s, s), held, gamma, image_s, image_s)
         defect = gamma.compose(e1.total.n) - e2.total.n.compose(gamma)
-        operator = {(i,): defect.apply(x) for i, x in enumerate(sections)}
-        return actions(gamma), brackets(gamma), operator
+        return (
+            {key: action(*key) for key in product(range(l_mod.rank), range(h_mod.rank))},
+            {key: bracket(*key) for key in product(range(l_mod.rank), repeat=2)},
+            {(i,): defect.apply(source.element(s, i)) for i in range(l_mod.rank)},
+        )
 
     return residuals
 

@@ -4,6 +4,9 @@
     var      ::= "del" | "lam1" | "lam2" | "lam3" | "lam4"
     expr     ::= sums of products of powers with "+ - * ^" and parentheses
 
+A unary minus applies to the power that follows it: -del^2, 2*-del^2 and
+--del^2 are -(del^2), 2*(-(del^2)) and del^2.
+
 Whitespace is insignificant; juxtaposition is not multiplication, ``*`` is
 required between factors.  ``parse_poly`` and ``format_poly`` are mutually
 inverse on canonical forms.
@@ -84,13 +87,9 @@ class _Parser:
 
     def parse_expr(self):
         kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
+        if kind == "op" and value == "+":
             self.advance()
-            negate = value == "-"
         acc = self.parse_term()
-        if negate:
-            acc = -acc
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
@@ -129,6 +128,12 @@ class _Parser:
                 return acc
 
     def parse_power(self):
+        """A power, or minus one: unary minus binds looser than ``^`` and
+        tighter than ``*``, so -del^2 is -(del^2) wherever it stands."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return -self.parse_power()
         base = self.parse_atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -166,8 +171,6 @@ class _Parser:
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and value == "-":
-            return -self.parse_atom()
         raise ParseError("expected a polynomial atom", pos)
 
 

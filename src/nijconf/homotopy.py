@@ -20,26 +20,38 @@ Every other identity is a strict axiom relaxed by a homotopy term (Baez-Crans,
 2-algebra case), and its line is the strict axiom's residual, defined once in
 ``lca`` or ``nijenhuis``, plus that correction:
 
-* L4 and peiffer-1: the intertwining residual d [[p lam m]] - [p lam dm]
-  (``lca._intertwining``), with no correction;
+* L4 and peiffer-1: the morphism residual (``lca._morphism``) of the action
+  and the bracket with out = d, left = id and right = d, that is the
+  intertwining d [[p lam m]] - [p lam dm], with no correction;
 * L6: d l3(p, q, r) minus the Jacobi residual of L0 (``lca._jacobi``);
 * L7: l3(p, q, dm) plus the representation residual (``lca._representation``);
-* H2: d f2(p, q) plus the morphism residual of f0 (``lca._morphism``);
+* H2: d f2(p, q) plus the morphism residual of f0 on the brackets;
+* H3: f2(p, dm) plus the morphism residual of the actions with out = f1,
+  left = f0 and right = f1;
+* H4: f2(dm, p) plus the morphism residual of the flipped actions with
+  out = f1, left = f1 and right = f0;
 * square-defect: d N2(p, q) plus the Nijenhuis residual of N0
   (``nijenhuis._nijenhuis``);
 * module-defect: N2(p, dm) plus the Nijenhuis residual of (N0, N1) over the
   action.
 
-A 2-term structure holds data only: [[p lam m]] is evaluated through its
-representation, and the mixed bracket [[m lam p]] through the flipped action
-table (``lca._flipped_action``), built once per check.  A line that needs a
-cochain on basis arguments reads its stored value.  The deformed action of
-a crossed module and the upper bracket of a strict structure are tables
-tabulated from the action (``lca._tabulated``).
+L5 and peiffer-2 are differences of two reads of a bracket or an action at
+mapped basis elements: [[dm lam n]] - [[m lam dn]] and
+rho(t m)_lam n - [m lam n].
+
+A 2-term structure holds data only: [[p lam m]] is read from its action
+table, and the mixed bracket [[m lam p]] from the flipped action table
+(``lca._flipped_action``), built once per check; every read at (images of)
+basis elements goes through one ``lca._BasisPairs`` per table, which
+computes each image and value once.  A line that needs a cochain on basis
+arguments reads its stored value.  The deformed action of a crossed module
+and the upper bracket of a strict structure are tables tabulated from the
+action (``lca._tabulated``), the latter through a holder's ``at``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .cohomology import (
@@ -51,7 +63,6 @@ from .cohomology import (
     check_cochain_skew,
     eval_cochain,
     xi_map,
-    _basis_args,
     _pulled_back,
 )
 from .errors import ModuleMismatchError, PreconditionError
@@ -61,12 +72,10 @@ from .lca import (
     check_lca,
     check_morphism,
     check_representation,
-    eval_bracket,
-    sesqui_eval,
     sum_algebra,
     _BasisPairs,
+    _basis_value,
     _flipped_action,
-    _intertwining,
     _jacobi,
     _morphism,
     _output_tuples,
@@ -174,7 +183,7 @@ def check_2term(structure):
     t = structure
     mod0, mod1 = t.l0.module, t.l1
     d = t.d
-    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+    basis0 = mod0.basis_elem
 
     skew = check_cochain_skew(t.l3)
     report.add("l3-skew", skew.passed, skew.witness_of("skew"))
@@ -189,14 +198,15 @@ def check_2term(structure):
     report.add_failures("L3", _skew_failures(t.l0, _output_tuples(mod0.rank, 2, True)))
 
     pairs = product(range(mod0.rank), range(mod1.rank))
-    report.add_residuals("L4", pairs, _intertwining(t.rep, d))
+    bracket = _BasisPairs.of_bracket(t.l0)
+    report.add_residuals("L4", pairs, _morphism(t.rep.act_basis, bracket, d, None, d))
 
-    lam1, flipped = Poly.lam(1, 1), _flipped_action(t.rep)
+    action = _BasisPairs.of_action(t.rep)
+    mixed = _BasisPairs(_flipped_action(t.rep), mod1, mod0, mod1)
+    on_action, on_mixed = action.operator(d), mixed.operator(d)
 
     def l5(i, j):
-        m, n = basis1(i), basis1(j)
-        mixed = sesqui_eval(flipped, mod1, m, d.apply(n), lam1, 1)
-        return t.rep.act(d.apply(m), n) - mixed
+        return action.at(on_action, None, i, j) - mixed.at(None, on_mixed, i, j)
 
     report.add_residuals("L5", product(range(mod1.rank), repeat=2), l5)
 
@@ -210,7 +220,7 @@ def check_2term(structure):
     report.add_residuals("L6", product(range(mod0.rank), repeat=3), l6)
 
     def l7(i, j, k):
-        args = [basis0(i), basis0(j), d.apply(basis1(k))]
+        args = [basis0(i), basis0(j), action.element(on_action, k)]
         return eval_cochain(t.l3, args, forms, 2) + representation(i, j, k)
 
     triples = product(range(mod0.rank), range(mod0.rank), range(mod1.rank))
@@ -255,29 +265,29 @@ def check_homomorphism(src, dst, f0, f1, f2):
 
     lam1 = Poly.lam(1, 1)
     dag1 = dagger(lam1)
-    morphism = _morphism(src.l0, dst.l0)(f0)
+    bracket = _BasisPairs.of_bracket(dst.l0)
+    on_f0 = bracket.operator(f0)
+    morphism = _morphism(src.l0.bracket_basis, bracket, f0, f0, f0)
 
     def h2(i, j):
-        return dst.d.apply(f2.value((i, j))) + morphism[i, j]
+        return dst.d.apply(f2.value((i, j))) + morphism(i, j)
 
     report.add_residuals("H2", product(range(mod0.rank), repeat=2), h2)
+    action = _BasisPairs.of_action(dst.rep)
+    intertwining = _morphism(src.rep.act_basis, action, f1, f0, f1)
 
     def h3(i, j):
-        p, m = basis0(i), basis1(j)
-        lhs = eval_cochain(f2, [p, src.d.apply(m)], [lam1, dag1], 1)
-        rhs = -f1.apply(src.rep.act(p, m)) + dst.rep.act(f0.apply(p), f1.apply(m))
-        return lhs - rhs
+        lhs = eval_cochain(f2, [basis0(i), src.d.apply(basis1(j))], [lam1, dag1], 1)
+        return lhs + intertwining(i, j)
 
     report.add_residuals("H3", product(range(mod0.rank), range(mod1.rank)), h3)
-
-    src_flipped, dst_flipped = _flipped_action(src.rep), _flipped_action(dst.rep)
+    src_mixed = partial(_basis_value, _flipped_action(src.rep), mod1)
+    dst_mixed = _BasisPairs(_flipped_action(dst.rep), dst.l1, dst.l0.module, dst.l1)
+    mixed = _morphism(src_mixed, dst_mixed, f1, f1, f0)
 
     def h4(i, j):
-        m, p = basis1(i), basis0(j)
-        lhs = eval_cochain(f2, [src.d.apply(m), p], [lam1, dag1], 1)
-        mixed = sesqui_eval(src_flipped, mod1, m, p, lam1, 1)
-        image = sesqui_eval(dst_flipped, dst.l1, f1.apply(m), f0.apply(p), lam1, 1)
-        return lhs + f1.apply(mixed) - image
+        lhs = eval_cochain(f2, [src.d.apply(basis1(i)), basis0(j)], [lam1, dag1], 1)
+        return lhs + mixed(i, j)
 
     report.add_residuals("H4", product(range(mod1.rank), range(mod0.rank)), h4)
 
@@ -286,7 +296,7 @@ def check_homomorphism(src, dst, f0, f1, f2):
     delta_f2 = apply_delta(Cochain(2, _pulled_back(dst.rep, f0, src.l0), f2.values))
 
     def h5(*key):
-        images = [f0.apply(x) for x in _basis_args(mod0, key)]
+        images = [bracket.element(on_f0, k) for k in key]
         lhs = eval_cochain(dst.l3, images, forms, 2) - f1.apply(src.l3.value(key))
         return lhs - delta_f2.value(key)
 
@@ -339,7 +349,7 @@ def check_homotopy_nijenhuis(structure, op):
     on_mod0, on_mod1, d = action.operator(n0), action.operator(n1), action.operator(t.d)
 
     def module(i, j):
-        dm = action.elements[0][action.image(d, j)]
+        dm = action.element(d, j)
         n2_pdm = eval_cochain(n2, [mod0.basis_elem(i), dm], forms, 1)
         return n2_pdm + _nijenhuis(action, on_mod0, on_mod1, i, j)
 
@@ -427,13 +437,16 @@ def check_crossed_module(x):
 
     def peiffer(prefix, action, upper_alg):
         """t(rho(p)_lam m) = [p lam t m] and rho(t m)_lam n = [m lam n]."""
+        lower_bracket = _BasisPairs.of_bracket(action.algebra)
+        first = _morphism(action.act_basis, lower_bracket, t, None, t)
+        pairs = product(range(mod0.rank), range(mod1.rank))
+        report.add_residuals(prefix + "peiffer-1", pairs, first)
+        held = _BasisPairs.of_action(action)
+        on_t = held.operator(t)
 
         def second(i, j):
-            m, n = mod1.basis_elem(i), mod1.basis_elem(j)
-            return action.act(t.apply(m), n) - eval_bracket(upper_alg, m, n)
+            return held.at(on_t, None, i, j) - upper_alg.bracket_basis(i, j)
 
-        pairs = product(range(mod0.rank), range(mod1.rank))
-        report.add_residuals(prefix + "peiffer-1", pairs, _intertwining(action, t))
         pairs = product(range(mod1.rank), repeat=2)
         report.add_residuals(prefix + "peiffer-2", pairs, second)
 
@@ -470,11 +483,8 @@ def strict_to_crossed(structure, op):
     """
     if not (structure.l3.is_zero() and op.n2.is_zero()):
         raise PreconditionError("structure is not strict")
-    mod1, d = structure.l1, structure.d
-
-    def upper_bracket(i, j):
-        return structure.rep.act(d.apply(mod1.basis_elem(i)), mod1.basis_elem(j))
-
+    mod1, held = structure.l1, _BasisPairs.of_action(structure.rep)
+    upper_bracket = partial(held.at, held.operator(structure.d), None)
     upper_alg = LCA(mod1, _tabulated(mod1, mod1, mod1, upper_bracket))
     lower = NijenhuisLCA.raw(structure.l0, op.n0)
     upper = NijenhuisLCA.raw(upper_alg, op.n1)

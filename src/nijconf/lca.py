@@ -17,22 +17,32 @@ is a conformal 2-cochain, so tables and cochains share one evaluation core
 one skew-symmetry residual (:func:`_skew_residual`).  All axioms
 (skew-symmetry, Jacobi, representation identity) are checked by expanding
 these substitutions to literal polynomial identities.  The Jacobi, the
-representation, the morphism and the intertwining residuals on basis tuples
-(:func:`_jacobi`, :func:`_representation`, :func:`_morphism`,
-:func:`_intertwining`) are each defined once: the 2-term checks of
-``homotopy`` add their homotopy corrections to them.  The Jacobi residual is
-minus the representation residual of the adjoint action.  The Nijenhuis and
-deformation residuals on basis pairs read their arguments and values from
-one holder, :class:`_BasisPairs`, which computes each once.
+representation and the morphism residuals on basis tuples (:func:`_jacobi`,
+:func:`_representation`, :func:`_morphism`) are each defined once: the
+2-term checks of ``homotopy`` add their homotopy corrections to them.  The
+Jacobi residual is minus the representation residual of the adjoint action.
+
+A bracket or an action at images of basis elements is read by one holder,
+:class:`_BasisPairs`: ``at`` gives T(a e_i, b e_j), reading the table
+itself where both maps are the identity, and computes each image and each
+value once.  The morphism residual (i, j) -> out(S_ij) - T(left e_i,
+right e_j) reads T there, S_ij being a basis read of the source table or
+another holder's ``at``: it is the morphism line of algebras, the
+intertwining of an action with a bracket (L4 and peiffer-1), H2-H4 of a
+2-term homomorphism, the chi of an extracted triple and the residuals of a
+map between extension totals.  The Nijenhuis and deformation residuals
+and the tables pulled back through a map read holders too.  Outside the
+holder no function evaluates a bracket or an action at two basis elements
+or images of them.
 
 A table derived from another structure is tabulated from that structure's
 evaluator on basis pairs by :func:`_tabulated`, the one loop that fills a
 table from an evaluator: the deformed bracket and action (``nijenhuis``),
-the pulled-back action (``cohomology._pulled_back``), the upper bracket of a
-strict 2-term structure, the actions of an extracted or a moved triple, and
-the flipped action [m lam x] = -rho(x)_{-del-lam} m, which only
-:func:`_flipped_action` builds.  Outside this module only the parser writes
-table entries.
+the pulled-back action (``cohomology._pulled_back``), the upper bracket of
+a strict 2-term structure and the actions of an extracted or a moved
+triple, each read through a holder's ``at``, and the flipped action
+[m lam x] = -rho(x)_{-del-lam} m, which only :func:`_flipped_action`
+builds.  Outside this module only the parser writes table entries.
 """
 
 from __future__ import annotations
@@ -627,7 +637,7 @@ class RepTable:
         return _basis_value(self.action, self.module, i, j, slot, arity)
 
 
-def _basis_value(table, module, i, j, slot, arity):
+def _basis_value(table, module, i, j, slot=1, arity=None):
     """The value of ``table`` at the basis pair (i, j) as an Elem of
     ``module``, its lam1 read as lam_slot at ``arity`` (``slot`` when None):
     the one reader of a bracket or an action on basis elements."""
@@ -717,25 +727,28 @@ def _tabulated(left, right, target, value):
 
 
 class _BasisPairs:
-    """What a residual loop over basis pairs (e_i of ``left``, e_j of
-    ``right``) reads of a bracket or an action ``table`` with values in
-    ``right``, each computed once: the basis elements of both modules, their
-    images under the loop's operators (`image`), and the table on pairs of
-    held elements at lam1 (`value`), read on first use.
+    """The one reader of a bracket or an action ``table``, with values in
+    ``target``, at images of basis elements: `at` reads T(a e_i, b e_j) for
+    maps a into ``left`` and b into ``right``, and reads the table itself
+    at a pair with no maps.  Each image and each value is computed once,
+    on first use.
 
     A module's elements are held once each, keyed by their coordinates: an
     image equal to its basis element, or to an image held before, is that
     element, so equal arguments share one value.  So an element is named by
-    what it is, its index among the elements held for its module (the basis
-    first), and an operator by the slot that `operator` gives it, since a
-    map is unhashable.  The two modules share their elements when they are
-    equal.  A holder lives as long as whoever built it: one check, both
-    operator lines of ``extension._cocycle_report``, or a deformation
-    series (``deformation._order_residuals``).
+    its index among the elements held for its module (the basis first), and
+    a map by the slot that `operator` gives it, since a map is unhashable.
+    The two modules share their elements when they are equal.  A map's
+    source need not be either module, since the image of e_i is read off
+    its matrix.  A holder lives as long as whoever built it: one check, the
+    chi and rho of an extracted triple, both operator lines of
+    ``extension._cocycle_report``, the source side of
+    ``extension._map_residuals`` or a deformation series
+    (``deformation._order_residuals``).
     """
 
-    def __init__(self, table, left, right):
-        self.table, self.modules = table, (left, right)
+    def __init__(self, table, left, right, target):
+        self.table, self.modules, self.target = table, (left, right), target
         modules = [left] if right == left else [left, right]
         self.elements = [[m.basis_elem(i) for i in range(m.rank)] for m in modules]
         self.keys = [
@@ -748,29 +761,32 @@ class _BasisPairs:
 
     @classmethod
     def of_bracket(cls, lca):
-        return cls(lca.table, lca.module, lca.module)
+        return cls(lca.table, lca.module, lca.module, lca.module)
 
     @classmethod
     def of_action(cls, rep):
-        return cls(rep.action, rep.algebra.module, rep.module)
+        return cls(rep.action, rep.algebra.module, rep.module, rep.module)
 
     def operator(self, mapping):
-        """The slot of ``mapping``, an equal map's when one is held already;
-        it maps the elements of one module into those of the other or the
-        same one."""
-        for slot, (held, _, _) in enumerate(self.operators):
+        """The slot of ``mapping``, an equal map's when one is held already,
+        or None for None, the identity.  The map takes the basis of any
+        module into one of the two modules: its image of e_i is its column
+        i."""
+        if mapping is None:
+            return None
+        for slot, (held, _) in enumerate(self.operators):
             if held is mapping or held == mapping:
                 return slot
-        left = self.modules[0]
-        self.operators.append((mapping, mapping.source != left, mapping.target != left))
+        self.operators.append((mapping, mapping.target != self.modules[0]))
         return len(self.operators) - 1
 
     def image(self, slot, i):
-        """The key of the image of basis element i under operator ``slot``."""
+        """The key of operator ``slot``'s image of basis element i."""
         key = self.images.get((slot, i))
         if key is None:
-            mapping, source, target = self.operators[slot]
-            image = mapping.apply(self.elements[source][i])
+            mapping, target = self.operators[slot]
+            # the image of e_i is column i, held reduced (see ConfLinMap)
+            image = _trusted_elem(mapping.target, [row[i] for row in mapping.matrix])
             elements = self.elements[target]
             key = self.keys[target].setdefault(tuple(image.coords), len(elements))
             if key == len(elements):
@@ -778,18 +794,24 @@ class _BasisPairs:
             self.images[slot, i] = key
         return key
 
-    def value(self, a, b):
-        """The table at lam1 on held elements a of the left module and b of
-        the right: read off the table on a basis pair (`_basis_value`), else
-        evaluated."""
+    def element(self, slot, i):
+        """Operator ``slot``'s image of basis element i, as held."""
+        return self.elements[self.operators[slot][1]][self.image(slot, i)]
+
+    def at(self, a, b, i, j):
+        """T(a e_i, b e_j) at lam1 for the operator slots a and b (None for
+        the identity): the table on held elements, read off the table on a
+        basis pair (`_basis_value`), else evaluated."""
+        a = i if a is None else self.image(a, i)
+        b = j if b is None else self.image(b, j)
         value = self.evaluated.get((a, b))
         if value is None:
             (left, right), table = self.modules, self.table
             if a < left.rank and b < right.rank:
-                value = _basis_value(table, right, a, b, 1, None)
+                value = _basis_value(table, self.target, a, b)
             else:
                 x, y = self.elements[0][a], self.elements[1][b]
-                value = sesqui_eval(table, right, x, y, Poly.lam(1, 1), 1)
+                value = sesqui_eval(table, self.target, x, y, Poly.lam(1, 1), 1)
             self.evaluated[a, b] = value
         return value
 
@@ -928,8 +950,9 @@ class ConfLinMap:
         if other.target != self.source:
             raise ModuleMismatchError("composition modules do not match")
         columns = list(zip(*other.matrix)) or [()] * other.source.rank
+        # a zero entry of either factor adds no product
         mat = [
-            [Poly.sum_of_products(0, zip(row, column)) for column in columns]
+            [Poly.sum_of_products(0, filter(all, zip(row, col))) for col in columns]
             for row in self.matrix
         ]
         return ConfLinMap(other.source, self.target, mat)
@@ -1010,45 +1033,20 @@ def check_morphism(src, dst, mapping):
     """mapping([a lam b]_src) = [mapping(a) lam mapping(b)]_dst on all pairs."""
     if mapping.source != src.module or mapping.target != dst.module:
         raise ModuleMismatchError("map endpoints do not match the algebras")
+    held = _BasisPairs.of_bracket(dst)
+    residual = _morphism(src.bracket_basis, held, mapping, mapping, mapping)
     report = Report("morphism")
-    report.add_failures("morphism", failures_of(_morphism(src, dst)(mapping).items()))
+    report.add_residuals("morphism", product(range(src.module.rank), repeat=2), residual)
     return report
 
 
-def _morphism(src, dst, left=None, right=None):
-    """mapping -> the residuals {(i, j): mapping([x_i lam y_j]_src)
-    - [mapping(x_i) lam mapping(y_j)]_dst} of a morphism of algebras, on the
-    elements x = ``left`` and y = ``right`` of src, or on its basis, whose
-    brackets are read off the table, when they are not given.  The source
-    brackets do not depend on the mapping: they are evaluated once, here."""
-    on_basis = left is None
-    if on_basis:
-        left = right = [src.module.basis_elem(i) for i in range(src.module.rank)]
-    brackets = {
-        (i, j): src.bracket_basis(i, j) if on_basis else eval_bracket(src, x, y)
-        for (i, x), (j, y) in product(enumerate(left), enumerate(right))
-    }
-
-    def residuals(mapping):
-        image_left = [mapping.apply(x) for x in left]
-        image_right = image_left if right is left else [mapping.apply(y) for y in right]
-        return {
-            (i, j): mapping.apply(value)
-            - eval_bracket(dst, image_left[i], image_right[j], slot=1)
-            for (i, j), value in brackets.items()
-        }
-
-    return residuals
-
-
-def _intertwining(rep, mapping):
-    """The residual (i, j) -> mapping(rho(e_i)_lam m_j) - [e_i lam mapping(m_j)]
-    of a map from the module of ``rep`` into its algebra that intertwines
-    the action with the bracket."""
-    algebra, module = rep.algebra, rep.module
-
-    def residual(i, j):
-        e, m = algebra.module.basis_elem(i), module.basis_elem(j)
-        return mapping.apply(rep.act(e, m)) - eval_bracket(algebra, e, mapping.apply(m))
-
-    return residual
+def _morphism(source, held, out, left, right):
+    """The residual (i, j) -> out(S_ij) - T(left e_i, right e_j) of maps
+    that respect a bracket or an action: S_ij = ``source(i, j)``, a basis
+    read of the source table or another holder's `_BasisPairs.at`, and T
+    the table that ``held``, a `_BasisPairs`, reads, at the images of
+    ``left`` and ``right`` (the identity when None).  A morphism of
+    algebras is (src bracket; dst bracket; f, f, f), and the intertwining
+    of an action with a bracket by d is (action; bracket; d, id, d)."""
+    left, right = held.operator(left), held.operator(right)
+    return lambda i, j: out.apply(source(i, j)) - held.at(left, right, i, j)

@@ -88,9 +88,8 @@ def _deformed(held, n_a, n_b, n_out, i, j):
     bracket deformed by N when all three are N.  Each image and each value
     is read from ``held``, so it is computed once while the holder lives,
     and equal images share one value."""
-    value, image = held.value, held.image
-    deformed = value(image(n_a, i), j) + value(i, image(n_b, j))
-    return deformed - held.apply(n_out, value(i, j))
+    deformed = held.at(n_a, None, i, j) + held.at(None, n_b, i, j)
+    return deformed - held.apply(n_out, held.at(None, None, i, j))
 
 
 def _nijenhuis(held, n, n_m, i, j):
@@ -101,7 +100,7 @@ def _nijenhuis(held, n, n_m, i, j):
     representation, at the basis pair (i, j).  It reads every image and
     value from ``held`` (see :func:`_deformed`); where N e_i = e_i, the
     values [N e_i, N_M e_j] and [e_i, N_M e_j] are one."""
-    lhs = held.value(held.image(n, i), held.image(n_m, j))
+    lhs = held.at(n, n_m, i, j)
     return lhs - held.apply(n_m, _deformed(held, n, n_m, n_m, i, j))
 
 

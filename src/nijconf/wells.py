@@ -10,12 +10,15 @@ morphism" on the arguments of the diagram, ``extension._map_residuals``,
 which the tau of an equivalence reads too, so no separate sign conventions
 exist here.  For abelian H the conditions are affine in eta and solved
 exactly over a bounded coefficient space.  The triple moved by a pair reads
-its action through ``RepTable.act``, tabulated by ``lca._tabulated``.
+its action at (beta^-1 p, alpha^-1 h) through one ``lca._BasisPairs`` of
+the old action, tabulated by ``lca._tabulated``, and its chi at the same
+held images of beta^-1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cohomology import Cochain, eval_cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
@@ -29,7 +32,7 @@ from .extension import (
     solve_map,
     solve_report,
 )
-from .lca import ConfLinMap, RepTable, check_morphism, _tabulated
+from .lca import ConfLinMap, RepTable, check_morphism, _BasisPairs, _tabulated
 # solve is unused here; perfbench/tests checks the tracer rebinds it
 from .linalg import poly_unimodular_inverse, solve
 from .poly import Poly, dagger
@@ -147,16 +150,16 @@ def transform_cocycle(cocycle, pair):
     h_mod = cocycle.rho.module
     lam1 = Poly.lam(1, 1)
     dag1 = dagger(lam1)
-    moved = [b_inv.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
+    held = _BasisPairs.of_action(cocycle.rho)
+    on_l, on_h = held.operator(b_inv), held.operator(a_inv)
     chi = Cochain(2, cocycle.chi.rep)
-    for i, bp in enumerate(moved):
-        for j, bq in enumerate(moved):
-            value = eval_cochain(cocycle.chi, [bp, bq], [lam1, dag1], 1)
-            chi.set_value((i, j), pair.alpha.apply(value))
+    for i, j in product(range(l_mod.rank), repeat=2):
+        args = [held.element(on_l, i), held.element(on_l, j)]
+        value = eval_cochain(cocycle.chi, args, [lam1, dag1], 1)
+        chi.set_value((i, j), pair.alpha.apply(value))
 
     def action(i, j):
-        value = cocycle.rho.act(moved[i], a_inv.apply(h_mod.basis_elem(j)))
-        return pair.alpha.apply(value)
+        return pair.alpha.apply(held.at(on_l, on_h, i, j))
 
     rho = RepTable(cocycle.rho.algebra, h_mod, _tabulated(l_mod, h_mod, h_mod, action))
     phi = pair.alpha.compose(cocycle.phi).compose(b_inv)

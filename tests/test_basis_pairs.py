@@ -1,6 +1,8 @@
 """Held equals plain: the residual loops that read their images and brackets
 from one ``lca._BasisPairs`` give, on every basis pair, what the plain
 formulas give when they apply each map and evaluate each bracket afresh.
+So do the morphism residual and the pulled-back action, which read a
+holder at the images of maps whose source it does not hold.
 
 The references below are those plain formulas, written with
 ``eval_bracket``, ``RepTable.act`` and ``ConfLinMap.apply``.  The operators
@@ -16,6 +18,7 @@ from random import Random
 
 import pytest
 
+from nijconf.cohomology import _pulled_back
 from nijconf.deformation import DeformationSeries, _order_residuals
 from nijconf.lca import (
     FREE,
@@ -24,6 +27,7 @@ from nijconf.lca import (
     FreeModule,
     RepTable,
     _BasisPairs,
+    _morphism,
     adjoint_rep,
     eval_bracket,
 )
@@ -205,7 +209,40 @@ def test_equal_arguments_share_one_held_element():
     assert {held.image(zero, i) for i in range(4)} == {4}
     assert len(held.elements[0]) == 5 and held.elements[0][4].is_zero()
     # the bracket of held elements is read once, and basis pairs off the table
-    assert held.value(0, 2) is held.value(0, 2)
-    assert held.value(0, 2).coords == eval_bracket(
+    assert held.at(None, None, 0, 2) is held.at(None, None, 0, 2)
+    assert held.at(None, None, 0, 2).coords == eval_bracket(
         algebra, module.basis_elem(0), module.basis_elem(2)
     ).coords
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("seed", range(3))
+def test_held_morphism_residuals_match_the_plain_formula(name, seed):
+    rng = Random(3000 * seed + len(name))
+    algebra = ALGEBRAS[name]()
+    module, rep = algebra.module, _copy_rep(algebra)
+    copy = rep.module
+    held = _BasisPairs.of_bracket(algebra)
+    # a morphism of algebras, and the intertwining of the action on a copy
+    # with the bracket, through maps from the copy, which held does not hold
+    for f, d in zip(_operators(rng, module, module), _operators(rng, copy, module)):
+        cases = [
+            (algebra.bracket_basis, f, f, f, module),
+            (rep.act_basis, d, None, d, copy),
+        ]
+        for source, out, left, right, right_module in cases:
+            residual = _morphism(source, held, out, left, right)
+            for i, j in product(range(module.rank), range(right_module.rank)):
+                x = module.basis_elem(i)
+                x = x if left is None else left.apply(x)
+                y = right.apply(right_module.basis_elem(j))
+                want = out.apply(source(i, j)) - eval_bracket(algebra, x, y)
+                assert residual(i, j).coords == want.coords
+        # the action of the module, and of a zero bracket on the copy,
+        # pulled back through f and d
+        for mapping, pulling in ((f, algebra), (d, LCA(copy))):
+            pulled = _pulled_back(adjoint_rep(algebra), mapping, pulling)
+            for i, j in product(range(pulling.module.rank), range(module.rank)):
+                x = mapping.apply(pulling.module.basis_elem(i))
+                want = eval_bracket(algebra, x, module.basis_elem(j))
+                assert pulled.act_basis(i, j).coords == want.coords

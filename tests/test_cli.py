@@ -542,6 +542,17 @@ def test_brackets_on_torsion_fail_check_and_cohomology(tmp_path):
     ]) + "\n")
 
 
+def test_operator_cohomology_with_another_module_is_a_usage_error():
+    # exited 1 with the solver's "operation needs adjoint coefficients"
+    code, out, _ = run_cli(
+        "-f", CORE, "cohomology", "sl2p", "--coeffs", "zerorep", "--operator"
+    )
+    assert (code, out) == (2, (
+        "command: cohomology sl2p\nstatus: error\n"
+        "diagnostic: <args>:0:0: --operator needs adjoint coefficients\n"
+    ))
+
+
 def test_cohomology_rejects_a_rep_of_another_algebra():
     # zerorep is a rep of sl2; it used to give sl2's dimensions under vir
     code, out, _ = run_cli(

@@ -14,9 +14,15 @@ were recorded once the residuals of a lift stopped being cochains over the
 quotient: before, those verbs exited 1 with a key outside the source basis.
 """
 
+import contextlib
+import io
 import os
+import re
+from random import Random
 
 import pytest
+
+from nijconf import cli
 
 from test_cli import CORE as CORE_WS, HOMOTOPY, ROOT, run_cli
 
@@ -73,3 +79,38 @@ def test_stdout_matches_golden(stem, argv, code):
     with open(os.path.join(GOLDEN, stem + ".out")) as handle:
         expected = handle.read()
     assert run_cli(*argv)[:2] == (code, expected)
+
+
+def _with_del_on_evaluation_rows(text, rng):
+    """``text`` with del * q added to every entry of the maps into triv0,
+    where del acts by 0: each q a seeded del-polynomial, so each map is
+    the written one as a map of Q[del]-modules."""
+    out, into_triv0 = [], False
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            into_triv0 = bool(re.match(r"map \S+ source \S+ target triv0$", line))
+        elif into_triv0 and line.strip().startswith("row "):
+            entries = line.strip()[len("row "):].split(",")
+            q = ["%d*del + %d" % (rng.randint(-3, 3), rng.randint(1, 3)) for _ in entries]
+            line = "  row " + ", ".join(
+                "(%s) + del*(%s)" % (entry.strip(), poly) for entry, poly in zip(entries, q)
+            )
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_del_on_an_evaluation_row_moves_no_golden(tmp_path, capsys, seed):
+    with open(CORE_WS) as handle:
+        text = handle.read()
+    moved = _with_del_on_evaluation_rows(text, Random(seed))
+    assert moved.count("del*(") == 6
+    core = tmp_path / "core.ws"
+    core.write_text(moved)
+    for stem, argv, code in COMMANDS:
+        if CORE_WS not in argv:
+            continue
+        argv = [str(core) if arg == CORE_WS else arg for arg in argv]
+        with open(os.path.join(GOLDEN, stem + ".out")) as handle:
+            expected = handle.read()
+        assert (stem, cli.main(argv), capsys.readouterr().out) == (stem, code, expected)

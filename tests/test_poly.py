@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nijconf.grammar import ParseError, format_poly, parse_poly
 from nijconf.poly import Poly
@@ -227,3 +227,82 @@ def test_power_degree_is_bounded():
         with pytest.raises(ParseError) as info:
             parse_poly(text, 1)
         assert info.value.pos == pos
+
+
+# expression trees over del, lam1 and lam2, and the precedence levels of the
+# grammar: a node is written bare where its level is at least the level its
+# place asks for, else in parentheses
+_EXPR, _TERM, _FACTOR, _POWER, _ATOM = range(5)
+_LEVEL = {"num": _ATOM, "var": _ATOM, "pow": _POWER, "neg": _FACTOR,
+          "mul": _TERM, "add": _EXPR, "sub": _EXPR}
+
+_trees = st.recursive(
+    st.one_of(
+        st.tuples(st.just("num"), st.integers(0, 4)),
+        st.tuples(st.just("var"), st.integers(0, 2)),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("pow"), inner, st.integers(0, 3)),
+        st.tuples(st.sampled_from(["mul", "add", "sub"]), inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+def _written(tree, place=_EXPR):
+    kind = tree[0]
+    if kind == "num":
+        text = str(tree[1])
+    elif kind == "var":
+        text = ["del", "lam1", "lam2"][tree[1]]
+    elif kind == "neg":
+        text = "-" + _written(tree[1], _FACTOR)
+    elif kind == "pow":
+        text = "%s^%d" % (_written(tree[1], _ATOM), tree[2])
+    elif kind == "mul":
+        text = "%s*%s" % (_written(tree[1], _TERM), _written(tree[2], _FACTOR))
+    else:
+        sign = " + " if kind == "add" else " - "
+        text = _written(tree[1], _EXPR) + sign + _written(tree[2], _TERM)
+    return text if _LEVEL[kind] >= place else "(%s)" % text
+
+
+def _value(tree):
+    """The tree in Poly arithmetic at arity 2, or None where a power or a
+    product passes the parser's degree bound."""
+    kind = tree[0]
+    if kind == "num":
+        return Poly.const(tree[1], 2)
+    if kind == "var":
+        return Poly.var(tree[1], 2)
+    args = [_value(t) for t in tree[1:] if isinstance(t, tuple)]
+    if None in args:
+        return None
+    if kind == "neg":
+        return -args[0]
+    if kind == "pow":
+        if max(args[0].total_degree(), 1) * tree[2] > 16:
+            return None
+        return args[0] ** tree[2]
+    a, b = args
+    if kind == "mul":
+        return a * b if a.total_degree() + b.total_degree() <= 16 else None
+    return a + b if kind == "add" else a - b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_parsing_a_written_tree_gives_its_value(tree):
+    # unary minus lands in every place: first, after *, + and -, doubled,
+    # inside parentheses and under a power
+    value = _value(tree)
+    assume(value is not None)
+    assert parse_poly(_written(tree), 2) == value
+
+
+def test_unary_minus_applies_to_the_power_that_follows():
+    for text, want in [("-del^2", "-del^2"), ("2*-del^2", "-2*del^2"),
+                       ("--del^2", "del^2"), ("lam1 - -del^2", "del^2 + lam1"),
+                       ("(-del)^2", "del^2"), ("-1/2", "-1/2")]:
+        assert format_poly(parse_poly(text, 1)) == want

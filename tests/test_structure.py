@@ -1,8 +1,10 @@
 """Source-level rules: one failure collector and one witness format, one
 validation of a Nijenhuis structure, one builder of solve columns, one cell
 format and one space of coboundaries, one obstruction, one solver for a map
-L -> H, one Jacobi residual, one evaluation core and one expansion, one
-builder of derived tables, and a documented workspace grammar.
+L -> H, one Jacobi residual, one morphism residual and one reader of a
+bracket or an action at mapped basis elements, one evaluation core and one
+expansion, one builder of derived tables, and a documented workspace
+grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
 ``report.failures_of`` and adds them through a ``Report`` method, which
@@ -81,14 +83,22 @@ pairs reads its images and brackets from an ``lca._BasisPairs``, which
 computes each once: no function that calls ``_nijenhuis`` or ``_deformed``
 applies a map to a basis element, passes one to them, or passes them a bare
 ``partial(eval_bracket, ...)``.
-Likewise ``lca._morphism``, the residual of a morphism of algebras, is
-called only by ``lca.check_morphism``, ``homotopy.check_homomorphism``,
+Likewise ``lca._morphism``, the one residual out(S_ij) - T(left e_i,
+right e_j) of maps that respect a bracket or an action, is called only by
+``lca.check_morphism``, by ``homotopy.check_2term`` (L4), by the
+``peiffer`` lines of ``homotopy.check_crossed_module`` (peiffer-1), three
+times by ``homotopy.check_homomorphism`` (H2, H3 and H4), by
 ``extension.extract_cocycle``, whose chi is minus the section's residual,
-and ``extension._map_residuals``, the one residual of a Nijenhuis morphism
-between extension totals, which both the tau of an equivalence and the eta
-of a lift read.  In ``extension`` and ``wells`` no other function evaluates
-a bracket by hand: ``eval_bracket`` is called only by the action of
-``extension.extract_cocycle``, and ``act_form`` not at all.
+and twice by the residuals of ``extension._map_residuals``, the one
+residual of a Nijenhuis morphism between extension totals, which both the
+tau of an equivalence and the eta of a lift read.  In ``extension`` and
+``wells`` no function evaluates a bracket by hand: neither
+``eval_bracket`` nor ``act_form`` is called there.  One reader of a
+bracket or an action at mapped basis elements: outside
+``lca._BasisPairs``, no function calls ``eval_bracket``, ``act``,
+``sesqui_eval`` or ``act_form`` with both element arguments a basis
+element or a map's image of one (a name, list item or comprehension bound
+to one included); such a value is read from a holder's ``at``.
 No module keeps an unused import, but for the three aliases that
 ``perfbench/tests`` checks the tracer rebinds.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
@@ -1092,17 +1102,21 @@ def _extension_evaluators(sources=None):
 
 
 def test_one_morphism_residual_behind_tau_and_eta():
-    # the chi of an extracted triple is minus the section's morphism residual
-    assert _callers("_morphism") == [
-        ("extension", "_map_residuals"),
-        ("extension", "_map_residuals"),
+    # the chi of an extracted triple is minus the section's morphism
+    # residual; L4 and peiffer-1 are the intertwining of an action with a
+    # bracket, and H2, H3 and H4 the morphism residuals of f0 and f1
+    assert _owners("_morphism") == [
+        ("extension", "_map_residuals.residuals"),
+        ("extension", "_map_residuals.residuals"),
         ("extension", "extract_cocycle"),
+        ("homotopy", "check_2term"),
+        ("homotopy", "check_crossed_module.peiffer"),
+        ("homotopy", "check_homomorphism"),
+        ("homotopy", "check_homomorphism"),
         ("homotopy", "check_homomorphism"),
         ("lca", "check_morphism"),
     ]
-    assert _extension_evaluators() == [
-        ("eval_bracket", ("extension", "extract_cocycle.action")),
-    ]
+    assert _extension_evaluators() == []
 
 
 def test_the_morphism_rule_sees_a_hand_written_lift_residual():
@@ -1153,6 +1167,161 @@ def _lift_residuals(ext, gamma):
         ("eval_bracket", ("wells", "_lift_residuals")),
         ("eval_bracket", ("wells", "_lift_residuals")),
         ("eval_bracket", ("wells", "_lift_residuals")),
+    ]
+
+
+# the arguments of an evaluator that are elements: eval_bracket(lca, a, b),
+# RepTable.act(p, m), and sesqui_eval and act_form(table, target, a, b, ...)
+_ELEMENT_ARGS = {"eval_bracket": (1, 2), "act": (0, 1), "sesqui_eval": (2, 3),
+                 "act_form": (2, 3)}
+
+
+def _mapped_basis(node, bound, depth=0):
+    """Whether ``node`` is a basis element or a map's image of one, or a
+    list of them: what ``_basis_valued`` accepts, a ``.apply`` of one, an
+    item of such a list, a comprehension over one or building them, either
+    branch of a conditional, or a name that ``bound`` binds to one."""
+    if depth > 16:
+        return False
+    if isinstance(node, ast.Name):
+        return node.id in bound and _mapped_basis(bound[node.id], bound, depth + 1)
+    if isinstance(node, ast.Subscript):
+        return _mapped_basis(node.value, bound, depth + 1)
+    if isinstance(node, ast.IfExp):
+        return any(_mapped_basis(n, bound, depth + 1) for n in (node.body, node.orelse))
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        inner = dict(bound)
+        for generator in node.generators:
+            target, items = generator.target, generator.iter
+            if _calls(items, "enumerate") and isinstance(target, ast.Tuple):
+                target, items = target.elts[-1], items.args[0]
+            if isinstance(target, ast.Name):
+                inner[target.id] = ast.Subscript(value=items, slice=ast.Constant(0))
+        return _mapped_basis(node.elt, inner, depth + 1)
+    if _calls(node, "apply") and node.args:
+        return _mapped_basis(node.args[-1], bound, depth + 1)
+    return _basis_valued(node, bound)
+
+
+def _basis_pair_evaluations(sources=None):
+    """(module, owner, evaluator) of every call of ``eval_bracket``,
+    ``act``, ``sesqui_eval`` or ``act_form`` outside ``lca._BasisPairs``
+    whose element arguments are each a basis element or a map's image of
+    one (see :func:`_mapped_basis`): such a value is read from a holder."""
+    found = []
+
+    def visit(module, node, path, bound):
+        for child in ast.iter_child_nodes(node):
+            inner = bound
+            if isinstance(child, ast.FunctionDef):
+                inner = _bindings(child, bound)
+            for name, places in _ELEMENT_ARGS.items():
+                if not _calls(child, name) or path[:1] == ("_BasisPairs",):
+                    continue
+                args = [child.args[k] for k in places if k < len(child.args)]
+                if len(args) == 2 and all(_mapped_basis(a, inner) for a in args):
+                    found.append((module, ".".join(path), name))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(module, child, path + (child.name,) if named else path, inner)
+
+    for module, source in _sources() if sources is None else sources:
+        visit(module, ast.parse(source), (), {})
+    return sorted(found)
+
+
+def test_basis_pairs_are_read_from_their_holder():
+    assert _basis_pair_evaluations() == []
+    # the holder itself evaluates what it holds
+    assert ("lca", "_BasisPairs.at") in _owners("sesqui_eval")
+
+
+def test_the_holder_read_rule_sees_evaluations_at_mapped_basis_elements():
+    # the evaluations at mapped basis elements that the holder replaced
+    sources = [("lca", """
+def _morphism(src, dst, left=None, right=None):
+    on_basis = left is None
+    if on_basis:
+        left = right = [src.module.basis_elem(i) for i in range(src.module.rank)]
+    brackets = {
+        (i, j): src.bracket_basis(i, j) if on_basis else eval_bracket(src, x, y)
+        for (i, x), (j, y) in product(enumerate(left), enumerate(right))
+    }
+
+    def residuals(mapping):
+        image_left = [mapping.apply(x) for x in left]
+        image_right = image_left if right is left else [mapping.apply(y) for y in right]
+        return {
+            (i, j): mapping.apply(value)
+            - eval_bracket(dst, image_left[i], image_right[j], slot=1)
+            for (i, j), value in brackets.items()
+        }
+
+    return residuals
+
+
+def _intertwining(rep, mapping):
+    algebra, module = rep.algebra, rep.module
+
+    def residual(i, j):
+        e, m = algebra.module.basis_elem(i), module.basis_elem(j)
+        return mapping.apply(rep.act(e, m)) - eval_bracket(algebra, e, mapping.apply(m))
+
+    return residual
+"""), ("homotopy", """
+def check_2term(structure):
+    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+
+    def l5(i, j):
+        m, n = basis1(i), basis1(j)
+        mixed = sesqui_eval(flipped, mod1, m, d.apply(n), lam1, 1)
+        return t.rep.act(d.apply(m), n) - mixed
+
+
+def check_homomorphism(src, dst, f0, f1, f2):
+    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+
+    def h3(i, j):
+        p, m = basis0(i), basis1(j)
+        lhs = eval_cochain(f2, [p, src.d.apply(m)], [lam1, dag1], 1)
+        rhs = -f1.apply(src.rep.act(p, m)) + dst.rep.act(f0.apply(p), f1.apply(m))
+        return lhs - rhs
+
+    def h4(i, j):
+        m, p = basis1(i), basis0(j)
+        mixed = sesqui_eval(src_flipped, mod1, m, p, lam1, 1)
+        image = sesqui_eval(dst_flipped, dst.l1, f1.apply(m), f0.apply(p), lam1, 1)
+        return lhs + f1.apply(mixed) - image
+
+
+def strict_to_crossed(structure, op):
+    def upper_bracket(i, j):
+        return structure.rep.act(d.apply(mod1.basis_elem(i)), mod1.basis_elem(j))
+"""), ("extension", """
+def extract_cocycle(ext, section=None):
+    sections = [section.apply(l_mod.basis_elem(i)) for i in range(l_mod.rank)]
+
+    def action(i, j):
+        value = eval_bracket(total, sections[i], ext.inc.apply(h_mod.basis_elem(j)))
+        return to_h(value, "rho(%d,%d)" % (i, j))
+"""), ("cohomology", """
+def _pulled_back(rep, mapping, algebra):
+    def pulled(i, j):
+        x = mapping.apply(algebra.module.basis_elem(i))
+        return rep.act(x, rep.module.basis_elem(j))
+""")]
+    assert _basis_pair_evaluations(sources) == [
+        ("cohomology", "_pulled_back.pulled", "act"),
+        ("extension", "extract_cocycle.action", "eval_bracket"),
+        ("homotopy", "check_2term.l5", "act"),
+        ("homotopy", "check_2term.l5", "sesqui_eval"),
+        ("homotopy", "check_homomorphism.h3", "act"),
+        ("homotopy", "check_homomorphism.h3", "act"),
+        ("homotopy", "check_homomorphism.h4", "sesqui_eval"),
+        ("homotopy", "check_homomorphism.h4", "sesqui_eval"),
+        ("homotopy", "strict_to_crossed.upper_bracket", "act"),
+        ("lca", "_intertwining.residual", "act"),
+        ("lca", "_intertwining.residual", "eval_bracket"),
+        ("lca", "_morphism.residuals", "eval_bracket"),
     ]
 
 
