@@ -50,6 +50,7 @@ from .wells import (
     inducibility,
     lift,
     wells_obstruction,
+    _lift,
 )
 
 SEARCH_PATH_VAR = "NIJCONF_PATH"
@@ -612,14 +613,15 @@ def _verb_lift(ws, args, out):
     ext = ws.get(args.name, "extension")
     pair = _pair_from_args(ws, args)
     if args.eta:
-        eta = ws.get(args.eta, "map")
+        report, gamma = lift(ext, pair, ws.get(args.eta, "map"))
     else:
         solve_report, eta = inducibility(ext, pair, bound=args.bound)
         if eta is None:
             _emit(out, "object", args.name)
             _emit_report(out, solve_report)
             return False
-    report, gamma = lift(ext, pair, eta)
+        # inducibility has checked the pair
+        report, gamma = _lift(ext, pair, eta)
     _emit(out, "object", args.name)
     _emit_report(out, report)
     if report.passed:

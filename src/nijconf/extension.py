@@ -24,9 +24,11 @@ equivalence exactly when the shear (p, h) -> (p, h + tau p) between the
 extensions the two triples rebuild is a Nijenhuis morphism.  That residual,
 :func:`_map_residuals`, is written once, over ``lca._morphism``: its source
 side is read once from a holder of E1's bracket at (s, inc) and (s, s), and
-each map gamma reads E2's bracket at (gamma s, gamma inc).  It also
-gives the three conditions on the eta map of a lift in :mod:`nijconf.wells`;
-so do the solve, :func:`solve_map`, and its reports.
+every map gamma of one solve reads E2's bracket at (gamma s, gamma inc)
+through one holder, the source one when E1 and E2 have one bracket, so no
+value is evaluated twice in a solve.  It also gives the three conditions on
+the eta map of a lift in :mod:`nijconf.wells`; so do the solve,
+:func:`solve_map`, and its reports.
 """
 
 from __future__ import annotations
@@ -401,16 +403,17 @@ def _map_residuals(e1, e2):
     ``operator`` -- gamma R1 - R2 gamma on s p_i.
 
     The source side, [s p_i lam inc h_j]_1 and [s p_i lam s p_j]_1, is read
-    from one holder of E1's bracket, so each is evaluated once, however
-    many maps gamma are read; each gamma reads E2's bracket at its images
-    of s p_i and inc h_j through a holder of its own.
+    from one holder of E1's bracket, and every gamma reads E2's bracket at
+    its images of s p_i and inc h_j through one holder of E2's bracket,
+    the same one when E1 and E2 have one bracket.  So each value is
+    evaluated once, however many maps gamma are read.
     """
     l_mod, h_mod = e1.quot.algebra.module, e1.sub.algebra.module
     source = _BasisPairs.of_bracket(e1.total.algebra)
     s, inc = source.operator(e1.section), source.operator(e1.inc)
+    held = source if e2.total is e1.total else _BasisPairs.of_bracket(e2.total.algebra)
 
     def residuals(gamma):
-        held = _BasisPairs.of_bracket(e2.total.algebra)
         image_s, image_inc = gamma.compose(e1.section), gamma.compose(e1.inc)
         action = _morphism(partial(source.at, s, inc), held, gamma, image_s, image_inc)
         bracket = _morphism(partial(source.at, s, s), held, gamma, image_s, image_s)

@@ -4,8 +4,10 @@
     var      ::= "del" | "lam1" | "lam2" | "lam3" | "lam4"
     expr     ::= sums of products of powers with "+ - * ^" and parentheses
 
-A unary minus applies to the power that follows it: -del^2, 2*-del^2 and
---del^2 are -(del^2), 2*(-(del^2)) and del^2.
+A unary sign applies to the power that follows it, wherever it stands:
+-del^2, 2*-del^2 and --del^2 are -(del^2), 2*(-(del^2)) and del^2, and a
+unary plus leaves the power as it is, so 2*+del and -+del are 2*del and
+-del.
 
 Whitespace is insignificant; juxtaposition is not multiplication, ``*`` is
 required between factors.  ``parse_poly`` and ``format_poly`` are mutually
@@ -86,9 +88,6 @@ class _Parser:
         self.advance()
 
     def parse_expr(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "+":
-            self.advance()
         acc = self.parse_term()
         while True:
             kind, value, _ = self.peek()
@@ -128,12 +127,14 @@ class _Parser:
                 return acc
 
     def parse_power(self):
-        """A power, or minus one: unary minus binds looser than ``^`` and
-        tighter than ``*``, so -del^2 is -(del^2) wherever it stands."""
+        """A power, or a signed one: a unary sign binds looser than ``^``
+        and tighter than ``*``, so -del^2 is -(del^2) and +del^2 is del^2
+        wherever they stand."""
         kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        if kind == "op" and value in "+-":
             self.advance()
-            return -self.parse_power()
+            power = self.parse_power()
+            return -power if value == "-" else power
         base = self.parse_atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":

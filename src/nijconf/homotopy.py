@@ -42,11 +42,14 @@ rho(t m)_lam n - [m lam n].
 A 2-term structure holds data only: [[p lam m]] is read from its action
 table, and the mixed bracket [[m lam p]] from the flipped action table
 (``lca._flipped_action``), built once per check; every read at (images of)
-basis elements goes through one ``lca._BasisPairs`` per table, which
-computes each image and value once.  A line that needs a cochain on basis
-arguments reads its stored value.  The deformed action of a crossed module
-and the upper bracket of a strict structure are tables tabulated from the
-action (``lca._tabulated``), the latter through a holder's ``at``.
+basis elements goes through one ``lca._BasisPairs`` per table or cochain,
+which computes each image and value once and picks the lambdas itself: l3
+at (p, q, dm) in L7, f2 at (p, dm) and (dm, p) in H3 and H4, l3' at
+(f0 p, f0 q, f0 r) in H5 and N2 at (p, dm) in the module defect.  A line
+that needs a cochain on basis arguments only reads its stored value.  The
+deformed action of a crossed module and the upper bracket of a strict
+structure are tables tabulated from the action (``lca._tabulated``), the
+latter through a holder's ``at``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
+# eval_cochain is unused here; perfbench/tests checks the tracer rebinds it
 from .cohomology import (
     Cochain,
     CochainPair,
@@ -94,7 +98,6 @@ from .nijenhuis import (
     check_nijenhuis,
     deformed_table,
 )
-from .poly import Poly, dagger
 from .report import Report, failures_of
 
 
@@ -183,7 +186,6 @@ def check_2term(structure):
     t = structure
     mod0, mod1 = t.l0.module, t.l1
     d = t.d
-    basis0 = mod0.basis_elem
 
     skew = check_cochain_skew(t.l3)
     report.add("l3-skew", skew.passed, skew.witness_of("skew"))
@@ -202,7 +204,7 @@ def check_2term(structure):
     report.add_residuals("L4", pairs, _morphism(t.rep.act_basis, bracket, d, None, d))
 
     action = _BasisPairs.of_action(t.rep)
-    mixed = _BasisPairs(_flipped_action(t.rep), mod1, mod0, mod1)
+    mixed = _BasisPairs(_flipped_action(t.rep).entries, (mod1, mod0), mod1)
     on_action, on_mixed = action.operator(d), mixed.operator(d)
 
     def l5(i, j):
@@ -210,8 +212,6 @@ def check_2term(structure):
 
     report.add_residuals("L5", product(range(mod1.rank), repeat=2), l5)
 
-    la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
-    forms = [la, mu, dagger(la + mu)]
     jacobi, representation = _jacobi(t.l0), _representation(t.rep)
 
     def l6(*key):
@@ -219,9 +219,11 @@ def check_2term(structure):
 
     report.add_residuals("L6", product(range(mod0.rank), repeat=3), l6)
 
+    held_l3 = _BasisPairs.of_cochain(t.l3)
+    on_l3 = held_l3.operator(d)
+
     def l7(i, j, k):
-        args = [basis0(i), basis0(j), action.element(on_action, k)]
-        return eval_cochain(t.l3, args, forms, 2) + representation(i, j, k)
+        return held_l3.at(None, None, on_l3, i, j, k) + representation(i, j, k)
 
     triples = product(range(mod0.rank), range(mod0.rank), range(mod1.rank))
     report.add_failures(
@@ -255,7 +257,6 @@ def check_homomorphism(src, dst, f0, f1, f2):
     """
     report = Report("2term-homomorphism")
     mod0, mod1 = src.l0.module, src.l1
-    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
 
     skew = check_cochain_skew(f2)
     report.add("f2-skew", skew.passed, skew.witness_of("skew"))
@@ -263,10 +264,7 @@ def check_homomorphism(src, dst, f0, f1, f2):
     ok = (f0.compose(src.d) - dst.d.compose(f1)).is_zero()
     report.add("H1", ok, "chain maps do not commute")
 
-    lam1 = Poly.lam(1, 1)
-    dag1 = dagger(lam1)
     bracket = _BasisPairs.of_bracket(dst.l0)
-    on_f0 = bracket.operator(f0)
     morphism = _morphism(src.l0.bracket_basis, bracket, f0, f0, f0)
 
     def h2(i, j):
@@ -275,29 +273,30 @@ def check_homomorphism(src, dst, f0, f1, f2):
     report.add_residuals("H2", product(range(mod0.rank), repeat=2), h2)
     action = _BasisPairs.of_action(dst.rep)
     intertwining = _morphism(src.rep.act_basis, action, f1, f0, f1)
+    # f2 is a cochain of the source L0, whatever its rep, as H5 reads it
+    held_f2 = _BasisPairs(f2.values, (mod0, mod0), f2.target)
+    on_d = held_f2.operator(src.d)
 
     def h3(i, j):
-        lhs = eval_cochain(f2, [basis0(i), src.d.apply(basis1(j))], [lam1, dag1], 1)
-        return lhs + intertwining(i, j)
+        return held_f2.at(None, on_d, i, j) + intertwining(i, j)
 
     report.add_residuals("H3", product(range(mod0.rank), range(mod1.rank)), h3)
     src_mixed = partial(_basis_value, _flipped_action(src.rep), mod1)
-    dst_mixed = _BasisPairs(_flipped_action(dst.rep), dst.l1, dst.l0.module, dst.l1)
+    flipped = _flipped_action(dst.rep).entries
+    dst_mixed = _BasisPairs(flipped, (dst.l1, dst.l0.module), dst.l1)
     mixed = _morphism(src_mixed, dst_mixed, f1, f1, f0)
 
     def h4(i, j):
-        lhs = eval_cochain(f2, [src.d.apply(basis1(i)), basis0(j)], [lam1, dag1], 1)
-        return lhs + mixed(i, j)
+        return held_f2.at(on_d, None, i, j) + mixed(i, j)
 
     report.add_residuals("H4", product(range(mod1.rank), range(mod0.rank)), h4)
 
-    la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
-    forms = [la, mu, dagger(la + mu)]
     delta_f2 = apply_delta(Cochain(2, _pulled_back(dst.rep, f0, src.l0), f2.values))
+    held_l3 = _BasisPairs.of_cochain(dst.l3)
+    on_f0 = held_l3.operator(f0)
 
     def h5(*key):
-        images = [bracket.element(on_f0, k) for k in key]
-        lhs = eval_cochain(dst.l3, images, forms, 2) - f1.apply(src.l3.value(key))
+        lhs = held_l3.at(on_f0, on_f0, on_f0, *key) - f1.apply(src.l3.value(key))
         return lhs - delta_f2.value(key)
 
     report.add_residuals("H5", product(range(mod0.rank), repeat=3), h5)
@@ -337,7 +336,6 @@ def check_homotopy_nijenhuis(structure, op):
     ok = (t.d.compose(n1) - n0.compose(t.d)).is_zero()
     report.add("chain-map", ok, "d N1 != N0 d")
 
-    forms = [Poly.lam(1, 1), dagger(Poly.lam(1, 1))]
     bracket = _BasisPairs.of_bracket(t.l0)
     on_l0 = bracket.operator(n0)
 
@@ -346,12 +344,12 @@ def check_homotopy_nijenhuis(structure, op):
 
     report.add_residuals("square-defect", product(range(mod0.rank), repeat=2), square)
     action = _BasisPairs.of_action(t.rep)
-    on_mod0, on_mod1, d = action.operator(n0), action.operator(n1), action.operator(t.d)
+    on_mod0, on_mod1 = action.operator(n0), action.operator(n1)
+    held_n2 = _BasisPairs.of_cochain(n2)
+    on_d = held_n2.operator(t.d)
 
     def module(i, j):
-        dm = action.element(d, j)
-        n2_pdm = eval_cochain(n2, [mod0.basis_elem(i), dm], forms, 1)
-        return n2_pdm + _nijenhuis(action, on_mod0, on_mod1, i, j)
+        return held_n2.at(None, on_d, i, j) + _nijenhuis(action, on_mod0, on_mod1, i, j)
 
     pairs = product(range(mod0.rank), range(mod1.rank))
     report.add_residuals("module-defect", pairs, module)

@@ -22,18 +22,22 @@ representation and the morphism residuals on basis tuples (:func:`_jacobi`,
 2-term checks of ``homotopy`` add their homotopy corrections to them.  The
 Jacobi residual is minus the representation residual of the adjoint action.
 
-A bracket or an action at images of basis elements is read by one holder,
-:class:`_BasisPairs`: ``at`` gives T(a e_i, b e_j), reading the table
-itself where both maps are the identity, and computes each image and each
-value once.  The morphism residual (i, j) -> out(S_ij) - T(left e_i,
-right e_j) reads T there, S_ij being a basis read of the source table or
-another holder's ``at``: it is the morphism line of algebras, the
-intertwining of an action with a bracket (L4 and peiffer-1), H2-H4 of a
-2-term homomorphism, the chi of an extracted triple and the residuals of a
-map between extension totals.  The Nijenhuis and deformation residuals
-and the tables pulled back through a map read holders too.  Outside the
-holder no function evaluates a bracket or an action at two basis elements
-or images of them.
+Stored values at images of basis elements are read by one holder,
+:class:`_BasisPairs`, over a table or a cochain of degree n >= 2: ``at``
+gives T(a e_i, b e_j), or a cochain's value at n mapped basis elements,
+reading the stored value itself where every map is the identity, else
+evaluating it by :func:`_evaluate` at lam1, ..., lam_{n-1} and the dagger;
+it computes each image and each value once.  The morphism residual
+(i, j) -> out(S_ij) - T(left e_i, right e_j) reads T there, S_ij being a
+basis read of the source table or another holder's ``at``: it is the
+morphism line of algebras, the intertwining of an action with a bracket
+(L4 and peiffer-1), H2-H4 of a 2-term homomorphism, the chi of an
+extracted triple and the residuals of a map between extension totals.  The
+Nijenhuis and deformation residuals, the tables pulled back through a map,
+the cochain terms of L7, H3-H5 and the module defect of ``homotopy`` and
+the chi of a moved triple read holders too.  Outside the holder no
+function evaluates a bracket, an action or a cochain at basis elements or
+images of them, and no caller writes the lambda-forms of such a read.
 
 A table derived from another structure is tabulated from that structure's
 evaluator on basis pairs by :func:`_tabulated`, the one loop that fills a
@@ -727,58 +731,67 @@ def _tabulated(left, right, target, value):
 
 
 class _BasisPairs:
-    """The one reader of a bracket or an action ``table``, with values in
-    ``target``, at images of basis elements: `at` reads T(a e_i, b e_j) for
-    maps a into ``left`` and b into ``right``, and reads the table itself
-    at a pair with no maps.  Each image and each value is computed once,
-    on first use.
+    """The one reader of stored values at images of basis elements: the
+    ``values`` of a bracket or an action table, or of a cochain of degree
+    n >= 2, on basis n-tuples of the argument ``modules``, with values in
+    ``target``.  `at` reads T(a_1 e_i1, ..., a_n e_in) for maps a_k into
+    the k-th module, and reads the stored value itself at a tuple with no
+    maps.  Each image and each value is computed once, on first use.
 
     A module's elements are held once each, keyed by their coordinates: an
     image equal to its basis element, or to an image held before, is that
     element, so equal arguments share one value.  So an element is named by
     its index among the elements held for its module (the basis first), and
-    a map by the slot that `operator` gives it, since a map is unhashable.
-    The two modules share their elements when they are equal.  A map's
-    source need not be either module, since the image of e_i is read off
-    its matrix.  A holder lives as long as whoever built it: one check, the
-    chi and rho of an extracted triple, both operator lines of
-    ``extension._cocycle_report``, the source side of
+    a map by the slot that `operator` gives it.  Equal modules share their
+    elements.  A map's source need not be any of the modules, since the
+    image of e_i is read off its matrix.
+
+    A holder lives as long as whoever built it: one check (the N2, l3 and
+    f2 lines of ``homotopy`` each hold their cochain), the chi and rho of
+    an extracted or a moved triple, both operator lines of
+    ``extension._cocycle_report``, one map solve of
     ``extension._map_residuals`` or a deformation series
     (``deformation._order_residuals``).
     """
 
-    def __init__(self, table, left, right, target):
-        self.table, self.modules, self.target = table, (left, right), target
-        modules = [left] if right == left else [left, right]
-        self.elements = [[m.basis_elem(i) for i in range(m.rank)] for m in modules]
-        self.keys = [
-            {tuple(e.coords): k for k, e in enumerate(held)} for held in self.elements
-        ]
-        if right == left:
-            self.elements.append(self.elements[0])
-            self.keys.append(self.keys[0])
-        self.operators, self.images, self.evaluated = [], {}, {}
+    def __init__(self, values, modules, target):
+        self.stored, self.target = values, target
+        self.modules = modules = tuple(modules)
+        # equal modules share their held elements
+        first = [modules.index(m) for m in modules]
+        distinct = {k: modules[k] for k in first}
+        basis = {k: [m.basis_elem(i) for i in range(m.rank)] for k, m in distinct.items()}
+        keys = {k: {tuple(e.coords): i for i, e in enumerate(held)} for k, held in basis.items()}
+        self.elements, self.keys = [basis[k] for k in first], [keys[k] for k in first]
+        self.forms = [Poly.lam(s, len(first) - 1) for s in range(1, len(first))]
+        self.operators, self.slots, self.images, self.evaluated = [], {}, {}, {}
 
     @classmethod
     def of_bracket(cls, lca):
-        return cls(lca.table, lca.module, lca.module, lca.module)
+        return cls(lca.table.entries, (lca.module, lca.module), lca.module)
 
     @classmethod
     def of_action(cls, rep):
-        return cls(rep.action, rep.algebra.module, rep.module, rep.module)
+        return cls(rep.action.entries, (rep.algebra.module, rep.module), rep.module)
+
+    @classmethod
+    def of_cochain(cls, f):
+        return cls(f.values, (f.source.module,) * f.degree, f.target)
 
     def operator(self, mapping):
         """The slot of ``mapping``, an equal map's when one is held already,
         or None for None, the identity.  The map takes the basis of any
-        module into one of the two modules: its image of e_i is its column
-        i."""
+        module into one of the holder's modules: its image of e_i is its
+        column i, so the map is found by its target and its matrix."""
         if mapping is None:
             return None
-        for slot, (held, _) in enumerate(self.operators):
-            if held is mapping or held == mapping:
-                return slot
-        self.operators.append((mapping, mapping.target != self.modules[0]))
-        return len(self.operators) - 1
+        if mapping.target not in self.modules:
+            raise ModuleMismatchError("map into a module the holder does not hold")
+        key = (self.modules.index(mapping.target), tuple(map(tuple, mapping.matrix)))
+        if key not in self.slots:
+            self.slots[key] = len(self.operators)
+            self.operators.append((mapping, key[0]))
+        return self.slots[key]
 
     def image(self, slot, i):
         """The key of operator ``slot``'s image of basis element i."""
@@ -798,21 +811,21 @@ class _BasisPairs:
         """Operator ``slot``'s image of basis element i, as held."""
         return self.elements[self.operators[slot][1]][self.image(slot, i)]
 
-    def at(self, a, b, i, j):
-        """T(a e_i, b e_j) at lam1 for the operator slots a and b (None for
-        the identity): the table on held elements, read off the table on a
-        basis pair (`_basis_value`), else evaluated."""
-        a = i if a is None else self.image(a, i)
-        b = j if b is None else self.image(b, j)
-        value = self.evaluated.get((a, b))
+    def at(self, *call):
+        """T(a_1 e_i1, ..., a_n e_in), called as at(a_1, ..., a_n, i1, ...,
+        in) for the operator slots a_k (None for the identity): the stored
+        value on held elements, read off a basis tuple, else evaluated by
+        `_evaluate` at lam1, ..., lam_{n-1}, the last lambda the dagger."""
+        n, target = len(self.modules), self.target
+        key = tuple(i if a is None else self.image(a, i) for a, i in zip(call, call[n:]))
+        value = self.evaluated.get(key)
         if value is None:
-            (left, right), table = self.modules, self.table
-            if a < left.rank and b < right.rank:
-                value = _basis_value(table, self.target, a, b)
+            if all(k < module.rank for k, module in zip(key, self.modules)):
+                value = Elem(target, list(self.stored.get(key) or target.zero(n - 1)))
             else:
-                x, y = self.elements[0][a], self.elements[1][b]
-                value = sesqui_eval(table, self.target, x, y, Poly.lam(1, 1), 1)
-            self.evaluated[a, b] = value
+                args = [held[k] for held, k in zip(self.elements, key)]
+                value = _evaluate(self.stored, target, args, self.forms, n - 1)
+            self.evaluated[key] = value
         return value
 
     def apply(self, slot, elem):

@@ -9,10 +9,12 @@ the three conditions on eta are the residual of "gamma is a Nijenhuis
 morphism" on the arguments of the diagram, ``extension._map_residuals``,
 which the tau of an equivalence reads too, so no separate sign conventions
 exist here.  For abelian H the conditions are affine in eta and solved
-exactly over a bounded coefficient space.  The triple moved by a pair reads
-its action at (beta^-1 p, alpha^-1 h) through one ``lca._BasisPairs`` of
-the old action, tabulated by ``lca._tabulated``, and its chi at the same
-held images of beta^-1.
+exactly over a bounded coefficient space, and one holder of E's bracket
+serves every unknown of a solve.  The triple moved by a pair reads its chi
+at (beta^-1 p, beta^-1 q) through one ``lca._BasisPairs`` of the old chi,
+and its action at (beta^-1 p, alpha^-1 h) through one of the old action,
+tabulated by ``lca._tabulated``.  A lift checks the pair and gamma once
+each, also when the ``lift`` verb has solved for eta first.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .cohomology import Cochain, eval_cochain
+from .cohomology import Cochain
 from .errors import ModuleMismatchError, PreconditionError, UnsupportedModeError
 from .extension import (
     ExtensionData,
@@ -35,7 +37,6 @@ from .extension import (
 from .lca import ConfLinMap, RepTable, check_morphism, _BasisPairs, _tabulated
 # solve is unused here; perfbench/tests checks the tracer rebinds it
 from .linalg import poly_unimodular_inverse, solve
-from .poly import Poly, dagger
 from .report import PASS, Report
 
 
@@ -128,6 +129,11 @@ def induced_pair(ext, gamma):
         raise PreconditionError(
             "gamma is not an H-preserving automorphism: %s" % pre.failing()
         )
+    return _induced(ext, gamma)
+
+
+def _induced(ext, gamma):
+    """:func:`induced_pair` of a gamma that passed check_h_automorphism."""
     retraction = ext.retraction()
     alpha = retraction.compose(gamma).compose(ext.inc)
     beta = ext.proj.compose(gamma).compose(ext.section)
@@ -148,15 +154,14 @@ def transform_cocycle(cocycle, pair):
     b_inv = _inverse(pair.beta, "beta")
     l_mod = cocycle.rho.algebra.module
     h_mod = cocycle.rho.module
-    lam1 = Poly.lam(1, 1)
-    dag1 = dagger(lam1)
-    held = _BasisPairs.of_action(cocycle.rho)
-    on_l, on_h = held.operator(b_inv), held.operator(a_inv)
+    # chi is read as a cochain of L, as the candidate total reads it
+    held_chi = _BasisPairs(cocycle.chi.values, (l_mod, l_mod), h_mod)
+    on_b = held_chi.operator(b_inv)
     chi = Cochain(2, cocycle.chi.rep)
     for i, j in product(range(l_mod.rank), repeat=2):
-        args = [held.element(on_l, i), held.element(on_l, j)]
-        value = eval_cochain(cocycle.chi, args, [lam1, dag1], 1)
-        chi.set_value((i, j), pair.alpha.apply(value))
+        chi.set_value((i, j), pair.alpha.apply(held_chi.at(on_b, on_b, i, j)))
+    held = _BasisPairs.of_action(cocycle.rho)
+    on_l, on_h = held.operator(b_inv), held.operator(a_inv)
 
     def action(i, j):
         return pair.alpha.apply(held.at(on_l, on_h, i, j))
@@ -243,11 +248,16 @@ def lift(ext, pair, eta):
     """gamma built from eta, validated as an H-preserving automorphism that
     induces the pair; returns (report, gamma)."""
     _require_pair(ext, pair)
+    return _lift(ext, pair, eta)
+
+
+def _lift(ext, pair, eta):
+    """:func:`lift` of a pair that passed check_automorphism_pair: gamma is
+    checked once, and its induced pair read without checking it again."""
     gamma = lift_map(ext, pair, eta)
     report = check_h_automorphism(ext, gamma)
     if report.passed:
-        induced = induced_pair(ext, gamma)
-        report.add("induces-pair", induced == pair, "induced pair differs")
+        report.add("induces-pair", _induced(ext, gamma) == pair, "induced pair differs")
     return report, gamma
 
 

@@ -2,7 +2,8 @@
 from one ``lca._BasisPairs`` give, on every basis pair, what the plain
 formulas give when they apply each map and evaluate each bracket afresh.
 So do the morphism residual and the pulled-back action, which read a
-holder at the images of maps whose source it does not hold.
+holder at the images of maps whose source it does not hold, and a holder of
+a cochain, read against ``eval_cochain``.
 
 The references below are those plain formulas, written with
 ``eval_bracket``, ``RepTable.act`` and ``ConfLinMap.apply``.  The operators
@@ -18,8 +19,9 @@ from random import Random
 
 import pytest
 
-from nijconf.cohomology import _pulled_back
+from nijconf.cohomology import Cochain, _pulled_back, eval_cochain
 from nijconf.deformation import DeformationSeries, _order_residuals
+from nijconf.errors import ModuleMismatchError
 from nijconf.lca import (
     FREE,
     LCA,
@@ -32,7 +34,7 @@ from nijconf.lca import (
     eval_bracket,
 )
 from nijconf.nijenhuis import NijenhuisLCA, _deformed_action, _nijenhuis
-from nijconf.poly import Poly
+from nijconf.poly import Poly, dagger
 
 from conftest import make_sl2, make_vir
 from test_axiom_orbits import _random_poly
@@ -246,3 +248,76 @@ def test_held_morphism_residuals_match_the_plain_formula(name, seed):
                 x = mapping.apply(pulling.module.basis_elem(i))
                 want = eval_bracket(algebra, x, module.basis_elem(j))
                 assert pulled.act_basis(i, j).coords == want.coords
+
+
+def _random_cochain(rng, rep, degree):
+    """A cochain with a random value on most basis tuples."""
+    f = Cochain(degree, rep)
+    for key in product(range(rep.algebra.module.rank), repeat=degree):
+        if rng.random() < 0.7:
+            value = [_random_poly(rng, degree - 1, density=0.8) for _ in rep.module.basis]
+            f.set_value(key, value)
+    return f
+
+
+def _plain_cochain_value(f, maps, key):
+    """f at the images of the basis elements of ``key`` under ``maps`` (None
+    for the identity), by ``eval_cochain`` at lam1, ..., lam_{n-1} and the
+    dagger."""
+    module = f.source.module
+    args = [
+        module.basis_elem(i) if m is None else m.apply(m.source.basis_elem(i))
+        for m, i in zip(maps, key)
+    ]
+    arity = f.degree - 1
+    forms = [Poly.lam(s, arity) for s in range(1, f.degree)]
+    forms.append(dagger(sum(forms[1:], forms[0])))
+    return eval_cochain(f, args, forms, arity)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("seed", range(2))
+def test_held_cochain_values_match_eval_cochain(name, seed):
+    rng = Random(4000 * seed + len(name))
+    algebra = ALGEBRAS[name]()
+    module = algebra.module
+    copy = _copy_rep(algebra).module
+    # maps into the held module from itself and, like d : L1 -> L0, from
+    # another module, zero maps among them
+    maps = [None] + _operators(rng, module, module) + _operators(rng, copy, module)
+    for rep in (adjoint_rep(algebra), _copy_rep(algebra)):
+        for degree in (2, 3):
+            f = _random_cochain(rng, rep, degree)
+            held = _BasisPairs.of_cochain(f)
+            chosen = [(m,) * degree for m in maps]
+            chosen += [tuple(rng.choice(maps) for _ in range(degree)) for _ in range(3)]
+            for choice in chosen:
+                slots = [held.operator(m) for m in choice]
+                ranks = [module.rank if m is None else m.source.rank for m in choice]
+                for key in product(*map(range, ranks)):
+                    want = _plain_cochain_value(f, choice, key).coords
+                    assert held.at(*slots, *key).coords == want
+                    # read again from what the holder holds
+                    assert held.at(*slots, *key) is held.at(*slots, *key)
+
+
+def test_maps_are_found_by_key_not_by_comparison(monkeypatch):
+    module = make_sl2().module
+    held = _BasisPairs.of_bracket(make_sl2())
+    maps = [ConfLinMap.scalar(module, k) for k in range(200)]
+    compared = []
+    original = ConfLinMap.__eq__
+
+    def counted(self, other):
+        compared.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ConfLinMap, "__eq__", counted)
+    slots = [held.operator(m) for m in maps]
+    assert compared == [] and slots == list(range(200))
+    # an equal map built again gets the earlier slot
+    assert held.operator(ConfLinMap.scalar(module, 7)) == 7
+    assert held.operator(ConfLinMap.zero(module)) == 0
+    # a map into a module that the holder does not hold is refused
+    with pytest.raises(ModuleMismatchError):
+        held.operator(ConfLinMap.identity(make_vir().module))

@@ -234,7 +234,7 @@ def test_power_degree_is_bounded():
 # place asks for, else in parentheses
 _EXPR, _TERM, _FACTOR, _POWER, _ATOM = range(5)
 _LEVEL = {"num": _ATOM, "var": _ATOM, "pow": _POWER, "neg": _FACTOR,
-          "mul": _TERM, "add": _EXPR, "sub": _EXPR}
+          "pos": _FACTOR, "mul": _TERM, "add": _EXPR, "sub": _EXPR}
 
 _trees = st.recursive(
     st.one_of(
@@ -242,7 +242,7 @@ _trees = st.recursive(
         st.tuples(st.just("var"), st.integers(0, 2)),
     ),
     lambda inner: st.one_of(
-        st.tuples(st.just("neg"), inner),
+        st.tuples(st.sampled_from(["neg", "pos"]), inner),
         st.tuples(st.just("pow"), inner, st.integers(0, 3)),
         st.tuples(st.sampled_from(["mul", "add", "sub"]), inner, inner),
     ),
@@ -256,8 +256,9 @@ def _written(tree, place=_EXPR):
         text = str(tree[1])
     elif kind == "var":
         text = ["del", "lam1", "lam2"][tree[1]]
-    elif kind == "neg":
-        text = "-" + _written(tree[1], _FACTOR)
+    elif kind in ("neg", "pos"):
+        sign = "-" if kind == "neg" else "+"
+        text = sign + _written(tree[1], _FACTOR)
     elif kind == "pow":
         text = "%s^%d" % (_written(tree[1], _ATOM), tree[2])
     elif kind == "mul":
@@ -281,6 +282,8 @@ def _value(tree):
         return None
     if kind == "neg":
         return -args[0]
+    if kind == "pos":
+        return args[0]
     if kind == "pow":
         if max(args[0].total_degree(), 1) * tree[2] > 16:
             return None
@@ -294,8 +297,8 @@ def _value(tree):
 @settings(max_examples=150, deadline=None)
 @given(_trees)
 def test_parsing_a_written_tree_gives_its_value(tree):
-    # unary minus lands in every place: first, after *, + and -, doubled,
-    # inside parentheses and under a power
+    # a unary sign, minus or plus, lands in every place: first, after *, +
+    # and -, doubled, inside parentheses and under a power
     value = _value(tree)
     assume(value is not None)
     assert parse_poly(_written(tree), 2) == value
@@ -304,5 +307,8 @@ def test_parsing_a_written_tree_gives_its_value(tree):
 def test_unary_minus_applies_to_the_power_that_follows():
     for text, want in [("-del^2", "-del^2"), ("2*-del^2", "-2*del^2"),
                        ("--del^2", "del^2"), ("lam1 - -del^2", "del^2 + lam1"),
-                       ("(-del)^2", "del^2"), ("-1/2", "-1/2")]:
+                       ("(-del)^2", "del^2"), ("-1/2", "-1/2"),
+                       # a unary plus, which leaves the power as it is
+                       ("2*+del", "2*del"), ("lam1 - +del", "-del + lam1"),
+                       ("-+del", "-del")]:
         assert format_poly(parse_poly(text, 1)) == want

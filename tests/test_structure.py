@@ -2,8 +2,8 @@
 validation of a Nijenhuis structure, one builder of solve columns, one cell
 format and one space of coboundaries, one obstruction, one solver for a map
 L -> H, one Jacobi residual, one morphism residual and one reader of a
-bracket or an action at mapped basis elements, one evaluation core and one
-expansion, one builder of derived tables, and a documented workspace
+bracket, an action or a cochain at mapped basis elements, one evaluation
+core and one expansion, one builder of derived tables, and a documented workspace
 grammar.
 
 Every axiom check turns its (tuple, residual) pairs into failures through
@@ -71,8 +71,10 @@ projection are linear and planned (``cohomology._Plan``), and the cup
 product is an insertion into its right factor's left bracket, so evaluating
 one of them tuple by tuple would be a second code path.  Nor does any
 module call ``eval_cochain`` on basis arguments only, whose value it reads
-with ``Cochain.value``: ``eval_cochain`` is called only by L7, H3, H4, the
-target side of H5, the module defect and ``wells.transform_cocycle``.
+with ``Cochain.value``; and since a cochain at mapped basis elements is read
+from an ``lca._BasisPairs`` too (L7, H3, H4, the target side of H5, the
+module defect and the chi of ``wells.transform_cocycle``), no module calls
+``eval_cochain`` at all.
 ``nijenhuis._deformed``, the deformed bracket, is called only by
 ``nijenhuis._nijenhuis``, the one residual of the Nijenhuis identity over a
 bracket or an action, by ``nijenhuis._deformed_action``, the one deformed
@@ -94,12 +96,15 @@ residual of a Nijenhuis morphism between extension totals, which both the
 tau of an equivalence and the eta of a lift read.  In ``extension`` and
 ``wells`` no function evaluates a bracket by hand: neither
 ``eval_bracket`` nor ``act_form`` is called there.  One reader of a
-bracket or an action at mapped basis elements: outside
+bracket, an action or a cochain at mapped basis elements: outside
 ``lca._BasisPairs``, no function calls ``eval_bracket``, ``act``,
-``sesqui_eval`` or ``act_form`` with both element arguments a basis
-element or a map's image of one (a name, list item or comprehension bound
-to one included); such a value is read from a holder's ``at``.
-No module keeps an unused import, but for the three aliases that
+``sesqui_eval`` or ``act_form`` with both element arguments, or
+``eval_cochain`` with every argument, a basis element or a map's image of
+one (a name, list item, held ``.element`` or comprehension bound to one
+included); such a value is read from a holder's ``at``, which picks the
+lambda-forms itself.  So outside ``poly``, ``grammar``, ``lca`` and
+``cohomology`` nothing calls ``Poly.lam`` or ``dagger``.
+No module keeps an unused import, but for the four aliases that
 ``perfbench/tests`` checks the tracer rebinds.
 Every block kind of ``cli._BLOCKS`` and each of its options is named in the
 README's workspace grammar.  ``src/nijconf`` holds no module-level mutable
@@ -490,14 +495,8 @@ def _basis_evaluations(sources=None):
 
 def test_basis_values_are_read_not_evaluated():
     assert _basis_evaluations() == []
-    assert _owners("eval_cochain") == [
-        ("homotopy", "check_2term.l7"),
-        ("homotopy", "check_homomorphism.h3"),
-        ("homotopy", "check_homomorphism.h4"),
-        ("homotopy", "check_homomorphism.h5"),
-        ("homotopy", "check_homotopy_nijenhuis.module"),
-        ("wells", "transform_cocycle"),
-    ]
+    # a cochain at mapped basis elements is read from its holder
+    assert _owners("eval_cochain") == []
 
 
 def test_the_basis_rule_sees_evaluations_at_basis_arguments():
@@ -546,7 +545,12 @@ def check_homotopy_nijenhuis(structure, op):
 
 
 # imports that perfbench/tests pins: the tracer must rebind each alias
-_PINNED_IMPORTS = [("cli", "apply_delta"), ("extension", "act_form"), ("wells", "solve")]
+_PINNED_IMPORTS = [
+    ("cli", "apply_delta"),
+    ("extension", "act_form"),
+    ("homotopy", "eval_cochain"),
+    ("wells", "solve"),
+]
 
 
 def _unused_imports(sources=None):
@@ -1171,20 +1175,26 @@ def _lift_residuals(ext, gamma):
 
 
 # the arguments of an evaluator that are elements: eval_bracket(lca, a, b),
-# RepTable.act(p, m), and sesqui_eval and act_form(table, target, a, b, ...)
+# RepTable.act(p, m), sesqui_eval and act_form(table, target, a, b, ...),
+# and the list of eval_cochain(f, args, forms, arity)
 _ELEMENT_ARGS = {"eval_bracket": (1, 2), "act": (0, 1), "sesqui_eval": (2, 3),
-                 "act_form": (2, 3)}
+                 "act_form": (2, 3), "eval_cochain": (1,)}
 
 
 def _mapped_basis(node, bound, depth=0):
     """Whether ``node`` is a basis element or a map's image of one, or a
-    list of them: what ``_basis_valued`` accepts, a ``.apply`` of one, an
-    item of such a list, a comprehension over one or building them, either
-    branch of a conditional, or a name that ``bound`` binds to one."""
+    list of them: what ``_basis_valued`` accepts, a ``.apply`` of one, a
+    holder's ``.element`` (a held image), a list of such, an item of such a
+    list, a comprehension over one or building them, either branch of a
+    conditional, or a name that ``bound`` binds to one."""
     if depth > 16:
         return False
     if isinstance(node, ast.Name):
         return node.id in bound and _mapped_basis(bound[node.id], bound, depth + 1)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return bool(node.elts) and all(_mapped_basis(e, bound, depth + 1) for e in node.elts)
+    if _calls(node, "element"):
+        return True
     if isinstance(node, ast.Subscript):
         return _mapped_basis(node.value, bound, depth + 1)
     if isinstance(node, ast.IfExp):
@@ -1205,9 +1215,10 @@ def _mapped_basis(node, bound, depth=0):
 
 def _basis_pair_evaluations(sources=None):
     """(module, owner, evaluator) of every call of ``eval_bracket``,
-    ``act``, ``sesqui_eval`` or ``act_form`` outside ``lca._BasisPairs``
-    whose element arguments are each a basis element or a map's image of
-    one (see :func:`_mapped_basis`): such a value is read from a holder."""
+    ``act``, ``sesqui_eval``, ``act_form`` or ``eval_cochain`` outside
+    ``lca._BasisPairs`` whose element arguments are each a basis element or
+    a map's image of one (see :func:`_mapped_basis`): such a value is read
+    from a holder."""
     found = []
 
     def visit(module, node, path, bound):
@@ -1219,7 +1230,7 @@ def _basis_pair_evaluations(sources=None):
                 if not _calls(child, name) or path[:1] == ("_BasisPairs",):
                     continue
                 args = [child.args[k] for k in places if k < len(child.args)]
-                if len(args) == 2 and all(_mapped_basis(a, inner) for a in args):
+                if len(args) == len(places) and all(_mapped_basis(a, inner) for a in args):
                     found.append((module, ".".join(path), name))
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(module, child, path + (child.name,) if named else path, inner)
@@ -1231,8 +1242,8 @@ def _basis_pair_evaluations(sources=None):
 
 def test_basis_pairs_are_read_from_their_holder():
     assert _basis_pair_evaluations() == []
-    # the holder itself evaluates what it holds
-    assert ("lca", "_BasisPairs.at") in _owners("sesqui_eval")
+    # the holder itself evaluates what it holds, through the evaluation core
+    assert ("lca", "_BasisPairs.at") in _owners("_evaluate")
 
 
 def test_the_holder_read_rule_sees_evaluations_at_mapped_basis_elements():
@@ -1316,12 +1327,110 @@ def _pulled_back(rep, mapping, algebra):
         ("homotopy", "check_2term.l5", "sesqui_eval"),
         ("homotopy", "check_homomorphism.h3", "act"),
         ("homotopy", "check_homomorphism.h3", "act"),
+        ("homotopy", "check_homomorphism.h3", "eval_cochain"),
         ("homotopy", "check_homomorphism.h4", "sesqui_eval"),
         ("homotopy", "check_homomorphism.h4", "sesqui_eval"),
         ("homotopy", "strict_to_crossed.upper_bracket", "act"),
         ("lca", "_intertwining.residual", "act"),
         ("lca", "_intertwining.residual", "eval_bracket"),
         ("lca", "_morphism.residuals", "eval_bracket"),
+    ]
+
+
+# the cochain evaluations at mapped basis elements that the holder replaced:
+# L7, H3, H4, H5, the module defect and the moved chi
+_HAND_WRITTEN_COCHAIN_READS = [("homotopy", """
+def check_2term(structure):
+    basis0 = mod0.basis_elem
+    la, mu = Poly.lam(1, 2), Poly.lam(2, 2)
+    forms = [la, mu, dagger(la + mu)]
+
+    def l7(i, j, k):
+        args = [basis0(i), basis0(j), action.element(on_action, k)]
+        return eval_cochain(t.l3, args, forms, 2) + representation(i, j, k)
+
+
+def check_homomorphism(src, dst, f0, f1, f2):
+    basis0, basis1 = mod0.basis_elem, mod1.basis_elem
+    lam1 = Poly.lam(1, 1)
+    dag1 = dagger(lam1)
+
+    def h3(i, j):
+        lhs = eval_cochain(f2, [basis0(i), src.d.apply(basis1(j))], [lam1, dag1], 1)
+        return lhs + intertwining(i, j)
+
+    def h4(i, j):
+        lhs = eval_cochain(f2, [src.d.apply(basis1(i)), basis0(j)], [lam1, dag1], 1)
+        return lhs + mixed(i, j)
+
+    def h5(*key):
+        images = [bracket.element(on_f0, k) for k in key]
+        lhs = eval_cochain(dst.l3, images, forms, 2) - f1.apply(src.l3.value(key))
+        return lhs - delta_f2.value(key)
+
+
+def check_homotopy_nijenhuis(structure, op):
+    forms = [Poly.lam(1, 1), dagger(Poly.lam(1, 1))]
+
+    def module(i, j):
+        dm = action.element(d, j)
+        n2_pdm = eval_cochain(n2, [mod0.basis_elem(i), dm], forms, 1)
+        return n2_pdm + _nijenhuis(action, on_mod0, on_mod1, i, j)
+"""), ("wells", """
+def transform_cocycle(cocycle, pair):
+    lam1 = Poly.lam(1, 1)
+    dag1 = dagger(lam1)
+    for i, j in product(range(l_mod.rank), repeat=2):
+        args = [held.element(on_l, i), held.element(on_l, j)]
+        value = eval_cochain(cocycle.chi, args, [lam1, dag1], 1)
+        chi.set_value((i, j), pair.alpha.apply(value))
+""")]
+
+
+def test_the_holder_read_rule_sees_cochains_evaluated_at_mapped_basis_elements():
+    assert _basis_pair_evaluations(_HAND_WRITTEN_COCHAIN_READS) == [
+        ("homotopy", "check_2term.l7", "eval_cochain"),
+        ("homotopy", "check_homomorphism.h3", "eval_cochain"),
+        ("homotopy", "check_homomorphism.h4", "eval_cochain"),
+        ("homotopy", "check_homomorphism.h5", "eval_cochain"),
+        ("homotopy", "check_homotopy_nijenhuis.module", "eval_cochain"),
+        ("wells", "transform_cocycle", "eval_cochain"),
+    ]
+
+
+# the modules that may build a lambda-form: the polynomials, the parser, the
+# evaluation layer and the cochain operators
+_FORM_BUILDERS = ("poly", "grammar", "lca", "cohomology")
+
+
+def _form_builds(sources=None):
+    """(module, owner, name) of every call of ``Poly.lam`` or ``dagger``
+    outside ``_FORM_BUILDERS``: a lambda-form written by hand, where the
+    evaluation layer's holder picks the forms itself."""
+    return sorted(
+        (module, owner, name)
+        for name in ("lam", "dagger")
+        for module, owner in _owners(name, sources)
+        if module not in _FORM_BUILDERS
+    )
+
+
+def test_only_the_evaluation_layers_build_lambda_forms():
+    assert _form_builds() == []
+
+
+def test_the_form_rule_sees_forms_written_by_hand():
+    assert _form_builds(_HAND_WRITTEN_COCHAIN_READS) == [
+        ("homotopy", "check_2term", "dagger"),
+        ("homotopy", "check_2term", "lam"),
+        ("homotopy", "check_2term", "lam"),
+        ("homotopy", "check_homomorphism", "dagger"),
+        ("homotopy", "check_homomorphism", "lam"),
+        ("homotopy", "check_homotopy_nijenhuis", "dagger"),
+        ("homotopy", "check_homotopy_nijenhuis", "lam"),
+        ("homotopy", "check_homotopy_nijenhuis", "lam"),
+        ("wells", "transform_cocycle", "dagger"),
+        ("wells", "transform_cocycle", "lam"),
     ]
 
 

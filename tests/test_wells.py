@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nijconf import wells
+from nijconf import cli, wells
 from nijconf.extension import ExtensionData, shear_map
 from nijconf.lca import ConfLinMap, FreeModule
 from nijconf.poly import Poly
@@ -18,6 +18,8 @@ from nijconf.wells import (
     wells_obstruction,
     wells_sequence_check,
 )
+
+from test_cli import CORE
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +199,23 @@ def test_lift_map_shape(ext_km, pair_inner):
     gamma = lift_map(ext_km, pair_inner, eta)
     assert gamma.source == ext_km.total.algebra.module
     assert gamma.target == ext_km.total.algebra.module
+
+
+def test_lift_checks_the_pair_and_gamma_once(monkeypatch, capsys, ext_km, pair_inner):
+    counts = {}
+    for name in ("check_automorphism_pair", "check_h_automorphism"):
+
+        def counted(*args, name=name, check=getattr(wells, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return check(*args)
+
+        monkeypatch.setattr(wells, name, counted)
+    _, eta = inducibility(ext_km, pair_inner)
+    counts.clear()
+    assert lift(ext_km, pair_inner, eta)[0].passed
+    assert counts == {"check_automorphism_pair": 1, "check_h_automorphism": 1}
+    # the verb solves for eta first, which checks the pair
+    counts.clear()
+    assert cli.main(["-f", CORE, "lift", "kmext", "--pair", "wellsgood"]) == 0
+    assert "status: pass" in capsys.readouterr().out.splitlines()
+    assert counts == {"check_automorphism_pair": 1, "check_h_automorphism": 1}
