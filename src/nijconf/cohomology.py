@@ -33,8 +33,9 @@ insertions (`_inserted`): f into the first slot of the flipped action
 coboundary of an operator N is the plain plan over the deformed algebra
 acting through N (`_pulled_back`).  A representation holds the
 first two plans, and the fixed factor the third, each through one lookup
-(`_held`) that builds a plan again when the table stamps or operator maps
-it was built from change.  The cup
+(`lca._held`) that builds a plan again when the table stamps or operator
+maps it was built from change; a cochain holds its skew verdict there
+too, until `Cochain.set_value` drops it.  The cup
 product is an insertion too: J inserted into K's left bracket
 (`_left_bracket`), whose values are one `act_form` per stored value and
 generator.
@@ -78,6 +79,7 @@ from .lca import (
     _BasisPairs,
     _evaluate,
     _flipped_action,
+    _held,
     _output_tuples,
     _relabeling,
     _skew_residual,
@@ -110,15 +112,13 @@ class Cochain:
     ``rep`` supplies both the source algebra and the coefficient action used
     by the coboundary map.  Values are stored sparsely; skew-symmetry is a
     checked property (see :func:`check_cochain_skew`), not a storage
-    invariant.  A cochain holds the plans of its insertion products in
-    ``_plans`` (see `_held`), and the answer of its skew test in
-    ``_skew`` (see `_is_skew`); `set_value`, the one writer of ``values``,
-    drops them.  A multiple of a skew cochain, and a sum of two, hold that
-    they are skew.
+    invariant.  A cochain holds, through `lca._held`, the plans of its
+    insertion products and the answer of its skew test (`_is_skew`);
+    `set_value`, the one writer of ``values``, drops them.
     """
 
     # None until a plan or an answer is held, so a cochain stores nothing
-    _plans = _skew = None
+    _plans = None
 
     def __init__(self, degree, rep, values=None):
         if not 0 <= degree <= MAX_DEGREE:
@@ -187,8 +187,8 @@ class Cochain:
         elif value.module is not self.target and value.module != self.target:
             raise ModuleMismatchError("value is not in the coefficient module")
         value = value.with_arity(self.value_arity)
-        if self._plans is not None or self._skew is not None:
-            self._plans = self._skew = None
+        if self._plans is not None:
+            self._plans = None
         if value.is_zero():
             self.values.pop(key, None)
         else:
@@ -208,8 +208,6 @@ class Cochain:
         out = Cochain(self.degree, self.rep)
         for key in set(self.values) | set(other.values):
             out.set_value(key, self.value(key) + other.value(key))
-        if self._skew and other._skew:
-            out._skew = True
         return out
 
     def __sub__(self, other):
@@ -222,8 +220,6 @@ class Cochain:
         out = Cochain(self.degree, self.rep)
         for key, value in self.values.items():
             out.set_value(key, value.scale(factor))
-        if self._skew:
-            out._skew = True
         return out
 
     def map_target(self, mapping):
@@ -340,7 +336,7 @@ def skew_symmetrize(f):
     if f.degree <= 1:
         return f
     out = _Skew(f.rep, f.degree)(f, f.rep)
-    out._skew = True
+    _held(out, "skew", lambda: True)
     return out
 
 
@@ -402,24 +398,6 @@ def _substitutions(degree):
         return substitution
 
     return final, block
-
-
-def _held(owner, key, build, *sources):
-    """What ``owner._plans`` holds under ``key``, built by ``build()`` when
-    it is missing or was built from other ``sources``: the table stamps and
-    operator maps that it reads, compared by ``==``.
-
-    The one reader and writer of ``_plans``, which a representation binds
-    in ``RepTable.__init__`` and a cochain gets here, and which
-    `Cochain.set_value` drops.  An entry is the pair (sources, what was
-    built), so a plan carries no stamp or operator of its own.
-    """
-    if owner._plans is None:
-        owner._plans = {}
-    held = owner._plans.get(key)
-    if held is None or held[0] != sources:
-        held = owner._plans[key] = sources, build()
-    return held[1]
 
 
 def _stamps(rep):
@@ -671,10 +649,9 @@ def _sorted_outputs(rep, n_op=None, n_m=None):
 
 def _is_skew(f):
     """Whether ``f`` passes `check_cochain_skew`, as every cochain below
-    degree 2 does; ``f._skew`` holds the answer until `Cochain.set_value`."""
-    if f._skew is None:
-        f._skew = f.degree < 2 or check_cochain_skew(f).passed
-    return f._skew
+    degree 2 does; ``f`` holds the answer (`_held`) until
+    `Cochain.set_value`."""
+    return _held(f, "skew", lambda: f.degree < 2 or check_cochain_skew(f).passed)
 
 
 def _filled(rep, image, sorted_only):
@@ -686,7 +663,7 @@ def _filled(rep, image, sorted_only):
     n = image.degree
     if sorted_only and n > 1:
         _held(rep, ("orbit", n), lambda: _Orbit(rep, n))(image, rep, out=image)
-        image._skew = True
+        _held(image, "skew", lambda: True)
     return image
 
 

@@ -15,13 +15,12 @@ from itertools import product
 
 from .cohomology import (
     Cochain,
-    _held,
     adjoint_rep,
     apply_dN,
     image_contains,
 )
 from .errors import ModuleMismatchError, PreconditionError
-from .lca import ConfLinMap, _BasisPairs
+from .lca import ConfLinMap, _BasisPairs, _held
 from .nijenhuis import _deformed
 from .report import Report, failures_of
 
@@ -68,7 +67,7 @@ def _order_residuals(series, n):
 
     The series holds each order's residuals and one `lca._BasisPairs` of
     its bracket, from which every order reads the images of the basis under
-    N_0..N_n and the brackets of them (`cohomology._held`); both are built
+    N_0..N_n and the brackets of them (`lca._held`); both are built
     again once the bracket table, the base operator or the terms change.
     The residuals are shared: a caller copies before it edits.
     """

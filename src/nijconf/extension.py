@@ -54,7 +54,6 @@ from .lca import (
     _skew_failures,
     _tabulated,
     _torsion_failures,
-    _torsion_is_inert,
     _torsion_mixing,
 )
 from .linalg import (
@@ -146,14 +145,18 @@ def check_extension(ext):
 class NonAbelianCocycle:
     """Triple (chi, rho, Phi) of an extension with respect to a section.
 
-    ``chi`` is a degree-2 cochain valued in H, ``rho`` a RepTable-shaped
-    action of L on H (not necessarily a representation: its curvature is
-    the adjoint of chi), ``phi`` a Q[del]-linear map L -> H.
+    ``chi`` is a degree-2 cochain of L valued in H, ``rho`` a
+    RepTable-shaped action of L on H (not necessarily a representation: its
+    curvature is the adjoint of chi), ``phi`` a Q[del]-linear map L -> H.
+    A chi of another algebra than rho's is refused, since the candidate
+    total reads chi's values at L's basis pairs.
     """
 
     def __init__(self, chi, rho, phi):
         if chi.degree != 2:
             raise ModuleMismatchError("chi must be a degree-2 cochain")
+        if chi.source != rho.algebra:
+            raise ModuleMismatchError("chi must be a cochain of rho's algebra")
         if chi.target != rho.module:
             raise ModuleMismatchError("chi and rho have different coefficients")
         if phi.source != rho.algebra.module or phi.target != rho.module:
@@ -282,14 +285,14 @@ def _cocycle_report(total, operator, rank_l):
     l_idx = range(rank_l)
     h_idx = range(rank_l, rank)
     skew_failures = _skew_failures(total, _output_tuples(rank, 2, True))
-    sorted_only = not skew_failures and _torsion_is_inert(total, n=operator)
+    # a bracket or action on the total's torsion fails the line of its pair
+    torsion = _torsion_failures(total.table, total.module, total.module)
+    sorted_only = not (skew_failures or torsion or _torsion_mixing(operator))
 
     def tuples(*index_sets):
         every = product(*index_sets)
         return [t for t in every if not sorted_only or list(t) == sorted(t)]
 
-    # a bracket or action on the total's torsion fails the line of its pair
-    torsion = _torsion_failures(total.table, total.module, total.module)
     on_l = [f for f in torsion if max(f[0]) < rank_l]
 
     report = Report("nonabelian-cocycle")

@@ -73,12 +73,12 @@ from .errors import ModuleMismatchError, PreconditionError
 from .lca import (
     LCA,
     RepTable,
-    check_lca,
     check_morphism,
     check_representation,
     sum_algebra,
     _BasisPairs,
     _basis_value,
+    _checked,
     _flipped_action,
     _jacobi,
     _morphism,
@@ -413,16 +413,20 @@ def check_crossed_module(x):
     * peiffer-1: the intertwining residual of t, t(rho(p)_lam m) - [p lam t m];
     * peiffer-2: rho(t m)_lam n - [m lam n];
     * the same lines over the deformed brackets and rho1, the action
-      deformed by (N0, N1), once the plain lines pass.
+      deformed by (N0, N1), once the plain lines pass.  Of these,
+      t-deformed-morphism holds by construction once t-morphism has passed,
+      and is reported as passing, as :func:`check_2term` reports L1 and L2;
+      the others are evaluated.
+
+    Each algebra line reads the verdict of :func:`check_lca` that its
+    algebra holds (``lca._checked``).
     """
     report = Report("crossed-module")
     lower, upper, t, rho = x.lower, x.upper, x.t, x.rho
     mod0, mod1 = lower.algebra.module, upper.algebra.module
 
     for name, nlca in (("lower", lower), ("upper", upper)):
-        base = check_lca(nlca.algebra)
-        nij = check_nijenhuis(nlca.algebra, nlca.n)
-        ok = base.passed and nij.passed
+        ok = _checked(nlca.algebra) and check_nijenhuis(nlca.algebra, nlca.n).passed
         report.add(name + "-algebra", ok, "validator failed")
 
     morph = check_morphism(upper.algebra, lower.algebra, t)
@@ -455,10 +459,13 @@ def check_crossed_module(x):
     # derived statements: t intertwines the deformed brackets, and
     # rho1(p) = rho(N0 p) + rho(p) N1 - N1 rho(p) represents the deformed
     # algebra, forming a crossed module with the deformed structures.
+    # t-deformed-morphism holds by construction: t-morphism passed, so t is
+    # a morphism with t N1 = N0 t, and t[a, b]_{N1} = [t N1 a, t b]
+    # + [t a, t N1 b] - t N1 [a, b] = [N0 t a, t b] + [t a, N0 t b]
+    # - N0 [t a, t b] = [t a, t b]_{N0}.
+    report.add("t-deformed-morphism", True)
     def_lower = deformed_table(lower.algebra, lower.n)
     def_upper = deformed_table(upper.algebra, upper.n)
-    morph = check_morphism(def_upper, def_lower, t)
-    report.add("t-deformed-morphism", morph.passed, morph.witness_of("morphism"))
 
     rho1 = RepTable(def_lower, mod1, _deformed_action(rho, lower.n, upper.n))
     r = check_representation(rho1)

@@ -47,6 +47,15 @@ a strict 2-term structure and the actions of an extracted or a moved
 triple, each read through a holder's ``at``, and the flipped action
 [m lam x] = -rho(x)_{-del-lam} m, which only :func:`_flipped_action`
 builds.  Outside this module only the parser writes table entries.
+
+Every value an object derives from its own data is held on that object
+through one lookup, :func:`_held`, under the sources it was built from
+(table stamps and operator maps) and built again when they change: an
+algebra's verdict on :func:`check_lca` (:func:`_checked`) and the failures
+of its skew line (:func:`_skew_lines`), both under its table's stamp, the
+rows a map lifts to each arity, a representation's plans and a cochain's
+insertion plans and skew verdict (``cohomology``), and the residuals of a
+deformation series (``deformation``).
 """
 
 from __future__ import annotations
@@ -403,12 +412,41 @@ class _Lifted(dict):
         return coord
 
 
+def _held(owner, key, build, *sources):
+    """What ``owner._plans`` holds under ``key``, built by ``build()`` when
+    it is missing or was built from other ``sources``: the table stamps and
+    operator maps that it reads, compared by ``==``.
+
+    The one reader and writer of ``_plans``, which every owner gets here,
+    and the one cache an object keeps of what it derives from its own data:
+    an algebra holds its check and skew verdicts under its table's stamp
+    (`_checked`, `_skew_lines`), a map the rows of its matrix at each arity
+    (`ConfLinMap.apply`), a representation the plans of ``cohomology``
+    under its tables' stamps and operators, a cochain its insertion plans
+    and its skew verdict, which `Cochain.set_value` drops, and a
+    deformation series the residuals of its orders and the holder they
+    read.  An entry is the pair
+    (sources, what was built), so what is held carries no stamp or
+    operator of its own.
+    """
+    if owner._plans is None:
+        owner._plans = {}
+    held = owner._plans.get(key)
+    if held is None or held[0] != sources:
+        held = owner._plans[key] = sources, build()
+    return held[1]
+
+
 class LCA:
     """A lambda-bracket structure table on a free module.
 
-    Axioms are not enforced by storage -- use :func:`check_lca`.
-    ``checked`` is the stamp of the table when it last passed.
+    Axioms are not enforced by storage -- use :func:`check_lca`.  The
+    algebra holds whether it passes (`_checked`) and the failures of its
+    skew line (`_skew_lines`) through `_held`, under its table's stamp.
     """
+
+    # None until a verdict is held, as for every owner of `_held`
+    _plans = None
 
     def __init__(self, module, table=None):
         self.module = module
@@ -417,7 +455,6 @@ class LCA:
         if table.shape != (module.rank, module.rank, module.rank):
             raise ModuleMismatchError("bracket table shape mismatch")
         self.table = table
-        self.checked = None
 
     def set_bracket(self, i, j, value):
         self.table.set(i, j, value)
@@ -481,10 +518,20 @@ def _output_tuples(rank, n, skew):
 
 def _sorted_tuples_suffice(lca, n=None):
     """Whether residuals over ``lca`` and the operator ``n`` may be evaluated
-    on non-decreasing tuples only (see :func:`_output_tuples`): the bracket
-    is conformally skew, tested on pairs i <= j, and its torsion is inert."""
-    skew = not _skew_failures(lca, _output_tuples(lca.module.rank, 2, True))
-    return skew and _torsion_is_inert(lca, n=n)
+    on non-decreasing tuples only (see :func:`_output_tuples`): the skew
+    line of :func:`check_lca` passes, as the algebra holds it
+    (`_skew_lines`), so the bracket is conformally skew and involves no
+    torsion generator, and ``n`` maps a torsion generator only onto
+    generators with the same del action (see :func:`_torsion_mixing`).
+
+    Such a generator is torsion (del acts on it by a scalar), and its
+    coordinates are stored with del substituted.  That is exact while they
+    are only ever output.  Otherwise a substituted coordinate is fed back
+    into a bracket or an operator, where the dagger rule no longer relates
+    a residual's values on permuted tuples, so every tuple must be
+    evaluated.
+    """
+    return not _skew_lines(lca) and (n is None or not _torsion_mixing(n))
 
 
 def _torsion_failures(table, left, right):
@@ -504,25 +551,6 @@ def _torsion_failures(table, left, right):
         for key, value in table.entries.items()
         if left.actions[key[0]] != FREE or right.actions[key[1]] != FREE
     )
-
-
-def _torsion_is_inert(lca, n=None):
-    """Whether no coordinate on an evaluation generator re-enters a residual.
-
-    Such a generator is torsion (del acts on it by a scalar), and its
-    coordinates are stored with del substituted.  That is exact while they
-    are only ever output: when no bracket of ``lca`` involves a torsion
-    generator (see :func:`_torsion_failures`), and the operator ``n`` maps
-    it only onto generators with the same del action (see
-    :func:`_torsion_mixing`).  Otherwise a
-    substituted coordinate is fed back into a bracket or an operator, where
-    the dagger rule no longer relates a residual's values on permuted
-    tuples, so every tuple must be evaluated.
-    """
-    module = lca.module
-    if _torsion_failures(lca.table, module, module):
-        return False
-    return n is None or not _torsion_mixing(n)
 
 
 def _torsion_mixing(mapping):
@@ -553,17 +581,33 @@ def check_lca(lca):
     on an evaluation generator, at its pair, since sesquilinearity forbids
     it (see :func:`_torsion_failures`).  When the skew check passes,
     Jacobi is evaluated on sorted triples only (see :func:`_output_tuples`);
-    otherwise on every triple.
+    otherwise on every triple.  The skew line's failures are those the
+    algebra holds (`_skew_lines`).
     """
-    module = lca.module
     report = Report("lca")
-    skew = report.add_failures(
-        "skew",
-        _skew_failures(lca, _output_tuples(module.rank, 2, True))
-        + _torsion_failures(lca.table, module, module),
-    )
-    report.add_residuals("jacobi", _output_tuples(module.rank, 3, not skew), _jacobi(lca))
+    skew = report.add_failures("skew", _skew_lines(lca))
+    report.add_residuals("jacobi", _output_tuples(lca.module.rank, 3, not skew), _jacobi(lca))
     return report
+
+
+def _checked(lca):
+    """Whether ``lca`` passes :func:`check_lca`, held under its table's
+    stamp (`_held`): the precondition of a Nijenhuis structure and of a
+    representation."""
+    return _held(lca, "checked", lambda: check_lca(lca).passed, lca.table.stamp)
+
+
+def _skew_lines(lca):
+    """The failures of the skew line of :func:`check_lca`, held under the
+    table's stamp (`_held`): skew-symmetry on pairs i <= j, then every
+    nonzero bracket on a torsion generator (see :func:`_torsion_failures`)."""
+
+    def build():
+        module = lca.module
+        pairs = _output_tuples(module.rank, 2, True)
+        return _skew_failures(lca, pairs) + _torsion_failures(lca.table, module, module)
+
+    return _held(lca, "skew", build, lca.table.stamp)
 
 
 def _skew_failures(lca, pairs):
@@ -610,7 +654,9 @@ def _jacobi(lca):
 
 class RepTable:
     """Conformal representation: action table rho(e_i)_lam m_j.  It holds
-    its plans in ``_plans`` (see ``cohomology._held``)."""
+    the plans of ``cohomology`` through `_held`."""
+
+    _plans = None
 
     def __init__(self, algebra, module, action=None):
         self.algebra = algebra
@@ -620,7 +666,6 @@ class RepTable:
         if action.shape != (algebra.module.rank, module.rank, module.rank):
             raise ModuleMismatchError("action table shape mismatch")
         self.action = action
-        self._plans = {}
 
     def set_action(self, i, j, value):
         self.action.set(i, j, value)
@@ -659,7 +704,8 @@ def adjoint_rep(lca):
 def check_representation(rep):
     """The representation identity, with its least failing (i, j, k).
 
-    The algebra must pass :func:`check_lca` first.  Its bracket is then
+    The algebra must pass :func:`check_lca` first, as it holds
+    (`_checked`).  Its bracket is then
     skew with central torsion, so when the action involves no torsion
     generator either, the residual at (j, i, k) is minus the one at
     (i, j, k) with lam1 and lam2 exchanged, and only i <= j is evaluated.
@@ -668,8 +714,7 @@ def check_representation(rep):
     forbids (see :func:`_torsion_failures`), fails at its least such pair.
     """
     report = Report("representation")
-    base = check_lca(rep.algebra)
-    if not base.passed:
+    if not _checked(rep.algebra):
         report.add_status("algebra", PRECONDITION, "underlying check_lca failed")
         return report
     report.add("algebra", True)
@@ -880,8 +925,12 @@ class ConfLinMap:
     ``target.reduce_coords`` as an `Elem` is: on an evaluation generator
     del acts by a scalar, so an entry in its row is held with del |-> that
     scalar.  Maps that act alike on every generator then have one matrix,
-    which ``==``, `compose` and the inverses read.
+    which ``==``, `compose` and the inverses read.  A map holds, at each
+    arity it is applied at, the nonzero entries of its rows lifted to that
+    arity (`_held`).
     """
+
+    _plans = None
 
     def __init__(self, source, target, matrix):
         if len(matrix) != target.rank or any(
@@ -890,8 +939,6 @@ class ConfLinMap:
             raise ModuleMismatchError("matrix shape does not match modules")
         self.source = source
         self.target = target
-        # arity -> rows of (column, entry lifted to that arity), nonzero only
-        self._lifted = {}
         self.matrix = [
             [
                 entry if isinstance(entry, Poly) else Poly.const(entry, 0)
@@ -946,12 +993,10 @@ class ConfLinMap:
         if elem.module != self.source:
             raise ModuleMismatchError("element not in the map's source")
         arity, coords = elem.arity, elem.coords
-        rows = self._lifted.get(arity)
-        if rows is None:
-            rows = self._lifted[arity] = [
-                [(k, entry.with_arity(arity)) for k, entry in enumerate(row) if entry]
-                for row in self.matrix
-            ]
+        rows = _held(self, arity, lambda: [
+            [(k, entry.with_arity(arity)) for k, entry in enumerate(row) if entry]
+            for row in self.matrix
+        ])
         zero = Poly.zero(arity)
         return Elem(self.target, [
             sum((entry * coords[k] for k, entry in row if coords[k].terms), zero)

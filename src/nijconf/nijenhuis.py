@@ -22,6 +22,12 @@ identity or projection column [N e_i, e_j] and [N e_i, N e_j] are one
 evaluation.  A holder lasts for one check (both operator lines of an
 extension's cocycle report share one) or, for the order residuals of
 ``deformation``, as long as its series is unchanged.
+
+Which pairs a check evaluates reads the skew line of ``lca.check_lca`` as
+the algebra holds it (``lca._skew_lines``, under its table's stamp), and
+:class:`NijenhuisLCA` reads the algebra's held verdict on that check
+(``lca._checked``), so neither is evaluated again while the table is
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .lca import (
     LCA,
     _BasisPairs,
     adjoint_rep,
+    _checked,
     _output_tuples,
     _sorted_tuples_suffice,
     _tabulated,
@@ -117,8 +124,9 @@ class NijenhuisLCA:
 
     The constructor is the one validator of a Nijenhuis structure from
     outside: the operator must be Q[del]-linear, the algebra must pass
-    :func:`check_lca` (run once per version of its table, see
-    ``LCA.checked``) and the operator :func:`check_nijenhuis`.  ``raw``
+    :func:`check_lca` (run once per version of its table: the algebra
+    holds the verdict, see ``lca._checked``) and the operator
+    :func:`check_nijenhuis`.  ``raw``
     skips validation.  The builders of totals use it, because their own
     checks already imply both: :func:`nij_semidirect`,
     ``extension.checked_extension`` (through ``_candidate_extension``) and
@@ -131,10 +139,8 @@ class NijenhuisLCA:
     def __init__(self, algebra, n):
         _require_endo(algebra, n)
         _require_linear(n)
-        if algebra.checked != algebra.table.stamp:
-            if not check_lca(algebra).passed:
-                raise PreconditionError("underlying algebra fails check_lca")
-            algebra.checked = algebra.table.stamp
+        if not _checked(algebra):
+            raise PreconditionError("underlying algebra fails check_lca")
         rep = check_nijenhuis(algebra, n)
         if not rep.passed:
             raise PreconditionError("operator is not Nijenhuis: %s" % rep.lines())

@@ -154,8 +154,7 @@ def transform_cocycle(cocycle, pair):
     b_inv = _inverse(pair.beta, "beta")
     l_mod = cocycle.rho.algebra.module
     h_mod = cocycle.rho.module
-    # chi is read as a cochain of L, as the candidate total reads it
-    held_chi = _BasisPairs(cocycle.chi.values, (l_mod, l_mod), h_mod)
+    held_chi = _BasisPairs.of_cochain(cocycle.chi)
     on_b = held_chi.operator(b_inv)
     chi = Cochain(2, cocycle.chi.rep)
     for i, j in product(range(l_mod.rank), repeat=2):

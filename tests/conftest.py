@@ -35,6 +35,18 @@ def count_calls(monkeypatch, function, key=lambda *args: None):
     return counts
 
 
+def _holds(owner):
+    """What ``owner`` holds through `lca._held`, by key: each entry of its
+    ``_plans`` is (sources, what was built from them)."""
+    return {key: built for key, (_, built) in (owner._plans or {}).items()}
+
+
+def _plan_keys(owner):
+    """The keys of what ``owner`` holds, but for a cochain's skew verdict
+    (see `cohomology._is_skew`), in the order they were first held."""
+    return [key for key in _holds(owner) if key != "skew"]
+
+
 def make_vir():
     vm = FreeModule(["L"])
     vir = LCA(vm)

@@ -11,7 +11,10 @@ tuple is evaluated, and every inserted bracket is built again for every
 cochain; ``apply_dNM`` is its twisted difference.  ``skew_symmetrize``,
 ``circ_insert``, ``cup_product`` and ``xi_map`` are the table builders as
 each walked the basis tuples and enumerated its shuffles on its own.
-``xi_map`` is also the comparison map as it was before it was planned once
+``skew_residual`` is the conformal skew residual with every stored value
+expanded and the dense dagger above, which the engine's
+``lca._skew_residual`` (read by ``check_cochain_skew``) and the orbit basis
+of ``cochain_space`` are pinned to.  ``xi_map`` is also the comparison map as it was before it was planned once
 per degree: 2^n cochain evaluations per output tuple, with N applied to the
 arguments and the powers of N_M computed again on every call.
 ``circ_insert`` is also the insertion product as it was before it was
@@ -124,6 +127,25 @@ def dagger_substitute(elem, slot):
     if slot == arity:
         out = out.shrink(arity - 1)
     return out
+
+
+def skew_residual(values, target, key, k):
+    """The conformal skew-symmetry residual of stored ``values`` at the basis
+    n-tuple ``key`` and the transposition of its slots k and k + 1: the
+    value at ``key`` plus the value at the swapped tuple with lam_k and
+    lam_{k+1} exchanged, each expanded by multiplying out its forms, then
+    the dense dagger substitution of the last lambda."""
+    n = len(key)
+    forms = _forms(n, n)
+    swapped_forms = list(forms)
+    swapped_forms[k], swapped_forms[k + 1] = forms[k + 1], forms[k]
+    swapped = key[:k] + (key[k + 1], key[k]) + key[k + 2 :]
+    coords = [Poly.zero(n)] * target.rank
+    for value, at in ((values.get(key), forms), (values.get(swapped), swapped_forms)):
+        if value is not None:
+            expanded = expand_value(list(value), at[: n - 1], n)
+            coords = [acc + poly for acc, poly in zip(coords, expanded)]
+    return dagger_substitute(Elem(target, coords), n)
 
 
 def apply_delta(f, rep=None, twist=None, insert_table=None, keys=None):

@@ -331,6 +331,32 @@ def test_an_extension_block_over_another_kernel_exits_two(tmp_path):
     assert (code, out.splitlines()[-1]) == (2, diagnostic)
 
 
+@pytest.mark.parametrize("verb", ["check", "extend"])
+@pytest.mark.parametrize(
+    "triple,quot",
+    [
+        ("kmchi rho zerorepvir phi zerophivir", "virid"),
+        ("virchi rho zerorep phi zerophi", "sl2id"),
+    ],
+)
+def test_a_triple_whose_chi_is_over_another_algebra_exits_two(
+    tmp_path, verb, triple, quot
+):
+    # chi was read at the quotient's basis pairs by index: the first triple
+    # passed check and failed only extend's roundtrip, the second failed
+    # jacobi on vir's value read as chi(e, e)
+    ws = tmp_path / "mixed.ws"
+    ws.write_text("cocycle mixed chi %s\n" % triple)
+    code, out, _ = run_cli(
+        "-f", CORE, "-f", str(ws), verb, "mixed", "--quot", quot, "--sub", "ctrivid"
+    )
+    assert (code, out) == (2, "\n".join([
+        "command: %s mixed" % verb,
+        "status: error",
+        "diagnostic: %s:1:1: chi must be a cochain of rho's algebra" % ws,
+    ]) + "\n")
+
+
 REP_WS = "module m\n  basis a\n\nalgebra g module m\n\nrep r algebra g module m\n\n"
 
 

@@ -36,7 +36,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_eval
-from conftest import make_sl2, make_vir
+from conftest import _holds, _plan_keys, make_sl2, make_vir
+from nijconf import cohomology
 from nijconf.cohomology import (
     MAX_DEGREE,
     Cochain,
@@ -70,12 +71,14 @@ from nijconf.lca import (
     RepTable,
     StructureTable,
     _evaluate,
+    _skew_residual,
     dagger_substitute,
     sesqui_eval,
     sum_algebra,
 )
 from nijconf.nijenhuis import deformed_table
 from nijconf.poly import Poly, dagger
+from nijconf.report import Report, failures_of
 
 _coeffs = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -537,7 +540,7 @@ def _held_plans(sorted_only, rep, *cochains):
     """The slots of the plans on the sorted or on every output tuple that
     ``rep`` and ``cochains`` hold; an orbit fill is neither."""
     held = [slot for slot, (_, plan) in rep._plans.items() if isinstance(plan, _Plan)]
-    held += [slot for f in cochains for slot in f._plans or ()]
+    held += [slot for f in cochains for slot in _plan_keys(f)]
     return [slot for slot in held if slot[-1] is sorted_only]
 
 
@@ -606,7 +609,7 @@ def test_the_nr_bracket_maps_every_tuple_over_torsion():
         _assert_same_cochain(nr_bracket(J, K), reference_eval.circ_insert(J, K) + inside)
         _assert_same_cochain(apply_delta(K), reference_eval.apply_delta(K))
         assert _held_plans(False, rep) == []
-        assert list(J._plans) == [(False, degree, False), (True, degree, False)]
+        assert _plan_keys(J) == [(False, degree, False), (True, degree, False)]
     assert not check_cochain_skew(nr_bracket(J, K)).passed
 
 
@@ -629,9 +632,43 @@ def test_the_skew_test_agrees_with_the_skew_check(case):
             continue
         a = rng.randrange(rep.algebra.module.rank)
         g = Cochain(degree, rep, cochains[-1].values)
-        assert _is_skew(g) and g._skew
+        assert _is_skew(g) and _holds(g)["skew"]
         g.set_value((a,) * degree, g.value((a,) * degree) + rep.module.basis_elem(0))
-        assert g._skew is None
+        assert "skew" not in _holds(g)
         assert not _is_skew(g)
         witness = "skew: fail at=%s " % ",".join(map(str, (a,) * degree + (0,)))
         assert check_cochain_skew(g).lines()[0].startswith(witness)
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, *_ in _reps()])
+def test_the_skew_check_reads_the_reference_skew_residual(monkeypatch, case):
+    # every residual that check_cochain_skew reads, on every tuple and
+    # transposition, is the reference's, whose values are expanded and
+    # daggered densely; its witness is the least nonzero one
+    _, rep, _, _ = _reps()[case]
+    rng = Random(750 + case)
+    read = {}
+
+    def recorded(values, target, key, k):
+        read[key + (k,)] = residual = _skew_residual(values, target, key, k)
+        return residual
+
+    monkeypatch.setattr(cohomology, "_skew_residual", recorded)
+    rank, failing = rep.algebra.module.rank, 0
+    for degree in range(2, MAX_DEGREE + 1):
+        cochains = _cochains(rep, degree, rng) + [_sparse_cochain(rep, degree, rng)]
+        for f in cochains:
+            read.clear()
+            report = check_cochain_skew(f)
+            want = {
+                key + (k,): reference_eval.skew_residual(f.values, f.target, key, k)
+                for key in product(range(rank), repeat=degree)
+                for k in range(degree - 1)
+            }
+            assert {t: r.coords for t, r in read.items()} == {
+                t: r.coords for t, r in want.items()
+            }
+            expected = Report("cochain-skew")
+            failing += bool(expected.add_failures("skew", failures_of(want.items())))
+            assert report.lines() == expected.lines()
+    assert failing >= 1

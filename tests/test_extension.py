@@ -25,7 +25,7 @@ from nijconf.nijenhuis import NijenhuisLCA
 from nijconf.poly import Poly
 from nijconf.wells import AutomorphismPair, inducibility
 
-from conftest import DEL, LAM, count_calls
+from conftest import DEL, LAM, count_calls, gf_cocycle, km_cocycle
 from test_cli import ROOT
 
 
@@ -366,3 +366,18 @@ def test_a_triple_over_another_quotient_is_refused(c_km, vir_id, c_triv, check):
     # km's rho is an action of sl2, not of vir
     with pytest.raises(ModuleMismatchError, match="rho must act by the quotient"):
         check(c_km, vir_id, c_triv)
+
+
+@pytest.mark.parametrize("chi_over", ["sl2", "vir"])
+def test_a_triple_whose_chi_is_over_another_algebra_is_refused(
+    sl2, vir, central_line, chi_over
+):
+    # the candidate total read such a chi at the quotient's basis pairs
+    if chi_over == "sl2":
+        chi, over = km_cocycle(sl2, central_line).chi, vir
+    else:
+        chi, over = gf_cocycle(vir, central_line).chi, sl2
+    rho = RepTable(over, central_line)
+    phi = ConfLinMap.zero(over.module, central_line)
+    with pytest.raises(ModuleMismatchError, match="chi must be a cochain of rho's algebra"):
+        NonAbelianCocycle(chi, rho, phi)

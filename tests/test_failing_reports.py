@@ -6,9 +6,10 @@ recorded before the checks were routed through one failure collector, so
 a witness that moves by a byte, or a failure that goes unreported, fails
 here.  The crossed-module checks on the deformed structures run only once
 the plain ones pass, and then pass too (a deformed crossed module is again
-one); their lines are pinned in a passing report, and the failing witness
-of the t-deformed-morphism line is pinned on the check it reads,
-``check_morphism`` of the deformed brackets.
+one); their lines are pinned in a passing report.  The t-deformed-morphism
+line holds by construction where it is reached, so it reads no check; the
+check it stands for, ``check_morphism`` of the deformed brackets, has its
+failing witness pinned here.
 """
 
 from random import Random
@@ -232,9 +233,9 @@ def report_extension_equivalence():
 
 
 def report_t_deformed_morphism():
-    # the t-deformed-morphism line of check_crossed_module, which that check
-    # reaches only when t is a morphism commuting with the operators, and so
-    # a morphism of the deformed brackets too
+    # the check that the t-deformed-morphism line of check_crossed_module
+    # stands for; that line is reached only when t is a morphism commuting
+    # with the operators, and so a morphism of the deformed brackets too
     sl2_p = _sl2_p()
     deformed = deformed_table(sl2_p.algebra, sl2_p.n)
     module = deformed.module

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -26,8 +27,17 @@ from nijconf.homotopy import (
     skeletal_to_cocycle,
     strict_crossed_roundtrip,
 )
-from nijconf.lca import FREE, LCA, ConfLinMap, Elem, FreeModule, RepTable, StructureTable
-from nijconf.nijenhuis import check_nijenhuis
+from nijconf.lca import (
+    FREE,
+    LCA,
+    ConfLinMap,
+    Elem,
+    FreeModule,
+    RepTable,
+    StructureTable,
+    check_morphism,
+)
+from nijconf.nijenhuis import check_nijenhuis, deformed_table
 from nijconf.poly import Poly
 from nijconf.report import PASS, failures_of, first_witness
 
@@ -329,3 +339,42 @@ def test_skeletal_cocycle_is_l8_and_the_jacobiator_defect(case):
         assert passed == _l8_and_defect_pass(structure, op)
         outcomes.append(passed)
     assert outcomes == [True, False, False]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_morphism_commuting_with_the_operators_is_a_deformed_morphism(seed):
+    # check_crossed_module reports t-deformed-morphism as passing once
+    # t-morphism passes: t a morphism with t N1 = N0 t is then a morphism of
+    # the deformed brackets; each t below but the random one is such a map
+    rng = Random(900 + seed)
+
+    def operator(module):
+        return ConfLinMap(module, module, [
+            [Poly.const(rng.randint(-2, 2), 0) + Poly.del_(0).scale(rng.randint(-1, 1))
+             for _ in module.basis]
+            for _ in module.basis
+        ])
+
+    sl2, vir = make_sl2(), make_vir()
+    c = Fraction(rng.choice([2, -3, 5])) / rng.choice([1, 7])
+    grading = ConfLinMap.diagonal(sl2.module, [c, 1, 1 / c])
+    cases = []
+    for algebra in (sl2, vir):
+        module = algebra.module
+        n1 = operator(module)
+        cases += [
+            (algebra, ConfLinMap.identity(module), n1, n1),
+            (algebra, ConfLinMap.zero(module), n1, operator(module)),
+            (algebra, operator(module), n1, operator(module)),
+        ]
+    n1 = operator(sl2.module)
+    inverse = ConfLinMap.diagonal(sl2.module, [1 / c, 1, c])
+    cases.append((sl2, grading, n1, grading.compose(n1).compose(inverse)))
+    passed = 0
+    for algebra, t, n1, n0 in cases:
+        plain = check_morphism(algebra, algebra, t).passed
+        plain = plain and (t.compose(n1) - n0.compose(t)).is_zero()
+        deformed = deformed_table(algebra, n1), deformed_table(algebra, n0)
+        assert check_morphism(*deformed, t).passed or not plain
+        passed += plain
+    assert passed >= 5

@@ -25,7 +25,7 @@ from nijconf.lca import (
 from nijconf.nijenhuis import check_nijenhuis
 from nijconf.poly import Poly, Substitution, dagger
 
-from conftest import DEL, LAM, make_vir
+from conftest import DEL, LAM, count_calls, make_sl2, make_vir
 from test_cli import CORE, HOMOTOPY
 
 
@@ -351,3 +351,25 @@ def test_jacobi_evaluates_no_bracket_against_zero(monkeypatch):
     for algebra in algebras:
         check_lca(algebra)
     assert calls[False] and not calls[True]
+
+
+def test_an_algebra_evaluates_its_skew_line_once_per_table_version(monkeypatch):
+    # check_lca, the sorted-tuple rule of check_nijenhuis and the verdict of
+    # check_representation read the skew line the algebra holds; setting a
+    # bracket makes it be evaluated again
+    algebra = make_sl2()
+    evaluated = count_calls(monkeypatch, lca._skew_failures)
+    n = ConfLinMap.identity(algebra.module)
+    for _ in range(2):
+        assert check_lca(algebra).passed and check_nijenhuis(algebra, n).passed
+        assert check_representation(lca.adjoint_rep(algebra)).passed
+    assert evaluated == {None: 1}
+    algebra.set_bracket(1, 0, [3, 0, 0])
+    report = check_lca(algebra)
+    # [e lam h] + [h_{-del-lam} e] = -2e + 3e
+    assert report.lines()[0] == "skew: fail at=0,1 residual=[(1)e]"
+    assert check_representation(lca.adjoint_rep(algebra)).lines() == [
+        "algebra: precondition-failed underlying check_lca failed"
+    ]
+    assert not lca._sorted_tuples_suffice(algebra)
+    assert evaluated == {None: 2}

@@ -117,11 +117,13 @@ with the version of the structure tables it was derived from, so only
 and ``.table`` and ``.action`` are bound only in an ``__init__``.  A
 cochain holds the insertion plans read off its values, so only
 ``Cochain.set_value``, which drops them, writes a cochain's ``.values``,
-bound only in ``Cochain.__init__``.  Every held plan is fetched through one
-lookup with one staleness rule: only ``cohomology._held`` reads or writes
-an owner's ``._plans``, bar its binding in ``RepTable.__init__`` and its
-drop in ``Cochain.set_value``, and no function of ``cohomology`` sets a
-``.stamp``, ``.n_op`` or ``.n_m`` on a plan.
+bound only in ``Cochain.__init__``.  Every value an object derives from its
+own data (a held plan, an algebra's check and skew verdicts, a cochain's
+skew verdict, a map's lifted rows) is fetched through one lookup with one
+staleness rule: only ``lca._held`` reads or writes an owner's ``._plans``,
+bar its drop in ``Cochain.set_value``; no function writes a ``.checked``,
+``._skew`` or ``._lifted`` of its own; and no function of ``cohomology``
+sets a ``.stamp``, ``.n_op`` or ``.n_m`` on a plan.
 """
 
 import ast
@@ -1582,7 +1584,8 @@ def _stamp_offences(tree):
     ``StructureTable.set`` (bar its binding in ``StructureTable.__init__``),
     and of every binding of ``.table`` or ``.action`` outside an
     ``__init__``: a write that skips ``set`` would not bump the version
-    that held coboundary plans and ``LCA.checked`` are stamped with."""
+    that what ``lca._held`` holds is stamped with (a representation's
+    plans, an algebra's check and skew verdicts)."""
     offences = [
         (line, "%s .entries" % kind)
         for line, kind, owner in _writes(tree, "entries")
@@ -1702,24 +1705,32 @@ def poke(f, g):
     ]
 
 
-def _holder_offences(tree):
-    """(line, what) of every read or write of an attribute ``_plans``
-    outside ``_held``, ``RepTable.__init__`` and ``Cochain.set_value``, and
-    of every binding of ``.stamp``, ``.n_op`` or ``.n_m``: a lookup of its
-    own would bring its own key scheme and staleness rule."""
-    exempt = {("_held",), ("RepTable", "__init__"), ("Cochain", "set_value")}
-    found = []
+def _holder_offences(tree, module):
+    """(line, what) of every read or write of an attribute ``_plans`` in the
+    package's ``module`` outside ``lca._held`` and ``Cochain.set_value``;
+    of every write of ``.checked``, ``._skew`` or ``._lifted``, a cache an
+    object would keep of its own data beside ``_plans``; and, in
+    ``cohomology``, of every binding of ``.stamp``, ``.n_op`` or ``.n_m`` on
+    a plan (a NijenhuisRep holds its own n_m): a lookup of its own would
+    bring its own key scheme and staleness rule."""
+    exempt = {("lca", ("_held",)), ("cohomology", ("Cochain", "set_value"))}
+    plan_fields = ("stamp", "n_op", "n_m") if module == "cohomology" else ()
+    found = [
+        (line, "%s .%s" % (kind, attr))
+        for attr in ("checked", "_skew", "_lifted")
+        for line, kind, _ in _writes(tree, attr)
+    ]
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, owner + (child.name,))
                 continue
-            if _is_attribute(child, "_plans") and owner not in exempt:
+            if _is_attribute(child, "_plans") and (module, owner) not in exempt:
                 found.append((child.lineno, "._plans in %s" % ".".join(owner)))
             stored = isinstance(getattr(child, "ctx", None), ast.Store)
             if stored and isinstance(child, ast.Attribute):
-                if child.attr in ("stamp", "n_op", "n_m"):
+                if child.attr in plan_fields:
                     found.append((child.lineno, "binds .%s" % child.attr))
             visit(child, owner)
 
@@ -1728,12 +1739,17 @@ def _holder_offences(tree):
 
 
 def test_only_the_holder_reads_or_writes_plans():
-    # a NijenhuisRep holds its own n_m; only a plan may not
+    holders = [
+        module
+        for module, source in _sources()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_held"
+    ]
+    assert holders == ["lca"]
     offences = [
         "%s:%d %s" % (module, line, what)
         for module, source in _sources()
-        for line, what in _holder_offences(ast.parse(source))
-        if module == "cohomology" or not what.startswith("binds")
+        for line, what in _holder_offences(ast.parse(source), module)
     ]
     assert offences == []
 
@@ -1763,12 +1779,79 @@ def _differential(rep, degree, n_op=None, n_m=None, sorted_only=False):
             held.stamp, held.n_op = stamp, operator
         return held
 """
-    assert _holder_offences(ast.parse(source)) == [
+    assert _holder_offences(ast.parse(source), "cohomology") == [
         (4, "._plans in _filled"),
         (6, "._plans in _filled"),
+        (8, "binds ._skew"),
         (13, "._plans in _differential"),
         (20, "binds .n_op"),
         (20, "binds .stamp"),
+    ]
+
+
+def test_the_holder_rule_sees_each_cache_kept_beside_it():
+    # the parent's caches: a holder in cohomology, an algebra's checked
+    # stamp, a cochain's skew answer, set by its test and by the orbit
+    # fill, and a map's lifted rows
+    source = """
+def _held(owner, key, build, *sources):
+    if owner._plans is None:
+        owner._plans = {}
+    held = owner._plans.get(key)
+    if held is None or held[0] != sources:
+        held = owner._plans[key] = sources, build()
+    return held[1]
+
+
+class NijenhuisLCA:
+    def __init__(self, algebra, n):
+        if algebra.checked != algebra.table.stamp:
+            if not check_lca(algebra).passed:
+                raise PreconditionError("underlying algebra fails check_lca")
+            algebra.checked = algebra.table.stamp
+
+
+def _is_skew(f):
+    if f._skew is None:
+        f._skew = f.degree < 2 or check_cochain_skew(f).passed
+    return f._skew
+
+
+def _filled(rep, image, sorted_only):
+    n = image.degree
+    if sorted_only and n > 1:
+        _held(rep, ("orbit", n), lambda: _Orbit(rep, n))(image, rep, out=image)
+        image._skew = True
+    return image
+
+
+class ConfLinMap:
+    def apply(self, elem):
+        arity, coords = elem.arity, elem.coords
+        rows = self._lifted.get(arity)
+        if rows is None:
+            rows = self._lifted[arity] = [
+                [(k, entry.with_arity(arity)) for k, entry in enumerate(row) if entry]
+                for row in self.matrix
+            ]
+        return rows
+"""
+    assert _holder_offences(ast.parse(source), "cohomology") == [
+        (3, "._plans in _held"),
+        (4, "._plans in _held"),
+        (5, "._plans in _held"),
+        (7, "._plans in _held"),
+        (16, "binds .checked"),
+        (21, "binds ._skew"),
+        (29, "binds ._skew"),
+        (38, "writes ._lifted"),
+    ]
+    # in lca the same holder is the one allowed
+    assert _holder_offences(ast.parse(source), "lca") == [
+        (16, "binds .checked"),
+        (21, "binds ._skew"),
+        (29, "binds ._skew"),
+        (38, "writes ._lifted"),
     ]
 
 
